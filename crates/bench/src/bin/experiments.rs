@@ -172,14 +172,12 @@ fn main() {
         let metrics = wcoj_benchmark();
         for m in &metrics {
             println!(
-                "{:<38} backtrack {:>9.3} ms  wcoj {:>9.3} ms  dense {:>9.3} ms  \
-                 speedup {:>6.2}x  dense-speedup {:>5.2}x  planner {:<9} agree {}",
+                "{:<38} backtrack {:>9.3} ms  dense {:>9.3} ms  \
+                 speedup {:>6.2}x  planner {:<9} agree {}",
                 m.workload,
                 m.backtrack_ms,
-                m.wcoj_ms,
                 m.dense_ms,
                 m.speedup(),
-                m.dense_speedup(),
                 m.planner,
                 m.answers_agree
             );
@@ -250,14 +248,23 @@ fn main() {
     let results: Vec<Option<ExperimentTable>> =
         Pool::with_workers(jobs).map(&ids, |id| run_experiment(id));
     let mut tables: Vec<ExperimentTable> = Vec::new();
+    let mut unknown = false;
     for (id, result) in ids.iter().zip(results) {
         match result {
             Some(t) => {
                 println!("{}", t.render());
                 tables.push(t);
             }
-            None => eprintln!("unknown experiment id: {id}"),
+            None => {
+                eprintln!("unknown experiment id: {id}");
+                unknown = true;
+            }
         }
+    }
+    if unknown {
+        // A usage error, like a bad `--jobs`: a typo in a scripted run
+        // must not pass silently.
+        std::process::exit(2);
     }
     if let Some(path) = json_path {
         let mut f = std::fs::File::create(&path).expect("create json output");

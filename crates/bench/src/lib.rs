@@ -3,7 +3,6 @@
 //! EXPERIMENTS.md for paper-vs-measured).
 
 pub mod experiments;
-pub mod harness;
 pub mod ingest;
 pub mod json;
 pub mod kernel;

@@ -11,9 +11,9 @@
 //!   the kernel node visits of trigger search.
 //! * **E10** (hardness shape): clique enumeration under both join
 //!   strategies, then again after growing the graph — WCOJ seeks and
-//!   galloping steps, kernel backtracking, and sorted-index full builds
+//!   galloping steps, kernel backtracking, and dense-trie full builds
 //!   *and* merge-extends (the re-run after growth extends the cached
-//!   permutations incrementally).
+//!   tries incrementally).
 //! * **E15** (parallel shootout): pool-parallel chase and ground
 //!   saturation — pool runs/chunks/width, per-worker utilization, bag
 //!   closures and memo hits.
@@ -29,7 +29,7 @@ use crate::workloads::{
 use gtgd_chase::{par_ground_saturation, parse_tgds, ChaseRunner, ChaseVariant};
 use gtgd_data::obs::{self, RunReport};
 use gtgd_data::GroundAtom;
-use gtgd_query::{Engine, Repr, Strategy};
+use gtgd_query::{Engine, Strategy};
 
 /// One experiment's traced run.
 #[derive(Debug, Clone)]
@@ -64,11 +64,9 @@ pub fn trace_e9() -> TracedExperiment {
 }
 
 /// E10 traced: clique enumeration through [`Engine::prepare`] under both
-/// join strategies and both WCOJ key representations (dense dictionary
-/// codes and generic values), plus a morsel-parallel run, then re-run on a
-/// grown graph so both incremental-maintenance paths fire: the sorted-index
-/// cache merge-extends its permutations and the dense store extends its
-/// dictionary/tries.
+/// join strategies, plus a morsel-parallel run, then re-run on a grown
+/// graph so the incremental-maintenance path fires: the dense store
+/// extends its dictionary and merge-extends its tries.
 pub fn trace_e10() -> TracedExperiment {
     let mut g = random_graph(13, 0.5, 97);
     plant_clique(&mut g, 5, 13);
@@ -76,24 +74,19 @@ pub fn trace_e10() -> TracedExperiment {
     let q = clique_cq(4);
     let ((), report) = obs::trace_run(|| {
         let dense = Engine::prepare(&q).strategy(Strategy::Wcoj).answers(&db);
-        let generic = Engine::prepare(&q)
-            .strategy(Strategy::Wcoj)
-            .repr(Repr::Generic)
-            .answers(&db);
         let bt = Engine::prepare(&q)
             .strategy(Strategy::Backtrack)
             .answers(&db);
         assert_eq!(dense, bt, "dense WCOJ must agree with the backtracker");
-        assert_eq!(generic, bt, "generic WCOJ must agree with the backtracker");
         // Morsel-driven parallel enumeration (for the scheduler probes).
         let par = Engine::prepare(&q)
             .strategy(Strategy::Wcoj)
             .parallel(2)
             .answers(&db);
         assert_eq!(par, bt, "morsel-parallel WCOJ must agree");
-        // Grow the (index- and trie-cached) instance and enumerate again:
-        // cached permutations are extended by delta-sort + merge and the
-        // dense dictionary/tries extend incrementally, not rebuilt.
+        // Grow the trie-cached instance and enumerate again: the dense
+        // dictionary and tries extend incrementally (delta-sort + merge),
+        // not rebuilt.
         let mut grown = db.clone();
         for i in 0..4 {
             let a = format!("x{i}");
@@ -101,15 +94,11 @@ pub fn trace_e10() -> TracedExperiment {
             grown.insert(GroundAtom::named("E", &[a.as_str(), b.as_str()]));
             grown.insert(GroundAtom::named("E", &[b.as_str(), a.as_str()]));
         }
-        let _ = Engine::prepare(&q)
-            .strategy(Strategy::Wcoj)
-            .repr(Repr::Generic)
-            .answers(&grown);
         let _ = Engine::prepare(&q).strategy(Strategy::Wcoj).answers(&grown);
     });
     TracedExperiment {
         id: "E10",
-        title: "clique enumeration (k=4), both strategies and reprs, then on a grown graph".into(),
+        title: "clique enumeration (k=4), both strategies, then on a grown graph".into(),
         report,
     }
 }
@@ -195,7 +184,7 @@ mod tests {
         assert!(r.counter(Metric::IndexFullBuilds) > 0);
         assert!(
             r.counter(Metric::IndexMergeExtends) > 0,
-            "re-run on a grown instance must extend cached indexes"
+            "re-run on a grown instance must extend cached tries"
         );
         assert!(r.counter(Metric::DenseDictMisses) > 0);
         assert!(r.counter(Metric::DenseDictHits) > 0);

@@ -1,39 +1,14 @@
-//! Columnar tuple storage and sorted permutation indexes.
+//! Columnar tuple storage.
 //!
 //! The row-oriented [`crate::Instance`] indexes (`by_pred`,
 //! `by_pred_pos_val`) serve point probes: "which atoms have value `v` at
 //! position `pos`?". Worst-case-optimal join execution needs a different
 //! access path — *ordered* iteration over a predicate's tuples under an
-//! arbitrary attribute order, with logarithmic `seek`. This module provides
-//! it:
-//!
-//! * [`PredColumns`] mirrors one predicate's tuples column-by-column, in
-//!   insertion (row) order. It is maintained eagerly by
-//!   [`crate::Instance::insert`] — appending a tuple is `arity` pushes.
-//! * [`SortedPermutation`] is a permutation of row ids sorted
-//!   lexicographically by a chosen column order (ties broken by row id, so
-//!   the order is total and deterministic). It is what a trie iterator
-//!   walks.
-//! * [`SortedIndexCache`] builds permutations lazily on first demand and
-//!   maintains them **incrementally**: when a predicate grows by an insert
-//!   delta, the delta rows are sorted on their own (`O(d log d)`) and
-//!   merged with the existing permutation (`O(n + d)`) — a chase that
-//!   inserts a few atoms per round never pays a full `O(n log n)` re-sort.
-//!   The `full_builds` / `merge_extends` counters make that contract
-//!   observable (and testable).
-//!
-//! The cache lives behind a `RwLock` so concurrent readers (the parallel
-//! chase probes one shared instance from many workers) can build or reuse
-//! indexes through a shared `&Instance`.
+//! arbitrary attribute order. [`PredColumns`] is the column-major source
+//! of that path: the dense store ([`crate::dense`]) encodes it into
+//! dictionary codes and sorts the codes into tries.
 
-use crate::obs;
-use crate::schema::Predicate;
 use crate::value::Value;
-use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, RwLock};
-use std::time::Instant;
 
 /// Columnar mirror of one predicate's tuples (at one arity): `cols[j][r]`
 /// is argument `j` of the `r`-th inserted tuple. Row order is insertion
@@ -76,572 +51,5 @@ impl PredColumns {
             c.push(v);
         }
         self.rows += 1;
-    }
-}
-
-/// Row ids of one predicate sorted lexicographically by a column order,
-/// ties broken by row id. `perm()[i]` is the row id of the `i`-th tuple in
-/// sorted order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SortedPermutation {
-    order: Vec<u16>,
-    perm: Vec<u32>,
-}
-
-impl SortedPermutation {
-    /// The column order the permutation is sorted by.
-    pub fn order(&self) -> &[u16] {
-        &self.order
-    }
-
-    /// The sorted row ids.
-    pub fn perm(&self) -> &[u32] {
-        &self.perm
-    }
-
-    /// Number of rows covered.
-    pub fn len(&self) -> usize {
-        self.perm.len()
-    }
-
-    /// Whether no rows are covered.
-    pub fn is_empty(&self) -> bool {
-        self.perm.is_empty()
-    }
-}
-
-/// Counters and size of a [`SortedIndexCache`], for asserting the
-/// incremental-maintenance contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IndexStats {
-    /// Distinct sorted indexes currently cached.
-    pub indexes: usize,
-    /// How many times an index was built by a full sort (once per distinct
-    /// `(predicate, arity, column order)` key, ever).
-    pub full_builds: usize,
-    /// How many times an index was extended by sorting only the insert
-    /// delta and merging.
-    pub merge_extends: usize,
-}
-
-impl IndexStats {
-    /// The stats as `(metric name, value)` pairs, using the same metric
-    /// vocabulary as [`crate::obs::RunReport`] — BENCH JSON, experiment
-    /// tables, and run reports all read these names from one source
-    /// instead of inventing ad-hoc tuple layouts.
-    pub fn counters(&self) -> [(&'static str, u64); 3] {
-        [
-            ("index.cached", self.indexes as u64),
-            (obs::Metric::IndexFullBuilds.name(), self.full_builds as u64),
-            (
-                obs::Metric::IndexMergeExtends.name(),
-                self.merge_extends as u64,
-            ),
-        ]
-    }
-}
-
-/// One cached sorted index in portable form, as exported for (and
-/// re-installed from) a persistent snapshot: the cache key plus the sorted
-/// row-id permutation. Produced by [`crate::Instance::export_sorted_indexes`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexExport {
-    /// The indexed predicate.
-    pub predicate: Predicate,
-    /// The indexed arity.
-    pub arity: u16,
-    /// The column order the permutation is sorted by.
-    pub order: Vec<u16>,
-    /// Row ids sorted lexicographically by `order`, ties by id.
-    pub perm: Vec<u32>,
-}
-
-/// Cache key: `(predicate, arity, column order)`.
-type IndexKey = (Predicate, u16, Vec<u16>);
-
-/// Lazily built, incrementally maintained sorted permutation indexes, keyed
-/// by `(predicate, arity, column order)`.
-#[derive(Debug, Default)]
-pub struct SortedIndexCache {
-    map: RwLock<HashMap<IndexKey, Arc<SortedPermutation>>>,
-    full_builds: AtomicUsize,
-    merge_extends: AtomicUsize,
-}
-
-impl Clone for SortedIndexCache {
-    fn clone(&self) -> SortedIndexCache {
-        SortedIndexCache {
-            map: RwLock::new(self.map.read().expect("cache lock").clone()),
-            full_builds: AtomicUsize::new(self.full_builds.load(AtomicOrdering::Relaxed)),
-            merge_extends: AtomicUsize::new(self.merge_extends.load(AtomicOrdering::Relaxed)),
-        }
-    }
-}
-
-impl SortedIndexCache {
-    /// Rewrites cached permutations after rows were removed from the
-    /// arenas. `row_maps` gives, per touched `(predicate, arity)`, the
-    /// old→new row-id mapping (`None` = the row was deleted); indexes of
-    /// untouched relations are kept as-is.
-    ///
-    /// Deleting rows from a sorted permutation is a *filter*: the
-    /// surviving subsequence is still sorted by `(key, old id)`, and
-    /// because survivors keep their relative order the old→new remap is
-    /// monotone — `(key, new id)` order is identical. So no re-sort is
-    /// ever needed; each touched index is rewritten in one `O(n)` pass.
-    /// An index whose filtered permutation comes out empty is dropped
-    /// entirely (empty permutations are deliberately uncached, so the
-    /// eventual rebuild is a `full_build`, not a bogus "merge").
-    ///
-    /// A cached permutation may be *stale* (cover only a prefix of the
-    /// pre-retraction rows). Filtering the covered prefix maps it exactly
-    /// onto the new-id prefix `0..k` — the monotone remap sends survivors
-    /// of old rows `0..len` to new ids `0..k` — so the later delta
-    /// merge-extend contract is untouched.
-    pub(crate) fn retract_remap(&self, row_maps: &HashMap<(Predicate, u16), Vec<Option<u32>>>) {
-        let mut map = self.map.write().expect("cache lock");
-        map.retain(|&(p, arity, _), cached| {
-            let Some(row_map) = row_maps.get(&(p, arity)) else {
-                return true; // untouched relation: index still valid
-            };
-            let filtered: Vec<u32> = cached
-                .perm()
-                .iter()
-                .filter_map(|&r| row_map[r as usize])
-                .collect();
-            if filtered.is_empty() {
-                return false;
-            }
-            *cached = Arc::new(SortedPermutation {
-                order: cached.order.clone(),
-                perm: filtered,
-            });
-            true
-        });
-    }
-
-    /// Exports every cached index in portable form, deterministically
-    /// ordered by `(predicate name, arity, column order)` so snapshot bytes
-    /// are stable across runs (the cache map itself has hash order).
-    pub(crate) fn export_entries(&self) -> Vec<IndexExport> {
-        let map = self.map.read().expect("cache lock");
-        let mut out: Vec<IndexExport> = map
-            .iter()
-            .map(|(&(p, arity, ref order), sp)| IndexExport {
-                predicate: p,
-                arity,
-                order: order.clone(),
-                perm: sp.perm().to_vec(),
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            (a.predicate.name(), a.arity, &a.order).cmp(&(b.predicate.name(), b.arity, &b.order))
-        });
-        out
-    }
-
-    /// Re-installs exported indexes, validating each against the live
-    /// arenas. An entry is installed only if it covers exactly the arena's
-    /// rows, is a permutation of them, and is actually sorted under *this
-    /// process's* value order — a snapshot written by a process with a
-    /// different symbol-interning order can carry permutations that are no
-    /// longer sorted here, and those are silently skipped (the cache just
-    /// rebuilds them lazily on first demand, which is the normal cold
-    /// path). Returns how many entries were installed.
-    ///
-    /// Installed entries count as `full_builds`: after a round trip the
-    /// cache behaves — observably, via [`IndexStats`] — exactly like the
-    /// cache that was saved, whose entries were each built once.
-    pub(crate) fn install_entries(
-        &self,
-        entries: &[IndexExport],
-        columns: &HashMap<(Predicate, u16), PredColumns>,
-    ) -> usize {
-        let mut installed = 0usize;
-        let mut map = self.map.write().expect("cache lock");
-        for e in entries {
-            let Some(cols) = columns.get(&(e.predicate, e.arity)) else {
-                continue;
-            };
-            let rows = cols.rows();
-            if e.perm.len() != rows || rows == 0 {
-                continue; // stale or empty (empty perms are never cached)
-            }
-            if e.order.iter().any(|&j| j as usize >= cols.cols.len()) {
-                continue;
-            }
-            let mut seen = vec![false; rows];
-            if !e.perm.iter().all(|&r| {
-                let ok = (r as usize) < rows && !seen[r as usize];
-                if ok {
-                    seen[r as usize] = true;
-                }
-                ok
-            }) {
-                continue; // not a permutation of the arena's rows
-            }
-            let key_of = |r: u32| -> (Vec<Value>, u32) {
-                let key = e
-                    .order
-                    .iter()
-                    .map(|&j| cols.col(j as usize)[r as usize])
-                    .collect();
-                (key, r)
-            };
-            if !e.perm.windows(2).all(|w| key_of(w[0]) <= key_of(w[1])) {
-                continue; // sorted under the writer's order, not ours
-            }
-            map.insert(
-                (e.predicate, e.arity, e.order.clone()),
-                Arc::new(SortedPermutation {
-                    order: e.order.clone(),
-                    perm: e.perm.clone(),
-                }),
-            );
-            self.full_builds.fetch_add(1, AtomicOrdering::Relaxed);
-            installed += 1;
-        }
-        installed
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> IndexStats {
-        IndexStats {
-            indexes: self.map.read().expect("cache lock").len(),
-            full_builds: self.full_builds.load(AtomicOrdering::Relaxed),
-            merge_extends: self.merge_extends.load(AtomicOrdering::Relaxed),
-        }
-    }
-
-    /// The permutation of `columns`' rows sorted by `order`, building it on
-    /// first demand and extending it by sorted-merge when `columns` has
-    /// grown since the cached build. `columns = None` (predicate absent)
-    /// yields an empty, uncached permutation.
-    pub fn get_or_build(
-        &self,
-        p: Predicate,
-        arity: usize,
-        order: &[u16],
-        columns: Option<&PredColumns>,
-    ) -> Arc<SortedPermutation> {
-        let arity16 = u16::try_from(arity).expect("arity fits u16");
-        let rows = columns.map_or(0, |c| c.rows());
-        if rows == 0 {
-            // Not cached: an empty permutation has nothing to amortize, and
-            // caching it would turn the eventual first build into a "merge".
-            return Arc::new(SortedPermutation {
-                order: order.to_vec(),
-                perm: Vec::new(),
-            });
-        }
-        let key = (p, arity16, order.to_vec());
-        let cols = columns.expect("rows > 0 implies columns");
-        debug_assert!(order.iter().all(|&j| (j as usize) < arity));
-        let cmp = |a: u32, b: u32| -> Ordering {
-            for &j in order {
-                let col = cols.col(j as usize);
-                match col[a as usize].cmp(&col[b as usize]) {
-                    Ordering::Equal => {}
-                    other => return other,
-                }
-            }
-            a.cmp(&b)
-        };
-        // Build outside any lock, from a snapshot of the cached state, and
-        // double-check-insert under a short write hold: concurrent readers
-        // of *other* indexes never stall behind this sort, and two racing
-        // builders converge on one winner (losers retry against whatever
-        // the winner installed — usually a fresh cache hit).
-        loop {
-            let prev = self.map.read().expect("cache lock").get(&key).cloned();
-            if let Some(ref c) = prev {
-                if c.len() == rows {
-                    return Arc::clone(c);
-                }
-            }
-            let timer = obs::enabled().then(Instant::now);
-            let (perm, extended) = match &prev {
-                Some(c) => {
-                    // Incremental extend: sort only the delta, then one
-                    // merge pass. Delta row ids are all larger than cached
-                    // ids, so the id tie-break keeps the merge
-                    // deterministic.
-                    let mut delta: Vec<u32> = (c.len() as u32..rows as u32).collect();
-                    delta.sort_unstable_by(|&a, &b| cmp(a, b));
-                    let old = c.perm();
-                    let mut out: Vec<u32> = Vec::with_capacity(rows);
-                    let (mut i, mut j) = (0usize, 0usize);
-                    while i < old.len() && j < delta.len() {
-                        if cmp(old[i], delta[j]) != Ordering::Greater {
-                            out.push(old[i]);
-                            i += 1;
-                        } else {
-                            out.push(delta[j]);
-                            j += 1;
-                        }
-                    }
-                    out.extend_from_slice(&old[i..]);
-                    out.extend_from_slice(&delta[j..]);
-                    (out, true)
-                }
-                None => {
-                    let mut all: Vec<u32> = (0..rows as u32).collect();
-                    all.sort_unstable_by(|&a, &b| cmp(a, b));
-                    (all, false)
-                }
-            };
-            if let Some(t0) = timer {
-                obs::observe(obs::Hist::IndexBuildNs, t0.elapsed().as_nanos() as u64);
-            }
-            let mut map = self.map.write().expect("cache lock");
-            // Double-check: another thread may have built or extended the
-            // index while we sorted. Our build is valid only if the cached
-            // state still matches the snapshot we built from.
-            let current = map.get(&key);
-            let current_len = current.map_or(0, |c| c.len());
-            if current_len == rows {
-                return Arc::clone(current.expect("len matched"));
-            }
-            if current_len != prev.as_ref().map_or(0, |c| c.len()) {
-                continue; // the snapshot went stale mid-build: retry
-            }
-            if extended {
-                self.merge_extends.fetch_add(1, AtomicOrdering::Relaxed);
-                obs::count(obs::Metric::IndexMergeExtends, 1);
-            } else {
-                self.full_builds.fetch_add(1, AtomicOrdering::Relaxed);
-                obs::count(obs::Metric::IndexFullBuilds, 1);
-            }
-            let built = Arc::new(SortedPermutation {
-                order: order.to_vec(),
-                perm,
-            });
-            map.insert(key, Arc::clone(&built));
-            return built;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn v(s: &str) -> Value {
-        Value::named(s)
-    }
-
-    fn columns(rows: &[&[&str]]) -> PredColumns {
-        let mut pc = PredColumns::default();
-        for r in rows {
-            let args: Vec<Value> = r.iter().map(|s| v(s)).collect();
-            pc.push(&args);
-        }
-        pc
-    }
-
-    fn sorted_rows(pc: &PredColumns, sp: &SortedPermutation) -> Vec<Vec<Value>> {
-        sp.perm()
-            .iter()
-            .map(|&r| {
-                sp.order()
-                    .iter()
-                    .map(|&j| pc.col(j as usize)[r as usize])
-                    .collect()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn full_build_sorts_lexicographically() {
-        let pc = columns(&[&["b", "x"], &["a", "z"], &["a", "y"], &["c", "w"]]);
-        let cache = SortedIndexCache::default();
-        let p = Predicate::new("R");
-        let sp = cache.get_or_build(p, 2, &[0, 1], Some(&pc));
-        let rows = sorted_rows(&pc, &sp);
-        let mut expect = rows.clone();
-        expect.sort();
-        assert_eq!(rows, expect);
-        assert_eq!(sp.len(), 4);
-        assert_eq!(cache.stats().full_builds, 1);
-        assert_eq!(cache.stats().merge_extends, 0);
-        // Second demand is a cache hit: no new builds.
-        let again = cache.get_or_build(p, 2, &[0, 1], Some(&pc));
-        assert_eq!(again.perm(), sp.perm());
-        assert_eq!(cache.stats().full_builds, 1);
-    }
-
-    #[test]
-    fn reverse_order_is_a_distinct_index() {
-        let pc = columns(&[&["b", "x"], &["a", "z"]]);
-        let cache = SortedIndexCache::default();
-        let p = Predicate::new("R");
-        cache.get_or_build(p, 2, &[0, 1], Some(&pc));
-        cache.get_or_build(p, 2, &[1, 0], Some(&pc));
-        let s = cache.stats();
-        assert_eq!(s.indexes, 2);
-        assert_eq!(s.full_builds, 2);
-    }
-
-    /// Reference argsort: by key tuple, ties broken by row id. (`Value`'s
-    /// `Ord` follows symbol-interning order, not string order, so tests
-    /// compute expectations instead of hard-coding permutations.)
-    fn naive_perm(pc: &PredColumns, order: &[u16]) -> Vec<u32> {
-        let mut ids: Vec<u32> = (0..pc.rows() as u32).collect();
-        ids.sort_by_key(|&r| {
-            let key: Vec<Value> = order
-                .iter()
-                .map(|&j| pc.col(j as usize)[r as usize])
-                .collect();
-            (key, r)
-        });
-        ids
-    }
-
-    #[test]
-    fn delta_extension_merges_without_full_rebuild() {
-        let mut pc = columns(&[&["d"], &["b"]]);
-        let cache = SortedIndexCache::default();
-        let p = Predicate::new("U");
-        let first = cache.get_or_build(p, 1, &[0], Some(&pc));
-        assert_eq!(first.perm(), naive_perm(&pc, &[0]));
-        pc.push(&[v("a")]);
-        pc.push(&[v("c")]);
-        let second = cache.get_or_build(p, 1, &[0], Some(&pc));
-        assert_eq!(second.perm(), naive_perm(&pc, &[0]));
-        let s = cache.stats();
-        assert_eq!(s.full_builds, 1);
-        assert_eq!(s.merge_extends, 1);
-    }
-
-    #[test]
-    fn ties_break_by_row_id() {
-        let pc = columns(&[&["a", "x"], &["a", "x"], &["a", "w"]]);
-        let cache = SortedIndexCache::default();
-        let sp = cache.get_or_build(Predicate::new("R"), 2, &[0], Some(&pc));
-        // Sorting only by column 0 leaves all keys equal: ids decide.
-        assert_eq!(sp.perm(), &[0, 1, 2]);
-    }
-
-    /// Removes the given row ids from a `PredColumns`, producing the
-    /// shrunk arena plus the old→new row map (test-side analogue of the
-    /// rebuild `Instance::retract_atoms` performs).
-    fn drop_rows(pc: &PredColumns, dead: &[u32]) -> (PredColumns, Vec<Option<u32>>) {
-        let mut out = PredColumns::default();
-        let mut map = Vec::with_capacity(pc.rows());
-        let mut next = 0u32;
-        for r in 0..pc.rows() as u32 {
-            if dead.contains(&r) {
-                map.push(None);
-            } else {
-                let args: Vec<Value> = (0..pc.cols.len()).map(|j| pc.col(j)[r as usize]).collect();
-                out.push(&args);
-                map.push(Some(next));
-                next += 1;
-            }
-        }
-        (out, map)
-    }
-
-    #[test]
-    fn retract_remap_filters_in_place_without_resort() {
-        let pc = columns(&[&["d"], &["b"], &["c"], &["a"], &["b"]]);
-        let cache = SortedIndexCache::default();
-        let p = Predicate::new("U");
-        cache.get_or_build(p, 1, &[0], Some(&pc));
-        let (shrunk, map) = drop_rows(&pc, &[1, 3]);
-        let maps: HashMap<(Predicate, u16), Vec<Option<u32>>> =
-            [((p, 1u16), map)].into_iter().collect();
-        cache.retract_remap(&maps);
-        let sp = cache.get_or_build(p, 1, &[0], Some(&shrunk));
-        assert_eq!(sp.perm(), naive_perm(&shrunk, &[0]));
-        // The remapped index is served as-is: still exactly one full build
-        // and zero merges.
-        let s = cache.stats();
-        assert_eq!(s.full_builds, 1);
-        assert_eq!(s.merge_extends, 0);
-    }
-
-    #[test]
-    fn retract_remap_drops_emptied_indexes_and_keeps_untouched_ones() {
-        let pc_u = columns(&[&["a"], &["b"]]);
-        let pc_w = columns(&[&["x"]]);
-        let cache = SortedIndexCache::default();
-        let (u, w) = (Predicate::new("U"), Predicate::new("W"));
-        cache.get_or_build(u, 1, &[0], Some(&pc_u));
-        cache.get_or_build(w, 1, &[0], Some(&pc_w));
-        let maps: HashMap<(Predicate, u16), Vec<Option<u32>>> =
-            [((u, 1u16), vec![None, None])].into_iter().collect();
-        cache.retract_remap(&maps);
-        // U's index is gone (empty permutations are uncached); W's
-        // survives untouched.
-        assert_eq!(cache.stats().indexes, 1);
-        let sp = cache.get_or_build(w, 1, &[0], Some(&pc_w));
-        assert_eq!(sp.len(), 1);
-        assert_eq!(cache.stats().full_builds, 2);
-    }
-
-    #[test]
-    fn retract_remap_of_stale_index_keeps_merge_contract() {
-        // Build over 2 rows, grow to 4, retract row 0 *without* refreshing
-        // the index: the stale cached perm must filter onto the new-id
-        // prefix so the later demand merges only the real delta.
-        let mut pc = columns(&[&["d"], &["b"]]);
-        let cache = SortedIndexCache::default();
-        let p = Predicate::new("U");
-        cache.get_or_build(p, 1, &[0], Some(&pc));
-        pc.push(&[v("c")]);
-        pc.push(&[v("a")]);
-        let (shrunk, map) = drop_rows(&pc, &[0]);
-        let maps: HashMap<(Predicate, u16), Vec<Option<u32>>> =
-            [((p, 1u16), map)].into_iter().collect();
-        cache.retract_remap(&maps);
-        let sp = cache.get_or_build(p, 1, &[0], Some(&shrunk));
-        assert_eq!(sp.perm(), naive_perm(&shrunk, &[0]));
-        let s = cache.stats();
-        assert_eq!(s.full_builds, 1);
-        assert_eq!(s.merge_extends, 1);
-    }
-
-    #[test]
-    fn export_install_round_trips_and_rejects_unsorted() {
-        let pc = columns(&[&["d"], &["b"], &["c"]]);
-        let p = Predicate::new("U");
-        let cache = SortedIndexCache::default();
-        cache.get_or_build(p, 1, &[0], Some(&pc));
-        let exported = cache.export_entries();
-        assert_eq!(exported.len(), 1);
-        let arenas: HashMap<(Predicate, u16), PredColumns> =
-            [((p, 1u16), pc.clone())].into_iter().collect();
-
-        // A fresh cache accepts the valid export and serves it as a hit.
-        let fresh = SortedIndexCache::default();
-        assert_eq!(fresh.install_entries(&exported, &arenas), 1);
-        let sp = fresh.get_or_build(p, 1, &[0], Some(&pc));
-        assert_eq!(sp.perm(), naive_perm(&pc, &[0]));
-        let s = fresh.stats();
-        assert_eq!((s.indexes, s.full_builds, s.merge_extends), (1, 1, 0));
-
-        // Tampered permutations (wrong sort order, wrong length, not a
-        // permutation) are skipped, never installed.
-        let mut unsorted = exported.clone();
-        unsorted[0].perm.reverse();
-        let mut short = exported.clone();
-        short[0].perm.pop();
-        let mut dup = exported.clone();
-        dup[0].perm[1] = dup[0].perm[0];
-        let reject = SortedIndexCache::default();
-        assert_eq!(reject.install_entries(&unsorted, &arenas), 0);
-        assert_eq!(reject.install_entries(&short, &arenas), 0);
-        assert_eq!(reject.install_entries(&dup, &arenas), 0);
-        assert_eq!(reject.stats().indexes, 0);
-    }
-
-    #[test]
-    fn empty_predicate_is_uncached() {
-        let cache = SortedIndexCache::default();
-        let sp = cache.get_or_build(Predicate::new("Z"), 2, &[0, 1], None);
-        assert!(sp.is_empty());
-        assert_eq!(cache.stats().indexes, 0);
-        assert_eq!(cache.stats().full_builds, 0);
     }
 }

@@ -2,10 +2,9 @@
 //! codes, per-predicate encoded column arenas, and flat sorted trie
 //! levels for the worst-case-optimal join executor.
 //!
-//! The generic WCOJ path compares [`Value`]s through a sorted-permutation
-//! indirection: every key access is `cols[level][perm[i]]` — two dependent
-//! loads, 16-byte keys. This module recompresses relations so the executor
-//! gallops over plain `&[u32]` slices instead:
+//! This is the only key representation the WCOJ executor runs on: it
+//! recompresses relations so the executor gallops over plain `&[u32]`
+//! slices instead of comparing 16-byte [`Value`]s:
 //!
 //! * [`Dict`] — one **global** dictionary per [`crate::Instance`] mapping
 //!   every value that occurs in any encoded relation to a dense `u32`
@@ -31,6 +30,13 @@
 //! permutation survives unchanged. The `dict_hits` / `dict_misses` /
 //! `remaps` counters (also surfaced as `dense.*` obs metrics) make the
 //! contract observable; `tests/instance_invariants.rs` asserts it.
+//!
+//! **Trie maintenance.** A trie is built by one full sort on first demand
+//! and, when its relation has grown since, extended by sorting only the
+//! delta rows and merging (`O(d log d + n)`) — a chase that inserts a few
+//! atoms per round never pays a full re-sort. The `full_builds` /
+//! `merge_extends` counters (the `index.*` obs metrics) make that contract
+//! observable too.
 
 use crate::columnar::PredColumns;
 use crate::obs;
@@ -40,6 +46,7 @@ use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, RwLock};
+use std::time::Instant;
 
 /// The global order-preserving dictionary of one [`DenseStore`] epoch:
 /// `decode(code(v)) == v` and `code(a) < code(b) ⇔ a < b` for all values
@@ -89,8 +96,7 @@ impl Dict {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DenseTrie {
     /// Row ids sorted lex by the encoded key tuple, ties by row id —
-    /// exactly the order of [`crate::SortedPermutation`] for the same
-    /// columns (codes are order-preserving).
+    /// codes are order-preserving, so this is also the rows' value order.
     perm: Vec<u32>,
     /// `levels[l][i]`: the code at trie level `l` of the `i`-th sorted
     /// row. One flat array per level; `levels.len()` is the arity.
@@ -200,6 +206,12 @@ pub struct DenseStats {
     pub remaps: usize,
     /// Dense tries currently materialized.
     pub tries: usize,
+    /// Tries built by a full sort (first demand, or first demand after a
+    /// retraction dropped the relation's tries). Not persisted: installing
+    /// a snapshot's tries sorts nothing.
+    pub full_builds: usize,
+    /// Tries extended by sorting only the insert delta and merging.
+    pub merge_extends: usize,
 }
 
 /// One encoded table in portable form: `cols[j][r]` is the dictionary
@@ -250,8 +262,7 @@ pub struct DenseExport {
     pub remaps: usize,
 }
 
-/// Trie key: `(predicate, arity, column order)` — same vocabulary as the
-/// sorted-permutation cache.
+/// Trie key: `(predicate, arity, column order)`.
 type TrieKey = (Predicate, u16, Vec<u16>);
 
 /// The mutable core: dictionary, encoded tables, and tries move through
@@ -274,15 +285,16 @@ struct Inner {
 }
 
 /// Lazily built, incrementally maintained dense-encoded storage. Interior
-/// mutability mirrors [`crate::columnar::SortedIndexCache`]: queries
-/// build/extend through `&Instance`, concurrent readers share `Arc`
-/// snapshots.
+/// mutability: queries build/extend through `&Instance` (query execution
+/// never holds `&mut`), concurrent readers share `Arc` snapshots.
 #[derive(Debug, Default)]
 pub struct DenseStore {
     inner: RwLock<Inner>,
     dict_hits: AtomicUsize,
     dict_misses: AtomicUsize,
     remaps: AtomicUsize,
+    full_builds: AtomicUsize,
+    merge_extends: AtomicUsize,
 }
 
 impl Clone for DenseStore {
@@ -300,6 +312,8 @@ impl Clone for DenseStore {
             dict_hits: AtomicUsize::new(self.dict_hits.load(AtomicOrdering::Relaxed)),
             dict_misses: AtomicUsize::new(self.dict_misses.load(AtomicOrdering::Relaxed)),
             remaps: AtomicUsize::new(self.remaps.load(AtomicOrdering::Relaxed)),
+            full_builds: AtomicUsize::new(self.full_builds.load(AtomicOrdering::Relaxed)),
+            merge_extends: AtomicUsize::new(self.merge_extends.load(AtomicOrdering::Relaxed)),
         }
     }
 }
@@ -521,6 +535,8 @@ impl DenseStore {
             dict_misses: self.dict_misses.load(AtomicOrdering::Relaxed),
             remaps: self.remaps.load(AtomicOrdering::Relaxed),
             tries: inner.tries.len(),
+            full_builds: self.full_builds.load(AtomicOrdering::Relaxed),
+            merge_extends: self.merge_extends.load(AtomicOrdering::Relaxed),
         }
     }
 
@@ -567,7 +583,7 @@ impl DenseStore {
             if let Some(pc) = columns.get(&(p, arity)) {
                 if pc.rows() > 0 {
                     self.ensure_table(&mut inner, p, arity, pc);
-                    Self::ensure_trie(&mut inner, p, arity, order);
+                    self.ensure_trie(&mut inner, p, arity, order);
                 }
             }
         }
@@ -720,9 +736,9 @@ impl DenseStore {
 
     /// Builds or delta-extends the dense trie of `(p, arity, order)` from
     /// the (already current) encoded table. Extension sorts only the new
-    /// row ids and merges — `O(d log d + n)` — mirroring the
-    /// sorted-permutation cache's incremental contract.
-    fn ensure_trie(inner: &mut Inner, p: Predicate, arity: u16, order: &[u16]) {
+    /// row ids and merges — `O(d log d + n)`, never a full re-sort; each
+    /// branch bumps its counter (`full_builds` / `merge_extends`).
+    fn ensure_trie(&self, inner: &mut Inner, p: Predicate, arity: u16, order: &[u16]) {
         let table = &inner.tables[&(p, arity)];
         let rows = table.rows;
         let key = (p, arity, order.to_vec());
@@ -730,6 +746,7 @@ impl DenseStore {
         if prev.is_some_and(|t| t.rows == rows) {
             return;
         }
+        let timer = obs::enabled().then(Instant::now);
         let cmp = |a: u32, b: u32| -> Ordering {
             for &j in order {
                 let col = &table.cols[j as usize];
@@ -758,11 +775,15 @@ impl DenseStore {
                 }
                 out.extend_from_slice(&old[i..]);
                 out.extend_from_slice(&delta[j..]);
+                self.merge_extends.fetch_add(1, AtomicOrdering::Relaxed);
+                obs::count(obs::Metric::IndexMergeExtends, 1);
                 out
             }
             None => {
                 let mut all: Vec<u32> = (0..rows as u32).collect();
                 all.sort_unstable_by(|&a, &b| cmp(a, b));
+                self.full_builds.fetch_add(1, AtomicOrdering::Relaxed);
+                obs::count(obs::Metric::IndexFullBuilds, 1);
                 all
             }
         };
@@ -774,6 +795,9 @@ impl DenseStore {
             })
             .collect();
         let (entries, child) = DenseTrie::build_csr(&levels, rows);
+        if let Some(t0) = timer {
+            obs::observe(obs::Hist::IndexBuildNs, t0.elapsed().as_nanos() as u64);
+        }
         let arc = Arc::new(DenseTrie {
             perm,
             levels,
@@ -928,6 +952,12 @@ mod tests {
             decoded_rows(&fdict, ftries[0].as_ref().unwrap())
         );
         assert_eq!(trie.perm(), ftries[0].as_ref().unwrap().perm());
+        // One full sort, then one delta merge — never a second full sort.
+        let s = store.stats();
+        assert_eq!((s.full_builds, s.merge_extends), (1, 1));
+        // A repeat demand with no growth is a hit: no counter moves.
+        store.snapshot(&cols, &[(p, 2, &[1, 0])]);
+        assert_eq!(store.stats(), s);
     }
 
     #[test]
@@ -1047,6 +1077,9 @@ mod tests {
         let (dict2, tries) = store.snapshot(&cols, &[(p, 2, &[0, 1])]);
         let trie = tries[0].as_ref().unwrap();
         assert_eq!(trie.rows(), 2);
+        // The dropped trie comes back by a full sort, not a bogus merge.
+        let s = store.stats();
+        assert_eq!((s.full_builds, s.merge_extends), (2, 0));
         // The dictionary survived: codes of surviving values are stable
         // and the stale "a"/"z" entries are harmless.
         assert_eq!(dict1.code(v("b")), dict2.code(v("b")));
@@ -1110,7 +1143,17 @@ mod tests {
         }
         assert_eq!(after.dict_hits, before.dict_hits);
         assert_eq!(after.dict_misses, before.dict_misses);
-        assert_eq!(after, store.stats());
+        // The persisted counters carry over; the build counters do not:
+        // installing sorted nothing, while the saved store full-built both
+        // tries.
+        assert_eq!((after.full_builds, after.merge_extends), (0, 0));
+        assert_eq!(
+            DenseStats {
+                full_builds: 2,
+                ..after
+            },
+            store.stats()
+        );
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod text;
 pub mod value;
 
 pub use atom::GroundAtom;
-pub use columnar::{IndexExport, IndexStats, PredColumns, SortedPermutation};
+pub use columnar::PredColumns;
 pub use dense::{DenseExport, DenseStats, DenseTableExport, DenseTrie, DenseTrieExport, Dict};
 pub use homomorphism::{is_homomorphism, Valuation};
 pub use instance::Instance;

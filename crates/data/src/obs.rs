@@ -83,9 +83,9 @@ pub enum Metric {
     WcojSeeks,
     /// Galloping/binary-search steps taken inside cursor seeks.
     WcojGallopSteps,
-    /// Sorted-permutation indexes built by a full sort.
+    /// Dense tries built by a full sort.
     IndexFullBuilds,
-    /// Sorted-permutation indexes extended by a delta sort + merge.
+    /// Dense tries extended by a delta sort + merge.
     IndexMergeExtends,
     /// Parallel pool invocations that actually spawned worker threads.
     PoolRuns,
@@ -229,7 +229,7 @@ pub enum Hist {
     ChaseRoundNs,
     /// Wall time of one saturator bag closure, in nanoseconds.
     BagClosureNs,
-    /// Wall time of one sorted-index build or merge-extend, in
+    /// Wall time of one dense-trie build or merge-extend, in
     /// nanoseconds.
     IndexBuildNs,
     /// Chunks claimed by one pool worker during one parallel run (the

@@ -25,7 +25,7 @@
 //! assert_eq!(answers.len(), 1);
 //! ```
 
-use crate::compile::{CompiledQuery, KernelSearch, Repr, Strategy};
+use crate::compile::{CompiledQuery, KernelSearch, Strategy};
 use crate::cq::{Cq, Var};
 use gtgd_data::{obs, Instance, Value};
 use std::collections::HashSet;
@@ -61,7 +61,6 @@ impl Engine {
             arity: q.arity(),
             boolean: q.is_boolean(),
             strategy: None,
-            repr: Repr::Auto,
             workers: 1,
             injective: false,
             allowed: None,
@@ -87,7 +86,6 @@ pub struct PreparedQuery {
     arity: usize,
     boolean: bool,
     strategy: Option<Strategy>,
-    repr: Repr,
     workers: usize,
     injective: bool,
     allowed: Option<HashSet<Value>>,
@@ -108,15 +106,6 @@ impl PreparedQuery {
     /// gate picks backtracking or the worst-case-optimal executor).
     pub fn strategy(mut self, s: Strategy) -> Self {
         self.strategy = Some(s);
-        self
-    }
-
-    /// Overrides the worst-case-optimal executor's key representation
-    /// (default [`Repr::Auto`] = dense dictionary codes). The answer set
-    /// is representation-independent; the generic path exists as the
-    /// always-available fallback and differential oracle.
-    pub fn repr(mut self, r: Repr) -> Self {
-        self.repr = r;
         self
     }
 
@@ -157,7 +146,7 @@ impl PreparedQuery {
     }
 
     fn kernel<'a>(&'a self, i: &'a Instance) -> KernelSearch<'a> {
-        let mut k = self.plan.search(i).repr(self.repr);
+        let mut k = self.plan.search(i);
         if let Some(s) = self.strategy {
             k = k.strategy(s);
         }

@@ -1,21 +1,16 @@
-//! Differential testing of the dense-dictionary WCOJ representation: the
-//! *same* `CompiledQuery` forced onto `Strategy::Wcoj` under
-//! `Repr::Dense` and `Repr::Generic` must agree with each other and with
-//! `Strategy::Backtrack` on seeded random CQs × random instances × modes
-//! (plain / injective / fixed bindings / restrict_images), with `exists` /
-//! `count` / `first_row` agreeing and `par_table` matching at widths 1, 2,
-//! and 4.
+//! Differential testing of the dense-dictionary WCOJ executor: the *same*
+//! `CompiledQuery` forced onto `Strategy::Wcoj` must agree with
+//! `Strategy::Backtrack` (the oracle) on seeded random CQs × random
+//! instances × modes (plain / injective / fixed bindings /
+//! restrict_images), with `exists` / `count` / `first_row` agreeing and
+//! `par_table` matching at widths 1, 2, and 4.
 //!
-//! Two properties are *stronger* than set-equality and specific to this
-//! suite:
-//!
-//! * **order identity across representations** — dense codes are
-//!   order-preserving, so the dense and generic executors must enumerate
-//!   rows in exactly the same sequence;
-//! * **order identity across widths** — the morsel scheduler's sorted-path
-//!   merge must reproduce the sequential enumeration order exactly, for
-//!   every worker count and either representation (this is what keeps
-//!   differential transcripts and proof certificates bit-identical).
+//! One property is *stronger* than set-equality: **order identity across
+//! widths** — the morsel scheduler's sorted-path merge must reproduce the
+//! sequential enumeration order exactly, for every worker count (this is
+//! what keeps differential transcripts and proof certificates
+//! bit-identical). The sequential order itself is pinned by a unit test
+//! in `crates/query/src/wcoj.rs`.
 //!
 //! The random sweep is complemented by the named shapes most likely to
 //! trip a dictionary-coded trie: cliques, triangles, self-joins `E(X,X)`,
@@ -25,7 +20,7 @@
 //! same plan.
 
 use gtgd::data::{GroundAtom, Instance, Predicate, Rng, Value};
-use gtgd::query::{CompiledQuery, QAtom, Repr, Strategy, Term, Var};
+use gtgd::query::{CompiledQuery, QAtom, Strategy, Term, Var};
 use std::collections::HashSet;
 
 const WORKER_WIDTHS: [usize; 3] = [1, 2, 4];
@@ -108,7 +103,7 @@ fn canon_rows(rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
 }
 
 /// One differential case: the same compiled plan forced onto the
-/// backtracker (the oracle) and onto WCOJ under both representations.
+/// backtracker (the oracle) and onto the dense WCOJ executor.
 fn check_case(
     atoms: &[QAtom],
     db: &Instance,
@@ -118,11 +113,10 @@ fn check_case(
     ctx: &str,
 ) {
     let plan = CompiledQuery::compile_with_extra(atoms, fixed.iter().map(|&(v, _)| v));
-    let search = |s: Strategy, r: Repr| {
+    let search = |s: Strategy| {
         let mut k = plan
             .search(db)
             .strategy(s)
-            .repr(r)
             .fix_slots(fixed.iter().map(|&(v, x)| (plan.slot_of(v).unwrap(), x)));
         if injective {
             k = k.injective();
@@ -133,62 +127,46 @@ fn check_case(
         k
     };
     let oracle = canon_rows(
-        search(Strategy::Backtrack, Repr::Auto)
+        search(Strategy::Backtrack)
             .table()
             .rows()
             .map(|r| r.to_vec())
             .collect(),
     );
-    let mut sequential: Vec<Vec<Vec<Value>>> = Vec::new();
-    for repr in [Repr::Dense, Repr::Generic] {
-        let seq: Vec<Vec<Value>> = search(Strategy::Wcoj, repr)
-            .table()
+    let seq: Vec<Vec<Value>> = search(Strategy::Wcoj)
+        .table()
+        .rows()
+        .map(|r| r.to_vec())
+        .collect();
+    assert_eq!(canon_rows(seq.clone()), oracle, "table() {ctx}");
+    assert_eq!(
+        search(Strategy::Wcoj).count(),
+        oracle.len(),
+        "count() {ctx}"
+    );
+    assert_eq!(
+        search(Strategy::Wcoj).exists(),
+        !oracle.is_empty(),
+        "exists() {ctx}"
+    );
+    match search(Strategy::Wcoj).first_row() {
+        Some(r) => assert!(oracle.contains(&r), "first_row() not an answer {ctx}"),
+        None => assert!(oracle.is_empty(), "first_row() missed an answer {ctx}"),
+    }
+    // Morsel-parallel enumeration must reproduce the sequential order
+    // *exactly* (not merely the same set), at every width.
+    for w in WORKER_WIDTHS {
+        let par: Vec<Vec<Value>> = search(Strategy::Wcoj)
+            .par_table(w)
             .rows()
             .map(|r| r.to_vec())
             .collect();
-        assert_eq!(canon_rows(seq.clone()), oracle, "table() {repr:?} {ctx}");
-        assert_eq!(
-            search(Strategy::Wcoj, repr).count(),
-            oracle.len(),
-            "count() {repr:?} {ctx}"
-        );
-        assert_eq!(
-            search(Strategy::Wcoj, repr).exists(),
-            !oracle.is_empty(),
-            "exists() {repr:?} {ctx}"
-        );
-        match search(Strategy::Wcoj, repr).first_row() {
-            Some(r) => assert!(
-                oracle.contains(&r),
-                "first_row() not an answer {repr:?} {ctx}"
-            ),
-            None => assert!(
-                oracle.is_empty(),
-                "first_row() missed an answer {repr:?} {ctx}"
-            ),
-        }
-        // Morsel-parallel enumeration must reproduce the sequential order
-        // *exactly* (not merely the same set), at every width.
-        for w in WORKER_WIDTHS {
-            let par: Vec<Vec<Value>> = search(Strategy::Wcoj, repr)
-                .par_table(w)
-                .rows()
-                .map(|r| r.to_vec())
-                .collect();
-            assert_eq!(par, seq, "par_table({w}) order {repr:?} {ctx}");
-        }
-        sequential.push(seq);
+        assert_eq!(par, seq, "par_table({w}) order {ctx}");
     }
-    // Dense codes are order-preserving: both representations enumerate in
-    // exactly the same sequence.
-    assert_eq!(
-        sequential[0], sequential[1],
-        "dense vs generic enumeration order {ctx}"
-    );
 }
 
 #[test]
-fn dense_matches_generic_and_backtracker_on_random_cases() {
+fn dense_matches_backtracker_on_random_cases() {
     let mut rng = Rng::seed(0x5eed_dea1);
     let d = dom();
     for case in 0..160u32 {
@@ -262,7 +240,7 @@ fn v(i: u32) -> Term {
 /// The named shapes, each under every mode combination — including a
 /// fixed value and a body constant that are *absent* from the instance
 /// (and hence from the dense dictionary): the dense path must reject
-/// them without panicking, exactly like the generic path.
+/// them without panicking.
 #[test]
 fn dense_matches_on_named_shapes() {
     let d = dom();
@@ -342,8 +320,8 @@ fn dense_matches_on_named_shapes() {
 /// clique query over such an instance lists every atom in both
 /// directions too, so the executor's duplicate-atom elision and the
 /// shared-source frame mirroring both fire — this is the configuration
-/// the aliasing machinery exists for, and it must stay answer- and
-/// order-identical to the oracles.
+/// the aliasing machinery exists for, and it must stay answer-identical
+/// to the oracle and order-identical across widths.
 #[test]
 fn dense_matches_on_fully_symmetric_instance() {
     let d = dom();
@@ -405,8 +383,7 @@ fn dense_matches_on_fully_symmetric_instance() {
 /// Growth between evaluations of the *same* plan: first a batch whose
 /// values extend the dictionary by appends, then a value sorting before
 /// every existing code (forcing a remap). After each step the dense path
-/// must still agree with both oracles — on answers *and* enumeration
-/// order.
+/// must still agree with the oracle.
 #[test]
 fn dense_stays_correct_across_dictionary_growth_and_remap() {
     let triangle = vec![e(v(0), v(1)), e(v(1), v(2)), e(v(2), v(0))];
@@ -431,7 +408,7 @@ fn dense_stays_correct_across_dictionary_growth_and_remap() {
     );
 
     // "a" sorts before everything: the next dense evaluation must remap
-    // every stored code — and still agree with the oracles.
+    // every stored code — and still agree with the oracle.
     for (x, y) in [("a", "m"), ("n", "a"), ("a", "a")] {
         db.insert(GroundAtom::new(ep, vec![named(x), named(y)]));
     }

@@ -1,7 +1,8 @@
 //! Snapshot round-trip properties (seeded, many instances): a maintained
 //! fixpoint saved and loaded back must be isomorphic to the original,
 //! answer prepared queries identically under both join strategies, and
-//! re-serve its persisted indexes from cache instead of rebuilding them.
+//! re-serve its persisted dense tries from cache instead of rebuilding
+//! them.
 //! Damaged files must fail closed with the precise error for the damage.
 
 use gtgd::chase::{parse_tgds, ChaseBudget, ChaseRunner, MaintainedInstance, Tgd};
@@ -63,15 +64,33 @@ fn assert_round_trips(tag: &str, tgds: &[Tgd], m: &MaintainedInstance) {
         "Q(X, D) :- Emp(X), WorksIn(X, D)",
         "Q(D, H) :- Dept(D), HasHead(D, H)",
     ];
-    // Warm a sorted index so the snapshot has a permutation section.
+    // Warm a dense trie so the snapshot persists one.
     let worksin = Predicate(Symbol::new("WorksIn"));
-    m.instance().sorted_permutation(worksin, 2, &[1, 0]);
-    let stats_before = m.instance().index_stats();
+    m.instance().dense_snapshot(&[(worksin, 2, &[1, 0])]);
+    let stats_before = m.instance().dense_stats();
 
     let path = temp_path(tag);
     save_snapshot(&path, tgds, m).unwrap();
     let loaded = load_snapshot(&path).unwrap();
     std::fs::remove_file(&path).ok();
+
+    // Trie rebuild behavior: every persisted trie installed (same process
+    // → same interning order → validation passes) without a sort, and
+    // demanding the persisted order again is a cache hit, not a rebuild.
+    // Checked first: the isomorphism check and the forced-WCOJ queries
+    // below build tries of their own.
+    assert_eq!(
+        loaded.dense_tries_installed, stats_before.tries,
+        "{tag}: all persisted tries install"
+    );
+    let after_load = loaded.instance().dense_stats();
+    assert_eq!((after_load.full_builds, after_load.merge_extends), (0, 0));
+    loaded.instance().dense_snapshot(&[(worksin, 2, &[1, 0])]);
+    assert_eq!(
+        loaded.instance().dense_stats(),
+        after_load,
+        "{tag}: re-demanding a persisted trie must not rebuild it"
+    );
 
     assert!(
         instance_isomorphic(m.instance(), loaded.instance()),
@@ -85,22 +104,6 @@ fn assert_round_trips(tag: &str, tgds: &[Tgd], m: &MaintainedInstance) {
             assert_eq!(orig, back, "{tag}: answers differ for {q} under {s:?}");
         }
     }
-    // Index rebuild behavior: every persisted permutation installed (same
-    // process → same interning order → validation passes), and demanding
-    // the persisted order again is a cache hit, not a rebuild.
-    assert_eq!(
-        loaded.indexes_installed, stats_before.indexes,
-        "{tag}: all persisted indexes install"
-    );
-    let after_load = loaded.instance().index_stats();
-    assert_eq!(after_load.full_builds, loaded.indexes_installed);
-    loaded.instance().sorted_permutation(worksin, 2, &[1, 0]);
-    let after_demand = loaded.instance().index_stats();
-    assert_eq!(
-        after_demand.full_builds, after_load.full_builds,
-        "{tag}: re-demanding a persisted index must not rebuild it"
-    );
-    assert_eq!(after_demand.merge_extends, after_load.merge_extends);
     // Thawing for writes validates the persisted fired set and yields the
     // same (isomorphic) maintainable state.
     let thawed = loaded.into_maintained().unwrap();
@@ -186,6 +189,22 @@ fn damaged_files_fail_closed_with_precise_errors() {
         load_snapshot(&path),
         Err(SnapshotError::UnsupportedVersion(v)) if v == SNAPSHOT_VERSION + 3
     ));
+
+    // A version-1 file (which carried a sorted-permutation section the
+    // current format dropped) is refused with a described error.
+    let mut v1 = good.clone();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &v1).unwrap();
+    let err = load_snapshot(&path).unwrap_err();
+    assert!(
+        matches!(err, SnapshotError::UnsupportedVersion(1)),
+        "{err:?}"
+    );
+    assert_eq!(
+        err.to_string(),
+        format!("unsupported snapshot version 1 (expected {SNAPSHOT_VERSION})")
+    );
+    assert_eq!(SNAPSHOT_VERSION, 2);
 
     // Not a snapshot at all.
     std::fs::write(&path, b"mode open.\nfact Emp(ann).\n").unwrap();
