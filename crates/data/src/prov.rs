@@ -23,9 +23,12 @@
 //!   the recorded order is the engines' canonical firing order,
 //!   deterministic for any worker count;
 //! * the intended protocol is enable → [`reset`] → run → [`take`] →
-//!   disable, packaged as [`collect_run`]. Two *concurrently* collected
-//!   runs interleave their firings — the same documented trade as the obs
-//!   layer, acceptable for a std-only layer with branch-only disabled cost.
+//!   disable, packaged as [`collect_run`]. Collected runs serialize, and a
+//!   collected run keeps only the firings of its own thread (the one the
+//!   engines fire on), so an uncollected chase running concurrently on
+//!   another thread cannot leak firings into it. Raw
+//!   `set_enabled`/`take` callers still see every thread's firings — the
+//!   same documented trade as the obs layer.
 //!
 //! Variables are identified by their dense `u32` index (the chase crate's
 //! `Var` index); this crate stays below the query/chase layer on purpose so
@@ -35,6 +38,7 @@ use crate::atom::GroundAtom;
 use crate::value::Value;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
+use std::thread::{self, ThreadId};
 
 /// One trigger firing: the `tgd`-th rule fired under `val`, producing
 /// `atoms`.
@@ -55,8 +59,23 @@ pub struct FiringRecord {
 /// The global provenance gate. Every probe is a branch on this flag.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Firings recorded since the last [`reset`], in firing order.
-static FIRINGS: Mutex<Vec<FiringRecord>> = Mutex::new(Vec::new());
+/// The recording state behind the gate.
+struct Recorder {
+    /// The thread a [`collect_run`] records for; `None` records every
+    /// thread.
+    owner: Option<ThreadId>,
+    /// Firings recorded since the last [`reset`], in firing order.
+    firings: Vec<FiringRecord>,
+}
+
+static RECORDER: Mutex<Recorder> = Mutex::new(Recorder {
+    owner: None,
+    firings: Vec::new(),
+});
+
+fn recorder() -> std::sync::MutexGuard<'static, Recorder> {
+    RECORDER.lock().expect("provenance list")
+}
 
 /// Whether firings are currently recorded. One relaxed load; inlined into
 /// the probe site.
@@ -74,23 +93,27 @@ pub fn set_enabled(on: bool) {
 
 /// Clears the recorded firing list. Does not touch the gate.
 pub fn reset() {
-    FIRINGS.lock().expect("provenance list").clear();
+    recorder().firings.clear();
 }
 
-/// Appends a firing record if the gate is on. The disabled path is one
-/// relaxed load and a branch; callers on hot paths should pre-check
-/// [`enabled`] before materializing the record's vectors.
+/// Appends a firing record if the gate is on (and, during a
+/// [`collect_run`], if this is the collecting thread). The disabled path
+/// is one relaxed load and a branch; callers on hot paths should
+/// pre-check [`enabled`] before materializing the record's vectors.
 #[inline]
 pub fn record_firing(record: FiringRecord) {
     if enabled() {
-        FIRINGS.lock().expect("provenance list").push(record);
+        let mut rec = recorder();
+        if rec.owner.is_none_or(|t| t == thread::current().id()) {
+            rec.firings.push(record);
+        }
     }
 }
 
 /// Takes the recorded firings, leaving the list empty (regardless of the
 /// gate).
 pub fn take() -> Vec<FiringRecord> {
-    std::mem::take(&mut *FIRINGS.lock().expect("provenance list"))
+    std::mem::take(&mut recorder().firings)
 }
 
 /// Serializes concurrent [`collect_run`] calls: the recording state is
@@ -99,18 +122,21 @@ pub fn take() -> Vec<FiringRecord> {
 static COLLECT: Mutex<()> = Mutex::new(());
 
 /// Runs `f` with provenance recording enabled against a clean slate and
-/// returns its result together with the firings it recorded; the gate is
-/// switched off again afterwards. Concurrent `collect_run` calls
-/// serialize on a process-wide lock, so each gets exactly its own
-/// firings. (Raw `set_enabled`/`take` callers bypass that lock — the
+/// returns its result together with the firings it recorded on this
+/// thread; the gate is switched off again afterwards. Concurrent
+/// `collect_run` calls serialize on a process-wide lock, and firings from
+/// other threads are not recorded meanwhile, so each call gets exactly its
+/// own firings. (Raw `set_enabled`/`take` callers bypass that lock — the
 /// documented obs-style trade.)
 pub fn collect_run<T>(f: impl FnOnce() -> T) -> (T, Vec<FiringRecord>) {
     let _serial = COLLECT.lock().unwrap_or_else(|e| e.into_inner());
+    recorder().owner = Some(thread::current().id());
     set_enabled(true);
     reset();
     let out = f();
     let firings = take();
     set_enabled(false);
+    recorder().owner = None;
     (out, firings)
 }
 
@@ -151,6 +177,18 @@ mod tests {
         assert_eq!(firings[1].tgd, 0);
         assert!(!enabled(), "gate must be off after collect_run");
         assert!(take().is_empty(), "collect_run drains the list");
+    }
+
+    #[test]
+    fn collect_run_ignores_other_threads() {
+        let _g = GATE.lock().unwrap();
+        let ((), firings) = collect_run(|| {
+            record_firing(rec(1));
+            thread::spawn(|| record_firing(rec(7))).join().unwrap();
+            record_firing(rec(2));
+        });
+        let tgds: Vec<usize> = firings.iter().map(|f| f.tgd).collect();
+        assert_eq!(tgds, [1, 2]);
     }
 
     #[test]

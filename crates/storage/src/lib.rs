@@ -2,7 +2,8 @@
 
 //! Persistence and serving for the guarded-TGD toolkit: a versioned,
 //! checksummed binary snapshot of a maintained chase fixpoint
-//! ([`snapshot`]), and a long-lived daemon that loads one snapshot and
+//! ([`snapshot`]), an fsynced commit log of the writes since the last
+//! snapshot ([`log`]), and a long-lived daemon that loads one snapshot and
 //! answers queries with zero chase, index-build, or plan-compilation work
 //! on the hot path ([`serve`]).
 //!
@@ -26,6 +27,7 @@
 //! ```
 
 pub mod bytes;
+pub mod log;
 pub mod serve;
 pub mod snapshot;
 

@@ -30,25 +30,43 @@
 //! snapshot as loaded (fired set frozen) until the first write, the
 //! thawed [`MaintainedInstance`] afterwards. Readers clone the `Arc` and
 //! evaluate entirely lock-free on their private handle; a query never
-//! blocks a write and never observes a half-applied one. Writers
-//! serialize on a gate mutex, thaw or clone the current state, apply the
-//! delta chase / DRed retraction to the clone, persist
-//! the new snapshot (temp file + atomic rename), and only then swap the
-//! `Arc` — so the on-disk snapshot is never *ahead* of what readers can
-//! see by more than the in-flight write, and a crash leaves a snapshot
-//! equal to some prefix of the acknowledged writes. Prepared plans are
-//! instance-independent, so the [`PlanCache`] survives writes untouched.
+//! blocks a write and never observes a half-applied one. Prepared plans
+//! are instance-independent, so the [`PlanCache`] survives writes
+//! untouched.
+//!
+//! Writers serialize on a gate that owns the [`CommitLog`]. A writer
+//! thaws or clones the current state and applies the delta chase / DRed
+//! retraction to its clone. It then appends the write to the commit log
+//! and `sync_data`s it, and only then swaps the `Arc` and acknowledges.
+//! So an acknowledged write is on disk, and the disk is never ahead of
+//! what readers see by more than the one in-flight write. A failed
+//! append publishes nothing and the client gets the error.
+//!
+//! Every [`CHECKPOINT_RECORDS`](crate::log::CHECKPOINT_RECORDS) records,
+//! and on `{"op":"shutdown"}`, the request that holds the gate rewrites the
+//! snapshot (synced temp file, rename, directory fsync) and retires the
+//! log. After a graceful shutdown the snapshot alone holds every
+//! acknowledged write, and later writes are refused. After a crash,
+//! [`Server::start`] loads the snapshot and replays at most
+//! `CHECKPOINT_RECORDS` logged writes.
+//!
+//! A panic under either lock leaves nothing half-applied: a writer
+//! mutates only its private clone and publishes by swapping the `Arc`,
+//! and the commit log marks itself for a checkpoint before any I/O. So
+//! both locks recover from poisoning instead of failing every later
+//! request.
 
-use crate::snapshot::{load_snapshot, save_snapshot, LoadedSnapshot, SnapshotError};
+use crate::log::{CommitLog, Op, Recovered};
+use crate::snapshot::{LoadedSnapshot, SnapshotError};
 use gtgd_chase::{MaintainedInstance, Tgd};
-use gtgd_data::{parse_fact, Instance, Value};
+use gtgd_data::{parse_fact, GroundAtom, Instance, Value};
 use gtgd_query::PlanCache;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 // ---------------------------------------------------------------------------
 // Flat JSON (the workspace convention: hand-rolled, no dependencies)
@@ -205,15 +223,33 @@ struct Shared {
     /// build a successor and swap it in.
     state: RwLock<ServedState>,
     /// Serializes writers so each successor is built from the latest
-    /// published state.
-    write_gate: Mutex<()>,
+    /// published state, and owns the commit log they append to.
+    write_gate: Mutex<CommitLog>,
+    /// The log's record count, mirrored out of the gate for `stats`.
+    log_records: AtomicUsize,
     /// Warm compiled plans, keyed by normalized query text. Never
     /// invalidated: preparation is instance-independent.
     plans: PlanCache,
     tgds: Vec<Tgd>,
-    snapshot_path: PathBuf,
     addr: SocketAddr,
+    /// Set under the write gate once the shutdown checkpoint is written;
+    /// later writes are refused.
     shutdown: AtomicBool,
+}
+
+impl Shared {
+    /// The published state. Poison-tolerant: the lock guards only an
+    /// `Arc` swap, which cannot be observed half-done.
+    fn state(&self) -> ServedState {
+        self.state
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    fn publish(&self, next: ServedState) {
+        *self.state.write().unwrap_or_else(PoisonError::into_inner) = next;
+    }
 }
 
 /// The serve daemon: one snapshot, one listener, thread-per-connection.
@@ -223,22 +259,29 @@ pub struct Server {
 }
 
 impl Server {
-    /// Loads the snapshot at `snapshot_path` and binds `addr` (use port 0
-    /// for an OS-assigned port). The daemon does not serve until
-    /// [`run`](Server::run).
+    /// Loads the snapshot at `snapshot_path`, replays its commit log
+    /// ([`CommitLog::recover`]; warnings go to stderr), and binds `addr`
+    /// (use port 0 for an OS-assigned port). The daemon does not serve
+    /// until [`run`](Server::run).
     pub fn start(snapshot_path: PathBuf, addr: &str) -> Result<Server, SnapshotError> {
-        let loaded = load_snapshot(&snapshot_path)?;
+        let recovery = CommitLog::recover(&snapshot_path)?;
+        for w in &recovery.warnings {
+            eprintln!("gtgd serve: warning: {w}");
+        }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let tgds = loaded.tgds.clone();
+        let state = match recovery.state {
+            Recovered::Frozen(loaded) => ServedState::Frozen(Arc::new(loaded)),
+            Recovered::Live(m) => ServedState::Live(Arc::new(m)),
+        };
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
-                state: RwLock::new(ServedState::Frozen(Arc::new(loaded))),
-                write_gate: Mutex::new(()),
+                state: RwLock::new(state),
+                log_records: AtomicUsize::new(recovery.log.records()),
+                write_gate: Mutex::new(recovery.log),
                 plans: PlanCache::new(),
-                tgds,
-                snapshot_path,
+                tgds: recovery.tgds,
                 addr,
                 shutdown: AtomicBool::new(false),
             }),
@@ -250,9 +293,9 @@ impl Server {
         self.shared.addr
     }
 
-    /// Accepts connections until a client sends `{"op":"shutdown"}`. Each
-    /// connection gets its own thread and may pipeline any number of
-    /// requests.
+    /// Accepts connections until a client sends `{"op":"shutdown"}`, whose
+    /// checkpoint is written before this returns. Each connection gets its
+    /// own thread and may pipeline any number of requests.
     pub fn run(self) -> io::Result<()> {
         for conn in self.listener.incoming() {
             if self.shared.shutdown.load(Ordering::SeqCst) {
@@ -318,7 +361,7 @@ fn handle_request(shared: &Shared, line: &str) -> (String, bool) {
             };
             // Lock-free evaluation on a private handle to the published
             // fixpoint: the read lock is held only for the Arc clone.
-            let state = shared.state.read().expect("state lock").clone();
+            let state = shared.state();
             let mut rows: Vec<Vec<Value>> = prepared
                 .answers(state.instance())
                 .into_iter()
@@ -360,44 +403,18 @@ fn handle_request(shared: &Shared, line: &str) -> (String, bool) {
                 Ok(a) => a,
                 Err(e) => return (err_response(&format!("bad atom: {e}")), false),
             };
-            // Writers serialize here; readers are never blocked — they
-            // keep evaluating against the previous Arc until the swap.
-            // The first write thaws the frozen snapshot's fired set (the
-            // one-time dependency-index rebuild deferred off the load and
-            // query paths).
-            let _gate = shared.write_gate.lock().expect("write gate");
-            let current = shared.state.read().expect("state lock").clone();
-            let mut next = match &current {
-                ServedState::Frozen(snap) => match snap.to_maintained() {
-                    Ok(m) => m,
-                    Err(e) => return (err_response(&format!("snapshot thaw failed: {e}")), false),
-                },
-                ServedState::Live(m) => (**m).clone(),
-            };
-            let report = if op == "insert" {
-                next.insert([atom])
+            let op = if op == "insert" {
+                Op::Insert
             } else {
-                next.retract([atom])
+                Op::Retract
             };
-            // Persist before publishing: an acknowledged write is on disk.
-            if let Err(e) = save_snapshot(&shared.snapshot_path, &shared.tgds, &next) {
-                return (err_response(&format!("snapshot write failed: {e}")), false);
+            match write(shared, op, text, atom) {
+                Ok(ack) => (ack, false),
+                Err(e) => (err_response(&e), false),
             }
-            let atoms = next.instance().len().to_string();
-            *shared.state.write().expect("state lock") = ServedState::Live(Arc::new(next));
-            (
-                flat_object(&[
-                    ("ok", "true"),
-                    ("triggers_fired", &report.triggers_fired.to_string()),
-                    ("atoms_added", &report.atoms_added.to_string()),
-                    ("atoms_removed", &report.atoms_removed.to_string()),
-                    ("atoms", &atoms),
-                ]),
-                false,
-            )
         }
         Some("stats") => {
-            let state = shared.state.read().expect("state lock").clone();
+            let state = shared.state();
             let (hits, misses) = shared.plans.stats();
             (
                 flat_object(&[
@@ -407,14 +424,90 @@ fn handle_request(shared: &Shared, line: &str) -> (String, bool) {
                     ("plans", &shared.plans.len().to_string()),
                     ("plan_hits", &hits.to_string()),
                     ("plan_misses", &misses.to_string()),
+                    (
+                        "log_records",
+                        &shared.log_records.load(Ordering::SeqCst).to_string(),
+                    ),
                 ]),
                 false,
             )
         }
-        Some("shutdown") => (flat_object(&[("ok", "true"), ("stopping", "true")]), true),
+        Some("shutdown") => match checkpoint_for_shutdown(shared) {
+            Ok(()) => (flat_object(&[("ok", "true"), ("stopping", "true")]), true),
+            Err(e) => (
+                err_response(&format!(
+                    "shutdown checkpoint failed: {e}; the commit log still holds every \
+                     acknowledged write"
+                )),
+                false,
+            ),
+        },
         Some(op) => (err_response(&format!("unknown op \"{op}\"")), false),
         None => (err_response("missing \"op\" field"), false),
     }
+}
+
+/// One insert or retract: build the successor, make it durable, publish
+/// it. Returns the acknowledgement's fields.
+fn write(shared: &Shared, op: Op, text: &str, atom: GroundAtom) -> Result<String, String> {
+    // Writers serialize here; readers are never blocked — they keep
+    // evaluating against the previous Arc until the swap. The first write
+    // thaws the frozen snapshot's fired set (the one-time dependency-index
+    // rebuild deferred off the load and query paths).
+    let mut log = shared
+        .write_gate
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    if shared.shutdown.load(Ordering::SeqCst) {
+        return Err("the daemon is shutting down".to_owned());
+    }
+    let current = shared.state();
+    let mut next = match &current {
+        ServedState::Frozen(snap) => snap
+            .to_maintained()
+            .map_err(|e| format!("snapshot thaw failed: {e}"))?,
+        ServedState::Live(m) => (**m).clone(),
+    };
+    let report = op.apply(&mut next, atom);
+    // Durable before visible: an acknowledged write is on disk.
+    log.commit(op, text, &shared.tgds, &next)
+        .map_err(|e| format!("write not persisted: {e}"))?;
+    let atoms = next.instance().len().to_string();
+    let next = Arc::new(next);
+    shared.publish(ServedState::Live(Arc::clone(&next)));
+    drop(current);
+    // The write is already durable in the log, so a failed checkpoint is
+    // only a warning: the log is marked broken and the next write
+    // checkpoints instead of appending.
+    if let Err(e) = log.checkpoint_if_due(&shared.tgds, &next) {
+        eprintln!("gtgd serve: warning: checkpoint failed: {e}");
+    }
+    shared.log_records.store(log.records(), Ordering::SeqCst);
+    Ok(flat_object(&[
+        ("ok", "true"),
+        ("triggers_fired", &report.triggers_fired.to_string()),
+        ("atoms_added", &report.atoms_added.to_string()),
+        ("atoms_removed", &report.atoms_removed.to_string()),
+        ("atoms", &atoms),
+    ]))
+}
+
+/// Writes the served state as the snapshot if the log holds anything, so
+/// the snapshot alone is current, then refuses further writes.
+fn checkpoint_for_shutdown(shared: &Shared) -> Result<(), SnapshotError> {
+    let mut log = shared
+        .write_gate
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    if log.dirty() {
+        match shared.state() {
+            ServedState::Live(m) => log.checkpoint(&shared.tgds, &m)?,
+            ServedState::Frozen(snap) => log.checkpoint(&shared.tgds, &snap.to_maintained()?)?,
+        }
+        shared.log_records.store(0, Ordering::SeqCst);
+    }
+    shared.shutdown.store(true, Ordering::SeqCst);
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -485,22 +578,23 @@ impl Client {
             .collect())
     }
 
-    /// Asserts one fact (delta chase + snapshot rewrite).
+    /// Asserts one fact (delta chase + commit-log append).
     pub fn insert(&mut self, fact: &str) -> io::Result<HashMap<String, String>> {
         self.checked(&[("op", "insert"), ("atom", fact)])
     }
 
-    /// Retracts one fact (DRed + snapshot rewrite).
+    /// Retracts one fact (DRed + commit-log append).
     pub fn retract(&mut self, fact: &str) -> io::Result<HashMap<String, String>> {
         self.checked(&[("op", "retract"), ("atom", fact)])
     }
 
-    /// Daemon statistics (atom count, plan-cache hits/misses, ...).
+    /// Daemon statistics (atom count, plan-cache hits/misses, commit-log
+    /// records since the last checkpoint, ...).
     pub fn stats(&mut self) -> io::Result<HashMap<String, String>> {
         self.checked(&[("op", "stats")])
     }
 
-    /// Asks the daemon to stop accepting connections.
+    /// Asks the daemon to checkpoint and stop accepting connections.
     pub fn shutdown(&mut self) -> io::Result<()> {
         self.checked(&[("op", "shutdown")]).map(|_| ())
     }
@@ -509,9 +603,10 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::CHECKPOINT_RECORDS;
     use crate::snapshot::save_snapshot;
     use gtgd_chase::{parse_tgds, ChaseBudget, ChaseRunner};
-    use gtgd_data::{GroundAtom, Instance};
+    use gtgd_query::instance_isomorphic;
     use std::path::PathBuf;
     use std::sync::atomic::AtomicUsize;
 
@@ -522,6 +617,21 @@ mod tests {
             std::process::id(),
             N.fetch_add(1, Ordering::Relaxed)
         ))
+    }
+
+    /// A snapshot of a two-employee org at a fresh temp path.
+    fn org_snapshot(tag: &str) -> (PathBuf, Vec<Tgd>) {
+        let tgds = parse_tgds("Emp(X) -> WorksIn(X,D). WorksIn(X,D) -> Dept(D)").unwrap();
+        let db = Instance::from_atoms([
+            GroundAtom::named("Emp", &["srv_ann"]),
+            GroundAtom::named("Emp", &["srv_bob"]),
+        ]);
+        let m = ChaseRunner::new(&tgds)
+            .budget(ChaseBudget::atoms(1_000_000))
+            .maintain(&db);
+        let path = temp_path(tag);
+        save_snapshot(&path, &tgds, &m).unwrap();
+        (path, tgds)
     }
 
     #[test]
@@ -540,16 +650,7 @@ mod tests {
 
     #[test]
     fn daemon_serves_queries_writes_and_survives_restart() {
-        let tgds = parse_tgds("Emp(X) -> WorksIn(X,D). WorksIn(X,D) -> Dept(D)").unwrap();
-        let db = Instance::from_atoms([
-            GroundAtom::named("Emp", &["srv_ann"]),
-            GroundAtom::named("Emp", &["srv_bob"]),
-        ]);
-        let m = ChaseRunner::new(&tgds)
-            .budget(ChaseBudget::atoms(1_000_000))
-            .maintain(&db);
-        let path = temp_path("daemon");
-        save_snapshot(&path, &tgds, &m).unwrap();
+        let (path, _) = org_snapshot("daemon");
 
         let server = Server::start(path.clone(), "127.0.0.1:0").unwrap();
         let addr = server.local_addr();
@@ -571,7 +672,7 @@ mod tests {
         // Nulls never leak: every WorksIn department is chase-invented.
         assert!(c.query("Q(D) :- WorksIn(X, D)").unwrap().is_empty());
 
-        // Writes run the delta chase / DRed and rewrite the snapshot.
+        // Writes run the delta chase / DRed and append to the commit log.
         let rep = c.insert("Emp(srv_carol)").unwrap();
         assert!(rep["atoms_added"].parse::<usize>().unwrap() >= 1);
         c.retract("Emp(srv_ann)").unwrap();
@@ -594,7 +695,7 @@ mod tests {
         c.shutdown().unwrap();
         handle.join().unwrap().unwrap();
 
-        // The rewritten snapshot restarts with the mutations intact.
+        // The shutdown checkpoint restarts with the mutations intact.
         let server = Server::start(path.clone(), "127.0.0.1:0").unwrap();
         let addr = server.local_addr();
         let handle = std::thread::spawn(move || server.run());
@@ -606,6 +707,84 @@ mod tests {
         );
         c.shutdown().unwrap();
         handle.join().unwrap().unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn writes_survive_a_panic_under_either_lock() {
+        let (path, _) = org_snapshot("poison");
+        let server = Server::start(path.clone(), "127.0.0.1:0").unwrap();
+        let shared = Arc::clone(&server.shared);
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run());
+
+        let gate = Arc::clone(&shared);
+        let died = std::thread::spawn(move || {
+            let _log = gate.write_gate.lock().unwrap();
+            panic!("writer dies holding the write gate");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(shared.write_gate.is_poisoned());
+        let state = Arc::clone(&shared);
+        let died = std::thread::spawn(move || {
+            let _state = state.state.write().unwrap();
+            panic!("writer dies holding the state lock");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(shared.state.is_poisoned());
+
+        let mut c = Client::connect(addr).unwrap();
+        c.insert("Emp(srv_cal)").unwrap();
+        assert_eq!(c.stats().unwrap()["log_records"], "1");
+        assert_eq!(c.query("Q(X) :- Emp(X)").unwrap().len(), 3);
+        c.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+        let back = crate::snapshot::load_snapshot(&path).unwrap();
+        assert_eq!(back.instance().len(), 9);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn checkpoint_at_exactly_checkpoint_records() {
+        let (path, tgds) = org_snapshot("checkpoint");
+        let log = crate::log::log_path(&path);
+        let server = Server::start(path.clone(), "127.0.0.1:0").unwrap();
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run());
+        let mut c = Client::connect(addr).unwrap();
+        let mut base = vec![
+            GroundAtom::named("Emp", &["srv_ann"]),
+            GroundAtom::named("Emp", &["srv_bob"]),
+        ];
+        for i in 0..CHECKPOINT_RECORDS {
+            let fact = format!("Emp(ck{i})");
+            c.insert(&fact).unwrap();
+            base.push(parse_fact(&fact).unwrap());
+            let records = c.stats().unwrap()["log_records"].parse::<usize>().unwrap();
+            assert_eq!(records, (i + 1) % CHECKPOINT_RECORDS, "after write {i}");
+        }
+        // The checkpoint wrote every write into the snapshot and retired
+        // the log; the next write starts a fresh one.
+        assert!(!log.exists());
+        let reference = ChaseRunner::new(&tgds)
+            .budget(ChaseBudget::atoms(1_000_000))
+            .run(&Instance::from_atoms(base));
+        let saved = crate::snapshot::load_snapshot(&path).unwrap();
+        assert!(instance_isomorphic(saved.instance(), &reference.instance));
+        c.retract("Emp(ck0)").unwrap();
+        assert_eq!(c.stats().unwrap()["log_records"], "1");
+        assert!(log.exists());
+        // A graceful shutdown checkpoints again and refuses later writes.
+        let mut late = Client::connect(addr).unwrap();
+        c.shutdown().unwrap();
+        let refused = late.insert("Emp(late)").unwrap_err();
+        assert!(refused.to_string().contains("shutting down"), "{refused}");
+        handle.join().unwrap().unwrap();
+        assert!(!log.exists());
+        let saved = crate::snapshot::load_snapshot(&path).unwrap();
+        assert_eq!(saved.instance().len(), reference.instance.len() - 3);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -45,6 +45,7 @@
 //! checksum and the whole load fails closed.
 
 use crate::bytes::{fnv1a64x8, Reader, Writer};
+use crate::log::{self, log_path, suffixed};
 use gtgd_chase::{FiringExport, MaintainExport, MaintainedInstance, Tgd};
 use gtgd_data::{
     DenseExport, DenseTableExport, DenseTrieExport, GroundAtom, Instance, Predicate, Symbol, Value,
@@ -52,6 +53,7 @@ use gtgd_data::{
 use gtgd_query::{QAtom, Term, Var};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::fs::File;
 use std::io;
 use std::path::Path;
 
@@ -64,6 +66,12 @@ pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Header size: magic + version + payload length + checksum.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
+
+/// The payload checksum field of a snapshot header at least
+/// [`HEADER_LEN`] bytes long.
+fn header_checksum(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[20..HEADER_LEN].try_into().unwrap())
+}
 
 /// Why a snapshot could not be written or read back. Loading fails
 /// *closed*: a damaged file produces one of these, never a silently wrong
@@ -84,6 +92,10 @@ pub enum SnapshotError {
     /// consistent snapshot (bad tag, dangling reference, inconsistent
     /// fired set, ...).
     Malformed(String),
+    /// The snapshot's commit log is damaged before its last record, so
+    /// replaying it could skip acknowledged writes. Names the log, the
+    /// record, and the damage.
+    CommitLog(String),
 }
 
 impl fmt::Display for SnapshotError {
@@ -100,6 +112,7 @@ impl fmt::Display for SnapshotError {
             SnapshotError::ChecksumMismatch => write!(f, "snapshot payload fails its checksum"),
             SnapshotError::Truncated => write!(f, "snapshot file is truncated"),
             SnapshotError::Malformed(why) => write!(f, "malformed snapshot payload: {why}"),
+            SnapshotError::CommitLog(why) => write!(f, "damaged commit log {why}"),
         }
     }
 }
@@ -168,6 +181,12 @@ impl LoadedSnapshot {
     /// are exact).
     pub fn complete(&self) -> bool {
         self.complete
+    }
+
+    /// The payload checksum from the header: what a commit log names as
+    /// the snapshot it extends.
+    pub fn checksum(&self) -> u64 {
+        header_checksum(&self.image)
     }
 
     /// Decodes the frozen base + firings section. Fails closed on any
@@ -461,25 +480,36 @@ pub fn snapshot_bytes(tgds: &[Tgd], m: &MaintainedInstance) -> Vec<u8> {
     out
 }
 
-/// Writes a snapshot of `(tgds, m)` to `path` atomically: the bytes go to
-/// a same-directory temp file first, then `rename` publishes them — a
-/// crash mid-write leaves the previous snapshot intact, and a concurrent
-/// loader sees either the old file or the new one, never a torn mix.
+/// Writes a snapshot of `(tgds, m)` to `path` atomically and durably: the
+/// bytes go to a same-directory temp file, which is synced, then `rename`
+/// publishes them and the directory is fsynced. A crash at any point
+/// leaves the previous snapshot or the new one, never a torn mix, and once
+/// this returns the new one survives power loss. The commit log beside
+/// `path` ([`log_path`]) is retired: the new snapshot supersedes it.
 pub fn save_snapshot(
     path: &Path,
     tgds: &[Tgd],
     m: &MaintainedInstance,
 ) -> Result<(), SnapshotError> {
-    let bytes = snapshot_bytes(tgds, m);
-    let mut tmp_name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "snapshot".to_owned());
-    tmp_name.push_str(&format!(".tmp{}", std::process::id()));
-    let tmp = path.with_file_name(tmp_name);
-    std::fs::write(&tmp, &bytes)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    write_snapshot(path, &snapshot_bytes(tgds, m)).map(|_| ())
+}
+
+/// The file dance behind [`save_snapshot`] for already-encoded snapshot
+/// `bytes`; returns their payload checksum.
+pub(crate) fn write_snapshot(path: &Path, bytes: &[u8]) -> Result<u64, SnapshotError> {
+    let tmp = suffixed(path, &format!(".tmp{}", std::process::id()));
+    let staged = File::create(&tmp).and_then(|mut file| {
+        log::write_all(&mut file, bytes)?;
+        log::sync_all(&file)
+    });
+    if let Err(e) = staged {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e.into());
+    }
+    log::rename(&tmp, path)?;
+    log::remove_if_present(&log_path(path))?;
+    log::sync_dir(path)?;
+    Ok(header_checksum(bytes))
 }
 
 // ---------------------------------------------------------------------------
@@ -592,7 +622,7 @@ fn load_snapshot_owned(image: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> 
     let payload_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
     let payload_len =
         usize::try_from(payload_len).map_err(|_| mal("payload length overflow".to_owned()))?;
-    let checksum = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
+    let checksum = header_checksum(bytes);
     let rest = &bytes[HEADER_LEN..];
     if rest.len() < payload_len {
         return Err(SnapshotError::Truncated);

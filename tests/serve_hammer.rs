@@ -5,7 +5,7 @@
 //!
 //! Threads own disjoint atoms, so the write operations commute and the
 //! final state is deterministic no matter how the daemon's write gate
-//! interleaves them; what the test exercises is the snapshot-rewrite +
+//! interleaves them; what the test exercises is the commit-log append +
 //! `Arc`-swap publication discipline under contention — readers must
 //! never observe a half-applied write, and no acknowledged write may be
 //! lost.
@@ -121,8 +121,8 @@ fn hammer_matches_single_shot_evaluation() {
     c.shutdown().unwrap();
     server_handle.join().unwrap().unwrap();
 
-    // Every acknowledged write reached the snapshot: a cold restart from
-    // the file serves the same answers.
+    // Every acknowledged write reached the snapshot (the shutdown
+    // checkpoint): a cold restart from the file serves the same answers.
     let server = Server::start(path.clone(), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
     let server_handle = std::thread::spawn(move || server.run());
