@@ -14,7 +14,7 @@
 //! experiments --trace-json TRACE.json           # traced E9/E10/E15 probe reports
 //! experiments --obs-smoke                       # disabled-probe overhead check
 //! experiments --certify-sample                  # emit + independently check certificates
-//! experiments --cert-smoke                      # disabled-provenance overhead check
+//! experiments --cert-smoke                      # uncertified-run overhead check
 //! ```
 //!
 //! With `--jobs N`, independent experiment series run on an N-worker pool;
@@ -139,9 +139,9 @@ fn main() {
         return;
     }
     if cert_smoke {
-        // Overhead smoke for the provenance gate: with no certificate
-        // collector installed, the chase must cost what it cost before the
-        // probe existed (plus an informational capture-on ratio).
+        // Overhead smoke for certification: an uncertified run carries no
+        // firing log and costs what the legacy free function costs (plus
+        // an informational capture-on ratio).
         run_cert_smoke();
         return;
     }
@@ -402,32 +402,26 @@ fn run_certify_sample() {
 
 fn run_cert_smoke() {
     use gtgd_bench::workloads::{path_db, tc_ontology};
-    use gtgd_chase::{chase, ChaseBudget, ChaseRunner};
+    use gtgd_chase::{chase, ChaseBudget, ChaseRunner, ChaseVariant};
 
-    assert!(
-        !gtgd_data::prov::enabled(),
-        "provenance gate must be off by default"
-    );
     let tgds = tc_ontology();
     let db = path_db(100);
     let expect = chase(&db, &tgds, &ChaseBudget::unbounded()).instance.len();
-    // Deterministic half of the contract: an uncertified facade run must
-    // not materialize firings or leave the gate enabled.
-    let warm = ChaseRunner::new(&tgds).run(&db);
-    assert_eq!(warm.instance.len(), expect);
-    assert!(
-        warm.firings.is_none(),
-        "uncertified run must carry no firings"
-    );
-    assert!(
-        !gtgd_data::prov::enabled(),
-        "provenance gate must stay off after an uncertified run"
-    );
+    // Deterministic half of the contract: uncertified runs of either
+    // variant carry no firings, also right after a certified run.
+    for variant in [ChaseVariant::Oblivious, ChaseVariant::Restricted] {
+        let runner = ChaseRunner::new(&tgds).variant(variant);
+        assert!(runner.certify(true).run(&db).firings.is_some());
+        let warm = runner.run(&db);
+        assert!(
+            warm.firings.is_none(),
+            "uncertified {variant:?} run must carry no firings"
+        );
+    }
 
-    // The acceptance guard: with no collector installed, the facade (which
-    // now carries the provenance branch in fire_row) must stay within
-    // noise of the legacy free function — same pairing and 25% slack as
-    // the obs smoke, for the same shared-container reasons.
+    // The acceptance guard: with no firing log requested, the facade must
+    // stay within noise of the legacy free function — same pairing and
+    // 25% slack as the obs smoke, for the same shared-container reasons.
     let ratio = paired_total_ratio(
         10,
         || {
@@ -441,7 +435,7 @@ fn run_cert_smoke() {
     );
     println!("cert smoke: uncertified/legacy paired total ratio {ratio:.3}");
     if ratio > 1.25 {
-        eprintln!("cert smoke FAILED: disabled-provenance overhead above 25% of legacy chase");
+        eprintln!("cert smoke FAILED: uncertified facade overhead above 25% of legacy chase");
         std::process::exit(1);
     }
 

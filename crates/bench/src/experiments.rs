@@ -7,7 +7,7 @@
 //! and who wins where.
 
 use crate::workloads::*;
-use gtgd_chase::{chase, ground_saturation, par_chase, par_ground_saturation, ChaseBudget};
+use gtgd_chase::{chase, ground_saturation, par_ground_saturation, ChaseBudget};
 use gtgd_core::{
     check_omq, check_omq_fpt, clique_to_cqs_instance, cqs_uniformly_ucqk_equivalent, evaluate_omq,
     grid_cqs_family, grohe::has_clique, marked_grid_cqs_family, omq_to_cqs_database,
@@ -906,9 +906,10 @@ fn diamond_db(n: usize) -> Instance {
     Instance::from_atoms(atoms)
 }
 
-/// E15 — sequential vs parallel engine shootout: the same chase and
-/// saturation workloads through the std-only worker-pool paths
-/// (`par_chase`, `par_ground_saturation`), with agreement checked in-row.
+/// E15 — sequential vs parallel engine shootout: the sequential chase as
+/// the reference row, ground saturation through the std-only worker-pool
+/// path (`par_ground_saturation`) and morsel-driven WCOJ enumeration, with
+/// agreement checked in-row.
 /// The saturation speedup is dominated by the parallel path's per-round
 /// type dedup and dirty-bag tracking, so it holds even on a single core;
 /// extra workers compound it on multicore machines.
@@ -918,12 +919,9 @@ pub fn e15_parallel_shootout() -> ExperimentTable {
     let budget = ChaseBudget::unbounded();
     let mut rows = Vec::new();
     for &n in &[100usize, 200, 400] {
-        // Full-TGD chase (transitive closure of a path): null-free, so the
-        // parallel instance must be *equal*, not just isomorphic.
+        // Full-TGD chase (transitive closure of a path), sequential only.
         let pdb = path_db(n.min(120));
         let t_chase = bench_ms(|| chase(&pdb, &tc, &budget));
-        let t_pchase2 = bench_ms(|| par_chase(&pdb, &tc, &budget, 2));
-        let t_pchase4 = bench_ms(|| par_chase(&pdb, &tc, &budget, 4));
         // Guarded ground saturation on the org workload.
         let odb = org_db(n);
         let t_sat = bench_ms(|| ground_saturation(&odb, &org));
@@ -958,14 +956,11 @@ pub fn e15_parallel_shootout() -> ExperimentTable {
                 .par_table(w)
                 == enum_ref
         });
-        let agree = par_chase(&pdb, &tc, &budget, 4).instance == chase(&pdb, &tc, &budget).instance
-            && par_ground_saturation(&odb, &org, 4) == ground_saturation(&odb, &org)
-            && enum_agree;
+        let agree =
+            par_ground_saturation(&odb, &org, 4) == ground_saturation(&odb, &org) && enum_agree;
         rows.push(vec![
             n.to_string(),
             fmt_ms(t_chase),
-            fmt_ms(t_pchase2),
-            fmt_ms(t_pchase4),
             fmt_ms(t_sat),
             fmt_ms(t_psat1),
             fmt_ms(t_psat4),
@@ -987,8 +982,6 @@ pub fn e15_parallel_shootout() -> ExperimentTable {
         columns: vec![
             "n".into(),
             "chase seq ms".into(),
-            "chase par@2 ms".into(),
-            "chase par@4 ms".into(),
             "chase↓ seq ms".into(),
             "chase↓ par@1 ms".into(),
             "chase↓ par@4 ms".into(),
@@ -1000,9 +993,9 @@ pub fn e15_parallel_shootout() -> ExperimentTable {
             "agree".into(),
         ],
         rows,
-        notes: "par_chase pays a collect-then-fire merge to keep null naming \
-                deterministic, so on one core it roughly ties the sequential \
-                chase; par_ground_saturation restructures the Kleene round \
+        notes: "There is no parallel chase column: the pool-parallel chase \
+                was slower than the sequential one at every width measured \
+                and was removed. par_ground_saturation restructures the Kleene round \
                 (type dedup + dirty bags + value index) and wins outright. \
                 The wcoj enum columns time morsel-driven triangle \
                 enumeration per worker width; read them against \

@@ -86,7 +86,7 @@ pub fn kernel_metrics(
         &'static str,
         &'static str,
         f64,
-    ); 8] = [
+    ); 7] = [
         ("E9", e9, "restricted ms", "400", 236.0),
         ("E9", e9, "oblivious ms", "400", 1.9),
         ("E12", e12, "enum ms", "400", 4.74),
@@ -94,7 +94,6 @@ pub fn kernel_metrics(
         ("E2", e2, "chase↓ ms", "400", 92.5),
         ("E2", e2, "chase↓ par@4 ms", "400", 7.7),
         ("E15", e15, "chase seq ms", "400", 553.0),
-        ("E15", e15, "chase par@4 ms", "400", 505.0),
     ];
     spec.iter()
         .map(|&(experiment, table, metric, n, before_ms)| KernelMetric {
@@ -225,11 +224,7 @@ mod tests {
             &["grid cols", "enum ms", "enum par@4 ms"],
             &[&["400", "2.37", "2.64"]],
         );
-        let e15 = table(
-            "E15",
-            &["n", "chase seq ms", "chase par@4 ms"],
-            &[&["400", "300.0", "280.0"]],
-        );
+        let e15 = table("E15", &["n", "chase seq ms"], &[&["400", "300.0"]]);
         (e2, e9, e12, e15)
     }
 
@@ -237,7 +232,7 @@ mod tests {
     fn extracts_largest_workload_cells() {
         let (e2, e9, e12, e15) = fixtures();
         let metrics = kernel_metrics(&e2, &e9, &e12, &e15);
-        assert_eq!(metrics.len(), 8);
+        assert_eq!(metrics.len(), 7);
         let restricted = metrics
             .iter()
             .find(|m| m.experiment == "E9" && m.metric == "restricted ms")
@@ -281,7 +276,7 @@ mod tests {
         let json = kernel_json(&kernel_metrics(&e2, &e9, &e12, &e15));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert_eq!(json.matches("\"experiment\"").count(), 8);
+        assert_eq!(json.matches("\"experiment\"").count(), 7);
         assert!(json.contains("\"before_ms\": 236.000"));
         assert!(json.contains("\"speedup\": 4.00"));
     }

@@ -14,9 +14,9 @@
 //!   galloping steps, kernel backtracking, and dense-trie full builds
 //!   *and* merge-extends (the re-run after growth extends the cached
 //!   tries incrementally).
-//! * **E15** (parallel shootout): pool-parallel chase and ground
-//!   saturation — pool runs/chunks/width, per-worker utilization, bag
-//!   closures and memo hits.
+//! * **E15** (parallel shootout): the sequential chase and pool-parallel
+//!   ground saturation — chase rounds and firings, pool runs/chunks/width,
+//!   per-worker utilization, bag closures and memo hits.
 //!
 //! [`trace_json`] renders the collected reports as one JSON document,
 //! composing [`RunReport::to_json`] (whose names are static identifiers)
@@ -103,7 +103,7 @@ pub fn trace_e10() -> TracedExperiment {
     }
 }
 
-/// E15 traced: pool-parallel oblivious chase and parallel ground
+/// E15 traced: the sequential oblivious chase next to parallel ground
 /// saturation.
 pub fn trace_e15() -> TracedExperiment {
     let tc = tc_ontology();
@@ -111,14 +111,14 @@ pub fn trace_e15() -> TracedExperiment {
     let org = crate::workloads::org_ontology();
     let odb = org_db(200);
     let ((), report) = obs::trace_run(|| {
-        let outcome = ChaseRunner::new(&tc).workers(4).run(&pdb);
+        let outcome = ChaseRunner::new(&tc).run(&pdb);
         assert!(outcome.complete);
         let sat = par_ground_saturation(&odb, &org, 4);
         assert!(sat.len() >= odb.len());
     });
     TracedExperiment {
         id: "E15",
-        title: "parallel chase (tc, 4 workers) + parallel ground saturation (org)".into(),
+        title: "sequential chase (tc) + parallel ground saturation (org, 4 workers)".into(),
         report,
     }
 }
@@ -205,7 +205,7 @@ mod tests {
         assert!(r.counter(Metric::PoolChunksClaimed) > 0);
         assert_eq!(r.counter(Metric::PoolMaxWidth), 4);
         assert!(r.counter(Metric::BagClosures) > 0);
-        assert!(r.spans.iter().any(|s| s.name == "chase.parallel"));
+        assert!(r.spans.iter().any(|s| s.name == "chase.oblivious"));
         assert!(r.spans.iter().any(|s| s.name == "chase.saturation"));
     }
 

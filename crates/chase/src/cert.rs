@@ -29,10 +29,53 @@
 //! atoms as `["Pred", term...]` arrays. The schema is what the standalone
 //! `gtgd-check` crate parses; the two ends share nothing but this format.
 
+use crate::engine::FiringObserver;
+use crate::plan::TriggerPlan;
 use crate::tgd::Tgd;
-use gtgd_data::{FiringRecord, GroundAtom, Instance, Value};
+use gtgd_data::{GroundAtom, Instance, Value};
 use gtgd_query::{Cq, Engine, QAtom, Strategy, Term, Var};
 use std::collections::HashSet;
+
+/// One trigger firing of a certified run: the `tgd`-th rule fired under
+/// `val`, producing `atoms`. Replaying a run's records by naive
+/// substitution re-derives exactly the chase-added atoms.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FiringRecord {
+    /// Index of the TGD in the rule set the chase ran.
+    pub tgd: usize,
+    /// The full valuation: body variables (the trigger's homomorphism, in
+    /// ascending variable order) followed by existential variables bound to
+    /// the fresh nulls this firing invented. Pairs are `(variable index,
+    /// value)`.
+    pub val: Vec<(u32, Value)>,
+    /// The ground head atoms the firing produced (whether or not the
+    /// instance already contained them).
+    pub atoms: Vec<GroundAtom>,
+}
+
+/// A certified run's firing log: one record per firing, in firing order.
+impl FiringObserver for Vec<FiringRecord> {
+    fn fired(
+        &mut self,
+        plan: &TriggerPlan,
+        row: &[Value],
+        nulls: &[Value],
+        products: &[GroundAtom],
+    ) {
+        let val = plan
+            .key_vars
+            .iter()
+            .zip(&plan.key_slots)
+            .map(|(&v, &s)| (v, row[s]))
+            .chain(plan.exist_vars.iter().zip(nulls).map(|(&v, &n)| (v, n)))
+            .collect();
+        self.push(FiringRecord {
+            tgd: plan.index,
+            val,
+            atoms: products.to_vec(),
+        });
+    }
+}
 
 /// Proof-carrying evidence for one answer tuple. Build with
 /// [`CertificateStore::certificate`]; serialize with

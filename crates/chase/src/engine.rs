@@ -9,6 +9,12 @@
 //! Trigger discovery is *semi-naive*: after round `ℓ`, only triggers whose
 //! body uses at least one atom created in round `ℓ` are searched, by pinning
 //! each body atom in turn to the round-`ℓ` delta.
+//!
+//! [`ObliviousChase::run`] is the only oblivious driver. The one-shot
+//! [`chase`] runs it from the whole database; incremental maintenance
+//! (`crate::maintain`) runs it on a persistent state from the inserted or
+//! rescued atoms; certified runs and the maintenance dependency index
+//! watch its firings through a [`FiringObserver`].
 
 use crate::plan::TriggerPlan;
 use crate::tgd::Tgd;
@@ -25,9 +31,10 @@ pub struct ChaseBudget {
     /// Stop after materializing all atoms of this level.
     pub max_level: Option<usize>,
     /// Hard cap on materialized atoms: trigger firing stops as soon as the
-    /// instance plus the atoms pending insertion reaches this count, even in
-    /// the middle of a round. The final instance may exceed the cap by at
-    /// most one head's worth of atoms (the trigger that reached it).
+    /// instance plus the distinct new atoms pending insertion reaches this
+    /// count, even in the middle of a round. The final instance may exceed
+    /// the cap by at most one head's worth of atoms (the trigger that
+    /// reached it).
     pub max_atoms: Option<usize>,
 }
 
@@ -103,116 +110,253 @@ pub fn chase(db: &Instance, tgds: &[Tgd], budget: &ChaseBudget) -> ChaseResult {
         .into_chase_result()
 }
 
-/// The sequential oblivious engine behind [`chase`] and
-/// [`crate::runner::ChaseRunner`].
-pub(crate) fn chase_impl(db: &Instance, tgds: &[Tgd], budget: &ChaseBudget) -> ChaseResult {
+/// The one-shot oblivious chase behind [`chase`] and
+/// [`crate::runner::ChaseRunner`]: one [`ObliviousChase::run`] from the
+/// whole database, with levels.
+pub(crate) fn chase_impl(
+    db: &Instance,
+    tgds: &[Tgd],
+    budget: &ChaseBudget,
+    observer: &mut impl FiringObserver,
+) -> ChaseResult {
     let _span = obs::span("chase.oblivious");
-    let plans = TriggerPlan::compile_all(tgds);
-    let mut instance = db.clone();
-    let mut levels = vec![0usize; instance.len()];
-    let mut fired: HashSet<(usize, Vec<Value>)> = HashSet::new();
-    let mut complete = true;
-    let mut max_level = 0usize;
+    let mut state = ObliviousChase::new(tgds, db.clone());
+    let mut levels = vec![0usize; db.len()];
+    let run = state.run(Delta::Since(0), budget, Some(&mut levels), observer);
+    ChaseResult {
+        instance: state.instance,
+        levels,
+        complete: run.complete,
+        max_level: run.max_level,
+    }
+}
 
-    // Round 0: triggers over the database (and empty-body TGDs, which fire
-    // exactly once each).
-    let mut delta: Vec<GroundAtom> = instance.iter().cloned().collect();
-    let mut level = 0usize;
-    loop {
-        if let Some(max) = budget.max_level {
-            if level >= max {
-                complete = false;
-                break;
-            }
-        }
-        if let Some(max) = budget.max_atoms {
-            if instance.len() >= max {
-                complete = false;
-                break;
-            }
-        }
-        let round_t = obs::enabled().then(Instant::now);
-        let mut new_atoms: Vec<GroundAtom> = Vec::new();
-        let mut hit_cap = false;
-        'round: for (ti, tgd) in tgds.iter().enumerate() {
-            let plan = &plans[ti];
-            if tgd.body.is_empty() {
-                if level == 0 && fired.insert((ti, Vec::new())) {
-                    obs::count(obs::Metric::TriggerFirings, 1);
-                    plan.fire_row(&[], &mut new_atoms);
+/// Sees every trigger firing of a run, in firing order: the plan of the
+/// fired TGD, the body row (slot order of `plan.body`), the fresh nulls
+/// (ascending existential-variable order) and the head atoms produced
+/// (whether or not the instance already holds them).
+pub(crate) trait FiringObserver {
+    fn fired(
+        &mut self,
+        plan: &TriggerPlan,
+        row: &[Value],
+        nulls: &[Value],
+        products: &[GroundAtom],
+    );
+}
+
+/// No observer: the plain chase.
+impl FiringObserver for () {
+    #[inline(always)]
+    fn fired(&mut self, _: &TriggerPlan, _: &[Value], _: &[Value], _: &[GroundAtom]) {}
+}
+
+/// Where a run's first round looks for triggers. Every later round
+/// searches from the atoms the previous round added.
+pub(crate) enum Delta {
+    /// The instance's atoms from this position on (insertion order).
+    Since(usize),
+    /// These atoms, all present in the instance.
+    Atoms(Vec<GroundAtom>),
+}
+
+/// What one [`ObliviousChase::run`] did.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunStats {
+    /// Whether the run reached a fixpoint within budget.
+    pub complete: bool,
+    /// Rounds that added atoms (the highest level materialized, for a
+    /// run from the whole database).
+    pub max_level: usize,
+    /// Triggers fired.
+    pub fired: usize,
+    /// Atoms added to the instance.
+    pub added: usize,
+}
+
+/// The state the oblivious chase carries between runs: the compiled
+/// plans, the instance, and the `(TGD index, trigger key)` of every
+/// trigger fired so far — the once-per-trigger discipline.
+#[derive(Debug, Clone)]
+pub(crate) struct ObliviousChase {
+    pub plans: Vec<TriggerPlan>,
+    pub instance: Instance,
+    pub fired: HashSet<(usize, Vec<Value>)>,
+}
+
+/// The head atoms one round produced, pending insertion.
+struct Pending {
+    atoms: Vec<GroundAtom>,
+    nulls: Vec<Value>,
+    /// The distinct pending atoms the instance lacks, which is what the
+    /// atom cap counts. Built only once the pending atoms, duplicates
+    /// included, could reach the cap; until then no product is hashed.
+    gain: Option<HashSet<GroundAtom>>,
+    fired: usize,
+}
+
+impl Pending {
+    fn fire(
+        &mut self,
+        plan: &TriggerPlan,
+        row: &[Value],
+        instance: &Instance,
+        observer: &mut impl FiringObserver,
+    ) {
+        let start = self.atoms.len();
+        plan.fire_row(row, &mut self.nulls, &mut self.atoms);
+        self.fired += 1;
+        obs::count(obs::Metric::TriggerFirings, 1);
+        let products = &self.atoms[start..];
+        observer.fired(plan, row, &self.nulls, products);
+        if let Some(gain) = &mut self.gain {
+            for p in products {
+                if !instance.contains(p) {
+                    gain.insert(p.clone());
                 }
-                continue;
             }
-            // Semi-naive: require some body atom to match a delta atom.
-            // At level 0 the delta is the whole database, which covers all
-            // initial triggers.
-            for pin in 0..tgd.body.len() {
-                for d in &delta {
-                    let Some(seed) = plan.body.unify_atom(pin, d) else {
-                        continue;
-                    };
-                    plan.body
-                        .search(&instance)
-                        .fix_slots(seed)
-                        .skip_atom(pin)
-                        .for_each_row(|row| {
-                            if budget.atoms_exhausted(instance.len() + new_atoms.len()) {
-                                hit_cap = true;
-                                return ControlFlow::Break(());
-                            }
-                            if fired.insert((ti, plan.trigger_key(row))) {
-                                obs::count(obs::Metric::TriggerFirings, 1);
-                                plan.fire_row(row, &mut new_atoms);
-                            }
-                            ControlFlow::Continue(())
-                        });
-                    if hit_cap {
-                        break 'round;
+        }
+    }
+
+    /// Whether the instance, once this round's atoms are inserted,
+    /// reaches the atom cap.
+    fn exhausts(&mut self, budget: &ChaseBudget, instance: &Instance) -> bool {
+        if !budget.atoms_exhausted(instance.len() + self.atoms.len()) {
+            return false;
+        }
+        let gain = self.gain.get_or_insert_with(|| {
+            self.atoms
+                .iter()
+                .filter(|a| !instance.contains(a))
+                .cloned()
+                .collect()
+        });
+        budget.atoms_exhausted(instance.len() + gain.len())
+    }
+}
+
+impl ObliviousChase {
+    /// A state with nothing fired yet over `instance`.
+    pub fn new(tgds: &[Tgd], instance: Instance) -> ObliviousChase {
+        ObliviousChase {
+            plans: TriggerPlan::compile_all(tgds),
+            instance,
+            fired: HashSet::new(),
+        }
+    }
+
+    /// Runs semi-naive rounds from `delta` until a round adds nothing or
+    /// `budget` stops the run. Round `ℓ` (from 0) fires every not yet fired
+    /// trigger whose body uses an atom of the round's delta, against the
+    /// instance as it stood before the round; its atoms are inserted at
+    /// level `ℓ + 1` (appended to `levels`, when given) and become the
+    /// next delta. Empty-body TGDs fire in round 0, once ever.
+    pub fn run(
+        &mut self,
+        delta: Delta,
+        budget: &ChaseBudget,
+        mut levels: Option<&mut Vec<usize>>,
+        observer: &mut impl FiringObserver,
+    ) -> RunStats {
+        let ObliviousChase {
+            plans,
+            instance,
+            fired,
+        } = self;
+        let mut stats = RunStats {
+            complete: true,
+            max_level: 0,
+            fired: 0,
+            added: 0,
+        };
+        let mut pending = Pending {
+            atoms: Vec::new(),
+            nulls: Vec::new(),
+            gain: None,
+            fired: 0,
+        };
+        let mut delta = delta;
+        let mut level = 0usize;
+        loop {
+            if budget.max_level.is_some_and(|max| level >= max)
+                || budget.atoms_exhausted(instance.len())
+            {
+                stats.complete = false;
+                break;
+            }
+            let round_t = obs::enabled().then(Instant::now);
+            let mut hit_cap = false;
+            let round_delta: &[GroundAtom] = match &delta {
+                Delta::Since(start) => &instance.atoms()[*start..],
+                Delta::Atoms(atoms) => atoms,
+            };
+            'round: for (ti, plan) in plans.iter().enumerate() {
+                if plan.body_atoms.is_empty() {
+                    if level == 0 && fired.insert((ti, Vec::new())) {
+                        pending.fire(plan, &[], instance, observer);
+                    }
+                    continue;
+                }
+                for pin in 0..plan.body_atoms.len() {
+                    for d in round_delta {
+                        let Some(seed) = plan.body.unify_atom(pin, d) else {
+                            continue;
+                        };
+                        plan.body
+                            .search(instance)
+                            .fix_slots(seed)
+                            .skip_atom(pin)
+                            .for_each_row(|row| {
+                                if !fired.insert((ti, plan.trigger_key(row))) {
+                                    return ControlFlow::Continue(());
+                                }
+                                if pending.exhausts(budget, instance) {
+                                    fired.remove(&(ti, plan.trigger_key(row)));
+                                    hit_cap = true;
+                                    return ControlFlow::Break(());
+                                }
+                                pending.fire(plan, row, instance, observer);
+                                ControlFlow::Continue(())
+                            });
+                        if hit_cap {
+                            break 'round;
+                        }
                     }
                 }
             }
-        }
-        obs::count(obs::Metric::ChaseRounds, 1);
-        if let Some(t0) = round_t {
-            obs::observe(obs::Hist::ChaseRoundNs, t0.elapsed().as_nanos() as u64);
-        }
-        if new_atoms.is_empty() {
+            obs::count(obs::Metric::ChaseRounds, 1);
+            if let Some(t0) = round_t {
+                obs::observe(obs::Hist::ChaseRoundNs, t0.elapsed().as_nanos() as u64);
+            }
+            level += 1;
+            let start = instance.len();
+            instance.reserve_additional(pending.atoms.len());
+            for a in pending.atoms.drain(..) {
+                if instance.insert(a) {
+                    if let Some(levels) = levels.as_deref_mut() {
+                        levels.push(level);
+                    }
+                }
+            }
+            pending.gain = None;
+            stats.added += instance.len() - start;
+            if instance.len() == start {
+                // No new atom (nothing fired, or a full TGD re-derived
+                // existing atoms): fixpoint, unless the cap cut the round.
+                stats.complete &= !hit_cap;
+                break;
+            }
+            stats.max_level = level;
             if hit_cap {
-                complete = false;
+                // The atom budget was exhausted mid-round: stop here rather
+                // than searching another round's triggers.
+                stats.complete = false;
+                break;
             }
-            break;
+            delta = Delta::Since(start);
         }
-        level += 1;
-        max_level = level;
-        delta = Vec::new();
-        instance.reserve_additional(new_atoms.len());
-        for a in new_atoms {
-            if instance.insert(a.clone()) {
-                levels.push(level);
-                delta.push(a);
-            }
-        }
-        if delta.is_empty() {
-            // All "new" atoms were already present (possible when a full TGD
-            // re-derives existing atoms); fixpoint.
-            max_level = level - 1;
-            if hit_cap {
-                complete = false;
-            }
-            break;
-        }
-        if hit_cap {
-            // The atom budget was exhausted mid-round: stop here rather than
-            // searching another round's triggers.
-            complete = false;
-            break;
-        }
-    }
-    ChaseResult {
-        instance,
-        levels,
-        complete,
-        max_level,
+        stats.fired = pending.fired;
+        stats
     }
 }
 
@@ -349,6 +493,45 @@ mod tests {
         let r = chase(&d, &tgds, &ChaseBudget::atoms(3));
         assert!(r.complete);
         assert_eq!(r.instance.len(), 2);
+    }
+
+    /// `E(a,m_i), E(m_i,c)` for `k` middles: transitive closure derives
+    /// `E(a,c)` once per middle, so `k` triggers produce one atom.
+    fn diamond(k: usize) -> Instance {
+        let mids: Vec<String> = (0..k).map(|i| format!("m{i}")).collect();
+        Instance::from_atoms(mids.iter().flat_map(|m| {
+            [
+                GroundAtom::named("E", &["a", m.as_str()]),
+                GroundAtom::named("E", &[m.as_str(), "c"]),
+            ]
+        }))
+    }
+
+    #[test]
+    fn atom_budget_counts_distinct_new_atoms_only() {
+        // The fixpoint is the base plus E(a,c): below the cap, duplicate
+        // products of the other middles must not read as cap pressure.
+        let tgds = parse_tgds("E(X,Y), E(Y,Z) -> E(X,Z)").unwrap();
+        for (k, cap) in [(2, 6), (3, 8)] {
+            let r = chase(&diamond(k), &tgds, &ChaseBudget::atoms(cap));
+            assert!(r.complete, "{k} middles, cap {cap}");
+            assert_eq!(r.instance.len(), 2 * k + 1);
+            assert_eq!(r.max_level, 1);
+        }
+    }
+
+    #[test]
+    fn chase_and_maintain_agree_on_atom_caps() {
+        let tgds = parse_tgds("E(X,Y), E(Y,Z) -> E(X,Z)").unwrap();
+        let d = diamond(2);
+        for cap in 5..=9 {
+            let budget = ChaseBudget::atoms(cap);
+            let r = chase(&d, &tgds, &budget);
+            let m = crate::MaintainedInstance::new(&d, &tgds, budget);
+            assert_eq!(r.complete, m.complete(), "cap {cap}");
+            assert_eq!(r.instance.len(), m.instance().len(), "cap {cap}");
+            assert_eq!(r.complete, cap > 5, "cap {cap}");
+        }
     }
 
     #[test]

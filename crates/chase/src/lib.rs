@@ -39,7 +39,7 @@ pub mod unravel;
 pub mod witness;
 
 pub use acyclicity::is_weakly_acyclic;
-pub use cert::{certificates_to_json, Certificate, CertificateStore};
+pub use cert::{certificates_to_json, Certificate, CertificateStore, FiringRecord};
 pub use dl::{
     abox_consistent, parse_dl_ontology, parse_tbox, tbox_to_tgds, try_tbox_to_tgds, Axiom, Concept,
     FragmentError, Role,
@@ -47,7 +47,7 @@ pub use dl::{
 pub use engine::{chase, ChaseBudget, ChaseResult};
 pub use linearize::{linearize, Linearization};
 pub use maintain::{FiringExport, MaintainExport, MaintainedInstance, MaintenanceReport};
-pub use par_engine::{par_chase, par_ground_saturation};
+pub use par_engine::par_ground_saturation;
 pub use restricted::{restricted_chase, RestrictedChaseResult};
 pub use rewrite::linear_rewrite;
 pub use runner::{ChaseOutcome, ChaseRunner, ChaseVariant};

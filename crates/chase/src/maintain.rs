@@ -4,22 +4,25 @@
 //! [`MaintainedInstance`] keeps the **oblivious** chase fixpoint of a base
 //! database live across updates:
 //!
-//! * [`insert`](MaintainedInstance::insert) runs a *delta chase*: the FIFO
-//!   trigger frontier (the restricted engine's discovery machinery) is
-//!   seeded from the inserted atoms only — never the whole instance — and
-//!   the warm `TriggerPlan` caches are reused,
-//!   so a single-fact insert costs a handful of pinned index probes
-//!   instead of a full re-chase. A *persistent* fired set (keyed like the
-//!   oblivious engine's, by `(TGD, trigger key)`) carries the oblivious
-//!   once-per-trigger discipline across updates.
+//! * [`insert`](MaintainedInstance::insert) runs a *delta chase*: the
+//!   oblivious engine's semi-naive round loop (the same loop as
+//!   [`crate::chase`]) starts from the inserted atoms only — never the
+//!   whole instance — on the persistent engine state, so the warm
+//!   `TriggerPlan` caches are reused and a single-fact insert costs a
+//!   handful of pinned index probes instead of a full re-chase. The
+//!   engine's *persistent* fired set (`(TGD, trigger key)`) carries the
+//!   oblivious once-per-trigger discipline across updates.
 //! * [`retract`](MaintainedInstance::retract) runs **DRed**
 //!   (delete-and-re-derive) over the per-firing dependency index recorded
 //!   at insert time: first *over-delete* everything transitively derived
 //!   through a retracted atom, then *re-derive* — rescue the over-deleted
 //!   atoms that still have an alive alternative support (or are surviving
-//!   base facts), physically remove the rest, and re-run the delta chase
+//!   base facts), physically remove the rest, and re-run the round loop
 //!   from the rescued atoms so the purged triggers whose bodies survived
 //!   can re-fire.
+//!
+//! Every firing of those runs is recorded, through the engine's firing
+//! observer, into the dependency index (`supports`/`uses`) DRed walks.
 //!
 //! Why oblivious semantics: the oblivious chase fires every trigger
 //! exactly once, so its fixpoint is order-independent up to null renaming
@@ -39,12 +42,11 @@
 //! the whole cycle first; re-derivation only rescues atoms reachable from
 //! *surviving* facts. `tests/maintenance_mutants.rs` pins these cases.
 
-use crate::engine::ChaseBudget;
+use crate::engine::{ChaseBudget, Delta, FiringObserver, ObliviousChase};
 use crate::plan::TriggerPlan;
 use crate::tgd::Tgd;
 use gtgd_data::{obs, GroundAtom, Instance, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::ops::ControlFlow;
 
 /// What one maintenance operation did. Every count is exact (not a
 /// high-water mark), which is what lets the mutation-grade tests assert
@@ -116,6 +118,69 @@ struct Firing {
     alive: bool,
 }
 
+/// The firing graph DRed walks: every recorded firing plus, per atom, the
+/// firings producing it and the firings using it.
+#[derive(Debug, Clone, Default)]
+struct DepIndex {
+    /// All recorded firings; dead ones stay as tombstones so ids in the
+    /// adjacency lists below never dangle.
+    firings: Vec<Firing>,
+    /// atom → ids of firings producing it (its supports).
+    supports: HashMap<GroundAtom, Vec<usize>>,
+    /// atom → ids of firings using it in their body.
+    uses: HashMap<GroundAtom, Vec<usize>>,
+}
+
+impl DepIndex {
+    /// Records one firing of rule `tgd` with trigger key `key`, body atoms
+    /// `body`, producing `products`.
+    fn record(
+        &mut self,
+        tgd: usize,
+        key: Vec<Value>,
+        body: Vec<GroundAtom>,
+        products: &[GroundAtom],
+    ) {
+        let fid = self.firings.len();
+        for b in body {
+            self.uses.entry(b).or_default().push(fid);
+        }
+        for p in products {
+            self.supports.entry(p.clone()).or_default().push(fid);
+        }
+        self.firings.push(Firing {
+            tgd,
+            key,
+            products: products.to_vec(),
+            alive: true,
+        });
+    }
+
+    /// Whether any firing in `fids` is alive.
+    fn any_alive(&self, fids: Option<&Vec<usize>>) -> bool {
+        fids.into_iter()
+            .flatten()
+            .any(|&fid| self.firings[fid].alive)
+    }
+}
+
+impl FiringObserver for DepIndex {
+    fn fired(
+        &mut self,
+        plan: &TriggerPlan,
+        row: &[Value],
+        _nulls: &[Value],
+        products: &[GroundAtom],
+    ) {
+        self.record(
+            plan.index,
+            plan.trigger_key(row),
+            plan.ground_body(row),
+            products,
+        );
+    }
+}
+
 /// A live oblivious-chase fixpoint over a mutable base database. Built by
 /// [`crate::ChaseRunner::maintain`]; updated by
 /// [`insert`](MaintainedInstance::insert) and
@@ -126,23 +191,15 @@ struct Firing {
 /// across any number of maintenance operations.
 #[derive(Debug, Clone)]
 pub struct MaintainedInstance {
-    plans: Vec<TriggerPlan>,
+    /// The engine state: plans, the instance, and the fired set, which
+    /// holds the `(TGD index, trigger key)` of every firing not yet purged
+    /// by retraction.
+    chase: ObliviousChase,
     budget: ChaseBudget,
-    instance: Instance,
     /// User-asserted facts. A base fact is never deleted by over-delete
     /// propagation alone — only by being explicitly retracted.
     base: HashSet<GroundAtom>,
-    /// The oblivious once-per-trigger discipline, persisted across
-    /// updates: `(TGD index, trigger key)` of every firing not yet purged
-    /// by retraction.
-    fired: HashSet<(usize, Vec<Value>)>,
-    /// All recorded firings; dead ones stay as tombstones so ids in the
-    /// adjacency lists below never dangle.
-    firings: Vec<Firing>,
-    /// atom → ids of firings producing it (its supports).
-    supports: HashMap<GroundAtom, Vec<usize>>,
-    /// atom → ids of firings using it in their body.
-    uses: HashMap<GroundAtom, Vec<usize>>,
+    deps: DepIndex,
     complete: bool,
 }
 
@@ -160,23 +217,19 @@ impl MaintainedInstance {
             "MaintainedInstance maintains a fixpoint; level-capped prefixes are not maintainable"
         );
         let mut m = MaintainedInstance {
-            plans: TriggerPlan::compile_all(tgds),
+            chase: ObliviousChase::new(tgds, db.clone()),
             budget,
-            instance: Instance::new(),
-            base: HashSet::new(),
-            fired: HashSet::new(),
-            firings: Vec::new(),
-            supports: HashMap::new(),
-            uses: HashMap::new(),
+            base: db.iter().cloned().collect(),
+            deps: DepIndex::default(),
             complete: true,
         };
-        m.insert(db.iter().cloned());
+        m.chase_from(Delta::Since(0), &mut MaintenanceReport::default());
         m
     }
 
     /// The maintained instance (the base facts plus everything derived).
     pub fn instance(&self) -> &Instance {
-        &self.instance
+        &self.chase.instance
     }
 
     /// Whether `atom` is currently a base (user-asserted) fact.
@@ -192,24 +245,21 @@ impl MaintainedInstance {
         self.complete
     }
 
-    /// Asserts base facts and chases only their consequences: triggers are
-    /// discovered by pinning each cached body plan to the delta, exactly
-    /// like one round of the frontier engine, and the persistent fired set
-    /// keeps every previously fired trigger from firing again.
+    /// Asserts base facts and chases only their consequences: the round
+    /// loop starts from the atoms new to the instance, and the persistent
+    /// fired set keeps every previously fired trigger from firing again.
     pub fn insert(&mut self, atoms: impl IntoIterator<Item = GroundAtom>) -> MaintenanceReport {
         let _span = obs::span("maint.insert");
-        let mut delta: Vec<GroundAtom> = Vec::new();
+        let start = self.chase.instance.len();
         for a in atoms {
             self.base.insert(a.clone());
-            if self.instance.insert(a.clone()) {
-                delta.push(a);
-            }
+            self.chase.instance.insert(a);
         }
         let mut report = MaintenanceReport {
-            atoms_added: delta.len(),
+            atoms_added: self.chase.instance.len() - start,
             ..MaintenanceReport::default()
         };
-        self.delta_chase(&delta, &mut report);
+        self.chase_from(Delta::Since(start), &mut report);
         report
     }
 
@@ -239,13 +289,13 @@ impl MaintainedInstance {
                 continue;
             }
             over_list.push(a.clone());
-            for &fid in self.uses.get(&a).into_iter().flatten() {
-                if !self.firings[fid].alive {
+            for &fid in self.deps.uses.get(&a).into_iter().flatten() {
+                if !self.deps.firings[fid].alive {
                     continue;
                 }
-                self.firings[fid].alive = false;
+                self.deps.firings[fid].alive = false;
                 dead_firings.push(fid);
-                for p in &self.firings[fid].products {
+                for p in &self.deps.firings[fid].products {
                     if !over.contains(p) {
                         worklist.push_back(p.clone());
                     }
@@ -259,7 +309,7 @@ impl MaintainedInstance {
         // rest is physically removed.
         let rescued: Vec<GroundAtom> = over_list
             .iter()
-            .filter(|a| self.base.contains(*a) || self.any_alive(self.supports.get(*a)))
+            .filter(|a| self.base.contains(*a) || self.deps.any_alive(self.deps.supports.get(*a)))
             .cloned()
             .collect();
         report.atoms_rederived = rescued.len();
@@ -270,20 +320,20 @@ impl MaintainedInstance {
             .filter(|a| !rescued_set.contains(*a))
             .cloned()
             .collect();
-        report.atoms_removed = self.instance.retract_atoms(&doomed);
+        report.atoms_removed = self.chase.instance.retract_atoms(&doomed);
         // Purge dead firings from the fired set so their triggers can
         // re-fire (with fresh nulls — correct up to isomorphism) if their
         // bodies still hold. The tombstoned records keep ids stable; the
         // adjacency lists are filtered by `alive` at every read.
         for &fid in &dead_firings {
-            let f = &self.firings[fid];
-            self.fired.remove(&(f.tgd, f.key.clone()));
+            let f = &self.deps.firings[fid];
+            self.chase.fired.remove(&(f.tgd, f.key.clone()));
         }
-        // Re-run the delta chase from the rescued atoms: every purged
+        // Re-run the round loop from the rescued atoms: every purged
         // trigger whose body survived has a rescued body atom, so pinning
         // on the rescue set rediscovers exactly the derivations DRed cut
         // too eagerly.
-        self.delta_chase(&rescued, &mut report);
+        self.chase_from(Delta::Atoms(rescued), &mut report);
         report
     }
 
@@ -294,12 +344,14 @@ impl MaintainedInstance {
     pub fn export_state(&self) -> MaintainExport {
         MaintainExport {
             base: self
+                .chase
                 .instance
                 .iter()
                 .filter(|a| self.base.contains(*a))
                 .cloned()
                 .collect(),
             firings: self
+                .deps
                 .firings
                 .iter()
                 .filter(|f| f.alive)
@@ -334,33 +386,29 @@ impl MaintainedInstance {
         export: &MaintainExport,
         instance: Instance,
     ) -> Result<MaintainedInstance, String> {
-        let plans = TriggerPlan::compile_all(tgds);
         let mut m = MaintainedInstance {
-            plans,
+            chase: ObliviousChase::new(tgds, instance),
             budget: ChaseBudget {
                 max_level: None,
                 max_atoms: export.max_atoms,
             },
-            instance,
             base: HashSet::new(),
-            fired: HashSet::new(),
-            firings: Vec::with_capacity(export.firings.len()),
-            supports: HashMap::new(),
-            uses: HashMap::new(),
+            deps: DepIndex::default(),
             complete: export.complete,
         };
+        m.deps.firings.reserve(export.firings.len());
         for a in &export.base {
-            if !m.instance.contains(a) {
+            if !m.chase.instance.contains(a) {
                 return Err(format!("base fact {a} missing from the instance"));
             }
             m.base.insert(a.clone());
         }
         for f in &export.firings {
-            let Some(plan) = m.plans.get(f.tgd) else {
+            let Some(plan) = m.chase.plans.get(f.tgd) else {
                 return Err(format!(
                     "firing names rule {} but only {} rules were supplied",
                     f.tgd,
-                    m.plans.len()
+                    m.chase.plans.len()
                 ));
             };
             if f.key.len() != plan.key_slots.len() {
@@ -371,34 +419,24 @@ impl MaintainedInstance {
                     plan.key_slots.len()
                 ));
             }
-            if !m.fired.insert((f.tgd, f.key.clone())) {
+            if !m.chase.fired.insert((f.tgd, f.key.clone())) {
                 return Err(format!("duplicate firing of rule {}", f.tgd));
             }
-            let row = plan.row_from_key(&f.key);
-            let fid = m.firings.len();
-            for b in plan.ground_body(&row) {
-                if !m.instance.contains(&b) {
-                    return Err(format!("firing body atom {b} missing from the instance"));
-                }
-                m.uses.entry(b).or_default().push(fid);
+            let body = plan.ground_body(&plan.row_from_key(&f.key));
+            if let Some(b) = body.iter().find(|b| !m.chase.instance.contains(b)) {
+                return Err(format!("firing body atom {b} missing from the instance"));
             }
             for p in &f.products {
-                if !m.instance.contains(p) {
+                if !m.chase.instance.contains(p) {
                     return Err(format!("firing product {p} missing from the instance"));
                 }
-                m.supports.entry(p.clone()).or_default().push(fid);
             }
-            m.firings.push(Firing {
-                tgd: f.tgd,
-                key: f.key.clone(),
-                products: f.products.clone(),
-                alive: true,
-            });
+            m.deps.record(f.tgd, f.key.clone(), body, &f.products);
         }
         // Every non-base atom must have a support: otherwise a later
         // retraction would "rescue" atoms that nothing derives.
-        for a in m.instance.iter() {
-            if !m.base.contains(a) && !m.supports.contains_key(a) {
+        for a in m.chase.instance.iter() {
+            if !m.base.contains(a) && !m.deps.supports.contains_key(a) {
                 return Err(format!(
                     "atom {a} is neither base nor derived by any firing"
                 ));
@@ -407,106 +445,13 @@ impl MaintainedInstance {
         Ok(m)
     }
 
-    /// Whether any firing in `fids` is alive.
-    fn any_alive(&self, fids: Option<&Vec<usize>>) -> bool {
-        fids.into_iter()
-            .flatten()
-            .any(|&fid| self.firings[fid].alive)
-    }
-
-    /// The shared frontier engine: discovers and fires every not-yet-fired
-    /// trigger reachable from `delta`, recording each firing into the
-    /// dependency index. Oblivious semantics — no satisfaction check; the
-    /// fired set alone decides.
-    fn delta_chase(&mut self, delta: &[GroundAtom], report: &mut MaintenanceReport) {
-        // (TGD index, body row) frontier with local discovery dedup, as in
-        // the restricted engine; the persistent `fired` set additionally
-        // dedups across updates at pop time.
-        let mut queue: VecDeque<(usize, Vec<Value>)> = VecDeque::new();
-        let mut seen: HashSet<(usize, Vec<Value>)> = HashSet::new();
-        // Empty-body TGDs have exactly one (empty-row) trigger; the fired
-        // set keeps them to one firing ever.
-        for (ti, plan) in self.plans.iter().enumerate() {
-            if plan.body_atoms.is_empty() && seen.insert((ti, Vec::new())) {
-                queue.push_back((ti, Vec::new()));
-            }
-        }
-        for d in delta {
-            Self::discover(&self.plans, d, &self.instance, &mut queue, &mut seen);
-        }
-        let mut products: Vec<GroundAtom> = Vec::new();
-        while let Some((ti, row)) = queue.pop_front() {
-            if self
-                .budget
-                .max_atoms
-                .is_some_and(|max| self.instance.len() >= max)
-            {
-                self.complete = false;
-                break;
-            }
-            let plan = &self.plans[ti];
-            let key = plan.trigger_key(&row);
-            if !self.fired.insert((ti, key.clone())) {
-                continue;
-            }
-            products.clear();
-            plan.fire_row(&row, &mut products);
-            report.triggers_fired += 1;
-            obs::count(obs::Metric::MaintTriggersFired, 1);
-            let fid = self.firings.len();
-            let body = plan.ground_body(&row);
-            for b in &body {
-                self.uses.entry(b.clone()).or_default().push(fid);
-            }
-            for p in &products {
-                self.supports.entry(p.clone()).or_default().push(fid);
-            }
-            self.firings.push(Firing {
-                tgd: ti,
-                key,
-                products: products.clone(),
-                alive: true,
-            });
-            let delta_start = self.instance.len();
-            for p in &products {
-                if self.instance.insert(p.clone()) {
-                    report.atoms_added += 1;
-                }
-            }
-            for i in delta_start..self.instance.len() {
-                let d = self.instance.atom(i).clone();
-                Self::discover(&self.plans, &d, &self.instance, &mut queue, &mut seen);
-            }
-        }
-    }
-
-    /// Enqueues every trigger whose body uses `d`, by pinning each body
-    /// atom of each cached plan to it (the frontier engine's discovery
-    /// step, verbatim).
-    fn discover(
-        plans: &[TriggerPlan],
-        d: &GroundAtom,
-        instance: &Instance,
-        queue: &mut VecDeque<(usize, Vec<Value>)>,
-        seen: &mut HashSet<(usize, Vec<Value>)>,
-    ) {
-        for (ti, plan) in plans.iter().enumerate() {
-            for pin in 0..plan.body_atoms.len() {
-                let Some(seed) = plan.body.unify_atom(pin, d) else {
-                    continue;
-                };
-                plan.body
-                    .search(instance)
-                    .fix_slots(seed)
-                    .skip_atom(pin)
-                    .for_each_row(|row| {
-                        if seen.insert((ti, row.to_vec())) {
-                            queue.push_back((ti, row.to_vec()));
-                        }
-                        ControlFlow::Continue(())
-                    });
-            }
-        }
+    /// Runs the round loop from `delta` on the persistent state,
+    /// recording every firing into the dependency index.
+    fn chase_from(&mut self, delta: Delta, report: &mut MaintenanceReport) {
+        let run = self.chase.run(delta, &self.budget, None, &mut self.deps);
+        report.triggers_fired += run.fired;
+        report.atoms_added += run.added;
+        self.complete &= run.complete;
     }
 }
 

@@ -1,187 +1,26 @@
-//! Parallel chase and ground saturation on the std-only worker pool.
+//! Parallel ground saturation on the std-only worker pool.
 //!
-//! Both entry points are *deterministic for any worker count* and agree with
-//! their sequential counterparts:
-//!
-//! * [`par_chase`] runs the oblivious semi-naive chase of
-//!   [`crate::engine::chase`] with each round's delta-pinned trigger search
-//!   partitioned across workers. Workers only *discover* triggers — they
-//!   never allocate nulls — and the collected triggers are fired
-//!   sequentially in canonical (TGD, pin, delta) order, so null naming is
-//!   exactly as reproducible as in a sequential run. Results agree with the
-//!   sequential chase up to isomorphism (null identities come from a global
-//!   counter, so absolute labels differ across runs of either engine; see
-//!   `gtgd_query::instance_isomorphic`).
-//!
-//! * [`par_ground_saturation`] computes `chase↓(D, Σ)` with the closure
-//!   work of a Kleene round distributed across workers, each owning its own
-//!   memoizing [`Saturator`]. The output contains only named constants, so
-//!   it is *equal* (as a set) to the sequential
-//!   [`crate::types::ground_saturation`]. On top of the thread-level
-//!   parallelism the round itself is restructured: (1) bag restrictions are
-//!   assembled from a value → atom index built once per round instead of a
-//!   per-bag `restrict_to` scan of the whole instance; (2) only *dirty*
-//!   bags — those whose restriction grew since they were last closed — are
-//!   reconsidered; (3) dirty bags are canonicalized first and grouped by
-//!   [`CanonType`], so the expensive closure computation runs once per
-//!   *type* and every same-type bag just decodes the canonical closure
-//!   through its own constant ordering (the caller-side analogue of the
-//!   saturator's stable-key fast path, but it also covers keys on recursive
-//!   type cycles, which the saturator must otherwise recompute every call).
-//!   These changes make the parallel path much faster even at one worker.
+//! [`par_ground_saturation`] computes `chase↓(D, Σ)` with the closure
+//! work of a Kleene round distributed across workers, each owning its own
+//! memoizing [`Saturator`]. The output contains only named constants, so
+//! it is *equal* (as a set) to the sequential
+//! [`crate::types::ground_saturation`]. On top of the thread-level
+//! parallelism the round itself is restructured: (1) bag restrictions are
+//! assembled from a value → atom index built once per round instead of a
+//! per-bag `restrict_to` scan of the whole instance; (2) only *dirty*
+//! bags — those whose restriction grew since they were last closed — are
+//! reconsidered; (3) dirty bags are canonicalized first and grouped by
+//! [`CanonType`], so the expensive closure computation runs once per
+//! *type* and every same-type bag just decodes the canonical closure
+//! through its own constant ordering (the caller-side analogue of the
+//! saturator's stable-key fast path, but it also covers keys on recursive
+//! type cycles, which the saturator must otherwise recompute every call).
+//! These changes make the parallel path much faster even at one worker.
 
-use crate::engine::{ChaseBudget, ChaseResult};
-use crate::plan::TriggerPlan;
 use crate::tgd::Tgd;
 use crate::types::{canonicalize, decode, CanonType, Saturator, TAtom};
-use gtgd_data::{obs, GroundAtom, Instance, Pool, Value};
+use gtgd_data::{obs, Instance, Pool, Value};
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::ops::ControlFlow;
-use std::time::Instant;
-
-/// A discovered trigger: which TGD, its canonical key (the body-variable
-/// images, for once-only firing), and the full body row (slot order of the
-/// TGD's compiled body plan).
-type Trigger = (usize, Vec<Value>, Vec<Value>);
-
-/// Runs the oblivious chase of `db` under `tgds` within `budget`, searching
-/// each round's triggers on `workers` worker threads. Agrees with
-/// [`crate::engine::chase`] up to null renaming (isomorphism), with
-/// identical levels, completeness, and atom counts.
-pub fn par_chase(db: &Instance, tgds: &[Tgd], budget: &ChaseBudget, workers: usize) -> ChaseResult {
-    crate::runner::ChaseRunner::new(tgds)
-        .budget(*budget)
-        .workers(workers)
-        .run(db)
-        .into_chase_result()
-}
-
-/// The pool-parallel oblivious engine behind [`par_chase`] and
-/// [`crate::runner::ChaseRunner`].
-pub(crate) fn par_chase_impl(
-    db: &Instance,
-    tgds: &[Tgd],
-    budget: &ChaseBudget,
-    workers: usize,
-) -> ChaseResult {
-    let _span = obs::span("chase.parallel");
-    let pool = Pool::with_workers(workers);
-    let mut instance = db.clone();
-    let mut levels = vec![0usize; instance.len()];
-    let mut fired: HashSet<(usize, Vec<Value>)> = HashSet::new();
-    let mut complete = true;
-    let mut max_level = 0usize;
-
-    // Per-TGD trigger plans, compiled once and shared (read-only) across
-    // workers.
-    let plans = TriggerPlan::compile_all(tgds);
-
-    let mut delta: Vec<GroundAtom> = instance.iter().cloned().collect();
-    let mut level = 0usize;
-    loop {
-        if let Some(max) = budget.max_level {
-            if level >= max {
-                complete = false;
-                break;
-            }
-        }
-        if budget.atoms_exhausted(instance.len()) {
-            complete = false;
-            break;
-        }
-        let round_t = obs::enabled().then(Instant::now);
-        let mut new_atoms: Vec<GroundAtom> = Vec::new();
-        let mut hit_cap = false;
-        for (ti, tgd) in tgds.iter().enumerate() {
-            if tgd.body.is_empty() && level == 0 && fired.insert((ti, Vec::new())) {
-                obs::count(obs::Metric::TriggerFirings, 1);
-                plans[ti].fire_row(&[], &mut new_atoms);
-            }
-        }
-        // One task per (TGD, pinned body atom, delta atom). The task order
-        // is exactly the sequential engine's loop nest order, so firing the
-        // merged trigger list in task order reproduces the sequential
-        // engine's trigger sequence.
-        let tasks: Vec<(usize, usize, usize)> = tgds
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !t.body.is_empty())
-            .flat_map(|(ti, t)| {
-                let nd = delta.len();
-                (0..t.body.len()).flat_map(move |pin| (0..nd).map(move |di| (ti, pin, di)))
-            })
-            .collect();
-        let found: Vec<Vec<Trigger>> = pool.map_chunks(&tasks, |_, chunk| {
-            let mut out: Vec<Trigger> = Vec::new();
-            for &(ti, pin, di) in chunk {
-                let plan = &plans[ti];
-                let Some(seed) = plan.body.unify_atom(pin, &delta[di]) else {
-                    continue;
-                };
-                plan.body
-                    .search(&instance)
-                    .fix_slots(seed)
-                    .skip_atom(pin)
-                    .for_each_row(|row| {
-                        out.push((ti, plan.trigger_key(row), row.to_vec()));
-                        ControlFlow::Continue(())
-                    });
-            }
-            out
-        });
-        // Sequential merge: dedup against `fired` and fire in canonical
-        // order. Null allocation happens only here, on one thread.
-        'merge: for chunk in found {
-            for (ti, key, row) in chunk {
-                if budget.atoms_exhausted(instance.len() + new_atoms.len()) {
-                    hit_cap = true;
-                    break 'merge;
-                }
-                if fired.insert((ti, key)) {
-                    obs::count(obs::Metric::TriggerFirings, 1);
-                    plans[ti].fire_row(&row, &mut new_atoms);
-                }
-            }
-        }
-        obs::count(obs::Metric::ChaseRounds, 1);
-        if let Some(t0) = round_t {
-            obs::observe(obs::Hist::ChaseRoundNs, t0.elapsed().as_nanos() as u64);
-        }
-        if new_atoms.is_empty() {
-            if hit_cap {
-                complete = false;
-            }
-            break;
-        }
-        level += 1;
-        max_level = level;
-        delta = Vec::new();
-        instance.reserve_additional(new_atoms.len());
-        for a in new_atoms {
-            if instance.insert(a.clone()) {
-                levels.push(level);
-                delta.push(a);
-            }
-        }
-        if delta.is_empty() {
-            max_level = level - 1;
-            if hit_cap {
-                complete = false;
-            }
-            break;
-        }
-        if hit_cap {
-            complete = false;
-            break;
-        }
-    }
-    ChaseResult {
-        instance,
-        levels,
-        complete,
-        max_level,
-    }
-}
 
 /// `chase↓(D, Σ)` with closure work distributed over `workers` worker
 /// threads (one memoizing [`Saturator`] each), dirty-bag tracking, and
@@ -313,95 +152,12 @@ pub fn par_ground_saturation(db: &Instance, tgds: &[Tgd], workers: usize) -> Ins
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::chase;
     use crate::tgd::parse_tgds;
     use crate::types::ground_saturation;
-    use gtgd_query::instance_isomorphic;
+    use gtgd_data::GroundAtom;
 
     fn db(atoms: &[(&str, &[&str])]) -> Instance {
         Instance::from_atoms(atoms.iter().map(|(p, args)| GroundAtom::named(p, args)))
-    }
-
-    #[test]
-    fn par_chase_matches_sequential_full_tgds() {
-        let tgds = parse_tgds("E(X,Y), E(Y,Z) -> E(X,Z)").unwrap();
-        let d = db(&[("E", &["a", "b"]), ("E", &["b", "c"]), ("E", &["c", "d"])]);
-        let seq = chase(&d, &tgds, &ChaseBudget::unbounded());
-        for w in [1, 2, 4] {
-            let par = par_chase(&d, &tgds, &ChaseBudget::unbounded(), w);
-            assert!(par.complete);
-            // Full TGDs create no nulls, so the instances are equal.
-            assert_eq!(par.instance, seq.instance, "workers {w}");
-            assert_eq!(par.max_level, seq.max_level);
-            assert_eq!(par.levels, seq.levels);
-        }
-    }
-
-    #[test]
-    fn par_chase_isomorphic_with_existentials() {
-        let tgds =
-            parse_tgds("Emp(X) -> WorksIn(X,D), Dept(D). Dept(D) -> HasMgr(D,M), Emp(M)").unwrap();
-        let d = db(&[("Emp", &["ann"]), ("Emp", &["bob"])]);
-        let seq = chase(&d, &tgds, &ChaseBudget::levels(4));
-        for w in [1, 2, 4] {
-            let par = par_chase(&d, &tgds, &ChaseBudget::levels(4), w);
-            assert_eq!(par.instance.len(), seq.instance.len(), "workers {w}");
-            assert_eq!(par.levels, seq.levels);
-            assert_eq!(par.complete, seq.complete);
-            assert!(instance_isomorphic(&par.instance, &seq.instance));
-        }
-    }
-
-    #[test]
-    fn par_chase_respects_atom_budget() {
-        let tgds = parse_tgds("P(X) -> Q(X,Y). Q(X,Y) -> P(Y)").unwrap();
-        let d = db(&[("P", &["a"])]);
-        for w in [1, 3] {
-            let r = par_chase(&d, &tgds, &ChaseBudget::atoms(20), w);
-            assert!(!r.complete);
-            assert_eq!(r.instance.len(), 20);
-        }
-    }
-
-    #[test]
-    fn par_chase_budget_edges_match_sequential() {
-        // Both budget dimensions at their edges (mid-round exact hit,
-        // already-exhausted, multi-atom-head overshoot, level cap at and
-        // past the fixpoint): the cached trigger plans must stop exactly
-        // where the sequential engine does, at every width.
-        let single = parse_tgds("P(X) -> Q(X)").unwrap();
-        let multi = parse_tgds("P(X) -> A(X,Y), B(Y), C(Y)").unwrap();
-        let chain = parse_tgds("A(X) -> B(X). B(X) -> C(X).").unwrap();
-        let names: Vec<String> = (0..30).map(|i| format!("c{i}")).collect();
-        let wide =
-            Instance::from_atoms(names.iter().map(|n| GroundAtom::named("P", &[n.as_str()])));
-        let small = db(&[("A", &["a"])]);
-        let cases: [(&Instance, &[Tgd], ChaseBudget); 6] = [
-            (&wide, &single, ChaseBudget::atoms(35)),
-            (&wide, &single, ChaseBudget::atoms(30)),
-            (&wide, &multi, ChaseBudget::atoms(34)),
-            (&small, &chain, ChaseBudget::levels(0)),
-            (&small, &chain, ChaseBudget::levels(2)),
-            (&small, &chain, ChaseBudget::levels(3)),
-        ];
-        for (d, tgds, budget) in cases {
-            let seq = chase(d, tgds, &budget);
-            for w in [1, 2, 4] {
-                let par = par_chase(d, tgds, &budget, w);
-                assert_eq!(par.complete, seq.complete, "{budget:?} at width {w}");
-                assert_eq!(par.instance.len(), seq.instance.len(), "{budget:?} at {w}");
-                assert_eq!(par.max_level, seq.max_level, "{budget:?} at {w}");
-                assert_eq!(par.levels, seq.levels, "{budget:?} at {w}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_chase_empty_body_and_empty_db() {
-        let tgds = parse_tgds("-> R(X,X)").unwrap();
-        let r = par_chase(&Instance::new(), &tgds, &ChaseBudget::unbounded(), 4);
-        assert!(r.complete);
-        assert_eq!(r.instance.len(), 1);
     }
 
     #[test]

@@ -14,13 +14,12 @@
 //!   engine, so `fired`-set semantics are unchanged;
 //! * the **head plan** grounds head atoms from the row plus fresh nulls,
 //!   allocating nulls in ascending existential-variable order — the exact
-//!   null-naming sequence of the legacy `fire`, which keeps sequential and
-//!   parallel chases bit-identical;
+//!   null-naming sequence of the legacy `fire`;
 //! * the **head satisfaction check** of the restricted chase is a compiled
 //!   head query with the frontier slots pre-linked to body slots.
 
 use crate::tgd::Tgd;
-use gtgd_data::{obs, prov, GroundAtom, Instance, Predicate, Value};
+use gtgd_data::{obs, GroundAtom, Instance, Predicate, Value};
 use gtgd_query::{CompiledQuery, Term};
 
 /// One argument of a compiled body atom template.
@@ -198,17 +197,12 @@ impl TriggerPlan {
 
     /// Fires the trigger witnessed by `row`: instantiates the head with
     /// fresh nulls for the existential variables (allocated in ascending
-    /// variable order, like the legacy engine) and appends the atoms to
-    /// `out`.
-    ///
-    /// All three engines fire exclusively through this method — and always
-    /// on their single merge/fire thread — so the provenance probe below
-    /// sees every derivation, in the engines' canonical firing order, for
-    /// any worker count.
-    pub fn fire_row(&self, row: &[Value], out: &mut Vec<GroundAtom>) {
+    /// variable order, like the legacy engine, and left in `nulls`) and
+    /// appends the atoms to `out`.
+    pub fn fire_row(&self, row: &[Value], nulls: &mut Vec<Value>, out: &mut Vec<GroundAtom>) {
         obs::count(obs::Metric::NullsCreated, self.n_exist as u64);
-        let nulls: Vec<Value> = (0..self.n_exist).map(|_| Value::fresh_null()).collect();
-        let start = out.len();
+        nulls.clear();
+        nulls.extend((0..self.n_exist).map(|_| Value::fresh_null()));
         for atom in &self.head {
             out.push(GroundAtom::new(
                 atom.predicate,
@@ -221,20 +215,6 @@ impl TriggerPlan {
                     })
                     .collect(),
             ))
-        }
-        if prov::enabled() {
-            let val = self
-                .key_vars
-                .iter()
-                .zip(self.key_slots.iter())
-                .map(|(&v, &s)| (v, row[s]))
-                .chain(self.exist_vars.iter().zip(&nulls).map(|(&v, &n)| (v, n)))
-                .collect();
-            prov::record_firing(prov::FiringRecord {
-                tgd: self.index,
-                val,
-                atoms: out[start..].to_vec(),
-            });
         }
     }
 
@@ -286,12 +266,13 @@ mod tests {
         let tgds = parse_tgds("Emp(X) -> WorksIn(X,D), Dept(D)").unwrap();
         let plan = TriggerPlan::new(&tgds[0], 0);
         assert_eq!(plan.n_exist, 1);
-        let mut out = Vec::new();
-        plan.fire_row(&[v("ann")], &mut out);
+        let (mut nulls, mut out) = (Vec::new(), Vec::new());
+        plan.fire_row(&[v("ann")], &mut nulls, &mut out);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].args[0], v("ann"));
         // Both head atoms share the same fresh null for D.
         assert_eq!(out[0].args[1], out[1].args[0]);
+        assert_eq!(nulls, [out[0].args[1]]);
         assert!(matches!(out[0].args[1], Value::Null(_)));
     }
 

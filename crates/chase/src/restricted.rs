@@ -22,7 +22,7 @@
 //! firing, which is quadratic in the number of firings (the E9 ablation
 //! measures the difference).
 
-use crate::engine::ChaseBudget;
+use crate::engine::{ChaseBudget, FiringObserver};
 use crate::plan::TriggerPlan;
 use crate::tgd::Tgd;
 use gtgd_data::{obs, GroundAtom, Instance, Value};
@@ -58,11 +58,12 @@ pub fn restricted_chase(
 }
 
 /// The engine behind [`restricted_chase`] and
-/// [`crate::runner::ChaseRunner`].
+/// [`crate::runner::ChaseRunner`]; `observer` sees every firing.
 pub(crate) fn restricted_chase_impl(
     db: &Instance,
     tgds: &[Tgd],
     budget: &ChaseBudget,
+    observer: &mut impl FiringObserver,
 ) -> RestrictedChaseResult {
     let _span = obs::span("chase.restricted");
     let plans = TriggerPlan::compile_all(tgds);
@@ -121,6 +122,7 @@ pub(crate) fn restricted_chase_impl(
     }
 
     let mut new_atoms: Vec<GroundAtom> = Vec::new();
+    let mut nulls: Vec<Value> = Vec::new();
     while let Some((ti, row)) = queue.pop_front() {
         if let Some(max) = budget.max_atoms {
             if instance.len() >= max {
@@ -154,9 +156,10 @@ pub(crate) fn restricted_chase_impl(
             }
         }
         new_atoms.clear();
-        plans[ti].fire_row(&row, &mut new_atoms);
+        plans[ti].fire_row(&row, &mut nulls, &mut new_atoms);
         fired += 1;
         obs::count(obs::Metric::TriggerFirings, 1);
+        observer.fired(&plans[ti], &row, &nulls, &new_atoms);
         // Insert, keeping only the genuinely new atoms as the delta.
         let mut delta_start = instance.len();
         instance.reserve_additional(new_atoms.len());

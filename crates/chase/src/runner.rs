@@ -1,12 +1,12 @@
-//! The chase facade: one builder in front of the three engines.
+//! The chase facade: one builder in front of both engines.
 //!
-//! The crate grew three chase entry points — the sequential oblivious
-//! [`crate::engine::chase`], the pool-parallel [`crate::par_engine::par_chase`],
-//! and the [`crate::restricted::restricted_chase`] — each with its own result
-//! type. [`ChaseRunner`] unifies them: pick a [`ChaseVariant`], a
-//! [`ChaseBudget`], a worker count, and optionally tracing, then [`run`].
-//! The legacy free functions delegate here, so their behaviour (budget-stop
-//! exactness, null naming, level bookkeeping) is unchanged.
+//! The crate has two chase entry points — the oblivious
+//! [`crate::engine::chase`] and the [`crate::restricted::restricted_chase`]
+//! — each with its own result type. [`ChaseRunner`] unifies them: pick a
+//! [`ChaseVariant`], a [`ChaseBudget`], and optionally tracing and
+//! certification, then [`run`]. The legacy free functions delegate here,
+//! so their behaviour (budget-stop exactness, null naming, level
+//! bookkeeping) is unchanged.
 //!
 //! ```
 //! use gtgd_chase::{parse_tgds, ChaseBudget, ChaseRunner};
@@ -23,21 +23,21 @@
 //!
 //! [`run`]: ChaseRunner::run
 
-use crate::engine::{ChaseBudget, ChaseResult};
+use crate::cert::FiringRecord;
+use crate::engine::{ChaseBudget, ChaseResult, FiringObserver};
 use crate::restricted::RestrictedChaseResult;
 use crate::tgd::Tgd;
-use gtgd_data::{obs, prov, FiringRecord, Instance};
+use gtgd_data::{obs, Instance};
 
 /// Which chase semantics to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ChaseVariant {
     /// The oblivious chase: every trigger fires exactly once, levels are
-    /// canonical. Parallelizes (trigger search distributes over workers).
+    /// canonical.
     #[default]
     Oblivious,
     /// The restricted (standard) chase: a trigger fires only if its head is
-    /// not yet satisfied. Smaller results, order-dependent, sequential —
-    /// a configured worker count is ignored (documented limitation).
+    /// not yet satisfied. Smaller results, order-dependent.
     Restricted,
 }
 
@@ -49,7 +49,6 @@ pub struct ChaseRunner<'a> {
     tgds: &'a [Tgd],
     variant: ChaseVariant,
     budget: ChaseBudget,
-    workers: usize,
     trace: bool,
     certify: bool,
 }
@@ -67,14 +66,13 @@ pub struct ChaseOutcome {
     pub levels: Option<Vec<usize>>,
     /// The highest level materialized (oblivious variant only).
     pub max_level: Option<usize>,
-    /// Triggers fired (restricted variant only; the oblivious engines
-    /// report firings through the [`obs`] counters instead).
+    /// Triggers fired (restricted variant only; the oblivious chase
+    /// reports firings through the [`obs`] counters instead).
     pub fired: Option<usize>,
     /// The run's probe report; `None` unless built with `.trace(true)`.
     pub report: Option<obs::RunReport>,
-    /// The run's derivation provenance — every trigger firing, in the
-    /// engines' canonical firing order; `None` unless built with
-    /// `.certify(true)`.
+    /// The run's derivation provenance — every trigger firing, in firing
+    /// order; `None` unless built with `.certify(true)`.
     pub firings: Option<Vec<FiringRecord>>,
 }
 
@@ -103,13 +101,12 @@ impl ChaseOutcome {
 
 impl<'a> ChaseRunner<'a> {
     /// A runner over `tgds` with defaults: oblivious variant, unbounded
-    /// budget, one worker, no tracing.
+    /// budget, no tracing, no certification.
     pub fn new(tgds: &'a [Tgd]) -> ChaseRunner<'a> {
         ChaseRunner {
             tgds,
             variant: ChaseVariant::default(),
             budget: ChaseBudget::unbounded(),
-            workers: 1,
             trace: false,
             certify: false,
         }
@@ -128,14 +125,6 @@ impl<'a> ChaseRunner<'a> {
         self
     }
 
-    /// Sets the worker-pool width for trigger search (default 1 =
-    /// sequential). Only the oblivious variant parallelizes; the
-    /// restricted chase ignores this.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = n.max(1);
-        self
-    }
-
     /// Enables probe collection: the outcome's
     /// [`report`](ChaseOutcome::report) will carry chase rounds, trigger
     /// firings, nulls created, kernel work, index maintenance, and pool
@@ -147,23 +136,19 @@ impl<'a> ChaseRunner<'a> {
 
     /// Enables derivation-provenance capture: the outcome's
     /// [`firings`](ChaseOutcome::firings) will list every trigger firing
-    /// ([`FiringRecord`]) in the engines' canonical firing order —
-    /// deterministic for any worker count, since all engines fire on a
-    /// single merge thread. This is the raw material for answer
-    /// certificates (see the `cert` module).
+    /// ([`FiringRecord`]) in firing order, collected by this run alone, so
+    /// concurrent certified runs neither mix nor wait on each other. This
+    /// is the raw material for answer certificates (see the `cert`
+    /// module).
     pub fn certify(mut self, on: bool) -> Self {
         self.certify = on;
         self
     }
 
-    fn run_now(&self, db: &Instance) -> ChaseOutcome {
+    fn run_now(&self, db: &Instance, observer: &mut impl FiringObserver) -> ChaseOutcome {
         match self.variant {
             ChaseVariant::Oblivious => {
-                let r = if self.workers > 1 {
-                    crate::par_engine::par_chase_impl(db, self.tgds, &self.budget, self.workers)
-                } else {
-                    crate::engine::chase_impl(db, self.tgds, &self.budget)
-                };
+                let r = crate::engine::chase_impl(db, self.tgds, &self.budget, observer);
                 ChaseOutcome {
                     instance: r.instance,
                     complete: r.complete,
@@ -175,7 +160,8 @@ impl<'a> ChaseRunner<'a> {
                 }
             }
             ChaseVariant::Restricted => {
-                let r = crate::restricted::restricted_chase_impl(db, self.tgds, &self.budget);
+                let r =
+                    crate::restricted::restricted_chase_impl(db, self.tgds, &self.budget, observer);
                 ChaseOutcome {
                     instance: r.instance,
                     complete: r.complete,
@@ -192,11 +178,12 @@ impl<'a> ChaseRunner<'a> {
     /// Runs the configured chase on `db`.
     pub fn run(&self, db: &Instance) -> ChaseOutcome {
         if self.certify {
-            let (mut outcome, firings) = prov::collect_run(|| self.run_traced(db));
+            let mut firings: Vec<FiringRecord> = Vec::new();
+            let mut outcome = self.run_traced(db, &mut firings);
             outcome.firings = Some(firings);
             outcome
         } else {
-            self.run_traced(db)
+            self.run_traced(db, &mut ())
         }
     }
 
@@ -222,13 +209,13 @@ impl<'a> ChaseRunner<'a> {
         crate::MaintainedInstance::new(db, self.tgds, self.budget)
     }
 
-    fn run_traced(&self, db: &Instance) -> ChaseOutcome {
+    fn run_traced(&self, db: &Instance, observer: &mut impl FiringObserver) -> ChaseOutcome {
         if self.trace {
-            let (mut outcome, report) = obs::trace_run(|| self.run_now(db));
+            let (mut outcome, report) = obs::trace_run(|| self.run_now(db, observer));
             outcome.report = Some(report);
             outcome
         } else {
-            self.run_now(db)
+            self.run_now(db, observer)
         }
     }
 }
@@ -240,7 +227,6 @@ mod tests {
     use crate::restricted::restricted_chase;
     use crate::tgd::parse_tgds;
     use gtgd_data::{GroundAtom, Value};
-    use gtgd_query::instance_isomorphic;
 
     fn db(atoms: &[(&str, &[&str])]) -> Instance {
         Instance::from_atoms(atoms.iter().map(|(p, args)| GroundAtom::named(p, args)))
@@ -256,23 +242,6 @@ mod tests {
         assert_eq!(outcome.levels.as_deref(), Some(legacy.levels.as_slice()));
         assert_eq!(outcome.max_level, Some(legacy.max_level));
         assert_eq!(outcome.complete, legacy.complete);
-    }
-
-    #[test]
-    fn parallel_dispatch_is_isomorphic() {
-        let tgds =
-            parse_tgds("Emp(X) -> WorksIn(X,D), Dept(D). Dept(D) -> HasMgr(D,M), Emp(M)").unwrap();
-        let d = db(&[("Emp", &["ann"]), ("Emp", &["bob"])]);
-        let seq = chase(&d, &tgds, &ChaseBudget::levels(4));
-        for w in [2, 4] {
-            let par = ChaseRunner::new(&tgds)
-                .budget(ChaseBudget::levels(4))
-                .workers(w)
-                .run(&d);
-            assert_eq!(par.instance.len(), seq.instance.len(), "workers {w}");
-            assert_eq!(par.levels.as_deref(), Some(seq.levels.as_slice()));
-            assert!(instance_isomorphic(&par.instance, &seq.instance));
-        }
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub mod homomorphism;
 pub mod instance;
 pub mod obs;
 pub mod par;
-pub mod prov;
 pub mod rng;
 pub mod schema;
 pub mod symbols;
@@ -47,7 +46,6 @@ pub use homomorphism::{is_homomorphism, Valuation};
 pub use instance::Instance;
 pub use obs::RunReport;
 pub use par::{default_workers, Pool};
-pub use prov::FiringRecord;
 pub use rng::Rng;
 pub use schema::{Predicate, Schema};
 pub use symbols::Symbol;

@@ -59,10 +59,11 @@ pub fn set_enabled(on: bool) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Metric {
-    /// Semi-naive rounds completed by an oblivious chase (sequential or
-    /// parallel).
+    /// Semi-naive rounds completed by the oblivious chase (one-shot runs
+    /// and maintenance runs alike).
     ChaseRounds,
-    /// Triggers fired, across all chase engines.
+    /// Triggers fired, across both chase engines and incremental
+    /// maintenance.
     TriggerFirings,
     /// Fresh nulls invented by trigger firings.
     NullsCreated,
@@ -109,8 +110,10 @@ pub enum Metric {
     /// Morsels claimed by a worker other than their round-robin home (the
     /// work-stealing rebalance count).
     WcojMorselsStolen,
-    /// Triggers fired by incremental maintenance (delta inserts and DRed
-    /// re-derivation runs), as opposed to from-scratch chases.
+    /// Never incremented: maintenance firings count under
+    /// [`Metric::TriggerFirings`], and `MaintenanceReport::triggers_fired`
+    /// counts them per operation. The variant stays because the
+    /// `perfbench` harness still names it in its span counter list.
     MaintTriggersFired,
     /// Atoms placed in the DRed over-delete set during a retraction
     /// (before re-derivation rescues survivors).

@@ -12,7 +12,7 @@
 //! Determinism contract: `map_chunks(items, f)` returns exactly
 //! `chunks(items).map(f)` — the same result as the sequential loop, for any
 //! worker count and any interleaving. Callers that need reproducible output
-//! (the parallel chase's canonical trigger ordering, answer enumeration)
+//! (answer enumeration, WCOJ morsels)
 //! get it by construction: all nondeterminism is confined to *when* a chunk
 //! runs, never to *where its result lands*.
 //!

@@ -16,9 +16,7 @@ use gtgd::chase::{CertificateStore, ChaseBudget, ChaseRunner, ChaseVariant, Tgd}
 use gtgd::data::{GroundAtom, Instance, Rng};
 use gtgd::query::{parse_cq, Cq, Strategy};
 
-const WORKER_WIDTHS: [usize; 3] = [1, 2, 4];
-
-/// The guarded rule templates of the parallel differential suite.
+/// The guarded rule templates of the chase differential suites.
 fn rule_pool() -> Vec<Tgd> {
     gtgd::chase::parse_tgds(
         "A(X) -> B(X). \
@@ -62,19 +60,14 @@ fn sigma_for_mask(pool: &[Tgd], mask: u8) -> Vec<Tgd> {
         .collect()
 }
 
-/// Every engine configuration the suite certifies under: the sequential
-/// oblivious chase, the parallel oblivious chase at three widths, and
-/// the restricted chase.
-fn engine_configs() -> Vec<(String, ChaseVariant, usize)> {
-    let mut configs = vec![("oblivious".to_string(), ChaseVariant::Oblivious, 1)];
-    for w in WORKER_WIDTHS {
-        configs.push((format!("par w={w}"), ChaseVariant::Oblivious, w));
-    }
-    configs.push(("restricted".to_string(), ChaseVariant::Restricted, 1));
-    configs
-}
+/// Every engine configuration the suite certifies under: the oblivious
+/// and the restricted chase.
+const ENGINE_CONFIGS: [(&str, ChaseVariant); 2] = [
+    ("oblivious", ChaseVariant::Oblivious),
+    ("restricted", ChaseVariant::Restricted),
+];
 
-/// 160 seeded cases × 5 engine configurations × both join strategies:
+/// 160 seeded cases × 2 engine configurations × both join strategies:
 /// every null-free answer yields a checker-accepted certificate, and all
 /// configurations state the same fact base.
 #[test]
@@ -93,10 +86,9 @@ fn every_answer_round_trips_through_an_accepted_certificate() {
         let d = arb_db(&mut rng);
         let sigma = sigma_for_mask(&pool, mask);
         let mut fact_sections: Vec<String> = Vec::new();
-        for (name, variant, workers) in engine_configs() {
+        for (name, variant) in ENGINE_CONFIGS {
             let outcome = ChaseRunner::new(&sigma)
                 .variant(variant)
-                .workers(workers)
                 .budget(budget)
                 .certify(true)
                 .run(&d);

@@ -2,11 +2,15 @@
 //! [`MaintainedInstance`] driven through seeded random scripts of
 //! `insert` / `retract` operations must agree — after *every* operation —
 //! with a from-scratch oblivious re-chase of its current base, under
-//! three oracles at once:
+//! four oracles at once:
 //!
 //! * **instance isomorphism** (`instance_isomorphic`): the maintained
 //!   fixpoint and the re-chased fixpoint are identical up to null
-//!   renaming, at every parallel-oracle width (1, 2, 4 workers);
+//!   renaming;
+//! * **the firing log**: the maintained state's alive firings
+//!   (`export_state().firings`) are as many as a certified re-chase
+//!   records, rule by rule — every trigger of the fixpoint fired exactly
+//!   once, with no stale firing left behind by DRed;
 //! * **query answers**: prepared queries — compiled *once*, before any
 //!   maintenance, under both join strategies — return the same null-free
 //!   answer set and the same total answer count on the maintained
@@ -28,8 +32,6 @@ use gtgd::chase::{parse_tgds, ChaseRunner, MaintainedInstance, Tgd};
 use gtgd::data::{GroundAtom, Instance, Rng, Value};
 use gtgd::query::{instance_isomorphic, parse_cq, Engine, PreparedQuery, Strategy};
 use std::collections::HashSet;
-
-const WORKER_WIDTHS: [usize; 3] = [1, 2, 4];
 
 /// Weakly acyclic guarded pool: `A(X) -> R(X,Y)` is the only
 /// null-creating rule, and nothing derives `A` (or anything that feeds
@@ -123,37 +125,47 @@ fn check_equiv(
         "{ctx}: base ledger disagrees"
     );
     let base_db = Instance::from_atoms(base.iter().cloned());
-    for w in WORKER_WIDTHS {
-        let scratch = ChaseRunner::new(sigma).workers(w).run(&base_db);
-        assert!(scratch.complete, "{ctx}: oracle w={w} incomplete");
-        assert!(
-            instance_isomorphic(m.instance(), &scratch.instance),
-            "{ctx}: maintained ({} atoms) is not isomorphic to re-chase w={w} ({} atoms)",
-            m.instance().len(),
-            scratch.instance.len()
-        );
-        if w == 1 {
-            for (qname, pq) in queries {
-                let mine = pq.answers(m.instance());
-                let theirs = pq.answers(&scratch.instance);
-                assert_eq!(
-                    mine.len(),
-                    theirs.len(),
-                    "{ctx} [{qname}]: answer cardinality"
-                );
-                assert_eq!(
-                    named_only(&mine),
-                    named_only(&theirs),
-                    "{ctx} [{qname}]: null-free answers"
-                );
-            }
+    let scratch = ChaseRunner::new(sigma).certify(true).run(&base_db);
+    assert!(scratch.complete, "{ctx}: oracle incomplete");
+    assert!(
+        instance_isomorphic(m.instance(), &scratch.instance),
+        "{ctx}: maintained ({} atoms) is not isomorphic to the re-chase ({} atoms)",
+        m.instance().len(),
+        scratch.instance.len()
+    );
+    let logged = m.export_state().firings;
+    let certified = scratch.firings.expect("certified run records firings");
+    assert_eq!(logged.len(), certified.len(), "{ctx}: firing count");
+    let per_rule = |tgds: Vec<usize>| {
+        let mut n = vec![0usize; sigma.len()];
+        for t in tgds {
+            n[t] += 1;
         }
+        n
+    };
+    assert_eq!(
+        per_rule(logged.iter().map(|f| f.tgd).collect()),
+        per_rule(certified.iter().map(|f| f.tgd).collect()),
+        "{ctx}: per-rule firing counts"
+    );
+    for (qname, pq) in queries {
+        let mine = pq.answers(m.instance());
+        let theirs = pq.answers(&scratch.instance);
+        assert_eq!(
+            mine.len(),
+            theirs.len(),
+            "{ctx} [{qname}]: answer cardinality"
+        );
+        assert_eq!(
+            named_only(&mine),
+            named_only(&theirs),
+            "{ctx} [{qname}]: null-free answers"
+        );
     }
 }
 
-/// 168 seeded cases × {insert-only, retract-only, interleaved} × oracle
-/// widths {1, 2, 4} × both prepared join strategies, checked after every
-/// single operation.
+/// 168 seeded cases × {insert-only, retract-only, interleaved} × both
+/// prepared join strategies, checked after every single operation.
 #[test]
 fn maintained_scripts_match_from_scratch_rechase() {
     let pool = rule_pool();
