@@ -310,14 +310,23 @@ fn run_ingest_smoke() {
     let bars_ms = [4_000.0, 30_000.0];
     let mut ok = true;
     for (m, bar) in metrics.iter().zip(bars_ms) {
-        let total =
-            m.ingest_ms + m.chase_ms + m.maintain_build_ms + m.snapshot_save_ms + m.snapshot_load_ms;
+        let total = m.ingest_ms
+            + m.chase_ms
+            + m.maintain_build_ms
+            + m.snapshot_save_ms
+            + m.snapshot_load_ms;
         if !m.chase_complete {
-            eprintln!("ingest smoke FAILED: univ={} chase hit the budget", m.universities);
+            eprintln!(
+                "ingest smoke FAILED: univ={} chase hit the budget",
+                m.universities
+            );
             ok = false;
         }
         if m.answers == 0 {
-            eprintln!("ingest smoke FAILED: univ={} query returned no answers", m.universities);
+            eprintln!(
+                "ingest smoke FAILED: univ={} query returned no answers",
+                m.universities
+            );
             ok = false;
         }
         if total > bar {

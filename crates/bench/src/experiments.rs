@@ -7,7 +7,7 @@
 //! and who wins where.
 
 use crate::workloads::*;
-use gtgd_chase::{chase, ground_saturation, par_ground_saturation, ChaseBudget};
+use gtgd_chase::{chase, ground_saturation, ChaseBudget};
 use gtgd_core::{
     check_omq, check_omq_fpt, clique_to_cqs_instance, cqs_uniformly_ucqk_equivalent, evaluate_omq,
     grid_cqs_family, grohe::has_clique, marked_grid_cqs_family, omq_to_cqs_database,
@@ -175,12 +175,10 @@ pub fn e2_chase() -> ExperimentTable {
         let pdb = path_db(n.min(120));
         let t_tc = bench_ms(|| chase(&pdb, &tc, &ChaseBudget::unbounded()));
         let sz_tc = chase(&pdb, &tc, &ChaseBudget::unbounded()).instance.len();
-        // Guarded org ontology: infinite chase; measure ground saturation,
-        // sequential and on the 4-worker parallel path.
+        // Guarded org ontology: infinite chase; measure ground saturation.
         let org = org_ontology();
         let odb = org_db(n);
         let t_sat = bench_ms(|| ground_saturation(&odb, &org));
-        let t_psat = bench_ms(|| par_ground_saturation(&odb, &org, 4));
         let sz_sat = ground_saturation(&odb, &org).len();
         rows.push(vec![
             n.to_string(),
@@ -190,8 +188,6 @@ pub fn e2_chase() -> ExperimentTable {
             fmt_ms(t_tc),
             sz_sat.to_string(),
             fmt_ms(t_sat),
-            fmt_ms(t_psat),
-            format!("{:.2}", t_sat / t_psat),
         ]);
     }
     ExperimentTable {
@@ -206,15 +202,12 @@ pub fn e2_chase() -> ExperimentTable {
             "tc ms".into(),
             "guarded chase↓ atoms".into(),
             "chase↓ ms".into(),
-            "chase↓ par@4 ms".into(),
-            "speedup@4".into(),
         ],
         rows,
         notes: "chain grows n·(rules+1); tc is quadratic in the path length; \
-                guarded chase↓ stays linear in |D|. The parallel column uses \
-                per-round type dedup + dirty-bag tracking (par_ground_saturation), \
-                so its lead over the sequential engine is algorithmic, not \
-                core-count dependent."
+                guarded chase↓ stays linear in |D|: each saturation round \
+                re-closes only the bags whose restriction grew and closes \
+                each canonical type once."
             .into(),
     }
 }
@@ -907,26 +900,16 @@ fn diamond_db(n: usize) -> Instance {
 }
 
 /// E15 — sequential vs parallel engine shootout: the sequential chase as
-/// the reference row, ground saturation through the std-only worker-pool
-/// path (`par_ground_saturation`) and morsel-driven WCOJ enumeration, with
-/// agreement checked in-row.
-/// The saturation speedup is dominated by the parallel path's per-round
-/// type dedup and dirty-bag tracking, so it holds even on a single core;
-/// extra workers compound it on multicore machines.
+/// the reference row and morsel-driven WCOJ enumeration per worker width,
+/// with agreement across widths checked in-row.
 pub fn e15_parallel_shootout() -> ExperimentTable {
     let tc = tc_ontology();
-    let org = org_ontology();
     let budget = ChaseBudget::unbounded();
     let mut rows = Vec::new();
     for &n in &[100usize, 200, 400] {
         // Full-TGD chase (transitive closure of a path), sequential only.
         let pdb = path_db(n.min(120));
         let t_chase = bench_ms(|| chase(&pdb, &tc, &budget));
-        // Guarded ground saturation on the org workload.
-        let odb = org_db(n);
-        let t_sat = bench_ms(|| ground_saturation(&odb, &org));
-        let t_psat1 = bench_ms(|| par_ground_saturation(&odb, &org, 1));
-        let t_psat4 = bench_ms(|| par_ground_saturation(&odb, &org, 4));
         // Morsel-driven WCOJ enumeration (DESIGN §12): full triangle
         // enumeration over a random graph through `par_table` at widths
         // 1/2/4/8 — the whole-trie-search parallel path, not just the
@@ -950,21 +933,15 @@ pub fn e15_parallel_shootout() -> ExperimentTable {
             .search(&gdb)
             .strategy(gtgd_query::Strategy::Wcoj)
             .par_table(1);
-        let enum_agree = [2usize, 4, 8].iter().all(|&w| {
+        let agree = [2usize, 4, 8].iter().all(|&w| {
             plan.search(&gdb)
                 .strategy(gtgd_query::Strategy::Wcoj)
                 .par_table(w)
                 == enum_ref
         });
-        let agree =
-            par_ground_saturation(&odb, &org, 4) == ground_saturation(&odb, &org) && enum_agree;
         rows.push(vec![
             n.to_string(),
             fmt_ms(t_chase),
-            fmt_ms(t_sat),
-            fmt_ms(t_psat1),
-            fmt_ms(t_psat4),
-            format!("{:.2}", t_sat / t_psat4),
             fmt_ms(wcoj_ws[0]),
             fmt_ms(wcoj_ws[1]),
             fmt_ms(wcoj_ws[2]),
@@ -975,17 +952,12 @@ pub fn e15_parallel_shootout() -> ExperimentTable {
     ExperimentTable {
         id: "E15".into(),
         title: "Sequential vs parallel engines".into(),
-        claim: "DESIGN §Parallel execution: the parallel paths agree with the \
-                sequential engines and the saturation path wins by an \
-                algorithmic margin"
+        claim: "DESIGN §Parallel execution: morsel-parallel enumeration \
+                returns the width-1 rows at every worker width"
             .into(),
         columns: vec![
             "n".into(),
             "chase seq ms".into(),
-            "chase↓ seq ms".into(),
-            "chase↓ par@1 ms".into(),
-            "chase↓ par@4 ms".into(),
-            "sat speedup@4".into(),
             "wcoj enum w=1 ms".into(),
             "wcoj enum w=2 ms".into(),
             "wcoj enum w=4 ms".into(),
@@ -993,10 +965,10 @@ pub fn e15_parallel_shootout() -> ExperimentTable {
             "agree".into(),
         ],
         rows,
-        notes: "There is no parallel chase column: the pool-parallel chase \
-                was slower than the sequential one at every width measured \
-                and was removed. par_ground_saturation restructures the Kleene round \
-                (type dedup + dirty bags + value index) and wins outright. \
+        notes: "There is no parallel chase or parallel saturation column: \
+                both pool-parallel paths lost to their sequential engines at \
+                every width measured and were removed; the saturation's \
+                algorithmic gain now lives in ground_saturation (E2). \
                 The wcoj enum columns time morsel-driven triangle \
                 enumeration per worker width; read them against \
                 available_parallelism — on a 1-core container every width \

@@ -115,8 +115,12 @@ pub fn measure(universities: usize) -> IngestMetric {
         save_snapshot(&snap, &program.tgds, &m).expect("snapshot save");
     });
     let snapshot_bytes = std::fs::metadata(&snap).map(|md| md.len()).unwrap_or(0);
-    let (snapshot_load_ms, _) =
-        once_ms(|| load_snapshot(&snap).expect("snapshot load").instance().len());
+    let (snapshot_load_ms, _) = once_ms(|| {
+        load_snapshot(&snap)
+            .expect("snapshot load")
+            .instance()
+            .len()
+    });
     let _ = std::fs::remove_file(&snap);
 
     // Fresh professor per repeat: the delta chase must actually fire
@@ -197,7 +201,11 @@ pub fn ingest_json(metrics: &[IngestMetric]) -> String {
             m.snapshot_load_ms,
             m.maintain_insert_ms,
         ));
-        out.push_str(if i + 1 == metrics.len() { "}\n" } else { "},\n" });
+        out.push_str(if i + 1 == metrics.len() {
+            "}\n"
+        } else {
+            "},\n"
+        });
     }
     out.push_str("  ]\n}\n");
     out

@@ -86,13 +86,12 @@ pub fn kernel_metrics(
         &'static str,
         &'static str,
         f64,
-    ); 7] = [
+    ); 6] = [
         ("E9", e9, "restricted ms", "400", 236.0),
         ("E9", e9, "oblivious ms", "400", 1.9),
         ("E12", e12, "enum ms", "400", 4.74),
         ("E12", e12, "enum par@4 ms", "400", 5.28),
         ("E2", e2, "chase↓ ms", "400", 92.5),
-        ("E2", e2, "chase↓ par@4 ms", "400", 7.7),
         ("E15", e15, "chase seq ms", "400", 553.0),
     ];
     spec.iter()
@@ -209,11 +208,7 @@ mod tests {
         ExperimentTable,
         ExperimentTable,
     ) {
-        let e2 = table(
-            "E2",
-            &["n", "chase↓ ms", "chase↓ par@4 ms"],
-            &[&["400", "40.0", "5.0"]],
-        );
+        let e2 = table("E2", &["n", "chase↓ ms"], &[&["400", "40.0"]]);
         let e9 = table(
             "E9",
             &["n", "oblivious ms", "restricted ms"],
@@ -232,7 +227,7 @@ mod tests {
     fn extracts_largest_workload_cells() {
         let (e2, e9, e12, e15) = fixtures();
         let metrics = kernel_metrics(&e2, &e9, &e12, &e15);
-        assert_eq!(metrics.len(), 7);
+        assert_eq!(metrics.len(), 6);
         let restricted = metrics
             .iter()
             .find(|m| m.experiment == "E9" && m.metric == "restricted ms")
@@ -276,7 +271,7 @@ mod tests {
         let json = kernel_json(&kernel_metrics(&e2, &e9, &e12, &e15));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert_eq!(json.matches("\"experiment\"").count(), 7);
+        assert_eq!(json.matches("\"experiment\"").count(), 6);
         assert!(json.contains("\"before_ms\": 236.000"));
         assert!(json.contains("\"speedup\": 4.00"));
     }

@@ -2,7 +2,9 @@
 
 //! Tuple-generating dependencies and the chase (Section 2 of the paper),
 //! plus the guarded-specific machinery the paper's algorithms rely on:
-//! Σ-types and ground saturation (`chase↓`, `complete`, `type_{D,Σ}`),
+//! Σ-types, the ground saturation `chase↓` (the paper's `complete`; one
+//! implementation, [`ground_saturation`], run on a memoizing [`Saturator`])
+//! and `type_{D,Σ}`,
 //! the typed (level-bounded, type-closed) chase behind the FPT algorithm of
 //! Prop 3.3(3), guarded unraveling (Appendix D.1), and finite universal
 //! models for terminating fragments (the realization of finite witnesses we
@@ -27,7 +29,6 @@ pub mod dl;
 pub mod engine;
 pub mod linearize;
 pub mod maintain;
-pub mod par_engine;
 pub(crate) mod plan;
 pub mod restricted;
 pub mod rewrite;
@@ -47,12 +48,11 @@ pub use dl::{
 pub use engine::{chase, ChaseBudget, ChaseResult};
 pub use linearize::{linearize, Linearization};
 pub use maintain::{FiringExport, MaintainExport, MaintainedInstance, MaintenanceReport};
-pub use par_engine::par_ground_saturation;
 pub use restricted::{restricted_chase, RestrictedChaseResult};
 pub use rewrite::linear_rewrite;
 pub use runner::{ChaseOutcome, ChaseRunner, ChaseVariant};
 pub use tgd::{parse_tgd, parse_tgds, satisfies, satisfies_all, Tgd, TgdClass};
 pub use typed_chase::{typed_chase, typed_chase_with, DepthPolicy, TypedChaseResult};
-pub use types::{complete_ground, ground_saturation, type_of_atom, CanonType, Saturator};
+pub use types::{ground_saturation, type_of_atom, CanonType, Saturator};
 pub use unravel::{guarded_unraveling, k_unraveling};
 pub use witness::{finite_witness, WitnessError};

@@ -18,7 +18,7 @@
 //! FPT pipeline.
 
 use crate::tgd::{Tgd, TgdClass};
-use crate::types::{canonicalize, CanonType, Saturator};
+use crate::types::{canonicalize, guarded_bags, restriction, CanonType, Saturator};
 use gtgd_data::{GroundAtom, Instance, Predicate, Value};
 use gtgd_query::{HomSearch, QAtom, Term, Var};
 use std::collections::{HashMap, HashSet};
@@ -77,24 +77,14 @@ pub fn linearize(db: &Instance, tgds: &[Tgd], max_types: usize) -> Linearization
     // D*: a typed atom per guarded set of the saturated ground part.
     let mut d_star = Instance::new();
     let mut frontier: Vec<usize> = Vec::new();
-    {
-        let mut seen: HashSet<Vec<Value>> = HashSet::new();
-        for a in ground.iter() {
-            let mut d = a.dom();
-            d.sort_unstable();
-            if !seen.insert(d.clone()) {
-                continue;
-            }
-            let keep: HashSet<Value> = d.iter().copied().collect();
-            let bag = ground.restrict_to(&keep);
-            let closed = sat.close_bag(&bag, &d);
-            let (key, perm) = canonicalize(&closed, &d);
-            let (id, new) = registry.intern(key);
-            if new {
-                frontier.push(id);
-            }
-            d_star.insert(GroundAtom::new(type_predicate(id), perm));
+    for (consts, ids) in guarded_bags(&ground) {
+        let closed = sat.close_bag(&restriction(&ground, &ids), &consts);
+        let (key, perm) = canonicalize(&closed, &consts);
+        let (id, new) = registry.intern(key);
+        if new {
+            frontier.push(id);
         }
+        d_star.insert(GroundAtom::new(type_predicate(id), perm));
     }
     // Explore type transitions breadth-first.
     let mut sigma_tg: Vec<Tgd> = Vec::new();

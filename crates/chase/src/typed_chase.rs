@@ -23,7 +23,7 @@
 //! the oblivious chase: the same trigger reachable from two bags fires once.
 
 use crate::tgd::Tgd;
-use crate::types::{canonicalize_rigid, CanonType, Saturator};
+use crate::types::{canonicalize_rigid, guarded_bags, restriction, CanonType, Saturator};
 use gtgd_data::{Instance, Value};
 use gtgd_query::{HomSearch, Var};
 use std::collections::{HashMap, HashSet};
@@ -104,24 +104,14 @@ pub fn typed_chase_with(
     let mut instance = ground.clone();
     let mut queue: Vec<Bag> = Vec::new();
     // Root bags: one per guarded set of the saturated ground part.
-    {
-        let mut seen: HashSet<Vec<Value>> = HashSet::new();
-        for a in ground.iter() {
-            let mut d = a.dom();
-            d.sort_unstable();
-            if !seen.insert(d.clone()) {
-                continue;
-            }
-            let keep: HashSet<Value> = d.iter().copied().collect();
-            let atoms = ground.restrict_to(&keep);
-            queue.push(Bag {
-                consts: d,
-                atoms,
-                level: 0,
-                ancestry: Vec::new(),
-                blocked_for: None,
-            });
-        }
+    for (consts, ids) in guarded_bags(&ground) {
+        queue.push(Bag {
+            atoms: restriction(&ground, &ids),
+            consts,
+            level: 0,
+            ancestry: Vec::new(),
+            blocked_for: None,
+        });
     }
     let (hard_cap, extra) = match policy {
         DepthPolicy::Fixed(l) => (l, None),

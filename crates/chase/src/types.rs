@@ -8,10 +8,14 @@
 //! * a memoized bag-closure engine ([`Saturator`]): the atoms over a bag's
 //!   constants entailed by the chase, computed by recursing into the child
 //!   bags created by existential heads and importing back the derived
-//!   frontier atoms, with Kleene iteration across recursive type cycles,
+//!   frontier atoms; a recursive type cycle yields an approximation that
+//!   the outer rounds of the ground saturation refine,
 //! * [`ground_saturation`]: `chase↓(D, Σ)` — the ground part of the chase,
 //!   i.e. every atom over `dom(D)` entailed by `D` and Σ (the paper's
-//!   `complete(D, Σ)` and the `D⁺` of Section 6.2),
+//!   `complete(D, Σ)` and the `D⁺` of Section 6.2). Each round re-closes
+//!   only the bags whose restriction grew and computes one closure per
+//!   distinct canonical type among them, so the closure work tracks the
+//!   number of reachable types rather than the number of bags,
 //! * [`type_of_atom`]: `type_{D,Σ}(α)` (Appendix A.1).
 //!
 //! This is the ExpTime (for bounded arity) decision machinery that the paper
@@ -177,11 +181,11 @@ fn permute_groups(groups: &mut Vec<Vec<Value>>, gi: usize, f: &mut impl FnMut(&[
 /// Decodes a canonical atom set back to concrete constants
 /// (`perm[position] = value`).
 pub fn decode(atoms: &BTreeSet<TAtom>, perm: &[Value]) -> Instance {
-    Instance::from_atoms(
-        atoms
-            .iter()
-            .map(|t| GroundAtom::new(t.pred, t.args.iter().map(|&p| perm[p as usize]).collect())),
-    )
+    Instance::from_atoms(atoms.iter().map(|t| decode_atom(t, perm)))
+}
+
+fn decode_atom(t: &TAtom, perm: &[Value]) -> GroundAtom {
+    GroundAtom::new(t.pred, t.args.iter().map(|&p| perm[p as usize]).collect())
 }
 
 /// The memoized bag-closure engine for a fixed set of guarded TGDs.
@@ -197,8 +201,8 @@ pub struct Saturator<'a> {
     /// Counts in-progress short-circuits; used to detect whether a closure
     /// computation depended on an unfinished ancestor.
     ip_hits: u64,
-    /// Set when any memo entry grew during the last operation; drives the
-    /// outer Kleene iteration of [`ground_saturation`].
+    /// Set when any memo entry grew during the current round of
+    /// [`Self::ground_saturation`]; the next round then re-closes every bag.
     changed: bool,
     /// Compiled body plans, one per TGD. Bag closures run the same small
     /// body searches thousands of times over tiny instances, so the
@@ -245,13 +249,6 @@ impl<'a> Saturator<'a> {
         self.memo.len()
     }
 
-    /// Reads and clears the memo-growth flag. Outer Kleene loops that drive
-    /// their own saturators (e.g. the parallel ground saturation) use this
-    /// to decide whether another refinement pass is needed.
-    pub fn take_changed(&mut self) -> bool {
-        std::mem::take(&mut self.changed)
-    }
-
     /// Closes a bag: returns every atom over `consts` entailed by the chase
     /// of the bag's atoms under the TGDs. `atoms` must only mention
     /// `consts`.
@@ -260,27 +257,25 @@ impl<'a> Saturator<'a> {
             .iter()
             .all(|a| a.args.iter().all(|v| consts.contains(v))));
         let (key, perm) = canonicalize(atoms, consts);
-        self.close_canonical(&key, &perm)
+        decode(self.close_canonical(&key, &perm), &perm)
     }
 
     /// [`Self::close_bag`] for a bag already in canonical form: `key` is the
     /// bag's type and `perm` an ordering realizing it
     /// (`perm[canonical_position] = value`), as returned by
-    /// [`canonicalize`]. Callers that group bags by type pay for one closure
-    /// computation per *type*; the canonical-coordinate result is afterwards
-    /// available from [`Self::encoded_closure`] and decodes to every
-    /// same-type bag through that bag's own ordering.
-    pub fn close_canonical(&mut self, key: &CanonType, perm: &[Value]) -> Instance {
+    /// [`canonicalize`]. Returns the type's closure in canonical
+    /// coordinates; it decodes to every same-type bag through that bag's
+    /// own ordering.
+    fn close_canonical(&mut self, key: &CanonType, perm: &[Value]) -> &BTreeSet<TAtom> {
         if self.stable.contains(key) {
             obs::count(obs::Metric::BagClosureMemoHits, 1);
-            return decode(&self.memo[key], perm);
+            return &self.memo[key];
         }
         if self.in_progress.contains(key) {
             // Recursive type cycle: return the current approximation; the
-            // outer Kleene iteration refines it.
+            // outer iteration of `ground_saturation` refines it.
             self.ip_hits += 1;
-            let current = self.memo.get(key).unwrap_or(&key.atoms);
-            return decode(current, perm);
+            return &self.memo[key];
         }
         obs::count(obs::Metric::BagClosures, 1);
         let closure_t = obs::enabled().then(Instant::now);
@@ -371,64 +366,107 @@ impl<'a> Saturator<'a> {
         if let Some(t0) = closure_t {
             obs::observe(obs::Hist::BagClosureNs, t0.elapsed().as_nanos() as u64);
         }
-        current
+        &self.memo[key]
     }
 
-    /// The closure of `key` in canonical coordinates, if some earlier close
-    /// computed (or, mid-iteration, approximated) it.
-    pub fn encoded_closure(&self, key: &CanonType) -> Option<&BTreeSet<TAtom>> {
-        self.memo.get(key)
-    }
-
-    /// `chase↓(D, Σ)`: all atoms over `dom(D)` entailed by the chase —
-    /// Kleene iteration of per-bag closure over the database's guarded sets.
+    /// `chase↓(D, Σ)`: all atoms over `dom(D)` entailed by the chase.
+    ///
+    /// Every guarded set of D is `dom(α)` for some atom α, and every chase
+    /// derivation over `dom(D)` is local to one such bag, so each round
+    /// closes the bags and adds the closures until nothing changes. A round
+    /// re-closes only the bags whose restriction grew since they were last
+    /// closed (all of them after the memo grew: a recursive type cycle may
+    /// have under-approximated them), and it computes one closure per
+    /// distinct [`CanonType`] among them, decoding it through each bag's own
+    /// ordering.
     pub fn ground_saturation(&mut self, db: &Instance) -> Instance {
+        let _span = obs::span("chase.saturation");
         let mut ground = db.clone();
+        // Restriction size of each bag when it was last closed. The instance
+        // only grows, so an equal size means the restriction is unchanged
+        // and the bag's last closure is still exact.
+        let mut closed_sizes: HashMap<Vec<Value>, usize> = HashMap::new();
+        let mut refine_all = true;
         loop {
             self.changed = false;
-            let mut added = false;
-            // Per-atom bags: every guarded set of D is dom(α) for some α,
-            // and every chase derivation over dom(D) is local to one bag.
-            let bags: Vec<Vec<Value>> = {
-                let mut seen: HashSet<Vec<Value>> = HashSet::new();
-                let mut out = Vec::new();
-                for a in ground.iter() {
-                    let mut d = a.dom();
-                    d.sort_unstable();
-                    if seen.insert(d.clone()) {
-                        out.push(d);
-                    }
-                }
-                out
-            };
-            for consts in bags {
-                let keep: HashSet<Value> = consts.iter().copied().collect();
-                let bag = ground.restrict_to(&keep);
-                let closed = self.close_bag(&bag, &consts);
-                for a in closed.iter() {
-                    added |= ground.insert(a.clone());
+            let mut dirty: Vec<(CanonType, Vec<Value>)> = Vec::new();
+            for (consts, ids) in guarded_bags(&ground) {
+                if refine_all || closed_sizes.get(&consts) != Some(&ids.len()) {
+                    closed_sizes.insert(consts.clone(), ids.len());
+                    dirty.push(canonicalize(&restriction(&ground, &ids), &consts));
                 }
             }
-            // Empty-body TGDs contribute ground atoms only when their heads
-            // are variable-free; variable-free heads ground directly.
-            if !self.changed && !added {
+            // Same-type bags have, by guardedness, the same closure up to the
+            // renaming their orderings realize: close each type once.
+            let mut closed: HashSet<&CanonType> = HashSet::new();
+            let mut added = false;
+            for (key, perm) in &dirty {
+                let closure = if closed.insert(key) {
+                    self.close_canonical(key, perm)
+                } else {
+                    &self.memo[key]
+                };
+                for t in closure {
+                    added |= ground.insert(decode_atom(t, perm));
+                }
+            }
+            refine_all = self.changed;
+            if !added && !refine_all {
                 return ground;
             }
         }
     }
 }
 
+/// The guarded sets `dom(α)` of the atoms α of `inst`, sorted, in
+/// first-appearance order, each with its restriction `inst|dom(α)` as
+/// ascending atom ids. Restrictions come from a value → atom-id index
+/// built once, not from a scan of the whole instance per set.
+pub(crate) fn guarded_bags(inst: &Instance) -> Vec<(Vec<Value>, Vec<usize>)> {
+    // Nullary atoms lie over every set.
+    let mut nullary: Vec<usize> = Vec::new();
+    let mut atoms_of: HashMap<Value, Vec<usize>> = HashMap::new();
+    for (i, a) in inst.iter().enumerate() {
+        if a.args.is_empty() {
+            nullary.push(i);
+        }
+        for v in a.dom() {
+            atoms_of.entry(v).or_default().push(i);
+        }
+    }
+    let mut seen: HashSet<Vec<Value>> = HashSet::new();
+    let mut bags = Vec::new();
+    for a in inst.iter() {
+        let mut consts = a.dom();
+        consts.sort_unstable();
+        if !seen.insert(consts.clone()) {
+            continue;
+        }
+        let mut ids = nullary.clone();
+        for v in &consts {
+            ids.extend(atoms_of[v].iter().copied().filter(|&i| {
+                inst.atom(i)
+                    .args
+                    .iter()
+                    .all(|x| consts.binary_search(x).is_ok())
+            }));
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        bags.push((consts, ids));
+    }
+    bags
+}
+
+/// The atoms of `inst` with the given ids, as an instance.
+pub(crate) fn restriction(inst: &Instance, ids: &[usize]) -> Instance {
+    Instance::from_atoms(ids.iter().map(|&i| inst.atom(i).clone()))
+}
+
 /// `chase↓(D, Σ)` for a set of guarded TGDs: the ground part of the chase,
 /// i.e. `D ∪ {R(ā) ∈ chase(D, Σ) | ā ⊆ dom(D)}`.
 pub fn ground_saturation(db: &Instance, tgds: &[Tgd]) -> Instance {
     Saturator::new(tgds).ground_saturation(db)
-}
-
-/// The paper's `complete(I, Σ)` (Appendix A.1): all atoms over `dom(I)`
-/// entailed by the chase. Alias of [`ground_saturation`] — see the module
-/// docs for why per-bag closure captures every such atom.
-pub fn complete_ground(db: &Instance, tgds: &[Tgd]) -> Instance {
-    ground_saturation(db, tgds)
 }
 
 /// `type_{D,Σ}(α)`: the atoms of `chase(D, Σ)` over `dom(α)`.
@@ -540,6 +578,67 @@ mod tests {
         // And sat contains no atom the deep chase prefix lacks.
         for a in sat.iter() {
             assert!(deep.instance.contains(a), "unsound atom {a}");
+        }
+    }
+
+    #[test]
+    fn existential_detour_adds_nothing_ground() {
+        // Emp(a) only reaches Dept and Super through a fresh null, and the
+        // named d0 never becomes a Dept, so the ground part is D itself.
+        let tgds = parse_tgds(
+            "Emp(X) -> WorksIn(X,D), Dept(D). \
+             WorksIn(X,D), Dept(D) -> Super(D,X). \
+             Super(D,X) -> Emp(X)",
+        )
+        .unwrap();
+        let d = db(&[("Emp", &["a"]), ("Emp", &["b"]), ("WorksIn", &["a", "d0"])]);
+        assert_eq!(ground_saturation(&d, &tgds), d);
+    }
+
+    #[test]
+    fn recursive_types_saturate() {
+        // The existential rules cycle A → B → A through types; only the
+        // 2-cycle over dom(D) yields S.
+        let tgds = parse_tgds("A(X) -> R(X,Y), B(Y). B(X) -> R(X,Y), A(Y). R(X,Y), R(Y,X) -> S(X)")
+            .unwrap();
+        let d = db(&[("A", &["a"]), ("R", &["a", "b"]), ("R", &["b", "a"])]);
+        let expected = db(&[
+            ("A", &["a"]),
+            ("R", &["a", "b"]),
+            ("R", &["b", "a"]),
+            ("S", &["a"]),
+            ("S", &["b"]),
+        ]);
+        let mut sat = Saturator::new(&tgds);
+        assert_eq!(sat.ground_saturation(&d), expected);
+        // A second run on the warm memo agrees.
+        assert_eq!(sat.ground_saturation(&d), expected);
+    }
+
+    #[test]
+    fn guarded_bags_match_restrict_to() {
+        let d = db(&[
+            ("R", &["a", "b"]),
+            ("P", &["a"]),
+            ("R", &["b", "c"]),
+            ("Q", &[]),
+            ("R", &["b", "a"]),
+        ]);
+        let bags = guarded_bags(&d);
+        let sets: Vec<Vec<Value>> = bags.iter().map(|(c, _)| c.clone()).collect();
+        // Sets come sorted by value; interning order fixes that order.
+        let set = |names: &[&str]| {
+            let mut vs: Vec<Value> = names.iter().map(|n| Value::named(n)).collect();
+            vs.sort_unstable();
+            vs
+        };
+        assert_eq!(
+            sets,
+            vec![set(&["a", "b"]), set(&["a"]), set(&["b", "c"]), set(&[])]
+        );
+        for (consts, ids) in &bags {
+            let keep: HashSet<Value> = consts.iter().copied().collect();
+            assert_eq!(restriction(&d, ids), d.restrict_to(&keep), "bag {consts:?}");
         }
     }
 

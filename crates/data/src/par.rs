@@ -119,46 +119,6 @@ impl Pool {
             .collect()
     }
 
-    /// Like [`Pool::map_chunks`], but each worker owns a mutable state for
-    /// the duration of the call (e.g. a memo table that warms up across
-    /// items). `items` is split into `states.len()` contiguous slices, one
-    /// per state, and the per-slice results come back in slice order.
-    ///
-    /// Unlike `map_chunks`, slice boundaries depend on `states.len()`, so
-    /// only callers whose per-slice results are order-insensitive after a
-    /// flatten/merge (e.g. set insertion) should use this.
-    pub fn map_with_state<T: Sync, S: Send, R: Send>(
-        &self,
-        items: &[T],
-        states: &mut [S],
-        f: impl Fn(&mut S, usize, &[T]) -> R + Sync,
-    ) -> Vec<R> {
-        assert!(!states.is_empty(), "need at least one worker state");
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let n = states.len().min(items.len());
-        if n == 1 || self.workers == 1 {
-            return vec![f(&mut states[0], 0, items)];
-        }
-        let chunk = items.len().div_ceil(n);
-        obs::count(obs::Metric::PoolRuns, 1);
-        obs::record_max(obs::Metric::PoolMaxWidth, n as u64);
-        let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = states[..n]
-                .iter_mut()
-                .zip(items.chunks(chunk))
-                .enumerate()
-                .map(|(i, (s, c))| scope.spawn(move || f(s, i * chunk, c)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pool worker panicked"))
-                .collect()
-        })
-    }
-
     /// Like [`Pool::map`], but `f` also receives the claiming worker's id
     /// and the item index: `f(worker, index, item)`. Items are claimed one
     /// at a time off a shared atomic counter, so an idle worker *steals*
@@ -358,38 +318,5 @@ mod tests {
     #[test]
     fn workers_clamped_to_one() {
         assert_eq!(Pool::with_workers(0).workers(), 1);
-    }
-
-    #[test]
-    fn map_with_state_covers_every_item_once() {
-        let items: Vec<usize> = (0..97).collect();
-        for w in [1usize, 2, 3, 8] {
-            let mut states: Vec<Vec<usize>> = vec![Vec::new(); w];
-            let sums = Pool::with_workers(w).map_with_state(&items, &mut states, |s, off, c| {
-                s.extend(c.iter().copied());
-                (off, c.iter().sum::<usize>())
-            });
-            let total: usize = sums.iter().map(|&(_, s)| s).sum();
-            assert_eq!(total, items.iter().sum::<usize>(), "width {w}");
-            let mut seen: Vec<usize> = states.into_iter().flatten().collect();
-            seen.sort_unstable();
-            assert_eq!(seen, items, "width {w}");
-            // Slice results arrive in slice order.
-            let offs: Vec<usize> = sums.iter().map(|&(o, _)| o).collect();
-            let mut sorted = offs.clone();
-            sorted.sort_unstable();
-            assert_eq!(offs, sorted);
-        }
-    }
-
-    #[test]
-    fn map_with_state_more_states_than_items() {
-        let items = [1u32, 2];
-        let mut states = vec![0u32; 8];
-        let r = Pool::with_workers(8).map_with_state(&items, &mut states, |s, _, c| {
-            *s += 1;
-            c.len()
-        });
-        assert_eq!(r.iter().sum::<usize>(), 2);
     }
 }

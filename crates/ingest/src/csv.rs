@@ -168,9 +168,7 @@ impl CsvSource {
                 table.key = key;
             } else if let Some(rest) = line.strip_prefix("include ") {
                 let Some((src_part, dst_part)) = rest.split_once("->") else {
-                    return Err(err(
-                        "expected `include Src(cols) -> Dst(cols)`".to_string()
-                    ));
+                    return Err(err("expected `include Src(cols) -> Dst(cols)`".to_string()));
                 };
                 let (src, src_cols, tail) = parse_sig(src_part).map_err(&err)?;
                 if !tail.trim().is_empty() {
@@ -215,22 +213,23 @@ impl CsvSource {
 
     /// Lowers an inclusion dependency to a linear TGD. Unmapped head
     /// positions become existential variables.
-    fn lower_inclusion(
-        inc: &Inclusion,
-        tables: &[Table],
-    ) -> Result<Tgd, IngestError> {
+    fn lower_inclusion(inc: &Inclusion, tables: &[Table]) -> Result<Tgd, IngestError> {
         let err = |message: String| IngestError::Manifest {
             line: inc.line,
             message,
         };
-        let src = tables
-            .iter()
-            .find(|t| t.name == inc.src)
-            .ok_or_else(|| err(format!("inclusion source {} is not a declared table", inc.src)))?;
-        let dst = tables
-            .iter()
-            .find(|t| t.name == inc.dst)
-            .ok_or_else(|| err(format!("inclusion target {} is not a declared table", inc.dst)))?;
+        let src = tables.iter().find(|t| t.name == inc.src).ok_or_else(|| {
+            err(format!(
+                "inclusion source {} is not a declared table",
+                inc.src
+            ))
+        })?;
+        let dst = tables.iter().find(|t| t.name == inc.dst).ok_or_else(|| {
+            err(format!(
+                "inclusion target {} is not a declared table",
+                inc.dst
+            ))
+        })?;
         // Body: Src(x0..xn) with one universal variable per column.
         let mut names: Vec<String> = src.columns.iter().map(|c| format!("x_{c}")).collect();
         let body = vec![QAtom::new(
@@ -273,11 +272,7 @@ impl CsvSource {
         Ok(Tgd::new(names, body, head))
     }
 
-    fn stream_table(
-        &self,
-        table: &Table,
-        sink: &mut dyn FactSink,
-    ) -> Result<(), IngestError> {
+    fn stream_table(&self, table: &Table, sink: &mut dyn FactSink) -> Result<(), IngestError> {
         let file = table.file.clone();
         let text: String = match self.inline.get(&file) {
             Some(t) => t.clone(),
@@ -337,8 +332,7 @@ impl CsvSource {
                 });
             }
             if !table.key.is_empty() {
-                let key_vals: Vec<String> =
-                    table.key.iter().map(|&k| fields[k].clone()).collect();
+                let key_vals: Vec<String> = table.key.iter().map(|&k| fields[k].clone()).collect();
                 let rest: Vec<String> = (0..arity)
                     .filter(|i| !table.key.contains(i))
                     .map(|i| fields[i].clone())
@@ -347,7 +341,11 @@ impl CsvSource {
                     Some((first_line, prev_rest)) if *prev_rest != rest => {
                         return Err(IngestError::KeyViolation {
                             table: table.name.clone(),
-                            key: table.key.iter().map(|&k| table.columns[k].clone()).collect(),
+                            key: table
+                                .key
+                                .iter()
+                                .map(|&k| table.columns[k].clone())
+                                .collect(),
                             key_values: key_vals.join(", "),
                             first_line: *first_line,
                             second_line: lineno,
@@ -514,10 +512,7 @@ include Emp(dept) -> Dept(id)\n";
 
     #[test]
     fn tables_keys_and_inclusions_ingest() {
-        let mut s = source(
-            "id,name,dept\ne1,Ann,sales\ne2,Bob,hr\n",
-            "sales,Paris\n",
-        );
+        let mut s = source("id,name,dept\ne1,Ann,sales\ne2,Bob,hr\n", "sales,Paris\n");
         let p = ingest(&mut s).unwrap();
         assert_eq!(p.facts.len(), 3);
         assert_eq!(p.tgds.len(), 1);
@@ -539,23 +534,22 @@ include Emp(dept) -> Dept(id)\n";
 
     #[test]
     fn quoted_fields_and_escapes() {
-        let mut s = CsvSource::from_manifest_str(
-            "t",
-            "table T(a, b) from t.csv\n",
-        )
-        .with_inline("t.csv", "\"x, y\",\"he said \"\"hi\"\"\"\nplain , trimmed\n");
+        let mut s = CsvSource::from_manifest_str("t", "table T(a, b) from t.csv\n").with_inline(
+            "t.csv",
+            "\"x, y\",\"he said \"\"hi\"\"\"\nplain , trimmed\n",
+        );
         let p = ingest(&mut s).unwrap();
         let rows: Vec<String> = p.facts.iter().map(|a| a.to_string()).collect();
-        assert!(rows.contains(&"T(x, y,he said \"hi\")".to_string()), "{rows:?}");
+        assert!(
+            rows.contains(&"T(x, y,he said \"hi\")".to_string()),
+            "{rows:?}"
+        );
         assert!(rows.contains(&"T(plain,trimmed)".to_string()), "{rows:?}");
     }
 
     #[test]
     fn key_violation_reports_both_lines() {
-        let mut s = source(
-            "id,name,dept\ne1,Ann,sales\ne1,Ann,hr\n",
-            "sales,Paris\n",
-        );
+        let mut s = source("id,name,dept\ne1,Ann,sales\ne1,Ann,hr\n", "sales,Paris\n");
         let e = ingest(&mut s).unwrap_err();
         match &e {
             IngestError::KeyViolation {
@@ -615,7 +609,11 @@ include Emp(dept) -> Dept(id)\n";
         let mut s = source("id,name,dept\ne1,Ann\n", "sales,Paris\n");
         let e = ingest(&mut s).unwrap_err();
         match &e {
-            IngestError::Csv { file, line, message } => {
+            IngestError::Csv {
+                file,
+                line,
+                message,
+            } => {
                 assert_eq!((file.as_str(), *line), ("emp.csv", 2), "{e}");
                 assert!(message.contains("3 columns"), "{e}");
             }

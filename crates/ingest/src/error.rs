@@ -150,7 +150,10 @@ mod tests {
             line: 7,
             message: "expected 3 fields, found 2".into(),
         };
-        assert_eq!(e.to_string(), "csv: emp.csv: line 7: expected 3 fields, found 2");
+        assert_eq!(
+            e.to_string(),
+            "csv: emp.csv: line 7: expected 3 fields, found 2"
+        );
         let e = IngestError::KeyViolation {
             table: "Emp".into(),
             key: vec!["id".into()],

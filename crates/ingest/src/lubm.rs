@@ -139,8 +139,7 @@ impl LubmSource {
                 out(Fact::Prop("subOrganizationOf", &dept, &uni))?;
 
                 let n_profs = 8 + rng.below(5) as usize;
-                let profs: Vec<String> =
-                    (0..n_profs).map(|p| format!("{dept}_p{p}")).collect();
+                let profs: Vec<String> = (0..n_profs).map(|p| format!("{dept}_p{p}")).collect();
                 for (p, prof) in profs.iter().enumerate() {
                     out(Fact::Class("Professor", prof))?;
                     if p == 0 {
@@ -151,8 +150,7 @@ impl LubmSource {
                 }
 
                 let n_courses = 15 + rng.below(10) as usize;
-                let courses: Vec<String> =
-                    (0..n_courses).map(|c| format!("{dept}_c{c}")).collect();
+                let courses: Vec<String> = (0..n_courses).map(|c| format!("{dept}_c{c}")).collect();
                 for course in &courses {
                     out(Fact::Class("Course", course))?;
                     let teacher = &profs[rng.below(n_profs as u64) as usize];

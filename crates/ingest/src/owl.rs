@@ -278,10 +278,9 @@ impl<'a> OwlParser<'a> {
             }
             b if b.is_ascii_alphanumeric() || b == b'_' => {
                 let start = self.pos;
-                while self
-                    .peek_byte()
-                    .is_some_and(|c| c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':'))
-                {
+                while self.peek_byte().is_some_and(|c| {
+                    c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':')
+                }) {
                     self.bump();
                 }
                 Ok(Some(Tok::Name(self.text[start..self.pos].to_string())))
@@ -522,15 +521,19 @@ impl<'a> OwlParser<'a> {
                      manifest frontend instead",
                 ))
             }
-            "ReflexiveObjectProperty" | "IrreflexiveObjectProperty"
+            "ReflexiveObjectProperty"
+            | "IrreflexiveObjectProperty"
             | "AsymmetricObjectProperty" => {
                 return Err(self.fragment(head, "(ir)reflexivity and asymmetry are outside ELHI⊥"))
             }
             "DisjointObjectProperties" => {
                 return Err(self.fragment(head, "property disjointness is outside ELHI⊥"))
             }
-            "SubDataPropertyOf" | "DataPropertyDomain" | "DataPropertyRange"
-            | "DataPropertyAssertion" | "FunctionalDataProperty" => {
+            "SubDataPropertyOf"
+            | "DataPropertyDomain"
+            | "DataPropertyRange"
+            | "DataPropertyAssertion"
+            | "FunctionalDataProperty" => {
                 return Err(self.fragment(
                     head,
                     "data properties are not modeled; only object properties lower to \
@@ -637,12 +640,11 @@ impl<'a> OwlParser<'a> {
                 "ObjectAllValuesFrom",
                 "universal restrictions are outside ELHI⊥",
             )),
-            "ObjectMinCardinality" | "ObjectMaxCardinality" | "ObjectExactCardinality" => {
-                Err(self.fragment(
+            "ObjectMinCardinality" | "ObjectMaxCardinality" | "ObjectExactCardinality" => Err(self
+                .fragment(
                     &name,
                     "cardinality restrictions need counting/equality outside the TGD fragment",
-                ))
-            }
+                )),
             "ObjectOneOf" | "ObjectHasValue" => {
                 Err(self.fragment(&name, "nominals are outside ELHI⊥"))
             }
@@ -731,7 +733,11 @@ mod tests {
         assert_eq!(p.schema.arity(Predicate::new("worksFor")), Some(2));
         let out = p.chase(ChaseBudget::unbounded());
         assert!(out.complete);
-        let preds: Vec<String> = out.instance.iter().map(|a| a.predicate.to_string()).collect();
+        let preds: Vec<String> = out
+            .instance
+            .iter()
+            .map(|a| a.predicate.to_string())
+            .collect();
         assert!(preds.iter().any(|s| s == "Faculty"), "{preds:?}");
         assert!(preds.iter().any(|s| s == "worksFor"), "{preds:?}");
         assert!(preds.iter().any(|s| s == "Department"), "{preds:?}");
@@ -755,7 +761,10 @@ mod tests {
             ("TransitiveObjectProperty(ex:r)", "no guard atom"),
             ("FunctionalObjectProperty(ex:r)", "EGDs, not TGDs"),
             ("SubClassOf(ex:A ObjectComplementOf(ex:B))", "negation"),
-            ("DataPropertyAssertion(ex:age ex:a \"4\")", "data properties"),
+            (
+                "DataPropertyAssertion(ex:age ex:a \"4\")",
+                "data properties",
+            ),
         ] {
             let text = format!("Prefix(ex:=<http://e/>)\n{axiom}\n");
             let e = ingest(&mut OwlSource::from_str("t", &text)).unwrap_err();
@@ -783,10 +792,10 @@ mod tests {
     #[test]
     fn malformed_syntax_is_owl_error() {
         for text in [
-            "SubClassOf(ex:A",                     // unclosed
-            "Prefix(ex=<http://e/>)",              // missing colon
-            "Frobnicate(ex:A ex:B)",               // unknown axiom
-            "SubClassOf(ex:A ex:B) extra",         // trailing garbage -> unknown axiom `extra`
+            "SubClassOf(ex:A",             // unclosed
+            "Prefix(ex=<http://e/>)",      // missing colon
+            "Frobnicate(ex:A ex:B)",       // unknown axiom
+            "SubClassOf(ex:A ex:B) extra", // trailing garbage -> unknown axiom `extra`
         ] {
             let e = ingest(&mut OwlSource::from_str("t", text)).unwrap_err();
             assert!(

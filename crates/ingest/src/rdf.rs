@@ -162,7 +162,10 @@ impl<'a> Parser<'a> {
     /// `@prefix p: <iri> .`
     fn directive(&mut self) -> Result<(), IngestError> {
         let start = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_alphabetic() || b == b'@') {
+        while self
+            .peek()
+            .is_some_and(|b| b.is_ascii_alphabetic() || b == b'@')
+        {
             self.bump();
         }
         let word = &self.text[start..self.pos];
@@ -241,7 +244,11 @@ impl<'a> Parser<'a> {
     fn verb(&mut self) -> Result<Term, IngestError> {
         // `a` must be the bare keyword, not a prefix of a longer name.
         if self.peek() == Some(b'a')
-            && !self.bytes.get(self.pos + 1).copied().is_some_and(|b| is_name_byte(b) || b == b':')
+            && !self
+                .bytes
+                .get(self.pos + 1)
+                .copied()
+                .is_some_and(|b| is_name_byte(b) || b == b':')
         {
             self.bump();
             return Ok(Term::Iri(RDF_TYPE.to_string()));
@@ -321,7 +328,10 @@ impl<'a> Parser<'a> {
         // Optional language tag or datatype; parsed, then discarded.
         if self.peek() == Some(b'@') {
             self.bump();
-            while self.peek().is_some_and(|b| b.is_ascii_alphanumeric() || b == b'-') {
+            while self
+                .peek()
+                .is_some_and(|b| b.is_ascii_alphanumeric() || b == b'-')
+            {
                 self.bump();
             }
         } else if self.peek() == Some(b'^') {
@@ -332,9 +342,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             match self.term()? {
                 Term::Iri(_) => {}
-                other => {
-                    return Err(self.err(format!("datatype must be an IRI, found {other:?}")))
-                }
+                other => return Err(self.err(format!("datatype must be an IRI, found {other:?}"))),
             }
         }
         Ok(Term::Literal(out))
@@ -346,9 +354,9 @@ impl<'a> Parser<'a> {
             match self.bump() {
                 Some(b) if b.is_ascii_hexdigit() => {}
                 _ => {
-                    return Err(self.err(format!(
-                        "bad unicode escape: expected {digits} hex digits"
-                    )))
+                    return Err(
+                        self.err(format!("bad unicode escape: expected {digits} hex digits"))
+                    )
                 }
             }
         }
@@ -381,7 +389,11 @@ impl<'a> Parser<'a> {
             self.bump();
         }
         if self.peek() == Some(b'.')
-            && self.bytes.get(self.pos + 1).copied().is_some_and(|b| b.is_ascii_digit())
+            && self
+                .bytes
+                .get(self.pos + 1)
+                .copied()
+                .is_some_and(|b| b.is_ascii_digit())
         {
             self.bump();
             while self.peek().is_some_and(|b| b.is_ascii_digit()) {
@@ -419,7 +431,9 @@ impl<'a> Parser<'a> {
         let local = &self.text[lstart..self.pos];
         match self.prefixes.get(&prefix) {
             Some(ns) => Ok(Term::Iri(format!("{ns}{local}"))),
-            None => Err(self.err(format!("unknown prefix `{prefix}:` (no @prefix declares it)"))),
+            None => Err(self.err(format!(
+                "unknown prefix `{prefix}:` (no @prefix declares it)"
+            ))),
         }
     }
 
@@ -552,14 +566,16 @@ mod tests {
         .full_iris(true);
         let p = ingest(&mut src).unwrap();
         let got: Vec<String> = p.facts.iter().map(|a| a.to_string()).collect();
-        assert_eq!(got, vec!["http://ex.org/p(http://ex.org/a,http://ex.org/b)"]);
+        assert_eq!(
+            got,
+            vec!["http://ex.org/p(http://ex.org/a,http://ex.org/b)"]
+        );
     }
 
     #[test]
     fn blank_nodes_become_named_constants() {
-        let got = atoms(
-            "@prefix ex: <http://ex.org/> .\n_:b1 a ex:Dept .\nex:ann ex:worksIn _:b1 .",
-        );
+        let got =
+            atoms("@prefix ex: <http://ex.org/> .\n_:b1 a ex:Dept .\nex:ann ex:worksIn _:b1 .");
         assert_eq!(got, vec!["Dept(_:b1)", "worksIn(ann,_:b1)"]);
     }
 

@@ -223,7 +223,10 @@ mod tests {
 
         fn facts(&mut self, sink: &mut dyn FactSink) -> Result<(), IngestError> {
             for i in 0..self.n {
-                sink.push(GroundAtom::named("E", &[&format!("a{i}"), &format!("a{}", i + 1)]))?;
+                sink.push(GroundAtom::named(
+                    "E",
+                    &[&format!("a{i}"), &format!("a{}", i + 1)],
+                ))?;
             }
             Ok(())
         }

@@ -25,8 +25,8 @@ use gtgd::cli::{Command, Flag, Invocation, Parsed};
 use gtgd::data::obs;
 use gtgd::error::GtgdError;
 use gtgd::ingest::{
-    ingest, CsvSource, LubmConfig, LubmSource, OwlSource, Program, RdfSource, Source,
-    ONTOLOGY_OWL, ONTOLOGY_TGDS,
+    ingest, CsvSource, LubmConfig, LubmSource, OwlSource, Program, RdfSource, Source, ONTOLOGY_OWL,
+    ONTOLOGY_TGDS,
 };
 use gtgd::query::Engine;
 use gtgd::script::{certify_script, eval_script, parse_script, run_maintained, MaintOp, Mode};
@@ -250,25 +250,29 @@ fn source_from(p: &Parsed) -> Result<Box<dyn Source>, GtgdError> {
     let csv = p.value("--csv");
     let lubm = p.int_value("--lubm")?;
     let seed = p.int_value("--seed")?;
-    let families =
-        usize::from(rdf.is_some() || owl.is_some()) + usize::from(csv.is_some()) + usize::from(lubm.is_some());
+    let families = usize::from(rdf.is_some() || owl.is_some())
+        + usize::from(csv.is_some())
+        + usize::from(lubm.is_some());
     if families != 1 {
         return Err(GtgdError::Usage(
             "select exactly one source: --rdf [--owl], --csv, or --lubm".to_string(),
         ));
     }
     if seed.is_some() && lubm.is_none() {
-        return Err(GtgdError::Usage("--seed only applies to --lubm".to_string()));
+        return Err(GtgdError::Usage(
+            "--seed only applies to --lubm".to_string(),
+        ));
     }
     if p.has("--full-iris") && rdf.is_none() {
-        return Err(GtgdError::Usage("--full-iris only applies to --rdf".to_string()));
+        return Err(GtgdError::Usage(
+            "--full-iris only applies to --rdf".to_string(),
+        ));
     }
     if let Some(univ) = lubm {
-        let mut cfg = LubmConfig::default();
-        cfg.universities = univ as usize;
-        if let Some(s) = seed {
-            cfg.seed = s;
-        }
+        let cfg = LubmConfig {
+            universities: univ as usize,
+            seed: seed.unwrap_or(LubmConfig::default().seed),
+        };
         return Ok(Box::new(LubmSource::new(cfg)));
     }
     if let Some(manifest) = csv {

@@ -56,7 +56,7 @@ pub struct Parsed {
 impl Parsed {
     /// Whether the boolean switch `name` was present.
     pub fn has(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| *s == name)
+        self.switches.contains(&name)
     }
 
     /// The value of flag `name`, if given (last occurrence wins).
@@ -102,7 +102,11 @@ impl Command {
 
     /// One-line usage string.
     pub fn usage(&self) -> String {
-        let flags = if self.flags.is_empty() { "" } else { " [flags]" };
+        let flags = if self.flags.is_empty() {
+            ""
+        } else {
+            " [flags]"
+        };
         format!("{}{flags} {}", self.display_name(), self.args)
             .trim_end()
             .to_string()
@@ -239,7 +243,10 @@ mod tests {
         let Invocation::Help(h) = CMD.parse(&argv(&["--help"])).unwrap() else {
             panic!("expected Help");
         };
-        assert!(h.contains("--addr HOST:PORT") && h.contains("--fast"), "{h}");
+        assert!(
+            h.contains("--addr HOST:PORT") && h.contains("--fast"),
+            "{h}"
+        );
         assert!(h.contains("usage: gtgd demo"), "{h}");
     }
 

@@ -32,7 +32,11 @@ fn gen_then_ingest_roundtrip_through_files() {
         "--out",
         dir.to_str().unwrap(),
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let nt = dir.join("data.nt");
     let ofn = dir.join("ontology.ofn");
     assert!(nt.exists() && ofn.exists());
@@ -46,9 +50,16 @@ fn gen_then_ingest_roundtrip_through_files() {
         "--query",
         "Ans(X) :- Professor(X), worksFor(X,D)",
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.lines().count() > 5, "expected answers, got: {stdout}");
+    assert!(
+        stdout.lines().count() > 5,
+        "expected answers, got: {stdout}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -74,7 +85,11 @@ fn ingest_lubm_query_answers_are_sorted_and_stable() {
             "--query",
             "Ans(X,U) :- Professor(X), worksFor(X,D), subOrganizationOf(D,U)",
         ]);
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
     let (a, b) = (run(), run());
@@ -91,9 +106,9 @@ fn ingest_lubm_query_answers_are_sorted_and_stable() {
 fn usage_errors_exit_2_with_description() {
     for args in [
         &["ingest", "--nope"][..],
-        &["ingest"][..],                       // no source selected
+        &["ingest"][..], // no source selected
         &["gen", "lubm", "--univ", "zero"][..],
-        &["gen", "pubmed"][..],                // unknown generator
+        &["gen", "pubmed"][..],                        // unknown generator
         &["ingest", "--lubm", "1", "--full-iris"][..], // flag needs --rdf
     ] {
         let out = gtgd(args);
@@ -159,7 +174,11 @@ fn ingest_snapshot_then_serve_snapshot_agree() {
         "--snapshot",
         snap.to_str().unwrap(),
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(snap.exists());
     // The snapshot must reload as a queryable maintained instance.
     let loaded = gtgd::storage::load_snapshot(&snap).expect("snapshot loads");

@@ -29,12 +29,12 @@ fn must_reject(src: &mut dyn Source) -> IngestError {
 #[test]
 fn rdf_truncated_triples_are_line_precise() {
     let cases = [
-        ("<a> <b>", 1),                                // missing object
-        ("<a> <b> <c> .\n<d> <e>", 2),                 // truncated second triple
-        ("<a> <b> <c> .\n<d> <e> \"unterminated", 2),  // open literal
-        ("<a> <b> <c>", 1),                            // missing terminating dot
-        ("@prefix ex: <http://e.org/", 1),             // unterminated IRI ref
-        ("<a> <b> <c> ;\n", 2),                        // dangling predicate list (EOF on line 2)
+        ("<a> <b>", 1),                               // missing object
+        ("<a> <b> <c> .\n<d> <e>", 2),                // truncated second triple
+        ("<a> <b> <c> .\n<d> <e> \"unterminated", 2), // open literal
+        ("<a> <b> <c>", 1),                           // missing terminating dot
+        ("@prefix ex: <http://e.org/", 1),            // unterminated IRI ref
+        ("<a> <b> <c> ;\n", 2),                       // dangling predicate list (EOF on line 2)
     ];
     for (text, want_line) in cases {
         let e = must_reject(&mut RdfSource::from_str("t", text));
@@ -88,10 +88,7 @@ fn rdf_seeded_mutations_never_panic() {
 #[test]
 fn owl_out_of_fragment_axioms_name_construct_and_line() {
     let cases = [
-        (
-            "SubClassOf(ex:A ObjectUnionOf(ex:B ex:C))",
-            "ObjectUnionOf",
-        ),
+        ("SubClassOf(ex:A ObjectUnionOf(ex:B ex:C))", "ObjectUnionOf"),
         (
             "SubClassOf(ex:A ObjectAllValuesFrom(ex:r ex:B))",
             "ObjectAllValuesFrom",
@@ -122,9 +119,9 @@ fn owl_out_of_fragment_axioms_name_construct_and_line() {
 #[test]
 fn owl_syntax_errors_are_described() {
     for doc in [
-        "Ontology(",                        // unbalanced
+        "Ontology(",                                                 // unbalanced
         "Prefix(ex:=<http://e.org/>)\nOntology(SubClassOf(ex:A))\n", // missing RHS
-        "Ontology(SubClassOf(ex:A :B))",      // undeclared prefix
+        "Ontology(SubClassOf(ex:A :B))",                             // undeclared prefix
         "Garbage(:x)",
     ] {
         let e = must_reject(&mut OwlSource::from_str("t", doc));
@@ -209,7 +206,10 @@ fn csv_key_violation_reports_both_lines() {
 fn csv_manifest_errors_are_line_precise() {
     let cases = [
         ("table Emp(id from emp.csv", 1),
-        ("table Emp(id) from emp.csv\ntable Emp(id) from other.csv", 2),
+        (
+            "table Emp(id) from emp.csv\ntable Emp(id) from other.csv",
+            2,
+        ),
         ("table Emp(id) from emp.csv\nkey Nope(id)", 2),
         (
             "table Emp(id) from emp.csv\ntable D(a,b) from d.csv\ninclude Emp(id) -> D(a,b)",
@@ -230,9 +230,14 @@ fn csv_manifest_errors_are_line_precise() {
 
 #[test]
 fn csv_quoting_errors_are_rejected() {
-    for body in ["id,dept\n\"ann,hr\n", "id,dept\nan\"n,hr\n", "id,dept\n\"ann\"x,hr\n"] {
-        let mut src = CsvSource::from_manifest_str("t", "table Emp(id, dept) from emp.csv with header\n")
-            .with_inline("emp.csv", body);
+    for body in [
+        "id,dept\n\"ann,hr\n",
+        "id,dept\nan\"n,hr\n",
+        "id,dept\n\"ann\"x,hr\n",
+    ] {
+        let mut src =
+            CsvSource::from_manifest_str("t", "table Emp(id, dept) from emp.csv with header\n")
+                .with_inline("emp.csv", body);
         let e = must_reject(&mut src);
         assert!(matches!(e, IngestError::Csv { .. }), "{body:?}: {e}");
     }
