@@ -52,4 +52,28 @@ impl PredColumns {
         }
         self.rows += 1;
     }
+
+    /// Removes the rows at the given sorted, distinct indexes; the
+    /// survivors keep their order ([`crate::Instance::retract_atoms`]).
+    pub(crate) fn remove_rows(&mut self, dead: &[usize]) {
+        for c in &mut self.cols {
+            remove_sorted(c, dead);
+        }
+        self.rows -= dead.len();
+    }
+}
+
+/// Removes the elements at the given sorted, distinct indexes in one
+/// order-preserving pass.
+pub(crate) fn remove_sorted<T>(v: &mut Vec<T>, dead: &[usize]) {
+    let mut at = 0;
+    let mut next_dead = dead.iter().peekable();
+    v.retain(|_| {
+        let gone = next_dead.peek() == Some(&&at);
+        if gone {
+            next_dead.next();
+        }
+        at += 1;
+        !gone
+    });
 }

@@ -1,11 +1,12 @@
 //! Instances and databases: indexed sets of ground atoms.
 
 use crate::atom::GroundAtom;
-use crate::columnar::PredColumns;
+use crate::columnar::{remove_sorted, PredColumns};
 use crate::dense::{DenseExport, DenseStats, DenseStore, DenseTrie, Dict};
 use crate::schema::{Predicate, Schema};
 use crate::value::Value;
 use gtgd_treewidth::Graph;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
@@ -68,14 +69,19 @@ impl Clone for Instance {
 /// The row-level hash indexes of an [`Instance`]: the dedup map, the
 /// per-predicate and per-`(predicate, position, value)` candidate lists,
 /// and the first-occurrence domain. Kept together so they can be built
-/// lazily in one pass over the atom vector.
+/// lazily in one pass over the atom vector. Every candidate list is
+/// sorted ascending and never empty.
 #[derive(Debug, Clone, Default)]
 struct RowIndexes {
     index_of: HashMap<GroundAtom, usize>,
     by_pred: HashMap<Predicate, Vec<usize>>,
     by_pred_pos_val: HashMap<(Predicate, u16, Value), Vec<usize>>,
     dom: Vec<Value>,
-    dom_set: HashSet<Value>,
+    /// The row id of each `dom` value's first occurrence. `dom` is sorted
+    /// by (this id, the value's first position in that atom), which is
+    /// what lets retraction re-place only the values whose first
+    /// occurrence leaves.
+    dom_first: HashMap<Value, usize>,
 }
 
 impl RowIndexes {
@@ -89,7 +95,8 @@ impl RowIndexes {
                 .entry((atom.predicate, pos, v))
                 .or_default()
                 .push(idx);
-            if self.dom_set.insert(v) {
+            if let Entry::Vacant(e) = self.dom_first.entry(v) {
+                e.insert(idx);
                 self.dom.push(v);
             }
         }
@@ -110,6 +117,41 @@ impl RowIndexes {
         }
         r
     }
+}
+
+/// The `(predicate, arity)` relation an atom belongs to: the key of its
+/// columnar arena and dense mirror.
+fn relation(a: &GroundAtom) -> (Predicate, u16) {
+    (
+        a.predicate,
+        u16::try_from(a.args.len()).expect("arity fits u16"),
+    )
+}
+
+/// The post-retraction id of surviving row `id`, given the sorted dead
+/// row ids: it moves down by the number of dead rows before it.
+fn renumbered(id: usize, dead: &[usize]) -> usize {
+    id - dead.partition_point(|&d| d < id)
+}
+
+/// Drops the sorted `dead` row ids from the sorted candidate list `ids`
+/// and renumbers the rest. A list that ends before the first dead row is
+/// left untouched.
+fn drop_and_renumber(ids: &mut Vec<usize>, dead: &[usize]) {
+    let start = ids.partition_point(|&id| id < dead[0]);
+    let mut write = start;
+    // `skipped`: how many dead rows lie below the current id.
+    let mut skipped = 0;
+    for read in start..ids.len() {
+        let id = ids[read];
+        skipped += dead[skipped..].partition_point(|&d| d < id);
+        if dead.get(skipped) == Some(&id) {
+            continue;
+        }
+        ids[write] = id - skipped;
+        write += 1;
+    }
+    ids.truncate(write);
 }
 
 impl Instance {
@@ -146,10 +188,7 @@ impl Instance {
     fn build_columns(atoms: &[GroundAtom]) -> ColumnMap {
         let mut m = ColumnMap::new();
         for atom in atoms {
-            let arity = u16::try_from(atom.args.len()).expect("arity fits u16");
-            m.entry((atom.predicate, arity))
-                .or_default()
-                .push(&atom.args);
+            m.entry(relation(atom)).or_default().push(&atom.args);
         }
         m
     }
@@ -190,9 +229,8 @@ impl Instance {
             return false;
         }
         rows.note(&atom, idx);
-        let arity = u16::try_from(atom.args.len()).expect("arity fits u16");
         self.columns_mut()
-            .entry((atom.predicate, arity))
+            .entry(relation(&atom))
             .or_default()
             .push(&atom.args);
         self.atoms.push(atom);
@@ -227,8 +265,7 @@ impl Instance {
         // Pre-size each touched relation's arena and candidate list once.
         let mut per_rel: HashMap<(Predicate, u16), usize> = HashMap::new();
         for a in &batch {
-            let arity = u16::try_from(a.args.len()).expect("arity fits u16");
-            *per_rel.entry((a.predicate, arity)).or_default() += 1;
+            *per_rel.entry(relation(a)).or_default() += 1;
         }
         {
             let cols = self.columns_mut();
@@ -261,43 +298,137 @@ impl Instance {
     /// Removes a batch of atoms; returns how many were actually present.
     /// Atoms absent from the instance are ignored.
     ///
-    /// Every store except the atom vector is append-only by design, so
-    /// retraction is a **rebuild, not a tombstone**: the primary stores
-    /// (dedup map, per-predicate and per-position indexes, domain,
-    /// columnar arenas) are reconstructed from the survivors in one pass
-    /// over the instance (`O(total cells)`), which keeps row ids dense and
-    /// every accessor exact — `dom()` contains precisely the values of
-    /// surviving atoms, with no tombstone filtering on any read path. The
-    /// lazy dense mirror is cheaper to fix: it drops only the touched
-    /// `(predicate, arity)` relations while keeping the dictionary.
+    /// Retraction **renumbers in place**: row ids stay dense, so the
+    /// survivors after the first dead row move down. The atom vector loses
+    /// the dead rows in one order-preserving pass; the dedup map loses
+    /// only their keys; every candidate list drops the dead ids and shifts
+    /// its later ids down (lists that end before the first dead row are
+    /// skipped after one comparison); only the touched columnar arenas
+    /// lose rows. `dom()` keeps first-occurrence order over the survivors:
+    /// a value whose first occurrence dies moves to its next occurrence,
+    /// found by a scan that starts at the dead row and stops once every
+    /// such value is placed, or leaves `dom()` if no survivor mentions it.
+    /// The cost is a few integer operations per index entry and no
+    /// re-hashing of survivors; every accessor then reads exactly as on
+    /// `Instance::from_atoms(survivors)`. The lazy dense mirror drops only
+    /// the touched `(predicate, arity)` relations while keeping the
+    /// dictionary.
     pub fn retract_atoms(&mut self, atoms: &[GroundAtom]) -> usize {
-        let present = &self.rows().index_of;
-        let doomed: HashSet<&GroundAtom> =
-            atoms.iter().filter(|a| present.contains_key(*a)).collect();
-        if doomed.is_empty() {
+        let rows = self.rows_mut();
+        let mut dead: Vec<usize> = atoms
+            .iter()
+            .filter_map(|a| rows.index_of.get(a).copied())
+            .collect();
+        if dead.is_empty() {
             return 0;
         }
-        let removed = doomed.len();
+        dead.sort_unstable();
+        dead.dedup();
+        let rows = self.rows.get_mut().expect("row indexes built above");
         // Relations that lose rows: their dense mirrors must be dropped.
-        let touched: HashSet<(Predicate, u16)> = doomed
-            .iter()
-            .map(|a| {
-                let arity = u16::try_from(a.args.len()).expect("arity fits u16");
-                (a.predicate, arity)
-            })
-            .collect();
-        let survivors: Vec<GroundAtom> = std::mem::take(&mut self.atoms)
-            .into_iter()
-            .filter(|a| !doomed.contains(a))
-            .collect();
-        // Rebuild the primary stores from the survivors.
-        self.rows = OnceLock::new();
-        self.columns = OnceLock::new();
-        for a in survivors {
-            self.insert(a);
+        let touched: HashSet<(Predicate, u16)> =
+            dead.iter().map(|&id| relation(&self.atoms[id])).collect();
+
+        // Columnar arenas: a dead atom's arena row is its rank among the
+        // atoms of its relation, read off the not yet renumbered lists.
+        if let Some(cols) = self.columns.get_mut() {
+            let mut dead_rows: HashMap<(Predicate, u16), Vec<usize>> = HashMap::new();
+            for &id in &dead {
+                let a = &self.atoms[id];
+                let key = relation(a);
+                let ids = &rows.by_pred[&a.predicate];
+                let at = ids.partition_point(|&i| i < id);
+                let rank = if cols[&key].rows() == ids.len() {
+                    at
+                } else {
+                    // The predicate also occurs at another arity.
+                    ids[..at]
+                        .iter()
+                        .filter(|&&i| self.atoms[i].args.len() == a.args.len())
+                        .count()
+                };
+                dead_rows.entry(key).or_default().push(rank);
+            }
+            for (key, gone) in dead_rows {
+                let pc = cols.get_mut(&key).expect("touched arena exists");
+                pc.remove_rows(&gone);
+                if pc.rows() == 0 {
+                    cols.remove(&key);
+                }
+            }
+        }
+
+        // dom(): the values whose first occurrence dies must be re-placed.
+        // Their next occurrence (if any) lies after that dead row, so the
+        // scan below starts at the first such row's post-retraction id.
+        let mut moved: HashSet<Value> = HashSet::new();
+        let mut scan_from = usize::MAX;
+        for (rank, &id) in dead.iter().enumerate() {
+            for &v in &self.atoms[id].args {
+                if rows.dom_first.get(&v) == Some(&id) && moved.insert(v) {
+                    scan_from = scan_from.min(id - rank);
+                }
+            }
+        }
+        for v in &moved {
+            rows.dom_first.remove(v);
+        }
+        for id in rows.dom_first.values_mut() {
+            *id = renumbered(*id, &dead);
+        }
+
+        for &id in &dead {
+            rows.index_of.remove(&self.atoms[id]);
+        }
+        for id in rows.index_of.values_mut() {
+            *id = renumbered(*id, &dead);
+        }
+        rows.by_pred.retain(|_, ids| {
+            drop_and_renumber(ids, &dead);
+            !ids.is_empty()
+        });
+        rows.by_pred_pos_val.retain(|_, ids| {
+            drop_and_renumber(ids, &dead);
+            !ids.is_empty()
+        });
+
+        remove_sorted(&mut self.atoms, &dead);
+
+        if !moved.is_empty() {
+            rows.dom.retain(|v| !moved.contains(v));
+            // (value, first row, first position), in dom order.
+            let mut found: Vec<(Value, usize, usize)> = Vec::new();
+            'scan: for (id, a) in self.atoms.iter().enumerate().skip(scan_from) {
+                for (pos, &v) in a.args.iter().enumerate() {
+                    if moved.remove(&v) {
+                        rows.dom_first.insert(v, id);
+                        found.push((v, id, pos));
+                        if moved.is_empty() {
+                            break 'scan;
+                        }
+                    }
+                }
+            }
+            let atoms = &self.atoms;
+            let first = &rows.dom_first;
+            let key = |u: &Value| {
+                let id = first[u];
+                let pos = atoms[id].args.iter().position(|x| x == u);
+                (id, pos.expect("first occurrence mentions the value"))
+            };
+            let mut merged = Vec::with_capacity(rows.dom.len() + found.len());
+            let mut rest = rows.dom.as_slice();
+            for (v, id, pos) in found {
+                let at = rest.partition_point(|u| key(u) < (id, pos));
+                merged.extend_from_slice(&rest[..at]);
+                merged.push(v);
+                rest = &rest[at..];
+            }
+            merged.extend_from_slice(rest);
+            rows.dom = merged;
         }
         self.dense.invalidate_relations(&touched);
-        removed
+        dead.len()
     }
 
     /// Reserves capacity for `n` further atoms in the primary stores (the
@@ -368,7 +499,7 @@ impl Instance {
 
     /// Whether `v ∈ dom(I)`.
     pub fn dom_contains(&self, v: Value) -> bool {
-        self.rows().dom_set.contains(&v)
+        self.rows().dom_first.contains_key(&v)
     }
 
     /// Indexes of atoms with the given predicate.

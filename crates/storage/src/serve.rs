@@ -34,13 +34,26 @@
 //! are instance-independent, so the [`PlanCache`] survives writes
 //! untouched.
 //!
-//! Writers serialize on a gate that owns the [`CommitLog`]. A writer
-//! thaws or clones the current state and applies the delta chase / DRed
-//! retraction to its clone. It then appends the write to the commit log
-//! and `sync_data`s it, and only then swaps the `Arc` and acknowledges.
-//! So an acknowledged write is on disk, and the disk is never ahead of
-//! what readers see by more than the one in-flight write. A failed
-//! append publishes nothing and the client gets the error.
+//! Writers serialize on a gate that owns the [`CommitLog`] and the back
+//! copy of a left-right twin. A writer applies the delta chase / DRed
+//! retraction to the back copy, appends the write to the commit log and
+//! `sync_data`s it, and only then swaps the `Arc` and acknowledges. So an
+//! acknowledged write is on disk, and the disk is never ahead of what
+//! readers see by more than the one in-flight write. A failed append
+//! publishes nothing and the client gets the error.
+//!
+//! The old front stays under the gate with the write that followed it.
+//! The next writer waits for that copy's readers to drain
+//! (`Arc::try_unwrap` plus `yield_now`) and replays the write through
+//! [`Op::apply`], which makes it the new back copy. A write therefore
+//! costs its delta twice and never a copy of the fixpoint. The replayed
+//! copy equals the front up to the names of labelled nulls — the same
+//! contract crash recovery relies on — and answers are null-free, so
+//! readers cannot tell the two apart. The wait is bounded: if the old
+//! front has not drained after as long as the gate's last full copy took
+//! (a thaw or a clone, which the gate times), the writer clones the front
+//! instead. `stats` reports those full copies as `twin_clones`; in steady
+//! state the count stays flat.
 //!
 //! Every [`CHECKPOINT_RECORDS`](crate::log::CHECKPOINT_RECORDS) records,
 //! and on `{"op":"shutdown"}`, the request that holds the gate rewrites the
@@ -50,11 +63,16 @@
 //! [`Server::start`] loads the snapshot and replays at most
 //! `CHECKPOINT_RECORDS` logged writes.
 //!
-//! A panic under either lock leaves nothing half-applied: a writer
-//! mutates only its private clone and publishes by swapping the `Arc`,
-//! and the commit log marks itself for a checkpoint before any I/O. So
-//! both locks recover from poisoning instead of failing every later
-//! request.
+//! A panic under either lock leaves nothing half-applied: a writer takes
+//! the back copy out of the gate before it applies a write, so a panic or
+//! a failed append discards that copy (the next write clones the front),
+//! publishing is one `Arc` swap, and the commit log marks itself for a
+//! checkpoint before any I/O. So both locks recover from poisoning
+//! instead of failing every later request.
+//!
+//! A request line longer than [`MAX_REQUEST_BYTES`] gets an error and the
+//! connection is closed, so no client makes the daemon buffer without
+//! limit.
 
 use crate::log::{CommitLog, Op, Recovered};
 use crate::snapshot::{LoadedSnapshot, SnapshotError};
@@ -62,11 +80,17 @@ use gtgd_chase::{MaintainedInstance, Tgd};
 use gtgd_data::{parse_fact, GroundAtom, Instance, Value};
 use gtgd_query::PlanCache;
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::time::{Duration, Instant};
+
+/// The longest request line the daemon reads, in bytes. A longer line gets
+/// an error and the connection is closed, so one client cannot make the
+/// daemon buffer without limit.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 // ---------------------------------------------------------------------------
 // Flat JSON (the workspace convention: hand-rolled, no dependencies)
@@ -197,7 +221,7 @@ pub fn parse_flat_object(src: &str) -> Result<HashMap<String, String>, String> {
 enum ServedState {
     /// As loaded; no write has happened yet.
     Frozen(Arc<LoadedSnapshot>),
-    /// Thawed by a write; successors are built by cloning.
+    /// Thawed by a write; successors are built on the back copy.
     Live(Arc<MaintainedInstance>),
 }
 
@@ -217,16 +241,122 @@ impl ServedState {
     }
 }
 
+/// The writer's half of the left-right pair: what the write gate holds
+/// besides the commit log.
+#[derive(Default)]
+enum Back {
+    /// No back copy; the next write makes one by a full copy of the front.
+    #[default]
+    Missing,
+    /// The previous front and the write that followed it. Once the old
+    /// front's last reader drops it, replaying the write makes it level
+    /// with the current front.
+    Pending {
+        front: Arc<MaintainedInstance>,
+        op: Op,
+        atom: GroundAtom,
+    },
+    /// A back copy level with the current front.
+    Ready(Box<MaintainedInstance>),
+}
+
+/// The back copy of the twin, and how long the last full copy took: the
+/// bound on how long a write waits for an old front's readers.
+#[derive(Default)]
+struct Twin {
+    back: Back,
+    last_copy: Duration,
+}
+
+impl Twin {
+    /// Makes the back copy level with `front`: replays the pending write
+    /// onto the old front once its readers drain, or, if they hold it
+    /// longer than the last full copy took (or nothing is pending), copies
+    /// `front` whole and counts the copy in `copies`.
+    fn catch_up(&mut self, front: &ServedState, copies: &AtomicUsize) -> Result<(), String> {
+        let back = match std::mem::take(&mut self.back) {
+            Back::Ready(m) => *m,
+            Back::Pending {
+                front: old,
+                op,
+                atom,
+            } => match drained(old, self.last_copy) {
+                Some(mut m) => {
+                    op.apply(&mut m, atom);
+                    m
+                }
+                None => self.full_copy(front, copies)?,
+            },
+            Back::Missing => self.full_copy(front, copies)?,
+        };
+        self.back = Back::Ready(Box::new(back));
+        Ok(())
+    }
+
+    /// Takes the caught-up back copy out, leaving the twin without one: a
+    /// write that fails or panics before it publishes leaves nothing
+    /// half-applied behind.
+    fn take(&mut self) -> Option<MaintainedInstance> {
+        match std::mem::take(&mut self.back) {
+            Back::Ready(m) => Some(*m),
+            _ => None,
+        }
+    }
+
+    /// A whole copy of `front`: the thaw of a frozen snapshot, or a clone.
+    fn full_copy(
+        &mut self,
+        front: &ServedState,
+        copies: &AtomicUsize,
+    ) -> Result<MaintainedInstance, String> {
+        let start = Instant::now();
+        let copy = match front {
+            ServedState::Frozen(snap) => snap
+                .to_maintained()
+                .map_err(|e| format!("snapshot thaw failed: {e}"))?,
+            ServedState::Live(m) => (**m).clone(),
+        };
+        self.last_copy = start.elapsed();
+        copies.fetch_add(1, Ordering::SeqCst);
+        Ok(copy)
+    }
+}
+
+/// `old` unwrapped once its last reader drops it, or `None` if readers
+/// still hold it after `patience`.
+fn drained(mut old: Arc<MaintainedInstance>, patience: Duration) -> Option<MaintainedInstance> {
+    let deadline = Instant::now() + patience;
+    loop {
+        match Arc::try_unwrap(old) {
+            Ok(m) => return Some(m),
+            Err(shared) if Instant::now() < deadline => {
+                old = shared;
+                std::thread::yield_now();
+            }
+            Err(_) => return None,
+        }
+    }
+}
+
+/// What the write gate guards: the commit log and the back copy.
+struct Gate {
+    log: CommitLog,
+    twin: Twin,
+}
+
 struct Shared {
-    /// The published fixpoint. Readers clone the state (one brief
-    /// read-lock hold, an `Arc` bump) and evaluate lock-free; writers
-    /// build a successor and swap it in.
+    /// The published fixpoint (the front copy). Readers clone the state
+    /// (one brief read-lock hold, an `Arc` bump) and evaluate lock-free;
+    /// writers apply a write to the back copy and swap it in.
     state: RwLock<ServedState>,
-    /// Serializes writers so each successor is built from the latest
-    /// published state, and owns the commit log they append to.
-    write_gate: Mutex<CommitLog>,
+    /// Serializes writers so each write lands on a copy level with the
+    /// latest published state, and owns the commit log they append to.
+    write_gate: Mutex<Gate>,
     /// The log's record count, mirrored out of the gate for `stats`.
     log_records: AtomicUsize,
+    /// Full copies of the served state made by writes since start (the
+    /// thaw, the first clone, and each fallback clone), for `stats`.
+    twin_clones: AtomicUsize,
     /// Warm compiled plans, keyed by normalized query text. Never
     /// invalidated: preparation is instance-independent.
     plans: PlanCache,
@@ -279,7 +409,11 @@ impl Server {
             shared: Arc::new(Shared {
                 state: RwLock::new(state),
                 log_records: AtomicUsize::new(recovery.log.records()),
-                write_gate: Mutex::new(recovery.log),
+                twin_clones: AtomicUsize::new(0),
+                write_gate: Mutex::new(Gate {
+                    log: recovery.log,
+                    twin: Twin::default(),
+                }),
                 plans: PlanCache::new(),
                 tgds: recovery.tgds,
                 addr,
@@ -317,12 +451,29 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         return;
     };
     let mut writer = stream;
-    for line in BufReader::new(read_half).lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(read_half);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells an overlong line from a full one.
+        let limit = MAX_REQUEST_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.len() > MAX_REQUEST_BYTES && !buf.ends_with(b"\n") {
+            let msg = format!("request line longer than {MAX_REQUEST_BYTES} bytes");
+            let _ = writeln!(writer, "{}", err_response(&msg));
+            let _ = writer.shutdown(Shutdown::Write);
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let (response, stop) = handle_request(shared, &line);
+        let (response, stop) = handle_request(shared, line);
         if writeln!(writer, "{response}")
             .and_then(|()| writer.flush())
             .is_err()
@@ -428,6 +579,10 @@ fn handle_request(shared: &Shared, line: &str) -> (String, bool) {
                         "log_records",
                         &shared.log_records.load(Ordering::SeqCst).to_string(),
                     ),
+                    (
+                        "twin_clones",
+                        &shared.twin_clones.load(Ordering::SeqCst).to_string(),
+                    ),
                 ]),
                 false,
             )
@@ -447,14 +602,14 @@ fn handle_request(shared: &Shared, line: &str) -> (String, bool) {
     }
 }
 
-/// One insert or retract: build the successor, make it durable, publish
-/// it. Returns the acknowledgement's fields.
+/// One insert or retract: apply it to the back copy, make it durable,
+/// publish it. Returns the acknowledgement's fields.
 fn write(shared: &Shared, op: Op, text: &str, atom: GroundAtom) -> Result<String, String> {
     // Writers serialize here; readers are never blocked — they keep
     // evaluating against the previous Arc until the swap. The first write
     // thaws the frozen snapshot's fired set (the one-time dependency-index
     // rebuild deferred off the load and query paths).
-    let mut log = shared
+    let mut gate = shared
         .write_gate
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
@@ -462,27 +617,34 @@ fn write(shared: &Shared, op: Op, text: &str, atom: GroundAtom) -> Result<String
         return Err("the daemon is shutting down".to_owned());
     }
     let current = shared.state();
-    let mut next = match &current {
-        ServedState::Frozen(snap) => snap
-            .to_maintained()
-            .map_err(|e| format!("snapshot thaw failed: {e}"))?,
-        ServedState::Live(m) => (**m).clone(),
-    };
-    let report = op.apply(&mut next, atom);
+    gate.twin.catch_up(&current, &shared.twin_clones)?;
+    let mut next = gate.twin.take().expect("the back copy was just caught up");
+    let report = op.apply(&mut next, atom.clone());
     // Durable before visible: an acknowledged write is on disk.
-    log.commit(op, text, &shared.tgds, &next)
+    gate.log
+        .commit(op, text, &shared.tgds, &next)
         .map_err(|e| format!("write not persisted: {e}"))?;
     let atoms = next.instance().len().to_string();
     let next = Arc::new(next);
     shared.publish(ServedState::Live(Arc::clone(&next)));
-    drop(current);
+    // The old front becomes the next write's back copy once its readers
+    // drain; a frozen snapshot cannot replay, so the next write clones.
+    if let ServedState::Live(old) = current {
+        gate.twin.back = Back::Pending {
+            front: old,
+            op,
+            atom,
+        };
+    }
     // The write is already durable in the log, so a failed checkpoint is
     // only a warning: the log is marked broken and the next write
     // checkpoints instead of appending.
-    if let Err(e) = log.checkpoint_if_due(&shared.tgds, &next) {
+    if let Err(e) = gate.log.checkpoint_if_due(&shared.tgds, &next) {
         eprintln!("gtgd serve: warning: checkpoint failed: {e}");
     }
-    shared.log_records.store(log.records(), Ordering::SeqCst);
+    shared
+        .log_records
+        .store(gate.log.records(), Ordering::SeqCst);
     Ok(flat_object(&[
         ("ok", "true"),
         ("triggers_fired", &report.triggers_fired.to_string()),
@@ -495,10 +657,11 @@ fn write(shared: &Shared, op: Op, text: &str, atom: GroundAtom) -> Result<String
 /// Writes the served state as the snapshot if the log holds anything, so
 /// the snapshot alone is current, then refuses further writes.
 fn checkpoint_for_shutdown(shared: &Shared) -> Result<(), SnapshotError> {
-    let mut log = shared
+    let mut gate = shared
         .write_gate
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
+    let log = &mut gate.log;
     if log.dirty() {
         match shared.state() {
             ServedState::Live(m) => log.checkpoint(&shared.tgds, &m)?,
@@ -589,7 +752,8 @@ impl Client {
     }
 
     /// Daemon statistics (atom count, plan-cache hits/misses, commit-log
-    /// records since the last checkpoint, ...).
+    /// records since the last checkpoint, full copies of the served state
+    /// since start, ...).
     pub fn stats(&mut self) -> io::Result<HashMap<String, String>> {
         self.checked(&[("op", "stats")])
     }
@@ -785,6 +949,124 @@ mod tests {
         assert!(!log.exists());
         let saved = crate::snapshot::load_snapshot(&path).unwrap();
         assert_eq!(saved.instance().len(), reference.instance.len() - 3);
+        std::fs::remove_file(&path).ok();
+    }
+
+    fn twin_clones(shared: &Shared) -> usize {
+        shared.twin_clones.load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn twin_back_copy_stays_level_with_the_front() {
+        let (path, _) = org_snapshot("twin");
+        let server = Server::start(path.clone(), "127.0.0.1:0").unwrap();
+        let shared = Arc::clone(&server.shared);
+        let script = [
+            (Op::Insert, "Emp(tw_cal)"),
+            (Op::Insert, "Emp(tw_dee)"),
+            (Op::Retract, "Emp(srv_ann)"),
+            (Op::Insert, "WorksIn(srv_bob, tw_lab)"),
+            (Op::Insert, "Emp(srv_ann)"),
+            (Op::Retract, "Emp(tw_absent)"),
+            (Op::Retract, "Emp(tw_cal)"),
+            (Op::Retract, "WorksIn(srv_bob, tw_lab)"),
+            (Op::Insert, "Dept(tw_lab)"),
+        ];
+        for (i, (op, text)) in script.into_iter().enumerate() {
+            write(&shared, op, text, parse_fact(text).unwrap()).unwrap();
+            let front = shared.state();
+            let mut gate = shared.write_gate.lock().unwrap();
+            gate.twin.catch_up(&front, &shared.twin_clones).unwrap();
+            let Back::Ready(back) = &gate.twin.back else {
+                panic!("write {i}: the back copy did not catch up");
+            };
+            assert!(
+                instance_isomorphic(back.instance(), front.instance()),
+                "write {i} ({text}): back copy differs from the front"
+            );
+            assert_eq!(back.instance().len(), front.instance().len(), "write {i}");
+            assert_eq!(back.complete(), front.complete(), "write {i}");
+        }
+        // The thaw and the first clone are the only full copies: every
+        // later back copy came from replaying a write.
+        assert_eq!(twin_clones(&shared), 2);
+        std::fs::remove_file(crate::log::log_path(&path)).ok();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_held_front_costs_one_clone_and_the_write_still_acks() {
+        let (path, _) = org_snapshot("held");
+        let server = Server::start(path.clone(), "127.0.0.1:0").unwrap();
+        let shared = Arc::clone(&server.shared);
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run());
+        let mut c = Client::connect(addr).unwrap();
+        // Steady state: the thaw, then one clone.
+        c.insert("Emp(hd_a)").unwrap();
+        c.insert("Emp(hd_b)").unwrap();
+        c.insert("Emp(hd_c)").unwrap();
+        let steady = twin_clones(&shared);
+        assert_eq!(steady, 2);
+        assert_eq!(c.stats().unwrap()["twin_clones"], "2");
+
+        // A reader holds the front across the write that retires it and
+        // the write after, which cannot replay onto it.
+        let held = shared.state();
+        let held_len = held.instance().len();
+        c.insert("Emp(hd_d)").unwrap();
+        assert_eq!(twin_clones(&shared), steady, "the old back was free");
+        let ack = c.retract("Emp(hd_a)").unwrap();
+        assert_eq!(ack["ok"], "true");
+        assert_eq!(twin_clones(&shared), steady + 1, "one fallback clone");
+        // The held copy was never touched.
+        assert_eq!(held.instance().len(), held_len);
+        drop(held);
+
+        // Back to replaying: no further copies.
+        c.insert("Emp(hd_e)").unwrap();
+        c.retract("Emp(hd_b)").unwrap();
+        assert_eq!(c.stats().unwrap()["twin_clones"], (steady + 1).to_string());
+        let mut emps: Vec<String> = c.query("Q(X) :- Emp(X)").unwrap().concat();
+        emps.sort();
+        assert_eq!(emps, ["hd_c", "hd_d", "hd_e", "srv_ann", "srv_bob"]);
+        c.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn an_overlong_request_line_is_refused_and_closes_the_connection() {
+        let (path, _) = org_snapshot("overlong");
+        let server = Server::start(path.clone(), "127.0.0.1:0").unwrap();
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run());
+
+        let mut raw = TcpStream::connect(addr).unwrap();
+        let mut line = String::from("{\"op\":\"ping\",\"pad\":\"");
+        line.push_str(&"x".repeat(MAX_REQUEST_BYTES + 1 - line.len()));
+        assert_eq!(line.len(), MAX_REQUEST_BYTES + 1);
+        raw.write_all(line.as_bytes()).unwrap();
+        let mut reader = BufReader::new(raw);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        let reply = parse_flat_object(&reply).unwrap();
+        assert_eq!(reply["ok"], "false");
+        assert!(reply["error"].contains("longer than"), "{}", reply["error"]);
+        // The daemon closed this connection ...
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).unwrap(), 0);
+        // ... and keeps serving others; a line at the cap is still read.
+        let mut c = Client::connect(addr).unwrap();
+        c.ping().unwrap();
+        let frame = flat_object(&[("op", "ping"), ("pad", "")]);
+        let pad = "x".repeat(MAX_REQUEST_BYTES - frame.len());
+        let at_cap = [("op", "ping"), ("pad", pad.as_str())];
+        assert_eq!(flat_object(&at_cap).len(), MAX_REQUEST_BYTES);
+        let resp = c.request(&at_cap);
+        assert_eq!(resp.unwrap()["ok"], "true");
+        c.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
         std::fs::remove_file(&path).ok();
     }
 }

@@ -489,3 +489,189 @@ fn chase_nulls_append_to_dense_dictionary_without_remaps() {
     );
     assert_eq!(stats.remaps, 0, "null growth is append-only");
 }
+
+/// Every read accessor of `inst` against the same accessor of `fresh`,
+/// over a universe of predicates (with their arities), values and the
+/// ghost value.
+fn assert_same_accessors(
+    inst: &Instance,
+    fresh: &Instance,
+    universe: &[(Predicate, usize)],
+    values: &[Value],
+    ctx: &str,
+) {
+    assert_eq!(inst.len(), fresh.len(), "len {ctx}");
+    assert_eq!(inst.atoms(), fresh.atoms(), "atoms {ctx}");
+    for a in fresh.iter() {
+        assert!(inst.contains(a), "contains {ctx}");
+    }
+    assert_eq!(inst.dom(), fresh.dom(), "dom {ctx}");
+    let ghost = Value::named("never-inserted");
+    for v in values.iter().chain([&ghost]) {
+        assert_eq!(
+            inst.dom_contains(*v),
+            fresh.dom_contains(*v),
+            "dom_contains {ctx}"
+        );
+    }
+    assert_eq!(inst.predicates(), fresh.predicates(), "predicates {ctx}");
+    for &(p, arity) in universe {
+        assert_eq!(
+            inst.atoms_with_pred(p),
+            fresh.atoms_with_pred(p),
+            "by_pred {ctx}"
+        );
+        assert_eq!(inst.pred_count(p), fresh.pred_count(p), "pred_count {ctx}");
+        for pos in 0..arity {
+            for v in values.iter().chain([&ghost]) {
+                assert_eq!(
+                    inst.atoms_matching(p, pos, *v),
+                    fresh.atoms_matching(p, pos, *v),
+                    "ids ({p}, {pos}, {v}) {ctx}"
+                );
+                assert_eq!(
+                    inst.index_count(p, pos, *v),
+                    fresh.index_count(p, pos, *v),
+                    "count {ctx}"
+                );
+            }
+        }
+        match (inst.columns(p, arity), fresh.columns(p, arity)) {
+            (None, None) => {}
+            (Some(got), Some(want)) => {
+                assert_eq!(got.rows(), want.rows(), "arena rows {ctx}");
+                for j in 0..arity {
+                    assert_eq!(got.col(j), want.col(j), "arena col {j} {ctx}");
+                }
+            }
+            (got, want) => panic!(
+                "arena presence {ctx}: {} vs fresh {}",
+                got.is_some(),
+                want.is_some()
+            ),
+        }
+        if arity > 0 {
+            let forward: Vec<u16> = (0..arity as u16).collect();
+            let reverse: Vec<u16> = (0..arity as u16).rev().collect();
+            for order in [forward, reverse] {
+                assert_eq!(
+                    trie_rows(inst, p, arity, &order),
+                    trie_rows(fresh, p, arity, &order),
+                    "trie {order:?} {ctx}"
+                );
+            }
+        }
+    }
+}
+
+/// In-place retraction against a fresh build over the survivors, on a few
+/// hundred atoms per round. Every batch kills the first occurrence of some
+/// value (so `dom()` must re-place it or drop it); some batches make the
+/// smallest dead row id the *last* entry of a candidate list (the edge of
+/// the "skip lists that end before the first dead row" test); some rounds
+/// start from `from_unique_atoms`, whose row indexes and arenas are still
+/// unbuilt at the first retraction. The universe also has a predicate at
+/// two arities and a nullary one, which exercise the arena-row ranking.
+#[test]
+fn in_place_retraction_matches_a_fresh_build() {
+    let mut rng = Rng::seed(0x5e7a_c7ed);
+    let values: Vec<Value> = (0..40).map(|i| Value::named(&format!("r{i}"))).collect();
+    let universe = [
+        (Predicate::new("U"), 1),
+        (Predicate::new("E"), 2),
+        (Predicate::new("T"), 3),
+        (Predicate::new("M"), 1),
+        (Predicate::new("M"), 2),
+        (Predicate::new("Z"), 0),
+    ];
+    for round in 0..12u32 {
+        let mut model: Vec<GroundAtom> = Vec::new();
+        let target = rng.range(200, 400);
+        while model.len() < target {
+            let (p, arity) = universe[rng.range(0, universe.len())];
+            // Skewed values: low ids recur, so candidate lists get long.
+            let args: Vec<Value> = (0..arity)
+                .map(|_| {
+                    let hi = rng.range(1, values.len() + 1);
+                    values[rng.range(0, hi)]
+                })
+                .collect();
+            model_insert(&mut model, GroundAtom::new(p, args));
+        }
+        let unbuilt = round % 3 == 0;
+        let mut inst = if unbuilt {
+            Instance::from_unique_atoms(model.clone())
+        } else {
+            Instance::from_atoms(model.clone())
+        };
+        for batch in 0..8u32 {
+            let ctx = format!("round {round} batch {batch}");
+            if model.is_empty() {
+                break;
+            }
+            if !(unbuilt && batch == 0) && rng.chance(0.5) {
+                // Warm the arenas and some tries, so their upkeep runs.
+                inst.dense_snapshot(&[(Predicate::new("E"), 2, &[0, 1])]);
+            }
+            let mut doomed: Vec<usize> = Vec::new();
+            // The floor every other dead id must respect; in some batches
+            // it is the last entry of a candidate list.
+            let floor = if rng.chance(0.4) {
+                let a = &model[rng.range(0, model.len())];
+                if a.args.is_empty() {
+                    0
+                } else {
+                    let pos = rng.range(0, a.args.len());
+                    let last = model
+                        .iter()
+                        .rposition(|b| {
+                            b.predicate == a.predicate && b.args.get(pos) == Some(&a.args[pos])
+                        })
+                        .expect("a lies in its own list");
+                    doomed.push(last);
+                    last
+                }
+            } else {
+                0
+            };
+            // A value's first occurrence, at or above the floor.
+            let mut firsts: Vec<usize> = Vec::new();
+            let mut seen: HashSet<Value> = HashSet::new();
+            for (i, a) in model.iter().enumerate() {
+                for &v in &a.args {
+                    if seen.insert(v) && i >= floor {
+                        firsts.push(i);
+                    }
+                }
+            }
+            if !firsts.is_empty() {
+                doomed.push(firsts[rng.range(0, firsts.len())]);
+            }
+            for _ in 0..rng.range(0, 6) {
+                doomed.push(rng.range(floor, model.len()));
+            }
+            doomed.sort_unstable();
+            doomed.dedup();
+            let mut victims: Vec<GroundAtom> = doomed.iter().map(|&i| model[i].clone()).collect();
+            let present = victims.len();
+            if rng.chance(0.3) {
+                victims.push(victims[0].clone());
+            }
+            if rng.chance(0.3) {
+                victims.push(GroundAtom::new(
+                    Predicate::new("U"),
+                    vec![Value::named("ghost")],
+                ));
+            }
+            rng.shuffle(&mut victims);
+            assert_eq!(inst.retract_atoms(&victims), present, "removed {ctx}");
+            let mut i = 0;
+            model.retain(|_| {
+                i += 1;
+                doomed.binary_search(&(i - 1)).is_err()
+            });
+            let fresh = Instance::from_atoms(model.clone());
+            assert_same_accessors(&inst, &fresh, &universe, &values, &ctx);
+        }
+    }
+}
