@@ -10,11 +10,11 @@
 //! body uses at least one atom created in round `ℓ` are searched, by pinning
 //! each body atom in turn to the round-`ℓ` delta.
 //!
-//! [`ObliviousChase::run`] is the only oblivious driver. The one-shot
+//! `ObliviousChase::run` is the only oblivious driver. The one-shot
 //! [`chase`] runs it from the whole database; incremental maintenance
 //! (`crate::maintain`) runs it on a persistent state from the inserted or
 //! rescued atoms; certified runs and the maintenance dependency index
-//! watch its firings through a [`FiringObserver`].
+//! watch its firings through a `FiringObserver`.
 
 use crate::plan::TriggerPlan;
 use crate::tgd::Tgd;

@@ -73,9 +73,9 @@ pub struct MaintenanceReport {
 /// firing's body atoms are **not** stored — the key is the full body
 /// valuation in ascending-variable order, so the body is reconstructed at
 /// load via `TriggerPlan::row_from_key` +
-/// `ground_body`. Dead (tombstoned) firings are compacted away at export:
-/// they exist only to keep in-memory ids stable, which a rebuild
-/// renumbers anyway.
+/// `ground_body`. Dead (tombstoned) firings are dropped at export: they
+/// exist only to keep in-memory ids stable, which a rebuild renumbers
+/// anyway.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FiringExport {
     /// TGD index in the rule set.
@@ -105,7 +105,8 @@ pub struct MaintainExport {
 
 /// One recorded trigger firing: the dependency-graph edge set DRed walks.
 /// Records stay in place when killed (`alive = false`) so firing ids in
-/// the `supports`/`uses` adjacency lists remain stable.
+/// the `supports`/`uses` adjacency lists remain stable until the next
+/// compaction.
 #[derive(Debug, Clone)]
 struct Firing {
     /// TGD index (pairs with `key` as the fired-set entry to purge).
@@ -123,11 +124,17 @@ struct Firing {
 #[derive(Debug, Clone, Default)]
 struct DepIndex {
     /// All recorded firings; dead ones stay as tombstones so ids in the
-    /// adjacency lists below never dangle.
+    /// adjacency lists below never dangle. [`DepIndex::compact`] drops them
+    /// once they outnumber the alive ones.
     firings: Vec<Firing>,
-    /// atom → ids of firings producing it (its supports).
+    /// How many of `firings` are dead.
+    dead: usize,
+    /// atom → ids of firings producing it (its supports). Only atoms of
+    /// the instance are keys: retraction drops the keys of the atoms it
+    /// removes.
     supports: HashMap<GroundAtom, Vec<usize>>,
-    /// atom → ids of firings using it in their body.
+    /// atom → ids of firings using it in their body. Keyed like
+    /// `supports`.
     uses: HashMap<GroundAtom, Vec<usize>>,
 }
 
@@ -139,21 +146,79 @@ impl DepIndex {
         tgd: usize,
         key: Vec<Value>,
         body: Vec<GroundAtom>,
-        products: &[GroundAtom],
+        products: Vec<GroundAtom>,
     ) {
         let fid = self.firings.len();
         for b in body {
             self.uses.entry(b).or_default().push(fid);
         }
-        for p in products {
+        for p in &products {
             self.supports.entry(p.clone()).or_default().push(fid);
         }
         self.firings.push(Firing {
             tgd,
             key,
-            products: products.to_vec(),
+            products,
             alive: true,
         });
+    }
+
+    /// Builds the index from firings known by rule and trigger key. Each
+    /// body is reconstructed from its key (`row_from_key` +
+    /// `ground_body`) and passed to `check` with its firing before the
+    /// firing is recorded. Snapshot import and compaction both rebuild
+    /// here. Fails on a rule index out of range, a key of the wrong
+    /// arity, or the first error `check` returns.
+    fn rebuild(
+        plans: &[TriggerPlan],
+        firings: impl IntoIterator<Item = FiringExport>,
+        mut check: impl FnMut(&FiringExport, &[GroundAtom]) -> Result<(), String>,
+    ) -> Result<DepIndex, String> {
+        let firings = firings.into_iter();
+        let mut deps = DepIndex::default();
+        deps.firings.reserve(firings.size_hint().0);
+        for f in firings {
+            let Some(plan) = plans.get(f.tgd) else {
+                return Err(format!(
+                    "firing names rule {} but only {} rules were supplied",
+                    f.tgd,
+                    plans.len()
+                ));
+            };
+            if f.key.len() != plan.key_slots.len() {
+                return Err(format!(
+                    "firing of rule {} has a {}-ary key, expected {}",
+                    f.tgd,
+                    f.key.len(),
+                    plan.key_slots.len()
+                ));
+            }
+            let body = plan.ground_body(&plan.row_from_key(&f.key));
+            check(&f, &body)?;
+            deps.record(f.tgd, f.key, body, f.products);
+        }
+        Ok(deps)
+    }
+
+    /// Once dead firings outnumber alive ones, rebuilds the index from the
+    /// alive firings alone, in firing-id order. Each compaction at least
+    /// halves `firings`, so its cost is amortized over the retractions
+    /// that killed them, and `firings` never holds more than twice the
+    /// alive firings after a retraction.
+    fn compact(&mut self, plans: &[TriggerPlan]) {
+        if self.dead <= self.firings.len() - self.dead {
+            return;
+        }
+        let alive = std::mem::take(&mut self.firings)
+            .into_iter()
+            .filter(|f| f.alive)
+            .map(|f| FiringExport {
+                tgd: f.tgd,
+                key: f.key,
+                products: f.products,
+            });
+        *self = DepIndex::rebuild(plans, alive, |_, _| Ok(()))
+            .expect("alive firings were recorded under these plans");
     }
 
     /// Whether any firing in `fids` is alive.
@@ -176,7 +241,7 @@ impl FiringObserver for DepIndex {
             plan.index,
             plan.trigger_key(row),
             plan.ground_body(row),
-            products,
+            products.to_vec(),
         );
     }
 }
@@ -294,6 +359,7 @@ impl MaintainedInstance {
                     continue;
                 }
                 self.deps.firings[fid].alive = false;
+                self.deps.dead += 1;
                 dead_firings.push(fid);
                 for p in &self.deps.firings[fid].products {
                     if !over.contains(p) {
@@ -321,10 +387,17 @@ impl MaintainedInstance {
             .cloned()
             .collect();
         report.atoms_removed = self.chase.instance.retract_atoms(&doomed);
+        // Every firing that produces or uses a removed atom is dead, so
+        // the atom's adjacency lists go with it.
+        for a in &doomed {
+            self.deps.supports.remove(a);
+            self.deps.uses.remove(a);
+        }
         // Purge dead firings from the fired set so their triggers can
         // re-fire (with fresh nulls — correct up to isomorphism) if their
-        // bodies still hold. The tombstoned records keep ids stable; the
-        // adjacency lists are filtered by `alive` at every read.
+        // bodies still hold. The tombstoned records keep ids stable until
+        // the compaction below; the adjacency lists are filtered by
+        // `alive` at every read.
         for &fid in &dead_firings {
             let f = &self.deps.firings[fid];
             self.chase.fired.remove(&(f.tgd, f.key.clone()));
@@ -334,6 +407,7 @@ impl MaintainedInstance {
         // on the rescue set rediscovers exactly the derivations DRed cut
         // too eagerly.
         self.chase_from(Delta::Atoms(rescued), &mut report);
+        self.deps.compact(&self.chase.plans);
         report
     }
 
@@ -396,43 +470,29 @@ impl MaintainedInstance {
             deps: DepIndex::default(),
             complete: export.complete,
         };
-        m.deps.firings.reserve(export.firings.len());
         for a in &export.base {
             if !m.chase.instance.contains(a) {
                 return Err(format!("base fact {a} missing from the instance"));
             }
             m.base.insert(a.clone());
         }
-        for f in &export.firings {
-            let Some(plan) = m.chase.plans.get(f.tgd) else {
-                return Err(format!(
-                    "firing names rule {} but only {} rules were supplied",
-                    f.tgd,
-                    m.chase.plans.len()
-                ));
-            };
-            if f.key.len() != plan.key_slots.len() {
-                return Err(format!(
-                    "firing of rule {} has a {}-ary key, expected {}",
-                    f.tgd,
-                    f.key.len(),
-                    plan.key_slots.len()
-                ));
-            }
-            if !m.chase.fired.insert((f.tgd, f.key.clone())) {
+        let ObliviousChase {
+            plans,
+            instance,
+            fired,
+        } = &mut m.chase;
+        m.deps = DepIndex::rebuild(plans, export.firings.iter().cloned(), |f, body| {
+            if !fired.insert((f.tgd, f.key.clone())) {
                 return Err(format!("duplicate firing of rule {}", f.tgd));
             }
-            let body = plan.ground_body(&plan.row_from_key(&f.key));
-            if let Some(b) = body.iter().find(|b| !m.chase.instance.contains(b)) {
+            if let Some(b) = body.iter().find(|b| !instance.contains(b)) {
                 return Err(format!("firing body atom {b} missing from the instance"));
             }
-            for p in &f.products {
-                if !m.chase.instance.contains(p) {
-                    return Err(format!("firing product {p} missing from the instance"));
-                }
+            match f.products.iter().find(|p| !instance.contains(p)) {
+                Some(p) => Err(format!("firing product {p} missing from the instance")),
+                None => Ok(()),
             }
-            m.deps.record(f.tgd, f.key.clone(), body, &f.products);
-        }
+        })?;
         // Every non-base atom must have a support: otherwise a later
         // retraction would "rescue" atoms that nothing derives.
         for a in m.chase.instance.iter() {
@@ -626,6 +686,36 @@ mod tests {
         let mut no_product = good.clone();
         no_product.firings[0].products.clear();
         assert!(MaintainedInstance::from_parts(&tgds, &no_product, rebuilt()).is_err());
+    }
+
+    #[test]
+    fn dependency_index_stays_bounded_under_write_cycles() {
+        // Each cycle retracts and re-inserts a base fact, then inserts and
+        // retracts a fresh one: the instance and its alive firings keep
+        // one size, so the dependency index must too.
+        let tgds =
+            parse_tgds("Emp(X) -> WorksIn(X,D). WorksIn(X,D) -> Dept(D). Dept(D) -> HasHead(D,H)")
+                .unwrap();
+        let emps: Vec<String> = (0..20).map(|i| format!("e{i}")).collect();
+        let base = Instance::from_atoms(emps.iter().map(|e| GroundAtom::named("Emp", &[e])));
+        let mut m = MaintainedInstance::new(&base, &tgds, ChaseBudget::unbounded());
+        let atoms = m.instance().len();
+        for i in 0..300 {
+            let e = GroundAtom::named("Emp", &[&emps[i % emps.len()]]);
+            m.retract([e.clone()]);
+            m.insert([e]);
+            let fresh = GroundAtom::named("Emp", &[&format!("x{i}")]);
+            m.insert([fresh.clone()]);
+            m.retract([fresh]);
+
+            assert_eq!(m.instance().len(), atoms);
+            let deps = &m.deps;
+            let alive = deps.firings.iter().filter(|f| f.alive).count();
+            assert_eq!(alive, 3 * emps.len(), "cycle {i}");
+            assert!(deps.firings.len() <= 2 * alive, "cycle {i}");
+            assert!(deps.supports.len() <= atoms, "cycle {i}");
+            assert!(deps.uses.len() <= atoms, "cycle {i}");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Dense-dictionary columnar storage: order-preserving `Value → u32`
-//! codes, per-predicate encoded column arenas, and flat sorted trie
+//! codes, per-relation encoded code columns, and flat sorted trie
 //! levels for the worst-case-optimal join executor.
 //!
 //! This is the only key representation the WCOJ executor runs on: it
@@ -20,6 +20,12 @@
 //!   `Arc` snapshots that stay mutually consistent even while the store
 //!   moves on (copy-on-write on remap).
 //!
+//! **Rows.** The store keeps no `Value` copy of the facts. It encodes
+//! straight from the instance's atom vector: a `(predicate, arity)`
+//! relation's rows are its atoms in insertion order, handed over as the
+//! relation's id list ([`RelationIds`]), so row `r` is
+//! `atoms[ids[rel][r]]`.
+//!
 //! **Growth discipline.** Appending a value larger than every existing
 //! one (the common case: chase-invented nulls — [`Value::Null`] labels are
 //! globally monotone and nulls sort after all named constants) extends
@@ -38,7 +44,7 @@
 //! `merge_extends` counters (the `index.*` obs metrics) make that contract
 //! observable too.
 
-use crate::columnar::PredColumns;
+use crate::atom::GroundAtom;
 use crate::obs;
 use crate::schema::Predicate;
 use crate::value::Value;
@@ -47,6 +53,16 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
+
+/// Per `(predicate, arity)` relation, the ids of its atoms in insertion
+/// order: the relation's row order. The instance's per-relation candidate
+/// lists.
+pub type RelationIds = HashMap<(Predicate, u16), Vec<usize>>;
+
+/// The rows of `(p, arity)` as atom ids (empty when the relation is).
+fn relation_ids(ids: &RelationIds, p: Predicate, arity: u16) -> &[usize] {
+    ids.get(&(p, arity)).map_or(&[], Vec::as_slice)
+}
 
 /// The global order-preserving dictionary of one [`DenseStore`] epoch:
 /// `decode(code(v)) == v` and `code(a) < code(b) ⇔ a < b` for all values
@@ -126,7 +142,7 @@ impl DenseTrie {
         &self.levels[l]
     }
 
-    /// The sorted row ids (row `perm()[i]` of the arena is the `i`-th
+    /// The sorted row ids (row `perm()[i]` of the relation is the `i`-th
     /// trie row).
     pub fn perm(&self) -> &[u32] {
         &self.perm
@@ -183,8 +199,9 @@ impl DenseTrie {
     }
 }
 
-/// Row-order encoded mirror of one predicate's [`PredColumns`]:
-/// `cols[j][r]` is the code of argument `j` of row `r`.
+/// One relation's rows, encoded: `cols[j][r]` is the code of argument
+/// `j` of row `r`. `rows` counts the prefix of the relation's id list
+/// encoded so far.
 #[derive(Debug, Clone, Default)]
 struct EncodedTable {
     cols: Vec<Vec<u32>>,
@@ -215,14 +232,15 @@ pub struct DenseStats {
 }
 
 /// One encoded table in portable form: `cols[j][r]` is the dictionary
-/// code of argument `j` of arena row `r`. Part of [`DenseExport`].
+/// code of argument `j` of row `r`. Part of [`DenseExport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DenseTableExport {
     /// The encoded predicate.
     pub predicate: Predicate,
     /// The encoded arity.
     pub arity: u16,
-    /// Code columns, row-aligned with the predicate's arena.
+    /// Code columns, row-aligned with the relation's atoms in insertion
+    /// order.
     pub cols: Vec<Vec<u32>>,
 }
 
@@ -320,11 +338,11 @@ impl Clone for DenseStore {
 
 impl DenseStore {
     /// Drops the encoded tables, tries, and canon entries of the touched
-    /// `(predicate, arity)` relations after rows were removed from their
-    /// arenas. The encoded mirrors are row-aligned and grow-only
-    /// (`snapshot` keys freshness on `trie.rows == arena.rows`), so a
+    /// `(predicate, arity)` relations after some of their atoms were
+    /// retracted. The encoded tables are row-aligned and grow-only
+    /// (`snapshot` keys freshness on `trie.rows == ids.len()`), so a
     /// shrunk relation cannot be patched in place — the next snapshot
-    /// rebuilds it from the surviving arena rows.
+    /// rebuilds it from the surviving rows.
     ///
     /// The dictionary is retained: codes of surviving values are
     /// unchanged, and an entry for a value no longer present is harmless —
@@ -385,7 +403,7 @@ impl DenseStore {
     }
 
     /// Re-installs an exported store, validating every section against
-    /// the live arenas; invalid sections are skipped (they rebuild lazily
+    /// the live atoms; invalid sections are skipped (they rebuild lazily
     /// on the next `snapshot`, the normal cold path), never trusted.
     ///
     /// * The dictionary must be strictly ascending under **this
@@ -393,8 +411,10 @@ impl DenseStore {
     ///   symbol-interning order fails here and the whole import becomes a
     ///   no-op (codes are meaningless without the dictionary).
     /// * A table must be row- and cell-exact: every code must decode to
-    ///   the arena's value. One linear pass — cheaper than re-encoding
-    ///   (no hashing), and it proves the codes rather than assuming them.
+    ///   the value of its row's atom, the relation's atoms taken in
+    ///   `atoms` order. One linear pass — cheaper than re-encoding (one
+    ///   relation lookup per atom, no value hashing), and it proves the
+    ///   codes rather than assuming them.
     /// * A trie needs its table installed and its permutation sorted by
     ///   encoded key (ties by row id); levels and the CSR skeleton are
     ///   re-gathered in `O(rows × depth)` with **no sort** — this is the
@@ -404,7 +424,7 @@ impl DenseStore {
     pub(crate) fn install_state(
         &self,
         export: &DenseExport,
-        columns: &HashMap<(Predicate, u16), PredColumns>,
+        atoms: &[GroundAtom],
     ) -> (usize, usize) {
         if !export.dict.windows(2).all(|w| w[0] < w[1]) {
             return (0, 0);
@@ -422,24 +442,35 @@ impl DenseStore {
         if !inner.tables.is_empty() || !inner.tries.is_empty() {
             return (0, 0); // only a pristine store accepts an import
         }
-        let mut tables_in = 0usize;
-        for t in &export.tables {
-            let Some(pc) = columns.get(&(t.predicate, t.arity)) else {
+        // One pass over the atoms checks every table: per relation, the
+        // next row to check and whether every row so far decoded exactly.
+        // It needs no per-relation id lists, so the instance's row
+        // indexes stay unbuilt on the snapshot load path.
+        let mut checks: HashMap<(Predicate, u16), (&DenseTableExport, usize, bool)> = export
+            .tables
+            .iter()
+            .filter(|t| t.cols.len() == t.arity as usize)
+            .map(|t| ((t.predicate, t.arity), (t, 0, true)))
+            .collect();
+        for a in atoms {
+            let arity = u16::try_from(a.args.len()).expect("arity fits u16");
+            let Some((t, row, exact)) = checks.get_mut(&(a.predicate, arity)) else {
                 continue;
             };
-            let rows = pc.rows();
-            let exact = t.cols.len() == t.arity as usize
-                && t.cols.iter().all(|c| c.len() == rows)
-                && (0..t.arity as usize).all(|j| {
-                    t.cols[j].iter().zip(pc.col(j)).all(|(&code, &v)| {
-                        (code as usize) < dict.sorted.len() && dict.sorted[code as usize] == v
-                    })
+            *exact = *exact
+                && t.cols.iter().zip(&a.args).all(|(col, v)| {
+                    col.get(*row)
+                        .is_some_and(|&code| dict.sorted.get(code as usize) == Some(v))
                 });
-            if !exact {
+            *row += 1;
+        }
+        let mut tables_in = 0usize;
+        for (rel, (t, rows, exact)) in checks {
+            if !exact || rows == 0 || t.cols.iter().any(|c| c.len() != rows) {
                 continue;
             }
             inner.tables.insert(
-                (t.predicate, t.arity),
+                rel,
                 EncodedTable {
                     cols: t.cols.clone(),
                     rows,
@@ -552,7 +583,8 @@ impl DenseStore {
     /// old ones).
     pub fn snapshot(
         &self,
-        columns: &HashMap<(Predicate, u16), PredColumns>,
+        atoms: &[GroundAtom],
+        ids: &RelationIds,
         reqs: &[(Predicate, u16, &[u16])],
     ) -> (Arc<Dict>, Vec<Option<Arc<DenseTrie>>>) {
         // Fast path: everything current under the read lock.
@@ -561,7 +593,7 @@ impl DenseStore {
             let mut out: Vec<Option<Arc<DenseTrie>>> = Vec::with_capacity(reqs.len());
             let mut fresh = true;
             for &(p, arity, order) in reqs {
-                let rows = columns.get(&(p, arity)).map_or(0, |c| c.rows());
+                let rows = relation_ids(ids, p, arity).len();
                 if rows == 0 {
                     out.push(None);
                     continue;
@@ -580,18 +612,16 @@ impl DenseStore {
         }
         let mut inner = self.inner.write().expect("dense lock");
         for &(p, arity, order) in reqs {
-            if let Some(pc) = columns.get(&(p, arity)) {
-                if pc.rows() > 0 {
-                    self.ensure_table(&mut inner, p, arity, pc);
-                    self.ensure_trie(&mut inner, p, arity, order);
-                }
+            let rel = relation_ids(ids, p, arity);
+            if !rel.is_empty() {
+                self.ensure_table(&mut inner, p, arity, atoms, rel);
+                self.ensure_trie(&mut inner, p, arity, order);
             }
         }
         let out = reqs
             .iter()
             .map(|&(p, arity, order)| {
-                let rows = columns.get(&(p, arity)).map_or(0, |c| c.rows());
-                (rows > 0).then(|| {
+                (!relation_ids(ids, p, arity).is_empty()).then(|| {
                     Arc::clone(
                         inner
                             .canon
@@ -605,23 +635,31 @@ impl DenseStore {
     }
 
     /// Brings the encoded table of `(p, arity)` up to date with the
-    /// arena: extends the dictionary by the delta's fresh values (append
-    /// when they all sort last, one monotone remap otherwise) and encodes
-    /// the delta rows.
-    fn ensure_table(&self, inner: &mut Inner, p: Predicate, arity: u16, pc: &PredColumns) {
+    /// relation's rows `rel` (atom ids into `atoms`): extends the
+    /// dictionary by the delta's fresh values (append when they all sort
+    /// last, one monotone remap otherwise) and encodes the delta rows.
+    fn ensure_table(
+        &self,
+        inner: &mut Inner,
+        p: Predicate,
+        arity: u16,
+        atoms: &[GroundAtom],
+        rel: &[usize],
+    ) {
         let done = inner
             .tables
             .get(&(p, arity))
             .map_or(0, |t: &EncodedTable| t.rows);
-        let rows = pc.rows();
+        let rows = rel.len();
         if done >= rows {
             return;
         }
+        let delta = &rel[done..];
         // Pass 1: collect the delta's values missing from the dictionary.
         let (mut hits, mut misses) = (0usize, 0usize);
         let mut fresh: BTreeSet<Value> = BTreeSet::new();
-        for j in 0..arity as usize {
-            for &v in &pc.col(j)[done..rows] {
+        for &id in delta {
+            for &v in &atoms[id].args {
                 if inner.dict.code_of.contains_key(&v) {
                     hits += 1;
                 } else if fresh.insert(v) {
@@ -644,10 +682,12 @@ impl DenseStore {
         if table.cols.len() != arity as usize {
             table.cols = vec![Vec::new(); arity as usize];
         }
-        for (j, col) in table.cols.iter_mut().enumerate() {
-            col.reserve(rows - done);
-            for &v in &pc.col(j)[done..rows] {
-                col.push(dict.code_of[&v]);
+        for col in &mut table.cols {
+            col.reserve(delta.len());
+        }
+        for &id in delta {
+            for (col, v) in table.cols.iter_mut().zip(&atoms[id].args) {
+                col.push(dict.code_of[v]);
             }
         }
         table.rows = rows;
@@ -837,14 +877,50 @@ mod tests {
         Value::named(s)
     }
 
-    fn arena(rows: &[&[&str]]) -> HashMap<(Predicate, u16), PredColumns> {
-        let mut pc = PredColumns::default();
+    /// Relation rows as an instance hands them over: the atom vector and
+    /// each relation's atom ids in insertion order.
+    #[derive(Default)]
+    struct Rows {
+        atoms: Vec<GroundAtom>,
+        ids: RelationIds,
+    }
+
+    impl Rows {
+        fn push(&mut self, p: Predicate, args: &[Value]) {
+            let rel = (p, args.len() as u16);
+            self.ids.entry(rel).or_default().push(self.atoms.len());
+            self.atoms.push(GroundAtom::new(p, args.to_vec()));
+        }
+
+        fn of(p: &str, rows: &[(&str, &str)]) -> Rows {
+            let mut out = Rows::default();
+            for &(a, b) in rows {
+                out.push(Predicate::new(p), &[v(a), v(b)]);
+            }
+            out
+        }
+    }
+
+    /// Snapshot of `store` over `rows`.
+    fn snap(
+        store: &DenseStore,
+        rows: &Rows,
+        reqs: &[(Predicate, u16, &[u16])],
+    ) -> (Arc<Dict>, Vec<Option<Arc<DenseTrie>>>) {
+        store.snapshot(&rows.atoms, &rows.ids, reqs)
+    }
+
+    fn install(store: &DenseStore, export: &DenseExport, rows: &Rows) -> (usize, usize) {
+        store.install_state(export, &rows.atoms)
+    }
+
+    fn arena(rows: &[&[&str]]) -> Rows {
+        let mut out = Rows::default();
         for r in rows {
             let args: Vec<Value> = r.iter().map(|s| v(s)).collect();
-            pc.push(&args);
+            out.push(Predicate::new("R"), &args);
         }
-        let arity = rows.first().map_or(0, |r| r.len()) as u16;
-        [((Predicate::new("R"), arity), pc)].into_iter().collect()
+        out
     }
 
     fn decoded_rows(dict: &Dict, trie: &DenseTrie) -> Vec<Vec<Value>> {
@@ -862,7 +938,7 @@ mod tests {
         let cols = arena(&[&["b", "x"], &["a", "z"], &["a", "y"], &["c", "w"]]);
         let store = DenseStore::default();
         let p = Predicate::new("R");
-        let (dict, tries) = store.snapshot(&cols, &[(p, 2, &[0, 1])]);
+        let (dict, tries) = snap(&store, &cols, &[(p, 2, &[0, 1])]);
         let trie = tries[0].as_ref().unwrap();
         assert_eq!(trie.rows(), 4);
         for w in dict.values().windows(2) {
@@ -883,15 +959,14 @@ mod tests {
         let mut cols = arena(&[&["a"], &["b"]]);
         let store = DenseStore::default();
         let p = Predicate::new("R");
-        let key = (p, 1u16);
-        store.snapshot(&cols, &[(p, 1, &[0])]);
+        snap(&store, &cols, &[(p, 1, &[0])]);
         assert_eq!(store.stats().remaps, 0);
         // Nulls sort after every named constant and their labels are
         // globally monotone: repeated inserts stay on the append path.
         for _ in 0..4 {
             let n = Value::fresh_null();
-            cols.get_mut(&key).unwrap().push(&[n]);
-            store.snapshot(&cols, &[(p, 1, &[0])]);
+            cols.push(p, &[n]);
+            snap(&store, &cols, &[(p, 1, &[0])]);
         }
         let s = store.stats();
         assert_eq!(s.remaps, 0);
@@ -903,14 +978,14 @@ mod tests {
         let mut cols = arena(&[&["m", "m"], &["x", "m"]]);
         let store = DenseStore::default();
         let p = Predicate::new("R");
-        let (dict1, tries1) = store.snapshot(&cols, &[(p, 2, &[0, 1])]);
+        let (dict1, tries1) = snap(&store, &cols, &[(p, 2, &[0, 1])]);
         let rows1 = decoded_rows(&dict1, tries1[0].as_ref().unwrap());
         // A value sorting into the middle (or front) forces one remap.
         let small = *dict1.values().first().unwrap();
         let tiny = if v("a") < small { v("a") } else { v("zzz") };
         let forces_remap = tiny < *dict1.values().last().unwrap();
-        cols.get_mut(&(p, 2)).unwrap().push(&[tiny, tiny]);
-        let (dict2, tries2) = store.snapshot(&cols, &[(p, 2, &[0, 1])]);
+        cols.push(p, &[tiny, tiny]);
+        let (dict2, tries2) = snap(&store, &cols, &[(p, 2, &[0, 1])]);
         assert_eq!(store.stats().remaps, usize::from(forces_remap));
         // The old snapshot still decodes to the same rows.
         assert_eq!(rows1, decoded_rows(&dict1, tries1[0].as_ref().unwrap()));
@@ -928,8 +1003,8 @@ mod tests {
     #[test]
     fn empty_relation_yields_no_trie() {
         let store = DenseStore::default();
-        let cols = HashMap::new();
-        let (dict, tries) = store.snapshot(&cols, &[(Predicate::new("Z"), 2, &[0, 1])]);
+        let cols = Rows::default();
+        let (dict, tries) = snap(&store, &cols, &[(Predicate::new("Z"), 2, &[0, 1])]);
         assert!(tries[0].is_none());
         assert!(dict.is_empty());
         assert_eq!(store.stats().tries, 0);
@@ -940,13 +1015,13 @@ mod tests {
         let mut cols = arena(&[&["d", "q"], &["b", "r"]]);
         let store = DenseStore::default();
         let p = Predicate::new("R");
-        store.snapshot(&cols, &[(p, 2, &[1, 0])]);
-        cols.get_mut(&(p, 2)).unwrap().push(&[v("c"), v("p")]);
-        cols.get_mut(&(p, 2)).unwrap().push(&[v("a"), v("s")]);
-        let (dict, tries) = store.snapshot(&cols, &[(p, 2, &[1, 0])]);
+        snap(&store, &cols, &[(p, 2, &[1, 0])]);
+        cols.push(p, &[v("c"), v("p")]);
+        cols.push(p, &[v("a"), v("s")]);
+        let (dict, tries) = snap(&store, &cols, &[(p, 2, &[1, 0])]);
         let trie = tries[0].as_ref().unwrap();
         let fresh = DenseStore::default();
-        let (fdict, ftries) = fresh.snapshot(&cols, &[(p, 2, &[1, 0])]);
+        let (fdict, ftries) = snap(&fresh, &cols, &[(p, 2, &[1, 0])]);
         assert_eq!(
             decoded_rows(&dict, trie),
             decoded_rows(&fdict, ftries[0].as_ref().unwrap())
@@ -956,20 +1031,16 @@ mod tests {
         let s = store.stats();
         assert_eq!((s.full_builds, s.merge_extends), (1, 1));
         // A repeat demand with no growth is a hit: no counter moves.
-        store.snapshot(&cols, &[(p, 2, &[1, 0])]);
+        snap(&store, &cols, &[(p, 2, &[1, 0])]);
         assert_eq!(store.stats(), s);
     }
 
     #[test]
     fn symmetric_orders_share_one_trie() {
-        let mut pc = PredColumns::default();
-        for (a, b) in [("a", "b"), ("b", "a"), ("a", "c"), ("c", "a")] {
-            pc.push(&[v(a), v(b)]);
-        }
+        let cols = Rows::of("E", &[("a", "b"), ("b", "a"), ("a", "c"), ("c", "a")]);
         let p = Predicate::new("E");
-        let cols: HashMap<_, _> = [((p, 2u16), pc)].into_iter().collect();
         let store = DenseStore::default();
-        let (_, tries) = store.snapshot(&cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
+        let (_, tries) = snap(&store, &cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
         let t01 = tries[0].as_ref().unwrap();
         let t10 = tries[1].as_ref().unwrap();
         assert!(
@@ -983,13 +1054,10 @@ mod tests {
 
     #[test]
     fn asymmetric_orders_stay_distinct() {
-        let mut pc = PredColumns::default();
-        pc.push(&[v("a"), v("b")]);
-        pc.push(&[v("a"), v("c")]);
+        let cols = Rows::of("R", &[("a", "b"), ("a", "c")]);
         let p = Predicate::new("R");
-        let cols: HashMap<_, _> = [((p, 2u16), pc)].into_iter().collect();
         let store = DenseStore::default();
-        let (_, tries) = store.snapshot(&cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
+        let (_, tries) = snap(&store, &cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
         assert!(!Arc::ptr_eq(
             tries[0].as_ref().unwrap(),
             tries[1].as_ref().unwrap()
@@ -998,14 +1066,10 @@ mod tests {
 
     #[test]
     fn remap_keeps_aliased_snapshots_decoding_consistently() {
-        let mut pc = PredColumns::default();
-        for (a, b) in [("m", "x"), ("x", "m")] {
-            pc.push(&[v(a), v(b)]);
-        }
+        let mut cols = Rows::of("E", &[("m", "x"), ("x", "m")]);
         let p = Predicate::new("E");
-        let mut cols: HashMap<_, _> = [((p, 2u16), pc)].into_iter().collect();
         let store = DenseStore::default();
-        let (dict1, tries1) = store.snapshot(&cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
+        let (dict1, tries1) = snap(&store, &cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
         assert!(Arc::ptr_eq(
             tries1[0].as_ref().unwrap(),
             tries1[1].as_ref().unwrap()
@@ -1013,8 +1077,8 @@ mod tests {
         let rows_before = decoded_rows(&dict1, tries1[0].as_ref().unwrap());
         // Force a remap (a value sorting before the existing minimum),
         // keeping the relation symmetric.
-        cols.get_mut(&(p, 2)).unwrap().push(&[v("a"), v("a")]);
-        let (dict2, tries2) = store.snapshot(&cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
+        cols.push(p, &[v("a"), v("a")]);
+        let (dict2, tries2) = snap(&store, &cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
         assert_eq!(store.stats().remaps, 1);
         // Old aliased snapshot still decodes with its own dictionary.
         assert_eq!(
@@ -1033,24 +1097,20 @@ mod tests {
 
     #[test]
     fn extension_after_aliasing_rebuilds_correct_tries() {
-        let mut pc = PredColumns::default();
-        for (a, b) in [("a", "b"), ("b", "a")] {
-            pc.push(&[v(a), v(b)]);
-        }
+        let mut cols = Rows::of("E", &[("a", "b"), ("b", "a")]);
         let p = Predicate::new("E");
-        let mut cols: HashMap<_, _> = [((p, 2u16), pc)].into_iter().collect();
         let store = DenseStore::default();
-        store.snapshot(&cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
+        snap(&store, &cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
         // Grow asymmetrically: the alias must dissolve and both orders
         // must match a from-scratch build.
-        cols.get_mut(&(p, 2)).unwrap().push(&[v("b"), v("c")]);
-        let (dict, tries) = store.snapshot(&cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
+        cols.push(p, &[v("b"), v("c")]);
+        let (dict, tries) = snap(&store, &cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
         assert!(!Arc::ptr_eq(
             tries[0].as_ref().unwrap(),
             tries[1].as_ref().unwrap()
         ));
         let fresh = DenseStore::default();
-        let (fdict, ftries) = fresh.snapshot(&cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
+        let (fdict, ftries) = snap(&fresh, &cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
         for i in 0..2 {
             assert_eq!(
                 decoded_rows(&dict, tries[i].as_ref().unwrap()),
@@ -1060,21 +1120,17 @@ mod tests {
     }
 
     #[test]
-    fn invalidated_relation_rebuilds_from_shrunk_arena() {
+    fn invalidated_relation_rebuilds_from_shrunk_relation() {
         let mut cols = arena(&[&["b", "x"], &["a", "z"], &["c", "y"]]);
         let store = DenseStore::default();
         let p = Predicate::new("R");
-        let (dict1, _) = store.snapshot(&cols, &[(p, 2, &[0, 1])]);
-        // Shrink the arena (drop the middle row) and invalidate.
-        let mut shrunk = PredColumns::default();
-        for (a, b) in [("b", "x"), ("c", "y")] {
-            shrunk.push(&[v(a), v(b)]);
-        }
-        cols.insert((p, 2), shrunk);
+        let (dict1, _) = snap(&store, &cols, &[(p, 2, &[0, 1])]);
+        // Shrink the relation (drop the middle row) and invalidate.
+        cols = Rows::of("R", &[("b", "x"), ("c", "y")]);
         let touched = [(p, 2u16)].into_iter().collect();
         store.invalidate_relations(&touched);
         assert_eq!(store.stats().tries, 0);
-        let (dict2, tries) = store.snapshot(&cols, &[(p, 2, &[0, 1])]);
+        let (dict2, tries) = snap(&store, &cols, &[(p, 2, &[0, 1])]);
         let trie = tries[0].as_ref().unwrap();
         assert_eq!(trie.rows(), 2);
         // The dropped trie comes back by a full sort, not a bogus merge.
@@ -1093,16 +1149,14 @@ mod tests {
     fn invalidation_spares_untouched_relations() {
         let p = Predicate::new("R");
         let q = Predicate::new("S");
-        let mut pr = PredColumns::default();
-        pr.push(&[v("a")]);
-        let mut qs = PredColumns::default();
-        qs.push(&[v("b")]);
-        let cols: HashMap<_, _> = [((p, 1u16), pr), ((q, 1u16), qs)].into_iter().collect();
+        let mut cols = Rows::default();
+        cols.push(p, &[v("a")]);
+        cols.push(q, &[v("b")]);
         let store = DenseStore::default();
-        let (_, before) = store.snapshot(&cols, &[(p, 1, &[0]), (q, 1, &[0])]);
+        let (_, before) = snap(&store, &cols, &[(p, 1, &[0]), (q, 1, &[0])]);
         store.invalidate_relations(&[(p, 1u16)].into_iter().collect());
         assert_eq!(store.stats().tries, 1);
-        let (_, after) = store.snapshot(&cols, &[(p, 1, &[0]), (q, 1, &[0])]);
+        let (_, after) = snap(&store, &cols, &[(p, 1, &[0]), (q, 1, &[0])]);
         assert!(Arc::ptr_eq(
             before[1].as_ref().unwrap(),
             after[1].as_ref().unwrap()
@@ -1118,17 +1172,17 @@ mod tests {
         let cols = arena(&[&["b", "x"], &["a", "z"], &["a", "y"], &["c", "w"]]);
         let store = DenseStore::default();
         let p = Predicate::new("R");
-        let (dict, tries) = store.snapshot(&cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
+        let (dict, tries) = snap(&store, &cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
         let export = store.export_state();
 
         let fresh = DenseStore::default();
-        let (tables_in, tries_in) = fresh.install_state(&export, &cols);
+        let (tables_in, tries_in) = install(&fresh, &export, &cols);
         assert_eq!((tables_in, tries_in), (1, 2));
         // The installed store serves the same snapshot as the saved one —
         // same decoded rows, same permutations — and does so without a
         // single new dictionary lookup (everything is already warm).
         let before = fresh.stats();
-        let (fdict, ftries) = fresh.snapshot(&cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
+        let (fdict, ftries) = snap(&fresh, &cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
         let after = fresh.stats();
         assert_eq!(fdict.values(), dict.values());
         for i in 0..2 {
@@ -1161,31 +1215,25 @@ mod tests {
         let cols = arena(&[&["b"], &["a"], &["c"]]);
         let store = DenseStore::default();
         let p = Predicate::new("R");
-        store.snapshot(&cols, &[(p, 1, &[0])]);
+        snap(&store, &cols, &[(p, 1, &[0])]);
         let good = store.export_state();
 
         // An unsorted dictionary poisons the whole import.
         let mut bad_dict = good.clone();
         bad_dict.dict.reverse();
-        assert_eq!(
-            DenseStore::default().install_state(&bad_dict, &cols),
-            (0, 0)
-        );
+        assert_eq!(install(&DenseStore::default(), &bad_dict, &cols), (0, 0));
 
         // A cell that decodes to the wrong value drops the table and its
         // dependent trie, but the valid dictionary still installs.
         let mut bad_cell = good.clone();
         bad_cell.tables[0].cols[0][0] ^= 1;
         let s = DenseStore::default();
-        assert_eq!(s.install_state(&bad_cell, &cols), (0, 0));
+        assert_eq!(install(&s, &bad_cell, &cols), (0, 0));
 
         // An unsorted permutation drops only the trie.
         let mut bad_perm = good.clone();
         bad_perm.tries[0].perm.reverse();
-        assert_eq!(
-            DenseStore::default().install_state(&bad_perm, &cols),
-            (1, 0)
-        );
+        assert_eq!(install(&DenseStore::default(), &bad_perm, &cols), (1, 0));
     }
 
     #[test]
@@ -1193,7 +1241,7 @@ mod tests {
         let cols = arena(&[&["a", "b"], &["a", "b"], &["c", "b"]]);
         let store = DenseStore::default();
         let p = Predicate::new("R");
-        store.snapshot(&cols, &[(p, 2, &[0, 1])]);
+        snap(&store, &cols, &[(p, 2, &[0, 1])]);
         let s = store.stats();
         // 6 cells, 3 distinct values: 3 misses, 3 repeat hits.
         assert_eq!(s.dict_misses, 3);

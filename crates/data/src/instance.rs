@@ -1,7 +1,6 @@
 //! Instances and databases: indexed sets of ground atoms.
 
 use crate::atom::GroundAtom;
-use crate::columnar::{remove_sorted, PredColumns};
 use crate::dense::{DenseExport, DenseStats, DenseStore, DenseTrie, Dict};
 use crate::schema::{Predicate, Schema};
 use crate::value::Value;
@@ -22,7 +21,7 @@ const EMPTY_IDS: &[usize] = &[];
 /// value)` so homomorphism search and chase trigger matching get selective
 /// candidate lists. Insertion order is preserved and deduplicated, so
 /// iteration is deterministic.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Instance {
     atoms: Vec<GroundAtom>,
     /// Row-level hash indexes (dedup map, per-predicate and per-position
@@ -32,49 +31,27 @@ pub struct Instance {
     /// mutation pays one linear build. Interior mutability like `dense`
     /// below: reads go through `&Instance`.
     rows: OnceLock<RowIndexes>,
-    /// Columnar mirror of the tuples, per `(predicate, arity)` — the
-    /// source the dense store encodes (see [`crate::columnar`]). Lazily
-    /// mirrored from `atoms` on first demand, like `rows`.
-    columns: OnceLock<ColumnMap>,
-    /// Dense-dictionary encoded mirror of `columns` plus sorted CSR tries
-    /// — the storage the worst-case-optimal join path scans (see
-    /// [`crate::dense`]). Built lazily, extended incrementally. Interior
-    /// mutability: tries are built on demand through `&Instance` (query
-    /// execution never holds `&mut`).
+    /// Dense-dictionary encoded relations plus sorted CSR tries — the
+    /// storage the worst-case-optimal join path scans (see
+    /// [`crate::dense`]). Encoded straight from `atoms` through the
+    /// per-relation candidate lists; built lazily, extended
+    /// incrementally. Interior mutability: tries are built on demand
+    /// through `&Instance` (query execution never holds `&mut`).
     dense: DenseStore,
 }
 
-/// The columnar arenas keyed by `(predicate, arity)`.
-type ColumnMap = HashMap<(Predicate, u16), PredColumns>;
-
-/// Clones a lazily-built cell, preserving built-ness.
-fn clone_cell<T: Clone>(cell: &OnceLock<T>) -> OnceLock<T> {
-    match cell.get() {
-        Some(v) => OnceLock::from(v.clone()),
-        None => OnceLock::new(),
-    }
-}
-
-impl Clone for Instance {
-    fn clone(&self) -> Instance {
-        Instance {
-            atoms: self.atoms.clone(),
-            rows: clone_cell(&self.rows),
-            columns: clone_cell(&self.columns),
-            dense: self.dense.clone(),
-        }
-    }
-}
-
 /// The row-level hash indexes of an [`Instance`]: the dedup map, the
-/// per-predicate and per-`(predicate, position, value)` candidate lists,
+/// per-relation and per-`(predicate, position, value)` candidate lists,
 /// and the first-occurrence domain. Kept together so they can be built
 /// lazily in one pass over the atom vector. Every candidate list is
 /// sorted ascending and never empty.
 #[derive(Debug, Clone, Default)]
 struct RowIndexes {
     index_of: HashMap<GroundAtom, usize>,
-    by_pred: HashMap<Predicate, Vec<usize>>,
+    /// Per `(predicate, arity)` relation, its atoms' ids in insertion
+    /// order. This is also the dense store's row order: row `r` of a
+    /// relation is `atoms[by_pred[rel][r]]`.
+    by_pred: HashMap<(Predicate, u16), Vec<usize>>,
     by_pred_pos_val: HashMap<(Predicate, u16, Value), Vec<usize>>,
     dom: Vec<Value>,
     /// The row id of each `dom` value's first occurrence. `dom` is sorted
@@ -88,7 +65,7 @@ impl RowIndexes {
     /// Indexes one atom already appended to the atom vector at `idx`.
     /// Shared by the lazy one-pass build and incremental insertion.
     fn note(&mut self, atom: &GroundAtom, idx: usize) {
-        self.by_pred.entry(atom.predicate).or_default().push(idx);
+        self.by_pred.entry(relation(atom)).or_default().push(idx);
         for (pos, &v) in atom.args.iter().enumerate() {
             let pos = u16::try_from(pos).expect("arity fits u16");
             self.by_pred_pos_val
@@ -120,7 +97,7 @@ impl RowIndexes {
 }
 
 /// The `(predicate, arity)` relation an atom belongs to: the key of its
-/// columnar arena and dense mirror.
+/// candidate list and of its dense table.
 fn relation(a: &GroundAtom) -> (Predicate, u16) {
     (
         a.predicate,
@@ -154,6 +131,21 @@ fn drop_and_renumber(ids: &mut Vec<usize>, dead: &[usize]) {
     ids.truncate(write);
 }
 
+/// Removes the elements at the given sorted, distinct indexes in one
+/// order-preserving pass.
+fn remove_sorted<T>(v: &mut Vec<T>, dead: &[usize]) {
+    let mut at = 0;
+    let mut next_dead = dead.iter().peekable();
+    v.retain(|_| {
+        let gone = next_dead.peek() == Some(&&at);
+        if gone {
+            next_dead.next();
+        }
+        at += 1;
+        !gone
+    });
+}
+
 impl Instance {
     /// The row indexes, built on first demand.
     fn rows(&self) -> &RowIndexes {
@@ -167,30 +159,6 @@ impl Instance {
             let _ = self.rows.set(built);
         }
         self.rows.get_mut().expect("row indexes just built")
-    }
-
-    /// The columnar arenas, mirrored from the atom vector on first demand.
-    fn columns_map(&self) -> &ColumnMap {
-        self.columns
-            .get_or_init(|| Self::build_columns(&self.atoms))
-    }
-
-    /// The columnar arenas for mutation: builds first if still deferred.
-    fn columns_mut(&mut self) -> &mut ColumnMap {
-        if self.columns.get().is_none() {
-            let built = Self::build_columns(&self.atoms);
-            let _ = self.columns.set(built);
-        }
-        self.columns.get_mut().expect("columns just built")
-    }
-
-    /// One sequential pass appending every tuple into its arena.
-    fn build_columns(atoms: &[GroundAtom]) -> ColumnMap {
-        let mut m = ColumnMap::new();
-        for atom in atoms {
-            m.entry(relation(atom)).or_default().push(&atom.args);
-        }
-        m
     }
 
     /// The empty instance.
@@ -210,10 +178,9 @@ impl Instance {
     /// Builds an instance from atoms the caller guarantees are already
     /// distinct — the snapshot load path, whose atom section was written
     /// from an instance and is therefore duplicate-free. Only the atom
-    /// vector is materialized; the row-level hash indexes and the
-    /// columnar arenas stay deferred until first demand, off the load
-    /// path. Feeding duplicates violates the contract and leaves lookups
-    /// over-counting.
+    /// vector is materialized; the row-level hash indexes stay deferred
+    /// until first demand. Feeding duplicates violates the contract and
+    /// leaves lookups over-counting.
     pub fn from_unique_atoms(atoms: Vec<GroundAtom>) -> Instance {
         Instance {
             atoms,
@@ -229,10 +196,6 @@ impl Instance {
             return false;
         }
         rows.note(&atom, idx);
-        self.columns_mut()
-            .entry(relation(&atom))
-            .or_default()
-            .push(&atom.args);
         self.atoms.push(atom);
         true
     }
@@ -240,11 +203,11 @@ impl Instance {
     /// Inserts a batch of atoms, deduplicating; returns how many were new.
     ///
     /// The bulk-load counterpart of [`Instance::insert`]: the primary
-    /// stores (atom vector, dedup map, per-predicate and per-position
-    /// candidate lists) are reserved once for the whole batch and the
-    /// columnar arenas are grown per relation, so a 10⁶-atom ingest pays
-    /// amortized map growth instead of a rehash/regrow cadence driven by
-    /// per-atom inserts. The lazy dense mirror (dictionary and tries) is
+    /// stores (atom vector, dedup map, per-position candidate lists) are
+    /// reserved once for the whole batch and the per-relation candidate
+    /// lists once per relation, so a 10⁶-atom ingest pays amortized map
+    /// growth instead of a rehash/regrow cadence driven by per-atom
+    /// inserts. The lazy dense mirror (dictionary and tries) is
     /// untouched until the *next demand after* the
     /// batch — one delta-extend over the whole batch, never one per row.
     /// Ingestion sinks and the CLI bulk loaders feed this; the snapshot
@@ -262,23 +225,15 @@ impl Instance {
             rows.index_of.reserve(batch.len());
             rows.by_pred_pos_val.reserve(cells);
         }
-        // Pre-size each touched relation's arena and candidate list once.
+        // Pre-size each touched relation's candidate list once.
         let mut per_rel: HashMap<(Predicate, u16), usize> = HashMap::new();
         for a in &batch {
             *per_rel.entry(relation(a)).or_default() += 1;
         }
         {
-            let cols = self.columns_mut();
-            for (&(p, ar), &n) in &per_rel {
-                if let Some(pc) = cols.get_mut(&(p, ar)) {
-                    pc.reserve(n);
-                }
-            }
-        }
-        {
             let rows = self.rows_mut();
-            for (&(p, _), &n) in &per_rel {
-                rows.by_pred.entry(p).or_default().reserve(n);
+            for (rel, n) in per_rel {
+                rows.by_pred.entry(rel).or_default().reserve(n);
             }
         }
         let mut added = 0;
@@ -303,8 +258,8 @@ impl Instance {
     /// the dead rows in one order-preserving pass; the dedup map loses
     /// only their keys; every candidate list drops the dead ids and shifts
     /// its later ids down (lists that end before the first dead row are
-    /// skipped after one comparison); only the touched columnar arenas
-    /// lose rows. `dom()` keeps first-occurrence order over the survivors:
+    /// skipped after one comparison). `dom()` keeps first-occurrence order
+    /// over the survivors:
     /// a value whose first occurrence dies moves to its next occurrence,
     /// found by a scan that starts at the dead row and stops once every
     /// such value is placed, or leaves `dom()` if no survivor mentions it.
@@ -325,38 +280,9 @@ impl Instance {
         dead.sort_unstable();
         dead.dedup();
         let rows = self.rows.get_mut().expect("row indexes built above");
-        // Relations that lose rows: their dense mirrors must be dropped.
+        // Relations that lose rows: their dense tables must be dropped.
         let touched: HashSet<(Predicate, u16)> =
             dead.iter().map(|&id| relation(&self.atoms[id])).collect();
-
-        // Columnar arenas: a dead atom's arena row is its rank among the
-        // atoms of its relation, read off the not yet renumbered lists.
-        if let Some(cols) = self.columns.get_mut() {
-            let mut dead_rows: HashMap<(Predicate, u16), Vec<usize>> = HashMap::new();
-            for &id in &dead {
-                let a = &self.atoms[id];
-                let key = relation(a);
-                let ids = &rows.by_pred[&a.predicate];
-                let at = ids.partition_point(|&i| i < id);
-                let rank = if cols[&key].rows() == ids.len() {
-                    at
-                } else {
-                    // The predicate also occurs at another arity.
-                    ids[..at]
-                        .iter()
-                        .filter(|&&i| self.atoms[i].args.len() == a.args.len())
-                        .count()
-                };
-                dead_rows.entry(key).or_default().push(rank);
-            }
-            for (key, gone) in dead_rows {
-                let pc = cols.get_mut(&key).expect("touched arena exists");
-                pc.remove_rows(&gone);
-                if pc.rows() == 0 {
-                    cols.remove(&key);
-                }
-            }
-        }
 
         // dom(): the values whose first occurrence dies must be re-placed.
         // Their next occurrence (if any) lies after that dead row, so the
@@ -472,10 +398,11 @@ impl Instance {
         &self.atoms
     }
 
-    /// Selectivity of predicate `p`: how many atoms carry it. Equivalent
-    /// to `atoms_with_pred(p).len()` without touching the slice.
-    pub fn pred_count(&self, p: Predicate) -> usize {
-        self.rows().by_pred.get(&p).map_or(0, |v| v.len())
+    /// Selectivity of predicate `p` at `arity`: how many atoms carry it.
+    /// Equivalent to `atoms_with_pred(p, arity).len()` without touching
+    /// the slice.
+    pub fn pred_count(&self, p: Predicate, arity: usize) -> usize {
+        self.atoms_with_pred(p, arity).len()
     }
 
     /// Selectivity of the `(p, pos, v)` index probed by the compiled
@@ -502,13 +429,17 @@ impl Instance {
         self.rows().dom_first.contains_key(&v)
     }
 
-    /// Indexes of atoms with the given predicate.
-    pub fn atoms_with_pred(&self, p: Predicate) -> &[usize] {
+    /// Indexes of atoms with predicate `p` at `arity`, in insertion
+    /// order.
+    pub fn atoms_with_pred(&self, p: Predicate, arity: usize) -> &[usize] {
         let rows = self.rows();
         if rows.by_pred.is_empty() {
             return EMPTY_IDS;
         }
-        rows.by_pred.get(&p).map_or(EMPTY_IDS, |v| v.as_slice())
+        let arity = u16::try_from(arity).expect("arity fits u16");
+        rows.by_pred
+            .get(&(p, arity))
+            .map_or(EMPTY_IDS, |v| v.as_slice())
     }
 
     /// Indexes of atoms with predicate `p` whose argument at `pos` is `v`.
@@ -521,13 +452,6 @@ impl Instance {
         rows.by_pred_pos_val
             .get(&(p, pos, v))
             .map_or(EMPTY_IDS, |ids| ids.as_slice())
-    }
-
-    /// The columnar tuple arena for predicate `p` at the given arity, if
-    /// any tuple was inserted (see [`crate::columnar::PredColumns`]).
-    pub fn columns(&self, p: Predicate, arity: usize) -> Option<&PredColumns> {
-        let arity = u16::try_from(arity).expect("arity fits u16");
-        self.columns_map().get(&(p, arity))
     }
 
     /// A consistent dense-encoded snapshot serving one query: the global
@@ -544,7 +468,8 @@ impl Instance {
             .iter()
             .map(|&(p, a, o)| (p, u16::try_from(a).expect("arity fits u16"), o))
             .collect();
-        self.dense.snapshot(self.columns_map(), &reqs16)
+        self.dense
+            .snapshot(&self.atoms, &self.rows().by_pred, &reqs16)
     }
 
     /// Counters of the dense store (the append-mostly growth contract:
@@ -563,7 +488,7 @@ impl Instance {
     }
 
     /// Re-installs an exported dense store after validating the dictionary
-    /// order and every encoded cell against the live arenas; invalid
+    /// order and every encoded cell against the atoms; invalid
     /// sections are skipped and rebuild lazily. Only a pristine (never
     /// dense-queried) instance accepts the import. Returns
     /// `(tables installed, tries installed)`.
@@ -571,7 +496,7 @@ impl Instance {
         if export.dict.is_empty() && export.tables.is_empty() && export.tries.is_empty() {
             return (0, 0);
         }
-        self.dense.install_state(export, self.columns_map())
+        self.dense.install_state(export, &self.atoms)
     }
 
     /// The distinct predicates appearing in the instance, in first-use order.
@@ -623,13 +548,13 @@ impl Instance {
     }
 
     /// Inserts all atoms of `other`. Capacity is reserved up front — in
-    /// the primary stores and per predicate — so the bulk load does not
+    /// the primary stores and per relation — so the bulk load does not
     /// regrow them once per atom.
     pub fn extend_from(&mut self, other: &Instance) {
         self.reserve_additional(other.len());
         let mine = self.rows_mut();
-        for (p, ids) in &other.rows().by_pred {
-            mine.by_pred.entry(*p).or_default().reserve(ids.len());
+        for (&rel, ids) in &other.rows().by_pred {
+            mine.by_pred.entry(rel).or_default().reserve(ids.len());
         }
         for a in other.iter() {
             self.insert(a.clone());
@@ -744,7 +669,7 @@ mod tests {
         assert!(!i.insert(GroundAtom::named("R", &["a", "b"])));
         assert!(i.insert(GroundAtom::named("R", &["b", "c"])));
         assert_eq!(i.len(), 2);
-        assert_eq!(i.atoms_with_pred(Predicate::new("R")).len(), 2);
+        assert_eq!(i.atoms_with_pred(Predicate::new("R"), 2).len(), 2);
         assert_eq!(i.atoms_matching(Predicate::new("R"), 0, v("a")).len(), 1);
         assert_eq!(i.atoms_matching(Predicate::new("R"), 1, v("b")).len(), 1);
         assert!(i.atoms_matching(Predicate::new("R"), 0, v("z")).is_empty());
@@ -759,8 +684,8 @@ mod tests {
         i.insert(GroundAtom::named("S", &["a"]));
         let r = Predicate::new("R");
         assert_eq!(i.atoms().len(), i.len());
-        assert_eq!(i.pred_count(r), i.atoms_with_pred(r).len());
-        assert_eq!(i.pred_count(Predicate::new("T")), 0);
+        assert_eq!(i.pred_count(r, 2), i.atoms_with_pred(r, 2).len());
+        assert_eq!(i.pred_count(Predicate::new("T"), 2), 0);
         assert_eq!(
             i.index_count(r, 0, v("a")),
             i.atoms_matching(r, 0, v("a")).len()
@@ -833,30 +758,14 @@ mod tests {
         assert!(j.contains(&GroundAtom::named("R", &["z", "b"])));
     }
 
-    #[test]
-    fn columnar_arena_mirrors_insertion_order() {
-        let mut i = Instance::new();
-        i.insert(GroundAtom::named("R", &["a", "b"]));
-        i.insert(GroundAtom::named("R", &["a", "b"])); // duplicate: no row
-        i.insert(GroundAtom::named("R", &["c", "d"]));
-        i.insert(GroundAtom::named("S", &["e"]));
-        let r = i.columns(Predicate::new("R"), 2).unwrap();
-        assert_eq!(r.rows(), 2);
-        assert_eq!(r.col(0), &[v("a"), v("c")]);
-        assert_eq!(r.col(1), &[v("b"), v("d")]);
-        assert!(i.columns(Predicate::new("R"), 3).is_none());
-        assert!(i.columns(Predicate::new("T"), 2).is_none());
-    }
-
-    /// Reference argsort over the arena (by key tuple, then row id).
+    /// Reference argsort over the relation's rows (by key tuple, then
+    /// row id).
     fn naive_perm(i: &Instance, p: Predicate, arity: usize, order: &[u16]) -> Vec<u32> {
-        let pc = i.columns(p, arity).unwrap();
-        let mut ids: Vec<u32> = (0..pc.rows() as u32).collect();
+        let rel = i.atoms_with_pred(p, arity);
+        let mut ids: Vec<u32> = (0..rel.len() as u32).collect();
         ids.sort_by_key(|&r| {
-            let key: Vec<Value> = order
-                .iter()
-                .map(|&j| pc.col(j as usize)[r as usize])
-                .collect();
+            let args = &i.atom(rel[r as usize]).args;
+            let key: Vec<Value> = order.iter().map(|&j| args[j as usize]).collect();
             (key, r)
         });
         ids
@@ -914,7 +823,9 @@ mod tests {
             // Insertion order (hence row ids) is identical.
             assert!(batched.iter().eq(serial.iter()), "case {case}");
             for p in ["R", "S", "T"].map(Predicate::new) {
-                assert_eq!(batched.pred_count(p), serial.pred_count(p));
+                for arity in 0..4 {
+                    assert_eq!(batched.pred_count(p, arity), serial.pred_count(p, arity));
+                }
             }
         }
     }
@@ -954,12 +865,12 @@ mod tests {
         ]);
         i.extend_from(&other);
         assert_eq!(i.len(), 3);
-        assert_eq!(i.pred_count(Predicate::new("R")), 2);
-        assert_eq!(i.pred_count(Predicate::new("P")), 1);
+        assert_eq!(i.pred_count(Predicate::new("R"), 2), 2);
+        assert_eq!(i.pred_count(Predicate::new("P"), 1), 1);
     }
 
     #[test]
-    fn retract_rebuilds_every_index() {
+    fn retract_renumbers_every_index() {
         let mut i = Instance::from_atoms([
             GroundAtom::named("R", &["a", "b"]),
             GroundAtom::named("R", &["b", "c"]),
@@ -973,15 +884,11 @@ mod tests {
         assert_eq!(i.len(), 2);
         assert!(!i.contains(&GroundAtom::named("R", &["a", "b"])));
         let r = Predicate::new("R");
-        assert_eq!(i.pred_count(r), 1);
+        assert_eq!(i.pred_count(r, 2), 1);
         assert!(i.atoms_matching(r, 0, v("a")).is_empty());
         assert_eq!(i.atoms_matching(r, 0, v("b")).len(), 1);
         // dom() is exact: "a" survives through P(a), nothing else changes.
         assert_eq!(i.dom(), &[v("b"), v("c"), v("a")]);
-        // Columnar arena shrank and re-densified.
-        let rc = i.columns(r, 2).unwrap();
-        assert_eq!(rc.rows(), 1);
-        assert_eq!(rc.col(0), &[v("b")]);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //! ```
 
 pub mod atom;
-pub mod columnar;
 pub mod dense;
 pub mod homomorphism;
 pub mod instance;
@@ -40,7 +39,6 @@ pub mod text;
 pub mod value;
 
 pub use atom::GroundAtom;
-pub use columnar::PredColumns;
 pub use dense::{DenseExport, DenseStats, DenseTableExport, DenseTrie, DenseTrieExport, Dict};
 pub use homomorphism::{is_homomorphism, Valuation};
 pub use instance::Instance;

@@ -6,9 +6,9 @@
 //! The streaming contract matters at scale: sources never build a giant
 //! intermediate `Vec` of atoms. They push facts one at a time; the
 //! [`InstanceSink`] buffers a batch (default [`DEFAULT_BATCH`]) and lands
-//! it with [`Instance::insert_batch`], so the dedup map, candidate lists,
-//! and columnar arenas grow amortized-once per batch and the lazy sorted /
-//! dense indexes extend once per *demand*, not once per row.
+//! it with [`Instance::insert_batch`], so the dedup map and candidate
+//! lists grow amortized-once per batch and the lazy dense tables and
+//! tries extend once per *demand*, not once per row.
 
 use crate::error::IngestError;
 use gtgd_chase::{ChaseBudget, ChaseOutcome, ChaseRunner, MaintainedInstance, Tgd};

@@ -445,7 +445,10 @@ impl<'a> KernelSearch<'a> {
                 }
             }
         }
-        best.unwrap_or_else(|| self.target.atoms_with_pred(atom.predicate))
+        best.unwrap_or_else(|| {
+            self.target
+                .atoms_with_pred(atom.predicate, atom.terms.len())
+        })
     }
 
     /// `candidates(ai, val).len()` without fetching any slice: probes the
@@ -466,7 +469,7 @@ impl<'a> KernelSearch<'a> {
                 }
             }
         }
-        best.unwrap_or_else(|| self.target.pred_count(atom.predicate))
+        best.unwrap_or_else(|| self.target.pred_count(atom.predicate, atom.terms.len()))
     }
 
     fn search_rec(

@@ -32,10 +32,11 @@
 //! Every section is designed so load cost is dominated by the sequential
 //! read: symbols are interned in ascending old-id order (one pass), the
 //! instance adopts the decoded atom vector wholesale (its hash indexes
-//! and columnar arenas mirror lazily from the atoms on first demand —
+//! are built from the atoms on first demand —
 //! [`Instance::from_unique_atoms`]), the dense tables and tries are
-//! *installed* — validated in linear time by [`Instance::install_dense`],
-//! never re-sorted — and the fired set is kept frozen **as raw bytes**
+//! *installed* — validated against the atoms in one linear pass by
+//! [`Instance::install_dense`], never re-encoded or re-sorted — and the
+//! fired set is kept frozen **as raw bytes**
 //! until the first write, when it is decoded and rebuilt by hashing
 //! firing records ([`MaintainedInstance::from_parts`]), never by
 //! re-running the chase.
@@ -403,8 +404,9 @@ pub fn snapshot_bytes(tgds: &[Tgd], m: &MaintainedInstance) -> Vec<u8> {
         put_qatoms(&mut p, &syms, &t.body);
         put_qatoms(&mut p, &syms, &t.head);
     }
-    // 4. Instance atoms in insertion order (arena row ids are positional,
-    //    so order is load-bearing for the dense section).
+    // 4. Instance atoms in insertion order (a dense table's row `r` is
+    //    the `r`-th atom of its relation in this order, so order is
+    //    load-bearing for the dense section).
     p.len(instance.len());
     for a in instance.iter() {
         put_atom(&mut p, &syms, a);
@@ -734,8 +736,8 @@ fn load_snapshot_owned(image: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> 
     // Rebuild: adopt the atom vector, install what validates. The
     // persisted atom section came from an instance, so it is
     // duplicate-free and the trusted bulk constructor applies — the
-    // instance's hash indexes and columnar arenas mirror lazily from the
-    // atoms on first demand, off the load path.
+    // instance's hash indexes are built from the atoms on first demand,
+    // off the load path.
     // The fired set stays frozen in byte form — queries never touch it,
     // and the first writer pays the decode + dependency-index rebuild via
     // `to_maintained`/`into_maintained`, which is also where fired-set

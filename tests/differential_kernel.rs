@@ -83,7 +83,7 @@ mod reference {
                     }
                 }
             }
-            best.unwrap_or_else(|| self.target.atoms_with_pred(atom.predicate))
+            best.unwrap_or_else(|| self.target.atoms_with_pred(atom.predicate, atom.args.len()))
                 .to_vec()
         }
 

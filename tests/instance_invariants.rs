@@ -8,9 +8,10 @@
 //!   argument positions;
 //! * `dom()` is exactly the set of argument values, deduplicated in
 //!   first-occurrence order;
-//! * the columnar arena mirrors per-predicate insertion order;
-//! * the dense tries decode to a naive sort of the columns under every
-//!   requested column order and are maintained *incrementally* — a chase
+//! * each `(predicate, arity)` relation lists its atoms in insertion
+//!   order — the row order the dense store encodes;
+//! * the dense tries decode to a naive sort of the relation's rows under
+//!   every requested column order and are maintained *incrementally* — a chase
 //!   run never full-re-sorts a trie whose predicate only received insert
 //!   deltas (asserted by the `full_builds` / `merge_extends` counter tests
 //!   at the bottom).
@@ -134,27 +135,20 @@ fn check_invariants(inst: &Instance, model: &[GroundAtom], ctx: &str) {
         }
     }
 
-    // Columnar arena mirrors per-predicate insertion order, and the dense
+    // Each relation lists its atoms in insertion order, and the dense
     // tries agree with a naive sort under several column orders. After a
-    // retraction the touched tries are rebuilt from the shrunk arena while
-    // the dictionary keeps stale entries (harmless: absent values still
-    // probe to nothing).
+    // retraction the touched tries are rebuilt from the surviving rows
+    // while the dictionary keeps stale entries (harmless: absent values
+    // still probe to nothing).
     for (p, k) in preds() {
-        let expected_rows: Vec<&GroundAtom> = model
-            .iter()
-            .filter(|a| a.predicate == p && a.args.len() == k)
+        let expected_ids: Vec<usize> = (0..model.len())
+            .filter(|&i| model[i].predicate == p && model[i].args.len() == k)
             .collect();
-        match inst.columns(p, k) {
-            None => assert!(expected_rows.is_empty(), "missing columns {ctx}"),
-            Some(pc) => {
-                assert_eq!(pc.rows(), expected_rows.len(), "rows {ctx}");
-                for j in 0..k {
-                    for (r, a) in expected_rows.iter().enumerate() {
-                        assert_eq!(pc.col(j)[r], a.args[j], "col {j} row {r} {ctx}");
-                    }
-                }
-            }
-        }
+        assert_eq!(
+            inst.atoms_with_pred(p, k),
+            expected_ids.as_slice(),
+            "relation rows {ctx}"
+        );
         let forward: Vec<u16> = (0..k as u16).collect();
         let reverse: Vec<u16> = (0..k as u16).rev().collect();
         for order in [forward, reverse] {
@@ -234,7 +228,7 @@ fn instance_invariants_under_random_interleavings() {
 /// Random insert/retract interleavings: after every operation the whole
 /// invariant battery must hold — index round-trip in both directions,
 /// `dom()` exactness (a retraction that removes a value's last occurrence
-/// must remove it from `dom()`), columnar arena order, and dense trie
+/// must remove it from `dom()`), relation row order, and dense trie
 /// agreement with a naive sort.
 /// Batches mix present atoms, duplicates, and absent ghosts, and the
 /// reported removal count must equal the distinct present victims.
@@ -389,7 +383,7 @@ fn chase_extends_wcoj_indexes_incrementally() {
     let result = chase(&db, &tgds, &ChaseBudget::unbounded());
     assert!(result.complete, "the full-TGD chase reaches a fixpoint");
     assert!(
-        result.instance.pred_count(Predicate::new("Tri")) > 0,
+        result.instance.pred_count(Predicate::new("Tri"), 3) > 0,
         "the 5-cycle closure contains triangles"
     );
     let stats = result.instance.dense_stats();
@@ -517,11 +511,15 @@ fn assert_same_accessors(
     assert_eq!(inst.predicates(), fresh.predicates(), "predicates {ctx}");
     for &(p, arity) in universe {
         assert_eq!(
-            inst.atoms_with_pred(p),
-            fresh.atoms_with_pred(p),
+            inst.atoms_with_pred(p, arity),
+            fresh.atoms_with_pred(p, arity),
             "by_pred {ctx}"
         );
-        assert_eq!(inst.pred_count(p), fresh.pred_count(p), "pred_count {ctx}");
+        assert_eq!(
+            inst.pred_count(p, arity),
+            fresh.pred_count(p, arity),
+            "pred_count {ctx}"
+        );
         for pos in 0..arity {
             for v in values.iter().chain([&ghost]) {
                 assert_eq!(
@@ -535,20 +533,6 @@ fn assert_same_accessors(
                     "count {ctx}"
                 );
             }
-        }
-        match (inst.columns(p, arity), fresh.columns(p, arity)) {
-            (None, None) => {}
-            (Some(got), Some(want)) => {
-                assert_eq!(got.rows(), want.rows(), "arena rows {ctx}");
-                for j in 0..arity {
-                    assert_eq!(got.col(j), want.col(j), "arena col {j} {ctx}");
-                }
-            }
-            (got, want) => panic!(
-                "arena presence {ctx}: {} vs fresh {}",
-                got.is_some(),
-                want.is_some()
-            ),
         }
         if arity > 0 {
             let forward: Vec<u16> = (0..arity as u16).collect();
@@ -569,9 +553,9 @@ fn assert_same_accessors(
 /// value (so `dom()` must re-place it or drop it); some batches make the
 /// smallest dead row id the *last* entry of a candidate list (the edge of
 /// the "skip lists that end before the first dead row" test); some rounds
-/// start from `from_unique_atoms`, whose row indexes and arenas are still
-/// unbuilt at the first retraction. The universe also has a predicate at
-/// two arities and a nullary one, which exercise the arena-row ranking.
+/// start from `from_unique_atoms`, whose row indexes are still unbuilt at
+/// the first retraction. The universe also has a predicate at two arities
+/// and a nullary one, so one predicate's relations shrink independently.
 #[test]
 fn in_place_retraction_matches_a_fresh_build() {
     let mut rng = Rng::seed(0x5e7a_c7ed);
@@ -610,7 +594,7 @@ fn in_place_retraction_matches_a_fresh_build() {
                 break;
             }
             if !(unbuilt && batch == 0) && rng.chance(0.5) {
-                // Warm the arenas and some tries, so their upkeep runs.
+                // Warm some tries, so their upkeep runs.
                 inst.dense_snapshot(&[(Predicate::new("E"), 2, &[0, 1])]);
             }
             let mut doomed: Vec<usize> = Vec::new();

@@ -214,3 +214,61 @@ fn damaged_files_fail_closed_with_precise_errors() {
     std::fs::remove_file(&path).ok();
     assert!(matches!(load_snapshot(&path), Err(SnapshotError::Io(_))));
 }
+
+/// A version-2 snapshot written by an earlier build and committed as a
+/// golden file. Its rules are `GoldE(X,Y) -> GoldN(X)`,
+/// `GoldM(X,Y) -> GoldM(Y)` and `GoldM(X) -> GoldW(X,Z)`. Before saving,
+/// its writer warmed four tries, inserted `GoldM(gold_c,gold_d)`,
+/// retracted `GoldE(gold_a,gold_b)` and `GoldM(gold_a,gold_b)`, and
+/// warmed the tries again. So the file has nonempty dense table and trie
+/// sections, and `GoldM` occurs at arity 1 and at arity 2.
+const GOLDEN_V2: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/golden_v2.gsnap"
+);
+
+#[test]
+fn golden_v2_file_loads_installs_and_resaves_byte_identically() {
+    let path = std::path::Path::new(GOLDEN_V2);
+    let golden = std::fs::read(path).unwrap();
+    let loaded = load_snapshot(path).unwrap();
+    assert_eq!(loaded.instance().len(), 10);
+
+    // Every persisted table and trie installs: the file holds four of
+    // each (GoldE/2, GoldM/1, GoldM/2, GoldW/2).
+    assert_eq!(
+        (loaded.dense_tables_installed, loaded.dense_tries_installed),
+        (4, 4)
+    );
+    let export = loaded.instance().export_dense();
+    assert_eq!((export.tables.len(), export.tries.len()), (4, 4));
+
+    // The installed tables are what encoding the loaded atoms afresh
+    // gives: the on-disk row order is each relation's insertion order.
+    let fresh = gtgd::data::Instance::from_atoms(loaded.instance().iter().cloned());
+    for t in &export.tries {
+        fresh.dense_snapshot(&[(t.predicate, t.arity as usize, &t.order)]);
+    }
+    let fresh_export = fresh.export_dense();
+    let decode = |e: &gtgd::data::DenseExport| -> Vec<Vec<Vec<Value>>> {
+        e.tables
+            .iter()
+            .map(|t| {
+                t.cols
+                    .iter()
+                    .map(|c| c.iter().map(|&code| e.dict[code as usize]).collect())
+                    .collect()
+            })
+            .collect()
+    };
+    assert_eq!(decode(&fresh_export), decode(&export));
+
+    // Re-saving the thawed state reproduces the file byte for byte.
+    let tgds = loaded.tgds.clone();
+    let m = loaded.into_maintained().unwrap();
+    let out = temp_path("golden");
+    save_snapshot(&out, &tgds, &m).unwrap();
+    let resaved = std::fs::read(&out).unwrap();
+    std::fs::remove_file(&out).ok();
+    assert!(resaved == golden, "re-saved golden file differs");
+}
