@@ -48,13 +48,35 @@ impl Symbol {
 
     /// The interned string.
     pub fn name(self) -> String {
-        table().read().expect("interner poisoned").names[self.0 as usize].clone()
+        with_names(|names| names.get(self).to_owned())
     }
 
     /// Raw id; useful only as a hash/sort key.
     pub fn id(self) -> u32 {
         self.0
     }
+}
+
+/// Names resolved under one read hold of the interner; see [`with_names`].
+pub struct Names<'a> {
+    names: &'a [String],
+}
+
+impl Names<'_> {
+    /// The interned string of `s`, borrowed from the interner.
+    pub fn get(&self, s: Symbol) -> &str {
+        &self.names[s.0 as usize]
+    }
+}
+
+/// Runs `f` with one read hold of the interner, so resolving many symbols
+/// (say, every value of a reply) takes the lock once instead of once per
+/// symbol and copies no name. `f` must not intern ([`Symbol::new`]) or call
+/// [`Symbol::name`]: a waiting writer blocks new readers, so either could
+/// deadlock. Keep `f` short; writers wait for it.
+pub fn with_names<R>(f: impl FnOnce(&Names<'_>) -> R) -> R {
+    let t = table().read().expect("interner poisoned");
+    f(&Names { names: &t.names })
 }
 
 impl std::fmt::Display for Symbol {
@@ -90,6 +112,18 @@ mod tests {
     fn display_roundtrips() {
         let s = Symbol::new("Employee");
         assert_eq!(s.to_string(), "Employee");
+    }
+
+    #[test]
+    fn batch_names_match_single_lookups() {
+        let syms = [
+            Symbol::new("names-b"),
+            Symbol::new("names-a"),
+            Symbol::new(""),
+        ];
+        let got: Vec<String> = with_names(|n| syms.iter().map(|&s| n.get(s).to_owned()).collect());
+        let want: Vec<String> = syms.iter().map(|s| s.name()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   analysis. A static atom order (constant-rich atoms first) seeds the
 //!   pending list; the actual order is refined dynamically by picking the
 //!   pending atom with the fewest candidates, exactly as the legacy engine
-//!   did — which is why the answer *set* is unchanged.
+//!   did — which is why the answer *set* is unchanged. Each pending atom's
+//!   candidate slice is fetched once per node and the shortest is kept, so
+//!   the choice costs one index probe per pending atom.
 //! * **Columnar answers** — enumeration writes rows into a reusable buffer
 //!   and full materialization targets a [`ValuationTable`]
 //!   (one `Vec<Value>` for all rows) instead of one `HashMap` per answer.
@@ -292,6 +294,33 @@ impl ValuationTable {
         self.rows += other.rows;
     }
 
+    /// Appends the row `cols.map(|c| row[c])`: a projection of a wider
+    /// row, without an intermediate buffer.
+    pub(crate) fn push_projected(&mut self, row: &[Value], cols: &[usize]) {
+        debug_assert_eq!(cols.len(), self.vars.len());
+        self.data.extend(cols.iter().map(|&c| row[c]));
+        self.rows += 1;
+    }
+
+    /// Sorts the rows in `Value` order (lexicographic over the columns)
+    /// and drops duplicates. A width-0 table keeps at most one row.
+    pub(crate) fn sort_dedup(&mut self) {
+        let w = self.vars.len();
+        if w == 0 {
+            self.rows = self.rows.min(1);
+            return;
+        }
+        let mut order: Vec<usize> = (0..self.rows).collect();
+        order.sort_unstable_by(|&a, &b| self.row(a).cmp(self.row(b)));
+        order.dedup_by(|a, b| self.row(*a) == self.row(*b));
+        let mut data = Vec::with_capacity(order.len() * w);
+        for &r in &order {
+            data.extend_from_slice(self.row(r));
+        }
+        self.data = data;
+        self.rows = order.len();
+    }
+
     /// Expands every row into the legacy `HashMap<Var, Value>` shape.
     pub fn to_maps(&self) -> Vec<HashMap<Var, Value>> {
         self.rows()
@@ -451,27 +480,6 @@ impl<'a> KernelSearch<'a> {
         })
     }
 
-    /// `candidates(ai, val).len()` without fetching any slice: probes the
-    /// instance's selectivity counters only. Used by the dynamic
-    /// atom-ordering scan.
-    fn candidate_len(&self, ai: usize, val: &[Option<Value>]) -> usize {
-        let atom = &self.plan.atoms[ai];
-        let mut best: Option<usize> = None;
-        for (pos, t) in atom.terms.iter().enumerate() {
-            let bound = match *t {
-                CTerm::Const(c) => Some(c),
-                CTerm::Slot(s) => val[s as usize],
-            };
-            if let Some(v) = bound {
-                let n = self.target.index_count(atom.predicate, pos, v);
-                if best.is_none_or(|b| n < b) {
-                    best = Some(n);
-                }
-            }
-        }
-        best.unwrap_or_else(|| self.target.pred_count(atom.predicate, atom.terms.len()))
-    }
-
     fn search_rec(
         &self,
         st: &mut State,
@@ -484,19 +492,21 @@ impl<'a> KernelSearch<'a> {
             }
             return f(&st.row);
         }
-        // Dynamic refinement: the pending atom with the fewest candidates.
+        // Dynamic refinement: the pending atom with the fewest candidates
+        // (the first on ties). Each slice is fetched once and the winner's
+        // is kept, so choosing costs no second index probe.
         let mut best_idx = 0usize;
-        let mut best_len = usize::MAX;
+        let mut cand: Option<&'a [usize]> = None;
         for (idx, &ai) in st.pending.iter().enumerate() {
-            let len = self.candidate_len(ai, &st.val);
-            if len < best_len {
-                best_len = len;
+            let ids = self.candidates(ai, &st.val);
+            if cand.is_none_or(|best| ids.len() < best.len()) {
+                cand = Some(ids);
                 best_idx = idx;
             }
         }
+        let cand = cand.expect("pending is nonempty");
         let ai = st.pending.swap_remove(best_idx);
         let atom = &self.plan.atoms[ai];
-        let cand = self.candidates(ai, &st.val);
         for &ci in cand {
             let ground = self.target.atom(ci);
             if ground.args.len() != atom.terms.len() {
@@ -650,11 +660,10 @@ impl<'a> KernelSearch<'a> {
         let Some(base) = self.init() else {
             return ValuationTable::new(self.plan.vars.clone());
         };
-        let (split, _) = (0..self.plan.atoms.len())
-            .map(|i| (i, self.candidate_len(i, &base.val)))
-            .min_by_key(|&(_, n)| n)
+        let (split, cand) = (0..self.plan.atoms.len())
+            .map(|i| (i, self.candidates(i, &base.val)))
+            .min_by_key(|&(_, ids)| ids.len())
             .expect("atoms nonempty");
-        let cand = self.candidates(split, &base.val);
         let per_chunk = Pool::with_workers(workers).map_chunks(cand, |_, chunk| {
             let mut out = ValuationTable::new(self.plan.vars.clone());
             for &ci in chunk {

@@ -25,7 +25,7 @@
 //! assert_eq!(answers.len(), 1);
 //! ```
 
-use crate::compile::{CompiledQuery, KernelSearch, Strategy};
+use crate::compile::{CompiledQuery, KernelSearch, Strategy, ValuationTable};
 use crate::cq::{Cq, Var};
 use gtgd_data::{obs, Instance, Value};
 use std::collections::HashSet;
@@ -181,6 +181,44 @@ impl PreparedQuery {
     /// [`crate::eval::evaluate_cq_par`] (width > 1) exactly.
     pub fn answers(&self, i: &Instance) -> HashSet<Vec<Value>> {
         self.answers_now(i)
+    }
+
+    /// The certain answers when `i` is a chase fixpoint: the distinct
+    /// null-free answer tuples over `i`, sorted in `Value` order (named
+    /// constants compare by intern order, not by string). The columns are
+    /// the answer variables; a Boolean query has width 0 and one empty row
+    /// if it holds. Equals [`PreparedQuery::answers`] without the rows
+    /// that hold a null, under the same strategy and width.
+    ///
+    /// Rows go from the kernel callback straight into one flat buffer.
+    /// Tuples with several witnesses are dropped whenever the buffer
+    /// doubles, so it never holds much more than twice the answers.
+    pub fn certain_rows(&self, i: &Instance) -> ValuationTable {
+        const COMPACT_FLOOR: usize = 1 << 12;
+        let vars = self.slots.iter().map(|&s| self.plan.vars()[s]).collect();
+        let mut out = ValuationTable::new(vars);
+        let mut compact_at = COMPACT_FLOOR;
+        let mut push = |row: &[Value]| {
+            if self.slots.iter().all(|&s| row[s].is_named()) {
+                out.push_projected(row, &self.slots);
+                if out.len() >= compact_at {
+                    out.sort_dedup();
+                    compact_at = (2 * out.len()).max(COMPACT_FLOOR);
+                }
+            }
+        };
+        if self.workers > 1 {
+            for row in self.kernel(i).par_table(self.workers).rows() {
+                push(row);
+            }
+        } else {
+            self.kernel(i).for_each_row(|row| {
+                push(row);
+                ControlFlow::Continue(())
+            });
+        }
+        out.sort_dedup();
+        out
     }
 
     /// Evaluates with probe collection if `.trace(true)` was set: the
@@ -358,6 +396,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn certain_rows_are_distinct_null_free_and_sorted() {
+        // One hub with more witnesses than the first compaction point, a
+        // null neighbour, and a null source.
+        let hub = v("cr_hub");
+        let mut db = Instance::new();
+        for i in 0..5000 {
+            db.insert(GroundAtom::new(
+                gtgd_data::Predicate::new("E"),
+                vec![hub, Value::named(&format!("cr_{i}"))],
+            ));
+        }
+        let null = Value::fresh_null();
+        db.insert(GroundAtom::new(
+            gtgd_data::Predicate::new("E"),
+            vec![v("cr_b"), null],
+        ));
+        db.insert(GroundAtom::new(
+            gtgd_data::Predicate::new("E"),
+            vec![null, v("cr_a")],
+        ));
+        let q = parse_cq("Q(X) :- E(X,Y)").unwrap();
+        let rows = Engine::prepare(&q).certain_rows(&db);
+        assert_eq!(rows.width(), 1);
+        let got: Vec<&[Value]> = rows.rows().collect();
+        let mut want = [hub, v("cr_b")];
+        want.sort();
+        assert_eq!(got, [&want[..1], &want[1..]]);
+        // A Boolean query: width 0, one empty row iff it holds.
+        let holds = Engine::prepare(&parse_cq("Q() :- E(X,Y)").unwrap()).certain_rows(&db);
+        assert_eq!((holds.width(), holds.len()), (0, 1));
+        let fails = Engine::prepare(&parse_cq("Q() :- E(X,X)").unwrap()).certain_rows(&db);
+        assert_eq!((fails.width(), fails.len()), (0, 0));
     }
 
     #[test]

@@ -630,18 +630,16 @@ mod tests {
         chase(facts).instance().clone()
     }
 
-    /// Certain answers (null-free rows, sorted) to every fixed query.
+    /// Certain answers (`PreparedQuery::certain_rows`) to every fixed query.
     fn answers(i: &Instance) -> Vec<Vec<Vec<Value>>> {
         QUERIES
             .iter()
             .map(|q| {
-                let mut rows: Vec<Vec<Value>> = Engine::prepare(&parse_cq(q).unwrap())
-                    .answers(i)
-                    .into_iter()
-                    .filter(|row| row.iter().all(|v| v.is_named()))
-                    .collect();
-                rows.sort();
-                rows
+                Engine::prepare(&parse_cq(q).unwrap())
+                    .certain_rows(i)
+                    .rows()
+                    .map(<[Value]>::to_vec)
+                    .collect()
             })
             .collect()
     }

@@ -19,10 +19,20 @@
 //! ```
 //!
 //! Responses always carry `"ok"` (`"true"`/`"false"`); failures carry
-//! `"error"`. Query answers are the **certain** (null-free) rows, sorted,
-//! rendered with values tab-separated and rows newline-separated inside
-//! one JSON string — the same open-world semantics as a `--maintain`
-//! script run.
+//! `"error"`. Query answers are the **certain** (null-free) rows, distinct
+//! and sorted in `Value` order, rendered with values tab-separated and
+//! rows newline-separated inside one JSON string — the same open-world
+//! semantics as a `--maintain` script run. `Value` order compares named
+//! constants by the order the daemon process interned them, not as
+//! strings. A query reply also carries `"count"` (rows), `"arity"` and
+//! `"exact"` (whether the served fixpoint is complete); a Boolean query
+//! that holds has `count` 1 and empty `answers`.
+//!
+//! Every request and reply line goes out in one write. A query reply is
+//! rendered into one buffer: the kernel's certain rows
+//! ([`gtgd_query::PreparedQuery::certain_rows`]) are resolved to names
+//! under one interner read hold, released before the reply is sent, and
+//! escaped in place.
 //!
 //! # Consistency
 //!
@@ -77,9 +87,11 @@
 use crate::log::{CommitLog, Op, Recovered};
 use crate::snapshot::{LoadedSnapshot, SnapshotError};
 use gtgd_chase::{MaintainedInstance, Tgd};
+use gtgd_data::symbols::with_names;
 use gtgd_data::{parse_fact, GroundAtom, Instance, Value};
-use gtgd_query::PlanCache;
+use gtgd_query::{PlanCache, ValuationTable};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -96,9 +108,13 @@ pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 // Flat JSON (the workspace convention: hand-rolled, no dependencies)
 // ---------------------------------------------------------------------------
 
-/// Escapes `s` for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s` to `out`, escaped for a JSON string literal.
+fn escape_into(out: &mut String, s: &str) {
+    // Most names need no escaping: copy them whole.
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -106,28 +122,66 @@ pub fn json_escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
-/// Renders `fields` as one flat JSON object with string values.
-pub fn flat_object(fields: &[(&str, &str)]) -> String {
-    let mut out = String::from("{");
+/// Appends `fields` to `out` as one flat JSON object with string values.
+fn flat_object_into(out: &mut String, fields: &[(&str, &str)]) {
+    out.push('{');
     for (i, (k, v)) in fields.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push('"');
-        out.push_str(&json_escape(k));
+        escape_into(out, k);
         out.push_str("\":\"");
-        out.push_str(&json_escape(v));
+        escape_into(out, v);
         out.push('"');
     }
     out.push('}');
+}
+
+/// Renders `fields` as one flat JSON object with string values.
+pub fn flat_object(fields: &[(&str, &str)]) -> String {
+    let mut out = String::new();
+    flat_object_into(&mut out, fields);
     out
+}
+
+/// Appends a query reply to `out`: the bytes [`flat_object`] gives for
+/// `ok`, `answers` (values joined by tab, rows by newline), `count`,
+/// `arity` and `exact`, written without building the joined string. Names
+/// are resolved under one interner read hold, released on return.
+fn render_answers(out: &mut String, rows: &ValuationTable, arity: usize, exact: bool) {
+    out.push_str("{\"ok\":\"true\",\"answers\":\"");
+    with_names(|names| {
+        for (i, row) in rows.rows().enumerate() {
+            if i > 0 {
+                out.push_str("\\n");
+            }
+            for (j, &v) in row.iter().enumerate() {
+                if j > 0 {
+                    out.push_str("\\t");
+                }
+                match v {
+                    Value::Named(s) => escape_into(out, names.get(s)),
+                    Value::Null(n) => {
+                        let _ = write!(out, "⊥{n}");
+                    }
+                }
+            }
+        }
+    });
+    let count = rows.len();
+    let _ = write!(
+        out,
+        "\",\"count\":\"{count}\",\"arity\":\"{arity}\",\"exact\":\"{exact}\"}}"
+    );
 }
 
 /// Parses one flat JSON object whose values are all strings — the only
@@ -462,8 +516,13 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             Ok(_) => {}
         }
         if buf.len() > MAX_REQUEST_BYTES && !buf.ends_with(b"\n") {
-            let msg = format!("request line longer than {MAX_REQUEST_BYTES} bytes");
-            let _ = writeln!(writer, "{}", err_response(&msg));
+            let mut out = String::new();
+            err_response(
+                &mut out,
+                &format!("request line longer than {MAX_REQUEST_BYTES} bytes"),
+            );
+            out.push('\n');
+            let _ = writer.write_all(out.as_bytes());
             let _ = writer.shutdown(Shutdown::Write);
             break;
         }
@@ -473,11 +532,13 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         if line.trim().is_empty() {
             continue;
         }
-        let (response, stop) = handle_request(shared, line);
-        if writeln!(writer, "{response}")
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+        // A fresh buffer per reply, sent in one write. A buffer kept for the
+        // connection's next request would leave every idle connection
+        // holding the largest reply it ever sent.
+        let mut out = String::new();
+        let stop = handle_request(shared, line, &mut out);
+        out.push('\n');
+        if writer.write_all(out.as_bytes()).is_err() {
             break;
         }
         if stop {
@@ -489,86 +550,59 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
-fn err_response(msg: &str) -> String {
-    flat_object(&[("ok", "false"), ("error", msg)])
+fn err_response(out: &mut String, msg: &str) {
+    flat_object_into(out, &[("ok", "false"), ("error", msg)]);
 }
 
-/// Dispatches one request line; returns the response line and whether the
-/// daemon should stop accepting.
-fn handle_request(shared: &Shared, line: &str) -> (String, bool) {
-    let fields = match parse_flat_object(line) {
-        Ok(f) => f,
-        Err(e) => return (err_response(&format!("bad request: {e}")), false),
-    };
+/// Answers one request line into `out`; returns whether the daemon should
+/// stop accepting.
+fn handle_request(shared: &Shared, line: &str, out: &mut String) -> bool {
+    match respond(shared, line, out) {
+        Ok(stop) => stop,
+        Err(msg) => {
+            out.clear();
+            err_response(out, &msg);
+            false
+        }
+    }
+}
+
+/// Dispatches one request line, writing the success reply into `out`; an
+/// error is the message of the failure reply.
+fn respond(shared: &Shared, line: &str, out: &mut String) -> Result<bool, String> {
+    let fields = parse_flat_object(line).map_err(|e| format!("bad request: {e}"))?;
     match fields.get("op").map(String::as_str) {
-        Some("ping") => (flat_object(&[("ok", "true"), ("pong", "true")]), false),
+        Some("ping") => flat_object_into(out, &[("ok", "true"), ("pong", "true")]),
         Some("query") => {
-            let Some(q) = fields.get("q") else {
-                return (err_response("query needs a \"q\" field"), false);
-            };
-            let prepared = match shared.plans.get_or_prepare(q) {
-                Ok(p) => p,
-                Err(e) => return (err_response(&format!("parse error: {e}")), false),
-            };
+            let q = fields.get("q").ok_or("query needs a \"q\" field")?;
+            let prepared = shared
+                .plans
+                .get_or_prepare(q)
+                .map_err(|e| format!("parse error: {e}"))?;
             // Lock-free evaluation on a private handle to the published
             // fixpoint: the read lock is held only for the Arc clone.
             let state = shared.state();
-            let mut rows: Vec<Vec<Value>> = prepared
-                .answers(state.instance())
-                .into_iter()
-                .filter(|row| row.iter().all(|v| v.is_named()))
-                .collect();
-            rows.sort();
-            let rendered = rows
-                .iter()
-                .map(|row| {
-                    row.iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join("\t")
-                })
-                .collect::<Vec<_>>()
-                .join("\n");
-            let count = rows.len().to_string();
-            let arity = prepared.arity().to_string();
-            let exact = state.complete().to_string();
-            (
-                flat_object(&[
-                    ("ok", "true"),
-                    ("answers", &rendered),
-                    ("count", &count),
-                    ("arity", &arity),
-                    ("exact", &exact),
-                ]),
-                false,
-            )
+            let rows = prepared.certain_rows(state.instance());
+            render_answers(out, &rows, prepared.arity(), state.complete());
         }
         Some(op @ ("insert" | "retract")) => {
-            let Some(text) = fields.get("atom") else {
-                return (
-                    err_response(&format!("{op} needs an \"atom\" field")),
-                    false,
-                );
-            };
-            let atom = match parse_fact(text) {
-                Ok(a) => a,
-                Err(e) => return (err_response(&format!("bad atom: {e}")), false),
-            };
+            let text = fields
+                .get("atom")
+                .ok_or_else(|| format!("{op} needs an \"atom\" field"))?;
+            let atom = parse_fact(text).map_err(|e| format!("bad atom: {e}"))?;
             let op = if op == "insert" {
                 Op::Insert
             } else {
                 Op::Retract
             };
-            match write(shared, op, text, atom) {
-                Ok(ack) => (ack, false),
-                Err(e) => (err_response(&e), false),
-            }
+            out.push_str(&write(shared, op, text, atom)?);
         }
         Some("stats") => {
             let state = shared.state();
             let (hits, misses) = shared.plans.stats();
-            (
-                flat_object(&[
+            flat_object_into(
+                out,
+                &[
                     ("ok", "true"),
                     ("atoms", &state.instance().len().to_string()),
                     ("complete", &state.complete().to_string()),
@@ -583,23 +617,23 @@ fn handle_request(shared: &Shared, line: &str) -> (String, bool) {
                         "twin_clones",
                         &shared.twin_clones.load(Ordering::SeqCst).to_string(),
                     ),
-                ]),
-                false,
-            )
+                ],
+            );
         }
-        Some("shutdown") => match checkpoint_for_shutdown(shared) {
-            Ok(()) => (flat_object(&[("ok", "true"), ("stopping", "true")]), true),
-            Err(e) => (
-                err_response(&format!(
+        Some("shutdown") => {
+            checkpoint_for_shutdown(shared).map_err(|e| {
+                format!(
                     "shutdown checkpoint failed: {e}; the commit log still holds every \
                      acknowledged write"
-                )),
-                false,
-            ),
-        },
-        Some(op) => (err_response(&format!("unknown op \"{op}\"")), false),
-        None => (err_response("missing \"op\" field"), false),
+                )
+            })?;
+            flat_object_into(out, &[("ok", "true"), ("stopping", "true")]);
+            return Ok(true);
+        }
+        Some(op) => return Err(format!("unknown op \"{op}\"")),
+        None => return Err("missing \"op\" field".to_owned()),
     }
+    Ok(false)
 }
 
 /// One insert or retract: apply it to the back copy, make it durable,
@@ -695,10 +729,12 @@ impl Client {
         Ok(Client { reader, writer })
     }
 
-    /// One request/response round trip.
+    /// One request/response round trip. The request line goes out in one
+    /// write.
     pub fn request(&mut self, fields: &[(&str, &str)]) -> io::Result<HashMap<String, String>> {
-        writeln!(self.writer, "{}", flat_object(fields))?;
-        self.writer.flush()?;
+        let mut line = flat_object(fields);
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())?;
         let mut line = String::new();
         if self.reader.read_line(&mut line)? == 0 {
             return Err(io::Error::new(
@@ -728,17 +764,38 @@ impl Client {
         self.checked(&[("op", "ping")]).map(|_| ())
     }
 
-    /// Evaluates a query; rows of rendered constants, sorted.
+    /// Evaluates a query: its certain rows of rendered constants, in the
+    /// daemon's `Value` order (the order the daemon interned the
+    /// constants, not string order). A Boolean query that holds gives one
+    /// empty row, and one that does not gives none. A reply whose rows do
+    /// not split into its `count` and `arity` (a constant holding a tab or
+    /// a newline) is an `InvalidData` error.
     pub fn query(&mut self, q: &str) -> io::Result<Vec<Vec<String>>> {
         let resp = self.checked(&[("op", "query"), ("q", q)])?;
-        let answers = resp.get("answers").map(String::as_str).unwrap_or("");
-        if answers.is_empty() {
-            return Ok(Vec::new());
+        let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        let number = |key: &str| {
+            resp.get(key)
+                .and_then(|v| v.parse::<usize>().ok())
+                .ok_or_else(|| bad(format!("query reply without a numeric \"{key}\"")))
+        };
+        let (count, arity) = (number("count")?, number("arity")?);
+        let answers = resp.get("answers").map_or("", String::as_str);
+        let rows: Vec<Vec<String>> = if count == 0 {
+            Vec::new()
+        } else if arity == 0 {
+            vec![Vec::new(); count]
+        } else {
+            answers
+                .split('\n')
+                .map(|row| row.split('\t').map(str::to_owned).collect())
+                .collect()
+        };
+        if rows.len() != count || rows.iter().any(|r| r.len() != arity) {
+            return Err(bad(format!(
+                "query reply rows do not match count {count} and arity {arity}"
+            )));
         }
-        Ok(answers
-            .split('\n')
-            .map(|row| row.split('\t').map(str::to_owned).collect())
-            .collect())
+        Ok(rows)
     }
 
     /// Asserts one fact (delta chase + commit-log append).
@@ -1030,6 +1087,148 @@ mod tests {
         let mut emps: Vec<String> = c.query("Q(X) :- Emp(X)").unwrap().concat();
         emps.sort();
         assert_eq!(emps, ["hd_c", "hd_d", "hd_e", "srv_ann", "srv_bob"]);
+        c.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The reference rendering of a query reply, which the daemon's reply
+    /// must match byte for byte: `answers()`, the null filter, `sort`,
+    /// `to_string`/`join`, then `flat_object`.
+    fn reference_reply(shared: &Shared, q: &str) -> String {
+        let prepared = match PlanCache::new().get_or_prepare(q) {
+            Ok(p) => p,
+            Err(e) => {
+                return flat_object(&[("ok", "false"), ("error", &format!("parse error: {e}"))])
+            }
+        };
+        let state = shared.state();
+        let mut rows: Vec<Vec<Value>> = prepared
+            .answers(state.instance())
+            .into_iter()
+            .filter(|row| row.iter().all(|v| v.is_named()))
+            .collect();
+        rows.sort();
+        let rendered = rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join("\t")
+            })
+            .collect::<Vec<_>>()
+            .join("\n");
+        flat_object(&[
+            ("ok", "true"),
+            ("answers", &rendered),
+            ("count", &rows.len().to_string()),
+            ("arity", &prepared.arity().to_string()),
+            ("exact", &state.complete().to_string()),
+        ])
+    }
+
+    /// The daemon's raw reply line to one query, without its newline.
+    fn raw_reply(conn: &mut BufReader<TcpStream>, q: &str) -> String {
+        let mut line = flat_object(&[("op", "query"), ("q", q)]);
+        line.push('\n');
+        conn.get_mut().write_all(line.as_bytes()).unwrap();
+        let mut reply = String::new();
+        conn.read_line(&mut reply).unwrap();
+        assert_eq!(reply.pop(), Some('\n'), "{q}: the reply ends its line");
+        reply
+    }
+
+    #[test]
+    fn query_replies_are_byte_identical_to_the_reference_rendering() {
+        let (path, _) = org_snapshot("bytes");
+        let server = Server::start(path.clone(), "127.0.0.1:0").unwrap();
+        let shared = Arc::clone(&server.shared);
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run());
+        let mut conn = BufReader::new(TcpStream::connect(addr).unwrap());
+        let queries = [
+            "Q(X) :- Emp(X)",
+            // Every department is a null: the rows are filtered out.
+            "Q(X,D) :- WorksIn(X,D)",
+            "Q(D) :- Dept(D)",
+            // Two departments for one employee: duplicate projections.
+            "Q(X) :- WorksIn(X,D)",
+            "Q() :- Emp(X)",
+            "Q() :- Nope(X)",
+            "Q(X,X) :- Emp(X)",
+            "Q(X,Y) :- Pair(X,Y)",
+            "Q(X) :- Nope(X)",
+            "Q(X) :- Odd(X)",
+            "Q(X,Y) :- Emp(X), Odd(Y)",
+        ];
+        let check = |conn: &mut BufReader<TcpStream>, phase: &str| {
+            for q in queries {
+                let want = reference_reply(&shared, q);
+                assert_eq!(raw_reply(conn, q), want, "{phase}: {q}");
+            }
+        };
+        // As loaded (frozen), then after writes (live).
+        check(&mut conn, "frozen");
+        // Interned in the reverse of string order, so `Value` order and
+        // string order disagree.
+        let (zeta, alpha) = (Value::named("ri_zeta"), Value::named("ri_alpha"));
+        assert!(zeta < alpha);
+        let mut c = Client::connect(addr).unwrap();
+        for fact in [
+            "WorksIn(srv_bob, ri_lab)",
+            "Pair(ri_alpha, ri_alpha)",
+            "Pair(ri_zeta, ri_alpha)",
+            "Emp(ri_zeta)",
+            "Emp(ri_alpha)",
+            r#"Odd("ri_q\"uote")"#,
+            r#"Odd("ri_back\slash")"#,
+            "Odd(\"ri_ctl\u{1}x\")",
+            "Odd(\"ri_\u{e9}\u{2713}\")",
+            "Odd(ri_zeta)",
+        ] {
+            c.insert(fact).unwrap();
+        }
+        check(&mut conn, "live");
+        let emps = raw_reply(&mut conn, "Q(X) :- Emp(X)");
+        assert!(emps.find("ri_zeta") < emps.find("ri_alpha"), "{emps}");
+        let odd = raw_reply(&mut conn, "Q(X) :- Odd(X)");
+        for escaped in [
+            r#"ri_q\\\"uote"#,
+            r#"ri_back\\slash"#,
+            r#"ri_ctl\u0001x"#,
+            "ri_\u{e9}\u{2713}",
+        ] {
+            assert!(odd.contains(escaped), "{escaped} in {odd}");
+        }
+        c.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn client_query_keeps_boolean_and_empty_name_rows() {
+        let (path, _) = org_snapshot("boolean");
+        let server = Server::start(path.clone(), "127.0.0.1:0").unwrap();
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run());
+        let mut c = Client::connect(addr).unwrap();
+        let holds = c.request(&[("op", "query"), ("q", "Q() :- Emp(X)")]);
+        let holds = holds.unwrap();
+        assert_eq!(
+            (holds["count"].as_str(), holds["answers"].as_str()),
+            ("1", "")
+        );
+        assert_eq!(
+            c.query("Q() :- Emp(X)").unwrap(),
+            vec![Vec::<String>::new()]
+        );
+        assert!(c.query("Q() :- Nope(X)").unwrap().is_empty());
+        c.insert(r#"Tag("")"#).unwrap();
+        assert_eq!(
+            c.query("Q(X) :- Tag(X)").unwrap(),
+            vec![vec![String::new()]]
+        );
         c.shutdown().unwrap();
         handle.join().unwrap().unwrap();
         std::fs::remove_file(&path).ok();

@@ -275,18 +275,17 @@ pub fn run_maintained(script: &Script) -> Result<MaintainOutput, Box<dyn std::er
         };
         steps.push(line);
     }
-    let mut rendered: Vec<String> = script
-        .queries
-        .iter()
-        .flat_map(|q| Engine::prepare(q).answers(m.instance()))
-        .filter(|t| t.iter().all(|v| v.is_named()))
-        .map(|t| {
+    let mut rendered: Vec<String> = Vec::new();
+    for q in &script.queries {
+        let rows = Engine::prepare(q).certain_rows(m.instance());
+        rendered.extend(rows.rows().map(|t| {
             t.iter()
                 .map(ToString::to_string)
                 .collect::<Vec<_>>()
                 .join(",")
-        })
-        .collect();
+        }));
+    }
+    // The disjuncts' rows are merged in string order.
     rendered.sort();
     rendered.dedup();
     Ok(MaintainOutput {

@@ -5,9 +5,12 @@
 //! the `HomSearch` wrapper now built on it — must produce exactly the same
 //! homomorphism *sets*, with `exists` / `count` / `first` agreeing, and the
 //! parallel split (`par_table` / `par_all`) matching at widths 1, 2, and 4.
+//! The certain-answer output (`PreparedQuery::certain_rows`) is pinned to
+//! `answers()` filtered to null-free rows, sorted and deduplicated, on
+//! instances with nulls under both strategies.
 
 use gtgd::data::{GroundAtom, Instance, Predicate, Rng, Value};
-use gtgd::query::{CompiledQuery, HomSearch, QAtom, Term, Var};
+use gtgd::query::{CompiledQuery, Cq, Engine, HomSearch, QAtom, Strategy, Term, Var};
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 
@@ -395,4 +398,60 @@ fn kernel_matches_reference_on_edge_shapes() {
         Some(&HashSet::new()),
         "empty allowed set",
     );
+}
+
+#[test]
+fn certain_rows_equal_sorted_null_free_answers() {
+    let mut rng = Rng::seed(0xce27_a1e5);
+    let d = dom();
+    let var_names: Vec<String> = (0..5).map(|i| format!("X{i}")).collect();
+    for case in 0..160u32 {
+        let mut db = arb_db(&mut rng);
+        // Mix two labelled nulls into the instance, next to named values.
+        let nulls = [Value::fresh_null(), Value::fresh_null()];
+        let pick = |rng: &mut Rng| {
+            if rng.chance(0.4) {
+                nulls[rng.below(2) as usize]
+            } else {
+                d[rng.below(4) as usize]
+            }
+        };
+        for _ in 0..rng.below(8) {
+            let atom = match rng.below(3) {
+                0 => GroundAtom::new(Predicate::new("U"), vec![pick(&mut rng)]),
+                1 => GroundAtom::new(Predicate::new("E"), vec![pick(&mut rng), pick(&mut rng)]),
+                _ => GroundAtom::new(
+                    Predicate::new("T"),
+                    vec![pick(&mut rng), pick(&mut rng), pick(&mut rng)],
+                ),
+            };
+            db.insert(atom);
+        }
+        let atoms = arb_atoms(&mut rng);
+        // A random subset of the body's variables, in random order (empty:
+        // a Boolean query).
+        let mut body_vars: Vec<Var> = atoms.iter().flat_map(QAtom::vars).collect();
+        body_vars.sort();
+        body_vars.dedup();
+        let mut answer_vars = Vec::new();
+        while !body_vars.is_empty() && rng.chance(0.6) {
+            answer_vars.push(body_vars.remove(rng.below(body_vars.len() as u64) as usize));
+        }
+        let q = Cq::new(var_names.clone(), atoms, answer_vars);
+        for s in [Strategy::Backtrack, Strategy::Wcoj] {
+            for w in [1usize, 2] {
+                let p = Engine::prepare(&q).strategy(s).parallel(w);
+                let mut want: Vec<Vec<Value>> = p
+                    .answers(&db)
+                    .into_iter()
+                    .filter(|row| row.iter().all(|v| v.is_named()))
+                    .collect();
+                want.sort();
+                let got = p.certain_rows(&db);
+                assert_eq!(got.width(), q.arity(), "case {case} {s:?} w={w}");
+                let got: Vec<Vec<Value>> = got.rows().map(<[Value]>::to_vec).collect();
+                assert_eq!(got, want, "case {case} {s:?} w={w}");
+            }
+        }
+    }
 }
