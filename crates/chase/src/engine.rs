@@ -8,7 +8,16 @@
 //!
 //! Trigger discovery is *semi-naive*: after round `ℓ`, only triggers whose
 //! body uses at least one atom created in round `ℓ` are searched, by pinning
-//! each body atom in turn to the round-`ℓ` delta.
+//! each body atom in turn to the round-`ℓ` delta. One pinned batch search
+//! ([`gtgd_query::KernelSearch::for_each_pinned_row`]) per rule and pinned
+//! body atom covers the whole delta, reusing one search state across its
+//! atoms.
+//!
+//! A round allocates only for what is new. The fired set is probed with a
+//! trigger key written into a reused buffer, and a key is stored only when
+//! its trigger fires. Each firing grounds its head into a reused buffer,
+//! and only the products the instance lacks are copied into the round's
+//! pending atoms.
 //!
 //! `ObliviousChase::run` is the only oblivious driver. The one-shot
 //! [`chase`] runs it from the whole database; incremental maintenance
@@ -18,8 +27,8 @@
 
 use crate::plan::TriggerPlan;
 use crate::tgd::Tgd;
+use gtgd_data::idhash::IdHashSet;
 use gtgd_data::{obs, GroundAtom, Instance, Value};
-use std::collections::HashSet;
 use std::ops::ControlFlow;
 use std::time::Instant;
 
@@ -134,7 +143,9 @@ pub(crate) fn chase_impl(
 /// Sees every trigger firing of a run, in firing order: the plan of the
 /// fired TGD, the body row (slot order of `plan.body`), the fresh nulls
 /// (ascending existential-variable order) and the head atoms produced
-/// (whether or not the instance already holds them).
+/// (whether or not the instance already holds them). All three slices are
+/// reused buffers, valid only during the call: an observer copies what it
+/// keeps.
 pub(crate) trait FiringObserver {
     fn fired(
         &mut self,
@@ -174,24 +185,37 @@ pub(crate) struct RunStats {
     pub added: usize,
 }
 
+/// The trigger keys of one rule's firings (see
+/// [`TriggerPlan::write_trigger_key`]), each stored once, when its trigger
+/// fires.
+pub(crate) type FiredSet = IdHashSet<Box<[Value]>>;
+
 /// The state the oblivious chase carries between runs: the compiled
-/// plans, the instance, and the `(TGD index, trigger key)` of every
-/// trigger fired so far — the once-per-trigger discipline.
+/// plans, the instance, and per rule the trigger keys of every trigger
+/// fired so far — the once-per-trigger discipline.
 #[derive(Debug, Clone)]
 pub(crate) struct ObliviousChase {
     pub plans: Vec<TriggerPlan>,
     pub instance: Instance,
-    pub fired: HashSet<(usize, Vec<Value>)>,
+    /// `fired[i]` holds the keys of rule `i`'s firings.
+    pub fired: Vec<FiredSet>,
 }
 
-/// The head atoms one round produced, pending insertion.
+/// The head atoms one round produced that the instance lacks, pending
+/// insertion, and the buffers each firing reuses.
 struct Pending {
+    /// The products absent from the instance, in firing order. An atom two
+    /// triggers of the round produce appears twice; insertion keeps the
+    /// first.
     atoms: Vec<GroundAtom>,
+    /// The latest firing's fresh nulls.
     nulls: Vec<Value>,
-    /// The distinct pending atoms the instance lacks, which is what the
-    /// atom cap counts. Built only once the pending atoms, duplicates
-    /// included, could reach the cap; until then no product is hashed.
-    gain: Option<HashSet<GroundAtom>>,
+    /// The latest firing's head atoms, grounded in place.
+    products: Vec<GroundAtom>,
+    /// The distinct pending atoms, which is what the atom cap counts. Built
+    /// only once the pending atoms, duplicates included, could reach the
+    /// cap; until then no product is hashed twice.
+    gain: Option<IdHashSet<GroundAtom>>,
     fired: usize,
 }
 
@@ -203,17 +227,16 @@ impl Pending {
         instance: &Instance,
         observer: &mut impl FiringObserver,
     ) {
-        let start = self.atoms.len();
-        plan.fire_row(row, &mut self.nulls, &mut self.atoms);
+        plan.fire_row(row, &mut self.nulls, &mut self.products);
         self.fired += 1;
         obs::count(obs::Metric::TriggerFirings, 1);
-        let products = &self.atoms[start..];
-        observer.fired(plan, row, &self.nulls, products);
-        if let Some(gain) = &mut self.gain {
-            for p in products {
-                if !instance.contains(p) {
+        observer.fired(plan, row, &self.nulls, &self.products);
+        for p in &self.products {
+            if !instance.contains(p) {
+                if let Some(gain) = &mut self.gain {
                     gain.insert(p.clone());
                 }
+                self.atoms.push(p.clone());
             }
         }
     }
@@ -224,13 +247,9 @@ impl Pending {
         if !budget.atoms_exhausted(instance.len() + self.atoms.len()) {
             return false;
         }
-        let gain = self.gain.get_or_insert_with(|| {
-            self.atoms
-                .iter()
-                .filter(|a| !instance.contains(a))
-                .cloned()
-                .collect()
-        });
+        let gain = self
+            .gain
+            .get_or_insert_with(|| self.atoms.iter().cloned().collect());
         budget.atoms_exhausted(instance.len() + gain.len())
     }
 }
@@ -238,10 +257,11 @@ impl Pending {
 impl ObliviousChase {
     /// A state with nothing fired yet over `instance`.
     pub fn new(tgds: &[Tgd], instance: Instance) -> ObliviousChase {
+        let plans = TriggerPlan::compile_all(tgds);
         ObliviousChase {
-            plans: TriggerPlan::compile_all(tgds),
+            fired: vec![FiredSet::default(); plans.len()],
+            plans,
             instance,
-            fired: HashSet::new(),
         }
     }
 
@@ -272,9 +292,11 @@ impl ObliviousChase {
         let mut pending = Pending {
             atoms: Vec::new(),
             nulls: Vec::new(),
+            products: Vec::new(),
             gain: None,
             fired: 0,
         };
+        let mut key: Vec<Value> = Vec::new();
         let mut delta = delta;
         let mut level = 0usize;
         loop {
@@ -290,37 +312,29 @@ impl ObliviousChase {
                 Delta::Since(start) => &instance.atoms()[*start..],
                 Delta::Atoms(atoms) => atoms,
             };
-            'round: for (ti, plan) in plans.iter().enumerate() {
+            'round: for (plan, fired) in plans.iter().zip(fired.iter_mut()) {
                 if plan.body_atoms.is_empty() {
-                    if level == 0 && fired.insert((ti, Vec::new())) {
+                    if level == 0 && fired.insert(Box::default()) {
                         pending.fire(plan, &[], instance, observer);
                     }
                     continue;
                 }
+                let search = plan.body.search(instance);
                 for pin in 0..plan.body_atoms.len() {
-                    for d in round_delta {
-                        let Some(seed) = plan.body.unify_atom(pin, d) else {
-                            continue;
-                        };
-                        plan.body
-                            .search(instance)
-                            .fix_slots(seed)
-                            .skip_atom(pin)
-                            .for_each_row(|row| {
-                                if !fired.insert((ti, plan.trigger_key(row))) {
-                                    return ControlFlow::Continue(());
-                                }
-                                if pending.exhausts(budget, instance) {
-                                    fired.remove(&(ti, plan.trigger_key(row)));
-                                    hit_cap = true;
-                                    return ControlFlow::Break(());
-                                }
-                                pending.fire(plan, row, instance, observer);
-                                ControlFlow::Continue(())
-                            });
-                        if hit_cap {
-                            break 'round;
+                    hit_cap = search.for_each_pinned_row(pin, round_delta, |row| {
+                        plan.write_trigger_key(row, &mut key);
+                        if fired.contains(key.as_slice()) {
+                            return ControlFlow::Continue(());
                         }
+                        if pending.exhausts(budget, instance) {
+                            return ControlFlow::Break(());
+                        }
+                        fired.insert(key.as_slice().into());
+                        pending.fire(plan, row, instance, observer);
+                        ControlFlow::Continue(())
+                    });
+                    if hit_cap {
+                        break 'round;
                     }
                 }
             }
@@ -518,6 +532,56 @@ mod tests {
             assert_eq!(r.instance.len(), 2 * k + 1);
             assert_eq!(r.max_level, 1);
         }
+    }
+
+    /// Runs the engine from the whole database with `()` as observer.
+    fn run_all(d: &Instance, tgds: &[Tgd]) -> (ObliviousChase, RunStats) {
+        let mut state = ObliviousChase::new(tgds, d.clone());
+        let mut levels = vec![0; d.len()];
+        let run = state.run(
+            Delta::Since(0),
+            &ChaseBudget::unbounded(),
+            Some(&mut levels),
+            &mut (),
+        );
+        assert_eq!(levels.len(), state.instance.len());
+        (state, run)
+    }
+
+    #[test]
+    fn transitive_closure_fires_each_trigger_exactly_once() {
+        // Over a 40-node path every triple x < y < z is one trigger, the
+        // closure holds all 40·39/2 pairs, and a path of length ≤ 2^ℓ is
+        // derived by level ℓ (39 ≤ 2^6).
+        let tgds = parse_tgds("E(X,Y), E(Y,Z) -> E(X,Z)").unwrap();
+        let names: Vec<String> = (0..40).map(|i| format!("n{i}")).collect();
+        let path = Instance::from_atoms(
+            names
+                .windows(2)
+                .map(|w| GroundAtom::named("E", &[w[0].as_str(), w[1].as_str()])),
+        );
+        let (state, run) = run_all(&path, &tgds);
+        assert!(run.complete);
+        assert_eq!(run.fired, 9_880); // C(40, 3)
+        assert_eq!(state.fired[0].len(), 9_880);
+        assert_eq!(state.instance.len(), 780); // C(40, 2)
+        assert_eq!(run.added, 780 - 39);
+        assert_eq!(run.max_level, 6);
+    }
+
+    #[test]
+    fn a_trigger_with_both_body_atoms_in_one_delta_fires_once() {
+        // E(a,b), E(b,c): round 0 finds the trigger with either body atom
+        // pinned. E(a,a): both body atoms are the same delta atom.
+        let tgds = parse_tgds("E(X,Y), E(Y,Z) -> E(X,Z)").unwrap();
+        let (state, run) = run_all(&db(&[("E", &["a", "b"]), ("E", &["b", "c"])]), &tgds);
+        assert_eq!(run.fired, 1);
+        assert_eq!(state.instance.len(), 3);
+        let (state, run) = run_all(&db(&[("E", &["a", "a"])]), &tgds);
+        assert_eq!(run.fired, 1);
+        assert_eq!(state.instance.len(), 1);
+        assert_eq!(run.max_level, 0);
+        assert!(run.complete);
     }
 
     #[test]

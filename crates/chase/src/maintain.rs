@@ -45,8 +45,9 @@
 use crate::engine::{ChaseBudget, Delta, FiringObserver, ObliviousChase};
 use crate::plan::TriggerPlan;
 use crate::tgd::Tgd;
+use gtgd_data::idhash::{IdHashMap, IdHashSet};
 use gtgd_data::{obs, GroundAtom, Instance, Value};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// What one maintenance operation did. Every count is exact (not a
 /// high-water mark), which is what lets the mutation-grade tests assert
@@ -132,10 +133,10 @@ struct DepIndex {
     /// atom → ids of firings producing it (its supports). Only atoms of
     /// the instance are keys: retraction drops the keys of the atoms it
     /// removes.
-    supports: HashMap<GroundAtom, Vec<usize>>,
+    supports: IdHashMap<GroundAtom, Vec<usize>>,
     /// atom → ids of firings using it in their body. Keyed like
     /// `supports`.
-    uses: HashMap<GroundAtom, Vec<usize>>,
+    uses: IdHashMap<GroundAtom, Vec<usize>>,
 }
 
 impl DepIndex {
@@ -256,14 +257,14 @@ impl FiringObserver for DepIndex {
 /// across any number of maintenance operations.
 #[derive(Debug, Clone)]
 pub struct MaintainedInstance {
-    /// The engine state: plans, the instance, and the fired set, which
-    /// holds the `(TGD index, trigger key)` of every firing not yet purged
-    /// by retraction.
+    /// The engine state: plans, the instance, and the per-rule fired
+    /// sets, which hold the trigger key of every firing not yet purged by
+    /// retraction.
     chase: ObliviousChase,
     budget: ChaseBudget,
     /// User-asserted facts. A base fact is never deleted by over-delete
     /// propagation alone — only by being explicitly retracted.
-    base: HashSet<GroundAtom>,
+    base: IdHashSet<GroundAtom>,
     deps: DepIndex,
     complete: bool,
 }
@@ -400,7 +401,7 @@ impl MaintainedInstance {
         // `alive` at every read.
         for &fid in &dead_firings {
             let f = &self.deps.firings[fid];
-            self.chase.fired.remove(&(f.tgd, f.key.clone()));
+            self.chase.fired[f.tgd].remove(f.key.as_slice());
         }
         // Re-run the round loop from the rescued atoms: every purged
         // trigger whose body survived has a rescued body atom, so pinning
@@ -466,7 +467,7 @@ impl MaintainedInstance {
                 max_level: None,
                 max_atoms: export.max_atoms,
             },
-            base: HashSet::new(),
+            base: IdHashSet::default(),
             deps: DepIndex::default(),
             complete: export.complete,
         };
@@ -482,7 +483,7 @@ impl MaintainedInstance {
             fired,
         } = &mut m.chase;
         m.deps = DepIndex::rebuild(plans, export.firings.iter().cloned(), |f, body| {
-            if !fired.insert((f.tgd, f.key.clone())) {
+            if !fired[f.tgd].insert(f.key.as_slice().into()) {
                 return Err(format!("duplicate firing of rule {}", f.tgd));
             }
             if let Some(b) = body.iter().find(|b| !instance.contains(b)) {

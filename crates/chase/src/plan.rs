@@ -5,8 +5,8 @@
 //! A [`TriggerPlan`] compiles the body and head of a TGD into the
 //! slot-based kernel form ([`CompiledQuery`]) up front:
 //!
-//! * the **body plan** is probed every round with a delta atom pinned via
-//!   [`CompiledQuery::unify_atom`] + [`gtgd_query::KernelSearch::skip_atom`]
+//! * the **body plan** is probed every round with each body atom pinned
+//!   to the delta via [`gtgd_query::KernelSearch::for_each_pinned_row`]
 //!   — no atom lists are cloned, ever;
 //! * the **trigger key** (the body-variable images that deduplicate
 //!   oblivious-chase firings) is read straight out of the kernel row via
@@ -177,7 +177,16 @@ impl TriggerPlan {
     /// The trigger key (body-variable images in ascending variable order)
     /// of a body row.
     pub fn trigger_key(&self, row: &[Value]) -> Vec<Value> {
-        self.key_slots.iter().map(|&s| row[s]).collect()
+        let mut key = Vec::with_capacity(self.key_slots.len());
+        self.write_trigger_key(row, &mut key);
+        key
+    }
+
+    /// Writes the trigger key of a body row into `key`, replacing its
+    /// contents: the allocation-free form of [`TriggerPlan::trigger_key`].
+    pub fn write_trigger_key(&self, row: &[Value], key: &mut Vec<Value>) {
+        key.clear();
+        key.extend(self.key_slots.iter().map(|&s| row[s]));
     }
 
     /// Inverts [`TriggerPlan::trigger_key`]: reconstructs the full body
@@ -198,23 +207,28 @@ impl TriggerPlan {
     /// Fires the trigger witnessed by `row`: instantiates the head with
     /// fresh nulls for the existential variables (allocated in ascending
     /// variable order, like the legacy engine, and left in `nulls`) and
-    /// appends the atoms to `out`.
+    /// leaves the head atoms, in head order, in `out`. Both buffers are
+    /// overwritten: `out`'s atoms are regrounded in place, so a buffer
+    /// reused across firings allocates only when a head outgrows it.
     pub fn fire_row(&self, row: &[Value], nulls: &mut Vec<Value>, out: &mut Vec<GroundAtom>) {
         obs::count(obs::Metric::NullsCreated, self.n_exist as u64);
         nulls.clear();
         nulls.extend((0..self.n_exist).map(|_| Value::fresh_null()));
-        for atom in &self.head {
-            out.push(GroundAtom::new(
-                atom.predicate,
-                atom.args
-                    .iter()
-                    .map(|a| match *a {
-                        HeadArg::Const(c) => c,
-                        HeadArg::Body(s) => row[s as usize],
-                        HeadArg::Exist(i) => nulls[i as usize],
-                    })
-                    .collect(),
-            ))
+        out.truncate(self.head.len());
+        for (k, atom) in self.head.iter().enumerate() {
+            let args = atom.args.iter().map(|a| match *a {
+                HeadArg::Const(c) => c,
+                HeadArg::Body(s) => row[s as usize],
+                HeadArg::Exist(i) => nulls[i as usize],
+            });
+            match out.get_mut(k) {
+                Some(g) => {
+                    g.predicate = atom.predicate;
+                    g.args.clear();
+                    g.args.extend(args);
+                }
+                None => out.push(GroundAtom::new(atom.predicate, args.collect())),
+            }
         }
     }
 

@@ -11,7 +11,8 @@
 //! Trigger discovery is *incremental*: a FIFO frontier of discovered
 //! triggers is seeded from the database and extended, after each firing,
 //! with only the triggers whose body uses a newly created atom (found by
-//! pinning each body atom of each cached trigger plan (`plan::TriggerPlan`) to the delta).
+//! pinning each body atom of each cached trigger plan (`plan::TriggerPlan`)
+//! to each new atom in turn, through the kernel's pinned search).
 //! Head satisfaction is checked when a trigger is *popped*, against the
 //! instance as it stands then. This is sound because satisfaction is
 //! monotone under instance growth — once a trigger's head is satisfied it
@@ -25,8 +26,9 @@
 use crate::engine::{ChaseBudget, FiringObserver};
 use crate::plan::TriggerPlan;
 use crate::tgd::Tgd;
+use gtgd_data::idhash::{IdHashMap, IdHashSet};
 use gtgd_data::{obs, GroundAtom, Instance, Value};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
 /// Result of a restricted chase run.
@@ -87,11 +89,11 @@ pub(crate) fn restricted_chase_impl(
     // The frontier holds (TGD index, body row) triggers; `seen` guarantees
     // each trigger enters at most once.
     let mut queue: VecDeque<(usize, Vec<Value>)> = VecDeque::new();
-    let mut seen: HashSet<(usize, Vec<Value>)> = HashSet::new();
+    let mut seen: IdHashSet<(usize, Vec<Value>)> = IdHashSet::default();
     let push = |ti: usize,
                 row: Vec<Value>,
                 queue: &mut VecDeque<(usize, Vec<Value>)>,
-                seen: &mut HashSet<(usize, Vec<Value>)>| {
+                seen: &mut IdHashSet<(usize, Vec<Value>)>| {
         if seen.insert((ti, row.clone())) {
             queue.push_back((ti, row));
         }
@@ -116,7 +118,7 @@ pub(crate) fn restricted_chase_impl(
     // oblivious chase's level notion, applied per firing — not canonical
     // for the restricted chase, but a sound derivation-depth bound).
     let track_levels = budget.max_level.is_some();
-    let mut levels: HashMap<GroundAtom, usize> = HashMap::new();
+    let mut levels: IdHashMap<GroundAtom, usize> = IdHashMap::default();
     if track_levels {
         levels.extend(instance.iter().map(|a| (a.clone(), 0)));
     }
@@ -155,37 +157,29 @@ pub(crate) fn restricted_chase_impl(
                 continue;
             }
         }
-        new_atoms.clear();
         plans[ti].fire_row(&row, &mut nulls, &mut new_atoms);
         fired += 1;
         obs::count(obs::Metric::TriggerFirings, 1);
         observer.fired(&plans[ti], &row, &nulls, &new_atoms);
         // Insert, keeping only the genuinely new atoms as the delta.
-        let mut delta_start = instance.len();
+        let delta_start = instance.len();
         instance.reserve_additional(new_atoms.len());
         for a in &new_atoms {
             if instance.insert(a.clone()) && track_levels {
                 levels.insert(a.clone(), firing_level);
             }
         }
-        // Discover triggers that use at least one delta atom.
-        while delta_start < instance.len() {
-            let d = instance.atom(delta_start).clone();
-            delta_start += 1;
-            for (tj, tgd) in tgds.iter().enumerate() {
-                for pin in 0..tgd.body.len() {
-                    let Some(seed) = plans[tj].body.unify_atom(pin, &d) else {
-                        continue;
-                    };
-                    plans[tj]
-                        .body
-                        .search(&instance)
-                        .fix_slots(seed)
-                        .skip_atom(pin)
-                        .for_each_row(|row| {
-                            push(tj, row.to_vec(), &mut queue, &mut seen);
-                            ControlFlow::Continue(())
-                        });
+        // Discover triggers that use at least one delta atom, one delta
+        // atom at a time: the queue order (hence the result) depends on
+        // it.
+        for d in &instance.atoms()[delta_start..] {
+            for (tj, plan) in plans.iter().enumerate() {
+                let search = plan.body.search(&instance);
+                for pin in 0..plan.body_atoms.len() {
+                    search.for_each_pinned_row(pin, std::slice::from_ref(d), |row| {
+                        push(tj, row.to_vec(), &mut queue, &mut seen);
+                        ControlFlow::Continue(())
+                    });
                 }
             }
         }

@@ -45,6 +45,7 @@
 //! observable too.
 
 use crate::atom::GroundAtom;
+use crate::idhash::IdHashMap;
 use crate::obs;
 use crate::schema::Predicate;
 use crate::value::Value;
@@ -57,7 +58,7 @@ use std::time::Instant;
 /// Per `(predicate, arity)` relation, the ids of its atoms in insertion
 /// order: the relation's row order. The instance's per-relation candidate
 /// lists.
-pub type RelationIds = HashMap<(Predicate, u16), Vec<usize>>;
+pub type RelationIds = IdHashMap<(Predicate, u16), Vec<usize>>;
 
 /// The rows of `(p, arity)` as atom ids (empty when the relation is).
 fn relation_ids(ids: &RelationIds, p: Predicate, arity: u16) -> &[usize] {

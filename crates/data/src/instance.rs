@@ -1,7 +1,8 @@
 //! Instances and databases: indexed sets of ground atoms.
 
 use crate::atom::GroundAtom;
-use crate::dense::{DenseExport, DenseStats, DenseStore, DenseTrie, Dict};
+use crate::dense::{DenseExport, DenseStats, DenseStore, DenseTrie, Dict, RelationIds};
+use crate::idhash::IdHashMap;
 use crate::schema::{Predicate, Schema};
 use crate::value::Value;
 use gtgd_treewidth::Graph;
@@ -47,18 +48,18 @@ pub struct Instance {
 /// sorted ascending and never empty.
 #[derive(Debug, Clone, Default)]
 struct RowIndexes {
-    index_of: HashMap<GroundAtom, usize>,
+    index_of: IdHashMap<GroundAtom, usize>,
     /// Per `(predicate, arity)` relation, its atoms' ids in insertion
     /// order. This is also the dense store's row order: row `r` of a
     /// relation is `atoms[by_pred[rel][r]]`.
-    by_pred: HashMap<(Predicate, u16), Vec<usize>>,
-    by_pred_pos_val: HashMap<(Predicate, u16, Value), Vec<usize>>,
+    by_pred: RelationIds,
+    by_pred_pos_val: IdHashMap<(Predicate, u16, Value), Vec<usize>>,
     dom: Vec<Value>,
     /// The row id of each `dom` value's first occurrence. `dom` is sorted
     /// by (this id, the value's first position in that atom), which is
     /// what lets retraction re-place only the values whose first
     /// occurrence leaves.
-    dom_first: HashMap<Value, usize>,
+    dom_first: IdHashMap<Value, usize>,
 }
 
 impl RowIndexes {
@@ -85,8 +86,8 @@ impl RowIndexes {
     fn build(atoms: &[GroundAtom]) -> RowIndexes {
         let cells: usize = atoms.iter().map(|a| a.args.len()).sum();
         let mut r = RowIndexes {
-            index_of: HashMap::with_capacity(atoms.len()),
-            by_pred_pos_val: HashMap::with_capacity(cells),
+            index_of: IdHashMap::with_capacity_and_hasher(atoms.len(), Default::default()),
+            by_pred_pos_val: IdHashMap::with_capacity_and_hasher(cells, Default::default()),
             ..RowIndexes::default()
         };
         for (idx, a) in atoms.iter().enumerate() {

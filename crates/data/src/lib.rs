@@ -29,6 +29,7 @@
 pub mod atom;
 pub mod dense;
 pub mod homomorphism;
+pub mod idhash;
 pub mod instance;
 pub mod obs;
 pub mod par;

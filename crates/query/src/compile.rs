@@ -22,13 +22,16 @@
 //! * **Columnar answers** — enumeration writes rows into a reusable buffer
 //!   and full materialization targets a [`ValuationTable`]
 //!   (one `Vec<Value>` for all rows) instead of one `HashMap` per answer.
+//! * **Pinned batches** — [`KernelSearch::for_each_pinned_row`] runs the
+//!   chase's delta probes (one body atom pinned to each delta atom in
+//!   turn) on one reused search state instead of one search per atom.
 //!
 //! A `CompiledQuery` is immutable and `Sync`: the chase compiles each TGD
 //! body once and re-probes it every round from many worker threads.
 
 use crate::cq::{QAtom, Term, Var};
 use crate::wcoj::{self, DenseSnapshot, SplitProbe, WcojPlan, WcojRun};
-use gtgd_data::{obs, Instance, Pool, Value};
+use gtgd_data::{obs, GroundAtom, Instance, Pool, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -437,23 +440,31 @@ impl<'a> KernelSearch<'a> {
     /// answers).
     fn init(&self) -> Option<State> {
         let (val, used) = self.init_val()?;
+        Some(self.state(val, used, self.skip))
+    }
+
+    /// A backtracking state over `val` whose pending list is every atom
+    /// but `skip`, in static order.
+    fn state(&self, val: Vec<Option<Value>>, used: HashSet<Value>, skip: Option<usize>) -> State {
         let n = self.plan.slot_count();
         let pending: Vec<usize> = self
             .plan
             .static_order
             .iter()
             .copied()
-            .filter(|&i| Some(i) != self.skip)
+            .filter(|&i| Some(i) != skip)
             .collect();
-        Some(State {
+        State {
             val,
             used,
             pending,
             trail: Vec::new(),
-            row: vec![Value::named("?"); n],
+            // A placeholder: every cell is overwritten before a row is
+            // handed out.
+            row: vec![Value::Null(0); n],
             nodes: 0,
             backtracks: 0,
-        })
+        }
     }
 
     /// Candidate atom ids for compiled atom `ai` under the current
@@ -584,6 +595,89 @@ impl<'a> KernelSearch<'a> {
             return false;
         };
         let stopped = self.search_rec(&mut st, &mut f).is_break();
+        obs::count(obs::Metric::KernelNodes, st.nodes);
+        obs::count(obs::Metric::KernelBacktracks, st.backtracks);
+        stopped
+    }
+
+    /// Runs one search per seed with compiled atom `pin` unified with that
+    /// seed and skipped, and visits every row, seed by seed in slice order.
+    /// This yields the same rows, in the same order and with the same
+    /// `kernel.nodes_visited`, as running
+    /// `fix_slots(unify_atom(pin, seed)).skip_atom(pin).for_each_row(..)`
+    /// for each seed that unifies; `pin` replaces any
+    /// [`KernelSearch::skip_atom`]. Returns `true` if `f` stopped the
+    /// batch.
+    ///
+    /// The backtracking search without modes keeps one state (valuation,
+    /// trail, pending list, output row) for the whole batch: each seed's
+    /// bindings are written into the valuation and undone after its
+    /// search. The worst-case-optimal path and searches with modes run the
+    /// per-seed searches themselves.
+    pub fn for_each_pinned_row(
+        &self,
+        pin: usize,
+        seeds: &[GroundAtom],
+        mut f: impl FnMut(&[Value]) -> ControlFlow<()>,
+    ) -> bool {
+        if self.uses_wcoj() || self.injective || self.allowed.is_some() {
+            for seed in seeds {
+                let Some(bindings) = self.plan.unify_atom(pin, seed) else {
+                    continue;
+                };
+                let mut sub = KernelSearch {
+                    plan: self.plan,
+                    target: self.target,
+                    fixed: self.fixed.clone(),
+                    injective: self.injective,
+                    allowed: self.allowed,
+                    skip: Some(pin),
+                    strategy: self.strategy,
+                };
+                sub.fixed.extend(bindings);
+                if sub.for_each_row(&mut f) {
+                    return true;
+                }
+            }
+            return false;
+        }
+        let Some((val, used)) = self.init_val() else {
+            return false;
+        };
+        let mut st = self.state(val, used, Some(pin));
+        let atom = &self.plan.atoms[pin];
+        let mut stopped = false;
+        for seed in seeds {
+            if seed.predicate != atom.predicate || seed.args.len() != atom.terms.len() {
+                continue;
+            }
+            // Bind the seed on the trail, exactly as `unify_atom` followed
+            // by the fixed-binding check would accept or reject it.
+            let mut ok = true;
+            for (t, &gv) in atom.terms.iter().zip(&seed.args) {
+                match *t {
+                    CTerm::Const(c) => ok = c == gv,
+                    CTerm::Slot(s) => match st.val[s as usize] {
+                        Some(bound) => ok = bound == gv,
+                        None => {
+                            st.val[s as usize] = Some(gv);
+                            st.trail.push(s);
+                        }
+                    },
+                }
+                if !ok {
+                    break;
+                }
+            }
+            if ok && self.search_rec(&mut st, &mut f).is_break() {
+                stopped = true;
+                break;
+            }
+            for &s in &st.trail {
+                st.val[s as usize] = None;
+            }
+            st.trail.clear();
+        }
         obs::count(obs::Metric::KernelNodes, st.nodes);
         obs::count(obs::Metric::KernelBacktracks, st.backtracks);
         stopped

@@ -765,7 +765,8 @@ impl<'a> WcojRun<'a> {
             val,
             raw,
             used,
-            row: vec![Value::named("?"); n],
+            // A placeholder: every cell is written before a row is handed out.
+            row: vec![Value::Null(0); n],
             levels_at: vec![Vec::new(); depths],
             leap_at: vec![Vec::new(); depths],
             extra_at: vec![Vec::new(); depths],

@@ -8,6 +8,9 @@
 //! The certain-answer output (`PreparedQuery::certain_rows`) is pinned to
 //! `answers()` filtered to null-free rows, sorted and deduplicated, on
 //! instances with nulls under both strategies.
+//! The pinned batch search (`KernelSearch::for_each_pinned_row`) is pinned
+//! to one `fix_slots(unify_atom(..)).skip_atom(..)` search per seed, rows
+//! concatenated in seed order, under both strategies.
 
 use gtgd::data::{GroundAtom, Instance, Predicate, Rng, Value};
 use gtgd::query::{CompiledQuery, Cq, Engine, HomSearch, QAtom, Strategy, Term, Var};
@@ -451,6 +454,80 @@ fn certain_rows_equal_sorted_null_free_answers() {
                 assert_eq!(got.width(), q.arity(), "case {case} {s:?} w={w}");
                 let got: Vec<Vec<Value>> = got.rows().map(<[Value]>::to_vec).collect();
                 assert_eq!(got, want, "case {case} {s:?} w={w}");
+            }
+        }
+    }
+}
+
+#[test]
+fn pinned_batch_equals_per_seed_searches() {
+    let mut rng = Rng::seed(0x919e_d5ee);
+    let d = dom();
+    for case in 0..160u32 {
+        let db = arb_db(&mut rng);
+        let atoms = arb_atoms(&mut rng);
+        let plan = CompiledQuery::compile(&atoms);
+        // Sometimes a caller binding the seeds must merge with.
+        let mut fixed: Vec<(usize, Value)> = Vec::new();
+        if plan.slot_count() > 0 && rng.chance(0.3) {
+            let slot = rng.below(plan.slot_count() as u64) as usize;
+            fixed.push((slot, d[rng.below(4) as usize]));
+        }
+        // Injective searches take the per-seed path on both strategies.
+        let injective = rng.chance(0.25);
+        let seeds = db.atoms();
+        for s in [Strategy::Backtrack, Strategy::Wcoj] {
+            let search = || {
+                let k = plan
+                    .search(&db)
+                    .strategy(s)
+                    .fix_slots(fixed.iter().copied());
+                if injective {
+                    k.injective()
+                } else {
+                    k
+                }
+            };
+            for pin in 0..atoms.len() {
+                let ctx = format!("case {case} {s:?} pin {pin}, fixed={fixed:?}, inj={injective}");
+                let mut want: Vec<Vec<Value>> = Vec::new();
+                for seed in seeds {
+                    let Some(bindings) = plan.unify_atom(pin, seed) else {
+                        continue;
+                    };
+                    search()
+                        .fix_slots(bindings)
+                        .skip_atom(pin)
+                        .for_each_row(|row| {
+                            want.push(row.to_vec());
+                            ControlFlow::Continue(())
+                        });
+                }
+                let mut got: Vec<Vec<Value>> = Vec::new();
+                let stopped = search().for_each_pinned_row(pin, seeds, |row| {
+                    got.push(row.to_vec());
+                    ControlFlow::Continue(())
+                });
+                assert!(!stopped, "{ctx}");
+                assert_eq!(got, want, "{ctx}");
+
+                if want.is_empty() {
+                    continue;
+                }
+                // A `Break` at any row stops the whole batch.
+                let stop_at = rng.below(want.len() as u64) as usize;
+                let mut visited = 0usize;
+                let stopped = search().for_each_pinned_row(pin, seeds, |row| {
+                    assert_eq!(row, want[visited].as_slice(), "{ctx}");
+                    visited += 1;
+                    if visited > stop_at {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                });
+                assert!(stopped, "{ctx}");
+                assert_eq!(visited, stop_at + 1, "{ctx}");
             }
         }
     }
