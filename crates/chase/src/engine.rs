@@ -1,4 +1,5 @@
-//! The oblivious chase (Section 2), with level tracking and budgets.
+//! The oblivious chase (Section 2), with level tracking and budgets, and
+//! the restricted chase on the same round loop.
 //!
 //! The oblivious chase fires every trigger `(σ, h)` exactly once, whether or
 //! not the head is already satisfied, so every chase sequence yields the same
@@ -6,29 +7,35 @@
 //! of an atom is `1 +` the maximum level of the body atoms that produced it
 //! (0 for database atoms).
 //!
-//! Trigger discovery is *semi-naive*: after round `ℓ`, only triggers whose
-//! body uses at least one atom created in round `ℓ` are searched, by pinning
-//! each body atom in turn to the round-`ℓ` delta. One pinned batch search
-//! ([`gtgd_query::KernelSearch::for_each_pinned_row`]) per rule and pinned
-//! body atom covers the whole delta, reusing one search state across its
-//! atoms.
+//! Trigger discovery is *exact semi-naive*: round `ℓ` pins each body atom
+//! `i` in turn to the atoms round `ℓ - 1` created (the delta), with the
+//! atoms `j < i` matching only atoms outside the delta
+//! ([`gtgd_query::KernelSearch::semi_naive`]). So each trigger is found
+//! once: at its first delta position, in the round after its newest body
+//! atom was created. No record of fired triggers is kept. One pinned batch
+//! search ([`gtgd_query::KernelSearch::for_each_pinned_row`]) per rule and
+//! pin covers the whole delta. Each firing grounds its head into a reused
+//! buffer, and only the products the instance lacks are copied into the
+//! round's pending atoms. Empty-body rules fire in a state's first round.
 //!
-//! A round allocates only for what is new. The fired set is probed with a
-//! trigger key written into a reused buffer, and a key is stored only when
-//! its trigger fires. Each firing grounds its head into a reused buffer,
-//! and only the products the instance lacks are copied into the round's
-//! pending atoms.
+//! The restricted chase ([`ChaseVariant::Restricted`]) runs the same
+//! rounds breadth-first: a round collects what discovery finds, then fires
+//! each trigger whose head the live instance does not satisfy, inserting
+//! its products at once. Every trigger active in a round fires or is found
+//! satisfied in that round, so the sequence is fair.
 //!
-//! `ObliviousChase::run` is the only oblivious driver. The one-shot
-//! [`chase`] runs it from the whole database; incremental maintenance
-//! (`crate::maintain`) runs it on a persistent state from the inserted or
-//! rescued atoms; certified runs and the maintenance dependency index
-//! watch its firings through a `FiringObserver`.
+//! `ObliviousChase::run` is the only chase driver: [`chase`] and the
+//! restricted chase run it from the whole database, incremental
+//! maintenance (`crate::maintain`) from the inserted or rescued atoms;
+//! certified runs and the dependency index watch it through a
+//! `FiringObserver`.
 
 use crate::plan::TriggerPlan;
+use crate::runner::ChaseVariant;
 use crate::tgd::Tgd;
 use gtgd_data::idhash::IdHashSet;
 use gtgd_data::{obs, GroundAtom, Instance, Value};
+pub(crate) use gtgd_query::Delta;
 use std::ops::ControlFlow;
 use std::time::Instant;
 
@@ -129,7 +136,7 @@ pub(crate) fn chase_impl(
     observer: &mut impl FiringObserver,
 ) -> ChaseResult {
     let _span = obs::span("chase.oblivious");
-    let mut state = ObliviousChase::new(tgds, db.clone());
+    let mut state = ObliviousChase::new(tgds, db.clone(), ChaseVariant::Oblivious);
     let mut levels = vec![0usize; db.len()];
     let run = state.run(Delta::Since(0), budget, Some(&mut levels), observer);
     ChaseResult {
@@ -162,17 +169,8 @@ impl FiringObserver for () {
     fn fired(&mut self, _: &TriggerPlan, _: &[Value], _: &[Value], _: &[GroundAtom]) {}
 }
 
-/// Where a run's first round looks for triggers. Every later round
-/// searches from the atoms the previous round added.
-pub(crate) enum Delta {
-    /// The instance's atoms from this position on (insertion order).
-    Since(usize),
-    /// These atoms, all present in the instance.
-    Atoms(Vec<GroundAtom>),
-}
-
 /// What one [`ObliviousChase::run`] did.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct RunStats {
     /// Whether the run reached a fixpoint within budget.
     pub complete: bool,
@@ -185,24 +183,22 @@ pub(crate) struct RunStats {
     pub added: usize,
 }
 
-/// The trigger keys of one rule's firings (see
-/// [`TriggerPlan::write_trigger_key`]), each stored once, when its trigger
-/// fires.
-pub(crate) type FiredSet = IdHashSet<Box<[Value]>>;
-
-/// The state the oblivious chase carries between runs: the compiled
-/// plans, the instance, and per rule the trigger keys of every trigger
-/// fired so far — the once-per-trigger discipline.
+/// The state a chase carries between runs: the compiled plans, the
+/// instance, the variant its runs fire by, and whether the empty-body
+/// rules have fired.
 #[derive(Debug, Clone)]
 pub(crate) struct ObliviousChase {
     pub plans: Vec<TriggerPlan>,
     pub instance: Instance,
-    /// `fired[i]` holds the keys of rule `i`'s firings.
-    pub fired: Vec<FiredSet>,
+    pub variant: ChaseVariant,
+    /// Set once the first round of the first run has passed the
+    /// empty-body rules (an atom cap may cut some, like any trigger).
+    pub empty_fired: bool,
 }
 
 /// The head atoms one round produced that the instance lacks, pending
 /// insertion, and the buffers each firing reuses.
+#[derive(Default)]
 struct Pending {
     /// The products absent from the instance, in firing order. An atom two
     /// triggers of the round produce appears twice; insertion keeps the
@@ -252,25 +248,45 @@ impl Pending {
             .get_or_insert_with(|| self.atoms.iter().cloned().collect());
         budget.atoms_exhausted(instance.len() + gain.len())
     }
+
+    /// Inserts the pending atoms at `level`, appending it to `levels` per
+    /// atom new to the instance.
+    fn insert(&mut self, instance: &mut Instance, levels: Option<&mut Vec<usize>>, level: usize) {
+        instance.reserve_additional(self.atoms.len());
+        for a in self.atoms.drain(..) {
+            instance.insert(a);
+        }
+        if let Some(levels) = levels {
+            levels.resize(instance.len(), level);
+        }
+        self.gain = None;
+    }
 }
 
 impl ObliviousChase {
     /// A state with nothing fired yet over `instance`.
-    pub fn new(tgds: &[Tgd], instance: Instance) -> ObliviousChase {
-        let plans = TriggerPlan::compile_all(tgds);
+    pub fn new(tgds: &[Tgd], instance: Instance, variant: ChaseVariant) -> ObliviousChase {
         ObliviousChase {
-            fired: vec![FiredSet::default(); plans.len()],
-            plans,
+            plans: TriggerPlan::compile_all(tgds),
             instance,
+            variant,
+            empty_fired: false,
         }
     }
 
-    /// Runs semi-naive rounds from `delta` until a round adds nothing or
-    /// `budget` stops the run. Round `ℓ` (from 0) fires every not yet fired
-    /// trigger whose body uses an atom of the round's delta, against the
-    /// instance as it stood before the round; its atoms are inserted at
-    /// level `ℓ + 1` (appended to `levels`, when given) and become the
-    /// next delta. Empty-body TGDs fire in round 0, once ever.
+    /// Runs rounds from `delta` until a round adds nothing or `budget`
+    /// stops the run. Round `ℓ` (from 0) finds every trigger whose body
+    /// uses an atom of the round's delta, against the instance as it stood
+    /// before the round; the atoms it adds get level `ℓ + 1` (appended to
+    /// `levels`, when given) and become the next delta.
+    ///
+    /// Oblivious: every trigger found fires, and the round's atoms are
+    /// inserted after it; the run stops before a round at the level cap.
+    /// Restricted: the triggers found fire in discovery order, each only
+    /// if its head is not satisfied by the live instance, and their
+    /// products are inserted at once; a round at the level cap fires
+    /// nothing and leaves the run complete iff it found no active trigger.
+    /// Both stop as soon as the atom cap is reached.
     pub fn run(
         &mut self,
         delta: Delta,
@@ -281,61 +297,91 @@ impl ObliviousChase {
         let ObliviousChase {
             plans,
             instance,
-            fired,
+            variant,
+            empty_fired,
         } = self;
+        let restricted = *variant == ChaseVariant::Restricted;
         let mut stats = RunStats {
             complete: true,
-            max_level: 0,
-            fired: 0,
-            added: 0,
+            ..RunStats::default()
         };
-        let mut pending = Pending {
-            atoms: Vec::new(),
-            nulls: Vec::new(),
-            products: Vec::new(),
-            gain: None,
-            fired: 0,
-        };
-        let mut key: Vec<Value> = Vec::new();
+        let mut pending = Pending::default();
         let mut delta = delta;
         let mut level = 0usize;
         loop {
-            if budget.max_level.is_some_and(|max| level >= max)
-                || budget.atoms_exhausted(instance.len())
-            {
+            let at_level_cap = budget.max_level.is_some_and(|max| level >= max);
+            if !restricted && (at_level_cap || budget.atoms_exhausted(instance.len())) {
                 stats.complete = false;
                 break;
             }
             let round_t = obs::enabled().then(Instant::now);
+            // Whether a budget stopped the round with a trigger left.
             let mut hit_cap = false;
+            // Restricted rounds: the rule of each trigger found, and its row.
+            let (mut found, mut found_rows) = (Vec::new(), Vec::new());
+            let start = instance.len();
+            let seeds: Vec<GroundAtom>;
             let round_delta: &[GroundAtom] = match &delta {
-                Delta::Since(start) => &instance.atoms()[*start..],
-                Delta::Atoms(atoms) => atoms,
-            };
-            'round: for (plan, fired) in plans.iter().zip(fired.iter_mut()) {
-                if plan.body_atoms.is_empty() {
-                    if level == 0 && fired.insert(Box::default()) {
-                        pending.fire(plan, &[], instance, observer);
-                    }
-                    continue;
+                Delta::Since(from) => &instance.atoms()[*from..],
+                Delta::Atoms(ids) => {
+                    seeds = ids.iter().map(|&i| instance.atom(i).clone()).collect();
+                    &seeds
                 }
-                let search = plan.body.search(instance);
-                for pin in 0..plan.body_atoms.len() {
-                    hit_cap = search.for_each_pinned_row(pin, round_delta, |row| {
-                        plan.write_trigger_key(row, &mut key);
-                        if fired.contains(key.as_slice()) {
-                            return ControlFlow::Continue(());
-                        }
-                        if pending.exhausts(budget, instance) {
-                            return ControlFlow::Break(());
-                        }
-                        fired.insert(key.as_slice().into());
+            };
+            'round: for (ti, plan) in plans.iter().enumerate() {
+                let mut visit = |row: &[Value]| {
+                    if restricted {
+                        found.push(ti);
+                        found_rows.extend_from_slice(row);
+                    } else if pending.exhausts(budget, instance) {
+                        return ControlFlow::Break(());
+                    } else {
                         pending.fire(plan, row, instance, observer);
-                        ControlFlow::Continue(())
-                    });
-                    if hit_cap {
-                        break 'round;
                     }
+                    ControlFlow::Continue(())
+                };
+                if plan.body_atoms.is_empty() {
+                    if !*empty_fired {
+                        hit_cap = visit(&[]).is_break();
+                    }
+                } else {
+                    let search = plan.body.search(instance).semi_naive(&delta);
+                    for pin in 0..plan.body_atoms.len() {
+                        hit_cap = search.for_each_pinned_row(pin, round_delta, &mut visit);
+                        if hit_cap {
+                            break;
+                        }
+                    }
+                }
+                if hit_cap {
+                    break 'round;
+                }
+            }
+            *empty_fired = true;
+            if restricted {
+                // The gate: fire each trigger found that is still active.
+                let mut offset = 0;
+                for &ti in &found {
+                    let plan = &plans[ti];
+                    let row = &found_rows[offset..offset + plan.body.slot_count()];
+                    offset += row.len();
+                    if budget.atoms_exhausted(instance.len()) {
+                        hit_cap = true;
+                        break;
+                    }
+                    if plan.head_satisfied(row, instance) {
+                        continue;
+                    }
+                    if at_level_cap {
+                        hit_cap = true;
+                        break;
+                    }
+                    pending.fire(plan, row, instance, observer);
+                    pending.insert(instance, levels.as_deref_mut(), level + 1);
+                }
+                if at_level_cap {
+                    stats.complete = !hit_cap;
+                    break;
                 }
             }
             obs::count(obs::Metric::ChaseRounds, 1);
@@ -343,16 +389,7 @@ impl ObliviousChase {
                 obs::observe(obs::Hist::ChaseRoundNs, t0.elapsed().as_nanos() as u64);
             }
             level += 1;
-            let start = instance.len();
-            instance.reserve_additional(pending.atoms.len());
-            for a in pending.atoms.drain(..) {
-                if instance.insert(a) {
-                    if let Some(levels) = levels.as_deref_mut() {
-                        levels.push(level);
-                    }
-                }
-            }
-            pending.gain = None;
+            pending.insert(instance, levels.as_deref_mut(), level);
             stats.added += instance.len() - start;
             if instance.len() == start {
                 // No new atom (nothing fired, or a full TGD re-derived
@@ -534,18 +571,29 @@ mod tests {
         }
     }
 
-    /// Runs the engine from the whole database with `()` as observer.
-    fn run_all(d: &Instance, tgds: &[Tgd]) -> (ObliviousChase, RunStats) {
-        let mut state = ObliviousChase::new(tgds, d.clone());
+    /// The distinct `(rule, trigger key)` pairs of the firings seen.
+    #[derive(Default)]
+    struct Keys(std::collections::HashSet<(usize, Vec<Value>)>);
+
+    impl FiringObserver for Keys {
+        fn fired(&mut self, plan: &TriggerPlan, row: &[Value], _: &[Value], _: &[GroundAtom]) {
+            self.0.insert((plan.index, plan.trigger_key(row)));
+        }
+    }
+
+    /// Runs the engine from the whole database, collecting trigger keys.
+    fn run_all(d: &Instance, tgds: &[Tgd]) -> (ObliviousChase, RunStats, Keys) {
+        let mut state = ObliviousChase::new(tgds, d.clone(), ChaseVariant::Oblivious);
         let mut levels = vec![0; d.len()];
+        let mut keys = Keys::default();
         let run = state.run(
             Delta::Since(0),
             &ChaseBudget::unbounded(),
             Some(&mut levels),
-            &mut (),
+            &mut keys,
         );
         assert_eq!(levels.len(), state.instance.len());
-        (state, run)
+        (state, run, keys)
     }
 
     #[test]
@@ -560,10 +608,10 @@ mod tests {
                 .windows(2)
                 .map(|w| GroundAtom::named("E", &[w[0].as_str(), w[1].as_str()])),
         );
-        let (state, run) = run_all(&path, &tgds);
+        let (state, run, keys) = run_all(&path, &tgds);
         assert!(run.complete);
         assert_eq!(run.fired, 9_880); // C(40, 3)
-        assert_eq!(state.fired[0].len(), 9_880);
+        assert_eq!(keys.0.len(), 9_880);
         assert_eq!(state.instance.len(), 780); // C(40, 2)
         assert_eq!(run.added, 780 - 39);
         assert_eq!(run.max_level, 6);
@@ -574,10 +622,10 @@ mod tests {
         // E(a,b), E(b,c): round 0 finds the trigger with either body atom
         // pinned. E(a,a): both body atoms are the same delta atom.
         let tgds = parse_tgds("E(X,Y), E(Y,Z) -> E(X,Z)").unwrap();
-        let (state, run) = run_all(&db(&[("E", &["a", "b"]), ("E", &["b", "c"])]), &tgds);
+        let (state, run, _) = run_all(&db(&[("E", &["a", "b"]), ("E", &["b", "c"])]), &tgds);
         assert_eq!(run.fired, 1);
         assert_eq!(state.instance.len(), 3);
-        let (state, run) = run_all(&db(&[("E", &["a", "a"])]), &tgds);
+        let (state, run, _) = run_all(&db(&[("E", &["a", "a"])]), &tgds);
         assert_eq!(run.fired, 1);
         assert_eq!(state.instance.len(), 1);
         assert_eq!(run.max_level, 0);

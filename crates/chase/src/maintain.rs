@@ -9,17 +9,20 @@
 //!   [`crate::chase`]) starts from the inserted atoms only — never the
 //!   whole instance — on the persistent engine state, so the warm
 //!   `TriggerPlan` caches are reused and a single-fact insert costs a
-//!   handful of pinned index probes instead of a full re-chase. The
-//!   engine's *persistent* fired set (`(TGD, trigger key)`) carries the
-//!   oblivious once-per-trigger discipline across updates.
+//!   handful of pinned index probes instead of a full re-chase. Every
+//!   trigger the loop finds uses an inserted atom, so none of them fired
+//!   before: the once-per-trigger discipline needs no record of past
+//!   firings.
 //! * [`retract`](MaintainedInstance::retract) runs **DRed**
 //!   (delete-and-re-derive) over the per-firing dependency index recorded
 //!   at insert time: first *over-delete* everything transitively derived
 //!   through a retracted atom, then *re-derive* — rescue the over-deleted
 //!   atoms that still have an alive alternative support (or are surviving
 //!   base facts), physically remove the rest, and re-run the round loop
-//!   from the rescued atoms so the purged triggers whose bodies survived
-//!   can re-fire.
+//!   from the rescued atoms. The over-delete killed every firing that used
+//!   an over-deleted atom, so every trigger with a rescued body atom is
+//!   dead and must re-fire, and the loop's semi-naive split finds each of
+//!   them once.
 //!
 //! Every firing of those runs is recorded, through the engine's firing
 //! observer, into the dependency index (`supports`/`uses`) DRed walks.
@@ -44,6 +47,7 @@
 
 use crate::engine::{ChaseBudget, Delta, FiringObserver, ObliviousChase};
 use crate::plan::TriggerPlan;
+use crate::runner::ChaseVariant;
 use crate::tgd::Tgd;
 use gtgd_data::idhash::{IdHashMap, IdHashSet};
 use gtgd_data::{obs, GroundAtom, Instance, Value};
@@ -110,7 +114,7 @@ pub struct MaintainExport {
 /// compaction.
 #[derive(Debug, Clone)]
 struct Firing {
-    /// TGD index (pairs with `key` as the fired-set entry to purge).
+    /// TGD index.
     tgd: usize,
     /// The oblivious trigger key (body-variable images).
     key: Vec<Value>,
@@ -257,9 +261,7 @@ impl FiringObserver for DepIndex {
 /// across any number of maintenance operations.
 #[derive(Debug, Clone)]
 pub struct MaintainedInstance {
-    /// The engine state: plans, the instance, and the per-rule fired
-    /// sets, which hold the trigger key of every firing not yet purged by
-    /// retraction.
+    /// The engine state: plans and the instance.
     chase: ObliviousChase,
     budget: ChaseBudget,
     /// User-asserted facts. A base fact is never deleted by over-delete
@@ -283,7 +285,7 @@ impl MaintainedInstance {
             "MaintainedInstance maintains a fixpoint; level-capped prefixes are not maintainable"
         );
         let mut m = MaintainedInstance {
-            chase: ObliviousChase::new(tgds, db.clone()),
+            chase: ObliviousChase::new(tgds, db.clone(), ChaseVariant::Oblivious),
             budget,
             base: db.iter().cloned().collect(),
             deps: DepIndex::default(),
@@ -312,8 +314,8 @@ impl MaintainedInstance {
     }
 
     /// Asserts base facts and chases only their consequences: the round
-    /// loop starts from the atoms new to the instance, and the persistent
-    /// fired set keeps every previously fired trigger from firing again.
+    /// loop starts from the atoms new to the instance, so it finds only
+    /// triggers that never fired.
     pub fn insert(&mut self, atoms: impl IntoIterator<Item = GroundAtom>) -> MaintenanceReport {
         let _span = obs::span("maint.insert");
         let start = self.chase.instance.len();
@@ -349,7 +351,6 @@ impl MaintainedInstance {
         // later pass over the set is deterministic.
         let mut over: HashSet<GroundAtom> = HashSet::new();
         let mut over_list: Vec<GroundAtom> = Vec::new();
-        let mut dead_firings: Vec<usize> = Vec::new();
         while let Some(a) = worklist.pop_front() {
             if !over.insert(a.clone()) {
                 continue;
@@ -361,7 +362,6 @@ impl MaintainedInstance {
                 }
                 self.deps.firings[fid].alive = false;
                 self.deps.dead += 1;
-                dead_firings.push(fid);
                 for p in &self.deps.firings[fid].products {
                     if !over.contains(p) {
                         worklist.push_back(p.clone());
@@ -374,40 +374,31 @@ impl MaintainedInstance {
         // Phase 2 — re-derive: an over-deleted atom survives if it is
         // still a base fact or some alive firing still produces it; the
         // rest is physically removed.
-        let rescued: Vec<GroundAtom> = over_list
-            .iter()
-            .filter(|a| self.base.contains(*a) || self.deps.any_alive(self.deps.supports.get(*a)))
-            .cloned()
-            .collect();
+        let (rescued, doomed): (Vec<GroundAtom>, Vec<GroundAtom>) = over_list
+            .into_iter()
+            .partition(|a| self.base.contains(a) || self.deps.any_alive(self.deps.supports.get(a)));
         report.atoms_rederived = rescued.len();
         obs::count(obs::Metric::MaintAtomsRederived, rescued.len() as u64);
-        let rescued_set: HashSet<&GroundAtom> = rescued.iter().collect();
-        let doomed: Vec<GroundAtom> = over_list
-            .iter()
-            .filter(|a| !rescued_set.contains(*a))
-            .cloned()
-            .collect();
         report.atoms_removed = self.chase.instance.retract_atoms(&doomed);
         // Every firing that produces or uses a removed atom is dead, so
-        // the atom's adjacency lists go with it.
+        // the atom's adjacency lists go with it. The tombstoned records
+        // keep ids stable until the compaction below; the adjacency lists
+        // are filtered by `alive` at every read.
         for a in &doomed {
             self.deps.supports.remove(a);
             self.deps.uses.remove(a);
         }
-        // Purge dead firings from the fired set so their triggers can
-        // re-fire (with fresh nulls — correct up to isomorphism) if their
-        // bodies still hold. The tombstoned records keep ids stable until
-        // the compaction below; the adjacency lists are filtered by
-        // `alive` at every read.
-        for &fid in &dead_firings {
-            let f = &self.deps.firings[fid];
-            self.chase.fired[f.tgd].remove(f.key.as_slice());
-        }
-        // Re-run the round loop from the rescued atoms: every purged
-        // trigger whose body survived has a rescued body atom, so pinning
-        // on the rescue set rediscovers exactly the derivations DRed cut
-        // too eagerly.
-        self.chase_from(Delta::Atoms(rescued), &mut report);
+        // Re-run the round loop from the rescued atoms: every dead trigger
+        // whose body survived has a rescued body atom, so pinning on the
+        // rescue set rediscovers exactly the derivations DRed cut too
+        // eagerly.
+        let instance = &self.chase.instance;
+        let mut ids: Vec<usize> = rescued
+            .iter()
+            .map(|a| instance.id_of(a).expect("rescued atoms stay"))
+            .collect();
+        ids.sort_unstable();
+        self.chase_from(Delta::Atoms(ids), &mut report);
         self.deps.compact(&self.chase.plans);
         report
     }
@@ -462,7 +453,7 @@ impl MaintainedInstance {
         instance: Instance,
     ) -> Result<MaintainedInstance, String> {
         let mut m = MaintainedInstance {
-            chase: ObliviousChase::new(tgds, instance),
+            chase: ObliviousChase::new(tgds, instance, ChaseVariant::Oblivious),
             budget: ChaseBudget {
                 max_level: None,
                 max_atoms: export.max_atoms,
@@ -480,12 +471,16 @@ impl MaintainedInstance {
         let ObliviousChase {
             plans,
             instance,
-            fired,
+            empty_fired,
+            ..
         } = &mut m.chase;
+        let mut keys: IdHashSet<(usize, &[Value])> =
+            IdHashSet::with_capacity_and_hasher(export.firings.len(), Default::default());
+        if let Some(f) = (export.firings.iter()).find(|f| !keys.insert((f.tgd, &f.key))) {
+            return Err(format!("duplicate firing of rule {}", f.tgd));
+        }
+        drop(keys);
         m.deps = DepIndex::rebuild(plans, export.firings.iter().cloned(), |f, body| {
-            if !fired[f.tgd].insert(f.key.as_slice().into()) {
-                return Err(format!("duplicate firing of rule {}", f.tgd));
-            }
             if let Some(b) = body.iter().find(|b| !instance.contains(b)) {
                 return Err(format!("firing body atom {b} missing from the instance"));
             }
@@ -494,6 +489,10 @@ impl MaintainedInstance {
                 None => Ok(()),
             }
         })?;
+        *empty_fired = export
+            .firings
+            .iter()
+            .any(|f| plans[f.tgd].body_atoms.is_empty());
         // Every non-base atom must have a support: otherwise a later
         // retraction would "rescue" atoms that nothing derives.
         for a in m.chase.instance.iter() {

@@ -8,10 +8,9 @@
 //! * the **body plan** is probed every round with each body atom pinned
 //!   to the delta via [`gtgd_query::KernelSearch::for_each_pinned_row`]
 //!   — no atom lists are cloned, ever;
-//! * the **trigger key** (the body-variable images that deduplicate
-//!   oblivious-chase firings) is read straight out of the kernel row via
-//!   precomputed slots, in the same ascending-variable order as the legacy
-//!   engine, so `fired`-set semantics are unchanged;
+//! * the **trigger key** (the body-variable images that name a firing in
+//!   the dependency index and in snapshots) is read straight out of the
+//!   kernel row via precomputed slots, in ascending-variable order;
 //! * the **head plan** grounds head atoms from the row plus fresh nulls,
 //!   allocating nulls in ascending existential-variable order — the exact
 //!   null-naming sequence of the legacy `fire`;
@@ -177,16 +176,7 @@ impl TriggerPlan {
     /// The trigger key (body-variable images in ascending variable order)
     /// of a body row.
     pub fn trigger_key(&self, row: &[Value]) -> Vec<Value> {
-        let mut key = Vec::with_capacity(self.key_slots.len());
-        self.write_trigger_key(row, &mut key);
-        key
-    }
-
-    /// Writes the trigger key of a body row into `key`, replacing its
-    /// contents: the allocation-free form of [`TriggerPlan::trigger_key`].
-    pub fn write_trigger_key(&self, row: &[Value], key: &mut Vec<Value>) {
-        key.clear();
-        key.extend(self.key_slots.iter().map(|&s| row[s]));
+        self.key_slots.iter().map(|&s| row[s]).collect()
     }
 
     /// Inverts [`TriggerPlan::trigger_key`]: reconstructs the full body

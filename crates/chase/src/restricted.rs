@@ -8,28 +8,26 @@
 //! answers agree wherever both terminate; the ablation experiment E9 and
 //! several tests cross-check the two engines.
 //!
-//! Trigger discovery is *incremental*: a FIFO frontier of discovered
-//! triggers is seeded from the database and extended, after each firing,
-//! with only the triggers whose body uses a newly created atom (found by
-//! pinning each body atom of each cached trigger plan (`plan::TriggerPlan`)
-//! to each new atom in turn, through the kernel's pinned search).
-//! Head satisfaction is checked when a trigger is *popped*, against the
-//! instance as it stands then. This is sound because satisfaction is
-//! monotone under instance growth — once a trigger's head is satisfied it
-//! stays satisfied, so a popped-and-skipped trigger never needs to be
-//! revisited, and a trigger never enters the frontier twice (a seen-set
-//! dedups discovery). The historical implementation restarted a full
-//! trigger scan over all TGDs and all body homomorphisms after *every*
-//! firing, which is quadratic in the number of firings (the E9 ablation
-//! measures the difference).
+//! The restricted chase runs on the oblivious engine's round loop
+//! (`ObliviousChase::run` with [`ChaseVariant::Restricted`]),
+//! breadth-first: each round finds its triggers by the same exact
+//! semi-naive discovery, against the instance as it stood before the
+//! round, then fires them in discovery order, each only if its head is
+//! not satisfied by the live instance, and inserts the products at once.
+//! Checking against the live instance is sound because satisfaction is
+//! monotone under instance growth: a trigger found satisfied stays
+//! satisfied. Every trigger active in a round fires or is found satisfied
+//! in that round, so the sequence is fair. A firing's level is its round,
+//! which is also its derivation depth, so a level budget cuts each
+//! derivation chain at depth `max`. The historical implementation
+//! restarted a full trigger scan over all TGDs and all body homomorphisms
+//! after *every* firing, which is quadratic in the number of firings (the
+//! E9 ablation measures the difference).
 
-use crate::engine::{ChaseBudget, FiringObserver};
-use crate::plan::TriggerPlan;
+use crate::engine::{ChaseBudget, Delta, FiringObserver, ObliviousChase};
+use crate::runner::ChaseVariant;
 use crate::tgd::Tgd;
-use gtgd_data::idhash::{IdHashMap, IdHashSet};
-use gtgd_data::{obs, GroundAtom, Instance, Value};
-use std::collections::VecDeque;
-use std::ops::ControlFlow;
+use gtgd_data::{obs, Instance};
 
 /// Result of a restricted chase run.
 #[derive(Debug, Clone)]
@@ -42,25 +40,25 @@ pub struct RestrictedChaseResult {
     pub fired: usize,
 }
 
-/// Runs the restricted chase: repeatedly pop a discovered trigger from the
-/// FIFO frontier, fire it if its head is not yet satisfied, and discover
-/// the new triggers its output enables. Deterministic: the database seeds
-/// the frontier in TGD-then-homomorphism order, and discovery after each
-/// firing scans (TGD, pinned atom, delta atom) in a fixed order.
+/// Runs the restricted chase in breadth-first rounds: each round fires,
+/// in discovery order, the triggers found over the previous round's atoms
+/// whose heads are not yet satisfied. Deterministic: discovery scans
+/// (TGD, pinned atom, delta atom) in a fixed order.
 pub fn restricted_chase(
     db: &Instance,
     tgds: &[Tgd],
     budget: &ChaseBudget,
 ) -> RestrictedChaseResult {
     crate::runner::ChaseRunner::new(tgds)
-        .variant(crate::runner::ChaseVariant::Restricted)
+        .variant(ChaseVariant::Restricted)
         .budget(*budget)
         .run(db)
         .into_restricted_result()
 }
 
 /// The engine behind [`restricted_chase`] and
-/// [`crate::runner::ChaseRunner`]; `observer` sees every firing.
+/// [`crate::runner::ChaseRunner`]: one restricted [`ObliviousChase::run`]
+/// from the whole database; `observer` sees every firing.
 pub(crate) fn restricted_chase_impl(
     db: &Instance,
     tgds: &[Tgd],
@@ -68,126 +66,12 @@ pub(crate) fn restricted_chase_impl(
     observer: &mut impl FiringObserver,
 ) -> RestrictedChaseResult {
     let _span = obs::span("chase.restricted");
-    let plans = TriggerPlan::compile_all(tgds);
-    let mut instance = db.clone();
-    let mut fired = 0usize;
-    let mut complete = true;
-
-    // An already-exhausted budget stops before any trigger search, like the
-    // historical scan loop (which checked budgets at the top of every
-    // iteration, including the first).
-    if budget.max_atoms.is_some_and(|max| instance.len() >= max)
-        || budget.max_level.is_some_and(|max| max == 0)
-    {
-        return RestrictedChaseResult {
-            instance,
-            complete: false,
-            fired: 0,
-        };
-    }
-
-    // The frontier holds (TGD index, body row) triggers; `seen` guarantees
-    // each trigger enters at most once.
-    let mut queue: VecDeque<(usize, Vec<Value>)> = VecDeque::new();
-    let mut seen: IdHashSet<(usize, Vec<Value>)> = IdHashSet::default();
-    let push = |ti: usize,
-                row: Vec<Value>,
-                queue: &mut VecDeque<(usize, Vec<Value>)>,
-                seen: &mut IdHashSet<(usize, Vec<Value>)>| {
-        if seen.insert((ti, row.clone())) {
-            queue.push_back((ti, row));
-        }
-    };
-
-    // Seed: all triggers over the database (empty-body TGDs have exactly
-    // one trigger, the empty row).
-    for (ti, tgd) in tgds.iter().enumerate() {
-        if tgd.body.is_empty() {
-            push(ti, Vec::new(), &mut queue, &mut seen);
-            continue;
-        }
-        plans[ti].body.search(&instance).for_each_row(|row| {
-            push(ti, row.to_vec(), &mut queue, &mut seen);
-            ControlFlow::Continue(())
-        });
-    }
-
-    // Per-atom derivation levels, tracked only under a level budget:
-    // database atoms are level 0; a firing's level is 1 + the maximum
-    // level of its body atoms, and its products inherit that level (the
-    // oblivious chase's level notion, applied per firing — not canonical
-    // for the restricted chase, but a sound derivation-depth bound).
-    let track_levels = budget.max_level.is_some();
-    let mut levels: IdHashMap<GroundAtom, usize> = IdHashMap::default();
-    if track_levels {
-        levels.extend(instance.iter().map(|a| (a.clone(), 0)));
-    }
-
-    let mut new_atoms: Vec<GroundAtom> = Vec::new();
-    let mut nulls: Vec<Value> = Vec::new();
-    while let Some((ti, row)) = queue.pop_front() {
-        if let Some(max) = budget.max_atoms {
-            if instance.len() >= max {
-                complete = false;
-                break;
-            }
-        }
-        // Satisfaction is monotone, so checking at pop time (against the
-        // grown instance) only ever *skips* triggers the historical
-        // implementation would also have skipped. Checked before the level
-        // budget so a too-deep trigger that would not have fired anyway
-        // does not spuriously mark the run incomplete.
-        if plans[ti].head_satisfied(&row, &instance) {
-            continue;
-        }
-        let mut firing_level = 0usize;
-        if let Some(max) = budget.max_level {
-            firing_level = 1 + plans[ti]
-                .ground_body(&row)
-                .iter()
-                .map(|a| levels.get(a).copied().unwrap_or(0))
-                .max()
-                .unwrap_or(0);
-            if firing_level > max {
-                // This trigger is too deep, but shallower ones may still
-                // be queued behind it: skip it instead of stopping the
-                // whole frontier. A diverging chase drains because every
-                // derivation chain eventually exceeds the cap.
-                complete = false;
-                continue;
-            }
-        }
-        plans[ti].fire_row(&row, &mut nulls, &mut new_atoms);
-        fired += 1;
-        obs::count(obs::Metric::TriggerFirings, 1);
-        observer.fired(&plans[ti], &row, &nulls, &new_atoms);
-        // Insert, keeping only the genuinely new atoms as the delta.
-        let delta_start = instance.len();
-        instance.reserve_additional(new_atoms.len());
-        for a in &new_atoms {
-            if instance.insert(a.clone()) && track_levels {
-                levels.insert(a.clone(), firing_level);
-            }
-        }
-        // Discover triggers that use at least one delta atom, one delta
-        // atom at a time: the queue order (hence the result) depends on
-        // it.
-        for d in &instance.atoms()[delta_start..] {
-            for (tj, plan) in plans.iter().enumerate() {
-                let search = plan.body.search(&instance);
-                for pin in 0..plan.body_atoms.len() {
-                    search.for_each_pinned_row(pin, std::slice::from_ref(d), |row| {
-                        push(tj, row.to_vec(), &mut queue, &mut seen);
-                        ControlFlow::Continue(())
-                    });
-                }
-            }
-        }
-    }
+    let mut state = ObliviousChase::new(tgds, db.clone(), ChaseVariant::Restricted);
+    let run = state.run(Delta::Since(0), budget, None, observer);
     RestrictedChaseResult {
-        instance,
-        complete,
-        fired,
+        instance: state.instance,
+        complete: run.complete,
+        fired: run.fired,
     }
 }
 

@@ -1,12 +1,13 @@
-//! The chase facade: one builder in front of both engines.
+//! The chase facade: one builder in front of both chase variants.
 //!
 //! The crate has two chase entry points — the oblivious
 //! [`crate::engine::chase`] and the [`crate::restricted::restricted_chase`]
-//! — each with its own result type. [`ChaseRunner`] unifies them: pick a
+//! — each with its own result type; both run the one round loop
+//! (`ObliviousChase::run`). [`ChaseRunner`] unifies them: pick a
 //! [`ChaseVariant`], a [`ChaseBudget`], and optionally tracing and
 //! certification, then [`run`]. The legacy free functions delegate here,
 //! so their behaviour (budget-stop exactness, null naming, level
-//! bookkeeping) is unchanged.
+//! bookkeeping) is the same through either door.
 //!
 //! ```
 //! use gtgd_chase::{parse_tgds, ChaseBudget, ChaseRunner};
@@ -37,7 +38,8 @@ pub enum ChaseVariant {
     #[default]
     Oblivious,
     /// The restricted (standard) chase: a trigger fires only if its head is
-    /// not yet satisfied. Smaller results, order-dependent.
+    /// not yet satisfied. Smaller results, order-dependent; run in
+    /// breadth-first rounds, which makes the firing sequence fair.
     Restricted,
 }
 

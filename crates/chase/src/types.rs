@@ -582,6 +582,30 @@ mod tests {
     }
 
     #[test]
+    fn ground_saturation_recloses_every_bag_after_the_memo_grows() {
+        // Both S bags reach the type of R(c,⊥), whose child R(z,c) has
+        // that type again and so reads its memo while it is computed. The
+        // first round closes bag {c1,c2} with that memo one step short;
+        // bag {c0,c1}, closed next, starts from the grown memo and gains
+        // A(c0). A(c1) needs bag {c1,c2} closed again although its own
+        // restriction did not grow: the memo grew, so the next round
+        // re-closes every bag.
+        let tgds = parse_tgds("R(Y,X) -> R(Z,Y). R(X,Y) -> A(Y). S(Y,X) -> R(Y,Z)").unwrap();
+        let d = db(&[("S", &["c1", "c2"]), ("S", &["c0", "c1"]), ("A", &["c2"])]);
+        let sat = ground_saturation(&d, &tgds);
+        let mut want = d.clone();
+        want.insert(GroundAtom::named("A", &["c0"]));
+        want.insert(GroundAtom::named("A", &["c1"]));
+        assert_eq!(sat, want);
+        let deep = chase(&d, &tgds, &ChaseBudget::levels(6));
+        assert_eq!(
+            sat,
+            deep.instance
+                .restrict_to(&d.dom().iter().copied().collect())
+        );
+    }
+
+    #[test]
     fn existential_detour_adds_nothing_ground() {
         // Emp(a) only reaches Dept and Super through a fresh null, and the
         // named d0 never becomes a Dept, so the ground part is D itself.

@@ -372,6 +372,11 @@ impl Instance {
         self.rows().index_of.contains_key(atom)
     }
 
+    /// The id (insertion-order position) of the atom, if present.
+    pub fn id_of(&self, atom: &GroundAtom) -> Option<usize> {
+        self.rows().index_of.get(atom).copied()
+    }
+
     /// Number of atoms.
     pub fn len(&self) -> usize {
         self.atoms.len()

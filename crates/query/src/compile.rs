@@ -25,6 +25,9 @@
 //! * **Pinned batches** — [`KernelSearch::for_each_pinned_row`] runs the
 //!   chase's delta probes (one body atom pinned to each delta atom in
 //!   turn) on one reused search state instead of one search per atom.
+//!   With [`KernelSearch::semi_naive`] the atoms before the pin match only
+//!   atoms outside the [`Delta`], so a row with several delta atoms is
+//!   found under one pin only: its first delta position.
 //!
 //! A `CompiledQuery` is immutable and `Sync`: the chase compiles each TGD
 //! body once and re-probes it every round from many worker threads.
@@ -51,6 +54,25 @@ pub enum CTerm {
 pub(crate) struct CAtom {
     pub(crate) predicate: gtgd_data::Predicate,
     pub(crate) terms: Vec<CTerm>,
+}
+
+/// A chase round's delta, named by instance atom ids.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Delta {
+    /// Every atom from this id on (the atoms a round appended).
+    Since(usize),
+    /// These ids, ascending.
+    Atoms(Vec<usize>),
+}
+
+impl Delta {
+    /// Whether atom `id` is in the delta.
+    pub fn contains(&self, id: usize) -> bool {
+        match self {
+            Delta::Since(start) => id >= *start,
+            Delta::Atoms(ids) => ids.binary_search(&id).is_ok(),
+        }
+    }
 }
 
 /// Which join algorithm a [`KernelSearch`] runs.
@@ -226,6 +248,7 @@ impl CompiledQuery {
             injective: false,
             allowed: None,
             skip: None,
+            delta: None,
             strategy: Strategy::Auto,
         }
     }
@@ -343,6 +366,7 @@ pub struct KernelSearch<'a> {
     injective: bool,
     allowed: Option<&'a HashSet<Value>>,
     skip: Option<usize>,
+    delta: Option<&'a Delta>,
     strategy: Strategy,
 }
 
@@ -353,6 +377,9 @@ struct State {
     val: Vec<Option<Value>>,
     used: HashSet<Value>,
     pending: Vec<usize>,
+    /// Compiled atoms below this index match only atoms outside the delta
+    /// (the pin under [`KernelSearch::semi_naive`], else 0).
+    cut: usize,
     trail: Vec<u32>,
     row: Vec<Value>,
     // Probe accumulators, flushed to the obs counters once per search so
@@ -387,6 +414,16 @@ impl<'a> KernelSearch<'a> {
     /// to a delta atom without recompiling the body).
     pub fn skip_atom(mut self, idx: usize) -> Self {
         self.skip = Some(idx);
+        self
+    }
+
+    /// The semi-naive split: the compiled atoms before the pinned atom (the
+    /// `pin` of [`KernelSearch::for_each_pinned_row`], or the
+    /// [`KernelSearch::skip_atom`]) match only atoms outside `delta`, the
+    /// atoms after it any atom. Pinning each atom in turn to the delta then
+    /// finds each row that uses a delta atom once.
+    pub fn semi_naive(mut self, delta: &'a Delta) -> Self {
+        self.delta = Some(delta);
         self
     }
 
@@ -458,6 +495,7 @@ impl<'a> KernelSearch<'a> {
             val,
             used,
             pending,
+            cut: skip.filter(|_| self.delta.is_some()).unwrap_or(0),
             trail: Vec::new(),
             // A placeholder: every cell is overwritten before a row is
             // handed out.
@@ -469,8 +507,9 @@ impl<'a> KernelSearch<'a> {
 
     /// Candidate atom ids for compiled atom `ai` under the current
     /// valuation, from the most selective available index. Allocation-free:
-    /// returns a borrowed index slice.
-    fn candidates(&self, ai: usize, val: &[Option<Value>]) -> &'a [usize] {
+    /// returns a borrowed index slice. Atoms below `cut` of a `Since(start)`
+    /// split get the ids below `start`, a prefix: the lists are in id order.
+    fn candidates(&self, ai: usize, val: &[Option<Value>], cut: usize) -> &'a [usize] {
         let atom = &self.plan.atoms[ai];
         let mut best: Option<&'a [usize]> = None;
         for (pos, t) in atom.terms.iter().enumerate() {
@@ -485,10 +524,14 @@ impl<'a> KernelSearch<'a> {
                 }
             }
         }
-        best.unwrap_or_else(|| {
+        let ids = best.unwrap_or_else(|| {
             self.target
                 .atoms_with_pred(atom.predicate, atom.terms.len())
-        })
+        });
+        match self.delta {
+            Some(&Delta::Since(start)) if ai < cut => &ids[..ids.partition_point(|&c| c < start)],
+            _ => ids,
+        }
     }
 
     fn search_rec(
@@ -509,7 +552,7 @@ impl<'a> KernelSearch<'a> {
         let mut best_idx = 0usize;
         let mut cand: Option<&'a [usize]> = None;
         for (idx, &ai) in st.pending.iter().enumerate() {
-            let ids = self.candidates(ai, &st.val);
+            let ids = self.candidates(ai, &st.val, st.cut);
             if cand.is_none_or(|best| ids.len() < best.len()) {
                 cand = Some(ids);
                 best_idx = idx;
@@ -518,9 +561,13 @@ impl<'a> KernelSearch<'a> {
         let cand = cand.expect("pending is nonempty");
         let ai = st.pending.swap_remove(best_idx);
         let atom = &self.plan.atoms[ai];
+        let excluded = match self.delta {
+            Some(Delta::Atoms(ids)) if ai < st.cut => ids.as_slice(),
+            _ => &[],
+        };
         for &ci in cand {
             let ground = self.target.atom(ci);
-            if ground.args.len() != atom.terms.len() {
+            if ground.args.len() != atom.terms.len() || excluded.binary_search(&ci).is_ok() {
                 continue;
             }
             let mark = st.trail.len();
@@ -606,8 +653,9 @@ impl<'a> KernelSearch<'a> {
     /// `kernel.nodes_visited`, as running
     /// `fix_slots(unify_atom(pin, seed)).skip_atom(pin).for_each_row(..)`
     /// for each seed that unifies; `pin` replaces any
-    /// [`KernelSearch::skip_atom`]. Returns `true` if `f` stopped the
-    /// batch.
+    /// [`KernelSearch::skip_atom`], also as the pin of a
+    /// [`KernelSearch::semi_naive`] split. Returns `true` if `f` stopped
+    /// the batch.
     ///
     /// The backtracking search without modes keeps one state (valuation,
     /// trail, pending list, output row) for the whole batch: each seed's
@@ -632,6 +680,7 @@ impl<'a> KernelSearch<'a> {
                     injective: self.injective,
                     allowed: self.allowed,
                     skip: Some(pin),
+                    delta: self.delta,
                     strategy: self.strategy,
                 };
                 sub.fixed.extend(bindings);
@@ -683,7 +732,9 @@ impl<'a> KernelSearch<'a> {
         stopped
     }
 
-    /// The worst-case-optimal path of [`KernelSearch::for_each_row`].
+    /// The worst-case-optimal path of [`KernelSearch::for_each_row`]. A
+    /// [`KernelSearch::semi_naive`] split filters each finished row: a row
+    /// that grounds an atom before the pin into the delta is dropped.
     fn wcoj_for_each_row(&self, f: &mut impl FnMut(&[Value]) -> ControlFlow<()>) -> bool {
         let Some((val, used)) = self.init_val() else {
             return false;
@@ -700,7 +751,27 @@ impl<'a> KernelSearch<'a> {
         ) else {
             return false;
         };
-        run.run(f).is_break()
+        let (Some(delta), Some(pin)) = (self.delta, self.skip) else {
+            return run.run(f).is_break();
+        };
+        let mut image = GroundAtom::new(self.plan.atoms[0].predicate, Vec::new());
+        run.run(&mut |row: &[Value]| {
+            let in_delta = self.plan.atoms[..pin].iter().any(|atom| {
+                image.predicate = atom.predicate;
+                image.args.clear();
+                image.args.extend(atom.terms.iter().map(|t| match *t {
+                    CTerm::Const(c) => c,
+                    CTerm::Slot(s) => row[s as usize],
+                }));
+                delta.contains(self.target.id_of(&image).expect("row images are atoms"))
+            });
+            if in_delta {
+                ControlFlow::Continue(())
+            } else {
+                f(row)
+            }
+        })
+        .is_break()
     }
 
     /// Whether any homomorphism exists (no materialization at all).
@@ -755,7 +826,7 @@ impl<'a> KernelSearch<'a> {
             return ValuationTable::new(self.plan.vars.clone());
         };
         let (split, cand) = (0..self.plan.atoms.len())
-            .map(|i| (i, self.candidates(i, &base.val)))
+            .map(|i| (i, self.candidates(i, &base.val, 0)))
             .min_by_key(|&(_, ids)| ids.len())
             .expect("atoms nonempty");
         let per_chunk = Pool::with_workers(workers).map_chunks(cand, |_, chunk| {
@@ -776,6 +847,7 @@ impl<'a> KernelSearch<'a> {
                     injective: self.injective,
                     allowed: self.allowed,
                     skip: Some(split),
+                    delta: None,
                     strategy: Strategy::Backtrack,
                 };
                 sub.fixed.extend(seed);
@@ -803,6 +875,7 @@ impl<'a> KernelSearch<'a> {
             injective: self.injective,
             allowed: self.allowed,
             skip: self.skip,
+            delta: self.delta,
             strategy: Strategy::Wcoj,
         };
         probe.fixed.extend_from_slice(seeds);
@@ -906,6 +979,7 @@ impl<'a> KernelSearch<'a> {
                 injective: self.injective,
                 allowed: self.allowed,
                 skip: self.skip,
+                delta: self.delta,
                 strategy: Strategy::Wcoj,
             };
             sub.fixed.extend_from_slice(&m.seeds);

@@ -39,7 +39,7 @@ mod wcoj;
 pub use acyclic::{
     check_answer_yannakakis, evaluate_yannakakis, gyo_join_tree, is_alpha_acyclic, JoinTree,
 };
-pub use compile::{CTerm, CompiledQuery, KernelSearch, Strategy, ValuationTable};
+pub use compile::{CTerm, CompiledQuery, Delta, KernelSearch, Strategy, ValuationTable};
 pub use containment::{cq_contained, cq_equivalent, ucq_contained, ucq_equivalent};
 pub use contract::{
     contractions, injective_contraction, merge_vars, specializations, Specialization,

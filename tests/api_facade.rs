@@ -7,11 +7,12 @@
 //! and 4.
 
 use gtgd::chase::{
-    chase, parse_tgds, restricted_chase, ChaseBudget, ChaseRunner, ChaseVariant, Tgd,
+    chase, parse_tgds, restricted_chase, satisfies_all, ChaseBudget, ChaseRunner, ChaseVariant,
+    FiringRecord, Tgd,
 };
 use gtgd::data::{GroundAtom, Instance, Rng, Value};
 use gtgd::query::{
-    evaluate_cq, evaluate_cq_par, instance_isomorphic, parse_cq, Cq, Engine, HomSearch,
+    evaluate_cq, evaluate_cq_par, instance_isomorphic, parse_cq, Cq, Engine, HomSearch, Var,
 };
 use std::collections::HashSet;
 
@@ -110,9 +111,36 @@ fn engine_facade_matches_legacy_answers() {
     }
 }
 
+/// Replays a restricted run's certified firings in order over `d`: no
+/// firing's head may already hold, with its frontier as the firing bound
+/// it, in the atoms present before it (the database plus the earlier
+/// firings' products). Returns the replayed instance.
+fn replay_restricted(d: &Instance, sigma: &[Tgd], firings: &[FiringRecord], ctx: &str) -> Instance {
+    let mut live = d.clone();
+    for (i, f) in firings.iter().enumerate() {
+        let tgd = &sigma[f.tgd];
+        let frontier = tgd.frontier();
+        let bound = f
+            .val
+            .iter()
+            .filter(|(v, _)| frontier.contains(&Var(*v)))
+            .map(|&(v, value)| (Var(v), value));
+        assert!(
+            !HomSearch::new(&tgd.head, &live).fix(bound).exists(),
+            "{ctx}: firing {i} of rule {} was not active",
+            f.tgd
+        );
+        for a in &f.atoms {
+            live.insert(a.clone());
+        }
+    }
+    live
+}
+
 /// ChaseRunner agrees with the legacy chase free functions on every seeded
 /// case: identical oblivious results, identical restricted results, and
-/// identical budget-stop points.
+/// identical budget-stop points. Every restricted firing was active when
+/// it fired, and a complete restricted run is a model of Σ.
 #[test]
 fn chase_runner_matches_legacy_engines() {
     let pool = rule_pool();
@@ -150,6 +178,7 @@ fn chase_runner_matches_legacy_engines() {
         let restricted = ChaseRunner::new(&sigma)
             .variant(ChaseVariant::Restricted)
             .budget(r_budget)
+            .certify(true)
             .run(&d);
         // Null labels come from a global counter, so two runs agree only up
         // to isomorphism.
@@ -164,5 +193,12 @@ fn chase_runner_matches_legacy_engines() {
         );
         assert_eq!(restricted.complete, legacy_r.complete, "case {case}");
         assert_eq!(restricted.fired, Some(legacy_r.fired), "case {case}");
+        let firings = restricted.firings.as_deref().expect("certified");
+        assert_eq!(firings.len(), legacy_r.fired, "case {case}");
+        let replayed = replay_restricted(&d, &sigma, firings, &format!("case {case}"));
+        assert_eq!(replayed, restricted.instance, "case {case}");
+        if restricted.complete {
+            assert!(satisfies_all(&restricted.instance, &sigma), "case {case}");
+        }
     }
 }

@@ -10,10 +10,14 @@
 //! instances with nulls under both strategies.
 //! The pinned batch search (`KernelSearch::for_each_pinned_row`) is pinned
 //! to one `fix_slots(unify_atom(..)).skip_atom(..)` search per seed, rows
-//! concatenated in seed order, under both strategies.
+//! concatenated in seed order, under both strategies; with a semi-naive
+//! delta split, to those rows filtered by "no atom before the pin grounds
+//! into the delta".
 
 use gtgd::data::{GroundAtom, Instance, Predicate, Rng, Value};
-use gtgd::query::{CompiledQuery, Cq, Engine, HomSearch, QAtom, Strategy, Term, Var};
+use gtgd::query::{
+    CompiledQuery, Cq, Delta, Engine, HomSearch, KernelSearch, QAtom, Strategy, Term, Var,
+};
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 
@@ -459,6 +463,93 @@ fn certain_rows_equal_sorted_null_free_answers() {
     }
 }
 
+/// The instance id of `atom`'s image under a slot-ordered row of `plan`.
+fn image_id(plan: &CompiledQuery, atom: &QAtom, row: &[Value], db: &Instance) -> usize {
+    let args = atom.args.iter().map(|t| match *t {
+        Term::Const(c) => c,
+        Term::Var(v) => row[plan.slot_of(v).expect("atom vars are interned")],
+    });
+    db.id_of(&GroundAtom::new(atom.predicate, args.collect()))
+        .expect("row images are atoms")
+}
+
+/// The pinned batch under a semi-naive split, with the delta's atoms as
+/// seeds: its rows are the unrestricted per-seed rows minus those that
+/// ground an atom before the pin into the delta (the cut may reorder a
+/// seed's rows), in the order of the same per-seed searches under the
+/// split; a `Break` at any row stops it.
+fn check_split<'a>(
+    search: &dyn Fn() -> KernelSearch<'a>,
+    (db, plan, atoms): (&Instance, &CompiledQuery, &[QAtom]),
+    pin: usize,
+    delta: &'a Delta,
+    rng: &mut Rng,
+    ctx: &str,
+) {
+    let seeds: Vec<GroundAtom> = (0..db.len())
+        .filter(|&i| delta.contains(i))
+        .map(|i| db.atom(i).clone())
+        .collect();
+    let mut want: Vec<Vec<Value>> = Vec::new();
+    let mut per_seed: Vec<Vec<Value>> = Vec::new();
+    for seed in &seeds {
+        let Some(bindings) = plan.unify_atom(pin, seed) else {
+            continue;
+        };
+        search()
+            .fix_slots(bindings.iter().copied())
+            .skip_atom(pin)
+            .for_each_row(|row| {
+                if !atoms[..pin]
+                    .iter()
+                    .any(|a| delta.contains(image_id(plan, a, row, db)))
+                {
+                    want.push(row.to_vec());
+                }
+                ControlFlow::Continue(())
+            });
+        search()
+            .semi_naive(delta)
+            .fix_slots(bindings)
+            .skip_atom(pin)
+            .for_each_row(|row| {
+                per_seed.push(row.to_vec());
+                ControlFlow::Continue(())
+            });
+    }
+    let mut got: Vec<Vec<Value>> = Vec::new();
+    let stopped = search()
+        .semi_naive(delta)
+        .for_each_pinned_row(pin, &seeds, |row| {
+            got.push(row.to_vec());
+            ControlFlow::Continue(())
+        });
+    assert!(!stopped, "{ctx}");
+    assert_eq!(got, per_seed, "{ctx}");
+    let mut sorted = got.clone();
+    sorted.sort();
+    want.sort();
+    assert_eq!(sorted, want, "{ctx}");
+    if got.is_empty() {
+        return;
+    }
+    let stop_at = rng.below(got.len() as u64) as usize;
+    let mut visited = 0usize;
+    let stopped = search()
+        .semi_naive(delta)
+        .for_each_pinned_row(pin, &seeds, |row| {
+            assert_eq!(row, got[visited].as_slice(), "{ctx}");
+            visited += 1;
+            if visited > stop_at {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+    assert!(stopped, "{ctx}");
+    assert_eq!(visited, stop_at + 1, "{ctx}");
+}
+
 #[test]
 fn pinned_batch_equals_per_seed_searches() {
     let mut rng = Rng::seed(0x919e_d5ee);
@@ -476,6 +567,14 @@ fn pinned_batch_equals_per_seed_searches() {
         // Injective searches take the per-seed path on both strategies.
         let injective = rng.chance(0.25);
         let seeds = db.atoms();
+        // The semi-naive split, drawn from a stream of its own: a suffix
+        // of the instance or a sorted id subset.
+        let mut split_rng = Rng::seed(0x5e1d ^ u64::from(case));
+        let delta = if split_rng.chance(0.5) {
+            Delta::Since(split_rng.below(db.len() as u64 + 1) as usize)
+        } else {
+            Delta::Atoms((0..db.len()).filter(|_| split_rng.chance(0.5)).collect())
+        };
         for s in [Strategy::Backtrack, Strategy::Wcoj] {
             let search = || {
                 let k = plan
@@ -510,6 +609,9 @@ fn pinned_batch_equals_per_seed_searches() {
                 });
                 assert!(!stopped, "{ctx}");
                 assert_eq!(got, want, "{ctx}");
+                let ctx_split = format!("{ctx}, {delta:?}");
+                let body = (&db, &plan, atoms.as_slice());
+                check_split(&search, body, pin, &delta, &mut split_rng, &ctx_split);
 
                 if want.is_empty() {
                     continue;
