@@ -1131,7 +1131,7 @@ pub fn e17_serve_amortization() -> ExperimentTable {
                 line-delimited-JSON round-trip against the daemon with a \
                 hot plan cache. load re-reads the snapshot to query-ready: \
                 sequential decode + validated index install — no joins, \
-                no re-sorting; the fired-set rebuild (hashing) is \
+                no re-sorting; the dependency-index rebuild (hashing) is \
                 deferred to the first write (thaw_ms in the JSON)."
             .into(),
     }

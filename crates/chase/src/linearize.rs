@@ -8,7 +8,10 @@
 //!   ground saturation, where `τ_α` is the set's closed type;
 //! * the *type generator* `Σ*_tg`: a linear rule `[τ](x̄) → ∃z̄ [τ′](ȳ)` per
 //!   existential-head firing inside a type's closure, discovered by a
-//!   breadth-first exploration of the type-transition graph;
+//!   breadth-first exploration of the type-transition graph. Each firing
+//!   runs through its TGD's compiled trigger plan and builds the child bag
+//!   with the step the saturator and the typed chase share
+//!   (`types::child_bag`);
 //! * the *expander* `Σ*_ex`: `[τ](x̄) → R(x̄|_args)` for every atom the type
 //!   contains.
 //!
@@ -17,12 +20,12 @@
 //! the typed chase, giving an independent implementation of the paper's
 //! FPT pipeline.
 
+use crate::plan::TriggerPlan;
 use crate::tgd::{Tgd, TgdClass};
-use crate::types::{canonicalize, guarded_bags, restriction, CanonType, Saturator};
+use crate::types::{canonicalize, child_bag, guarded_bags, restriction, CanonType, Saturator};
 use gtgd_data::{GroundAtom, Instance, Predicate, Value};
-use gtgd_query::{HomSearch, QAtom, Term, Var};
-use std::collections::{HashMap, HashSet};
-use std::ops::ControlFlow;
+use gtgd_query::{QAtom, Term, Var};
+use std::collections::HashMap;
 
 /// The output of the linearization.
 #[derive(Debug, Clone)]
@@ -87,6 +90,7 @@ pub fn linearize(db: &Instance, tgds: &[Tgd], max_types: usize) -> Linearization
         d_star.insert(GroundAtom::new(type_predicate(id), perm));
     }
     // Explore type transitions breadth-first.
+    let plans = TriggerPlan::compile_all(tgds);
     let mut sigma_tg: Vec<Tgd> = Vec::new();
     let mut qi = 0usize;
     while qi < frontier.len() {
@@ -102,40 +106,13 @@ pub fn linearize(db: &Instance, tgds: &[Tgd], max_types: usize) -> Linearization
         let scratch: Vec<Value> = (0..width).map(|_| Value::fresh_null()).collect();
         let bag = crate::types::decode(&key.atoms, &scratch);
         // Fire every existential-head trigger once.
-        for tgd in tgds {
-            let exist = tgd.existential_vars();
-            if exist.is_empty() {
+        for plan in &plans {
+            if plan.n_exist == 0 {
                 continue; // full consequences are already inside closures
             }
-            let frontier_vars = tgd.frontier();
-            let homs: Vec<HashMap<Var, Value>> = {
-                let mut out = Vec::new();
-                HomSearch::new(&tgd.body, &bag).for_each(|h| {
-                    out.push(h.clone());
-                    ControlFlow::Continue(())
-                });
-                out
-            };
-            for h in homs {
-                let mut assignment = h.clone();
-                let mut child_consts: Vec<Value> = Vec::new();
-                for &v in &frontier_vars {
-                    let img = assignment[&v];
-                    if !child_consts.contains(&img) {
-                        child_consts.push(img);
-                    }
-                }
-                for &z in &exist {
-                    let n = Value::fresh_null();
-                    assignment.insert(z, n);
-                    child_consts.push(n);
-                }
-                let mut child = Instance::new();
-                for head in &tgd.head {
-                    child.insert(head.ground(&assignment));
-                }
-                let keep: HashSet<Value> = child_consts.iter().copied().collect();
-                child.extend_from(&bag.restrict_to(&keep));
+            let rows = plan.body.search(&bag).table();
+            for row in rows.rows() {
+                let (child_consts, child) = child_bag(plan, row, &bag);
                 let closed = sat.close_bag(&child, &child_consts);
                 let (child_key, child_perm) = canonicalize(&closed, &child_consts);
                 let (child_id, new) = registry.intern(child_key);

@@ -13,21 +13,26 @@
 //! computable bound `g(‖Σ‖+‖q‖)` exists but is exponential; callers may pass
 //! any bound), or *adaptive* blocking: expansion below a bag stops
 //! `extra_levels` levels after the bag's blocking signature repeats along
-//! its ancestor path. A signature is the closed type canonicalized with
-//! named constants rigid and inherited nulls marked (but anonymized), so two
-//! bags with equal signatures root isomorphic subtrees; matches of queries
-//! with at most `extra_levels` variables can then be relocated above the
-//! blocking frontier. See DESIGN.md §3 for the substitution argument.
+//! its ancestor path, a chain of parent indices. A signature is the closed
+//! type canonicalized with named constants rigid and inherited nulls
+//! marked (but anonymized), so two bags with equal signatures root
+//! isomorphic subtrees; matches of queries with at most `extra_levels`
+//! variables can then be relocated above the blocking frontier. See
+//! DESIGN.md §3 for the substitution argument.
 //!
-//! Trigger firing is globally deduplicated by `(TGD, body image)`, matching
-//! the oblivious chase: the same trigger reachable from two bags fires once.
+//! Expansion fires each existential trigger of a bag through its TGD's
+//! compiled `TriggerPlan` and builds the child bag with the same step the
+//! saturator uses (`types::child_bag`). Trigger firing is globally
+//! deduplicated by `(TGD, trigger key)`, matching the oblivious chase: the
+//! same trigger reachable from two bags fires once.
 
+use crate::plan::TriggerPlan;
 use crate::tgd::Tgd;
-use crate::types::{canonicalize_rigid, guarded_bags, restriction, CanonType, Saturator};
+use crate::types::{
+    canonicalize_rigid, child_bag, guarded_bags, restriction, CanonType, Saturator,
+};
 use gtgd_data::{Instance, Value};
-use gtgd_query::{HomSearch, Var};
-use std::collections::{HashMap, HashSet};
-use std::ops::ControlFlow;
+use std::collections::HashSet;
 
 /// How deep to materialize the typed chase.
 #[derive(Debug, Clone, Copy)]
@@ -61,11 +66,13 @@ pub struct TypedChaseResult {
 }
 
 struct Bag {
-    consts: Vec<Value>,
     atoms: Instance,
     level: usize,
-    /// Blocking signatures along the ancestor path.
-    ancestry: Vec<CanonType>,
+    /// The bag's blocking signature; `None` for a root bag.
+    signature: Option<CanonType>,
+    /// The parent's index in the queue; `None` for a root bag. Blocking
+    /// walks this chain to compare signatures along the ancestor path.
+    parent: Option<usize>,
     /// Levels since this path first blocked, if blocked.
     blocked_for: Option<usize>,
 }
@@ -102,17 +109,17 @@ pub fn typed_chase_with(
 ) -> TypedChaseResult {
     let ground = sat.ground_saturation(db);
     let mut instance = ground.clone();
-    let mut queue: Vec<Bag> = Vec::new();
     // Root bags: one per guarded set of the saturated ground part.
-    for (consts, ids) in guarded_bags(&ground) {
-        queue.push(Bag {
+    let mut queue: Vec<Bag> = guarded_bags(&ground)
+        .into_iter()
+        .map(|(_, ids)| Bag {
             atoms: restriction(&ground, &ids),
-            consts,
             level: 0,
-            ancestry: Vec::new(),
+            signature: None,
+            parent: None,
             blocked_for: None,
-        });
-    }
+        })
+        .collect();
     let (hard_cap, extra) = match policy {
         DepthPolicy::Fixed(l) => (l, None),
         DepthPolicy::Adaptive {
@@ -120,107 +127,65 @@ pub fn typed_chase_with(
             max_level,
         } => (max_level, Some(extra_levels)),
     };
+    let plans = TriggerPlan::compile_all(tgds);
     let mut max_level = 0usize;
     let mut saturated = true;
-    let mut bag_count = queue.len();
-    // Oblivious-chase trigger dedup: (tgd index, body-variable images).
+    // Oblivious-chase trigger dedup: (tgd index, trigger key).
     let mut fired: HashSet<(usize, Vec<Value>)> = HashSet::new();
     let mut qi = 0;
     while qi < queue.len() {
         let bag_idx = qi;
         qi += 1;
-        let level = queue[bag_idx].level;
+        let (level, blocked_for) = (queue[bag_idx].level, queue[bag_idx].blocked_for);
         max_level = max_level.max(level);
         if level >= hard_cap {
             saturated = false;
             continue;
         }
-        if let (Some(extra), Some(b)) = (extra, queue[bag_idx].blocked_for) {
+        if let (Some(extra), Some(b)) = (extra, blocked_for) {
             if b >= extra {
                 continue; // blocked long enough; subtree repeats above
             }
         }
         // Expand: every existential trigger creates a closed child bag.
-        let mut children: Vec<(Bag, Vec<Value>)> = Vec::new();
-        {
-            let bag = &queue[bag_idx];
-            for (ti, tgd) in tgds.iter().enumerate() {
-                let exist = tgd.existential_vars();
-                if exist.is_empty() {
-                    continue; // full consequences are already in the closure
-                }
-                let frontier = tgd.frontier();
-                let body_vars = tgd.body_vars();
-                let homs: Vec<HashMap<Var, Value>> = {
-                    let mut out = Vec::new();
-                    HomSearch::new(&tgd.body, &bag.atoms).for_each(|h| {
-                        out.push(h.clone());
-                        ControlFlow::Continue(())
-                    });
-                    out
-                };
-                for h in homs {
-                    let trigger: Vec<Value> = body_vars.iter().map(|v| h[v]).collect();
-                    if !fired.insert((ti, trigger)) {
-                        continue;
-                    }
-                    let mut assignment = h.clone();
-                    let mut inherited: Vec<Value> = Vec::new();
-                    for &v in &frontier {
-                        let img = assignment[&v];
-                        if !inherited.contains(&img) {
-                            inherited.push(img);
-                        }
-                    }
-                    let mut child_consts = inherited.clone();
-                    for &z in &exist {
-                        let n = Value::fresh_null();
-                        assignment.insert(z, n);
-                        child_consts.push(n);
-                    }
-                    let mut child = Instance::new();
-                    for head in &tgd.head {
-                        child.insert(head.ground(&assignment));
-                    }
-                    let keep: HashSet<Value> = child_consts.iter().copied().collect();
-                    child.extend_from(&bag.atoms.restrict_to(&keep));
-                    children.push((
-                        Bag {
-                            consts: child_consts,
-                            atoms: child,
-                            level: level + 1,
-                            ancestry: Vec::new(), // filled below
-                            blocked_for: None,
-                        },
-                        inherited,
-                    ));
-                }
+        for plan in &plans {
+            if plan.n_exist == 0 {
+                continue; // full consequences are already in the closure
             }
-        }
-        for (mut child, inherited) in children {
-            // Close the child and compute its blocking signature.
-            let closed = sat.close_bag(&child.atoms, &child.consts);
-            child.atoms = closed;
-            let signature = blocking_signature(&child.atoms, &child.consts, &inherited);
-            let mut ancestry = queue[bag_idx].ancestry.clone();
-            let blocked_now = ancestry.contains(&signature);
-            child.blocked_for = match (queue[bag_idx].blocked_for, blocked_now) {
-                (Some(b), _) => Some(b + 1),
-                (None, true) => Some(0),
-                (None, false) => None,
-            };
-            ancestry.push(signature);
-            child.ancestry = ancestry;
-            instance.extend_from(&child.atoms);
-            bag_count += 1;
-            queue.push(child);
+            let rows = plan.body.search(&queue[bag_idx].atoms).table();
+            for row in rows.rows() {
+                if !fired.insert((plan.index, plan.trigger_key(row))) {
+                    continue;
+                }
+                let (consts, atoms) = child_bag(plan, row, &queue[bag_idx].atoms);
+                let atoms = sat.close_bag(&atoms, &consts);
+                let inherited = &consts[..consts.len() - plan.n_exist];
+                let signature = blocking_signature(&atoms, &consts, inherited);
+                let mut ancestor = Some(bag_idx);
+                while let Some(i) =
+                    ancestor.filter(|&i| queue[i].signature.as_ref() != Some(&signature))
+                {
+                    ancestor = queue[i].parent;
+                }
+                instance.extend_from(&atoms);
+                queue.push(Bag {
+                    atoms,
+                    level: level + 1,
+                    signature: Some(signature),
+                    parent: Some(bag_idx),
+                    // A path stays blocked once a signature repeats on it.
+                    blocked_for: blocked_for
+                        .map(|b| b + 1)
+                        .or(ancestor.is_some().then_some(0)),
+                });
+            }
         }
     }
     TypedChaseResult {
         instance,
         max_level,
         saturated,
-        bag_count,
+        bag_count: queue.len(),
     }
 }
 

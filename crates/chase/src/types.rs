@@ -5,27 +5,29 @@
 //! isomorphism type. This module implements:
 //!
 //! * canonicalization of bags into [`CanonType`]s,
-//! * a memoized bag-closure engine ([`Saturator`]): the atoms over a bag's
-//!   constants entailed by the chase, computed by recursing into the child
-//!   bags created by existential heads and importing back the derived
-//!   frontier atoms; a recursive type cycle yields an approximation that
-//!   the outer rounds of the ground saturation refine,
+//! * a bag-closure engine ([`Saturator`]): the atoms over a bag's
+//!   constants entailed by the chase, for all reachable canonical types at
+//!   once as one worklist fixpoint; every memo entry is exact once the
+//!   worklist drains,
+//! * `child_bag`: the one "existential trigger → child bag" step, shared
+//!   by the saturator, the typed chase and the linearization,
 //! * [`ground_saturation`]: `chase↓(D, Σ)` — the ground part of the chase,
 //!   i.e. every atom over `dom(D)` entailed by `D` and Σ (the paper's
 //!   `complete(D, Σ)` and the `D⁺` of Section 6.2). Each round re-closes
-//!   only the bags whose restriction grew and computes one closure per
-//!   distinct canonical type among them, so the closure work tracks the
-//!   number of reachable types rather than the number of bags,
+//!   only the bags whose restriction grew, and same-type bags share one
+//!   closure, so the closure work tracks the number of reachable types
+//!   rather than the number of bags,
 //! * [`type_of_atom`]: `type_{D,Σ}(α)` (Appendix A.1).
 //!
 //! This is the ExpTime (for bounded arity) decision machinery that the paper
 //! invokes from \[14\]/\[24\]; only *reachable* types are ever materialized.
 
+use crate::plan::TriggerPlan;
 use crate::tgd::{Tgd, TgdClass};
 use gtgd_data::{obs, GroundAtom, Instance, Predicate, Value};
-use gtgd_query::{CompiledQuery, Term, Var};
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::ops::ControlFlow;
+use gtgd_query::Term;
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::marker::PhantomData;
 use std::time::Instant;
 
 /// An atom in canonical coordinates: arguments are positions `0..width`.
@@ -188,26 +190,33 @@ fn decode_atom(t: &TAtom, perm: &[Value]) -> GroundAtom {
     GroundAtom::new(t.pred, t.args.iter().map(|&p| perm[p as usize]).collect())
 }
 
-/// The memoized bag-closure engine for a fixed set of guarded TGDs.
+/// One interned canonical type of the [`Saturator`]'s worklist.
+struct TypeEntry {
+    /// The closure so far, in canonical coordinates: it only grows, and it
+    /// is exact whenever the worklist is empty.
+    closure: BTreeSet<TAtom>,
+    width: u8,
+    /// The types whose evaluation imported this closure; they go back on
+    /// the worklist when it grows.
+    importers: Vec<usize>,
+}
+
+/// The bag-closure engine for a fixed set of guarded TGDs.
+///
+/// The closure of a bag depends only on its canonical type, so all the
+/// closures together are the least fixpoint of one system over types,
+/// which a worklist solves. Evaluating a type fires the full rules on its
+/// current closure and imports, over its own constants, the current
+/// closure of each child type its existential triggers create, until
+/// nothing more is added; a type whose closure grew requeues every type
+/// that imported it. Closures only grow, within finitely many atoms, so
+/// the worklist drains, and then every interned closure is exact.
 pub struct Saturator<'a> {
-    tgds: &'a [Tgd],
-    memo: HashMap<CanonType, BTreeSet<TAtom>>,
-    in_progress: HashSet<CanonType>,
-    /// Keys whose memo value is exact: computed without hitting a recursive
-    /// type cycle, hence a true least fixpoint of their downward cone.
-    /// Stable keys return immediately, preventing exponential re-descent
-    /// along deep acyclic type chains.
-    stable: HashSet<CanonType>,
-    /// Counts in-progress short-circuits; used to detect whether a closure
-    /// computation depended on an unfinished ancestor.
-    ip_hits: u64,
-    /// Set when any memo entry grew during the current round of
-    /// [`Self::ground_saturation`]; the next round then re-closes every bag.
-    changed: bool,
-    /// Compiled body plans, one per TGD. Bag closures run the same small
-    /// body searches thousands of times over tiny instances, so the
-    /// per-search compile cost is paid once here instead.
-    plans: Vec<CompiledQuery>,
+    plans: Vec<TriggerPlan>,
+    ids: HashMap<CanonType, usize>,
+    types: Vec<TypeEntry>,
+    queue: VecDeque<usize>,
+    rules: PhantomData<&'a [Tgd]>,
 }
 
 impl<'a> Saturator<'a> {
@@ -230,23 +239,18 @@ impl<'a> Saturator<'a> {
             );
         }
         Saturator {
-            tgds,
-            memo: HashMap::new(),
-            in_progress: HashSet::new(),
-            stable: HashSet::new(),
-            ip_hits: 0,
-            changed: false,
-            plans: tgds
-                .iter()
-                .map(|t| CompiledQuery::compile(&t.body))
-                .collect(),
+            plans: TriggerPlan::compile_all(tgds),
+            ids: HashMap::new(),
+            types: Vec::new(),
+            queue: VecDeque::new(),
+            rules: PhantomData,
         }
     }
 
     /// Number of distinct canonical types materialized so far (telemetry for
     /// the experiments).
     pub fn type_count(&self) -> usize {
-        self.memo.len()
+        self.types.len()
     }
 
     /// Closes a bag: returns every atom over `consts` entailed by the chase
@@ -257,87 +261,77 @@ impl<'a> Saturator<'a> {
             .iter()
             .all(|a| a.args.iter().all(|v| consts.contains(v))));
         let (key, perm) = canonicalize(atoms, consts);
-        decode(self.close_canonical(&key, &perm), &perm)
+        decode(self.close_canonical(key), &perm)
     }
 
-    /// [`Self::close_bag`] for a bag already in canonical form: `key` is the
-    /// bag's type and `perm` an ordering realizing it
-    /// (`perm[canonical_position] = value`), as returned by
-    /// [`canonicalize`]. Returns the type's closure in canonical
-    /// coordinates; it decodes to every same-type bag through that bag's
-    /// own ordering.
-    fn close_canonical(&mut self, key: &CanonType, perm: &[Value]) -> &BTreeSet<TAtom> {
-        if self.stable.contains(key) {
+    /// The closure of type `key` in canonical coordinates, which decodes to
+    /// every bag of the type through that bag's own ordering: the memo
+    /// entry of a known type, else the new type's once the worklist drains.
+    fn close_canonical(&mut self, key: CanonType) -> &BTreeSet<TAtom> {
+        let known = self.types.len();
+        let id = self.intern(key);
+        if id < known {
             obs::count(obs::Metric::BagClosureMemoHits, 1);
-            return &self.memo[key];
         }
-        if self.in_progress.contains(key) {
-            // Recursive type cycle: return the current approximation; the
-            // outer iteration of `ground_saturation` refines it.
-            self.ip_hits += 1;
-            return &self.memo[key];
+        while let Some(next) = self.queue.pop_front() {
+            self.evaluate(next);
         }
+        &self.types[id].closure
+    }
+
+    /// The id of `key`; an unseen type is seeded with its own atoms and
+    /// queued.
+    fn intern(&mut self, key: CanonType) -> usize {
+        if let Some(&id) = self.ids.get(&key) {
+            return id;
+        }
+        let id = self.types.len();
+        self.types.push(TypeEntry {
+            closure: key.atoms.clone(),
+            width: key.width,
+            importers: Vec::new(),
+        });
+        self.ids.insert(key, id);
+        self.queue.push_back(id);
+        id
+    }
+
+    /// One worklist step: brings type `id` to a local fixpoint against the
+    /// current closures of its child types, and requeues its importers if
+    /// its closure grew.
+    fn evaluate(&mut self, id: usize) {
         obs::count(obs::Metric::BagClosures, 1);
-        let closure_t = obs::enabled().then(Instant::now);
-        let hits_before = self.ip_hits;
-        let start = self
-            .memo
-            .entry(key.clone())
-            .or_insert_with(|| key.atoms.clone());
-        let mut current = decode(start, perm);
-        self.in_progress.insert(key.clone());
+        let started = obs::enabled().then(Instant::now);
+        let consts: Vec<Value> = (0..self.types[id].width)
+            .map(|_| Value::fresh_null())
+            .collect();
+        let mut bag = decode(&self.types[id].closure, &consts);
+        // Taken out for the loop: interning child types borrows `self`.
+        let plans = std::mem::take(&mut self.plans);
+        let (mut nulls, mut head) = (Vec::new(), Vec::new());
         loop {
             let mut grew = false;
-            for (ti, tgd) in self.tgds.iter().enumerate() {
-                let frontier = tgd.frontier();
-                let exist = tgd.existential_vars();
-                let homs: Vec<HashMap<Var, Value>> = {
-                    let plan = &self.plans[ti];
-                    let mut out = Vec::new();
-                    plan.search(&current).for_each_row(|row| {
-                        out.push(
-                            plan.vars()
-                                .iter()
-                                .copied()
-                                .zip(row.iter().copied())
-                                .collect(),
-                        );
-                        ControlFlow::Continue(())
-                    });
-                    out
-                };
-                for h in homs {
-                    if exist.is_empty() {
-                        for head in &tgd.head {
-                            grew |= current.insert(head.ground(&h));
-                        }
+            for plan in &plans {
+                let rows = plan.body.search(&bag).table();
+                for row in rows.rows() {
+                    if plan.n_exist == 0 {
+                        plan.fire_row(row, &mut nulls, &mut head);
+                        grew |= bag.insert_batch(head.drain(..)) > 0;
                         continue;
                     }
-                    // Existential head: build and close the child bag.
-                    let mut assignment = h.clone();
-                    let mut child_consts: Vec<Value> = Vec::new();
-                    for &v in &frontier {
-                        let img = assignment[&v];
-                        if !child_consts.contains(&img) {
-                            child_consts.push(img);
+                    let (child_consts, child) = child_bag(plan, row, &bag);
+                    let (key, perm) = canonicalize(&child, &child_consts);
+                    let child = self.intern(key);
+                    let entry = &mut self.types[child];
+                    if !entry.importers.contains(&id) {
+                        entry.importers.push(id);
+                    }
+                    // Import what the child knows over our constants.
+                    for t in &entry.closure {
+                        let a = decode_atom(t, &perm);
+                        if a.args.iter().all(|v| consts.contains(v)) {
+                            grew |= bag.insert(a);
                         }
-                    }
-                    for &z in &exist {
-                        let n = Value::fresh_null();
-                        assignment.insert(z, n);
-                        child_consts.push(n);
-                    }
-                    let mut child = Instance::new();
-                    for head in &tgd.head {
-                        child.insert(head.ground(&assignment));
-                    }
-                    let child_set: HashSet<Value> = child_consts.iter().copied().collect();
-                    child.extend_from(&current.restrict_to(&child_set));
-                    let closed = self.close_bag(&child, &child_consts);
-                    // Import what came back over our constants.
-                    let ours: HashSet<Value> = perm.iter().copied().collect();
-                    for a in closed.restrict_to(&ours).iter() {
-                        grew |= current.insert(a.clone());
                     }
                 }
             }
@@ -345,28 +339,24 @@ impl<'a> Saturator<'a> {
                 break;
             }
         }
-        self.in_progress.remove(key);
-        let position: HashMap<Value, u8> = perm
+        self.plans = plans;
+        let position: HashMap<Value, u8> = consts
             .iter()
             .enumerate()
             .map(|(i, &v)| (v, i as u8))
             .collect();
-        let final_enc = encode(&current, &position);
-        let entry = self.memo.get_mut(key).expect("inserted above");
-        if *entry != final_enc {
-            debug_assert!(entry.is_subset(&final_enc), "closure must be monotone");
-            *entry = final_enc;
-            self.changed = true;
+        let closure = encode(&bag, &position);
+        if closure.len() > self.types[id].closure.len() {
+            self.types[id].closure = closure;
+            for i in self.types[id].importers.clone() {
+                if !self.queue.contains(&i) {
+                    self.queue.push_back(i);
+                }
+            }
         }
-        if self.ip_hits == hits_before {
-            // No recursive cycle below: this is the exact least fixpoint of
-            // the key's downward cone.
-            self.stable.insert(key.clone());
-        }
-        if let Some(t0) = closure_t {
+        if let Some(t0) = started {
             obs::observe(obs::Hist::BagClosureNs, t0.elapsed().as_nanos() as u64);
         }
-        &self.memo[key]
     }
 
     /// `chase↓(D, Σ)`: all atoms over `dom(D)` entailed by the chase.
@@ -375,47 +365,59 @@ impl<'a> Saturator<'a> {
     /// derivation over `dom(D)` is local to one such bag, so each round
     /// closes the bags and adds the closures until nothing changes. A round
     /// re-closes only the bags whose restriction grew since they were last
-    /// closed (all of them after the memo grew: a recursive type cycle may
-    /// have under-approximated them), and it computes one closure per
-    /// distinct [`CanonType`] among them, decoding it through each bag's own
-    /// ordering.
+    /// closed: type closures are exact, so a bag whose restriction is
+    /// unchanged has nothing more to give. Same-type bags share one
+    /// closure, decoded through each bag's own ordering.
     pub fn ground_saturation(&mut self, db: &Instance) -> Instance {
         let _span = obs::span("chase.saturation");
         let mut ground = db.clone();
         // Restriction size of each bag when it was last closed. The instance
-        // only grows, so an equal size means the restriction is unchanged
-        // and the bag's last closure is still exact.
+        // only grows, so an equal size means the restriction is unchanged.
         let mut closed_sizes: HashMap<Vec<Value>, usize> = HashMap::new();
-        let mut refine_all = true;
         loop {
-            self.changed = false;
             let mut dirty: Vec<(CanonType, Vec<Value>)> = Vec::new();
             for (consts, ids) in guarded_bags(&ground) {
-                if refine_all || closed_sizes.get(&consts) != Some(&ids.len()) {
-                    closed_sizes.insert(consts.clone(), ids.len());
+                if closed_sizes.insert(consts.clone(), ids.len()) != Some(ids.len()) {
                     dirty.push(canonicalize(&restriction(&ground, &ids), &consts));
                 }
             }
-            // Same-type bags have, by guardedness, the same closure up to the
-            // renaming their orderings realize: close each type once.
-            let mut closed: HashSet<&CanonType> = HashSet::new();
             let mut added = false;
-            for (key, perm) in &dirty {
-                let closure = if closed.insert(key) {
-                    self.close_canonical(key, perm)
-                } else {
-                    &self.memo[key]
-                };
-                for t in closure {
-                    added |= ground.insert(decode_atom(t, perm));
+            for (key, perm) in dirty {
+                for t in self.close_canonical(key) {
+                    added |= ground.insert(decode_atom(t, &perm));
                 }
             }
-            refine_all = self.changed;
-            if !added && !refine_all {
+            if !added {
                 return ground;
             }
         }
     }
+}
+
+/// The child bag of the existential trigger that `row`, a body row of
+/// `plan`, witnesses in the bag `parent`. Returns the child's constants —
+/// the frontier images in [`Tgd::frontier`] order without repeats, then
+/// the firing's fresh nulls — and its atoms: the head atoms, then the
+/// atoms of `parent` over those constants.
+pub(crate) fn child_bag(
+    plan: &TriggerPlan,
+    row: &[Value],
+    parent: &Instance,
+) -> (Vec<Value>, Instance) {
+    let mut consts: Vec<Value> = Vec::new();
+    for &(_, slot) in &plan.frontier_links {
+        if !consts.contains(&row[slot]) {
+            consts.push(row[slot]);
+        }
+    }
+    let (mut nulls, mut head) = (Vec::new(), Vec::new());
+    plan.fire_row(row, &mut nulls, &mut head);
+    consts.extend_from_slice(&nulls);
+    let inherited = parent
+        .iter()
+        .filter(|a| a.args.iter().all(|v| consts.contains(v)));
+    let atoms = Instance::from_atoms(head.into_iter().chain(inherited.cloned()));
+    (consts, atoms)
 }
 
 /// The guarded sets `dom(α)` of the atoms α of `inst`, sorted, in
@@ -584,12 +586,10 @@ mod tests {
     #[test]
     fn ground_saturation_recloses_every_bag_after_the_memo_grows() {
         // Both S bags reach the type of R(c,⊥), whose child R(z,c) has
-        // that type again and so reads its memo while it is computed. The
-        // first round closes bag {c1,c2} with that memo one step short;
-        // bag {c0,c1}, closed next, starts from the grown memo and gains
-        // A(c0). A(c1) needs bag {c1,c2} closed again although its own
-        // restriction did not grow: the memo grew, so the next round
-        // re-closes every bag.
+        // that type again: a type cycle. Bag {c1,c2} gains A(c1) only from
+        // the cycle's least fixpoint; an in-progress approximation of the
+        // cycle stops one step short of it, although the bag's own
+        // restriction never grows.
         let tgds = parse_tgds("R(Y,X) -> R(Z,Y). R(X,Y) -> A(Y). S(Y,X) -> R(Y,Z)").unwrap();
         let d = db(&[("S", &["c1", "c2"]), ("S", &["c0", "c1"]), ("A", &["c2"])]);
         let sat = ground_saturation(&d, &tgds);
@@ -603,6 +603,34 @@ mod tests {
             deep.instance
                 .restrict_to(&d.dom().iter().copied().collect())
         );
+    }
+
+    #[test]
+    fn two_atom_existential_heads_close_in_few_type_evaluations() {
+        // Heads with two atoms and an existential, whose child types lead
+        // back into each other. A closure that re-descends every type on a
+        // cycle needs 17 248 type evaluations over 25 types here; solving
+        // all types as one fixpoint needs 40.
+        let tgds = parse_tgds(
+            "R(X,Y) -> S(X,Y), R(Z,X). \
+             S(X,Y) -> S(X,Z), B(X), B(Z). \
+             S(X,Y) -> R(X,Y), R(Y,X)",
+        )
+        .unwrap();
+        let d = db(&[("R", &["c1", "c1"]), ("A", &["c0"]), ("S", &["c2", "c1"])]);
+        let (sat, report) = obs::trace_run(|| ground_saturation(&d, &tgds));
+        // The ground part is complete by level 2; level 8 leaves margin.
+        let deep = chase(&d, &tgds, &ChaseBudget::levels(8));
+        assert_eq!(
+            sat,
+            deep.instance
+                .restrict_to(&d.dom().iter().copied().collect())
+        );
+        assert_eq!(sat.len(), 9);
+        // Other tests of this binary may count into the same global
+        // counter while this one runs, so the bound leaves room.
+        let evaluations = report.counter(obs::Metric::BagClosures);
+        assert!(evaluations < 400, "type evaluations: {evaluations}");
     }
 
     #[test]

@@ -70,10 +70,12 @@ pub enum Metric {
     /// Head-satisfaction checks performed by the restricted chase at
     /// trigger pop time.
     RestrictedHeadChecks,
-    /// Bag closures computed by the saturator (`close_canonical` calls
-    /// that did real work, i.e. not answered by the stable-key memo).
+    /// Type evaluations run by the saturator's worklist: one per dequeued
+    /// canonical type, which fires the rules on the type's closure and
+    /// imports its child types' closures until nothing more is added.
     BagClosures,
-    /// Saturator stable-memo fast-path hits.
+    /// Saturator closure requests answered by an already interned type,
+    /// whose closure is exact, without running the worklist.
     BagClosureMemoHits,
     /// Nodes visited by the kernel backtracker (`search_rec` entries).
     KernelNodes,
@@ -230,7 +232,8 @@ pub fn counter_value(m: Metric) -> u64 {
 pub enum Hist {
     /// Wall time of one oblivious-chase round, in nanoseconds.
     ChaseRoundNs,
-    /// Wall time of one saturator bag closure, in nanoseconds.
+    /// Wall time of one saturator worklist step (one type evaluation), in
+    /// nanoseconds.
     BagClosureNs,
     /// Wall time of one dense-trie build or merge-extend, in
     /// nanoseconds.

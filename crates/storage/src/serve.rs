@@ -37,7 +37,7 @@
 //! # Consistency
 //!
 //! The daemon keeps the published fixpoint behind `RwLock<Arc<_>>`: the
-//! snapshot as loaded (fired set frozen) until the first write, the
+//! snapshot as loaded (firing records frozen) until the first write, the
 //! thawed [`MaintainedInstance`] afterwards. Readers clone the `Arc` and
 //! evaluate entirely lock-free on their private handle; a query never
 //! blocks a write and never observes a half-applied one. Prepared plans
@@ -268,8 +268,8 @@ pub fn parse_flat_object(src: &str) -> Result<HashMap<String, String>, String> {
 // ---------------------------------------------------------------------------
 
 /// What the daemon publishes: the snapshot exactly as loaded until the
-/// first write (queries only need the instance, so the fired set stays
-/// frozen and startup is pure sequential load), and the thawed maintained
+/// first write (queries only need the instance, so the firing records
+/// stay frozen and startup is pure sequential load), and the thawed maintained
 /// fixpoint from the first write on. Cloning clones an `Arc` either way.
 #[derive(Clone)]
 enum ServedState {
@@ -641,7 +641,7 @@ fn respond(shared: &Shared, line: &str, out: &mut String) -> Result<bool, String
 fn write(shared: &Shared, op: Op, text: &str, atom: GroundAtom) -> Result<String, String> {
     // Writers serialize here; readers are never blocked — they keep
     // evaluating against the previous Arc until the swap. The first write
-    // thaws the frozen snapshot's fired set (the one-time dependency-index
+    // thaws the frozen snapshot's firing records (the one-time dependency-index
     // rebuild deferred off the load and query paths).
     let mut gate = shared
         .write_gate

@@ -1,7 +1,7 @@
 //! The persistent snapshot format: a versioned, checksummed binary image
 //! of a maintained chase fixpoint — interned symbols, the instance in
-//! insertion order, the dense dictionary and tries, and the delta-chase
-//! fired set — written after saturation and
+//! insertion order, the dense dictionary and tries, and the maintained
+//! chase's firing records — written after saturation and
 //! loaded with **no re-chase and no re-sort**.
 //!
 //! # Format
@@ -36,10 +36,10 @@
 //! [`Instance::from_unique_atoms`]), the dense tables and tries are
 //! *installed* — validated against the atoms in one linear pass by
 //! [`Instance::install_dense`], never re-encoded or re-sorted — and the
-//! fired set is kept frozen **as raw bytes**
-//! until the first write, when it is decoded and rebuilt by hashing
-//! firing records ([`MaintainedInstance::from_parts`]), never by
-//! re-running the chase.
+//! firing records are kept frozen **as raw bytes**
+//! until the first write, when they are decoded and the dependency index
+//! is rebuilt by hashing them ([`MaintainedInstance::from_parts`]), never
+//! by re-running the chase.
 //! Dense state that fails its validation (e.g. a dictionary that is not
 //! sorted under this process's interning order) is skipped and simply
 //! rebuild lazily on first use; sections whose bytes are damaged fail the
@@ -91,7 +91,7 @@ pub enum SnapshotError {
     Truncated,
     /// The payload passed the checksum but does not decode to a
     /// consistent snapshot (bad tag, dangling reference, inconsistent
-    /// fired set, ...).
+    /// firing records, ...).
     Malformed(String),
     /// The snapshot's commit log is damaged before its last record, so
     /// replaying it could skip acknowledged writes. Names the log, the
@@ -134,7 +134,7 @@ impl From<io::Error> for SnapshotError {
 }
 
 /// A snapshot restored into this process: the rule set, the chased
-/// instance (query-ready immediately), the still-frozen fired set
+/// instance (query-ready immediately), the still-frozen firing records
 /// (thawed into a [`MaintainedInstance`] on demand), and counts of how
 /// many persisted dense tables and tries survived validation and were
 /// installed (the rest rebuild lazily on first use).
@@ -142,9 +142,10 @@ impl From<io::Error> for SnapshotError {
 /// The split keeps the load path sequential: queries only need the
 /// instance, so [`load_snapshot`] stops after decode + dense install and
 /// keeps the checksummed base/firings section as raw bytes. Decoding the
-/// fired set and rebuilding the dependency index that `insert`/`retract`
-/// need (per-firing allocation and hashing proportional to the fired
-/// set, often the bulk of the file) is paid once, by the first caller of
+/// firing records and rebuilding the dependency index that
+/// `insert`/`retract` need (per-firing allocation and hashing
+/// proportional to the number of firings, often the bulk of the file) is
+/// paid once, by the first caller of
 /// [`LoadedSnapshot::to_maintained`] or
 /// [`LoadedSnapshot::into_maintained`] — off the query hot path.
 #[derive(Debug)]
@@ -225,8 +226,8 @@ impl LoadedSnapshot {
         })
     }
 
-    /// Thaws a maintainable copy: decodes the frozen fired set, validates
-    /// it against a clone of the instance, and rebuilds the dependency
+    /// Thaws a maintainable copy: decodes the frozen firing records,
+    /// validates them against a clone of the instance, and rebuilds the dependency
     /// index ([`MaintainedInstance::from_parts`] — hashing, no chase).
     /// Any inconsistency fails closed as [`SnapshotError::Malformed`].
     pub fn to_maintained(&self) -> Result<MaintainedInstance, SnapshotError> {
@@ -605,7 +606,7 @@ pub fn load_snapshot_bytes(bytes: &[u8]) -> Result<LoadedSnapshot, SnapshotError
 
 /// The owned-buffer load pipeline behind [`load_snapshot`] and
 /// [`load_snapshot_bytes`]: the image moves into the result so the
-/// frozen fired-set tail is referenced in place, never copied.
+/// frozen firing-record tail is referenced in place, never copied.
 fn load_snapshot_owned(image: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> {
     let bytes: &[u8] = &image;
     // Framing. A short prefix that already disagrees with the magic is
@@ -723,8 +724,8 @@ fn load_snapshot_owned(image: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> 
         remaps,
     };
     // 6. Maintain state: scalars eagerly; the base + firings tail stays
-    //    as one raw byte run (already checksummed) so materializing a
-    //    fired set that can dwarf the instance is deferred to thaw.
+    //    as one raw byte run (already checksummed) so materializing
+    //    firing records that can dwarf the instance is deferred to thaw.
     let complete = r.bool().map_err(mal)?;
     let max_atoms = match r.u8().map_err(mal)? {
         0 => None,
@@ -738,9 +739,9 @@ fn load_snapshot_owned(image: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> 
     // duplicate-free and the trusted bulk constructor applies — the
     // instance's hash indexes are built from the atoms on first demand,
     // off the load path.
-    // The fired set stays frozen in byte form — queries never touch it,
-    // and the first writer pays the decode + dependency-index rebuild via
-    // `to_maintained`/`into_maintained`, which is also where fired-set
+    // The firing records stay frozen in byte form — queries never touch
+    // them, and the first writer pays the decode + dependency-index rebuild
+    // via `to_maintained`/`into_maintained`, which is also where their
     // damage and inconsistencies fail closed: an inconsistent dependency
     // index would make later retractions silently wrong.
     let instance = Instance::from_unique_atoms(atoms);
@@ -762,7 +763,7 @@ fn load_snapshot_owned(image: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> 
 /// framing (magic, version, length, checksum) → intern symbols → fence
 /// nulls → rebuild TGDs → append instance atoms in insertion order →
 /// install dense state (validated, never re-sorted).
-/// The result is query-ready; thawing the fired set for writes is
+/// The result is query-ready; thawing the firing records for writes is
 /// deferred to [`LoadedSnapshot::to_maintained`].
 pub fn load_snapshot(path: &Path) -> Result<LoadedSnapshot, SnapshotError> {
     load_snapshot_owned(std::fs::read(path)?)
@@ -812,7 +813,7 @@ mod tests {
         assert!(instance_isomorphic(m.instance(), loaded.instance()));
         // In-process ids are unchanged, so answers are bit-identical.
         assert_eq!(Engine::prepare(&q).answers(loaded.instance()), before);
-        // The restored fixpoint keeps maintaining: thaw the fired set,
+        // The restored fixpoint keeps maintaining: thaw the firing records,
         // then the same mutation on both sides stays isomorphic.
         let mut back = loaded.into_maintained().unwrap();
         let carol = GroundAtom::named("Emp", &["carol"]);
@@ -848,7 +849,7 @@ mod tests {
         let thawed = loaded.to_maintained().unwrap();
         assert!(instance_isomorphic(m.instance(), thawed.instance()));
         assert!(instance_isomorphic(m.instance(), loaded.instance()));
-        // A fired set that no longer matches the rules fails closed.
+        // Firing records that no longer match the rules fail closed.
         let mut broken = load_snapshot_bytes(&bytes).unwrap();
         broken.tgds.pop();
         assert!(matches!(
