@@ -708,7 +708,12 @@ pub fn e11_linear_rewriting() -> ExperimentTable {
 /// E12 — evaluation-engine shootout on acyclic queries: Yannakakis
 /// semijoins vs the Prop 2.1 tree-decomposition DP vs backtracking.
 pub fn e12_engine_shootout() -> ExperimentTable {
-    use gtgd_query::{check_answer_yannakakis, HomSearch};
+    use gtgd_query::{check_answer_yannakakis, CompiledQuery, ValuationTable};
+    let sorted_rows = |t: ValuationTable| {
+        let mut rows: Vec<Vec<gtgd_data::Value>> = t.rows().map(<[_]>::to_vec).collect();
+        rows.sort();
+        rows
+    };
     let mut rows = Vec::new();
     for &n in &[50usize, 150, 400] {
         let db = grid_db(4, n);
@@ -720,24 +725,11 @@ pub fn e12_engine_shootout() -> ExperimentTable {
             && check_answer_decomposed(&q, &db, &[]) == holds_boolean(&q, &db);
         // Full answer enumeration: every homomorphism of the query body,
         // sequential vs split across 4 workers on the most selective atom.
-        let t_enum = bench_ms(|| HomSearch::new(&q.atoms, &db).all());
-        let t_penum = bench_ms(|| HomSearch::new(&q.atoms, &db).par_all(4));
-        let enum_agree = {
-            let norm = |homs: Vec<std::collections::HashMap<gtgd_query::Var, gtgd_data::Value>>| {
-                let mut v: Vec<Vec<_>> = homs
-                    .into_iter()
-                    .map(|h| {
-                        let mut kv: Vec<_> = h.into_iter().collect();
-                        kv.sort();
-                        kv
-                    })
-                    .collect();
-                v.sort();
-                v
-            };
-            norm(HomSearch::new(&q.atoms, &db).all())
-                == norm(HomSearch::new(&q.atoms, &db).par_all(4))
-        };
+        let plan = CompiledQuery::compile(&q.atoms);
+        let t_enum = bench_ms(|| plan.search(&db).table());
+        let t_penum = bench_ms(|| plan.search(&db).par_table(4));
+        let enum_agree =
+            sorted_rows(plan.search(&db).table()) == sorted_rows(plan.search(&db).par_table(4));
         rows.push(vec![
             n.to_string(),
             db.len().to_string(),
@@ -772,8 +764,9 @@ pub fn e12_engine_shootout() -> ExperimentTable {
         rows,
         notes: "Acyclic queries admit all three engines; the shapes coincide \
                 because the query is fixed. The enum columns compare full \
-                answer enumeration sequentially vs par_all at 4 workers \
-                (identical answer sets by construction)."
+                answer enumeration (every body homomorphism as a flat \
+                row table) sequentially vs par_table at 4 workers \
+                (identical row sets by construction)."
             .into(),
     }
 }

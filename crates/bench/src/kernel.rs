@@ -1,7 +1,7 @@
 //! Before/after benchmark for the compiled query kernel
 //! (`BENCH_kernel.json`).
 //!
-//! The kernel PR replaced the map-based `HomSearch` backtracker with
+//! The kernel PR replaced the map-based backtracker with
 //! compiled access plans (`gtgd_query::CompiledQuery`) and made the
 //! restricted chase incremental. This module re-runs the four experiment
 //! series the kernel touches (E2, E9, E12, E15), pulls the headline cells

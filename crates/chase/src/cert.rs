@@ -112,7 +112,7 @@ pub struct CertificateStore<'a> {
 impl<'a> CertificateStore<'a> {
     /// A store over the original database `db` (not the chased instance),
     /// the rule set, and the firing log of a certified run
-    /// ([`crate::runner::ChaseOutcome::firings`]).
+    /// ([`crate::ChaseResult::firings`]).
     pub fn new(db: &Instance, tgds: &'a [Tgd], firings: Vec<FiringRecord>) -> CertificateStore<'a> {
         let mut facts: Vec<GroundAtom> = db.iter().cloned().collect();
         facts.sort();

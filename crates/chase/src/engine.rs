@@ -24,14 +24,15 @@
 //! its products at once. Every trigger active in a round fires or is found
 //! satisfied in that round, so the sequence is fair.
 //!
-//! `ObliviousChase::run` is the only chase driver: [`chase`] and the
-//! restricted chase run it from the whole database, incremental
-//! maintenance (`crate::maintain`) from the inserted or rescued atoms;
-//! certified runs and the dependency index watch it through a
-//! `FiringObserver`.
+//! `ObliviousChase::run` is the only chase driver: [`ChaseRunner::run`]
+//! (behind [`chase`] and [`crate::restricted_chase`]) runs it from the
+//! whole database for either variant, incremental maintenance
+//! (`crate::maintain`) from the inserted or rescued atoms; certified runs
+//! and the dependency index watch it through a `FiringObserver`.
 
+use crate::cert::FiringRecord;
 use crate::plan::TriggerPlan;
-use crate::runner::ChaseVariant;
+use crate::runner::{ChaseRunner, ChaseVariant};
 use crate::tgd::Tgd;
 use gtgd_data::idhash::IdHashSet;
 use gtgd_data::{obs, GroundAtom, Instance, Value};
@@ -83,18 +84,28 @@ impl ChaseBudget {
     }
 }
 
-/// The materialized prefix of a chase.
+/// What a chase run produced: the materialized prefix of a chase, for
+/// either [`ChaseVariant`]. For a restricted run, an atom's level is the
+/// round that added it, which is also its derivation depth.
 #[derive(Debug, Clone)]
 pub struct ChaseResult {
     /// The atoms materialized so far (includes the input database).
     pub instance: Instance,
     /// `levels[i]` is the chase level of `instance.atom(i)`.
     pub levels: Vec<usize>,
+    /// The highest level materialized.
+    pub max_level: usize,
     /// Whether a fixpoint was reached (the result is the full
     /// `chase(D, Σ)`), as opposed to stopping on a budget.
     pub complete: bool,
-    /// The highest level materialized.
-    pub max_level: usize,
+    /// Triggers fired.
+    pub fired: usize,
+    /// The run's probe report; `None` unless the run was built with
+    /// [`ChaseRunner::trace`](crate::ChaseRunner::trace).
+    pub report: Option<obs::RunReport>,
+    /// Every trigger firing, in firing order; `None` unless the run was
+    /// built with [`ChaseRunner::certify`](crate::ChaseRunner::certify).
+    pub firings: Option<Vec<FiringRecord>>,
 }
 
 impl ChaseResult {
@@ -111,40 +122,10 @@ impl ChaseResult {
     }
 }
 
-/// Runs the oblivious chase of `db` under `tgds` within `budget`.
-///
-/// Each TGD is compiled into a trigger plan (`plan::TriggerPlan`) once; every round re-probes
-/// the cached plan with a delta atom pinned, instead of rebuilding atom
-/// lists per firing.
-///
-/// Compatibility wrapper over [`crate::runner::ChaseRunner`] — prefer the
-/// facade in new code.
+/// Runs the oblivious chase of `db` under `tgds` within `budget`:
+/// `ChaseRunner::new(tgds).budget(*budget).run(db)`.
 pub fn chase(db: &Instance, tgds: &[Tgd], budget: &ChaseBudget) -> ChaseResult {
-    crate::runner::ChaseRunner::new(tgds)
-        .budget(*budget)
-        .run(db)
-        .into_chase_result()
-}
-
-/// The one-shot oblivious chase behind [`chase`] and
-/// [`crate::runner::ChaseRunner`]: one [`ObliviousChase::run`] from the
-/// whole database, with levels.
-pub(crate) fn chase_impl(
-    db: &Instance,
-    tgds: &[Tgd],
-    budget: &ChaseBudget,
-    observer: &mut impl FiringObserver,
-) -> ChaseResult {
-    let _span = obs::span("chase.oblivious");
-    let mut state = ObliviousChase::new(tgds, db.clone(), ChaseVariant::Oblivious);
-    let mut levels = vec![0usize; db.len()];
-    let run = state.run(Delta::Since(0), budget, Some(&mut levels), observer);
-    ChaseResult {
-        instance: state.instance,
-        levels,
-        complete: run.complete,
-        max_level: run.max_level,
-    }
+    ChaseRunner::new(tgds).budget(*budget).run(db)
 }
 
 /// Sees every trigger firing of a run, in firing order: the plan of the

@@ -10,6 +10,10 @@
 //! models for terminating fragments (the realization of finite witnesses we
 //! use in place of the paper's GNFO construction — see DESIGN.md §3).
 //!
+//! Both chase variants, oblivious and restricted, run through one builder,
+//! [`ChaseRunner`], and return one [`ChaseResult`]; [`chase`] and
+//! [`restricted_chase`] are one-line calls of it.
+//!
 //! ```
 //! use gtgd_chase::{chase, parse_tgds, ChaseBudget};
 //! use gtgd_data::{GroundAtom, Instance};
@@ -48,9 +52,9 @@ pub use dl::{
 pub use engine::{chase, ChaseBudget, ChaseResult};
 pub use linearize::{linearize, Linearization};
 pub use maintain::{FiringExport, MaintainExport, MaintainedInstance, MaintenanceReport};
-pub use restricted::{restricted_chase, RestrictedChaseResult};
+pub use restricted::restricted_chase;
 pub use rewrite::linear_rewrite;
-pub use runner::{ChaseOutcome, ChaseRunner, ChaseVariant};
+pub use runner::{ChaseRunner, ChaseVariant};
 pub use tgd::{parse_tgd, parse_tgds, satisfies, satisfies_all, Tgd, TgdClass};
 pub use typed_chase::{typed_chase, typed_chase_with, DepthPolicy, TypedChaseResult};
 pub use types::{ground_saturation, type_of_atom, CanonType, Saturator};

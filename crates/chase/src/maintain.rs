@@ -73,14 +73,14 @@ pub struct MaintenanceReport {
     pub atoms_removed: usize,
 }
 
-/// One *alive* firing in portable form, as persisted by snapshots: the
-/// `(TGD index, trigger key)` pair plus the produced head atoms. The
-/// firing's body atoms are **not** stored — the key is the full body
-/// valuation in ascending-variable order, so the body is reconstructed at
-/// load via `TriggerPlan::row_from_key` +
-/// `ground_body`. Dead (tombstoned) firings are dropped at export: they
-/// exist only to keep in-memory ids stable, which a rebuild renumbers
-/// anyway.
+/// One firing in portable form: the `(TGD index, trigger key)` pair plus
+/// the produced head atoms. The dependency index keeps its records in this
+/// form and snapshots persist the alive ones. The firing's body atoms are
+/// **not** stored — the key is the full body valuation in ascending-variable
+/// order, so the body is reconstructed at load via
+/// `TriggerPlan::row_from_key` + `ground_body`. Dead (tombstoned) firings
+/// are dropped at export: they exist only to keep in-memory ids stable,
+/// which a rebuild renumbers anyway.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FiringExport {
     /// TGD index in the rule set.
@@ -108,30 +108,17 @@ pub struct MaintainExport {
     pub max_atoms: Option<usize>,
 }
 
-/// One recorded trigger firing: the dependency-graph edge set DRed walks.
-/// Records stay in place when killed (`alive = false`) so firing ids in
-/// the `supports`/`uses` adjacency lists remain stable until the next
-/// compaction.
-#[derive(Debug, Clone)]
-struct Firing {
-    /// TGD index.
-    tgd: usize,
-    /// The oblivious trigger key (body-variable images).
-    key: Vec<Value>,
-    /// The head atoms the firing produced.
-    products: Vec<GroundAtom>,
-    /// Cleared when a body atom is over-deleted.
-    alive: bool,
-}
-
 /// The firing graph DRed walks: every recorded firing plus, per atom, the
 /// firings producing it and the firings using it.
 #[derive(Debug, Clone, Default)]
 struct DepIndex {
-    /// All recorded firings; dead ones stay as tombstones so ids in the
-    /// adjacency lists below never dangle. [`DepIndex::compact`] drops them
-    /// once they outnumber the alive ones.
-    firings: Vec<Firing>,
+    /// All recorded firings, in the form snapshots persist; dead ones stay
+    /// as tombstones so ids in the adjacency lists below never dangle.
+    /// [`DepIndex::compact`] drops them once they outnumber the alive ones.
+    firings: Vec<FiringExport>,
+    /// `alive[fid]` is cleared when a body atom of firing `fid` is
+    /// over-deleted.
+    alive: Vec<bool>,
     /// How many of `firings` are dead.
     dead: usize,
     /// atom → ids of firings producing it (its supports). Only atoms of
@@ -144,28 +131,25 @@ struct DepIndex {
 }
 
 impl DepIndex {
-    /// Records one firing of rule `tgd` with trigger key `key`, body atoms
-    /// `body`, producing `products`.
-    fn record(
-        &mut self,
-        tgd: usize,
-        key: Vec<Value>,
-        body: Vec<GroundAtom>,
-        products: Vec<GroundAtom>,
-    ) {
+    /// Records one alive firing with body atoms `body`.
+    fn record(&mut self, firing: FiringExport, body: Vec<GroundAtom>) {
         let fid = self.firings.len();
         for b in body {
             self.uses.entry(b).or_default().push(fid);
         }
-        for p in &products {
+        for p in &firing.products {
             self.supports.entry(p.clone()).or_default().push(fid);
         }
-        self.firings.push(Firing {
-            tgd,
-            key,
-            products,
-            alive: true,
-        });
+        self.firings.push(firing);
+        self.alive.push(true);
+    }
+
+    /// The alive firings, in firing-id order.
+    fn alive_firings(&self) -> impl Iterator<Item = &FiringExport> {
+        self.firings
+            .iter()
+            .zip(&self.alive)
+            .filter_map(|(f, &alive)| alive.then_some(f))
     }
 
     /// Builds the index from firings known by rule and trigger key. Each
@@ -182,6 +166,7 @@ impl DepIndex {
         let firings = firings.into_iter();
         let mut deps = DepIndex::default();
         deps.firings.reserve(firings.size_hint().0);
+        deps.alive.reserve(firings.size_hint().0);
         for f in firings {
             let Some(plan) = plans.get(f.tgd) else {
                 return Err(format!(
@@ -200,7 +185,7 @@ impl DepIndex {
             }
             let body = plan.ground_body(&plan.row_from_key(&f.key));
             check(&f, &body)?;
-            deps.record(f.tgd, f.key, body, f.products);
+            deps.record(f, body);
         }
         Ok(deps)
     }
@@ -214,23 +199,18 @@ impl DepIndex {
         if self.dead <= self.firings.len() - self.dead {
             return;
         }
-        let alive = std::mem::take(&mut self.firings)
+        let alive = std::mem::take(&mut self.alive);
+        let firings = std::mem::take(&mut self.firings)
             .into_iter()
-            .filter(|f| f.alive)
-            .map(|f| FiringExport {
-                tgd: f.tgd,
-                key: f.key,
-                products: f.products,
-            });
-        *self = DepIndex::rebuild(plans, alive, |_, _| Ok(()))
+            .zip(alive)
+            .filter_map(|(f, alive)| alive.then_some(f));
+        *self = DepIndex::rebuild(plans, firings, |_, _| Ok(()))
             .expect("alive firings were recorded under these plans");
     }
 
     /// Whether any firing in `fids` is alive.
     fn any_alive(&self, fids: Option<&Vec<usize>>) -> bool {
-        fids.into_iter()
-            .flatten()
-            .any(|&fid| self.firings[fid].alive)
+        fids.into_iter().flatten().any(|&fid| self.alive[fid])
     }
 }
 
@@ -242,12 +222,12 @@ impl FiringObserver for DepIndex {
         _nulls: &[Value],
         products: &[GroundAtom],
     ) {
-        self.record(
-            plan.index,
-            plan.trigger_key(row),
-            plan.ground_body(row),
-            products.to_vec(),
-        );
+        let firing = FiringExport {
+            tgd: plan.index,
+            key: plan.trigger_key(row),
+            products: products.to_vec(),
+        };
+        self.record(firing, plan.ground_body(row));
     }
 }
 
@@ -357,10 +337,9 @@ impl MaintainedInstance {
             }
             over_list.push(a.clone());
             for &fid in self.deps.uses.get(&a).into_iter().flatten() {
-                if !self.deps.firings[fid].alive {
+                if !std::mem::replace(&mut self.deps.alive[fid], false) {
                     continue;
                 }
-                self.deps.firings[fid].alive = false;
                 self.deps.dead += 1;
                 for p in &self.deps.firings[fid].products {
                     if !over.contains(p) {
@@ -416,17 +395,7 @@ impl MaintainedInstance {
                 .filter(|a| self.base.contains(*a))
                 .cloned()
                 .collect(),
-            firings: self
-                .deps
-                .firings
-                .iter()
-                .filter(|f| f.alive)
-                .map(|f| FiringExport {
-                    tgd: f.tgd,
-                    key: f.key.clone(),
-                    products: f.products.clone(),
-                })
-                .collect(),
+            firings: self.deps.alive_firings().cloned().collect(),
             complete: self.complete,
             max_atoms: self.budget.max_atoms,
         }
@@ -710,7 +679,7 @@ mod tests {
 
             assert_eq!(m.instance().len(), atoms);
             let deps = &m.deps;
-            let alive = deps.firings.iter().filter(|f| f.alive).count();
+            let alive = deps.alive.iter().filter(|&&a| a).count();
             assert_eq!(alive, 3 * emps.len(), "cycle {i}");
             assert!(deps.firings.len() <= 2 * alive, "cycle {i}");
             assert!(deps.supports.len() <= atoms, "cycle {i}");

@@ -19,72 +19,34 @@
 //! satisfied. Every trigger active in a round fires or is found satisfied
 //! in that round, so the sequence is fair. A firing's level is its round,
 //! which is also its derivation depth, so a level budget cuts each
-//! derivation chain at depth `max`. The historical implementation
+//! derivation chain at depth `max`. The run returns the oblivious chase's
+//! [`ChaseResult`] with every field filled: `levels` holds those rounds
+//! and `fired` the firings that passed the head check. The historical implementation
 //! restarted a full trigger scan over all TGDs and all body homomorphisms
 //! after *every* firing, which is quadratic in the number of firings (the
 //! E9 ablation measures the difference).
 
-use crate::engine::{ChaseBudget, Delta, FiringObserver, ObliviousChase};
-use crate::runner::ChaseVariant;
+use crate::engine::{ChaseBudget, ChaseResult};
+use crate::runner::{ChaseRunner, ChaseVariant};
 use crate::tgd::Tgd;
-use gtgd_data::{obs, Instance};
-
-/// Result of a restricted chase run.
-#[derive(Debug, Clone)]
-pub struct RestrictedChaseResult {
-    /// The materialized instance.
-    pub instance: Instance,
-    /// Whether a fixpoint was reached within budget.
-    pub complete: bool,
-    /// Number of triggers fired.
-    pub fired: usize,
-}
+use gtgd_data::Instance;
 
 /// Runs the restricted chase in breadth-first rounds: each round fires,
 /// in discovery order, the triggers found over the previous round's atoms
 /// whose heads are not yet satisfied. Deterministic: discovery scans
 /// (TGD, pinned atom, delta atom) in a fixed order.
-pub fn restricted_chase(
-    db: &Instance,
-    tgds: &[Tgd],
-    budget: &ChaseBudget,
-) -> RestrictedChaseResult {
-    crate::runner::ChaseRunner::new(tgds)
+pub fn restricted_chase(db: &Instance, tgds: &[Tgd], budget: &ChaseBudget) -> ChaseResult {
+    ChaseRunner::new(tgds)
         .variant(ChaseVariant::Restricted)
         .budget(*budget)
         .run(db)
-        .into_restricted_result()
-}
-
-/// The engine behind [`restricted_chase`] and
-/// [`crate::runner::ChaseRunner`]: one restricted [`ObliviousChase::run`]
-/// from the whole database; `observer` sees every firing.
-pub(crate) fn restricted_chase_impl(
-    db: &Instance,
-    tgds: &[Tgd],
-    budget: &ChaseBudget,
-    observer: &mut impl FiringObserver,
-) -> RestrictedChaseResult {
-    let _span = obs::span("chase.restricted");
-    let mut state = ObliviousChase::new(tgds, db.clone(), ChaseVariant::Restricted);
-    let run = state.run(Delta::Since(0), budget, None, observer);
-    RestrictedChaseResult {
-        instance: state.instance,
-        complete: run.complete,
-        fired: run.fired,
-    }
-}
-
-/// Whether the restricted chase result is a model (sanity hook for tests).
-pub fn is_model(result: &RestrictedChaseResult, tgds: &[Tgd]) -> bool {
-    result.complete && crate::tgd::satisfies_all(&result.instance, tgds)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::chase;
-    use crate::tgd::parse_tgds;
+    use crate::tgd::{parse_tgds, satisfies_all};
     use gtgd_data::GroundAtom;
     use gtgd_query::{evaluate_cq, parse_cq};
 
@@ -114,7 +76,7 @@ mod tests {
         let d = db(&[("Person", &["eve"]), ("Parent", &["eve", "eve"])]);
         let r = restricted_chase(&d, &tgds, &ChaseBudget::atoms(100));
         assert!(r.complete, "the loop satisfies the TGD");
-        assert!(is_model(&r, &tgds));
+        assert!(satisfies_all(&r.instance, &tgds));
         let o = chase(&d, &tgds, &ChaseBudget::atoms(100));
         assert!(!o.complete, "the oblivious chase keeps inventing parents");
     }

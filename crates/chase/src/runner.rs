@@ -1,13 +1,12 @@
 //! The chase facade: one builder in front of both chase variants.
 //!
-//! The crate has two chase entry points — the oblivious
-//! [`crate::engine::chase`] and the [`crate::restricted::restricted_chase`]
-//! — each with its own result type; both run the one round loop
-//! (`ObliviousChase::run`). [`ChaseRunner`] unifies them: pick a
+//! [`ChaseRunner`] is the one door to a whole-database chase: pick a
 //! [`ChaseVariant`], a [`ChaseBudget`], and optionally tracing and
-//! certification, then [`run`]. The legacy free functions delegate here,
-//! so their behaviour (budget-stop exactness, null naming, level
-//! bookkeeping) is the same through either door.
+//! certification, then [`run`]. Both variants run the one round loop
+//! (`ObliviousChase::run`) and return the one [`ChaseResult`], with the
+//! same budget-stop exactness, null naming and level bookkeeping. The
+//! free functions [`crate::chase`] and [`crate::restricted_chase`] are
+//! one-line calls of this builder.
 //!
 //! ```
 //! use gtgd_chase::{parse_tgds, ChaseBudget, ChaseRunner};
@@ -15,18 +14,18 @@
 //!
 //! let tgds = parse_tgds("A(X) -> B(X). B(X) -> C(X).").unwrap();
 //! let db = Instance::from_atoms([GroundAtom::named("A", &["a"])]);
-//! let outcome = ChaseRunner::new(&tgds)
+//! let result = ChaseRunner::new(&tgds)
 //!     .budget(ChaseBudget::unbounded())
 //!     .run(&db);
-//! assert!(outcome.complete);
-//! assert_eq!(outcome.instance.len(), 3);
+//! assert!(result.complete);
+//! assert_eq!(result.instance.len(), 3);
+//! assert_eq!((result.max_level, result.fired), (2, 2));
 //! ```
 //!
 //! [`run`]: ChaseRunner::run
 
 use crate::cert::FiringRecord;
-use crate::engine::{ChaseBudget, ChaseResult, FiringObserver};
-use crate::restricted::RestrictedChaseResult;
+use crate::engine::{ChaseBudget, ChaseResult, Delta, FiringObserver, ObliviousChase};
 use crate::tgd::Tgd;
 use gtgd_data::{obs, Instance};
 
@@ -55,52 +54,6 @@ pub struct ChaseRunner<'a> {
     certify: bool,
 }
 
-/// What a chase run produced. Field availability depends on the variant:
-/// the oblivious chase has canonical levels, the restricted chase has a
-/// fired-trigger count.
-#[derive(Debug, Clone)]
-pub struct ChaseOutcome {
-    /// The materialized instance (includes the input database).
-    pub instance: Instance,
-    /// Whether a fixpoint was reached within budget.
-    pub complete: bool,
-    /// Per-atom chase levels (oblivious variant only).
-    pub levels: Option<Vec<usize>>,
-    /// The highest level materialized (oblivious variant only).
-    pub max_level: Option<usize>,
-    /// Triggers fired (restricted variant only; the oblivious chase
-    /// reports firings through the [`obs`] counters instead).
-    pub fired: Option<usize>,
-    /// The run's probe report; `None` unless built with `.trace(true)`.
-    pub report: Option<obs::RunReport>,
-    /// The run's derivation provenance — every trigger firing, in firing
-    /// order; `None` unless built with `.certify(true)`.
-    pub firings: Option<Vec<FiringRecord>>,
-}
-
-impl ChaseOutcome {
-    /// Converts to the legacy oblivious-chase result type. Panics on a
-    /// restricted-variant outcome (no level structure).
-    pub fn into_chase_result(self) -> ChaseResult {
-        ChaseResult {
-            instance: self.instance,
-            levels: self.levels.expect("oblivious outcome has levels"),
-            complete: self.complete,
-            max_level: self.max_level.expect("oblivious outcome has max level"),
-        }
-    }
-
-    /// Converts to the legacy restricted-chase result type. Panics on an
-    /// oblivious-variant outcome (no fired count).
-    pub fn into_restricted_result(self) -> RestrictedChaseResult {
-        RestrictedChaseResult {
-            instance: self.instance,
-            complete: self.complete,
-            fired: self.fired.expect("restricted outcome has a fired count"),
-        }
-    }
-}
-
 impl<'a> ChaseRunner<'a> {
     /// A runner over `tgds` with defaults: oblivious variant, unbounded
     /// budget, no tracing, no certification.
@@ -127,8 +80,8 @@ impl<'a> ChaseRunner<'a> {
         self
     }
 
-    /// Enables probe collection: the outcome's
-    /// [`report`](ChaseOutcome::report) will carry chase rounds, trigger
+    /// Enables probe collection: the result's
+    /// [`report`](ChaseResult::report) will carry chase rounds, trigger
     /// firings, nulls created, kernel work, index maintenance, and pool
     /// utilization for this run.
     pub fn trace(mut self, on: bool) -> Self {
@@ -136,8 +89,8 @@ impl<'a> ChaseRunner<'a> {
         self
     }
 
-    /// Enables derivation-provenance capture: the outcome's
-    /// [`firings`](ChaseOutcome::firings) will list every trigger firing
+    /// Enables derivation-provenance capture: the result's
+    /// [`firings`](ChaseResult::firings) will list every trigger firing
     /// ([`FiringRecord`]) in firing order, collected by this run alone, so
     /// concurrent certified runs neither mix nor wait on each other. This
     /// is the raw material for answer certificates (see the `cert`
@@ -147,43 +100,32 @@ impl<'a> ChaseRunner<'a> {
         self
     }
 
-    fn run_now(&self, db: &Instance, observer: &mut impl FiringObserver) -> ChaseOutcome {
-        match self.variant {
-            ChaseVariant::Oblivious => {
-                let r = crate::engine::chase_impl(db, self.tgds, &self.budget, observer);
-                ChaseOutcome {
-                    instance: r.instance,
-                    complete: r.complete,
-                    levels: Some(r.levels),
-                    max_level: Some(r.max_level),
-                    fired: None,
-                    report: None,
-                    firings: None,
-                }
-            }
-            ChaseVariant::Restricted => {
-                let r =
-                    crate::restricted::restricted_chase_impl(db, self.tgds, &self.budget, observer);
-                ChaseOutcome {
-                    instance: r.instance,
-                    complete: r.complete,
-                    levels: None,
-                    max_level: None,
-                    fired: Some(r.fired),
-                    report: None,
-                    firings: None,
-                }
-            }
+    fn run_now(&self, db: &Instance, observer: &mut impl FiringObserver) -> ChaseResult {
+        let _span = obs::span(match self.variant {
+            ChaseVariant::Oblivious => "chase.oblivious",
+            ChaseVariant::Restricted => "chase.restricted",
+        });
+        let mut state = ObliviousChase::new(self.tgds, db.clone(), self.variant);
+        let mut levels = vec![0usize; db.len()];
+        let run = state.run(Delta::Since(0), &self.budget, Some(&mut levels), observer);
+        ChaseResult {
+            instance: state.instance,
+            levels,
+            max_level: run.max_level,
+            complete: run.complete,
+            fired: run.fired,
+            report: None,
+            firings: None,
         }
     }
 
     /// Runs the configured chase on `db`.
-    pub fn run(&self, db: &Instance) -> ChaseOutcome {
+    pub fn run(&self, db: &Instance) -> ChaseResult {
         if self.certify {
             let mut firings: Vec<FiringRecord> = Vec::new();
-            let mut outcome = self.run_traced(db, &mut firings);
-            outcome.firings = Some(firings);
-            outcome
+            let mut result = self.run_traced(db, &mut firings);
+            result.firings = Some(firings);
+            result
         } else {
             self.run_traced(db, &mut ())
         }
@@ -211,11 +153,11 @@ impl<'a> ChaseRunner<'a> {
         crate::MaintainedInstance::new(db, self.tgds, self.budget)
     }
 
-    fn run_traced(&self, db: &Instance, observer: &mut impl FiringObserver) -> ChaseOutcome {
+    fn run_traced(&self, db: &Instance, observer: &mut impl FiringObserver) -> ChaseResult {
         if self.trace {
-            let (mut outcome, report) = obs::trace_run(|| self.run_now(db, observer));
-            outcome.report = Some(report);
-            outcome
+            let (mut result, report) = obs::trace_run(|| self.run_now(db, observer));
+            result.report = Some(report);
+            result
         } else {
             self.run_now(db, observer)
         }
@@ -225,8 +167,6 @@ impl<'a> ChaseRunner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::chase;
-    use crate::restricted::restricted_chase;
     use crate::tgd::parse_tgds;
     use gtgd_data::{GroundAtom, Value};
 
@@ -235,48 +175,55 @@ mod tests {
     }
 
     #[test]
-    fn oblivious_outcome_matches_free_function() {
+    fn both_variants_fill_every_total() {
+        // Oblivious: the closure of a → b → c adds E(a,c) at level 1.
         let tgds = parse_tgds("E(X,Y), E(Y,Z) -> E(X,Z)").unwrap();
         let d = db(&[("E", &["a", "b"]), ("E", &["b", "c"])]);
-        let legacy = chase(&d, &tgds, &ChaseBudget::unbounded());
-        let outcome = ChaseRunner::new(&tgds).run(&d);
-        assert_eq!(outcome.instance, legacy.instance);
-        assert_eq!(outcome.levels.as_deref(), Some(legacy.levels.as_slice()));
-        assert_eq!(outcome.max_level, Some(legacy.max_level));
-        assert_eq!(outcome.complete, legacy.complete);
-    }
-
-    #[test]
-    fn restricted_outcome_matches_free_function() {
-        let tgds = parse_tgds("P(X) -> R(X,Y)").unwrap();
-        let d = db(&[("P", &["a"]), ("R", &["a", "b"])]);
-        let legacy = restricted_chase(&d, &tgds, &ChaseBudget::unbounded());
-        let outcome = ChaseRunner::new(&tgds)
+        let r = ChaseRunner::new(&tgds).run(&d);
+        assert!(r.complete);
+        assert_eq!(r.levels, [0, 0, 1]);
+        assert_eq!((r.max_level, r.fired), (1, 1));
+        // Restricted: a level is the round that added the atom.
+        let tgds = parse_tgds("A(X) -> B(X). B(X) -> C(X).").unwrap();
+        let r = ChaseRunner::new(&tgds)
             .variant(ChaseVariant::Restricted)
-            .run(&d);
-        assert_eq!(outcome.instance, legacy.instance);
-        assert_eq!(outcome.fired, Some(legacy.fired));
-        assert!(outcome.levels.is_none());
+            .run(&db(&[("A", &["a"])]));
+        assert!(r.complete);
+        assert_eq!(r.levels, [0, 1, 2]);
+        assert_eq!((r.max_level, r.fired), (2, 2));
+        // Restricted over a database that satisfies the rule: nothing
+        // fires and the database stays at level 0.
+        let tgds = parse_tgds("P(X) -> R(X,Y)").unwrap();
+        let r = ChaseRunner::new(&tgds)
+            .variant(ChaseVariant::Restricted)
+            .run(&db(&[("P", &["a"]), ("R", &["a", "b"])]));
+        assert_eq!(r.levels, [0, 0]);
+        assert_eq!((r.max_level, r.fired), (0, 0));
     }
 
     #[test]
-    fn budget_stop_behaviour_is_preserved() {
+    fn atom_budget_stops_both_variants_at_the_cap() {
+        // Single-atom heads: the run stops on exactly the capped count.
         let tgds = parse_tgds("P(X) -> Q(X,Y). Q(X,Y) -> P(Y)").unwrap();
         let d = db(&[("P", &["a"])]);
-        let legacy = chase(&d, &tgds, &ChaseBudget::atoms(20));
-        let outcome = ChaseRunner::new(&tgds)
-            .budget(ChaseBudget::atoms(20))
-            .run(&d);
-        assert!(!outcome.complete);
-        assert_eq!(outcome.instance.len(), legacy.instance.len());
+        for variant in [ChaseVariant::Oblivious, ChaseVariant::Restricted] {
+            let r = ChaseRunner::new(&tgds)
+                .variant(variant)
+                .budget(ChaseBudget::atoms(20))
+                .run(&d);
+            assert!(!r.complete, "{variant:?}");
+            assert_eq!(r.instance.len(), 20, "{variant:?}");
+            assert_eq!(r.levels.len(), 20, "{variant:?}");
+            assert_eq!(r.fired, 19, "{variant:?}");
+        }
     }
 
     #[test]
     fn traced_run_reports_chase_work() {
         let tgds = parse_tgds("A(X) -> B(X). B(X) -> C(X).").unwrap();
         let d = db(&[("A", &["a"])]);
-        let outcome = ChaseRunner::new(&tgds).trace(true).run(&d);
-        let report = outcome.report.expect("trace was requested");
+        let result = ChaseRunner::new(&tgds).trace(true).run(&d);
+        let report = result.report.expect("trace was requested");
         assert!(report.counter(obs::Metric::ChaseRounds) >= 2);
         assert!(report.counter(obs::Metric::TriggerFirings) >= 2);
         assert!(report.spans.iter().any(|s| s.name == "chase.oblivious"));
@@ -288,8 +235,8 @@ mod tests {
     fn certified_run_captures_every_firing() {
         let tgds = parse_tgds("A(X) -> B(X). B(X) -> R(X,Y).").unwrap();
         let d = db(&[("A", &["a"])]);
-        let outcome = ChaseRunner::new(&tgds).certify(true).run(&d);
-        let firings = outcome.firings.expect("certify was requested");
+        let result = ChaseRunner::new(&tgds).certify(true).run(&d);
+        let firings = result.firings.expect("certify was requested");
         // A(a) ⇒ B(a) ⇒ R(a,⊥): two firings, in chase order.
         assert_eq!(firings.len(), 2);
         assert_eq!(firings[0].tgd, 0);
@@ -297,7 +244,7 @@ mod tests {
         // Every recorded head atom is in the materialized instance.
         for f in &firings {
             for a in &f.atoms {
-                assert!(outcome.instance.contains(a));
+                assert!(result.instance.contains(a));
             }
         }
         // The second firing bound its existential to a fresh null.

@@ -1,9 +1,11 @@
 //! Tuple-generating dependencies: representation, parsing, syntactic
 //! classes (Section 2), and satisfaction checking.
 
+use crate::plan::TriggerPlan;
 use gtgd_data::{Instance, Schema};
-use gtgd_query::{parse_cq, HomSearch, QAtom, Term, Var};
+use gtgd_query::{parse_cq, QAtom, Term, Var};
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 /// A TGD `ϕ(x̄, ȳ) → ∃z̄ ψ(x̄, z̄)`.
 ///
@@ -237,20 +239,18 @@ pub fn parse_tgds(input: &str) -> Result<Vec<Tgd>, gtgd_query::ParseError> {
 }
 
 /// Whether `I |= σ`: every homomorphism from the body extends to the head
-/// (`q_ϕ(I) ⊆ q_ψ(I)` on the frontier).
+/// (`q_ϕ(I) ⊆ q_ψ(I)` on the frontier). Runs the chase's own compiled
+/// trigger plan: one body search, and per row the head check the
+/// restricted chase makes before a firing.
 pub fn satisfies(i: &Instance, tgd: &Tgd) -> bool {
-    let frontier = tgd.frontier();
-    let mut ok = true;
-    HomSearch::new(&tgd.body, i).for_each(|h| {
-        let fixed: Vec<(Var, gtgd_data::Value)> = frontier.iter().map(|&v| (v, h[&v])).collect();
-        if HomSearch::new(&tgd.head, i).fix(fixed).exists() {
-            std::ops::ControlFlow::Continue(())
+    let plan = TriggerPlan::new(tgd, 0);
+    !plan.body.search(i).for_each_row(|row| {
+        if plan.head_satisfied(row, i) {
+            ControlFlow::Continue(())
         } else {
-            ok = false;
-            std::ops::ControlFlow::Break(())
+            ControlFlow::Break(())
         }
-    });
-    ok
+    })
 }
 
 /// Whether `I |= Σ`.

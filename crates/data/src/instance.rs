@@ -404,27 +404,6 @@ impl Instance {
         &self.atoms
     }
 
-    /// Selectivity of predicate `p` at `arity`: how many atoms carry it.
-    /// Equivalent to `atoms_with_pred(p, arity).len()` without touching
-    /// the slice.
-    pub fn pred_count(&self, p: Predicate, arity: usize) -> usize {
-        self.atoms_with_pred(p, arity).len()
-    }
-
-    /// Selectivity of the `(p, pos, v)` index probed by the compiled
-    /// kernel: how many atoms with predicate `p` have value `v` at
-    /// argument position `pos`.
-    pub fn index_count(&self, p: Predicate, pos: usize, v: Value) -> usize {
-        let rows = self.rows();
-        if rows.by_pred_pos_val.is_empty() {
-            return 0;
-        }
-        let pos = u16::try_from(pos).expect("arity fits u16");
-        rows.by_pred_pos_val
-            .get(&(p, pos, v))
-            .map_or(0, |ids| ids.len())
-    }
-
     /// `dom(I)`: distinct constants in first-occurrence order.
     pub fn dom(&self) -> &[Value] {
         &self.rows().dom
@@ -690,13 +669,10 @@ mod tests {
         i.insert(GroundAtom::named("S", &["a"]));
         let r = Predicate::new("R");
         assert_eq!(i.atoms().len(), i.len());
-        assert_eq!(i.pred_count(r, 2), i.atoms_with_pred(r, 2).len());
-        assert_eq!(i.pred_count(Predicate::new("T"), 2), 0);
-        assert_eq!(
-            i.index_count(r, 0, v("a")),
-            i.atoms_matching(r, 0, v("a")).len()
-        );
-        assert_eq!(i.index_count(r, 1, v("z")), 0);
+        assert_eq!(i.atoms_with_pred(r, 2).len(), 2);
+        assert_eq!(i.atoms_with_pred(Predicate::new("T"), 2).len(), 0);
+        assert_eq!(i.atoms_matching(r, 0, v("a")).len(), 2);
+        assert_eq!(i.atoms_matching(r, 1, v("z")).len(), 0);
     }
 
     #[test]
@@ -830,7 +806,10 @@ mod tests {
             assert!(batched.iter().eq(serial.iter()), "case {case}");
             for p in ["R", "S", "T"].map(Predicate::new) {
                 for arity in 0..4 {
-                    assert_eq!(batched.pred_count(p, arity), serial.pred_count(p, arity));
+                    assert_eq!(
+                        batched.atoms_with_pred(p, arity).len(),
+                        serial.atoms_with_pred(p, arity).len()
+                    );
                 }
             }
         }
@@ -871,8 +850,8 @@ mod tests {
         ]);
         i.extend_from(&other);
         assert_eq!(i.len(), 3);
-        assert_eq!(i.pred_count(Predicate::new("R"), 2), 2);
-        assert_eq!(i.pred_count(Predicate::new("P"), 1), 1);
+        assert_eq!(i.atoms_with_pred(Predicate::new("R"), 2).len(), 2);
+        assert_eq!(i.atoms_with_pred(Predicate::new("P"), 1).len(), 1);
     }
 
     #[test]
@@ -890,7 +869,7 @@ mod tests {
         assert_eq!(i.len(), 2);
         assert!(!i.contains(&GroundAtom::named("R", &["a", "b"])));
         let r = Predicate::new("R");
-        assert_eq!(i.pred_count(r, 2), 1);
+        assert_eq!(i.atoms_with_pred(r, 2).len(), 1);
         assert!(i.atoms_matching(r, 0, v("a")).is_empty());
         assert_eq!(i.atoms_matching(r, 0, v("b")).len(), 1);
         // dom() is exact: "a" survives through P(a), nothing else changes.

@@ -67,8 +67,9 @@ pub enum Metric {
     TriggerFirings,
     /// Fresh nulls invented by trigger firings.
     NullsCreated,
-    /// Head-satisfaction checks performed by the restricted chase at
-    /// trigger pop time.
+    /// Head-satisfaction checks (`TriggerPlan::head_satisfied`): one per
+    /// trigger the restricted chase considers firing, and one per body
+    /// match `tgd::satisfies` checks.
     RestrictedHeadChecks,
     /// Type evaluations run by the saturator's worklist: one per dequeued
     /// canonical type, which fires the rules on the type's closure and

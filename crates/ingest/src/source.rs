@@ -11,7 +11,7 @@
 //! tries extend once per *demand*, not once per row.
 
 use crate::error::IngestError;
-use gtgd_chase::{ChaseBudget, ChaseOutcome, ChaseRunner, MaintainedInstance, Tgd};
+use gtgd_chase::{ChaseBudget, ChaseResult, ChaseRunner, MaintainedInstance, Tgd};
 use gtgd_data::{GroundAtom, Instance, Schema};
 
 /// What a source declares up front: the relations it will emit facts over
@@ -85,7 +85,7 @@ impl Program {
     }
 
     /// Chases the fact base under the program's TGDs within `budget`.
-    pub fn chase(&self, budget: ChaseBudget) -> ChaseOutcome {
+    pub fn chase(&self, budget: ChaseBudget) -> ChaseResult {
         self.runner().budget(budget).run(&self.facts)
     }
 

@@ -8,8 +8,8 @@
 //! interacts with guarded TGDs exactly as the paper's bags do), and serve as
 //! an independent oracle in tests.
 
+use crate::compile::CompiledQuery;
 use crate::cq::{Cq, QAtom, Var};
-use crate::hom::HomSearch;
 use gtgd_data::{Instance, Value};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::ControlFlow;
@@ -116,19 +116,8 @@ pub fn check_answer_yannakakis(q: &Cq, i: &Instance, answer: &[Value]) -> Option
     // atom's variables).
     let mut relations: Vec<HashSet<Vec<(Var, Value)>>> = Vec::with_capacity(atoms.len());
     for a in &atoms {
-        let mut rel = HashSet::new();
-        let vs = a.vars();
-        HomSearch::new(std::slice::from_ref(a), i).for_each(|h| {
-            rel.insert(vs.iter().map(|&v| (v, h[&v])).collect::<Vec<_>>());
-            ControlFlow::Continue(())
-        });
-        if rel.is_empty() && a.vars().is_empty() {
-            // Fully ground atom: present or absent.
-            let ground = a.ground(&HashMap::new());
-            if i.contains(&ground) {
-                rel.insert(Vec::new());
-            }
-        }
+        // A fully ground atom has one empty row if present, none if not.
+        let rel = atom_relation(a, i);
         if rel.is_empty() {
             return Some(false);
         }
@@ -172,6 +161,21 @@ pub fn check_answer_yannakakis(q: &Cq, i: &Instance, answer: &[Value]) -> Option
     Some(true)
 }
 
+/// The relation of one atom over `i`: the images of its variables (in
+/// `a.vars()` order) under every match of `a`.
+fn atom_relation(a: &QAtom, i: &Instance) -> HashSet<Vec<(Var, Value)>> {
+    let plan = CompiledQuery::compile(std::slice::from_ref(a));
+    let vs: Vec<(Var, usize)> = (a.vars().into_iter())
+        .map(|v| (v, plan.slot_of(v).expect("atom vars have slots")))
+        .collect();
+    let mut rel = HashSet::new();
+    plan.search(i).for_each_row(|row| {
+        rel.insert(vs.iter().map(|&(v, s)| (v, row[s])).collect());
+        ControlFlow::Continue(())
+    });
+    rel
+}
+
 /// Full Yannakakis evaluation of an α-acyclic CQ: all answers, via a
 /// bottom-up semijoin pass (dangling-tuple elimination) followed by
 /// backtracking over the reduced relations. Returns `None` for cyclic
@@ -181,12 +185,7 @@ pub fn evaluate_yannakakis(q: &Cq, i: &Instance) -> Option<HashSet<Vec<Value>>> 
     // Phase 1: per-atom relations.
     let mut relations: Vec<HashSet<Vec<(Var, Value)>>> = Vec::with_capacity(q.atoms.len());
     for a in &q.atoms {
-        let mut rel = HashSet::new();
-        let vs = a.vars();
-        HomSearch::new(std::slice::from_ref(a), i).for_each(|h| {
-            rel.insert(vs.iter().map(|&v| (v, h[&v])).collect::<Vec<_>>());
-            ControlFlow::Continue(())
-        });
+        let rel = atom_relation(a, i);
         if rel.is_empty() {
             return Some(HashSet::new());
         }

@@ -1,8 +1,15 @@
-//! The compiled homomorphism kernel.
+//! The compiled homomorphism kernel: the one homomorphism search of the
+//! workspace. CQ evaluation ([`crate::engine::Engine`]), chase trigger
+//! matching, cores, contractions, isomorphism and instance homomorphisms
+//! all run it. [`CompiledQuery::compile_with_extra`] compiles the atoms
+//! once and [`CompiledQuery::search`] starts a [`KernelSearch`], the one
+//! search builder: pre-bound slots ([`KernelSearch::fix_slots`]),
+//! injectivity, image restriction, then [`KernelSearch::first_row`],
+//! [`KernelSearch::for_each_row`], [`KernelSearch::table`] or
+//! [`KernelSearch::par_table`].
 //!
-//! [`crate::hom::HomSearch`] gives every consumer the same generic
-//! backtracking search, but it pays for generality on every call: variables
-//! live in a `HashMap<Var, Value>`, each answer materializes a fresh map,
+//! A generic backtracking search over `HashMap<Var, Value>` assignments
+//! pays for generality on every call: each answer materializes a fresh map,
 //! and candidate selection allocates a `Vec` per pending atom per node of
 //! the search tree. This module compiles the query *once* into a form the
 //! search can run over flat arrays:
@@ -356,9 +363,10 @@ impl ValuationTable {
 }
 
 /// A configured kernel search: a [`CompiledQuery`] plus target instance,
-/// fixed slot bindings, and modes. Mirrors the semantics of
-/// [`crate::hom::HomSearch`] exactly (the differential suite
-/// `tests/differential_kernel.rs` proves set-equality of answers).
+/// fixed slot bindings, and modes. Its row sets equal those of a plain
+/// backtracking search over `HashMap` assignments in every mode (the
+/// differential suite `tests/differential_kernel.rs` checks them against
+/// such a reference).
 pub struct KernelSearch<'a> {
     plan: &'a CompiledQuery,
     target: &'a Instance,

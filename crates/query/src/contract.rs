@@ -5,8 +5,11 @@
 //! two answer variables is not allowed. A *specialization* of `q` is a pair
 //! `(p, V)` with `p` a contraction and `x̄ ⊆ V ⊆ var(p)` (Definition C.1).
 
+use crate::compile::CompiledQuery;
 use crate::cq::{Cq, Var};
+use gtgd_data::{Instance, Value};
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::ops::ControlFlow;
 
 /// Safety cap on contraction enumeration: the number of contractions is the
 /// Bell number of the variable count, so we refuse to enumerate beyond this
@@ -97,11 +100,7 @@ fn partition_rec(
 /// Lemma D.3: if `I |= q(ā)` (with `ā` distinct constants), some
 /// contraction `q_c` of `q` satisfies `I |=io q_c(ā)` — witnessed here by
 /// returning such a contraction, or `None` when `ā ∉ q(I)`.
-pub fn injective_contraction(
-    q: &Cq,
-    i: &gtgd_data::Instance,
-    answer: &[gtgd_data::Value],
-) -> Option<Cq> {
+pub fn injective_contraction(q: &Cq, i: &Instance, answer: &[Value]) -> Option<Cq> {
     // Take any witnessing homomorphism and contract variables that share an
     // image; the induced match of the contraction is injective. Repeat on
     // the contraction until a |=io witness emerges (termination: variable
@@ -113,51 +112,45 @@ pub fn injective_contraction(
     );
     let mut current = q.compact();
     loop {
-        let fixed: Vec<(Var, gtgd_data::Value)> = current
-            .answer_vars
-            .iter()
-            .copied()
-            .zip(answer.iter().copied())
-            .collect();
-        let h = crate::hom::HomSearch::new(&current.atoms, i)
-            .fix(fixed)
-            .first()?;
-        // Group variables by image.
-        let mut by_image: HashMap<gtgd_data::Value, Vec<Var>> = HashMap::new();
-        for v in current.all_vars() {
-            by_image.entry(h[&v]).or_default().push(v);
-        }
+        let plan =
+            CompiledQuery::compile_with_extra(&current.atoms, current.answer_vars.iter().copied());
+        let slot = |v: Var| plan.slot_of(v).expect("query vars are interned");
+        let search = || {
+            plan.search(i).fix_slots(
+                current
+                    .answer_vars
+                    .iter()
+                    .map(|&v| slot(v))
+                    .zip(answer.iter().copied()),
+            )
+        };
+        // Group variables by their image under a witnessing row.
+        let group = |row: &[Value]| {
+            let mut by_image: HashMap<Value, Vec<Var>> = HashMap::new();
+            for v in current.all_vars() {
+                by_image.entry(row[slot(v)]).or_default().push(v);
+            }
+            by_image
+        };
+        let mut by_image = group(&search().first_row()?);
         if by_image.values().all(|vs| vs.len() == 1) {
             if crate::eval::holds_injectively_only(&current, i, answer) {
                 return Some(current);
             }
-            // Some *other* witness is non-injective: contract along it by
-            // restarting from a fresh homomorphism of the contraction...
-            // which is the same query; fall through to contraction via any
-            // non-injective witness.
-            let mut found: Option<HashMap<Var, gtgd_data::Value>> = None;
-            let fixed2: Vec<(Var, gtgd_data::Value)> = current
-                .answer_vars
-                .iter()
-                .copied()
-                .zip(answer.iter().copied())
-                .collect();
-            crate::hom::HomSearch::new(&current.atoms, i)
-                .fix(fixed2)
-                .for_each(|cand| {
-                    let mut seen = HashSet::new();
-                    if cand.values().any(|&x| !seen.insert(x)) {
-                        found = Some(cand.clone());
-                        std::ops::ControlFlow::Break(())
-                    } else {
-                        std::ops::ControlFlow::Continue(())
-                    }
-                });
-            let h2 = found.expect("a non-injective witness exists");
-            by_image.clear();
-            for v in current.all_vars() {
-                by_image.entry(h2[&v]).or_default().push(v);
-            }
+            // Some *other* witness is non-injective: contract along it.
+            // The row's slots are the query's variables, so it is
+            // non-injective iff two of its values coincide.
+            let mut found: Option<Vec<Value>> = None;
+            search().for_each_row(|row| {
+                let mut seen = HashSet::new();
+                if row.iter().any(|&x| !seen.insert(x)) {
+                    found = Some(row.to_vec());
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            by_image = group(&found.expect("a non-injective witness exists"));
         }
         // Contract each image class onto one representative.
         let mut remap: HashMap<Var, Var> = HashMap::new();

@@ -5,8 +5,8 @@
 //! (Theorem 4.1's decidability footnote); and every homomorphism from a core
 //! to itself that fixes the answer variables is injective.
 
+use crate::compile::CompiledQuery;
 use crate::cq::{Cq, Var};
-use crate::hom::HomSearch;
 use gtgd_data::Value;
 use std::collections::{HashMap, HashSet};
 
@@ -16,10 +16,17 @@ pub fn core_of(q: &Cq) -> Cq {
     let mut current = q.compact();
     'outer: loop {
         let (db, frozen) = current.canonical_database();
-        let fixed: Vec<(Var, Value)> = current
+        let plan =
+            CompiledQuery::compile_with_extra(&current.atoms, current.answer_vars.iter().copied());
+        let fixed: Vec<(usize, Value)> = current
             .answer_vars
             .iter()
-            .map(|&v| (v, frozen[&v]))
+            .map(|&v| {
+                (
+                    plan.slot_of(v).expect("answer vars are interned"),
+                    frozen[&v],
+                )
+            })
             .collect();
         let vars = current.all_vars();
         for &drop in &vars {
@@ -32,15 +39,18 @@ pub fn core_of(q: &Cq) -> Cq {
                 .filter(|&&v| v != drop)
                 .map(|v| frozen[v])
                 .collect();
-            let found = HomSearch::new(&current.atoms, &db)
-                .fix(fixed.iter().copied())
-                .restrict_images(allowed)
-                .first();
+            let found = plan
+                .search(&db)
+                .fix_slots(fixed.iter().copied())
+                .restrict_images(&allowed)
+                .first_row();
             if let Some(h) = found {
                 // Fold variables along the retraction: v ↦ the variable whose
                 // frozen value is h(v).
                 let var_of: HashMap<Value, Var> = vars.iter().map(|&v| (frozen[&v], v)).collect();
-                current = current.map_vars(|v| var_of[&h[&v]]).compact();
+                current = current
+                    .map_vars(|v| var_of[&h[plan.slot_of(v).expect("query vars have slots")]])
+                    .compact();
                 continue 'outer;
             }
         }

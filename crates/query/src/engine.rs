@@ -1,16 +1,14 @@
 //! The query evaluation facade: one documented entry point in front of the
 //! compiled kernel.
 //!
-//! Three perf iterations left this crate with overlapping entry points —
-//! [`crate::eval::evaluate_cq`] / [`crate::eval::evaluate_cq_par`], the
-//! [`crate::hom::HomSearch`] wrapper, and the raw
-//! [`crate::compile::KernelSearch`] builder. [`Engine::prepare`] is the one
-//! route new code should take: it compiles the query once into a
-//! [`PreparedQuery`], lets the caller configure execution (join
-//! [`Strategy`], pool width, injectivity, an image restriction, tracing),
-//! and evaluates against any number of instances. The legacy free functions
-//! survive as thin delegating wrappers, so their behaviour — and every test
-//! pinned to it — is unchanged.
+//! [`Engine::prepare`] compiles a CQ once into a [`PreparedQuery`], lets
+//! the caller configure execution (join [`Strategy`], pool width,
+//! injectivity, an image restriction, tracing), and evaluates against any
+//! number of instances. The free functions of [`crate::eval`]
+//! (`evaluate_cq`, `check_answer`) are one-line calls of it. Searches over
+//! ad-hoc atom lists (cores, contractions, trigger heads) use the kernel
+//! directly: `CompiledQuery::compile_with_extra(..).search(i)`, the
+//! [`KernelSearch`] builder with the same options.
 //!
 //! ```
 //! use gtgd_data::{GroundAtom, Instance};
@@ -37,9 +35,8 @@ use std::ops::ControlFlow;
 /// [`PreparedQuery::answer_witnesses`].
 pub type AnswerWitness = (Vec<Value>, Vec<(Var, Value)>);
 
-/// The facade over query compilation and execution. Stateless: it exists
-/// so call sites read `Engine::prepare(&q)` instead of picking one of the
-/// historical entry points.
+/// The facade over query compilation and execution. Stateless: call sites
+/// read `Engine::prepare(&q)`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Engine;
 
@@ -176,9 +173,8 @@ impl PreparedQuery {
         out
     }
 
-    /// `q(I)`: the set of answers over `i`, under this configuration.
-    /// Matches [`crate::eval::evaluate_cq`] (width 1) and
-    /// [`crate::eval::evaluate_cq_par`] (width > 1) exactly.
+    /// `q(I)`: the set of answers over `i`, under this configuration. The
+    /// set does not depend on the width.
     pub fn answers(&self, i: &Instance) -> HashSet<Vec<Value>> {
         self.answers_now(i)
     }
@@ -271,13 +267,22 @@ impl PreparedQuery {
         out
     }
 
-    /// Whether `answer ∈ q(I)` (the decision form; pins the answer slots
-    /// and asks for one witness instead of enumerating).
-    pub fn check(&self, i: &Instance, answer: &[Value]) -> bool {
+    /// The search for witnesses of `answer ∈ q(I)`: this configuration's
+    /// kernel over `i` with the answer slots pinned to `answer`.
+    pub(crate) fn answer_search<'a>(
+        &'a self,
+        i: &'a Instance,
+        answer: &[Value],
+    ) -> KernelSearch<'a> {
         assert_eq!(answer.len(), self.arity, "candidate answer has wrong arity");
         self.kernel(i)
             .fix_slots(self.slots.iter().copied().zip(answer.iter().copied()))
-            .exists()
+    }
+
+    /// Whether `answer ∈ q(I)` (the decision form; pins the answer slots
+    /// and asks for one witness instead of enumerating).
+    pub fn check(&self, i: &Instance, answer: &[Value]) -> bool {
+        self.answer_search(i, answer).exists()
     }
 
     /// Whether the (Boolean) query holds: `I |= q`.
@@ -295,7 +300,7 @@ impl PreparedQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{evaluate_cq, evaluate_cq_par};
+    use crate::eval::evaluate_cq;
     use crate::parser::parse_cq;
     use gtgd_data::GroundAtom;
 
@@ -320,7 +325,7 @@ mod tests {
         for w in [2, 4] {
             assert_eq!(
                 Engine::prepare(&q).parallel(w).answers(&db),
-                evaluate_cq_par(&q, &db, w)
+                evaluate_cq(&q, &db)
             );
         }
     }

@@ -1,14 +1,11 @@
 //! CQ and UCQ evaluation over instances (the problem of Section 2), plus the
 //! injectively-only satisfaction check `|=io` from Appendix D.
 //!
-//! Evaluation runs directly on the compiled kernel ([`crate::compile`]):
-//! answer projection reads slots out of the kernel's flat rows, so no
-//! per-witness `HashMap` is ever built.
-//!
-//! The free functions here predate the [`crate::engine::Engine`] facade and
-//! are kept as thin delegating wrappers for compatibility. New code should
-//! prefer `Engine::prepare(&q)`, which exposes the same evaluation paths
-//! behind one configurable builder.
+//! Every function here is a short call of the [`Engine`] facade
+//! (`Engine::prepare(&q)` and one of its evaluation paths) or of the
+//! compiled kernel ([`crate::compile`]): answer projection reads slots out
+//! of the kernel's flat rows, so no per-witness `HashMap` is ever built.
+//! Parallel evaluation is `Engine::prepare(&q).parallel(width)`.
 
 use crate::compile::CompiledQuery;
 use crate::cq::{Cq, Ucq};
@@ -17,40 +14,13 @@ use gtgd_data::{Instance, Value};
 use std::collections::HashSet;
 use std::ops::ControlFlow;
 
-/// Compiles `q` with its answer variables interned (they may be ghost) and
-/// resolves the answer slots.
-fn compile_for_answers(q: &Cq) -> (CompiledQuery, Vec<usize>) {
-    let plan = CompiledQuery::compile_with_extra(&q.atoms, q.answer_vars.iter().copied());
-    let slots = q
-        .answer_vars
-        .iter()
-        .map(|&v| plan.slot_of(v).expect("answer vars are interned"))
-        .collect();
-    (plan, slots)
-}
-
-/// `q(I)`: the set of answers to `q` over `I`.
-///
-/// Compatibility wrapper over [`Engine::prepare`] — prefer the facade in
-/// new code.
+/// `q(I)`: the set of answers to `q` over `I`: `Engine::prepare(q).answers(i)`.
 pub fn evaluate_cq(q: &Cq, i: &Instance) -> HashSet<Vec<Value>> {
     Engine::prepare(q).answers(i)
 }
 
-/// `q(I)` evaluated on a `workers`-wide pool (see
-/// [`crate::compile::KernelSearch::par_table`]). Returns the same set as
-/// [`evaluate_cq`].
-///
-/// Compatibility wrapper over [`Engine::prepare`]`.parallel(workers)` —
-/// prefer the facade in new code.
-pub fn evaluate_cq_par(q: &Cq, i: &Instance, workers: usize) -> HashSet<Vec<Value>> {
-    Engine::prepare(q).parallel(workers).answers(i)
-}
-
-/// Whether `c̄ ∈ q(I)` (the evaluation problem's decision form).
-///
-/// Compatibility wrapper over [`Engine::prepare`]`.check(..)` — prefer the
-/// facade in new code.
+/// Whether `c̄ ∈ q(I)` (the evaluation problem's decision form):
+/// `Engine::prepare(q).check(i, answer)`.
 pub fn check_answer(q: &Cq, i: &Instance, answer: &[Value]) -> bool {
     Engine::prepare(q).check(i, answer)
 }
@@ -84,13 +54,11 @@ pub fn ucq_holds_boolean(q: &Ucq, i: &Instance) -> bool {
 /// homomorphism is injective. Used by the lower-bound machinery, where
 /// candidate answers are tuples of distinct constants.
 pub fn holds_injectively_only(q: &Cq, i: &Instance, answer: &[Value]) -> bool {
-    assert_eq!(answer.len(), q.arity());
-    let (plan, slots) = compile_for_answers(q);
     let mut any = false;
     let mut all_injective = true;
     let mut seen: HashSet<Value> = HashSet::new();
-    plan.search(i)
-        .fix_slots(slots.into_iter().zip(answer.iter().copied()))
+    Engine::prepare(q)
+        .answer_search(i, answer)
         .for_each_row(|row| {
             any = true;
             // Slots are distinct variables, so a row is injective iff its

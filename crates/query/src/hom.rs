@@ -1,175 +1,18 @@
-//! The homomorphism search engine.
+//! Instance homomorphisms in the paper's sense: any function on the
+//! domain, constants included, that maps every atom of one instance onto
+//! an atom of another.
 //!
-//! Finds mappings from a set of query atoms into an [`Instance`], with
-//! optional pre-bound variables, injectivity, and image restriction. This
-//! single engine backs CQ evaluation, chase trigger matching, core
-//! computation, instance-to-instance homomorphisms, and the `|=io`
-//! (injectively-only) checks of Appendix D.
-//!
-//! The search is backtracking with dynamic atom ordering: at each step it
-//! matches the pending atom with the most selective candidate list, where
-//! candidates come from the instance's `(predicate, position, value)`
-//! indexes.
-//!
-//! Since the compiled kernel landed ([`crate::compile`]), this type is a
-//! thin compatibility wrapper: it compiles the atoms once per call and runs
-//! the slot-based [`KernelSearch`], translating rows back into the
-//! `HashMap<Var, Value>` shape at the boundary. The answer *set* is
-//! identical to the historical implementation (see
-//! `tests/differential_kernel.rs`).
+//! Homomorphism search itself has one implementation, the compiled kernel
+//! ([`crate::compile`]): [`CompiledQuery::compile`] once, then configure a
+//! [`KernelSearch`](crate::compile::KernelSearch) with pre-bound slots,
+//! injectivity or an image restriction, and enumerate its rows. This module
+//! views an instance as query atoms ([`instance_as_atoms`]) and runs that
+//! kernel on them.
 
-use crate::compile::{CompiledQuery, KernelSearch};
+use crate::compile::CompiledQuery;
 use crate::cq::{QAtom, Term, Var};
 use gtgd_data::{Instance, Valuation, Value};
-use std::collections::{HashMap, HashSet};
-use std::ops::ControlFlow;
-
-/// A configured homomorphism search. Build one, then call
-/// [`HomSearch::first`], [`HomSearch::exists`], [`HomSearch::all`], or
-/// [`HomSearch::for_each`].
-///
-/// **Deprecated surface**: for query evaluation, prefer
-/// [`crate::engine::Engine::prepare`] — the documented facade with the
-/// same options (parallel width, injectivity, image restriction, strategy)
-/// plus tracing. `HomSearch` remains for callers that need raw
-/// `HashMap<Var, Value>` valuations over ad-hoc atom lists.
-pub struct HomSearch<'a> {
-    atoms: &'a [QAtom],
-    target: &'a Instance,
-    fixed: HashMap<Var, Value>,
-    injective: bool,
-    allowed: Option<HashSet<Value>>,
-}
-
-impl<'a> HomSearch<'a> {
-    /// A search for homomorphisms from `atoms` into `target`.
-    pub fn new(atoms: &'a [QAtom], target: &'a Instance) -> Self {
-        HomSearch {
-            atoms,
-            target,
-            fixed: HashMap::new(),
-            injective: false,
-            allowed: None,
-        }
-    }
-
-    /// Pre-binds variables (e.g. answer variables to a candidate tuple).
-    pub fn fix(mut self, bindings: impl IntoIterator<Item = (Var, Value)>) -> Self {
-        self.fixed.extend(bindings);
-        self
-    }
-
-    /// Requires the homomorphism to be injective on variables.
-    pub fn injective(mut self) -> Self {
-        self.injective = true;
-        self
-    }
-
-    /// Restricts variable images to the given set.
-    pub fn restrict_images(mut self, allowed: HashSet<Value>) -> Self {
-        self.allowed = Some(allowed);
-        self
-    }
-
-    /// Compiles the atoms, also interning fixed-only (ghost) variables so
-    /// they survive into the output maps.
-    fn compiled(&self) -> CompiledQuery {
-        CompiledQuery::compile_with_extra(self.atoms, self.fixed.keys().copied())
-    }
-
-    /// Configures a kernel search over `plan` mirroring this wrapper's
-    /// fixed bindings and modes.
-    fn kernel<'s>(&'s self, plan: &'s CompiledQuery) -> KernelSearch<'s> {
-        let mut k = plan.search(self.target).fix_slots(
-            self.fixed
-                .iter()
-                .map(|(&v, &x)| (plan.slot_of(v).expect("fixed vars are interned"), x)),
-        );
-        if self.injective {
-            k = k.injective();
-        }
-        if let Some(allowed) = &self.allowed {
-            k = k.restrict_images(allowed);
-        }
-        k
-    }
-
-    /// Visits every homomorphism; the callback may stop enumeration by
-    /// returning [`ControlFlow::Break`]. Returns `true` if enumeration was
-    /// stopped early. The map passed to the callback is reused between
-    /// calls — clone it to keep it.
-    pub fn for_each(&self, mut f: impl FnMut(&HashMap<Var, Value>) -> ControlFlow<()>) -> bool {
-        let plan = self.compiled();
-        let vars = plan.vars().to_vec();
-        let mut map: HashMap<Var, Value> = HashMap::with_capacity(vars.len());
-        self.kernel(&plan).for_each_row(|row| {
-            map.clear();
-            for (i, &v) in vars.iter().enumerate() {
-                map.insert(v, row[i]);
-            }
-            f(&map)
-        })
-    }
-
-    /// The first homomorphism found, if any. Short-circuits inside the
-    /// kernel: exactly one map is built, only on success.
-    pub fn first(&self) -> Option<HashMap<Var, Value>> {
-        let plan = self.compiled();
-        let row = self.kernel(&plan).first_row()?;
-        Some(plan.vars().iter().copied().zip(row).collect())
-    }
-
-    /// Whether any homomorphism exists. Short-circuits without
-    /// materializing any assignment.
-    pub fn exists(&self) -> bool {
-        let plan = self.compiled();
-        self.kernel(&plan).exists()
-    }
-
-    /// All homomorphisms (deduplicated by construction).
-    pub fn all(&self) -> Vec<HashMap<Var, Value>> {
-        let plan = self.compiled();
-        self.kernel(&plan).table().to_maps()
-    }
-
-    /// All homomorphisms, enumerated on a `workers`-wide pool.
-    ///
-    /// The top-level candidate list of the most selective atom is split
-    /// across workers; each worker runs the sequential backtracking search
-    /// on its share. Returns the same *set* as [`HomSearch::all`] (the
-    /// enumeration order differs: it follows the split atom's candidate
-    /// order), and the output is deterministic for any worker count because
-    /// per-chunk results are concatenated in chunk order.
-    pub fn par_all(&self, workers: usize) -> Vec<HashMap<Var, Value>> {
-        let plan = self.compiled();
-        self.kernel(&plan).par_table(workers).to_maps()
-    }
-
-    /// Number of homomorphisms (without materializing them).
-    pub fn count(&self) -> usize {
-        let plan = self.compiled();
-        self.kernel(&plan).count()
-    }
-}
-
-/// Finds a homomorphism from `atoms` into `target` extending `fixed`.
-pub fn find_homomorphism(
-    atoms: &[QAtom],
-    target: &Instance,
-    fixed: impl IntoIterator<Item = (Var, Value)>,
-) -> Option<HashMap<Var, Value>> {
-    HomSearch::new(atoms, target).fix(fixed).first()
-}
-
-/// Whether a homomorphism from `atoms` into `target` exists.
-pub fn exists_homomorphism(atoms: &[QAtom], target: &Instance) -> bool {
-    HomSearch::new(atoms, target).exists()
-}
-
-/// All homomorphisms from `atoms` into `target`.
-pub fn all_homomorphisms(atoms: &[QAtom], target: &Instance) -> Vec<HashMap<Var, Value>> {
-    HomSearch::new(atoms, target).all()
-}
+use std::collections::HashMap;
 
 /// Views an instance as a set of query atoms: every domain value becomes a
 /// variable. Returns the atoms and the value → variable mapping. This
@@ -199,34 +42,41 @@ pub fn instance_homomorphism(from: &Instance, to: &Instance) -> Option<Valuation
 }
 
 /// Like [`instance_homomorphism`], with some domain values pre-mapped (e.g.
-/// the identity on `dom(D)` for Proposition 2.2-style checks).
+/// the identity on `dom(D)` for Proposition 2.2-style checks). Values of
+/// `fixed` outside `dom(from)` are ignored.
 pub fn instance_homomorphism_fixing(
     from: &Instance,
     to: &Instance,
     fixed: &Valuation,
 ) -> Option<Valuation> {
     let (atoms, var_of) = instance_as_atoms(from);
-    let fixed_vars: Vec<(Var, Value)> = fixed
-        .iter()
-        .filter_map(|(&v, &img)| var_of.get(&v).map(|&x| (x, img)))
-        .collect();
-    let h = HomSearch::new(&atoms, to).fix(fixed_vars).first()?;
-    let mut val = Valuation::new();
-    for (&value, &var) in &var_of {
-        if let Some(&img) = h.get(&var) {
-            val.insert(value, img);
-        }
-    }
-    // Domain values not occurring in any atom cannot exist (instances store
-    // only atom-borne values), so `val` is total on dom(from).
-    Some(val)
+    let plan = CompiledQuery::compile(&atoms);
+    // Every domain value occurs in an atom, so every variable has a slot.
+    let slot = |var: Var| plan.slot_of(var).expect("domain values occur in atoms");
+    let row = plan
+        .search(to)
+        .fix_slots(
+            fixed
+                .iter()
+                .filter_map(|(v, &img)| var_of.get(v).map(|&var| (slot(var), img))),
+        )
+        .first_row()?;
+    Some(
+        var_of
+            .iter()
+            .map(|(&value, &var)| (value, row[slot(var)]))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::KernelSearch;
     use crate::parser::parse_cq;
     use gtgd_data::GroundAtom;
+    use std::collections::HashSet;
+    use std::ops::ControlFlow;
 
     fn v(s: &str) -> Value {
         Value::named(s)
@@ -239,13 +89,29 @@ mod tests {
         )
     }
 
+    /// Compiles `atoms` with the variables of `fixed` interned (they may
+    /// be ghosts, absent from the atoms) and hands `f` a search over `db`
+    /// with them pre-bound.
+    fn with_search<R>(
+        atoms: &[QAtom],
+        db: &Instance,
+        fixed: &[(Var, Value)],
+        f: impl FnOnce(&CompiledQuery, KernelSearch<'_>) -> R,
+    ) -> R {
+        let plan = CompiledQuery::compile_with_extra(atoms, fixed.iter().map(|&(v, _)| v));
+        let search = plan
+            .search(db)
+            .fix_slots(fixed.iter().map(|&(v, x)| (plan.slot_of(v).unwrap(), x)));
+        f(&plan, search)
+    }
+
     #[test]
     fn finds_path_homomorphism() {
         let q = parse_cq("Q() :- E(X,Y), E(Y,Z)").unwrap();
         let db = path_db(2);
-        assert!(exists_homomorphism(&q.atoms, &db));
-        let h = find_homomorphism(&q.atoms, &db, []).unwrap();
-        assert_eq!(h.len(), 3);
+        let plan = CompiledQuery::compile(&q.atoms);
+        assert!(plan.search(&db).exists());
+        assert_eq!(plan.search(&db).first_row().unwrap().len(), 3);
     }
 
     #[test]
@@ -253,16 +119,17 @@ mod tests {
         let q = parse_cq("Q(X) :- E(X,Y)").unwrap();
         let db = path_db(2);
         let x = q.answer_vars[0];
-        assert!(find_homomorphism(&q.atoms, &db, [(x, v("n0"))]).is_some());
-        assert!(find_homomorphism(&q.atoms, &db, [(x, v("n2"))]).is_none());
+        assert!(with_search(&q.atoms, &db, &[(x, v("n0"))], |_, s| s.exists()));
+        assert!(!with_search(&q.atoms, &db, &[(x, v("n2"))], |_, s| s.exists()));
     }
 
     #[test]
     fn all_homs_counts_paths() {
         let q = parse_cq("Q() :- E(X,Y)").unwrap();
         let db = path_db(3);
-        assert_eq!(all_homomorphisms(&q.atoms, &db).len(), 3);
-        assert_eq!(HomSearch::new(&q.atoms, &db).count(), 3);
+        let plan = CompiledQuery::compile(&q.atoms);
+        assert_eq!(plan.search(&db).table().len(), 3);
+        assert_eq!(plan.search(&db).count(), 3);
     }
 
     #[test]
@@ -270,14 +137,15 @@ mod tests {
         // A reflexive loop satisfies E(X,Y),E(Y,X) non-injectively only.
         let db = Instance::from_atoms([GroundAtom::named("E", &["a", "a"])]);
         let q = parse_cq("Q() :- E(X,Y), E(Y,X)").unwrap();
-        assert!(exists_homomorphism(&q.atoms, &db));
-        assert!(!HomSearch::new(&q.atoms, &db).injective().exists());
+        let plan = CompiledQuery::compile(&q.atoms);
+        assert!(plan.search(&db).exists());
+        assert!(!plan.search(&db).injective().exists());
         // A genuine 2-cycle satisfies it injectively.
         let db2 = Instance::from_atoms([
             GroundAtom::named("E", &["a", "b"]),
             GroundAtom::named("E", &["b", "a"]),
         ]);
-        assert!(HomSearch::new(&q.atoms, &db2).injective().exists());
+        assert!(plan.search(&db2).injective().exists());
     }
 
     #[test]
@@ -285,17 +153,18 @@ mod tests {
         let q = parse_cq("Q() :- E(X,Y)").unwrap();
         let db = path_db(3);
         let allowed: HashSet<Value> = [v("n0"), v("n1")].into_iter().collect();
-        let homs = HomSearch::new(&q.atoms, &db).restrict_images(allowed).all();
-        assert_eq!(homs.len(), 1); // only E(n0,n1)
+        let plan = CompiledQuery::compile(&q.atoms);
+        // Only E(n0,n1).
+        assert_eq!(plan.search(&db).restrict_images(&allowed).table().len(), 1);
     }
 
     #[test]
     fn constants_in_query_must_match() {
         let q = parse_cq("Q() :- E(n0, Y)").unwrap();
         let db = path_db(2);
-        assert!(exists_homomorphism(&q.atoms, &db));
+        assert!(CompiledQuery::compile(&q.atoms).search(&db).exists());
         let q2 = parse_cq("Q() :- E(n2, Y)").unwrap();
-        assert!(!exists_homomorphism(&q2.atoms, &db));
+        assert!(!CompiledQuery::compile(&q2.atoms).search(&db).exists());
     }
 
     #[test]
@@ -329,14 +198,16 @@ mod tests {
         let q = parse_cq("Q() :- E(X,Y)").unwrap();
         let db = path_db(5);
         let mut count = 0;
-        let stopped = HomSearch::new(&q.atoms, &db).for_each(|_| {
-            count += 1;
-            if count == 2 {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
+        let stopped = CompiledQuery::compile(&q.atoms)
+            .search(&db)
+            .for_each_row(|_| {
+                count += 1;
+                if count == 2 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
         assert!(stopped);
         assert_eq!(count, 2);
     }
@@ -346,14 +217,20 @@ mod tests {
         let db = path_db(2);
         let atoms: Vec<QAtom> = Vec::new();
         // No atoms, no fixed bindings: one empty homomorphism.
-        let homs = HomSearch::new(&atoms, &db).all();
-        assert_eq!(homs.len(), 1);
-        assert!(homs[0].is_empty());
+        let homs = CompiledQuery::compile(&atoms).search(&db).table();
+        assert_eq!((homs.len(), homs.width()), (1, 0));
         // No atoms with fixed bindings: the fixed assignment itself.
-        let homs = HomSearch::new(&atoms, &db).fix([(Var(0), v("n0"))]).all();
-        assert_eq!(homs, vec![HashMap::from([(Var(0), v("n0"))])]);
-        assert_eq!(HomSearch::new(&atoms, &db).count(), 1);
-        assert_eq!(HomSearch::new(&atoms, &db).par_all(4).len(), 1);
+        let fixed = [(Var(0), v("n0"))];
+        let homs = with_search(&atoms, &db, &fixed, |_, s| s.table().to_maps());
+        assert_eq!(homs, vec![HashMap::from(fixed)]);
+        assert_eq!(CompiledQuery::compile(&atoms).search(&db).count(), 1);
+        assert_eq!(
+            CompiledQuery::compile(&atoms)
+                .search(&db)
+                .par_table(4)
+                .len(),
+            1
+        );
     }
 
     #[test]
@@ -361,22 +238,19 @@ mod tests {
         let q = parse_cq("Q() :- E(X,Y)").unwrap();
         let db = path_db(2);
         let ghost = Var(99);
-        let homs = HomSearch::new(&q.atoms, &db).fix([(ghost, v("n0"))]).all();
+        let fixed = [(ghost, v("n0"))];
+        let homs = with_search(&q.atoms, &db, &fixed, |_, s| s.table().to_maps());
         assert_eq!(homs.len(), 2);
         assert!(homs.iter().all(|h| h[&ghost] == v("n0")));
         // Injectivity counts the ghost binding's value as used.
-        let inj = HomSearch::new(&q.atoms, &db)
-            .fix([(ghost, v("n0"))])
-            .injective()
-            .all();
+        let inj = with_search(&q.atoms, &db, &fixed, |_, s| s.injective().table());
         assert_eq!(inj.len(), 1); // E(n0,n1) would reuse n0
                                   // And an image restriction excluding the ghost's value kills all.
         let allowed: HashSet<Value> = [v("n1"), v("n2")].into_iter().collect();
-        assert!(HomSearch::new(&q.atoms, &db)
-            .fix([(ghost, v("n0"))])
-            .restrict_images(allowed)
-            .all()
-            .is_empty());
+        let restricted = with_search(&q.atoms, &db, &fixed, |_, s| {
+            s.restrict_images(&allowed).table()
+        });
+        assert!(restricted.is_empty());
     }
 
     #[test]
@@ -384,14 +258,14 @@ mod tests {
         let q = parse_cq("Q() :- E(X,Y), E(Y,Z)").unwrap();
         let db = path_db(3);
         let allowed: HashSet<Value> = [v("n0"), v("n1"), v("n2")].into_iter().collect();
-        let homs = HomSearch::new(&q.atoms, &db)
-            .restrict_images(allowed.clone())
+        let homs = CompiledQuery::compile(&q.atoms)
+            .search(&db)
+            .restrict_images(&allowed)
             .injective()
-            .all();
+            .table();
         // Only the walk n0→n1→n2 stays inside the allowed set injectively.
         assert_eq!(homs.len(), 1);
-        let h = &homs[0];
-        let imgs: HashSet<Value> = h.values().copied().collect();
+        let imgs: HashSet<Value> = homs.row(0).iter().copied().collect();
         assert_eq!(imgs, allowed);
     }
 
@@ -400,25 +274,20 @@ mod tests {
         let q = parse_cq("Q(X,Y) :- E(X,Y)").unwrap();
         let db = path_db(2);
         let fixed = [(q.answer_vars[0], v("n0")), (q.answer_vars[1], v("n0"))];
-        assert!(HomSearch::new(&q.atoms, &db)
-            .fix(fixed)
-            .injective()
-            .all()
-            .is_empty());
-        assert!(HomSearch::new(&q.atoms, &db)
-            .fix(fixed)
-            .injective()
-            .par_all(3)
-            .is_empty());
+        assert!(with_search(&q.atoms, &db, &fixed, |_, s| s.injective().table()).is_empty());
+        assert!(with_search(&q.atoms, &db, &fixed, |_, s| s.injective().par_table(3)).is_empty());
+    }
+
+    /// The rows of a table as a sorted list (enumeration order differs
+    /// between widths).
+    fn sorted_rows(t: &crate::compile::ValuationTable) -> Vec<Vec<Value>> {
+        let mut rows: Vec<Vec<Value>> = t.rows().map(<[Value]>::to_vec).collect();
+        rows.sort();
+        rows
     }
 
     #[test]
-    fn par_all_matches_all_as_a_set() {
-        fn key(h: &HashMap<Var, Value>) -> Vec<(Var, Value)> {
-            let mut kv: Vec<(Var, Value)> = h.iter().map(|(&k, &x)| (k, x)).collect();
-            kv.sort_unstable();
-            kv
-        }
+    fn par_table_matches_table_as_a_set() {
         let db = path_db(6);
         for q in [
             "Q() :- E(X,Y)",
@@ -428,46 +297,32 @@ mod tests {
             "Q() :- E(n0, Y)",
         ] {
             let q = parse_cq(q).unwrap();
-            let mut seq: Vec<_> = HomSearch::new(&q.atoms, &db)
-                .all()
-                .iter()
-                .map(key)
-                .collect();
-            seq.sort();
+            let plan = CompiledQuery::compile(&q.atoms);
+            let seq = sorted_rows(&plan.search(&db).table());
             for w in [1usize, 2, 4, 7] {
-                let mut par: Vec<_> = HomSearch::new(&q.atoms, &db)
-                    .par_all(w)
-                    .iter()
-                    .map(key)
-                    .collect();
-                par.sort();
+                let par = sorted_rows(&plan.search(&db).par_table(w));
                 assert_eq!(par, seq, "query {:?} workers {w}", q.atoms.len());
             }
         }
     }
 
     #[test]
-    fn par_all_respects_modes() {
+    fn par_table_respects_modes() {
         let db = Instance::from_atoms([
             GroundAtom::named("E", &["a", "b"]),
             GroundAtom::named("E", &["b", "a"]),
             GroundAtom::named("E", &["a", "a"]),
         ]);
         let q = parse_cq("Q() :- E(X,Y), E(Y,X)").unwrap();
-        let seq = HomSearch::new(&q.atoms, &db).injective().all().len();
-        assert_eq!(
-            HomSearch::new(&q.atoms, &db).injective().par_all(4).len(),
-            seq
-        );
+        let plan = CompiledQuery::compile(&q.atoms);
+        let seq = plan.search(&db).injective().table().len();
+        assert_eq!(plan.search(&db).injective().par_table(4).len(), seq);
         let allowed: HashSet<Value> = [v("a")].into_iter().collect();
-        let seq = HomSearch::new(&q.atoms, &db)
-            .restrict_images(allowed.clone())
-            .all()
-            .len();
+        let seq = plan.search(&db).restrict_images(&allowed).table().len();
         assert_eq!(
-            HomSearch::new(&q.atoms, &db)
-                .restrict_images(allowed)
-                .par_all(4)
+            plan.search(&db)
+                .restrict_images(&allowed)
+                .par_table(4)
                 .len(),
             seq
         );
@@ -477,9 +332,9 @@ mod tests {
     fn zero_ary_atom_matching() {
         let db = Instance::from_atoms([GroundAtom::named("Goal", &[])]);
         let q = parse_cq("Q() :- Goal()").unwrap();
-        assert!(exists_homomorphism(&q.atoms, &db));
+        assert!(CompiledQuery::compile(&q.atoms).search(&db).exists());
         let q2 = parse_cq("Q() :- Start()").unwrap();
-        assert!(!exists_homomorphism(&q2.atoms, &db));
+        assert!(!CompiledQuery::compile(&q2.atoms).search(&db).exists());
     }
 
     #[test]
@@ -489,8 +344,8 @@ mod tests {
             GroundAtom::named("R", &["c", "c"]),
         ]);
         let q = parse_cq("Q() :- R(X,X)").unwrap();
-        let homs = all_homomorphisms(&q.atoms, &db);
+        let homs = CompiledQuery::compile(&q.atoms).search(&db).table();
         assert_eq!(homs.len(), 1);
-        assert_eq!(homs[0].values().next(), Some(&v("c")));
+        assert_eq!(homs.row(0), [v("c")]);
     }
 }

@@ -3,9 +3,10 @@
 //! only up to the compaction heuristic) and cheaper than full equivalence;
 //! used to deduplicate rewriting and approximation outputs.
 
+use crate::compile::CompiledQuery;
 use crate::cq::{Cq, Term, Var};
-use crate::hom::{instance_as_atoms, HomSearch};
-use gtgd_data::{Instance, Value};
+use crate::hom::instance_as_atoms;
+use gtgd_data::Instance;
 use std::collections::HashMap;
 
 /// Whether two instances are isomorphic *over the named constants*: equal
@@ -18,14 +19,19 @@ pub fn instance_isomorphic(a: &Instance, b: &Instance) -> bool {
         return false;
     }
     let (atoms, var_of) = instance_as_atoms(a);
-    let fixed: Vec<(Var, Value)> = var_of
+    let plan = CompiledQuery::compile(&atoms);
+    let fixed = var_of
         .iter()
         .filter(|(v, _)| v.is_named())
-        .map(|(&val, &var)| (var, val))
-        .collect();
+        .map(|(&val, &var)| {
+            (
+                plan.slot_of(var).expect("domain values occur in atoms"),
+                val,
+            )
+        });
     // An injective hom fixing the constants maps distinct atoms to distinct
     // atoms; with equal atom counts it is onto, hence an isomorphism.
-    HomSearch::new(&atoms, b).fix(fixed).injective().exists()
+    plan.search(b).fix_slots(fixed).injective().exists()
 }
 
 /// Whether `q1` and `q2` are isomorphic: a bijection on variables mapping
@@ -142,6 +148,7 @@ pub fn dedup_isomorphic(cqs: Vec<Cq>) -> Vec<Cq> {
 mod tests {
     use super::*;
     use crate::parser::parse_cq;
+    use gtgd_data::Value;
 
     #[test]
     fn renamed_queries_are_isomorphic() {

@@ -1,9 +1,10 @@
 #![warn(missing_docs)]
 
 //! Conjunctive queries and unions of conjunctive queries (Section 2 of the
-//! paper): representation, parsing, the homomorphism engine, evaluation
-//! (generic backtracking and the bounded-treewidth algorithm of Prop 2.1),
-//! cores, contractions, specializations, and classical containment.
+//! paper): representation, parsing, the homomorphism kernel
+//! ([`CompiledQuery`] / [`KernelSearch`]) and its evaluation facade
+//! ([`Engine`]), the bounded-treewidth algorithm of Prop 2.1, cores,
+//! contractions, specializations, and classical containment.
 //!
 //! ```
 //! use gtgd_query::{parse_cq, evaluate_cq, cq_semantic_treewidth};
@@ -48,13 +49,8 @@ pub use cq::{Cq, QAtom, Term, Ucq, Var};
 pub use cq_core::core_of;
 pub use decomp_eval::check_answer_decomposed;
 pub use engine::{AnswerWitness, Engine, PreparedQuery, QueryOutcome};
-pub use eval::{
-    check_answer, evaluate_cq, evaluate_cq_par, evaluate_ucq, holds_boolean, ucq_holds_boolean,
-};
-pub use hom::{
-    all_homomorphisms, exists_homomorphism, find_homomorphism, instance_homomorphism,
-    instance_homomorphism_fixing, HomSearch,
-};
+pub use eval::{check_answer, evaluate_cq, evaluate_ucq, holds_boolean, ucq_holds_boolean};
+pub use hom::{instance_homomorphism, instance_homomorphism_fixing};
 pub use iso::{cq_isomorphic, dedup_isomorphic, instance_isomorphic};
 pub use parser::{parse_cq, parse_ucq, ParseError};
 pub use plan_cache::{normalize_query_text, PlanCache};

@@ -2,7 +2,8 @@
 //! adaptive blocking) against the plain oblivious chase: on randomized
 //! guarded ontologies and databases, ground atoms and query answers must
 //! agree wherever both engines are authoritative. The plain chase itself is
-//! checked level by level against a naive oblivious reference written here.
+//! checked level by level against a naive oblivious reference written here,
+//! and the restricted chase's level totals are checked on the same cases.
 //!
 //! Randomization is a seeded loop over [`Rng`] (the build is offline, so no
 //! proptest); every TGD subset mask 0..128 is exercised with a database
@@ -10,11 +11,12 @@
 //! sampled proptest run did.
 
 use gtgd::chase::{
-    chase, ground_saturation, typed_chase, ChaseBudget, ChaseRunner, DepthPolicy, Tgd,
+    chase, ground_saturation, restricted_chase, typed_chase, ChaseBudget, ChaseResult, ChaseRunner,
+    DepthPolicy, Tgd,
 };
 use gtgd::data::{GroundAtom, Instance, Rng, Value};
 use gtgd::query::{
-    all_homomorphisms, evaluate_cq, instance_isomorphic, parse_cq, Cq, QAtom, Term, Var,
+    evaluate_cq, instance_isomorphic, parse_cq, CompiledQuery, Cq, QAtom, Term, Var,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -182,7 +184,8 @@ fn naive_chase(d: &Instance, sigma: &[Tgd], budget: &ChaseBudget) -> NaiveChase 
         let mut gain: HashSet<GroundAtom> = HashSet::new();
         let mut cut = false;
         'round: for (ti, tgd) in sigma.iter().enumerate() {
-            for mut val in all_homomorphisms(&tgd.body, &instance) {
+            let body = CompiledQuery::compile(&tgd.body);
+            for mut val in body.search(&instance).table().to_maps() {
                 let key: Vec<Value> = tgd.body_vars().iter().map(|v| val[v]).collect();
                 if fired.contains(&(ti, key.clone())) {
                     continue;
@@ -229,6 +232,21 @@ fn naive_chase(d: &Instance, sigma: &[Tgd], budget: &ChaseBudget) -> NaiveChase 
     }
 }
 
+/// The totals every chase result carries, for either variant: one level
+/// per atom, the database at level 0, `max_level` the largest level, and
+/// no level above a level cap.
+fn assert_totals(r: &ChaseResult, d: &Instance, budget: &ChaseBudget, ctx: &str) {
+    assert_eq!(r.levels.len(), r.instance.len(), "{ctx}");
+    for (a, &l) in r.instance.iter().zip(&r.levels) {
+        assert!(l > 0 || d.contains(a), "{ctx}: {a} at level 0");
+        assert!(l == 0 || !d.contains(a), "{ctx}: database atom {a} at {l}");
+    }
+    assert_eq!(Some(&r.max_level), r.levels.iter().max(), "{ctx}");
+    if let Some(k) = budget.max_level {
+        assert!(r.max_level <= k, "{ctx}");
+    }
+}
+
 fn level_counts(levels: &[usize]) -> Vec<usize> {
     let mut counts = vec![0; levels.iter().max().map_or(1, |m| m + 1)];
     for &l in levels {
@@ -245,7 +263,10 @@ fn level_counts(levels: &[usize]) -> Vec<usize> {
 /// compared up to isomorphism (the rule pool's single-atom heads make the
 /// counts exact even then). Outside such cuts the engine fires exactly as
 /// many triggers as the reference, whose fired set makes each trigger
-/// fire once: the semi-naive split neither repeats nor misses one.
+/// fire once: the semi-naive split neither repeats nor misses one. The
+/// restricted chase runs on every case too, and both variants carry the
+/// same totals: one level per atom, the database at level 0, `max_level`
+/// the largest level and at most the level cap.
 #[test]
 fn chase_levels_match_naive_reference() {
     let pool = rule_pool();
@@ -262,14 +283,18 @@ fn chase_levels_match_naive_reference() {
             let ctx = format!("mask {mask:#b}, {budget:?}");
             let r = chase(&d, &sigma, &budget);
             let naive = naive_chase(&d, &sigma, &budget);
+            assert_totals(&r, &d, &budget, &ctx);
+            let restricted = restricted_chase(&d, &sigma, &budget);
+            assert_totals(&restricted, &d, &budget, &format!("restricted, {ctx}"));
             if r.complete || budget.max_atoms.is_none() {
-                let firings = ChaseRunner::new(&sigma)
+                let certified = ChaseRunner::new(&sigma)
                     .budget(budget)
                     .certify(true)
-                    .run(&d)
-                    .firings
-                    .expect("certified run records firings");
+                    .run(&d);
+                let firings = certified.firings.expect("certified run records firings");
                 assert_eq!(firings.len(), naive.fired, "{ctx}");
+                assert_eq!(certified.fired, firings.len(), "{ctx}");
+                assert_eq!(r.fired, firings.len(), "{ctx}");
             }
             assert_eq!(
                 level_counts(&r.levels),

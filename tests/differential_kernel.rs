@@ -1,10 +1,10 @@
 //! Differential testing of the compiled query kernel against the
-//! *historical* generic backtracking `HomSearch` (PR 1 vintage), embedded
-//! below as `reference`: on seeded random CQs × random instances × modes
-//! (plain / injective / fixed bindings / restrict_images), the kernel — and
-//! the `HomSearch` wrapper now built on it — must produce exactly the same
-//! homomorphism *sets*, with `exists` / `count` / `first` agreeing, and the
-//! parallel split (`par_table` / `par_all`) matching at widths 1, 2, and 4.
+//! *historical* generic backtracking search of the workspace's first
+//! version, embedded below as `reference`: on seeded random CQs × random
+//! instances × modes (plain / injective / fixed bindings /
+//! restrict_images), the kernel must produce exactly the same
+//! homomorphism *sets*, with `exists` / `count` / `first_row` agreeing, and
+//! the parallel split (`par_table`) matching at widths 1, 2, and 4.
 //! The certain-answer output (`PreparedQuery::certain_rows`) is pinned to
 //! `answers()` filtered to null-free rows, sorted and deduplicated, on
 //! instances with nulls under both strategies.
@@ -15,18 +15,16 @@
 //! into the delta".
 
 use gtgd::data::{GroundAtom, Instance, Predicate, Rng, Value};
-use gtgd::query::{
-    CompiledQuery, Cq, Delta, Engine, HomSearch, KernelSearch, QAtom, Strategy, Term, Var,
-};
+use gtgd::query::{CompiledQuery, Cq, Delta, Engine, KernelSearch, QAtom, Strategy, Term, Var};
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 
 const WORKER_WIDTHS: [usize; 3] = [1, 2, 4];
 
-/// The pre-kernel `HomSearch`: generic backtracking over `HashMap`
+/// The pre-kernel search: generic backtracking over `HashMap`
 /// assignments with dynamic most-selective-atom ordering. Copied verbatim
-/// (modulo visibility) from the engine this PR replaced, so the suite pins
-/// today's kernel to yesterday's semantics.
+/// (modulo visibility) from the engine the kernel replaced, so the suite
+/// pins today's kernel to yesterday's semantics.
 mod reference {
     use super::*;
 
@@ -256,7 +254,7 @@ fn canon(homs: &[HashMap<Var, Value>]) -> Vec<Vec<(Var, Value)>> {
     out
 }
 
-/// One differential case: reference vs wrapper vs raw kernel vs parallel.
+/// One differential case: reference vs kernel, sequential and parallel.
 fn check_case(
     atoms: &[QAtom],
     db: &Instance,
@@ -270,28 +268,6 @@ fn check_case(
     reference.injective = injective;
     reference.allowed = allowed.cloned();
     let expected = canon(&reference.all());
-
-    // The HomSearch wrapper (now kernel-backed).
-    let wrapper = || {
-        let mut s = HomSearch::new(atoms, db).fix(fixed.iter().copied());
-        if injective {
-            s = s.injective();
-        }
-        if let Some(a) = allowed {
-            s = s.restrict_images(a.clone());
-        }
-        s
-    };
-    assert_eq!(canon(&wrapper().all()), expected, "all() {ctx}");
-    assert_eq!(wrapper().count(), expected.len(), "count() {ctx}");
-    assert_eq!(wrapper().exists(), !expected.is_empty(), "exists() {ctx}");
-    match wrapper().first() {
-        Some(h) => assert!(
-            expected.contains(&canon(&[h])[0]),
-            "first() not in reference set {ctx}"
-        ),
-        None => assert!(expected.is_empty(), "first() missed a hom {ctx}"),
-    }
 
     // The raw kernel, driven directly.
     let plan = CompiledQuery::compile_with_extra(atoms, fixed.iter().map(|&(v, _)| v));
@@ -312,13 +288,24 @@ fn check_case(
         expected,
         "table() {ctx}"
     );
+    assert_eq!(kernel().count(), expected.len(), "count() {ctx}");
+    assert_eq!(kernel().exists(), !expected.is_empty(), "exists() {ctx}");
+    match kernel().first_row() {
+        Some(row) => {
+            let h: HashMap<Var, Value> = plan.vars().iter().copied().zip(row).collect();
+            assert!(
+                expected.contains(&canon(&[h])[0]),
+                "first_row() not in reference set {ctx}"
+            );
+        }
+        None => assert!(expected.is_empty(), "first_row() missed a hom {ctx}"),
+    }
     for w in WORKER_WIDTHS {
         assert_eq!(
             canon(&kernel().par_table(w).to_maps()),
             expected,
             "par_table({w}) {ctx}"
         );
-        assert_eq!(canon(&wrapper().par_all(w)), expected, "par_all({w}) {ctx}");
     }
 }
 

@@ -4,13 +4,13 @@
 //! * `ground_saturation` must be *equal* to the ground part (the atoms over
 //!   `dom(D)`) of the independent oblivious chase run deep enough, on two
 //!   rule pools (the second with multi-atom existential heads);
-//! * CQ answer sets enumerated by `HomSearch::par_all` /
-//!   `evaluate_cq_par` must be identical, as sorted sets, to the
-//!   sequential evaluation, for several worker counts.
+//! * CQ answer sets enumerated by `Engine::prepare(q).parallel(w)` must be
+//!   identical, as sorted sets, to the sequential evaluation, for several
+//!   worker counts.
 
 use gtgd::chase::{chase, ground_saturation, ChaseBudget, Tgd};
 use gtgd::data::{GroundAtom, Instance, Rng, Value};
-use gtgd::query::{evaluate_cq, evaluate_cq_par, parse_cq, Cq};
+use gtgd::query::{evaluate_cq, parse_cq, Cq, Engine};
 
 const WORKER_WIDTHS: [usize; 3] = [1, 2, 4];
 
@@ -164,7 +164,7 @@ fn par_enumeration_matches_sequential() {
             for q in query_pool() {
                 let seq = sorted_answers(evaluate_cq(&q, target));
                 for w in WORKER_WIDTHS {
-                    let par = sorted_answers(evaluate_cq_par(&q, target, w));
+                    let par = sorted_answers(Engine::prepare(&q).parallel(w).answers(target));
                     assert_eq!(
                         par, seq,
                         "answers differ for {q} (mask {mask:#b}, workers {w})"

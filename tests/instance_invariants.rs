@@ -122,7 +122,6 @@ fn check_invariants(inst: &Instance, model: &[GroundAtom], ctx: &str) {
             ids.as_slice(),
             "ids {ctx}"
         );
-        assert_eq!(inst.index_count(*p, *pos, *v), ids.len(), "count {ctx}");
     }
     // Absent keys report empty (a value in dom but never at this slot).
     let ghost = Value::named("never-inserted");
@@ -130,7 +129,6 @@ fn check_invariants(inst: &Instance, model: &[GroundAtom], ctx: &str) {
         for pos in 0..k {
             if !expected_ids.contains_key(&(p, pos, ghost)) {
                 assert!(inst.atoms_matching(p, pos, ghost).is_empty(), "ghost {ctx}");
-                assert_eq!(inst.index_count(p, pos, ghost), 0, "ghost count {ctx}");
             }
         }
     }
@@ -383,7 +381,10 @@ fn chase_extends_wcoj_indexes_incrementally() {
     let result = chase(&db, &tgds, &ChaseBudget::unbounded());
     assert!(result.complete, "the full-TGD chase reaches a fixpoint");
     assert!(
-        result.instance.pred_count(Predicate::new("Tri"), 3) > 0,
+        !result
+            .instance
+            .atoms_with_pred(Predicate::new("Tri"), 3)
+            .is_empty(),
         "the 5-cycle closure contains triangles"
     );
     let stats = result.instance.dense_stats();
@@ -515,22 +516,12 @@ fn assert_same_accessors(
             fresh.atoms_with_pred(p, arity),
             "by_pred {ctx}"
         );
-        assert_eq!(
-            inst.pred_count(p, arity),
-            fresh.pred_count(p, arity),
-            "pred_count {ctx}"
-        );
         for pos in 0..arity {
             for v in values.iter().chain([&ghost]) {
                 assert_eq!(
                     inst.atoms_matching(p, pos, *v),
                     fresh.atoms_matching(p, pos, *v),
                     "ids ({p}, {pos}, {v}) {ctx}"
-                );
-                assert_eq!(
-                    inst.index_count(p, pos, *v),
-                    fresh.index_count(p, pos, *v),
-                    "count {ctx}"
                 );
             }
         }
