@@ -78,12 +78,17 @@ pub enum Metric {
     /// Saturator closure requests answered by an already interned type,
     /// whose closure is exact, without running the worklist.
     BagClosureMemoHits,
-    /// Nodes visited by the kernel backtracker (`search_rec` entries).
+    /// Nodes visited by the kernel backtracker (`search_node` entries).
+    /// A projected search (the answer methods of `PreparedQuery`) stops
+    /// each answer's subtree at its first witness, so it visits fewer
+    /// nodes than the full enumeration of the same body.
     KernelNodes,
     /// Exhausted candidate lists in the backtracker (a visited node whose
     /// alternatives all failed — the backtrack edges of the search tree).
     KernelBacktracks,
-    /// `seek` calls on WCOJ trie cursors.
+    /// `seek` calls on WCOJ trie cursors. A projected search stops each
+    /// answer's subtree at its first witness, so it seeks less than the
+    /// full enumeration of the same body.
     WcojSeeks,
     /// Galloping/binary-search steps taken inside cursor seeks.
     WcojGallopSteps,

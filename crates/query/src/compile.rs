@@ -35,6 +35,11 @@
 //!   With [`KernelSearch::semi_naive`] the atoms before the pin match only
 //!   atoms outside the [`Delta`], so a row with several delta atoms is
 //!   found under one pin only: its first delta position.
+//! * **Projected answers** — `PreparedQuery` hands its answer slots to the
+//!   search (`KernelSearch::project`, crate-private): once every answer
+//!   slot is bound, the first full match below settles the answer, and
+//!   the search returns to the parent's next candidate. Every other
+//!   search enumerates every homomorphism.
 //!
 //! A `CompiledQuery` is immutable and `Sync`: the chase compiles each TGD
 //! body once and re-probes it every round from many worker threads.
@@ -257,6 +262,7 @@ impl CompiledQuery {
             skip: None,
             delta: None,
             strategy: Strategy::Auto,
+            project: None,
         }
     }
 }
@@ -362,11 +368,31 @@ impl ValuationTable {
     }
 }
 
+/// The projection cut of both executors: runs `subtree` with a callback
+/// that hands its first full match to `f` and stops the subtree, then
+/// returns what `f` returned (`Continue` if the subtree had no match), so
+/// the caller goes on to its parent's next candidate unless `f` stopped.
+/// The subtree's callback is a trait object, so the recursion below a cut
+/// is one more instance of the executor, not one per cut.
+pub(crate) fn first_match(
+    f: &mut impl FnMut(&[Value]) -> ControlFlow<()>,
+    subtree: impl FnOnce(&mut &mut dyn FnMut(&[Value]) -> ControlFlow<()>) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let mut out = ControlFlow::Continue(());
+    let mut take_first = |row: &[Value]| {
+        out = f(row);
+        ControlFlow::Break(())
+    };
+    let _ = subtree(&mut (&mut take_first as &mut dyn FnMut(&[Value]) -> ControlFlow<()>));
+    out
+}
+
 /// A configured kernel search: a [`CompiledQuery`] plus target instance,
 /// fixed slot bindings, and modes. Its row sets equal those of a plain
 /// backtracking search over `HashMap` assignments in every mode (the
 /// differential suite `tests/differential_kernel.rs` checks them against
 /// such a reference).
+#[derive(Clone)]
 pub struct KernelSearch<'a> {
     plan: &'a CompiledQuery,
     target: &'a Instance,
@@ -376,6 +402,9 @@ pub struct KernelSearch<'a> {
     skip: Option<usize>,
     delta: Option<&'a Delta>,
     strategy: Strategy,
+    /// The answer slots of a projected search ([`KernelSearch::project`]);
+    /// `None` enumerates every homomorphism.
+    project: Option<&'a [usize]>,
 }
 
 /// Mutable search state, reused across the whole enumeration: the flat
@@ -390,6 +419,9 @@ struct State {
     cut: usize,
     trail: Vec<u32>,
     row: Vec<Value>,
+    /// Whether the search runs below a projection cut (the first node
+    /// that bound every answer slot), where one full match suffices.
+    below_cut: bool,
     // Probe accumulators, flushed to the obs counters once per search so
     // the hot recursion never touches an atomic.
     nodes: u64,
@@ -432,6 +464,21 @@ impl<'a> KernelSearch<'a> {
     /// finds each row that uses a delta atom once.
     pub fn semi_naive(mut self, delta: &'a Delta) -> Self {
         self.delta = Some(delta);
+        self
+    }
+
+    /// Projects the search onto the answer slots `slots` (empty for a
+    /// Boolean query): once every answer slot is bound, the rest of the
+    /// search only needs one witness. The backtracker cuts at the first
+    /// node whose valuation binds every answer slot, the worst-case-optimal
+    /// path at the depth one past the deepest answer slot of its variable
+    /// order; below the cut the first full match goes to the callback and
+    /// the search returns to the parent's next candidate. The projected row
+    /// *set* is unchanged, while fewer witness rows are visited. Only
+    /// [`crate::PreparedQuery`] projects; every other search enumerates
+    /// every homomorphism.
+    pub(crate) fn project(mut self, slots: &'a [usize]) -> Self {
+        self.project = Some(slots);
         self
     }
 
@@ -508,6 +555,7 @@ impl<'a> KernelSearch<'a> {
             // A placeholder: every cell is overwritten before a row is
             // handed out.
             row: vec![Value::Null(0); n],
+            below_cut: false,
             nodes: 0,
             backtracks: 0,
         }
@@ -542,7 +590,35 @@ impl<'a> KernelSearch<'a> {
         }
     }
 
+    /// One node of the backtracking search. The first node of a projected
+    /// search whose valuation binds every answer slot is the cut
+    /// ([`first_match`]); a leaf needs no cut.
     fn search_rec(
+        &self,
+        st: &mut State,
+        f: &mut impl FnMut(&[Value]) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if !st.below_cut
+            && !st.pending.is_empty()
+            && self
+                .project
+                .is_some_and(|slots| slots.iter().all(|&s| st.val[s].is_some()))
+        {
+            return first_match(f, |g| {
+                st.below_cut = true;
+                let r = self.search_node(st, g);
+                st.below_cut = false;
+                r
+            });
+        }
+        self.search_node(st, f)
+    }
+
+    /// Expands one node: picks the pending atom with the fewest candidates
+    /// and recurses on each candidate that unifies. The valuation, trail
+    /// and pending list are restored on return, also when `f` stopped the
+    /// search, so a projection cut can resume the parent.
+    fn search_node(
         &self,
         st: &mut State,
         f: &mut impl FnMut(&[Value]) -> ControlFlow<()>,
@@ -573,6 +649,7 @@ impl<'a> KernelSearch<'a> {
             Some(Delta::Atoms(ids)) if ai < st.cut => ids.as_slice(),
             _ => &[],
         };
+        let mut r = ControlFlow::Continue(());
         for &ci in cand {
             let ground = self.target.atom(ci);
             if ground.args.len() != atom.terms.len() || excluded.binary_search(&ci).is_ok() {
@@ -615,8 +692,8 @@ impl<'a> KernelSearch<'a> {
                     },
                 }
             }
-            if ok && self.search_rec(st, f).is_break() {
-                return ControlFlow::Break(());
+            if ok {
+                r = self.search_rec(st, f);
             }
             for i in (mark..st.trail.len()).rev() {
                 let s = st.trail[i] as usize;
@@ -626,13 +703,18 @@ impl<'a> KernelSearch<'a> {
                 }
             }
             st.trail.truncate(mark);
+            if r.is_break() {
+                break;
+            }
+        }
+        if r.is_continue() {
+            st.backtracks += 1;
         }
         // Restore the pending list for sibling branches.
-        st.backtracks += 1;
         st.pending.push(ai);
         let last = st.pending.len() - 1;
         st.pending.swap(best_idx, last);
-        ControlFlow::Continue(())
+        r
     }
 
     /// Visits every homomorphism as a slot-indexed row (the columns are
@@ -681,16 +763,8 @@ impl<'a> KernelSearch<'a> {
                 let Some(bindings) = self.plan.unify_atom(pin, seed) else {
                     continue;
                 };
-                let mut sub = KernelSearch {
-                    plan: self.plan,
-                    target: self.target,
-                    fixed: self.fixed.clone(),
-                    injective: self.injective,
-                    allowed: self.allowed,
-                    skip: Some(pin),
-                    delta: self.delta,
-                    strategy: self.strategy,
-                };
+                let mut sub = self.clone();
+                sub.skip = Some(pin);
                 sub.fixed.extend(bindings);
                 if sub.for_each_row(&mut f) {
                     return true;
@@ -759,6 +833,16 @@ impl<'a> KernelSearch<'a> {
         ) else {
             return false;
         };
+        if let Some(slots) = self.project {
+            // The semi-naive filter below drops rows after the run, which
+            // would leave a cut subtree without its witness; only the
+            // chase uses the split and it never projects.
+            debug_assert!(
+                self.delta.is_none(),
+                "a projected search has no delta split"
+            );
+            run.project(slots);
+        }
         let (Some(delta), Some(pin)) = (self.delta, self.skip) else {
             return run.run(f).is_break();
         };
@@ -822,7 +906,9 @@ impl<'a> KernelSearch<'a> {
     /// candidate seeds a sub-search that *skips* the split atom (no
     /// recompilation, no rebuilt atom lists). Same row *set* as
     /// [`KernelSearch::table`]; deterministic for any worker count (chunk
-    /// results are concatenated in chunk order).
+    /// results are concatenated in chunk order). The sub-searches of a
+    /// projected search keep its cut, so the rows project to the same
+    /// answer set (an answer may come from several chunks).
     pub fn par_table(&self, workers: usize) -> ValuationTable {
         if self.uses_wcoj() {
             return self.wcoj_par_table(workers);
@@ -848,16 +934,10 @@ impl<'a> KernelSearch<'a> {
                 // concatenation needs no deduplication. Conflicts between
                 // the seed and the caller's fixed bindings (or the modes)
                 // are rejected by the sub-search's own validation.
-                let mut sub = KernelSearch {
-                    plan: self.plan,
-                    target: self.target,
-                    fixed: self.fixed.clone(),
-                    injective: self.injective,
-                    allowed: self.allowed,
-                    skip: Some(split),
-                    delta: None,
-                    strategy: Strategy::Backtrack,
-                };
+                let mut sub = self.clone();
+                sub.skip = Some(split);
+                sub.delta = None;
+                sub.strategy = Strategy::Backtrack;
                 sub.fixed.extend(seed);
                 sub.for_each_row(|row| {
                     out.push_row(row);
@@ -876,16 +956,8 @@ impl<'a> KernelSearch<'a> {
     /// Runs a discardable probe with `seeds` appended to the fixed
     /// bindings and reports how the search tree splits below that prefix.
     fn probe_split(&self, seeds: &[(usize, Value)]) -> SplitProbe {
-        let mut probe = KernelSearch {
-            plan: self.plan,
-            target: self.target,
-            fixed: self.fixed.clone(),
-            injective: self.injective,
-            allowed: self.allowed,
-            skip: self.skip,
-            delta: self.delta,
-            strategy: Strategy::Wcoj,
-        };
+        let mut probe = self.clone();
+        probe.strategy = Strategy::Wcoj;
         probe.fixed.extend_from_slice(seeds);
         // A seed conflicting with the modes kills the whole subtree —
         // exactly what the sequential search's per-value checks do.
@@ -980,16 +1052,8 @@ impl<'a> KernelSearch<'a> {
         let shards = Pool::with_workers(workers).run_tasks(&leaves, |w, i, m| {
             let t0 = timing.then(Instant::now);
             let mut out = ValuationTable::new(self.plan.vars.clone());
-            let mut sub = KernelSearch {
-                plan: self.plan,
-                target: self.target,
-                fixed: self.fixed.clone(),
-                injective: self.injective,
-                allowed: self.allowed,
-                skip: self.skip,
-                delta: self.delta,
-                strategy: Strategy::Wcoj,
-            };
+            let mut sub = self.clone();
+            sub.strategy = Strategy::Wcoj;
             sub.fixed.extend_from_slice(&m.seeds);
             sub.for_each_row(|row| {
                 out.push_row(row);

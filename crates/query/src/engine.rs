@@ -142,7 +142,16 @@ impl PreparedQuery {
         self.arity
     }
 
+    /// The configured search over `i`, projected onto the answer slots:
+    /// each answer's subtree stops at its first witness
+    /// ([`KernelSearch::project`]). What `answers`, `certain_rows` and
+    /// `answer_witnesses` run.
     fn kernel<'a>(&'a self, i: &'a Instance) -> KernelSearch<'a> {
+        self.search(i).project(&self.slots)
+    }
+
+    /// The configured search over `i`, enumerating every witness.
+    fn search<'a>(&'a self, i: &'a Instance) -> KernelSearch<'a> {
         let mut k = self.plan.search(i);
         if let Some(s) = self.strategy {
             k = k.strategy(s);
@@ -175,6 +184,13 @@ impl PreparedQuery {
 
     /// `q(I)`: the set of answers over `i`, under this configuration. The
     /// set does not depend on the width.
+    ///
+    /// The search stops each answer's subtree at its first witness: once
+    /// every answer variable is bound, one homomorphism below settles the
+    /// tuple, so an answer costs one witness, not all of them (the
+    /// backtracker's dynamic atom order may bind the answer variables
+    /// late, and then more witnesses arrive). See [`PreparedQuery::count`]
+    /// for the number of witnesses.
     pub fn answers(&self, i: &Instance) -> HashSet<Vec<Value>> {
         self.answers_now(i)
     }
@@ -186,9 +202,12 @@ impl PreparedQuery {
     /// if it holds. Equals [`PreparedQuery::answers`] without the rows
     /// that hold a null, under the same strategy and width.
     ///
-    /// Rows go from the kernel callback straight into one flat buffer.
-    /// Tuples with several witnesses are dropped whenever the buffer
-    /// doubles, so it never holds much more than twice the answers.
+    /// Rows go from the kernel callback straight into one flat buffer. The
+    /// search stops each answer's subtree at its first witness, as in
+    /// [`PreparedQuery::answers`]; a tuple can still arrive more than once
+    /// (several subtrees above the cut, or several parallel chunks), and
+    /// such repeats are dropped whenever the buffer doubles, so it never
+    /// holds much more than twice the answers.
     pub fn certain_rows(&self, i: &Instance) -> ValuationTable {
         const COMPACT_FLOOR: usize = 1 << 12;
         let vars = self.slots.iter().map(|&s| self.plan.vars()[s]).collect();
@@ -242,7 +261,10 @@ impl PreparedQuery {
     /// yields full slot rows and [`CompiledQuery::vars`] names the slots
     /// — so certificates built from either are interchangeable. The
     /// answer *set* equals [`PreparedQuery::answers`]; which witness
-    /// backs a tuple is unspecified (any is equally valid evidence).
+    /// backs a tuple is unspecified (any is equally valid evidence). The
+    /// search stops each answer's subtree at its first witness, as in
+    /// [`PreparedQuery::answers`], so the later witnesses are never
+    /// enumerated.
     pub fn answer_witnesses(&self, i: &Instance) -> Vec<AnswerWitness> {
         let vars = self.plan.vars();
         let mut seen: HashSet<Vec<Value>> = HashSet::new();
@@ -275,7 +297,7 @@ impl PreparedQuery {
         answer: &[Value],
     ) -> KernelSearch<'a> {
         assert_eq!(answer.len(), self.arity, "candidate answer has wrong arity");
-        self.kernel(i)
+        self.search(i)
             .fix_slots(self.slots.iter().copied().zip(answer.iter().copied()))
     }
 
@@ -288,12 +310,14 @@ impl PreparedQuery {
     /// Whether the (Boolean) query holds: `I |= q`.
     pub fn holds(&self, i: &Instance) -> bool {
         assert!(self.boolean, "holds requires a Boolean query");
-        self.kernel(i).exists()
+        self.search(i).exists()
     }
 
     /// The number of homomorphisms (witnesses, not projected answers).
+    /// Unlike the answer methods this search is not projected: it visits
+    /// every witness below every answer.
     pub fn count(&self, i: &Instance) -> usize {
-        self.kernel(i).count()
+        self.search(i).count()
     }
 }
 
@@ -436,6 +460,40 @@ mod tests {
         assert_eq!((holds.width(), holds.len()), (0, 1));
         let fails = Engine::prepare(&parse_cq("Q() :- E(X,X)").unwrap()).certain_rows(&db);
         assert_eq!((fails.width(), fails.len()), (0, 0));
+    }
+
+    /// The transitive closure of a path on `n` nodes: `E(pi,pj)` for all
+    /// `i < j`.
+    fn closed_path_db(n: usize) -> Instance {
+        let names: Vec<String> = (0..n).map(|i| format!("p{i}")).collect();
+        Instance::from_atoms((0..n).flat_map(|i| {
+            let names = &names;
+            (i + 1..n).map(move |j| GroundAtom::named("E", &[names[i].as_str(), names[j].as_str()]))
+        }))
+    }
+
+    #[test]
+    fn answers_stop_each_subtree_at_its_first_witness() {
+        // Triangles x < y < z in the closure of a 40-node path: every x
+        // but the last two is an answer, with C(40,3) witnesses in all.
+        let q = parse_cq("Q(X) :- E(X,Y), E(Y,Z), E(X,Z)").unwrap();
+        let db = closed_path_db(40);
+        let rows_seen = |p: &PreparedQuery| {
+            let mut n = 0usize;
+            p.kernel(&db).for_each_row(|_| {
+                n += 1;
+                ControlFlow::Continue(())
+            });
+            n
+        };
+        let wcoj = Engine::prepare(&q).strategy(Strategy::Wcoj);
+        assert_eq!(rows_seen(&wcoj), 38, "one row per answer");
+        assert_eq!(wcoj.answers(&db).len(), 38);
+        assert_eq!(wcoj.count(&db), 9_880, "count stays unprojected");
+        let back = Engine::prepare(&q).strategy(Strategy::Backtrack);
+        assert!(rows_seen(&back) < back.count(&db));
+        assert_eq!(back.count(&db), 9_880);
+        assert_eq!(back.answers(&db), wcoj.answers(&db));
     }
 
     #[test]

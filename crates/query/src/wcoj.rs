@@ -35,7 +35,7 @@
 //!   intersection to the morsel scheduler
 //!   ([`crate::compile::KernelSearch::par_table`]).
 
-use crate::compile::{CAtom, CTerm};
+use crate::compile::{first_match, CAtom, CTerm};
 use gtgd_data::{obs, DenseTrie, Dict, Instance, Value};
 use std::collections::HashSet;
 use std::ops::ControlFlow;
@@ -675,6 +675,9 @@ pub(crate) struct WcojRun<'a> {
     /// answer — and emit is a bare callback. The `false` fallback keeps
     /// the checked per-slot materialization (and its unbound-slot panic).
     row_live: bool,
+    /// The projection cut ([`WcojRun::project`]): the depth below which
+    /// one full match suffices; `usize::MAX` enumerates every match.
+    cut: usize,
 }
 
 impl<'a> WcojRun<'a> {
@@ -777,6 +780,7 @@ impl<'a> WcojRun<'a> {
             leaf_buf: Vec::new(),
             leaf_tmp: Vec::new(),
             row_live: false,
+            cut: usize::MAX,
         };
         for ai in 0..run.atoms.len() {
             while let Some(LevelKey::Const(c)) = run.next_key(ai) {
@@ -847,6 +851,25 @@ impl<'a> WcojRun<'a> {
         a.ptr -= 1;
     }
 
+    /// Projects the run onto the answer slots `slots`: the cut sits one
+    /// depth past the deepest answer slot of the variable order (depth 0
+    /// for a Boolean query). Each binding of the depths above it then
+    /// yields one row, the first full match below; a cut at the last
+    /// depth or beyond leaves full enumeration, since every row there
+    /// binds a distinct prefix already.
+    pub(crate) fn project(&mut self, slots: &[usize]) {
+        let depth = self
+            .order
+            .iter()
+            .rposition(|&o| slots.contains(&(o as usize)))
+            .map_or(0, |deepest| deepest + 1);
+        self.cut = if depth < self.order.len() {
+            depth
+        } else {
+            usize::MAX
+        };
+    }
+
     /// Runs the search, invoking `f` per answer row (slot order).
     pub(crate) fn run(
         &mut self,
@@ -874,7 +897,21 @@ impl<'a> WcojRun<'a> {
         obs::count(obs::Metric::WcojGallopSteps, steps);
     }
 
+    /// Binds depth `d` and below; at the projection cut, only until the
+    /// first full match ([`first_match`]). Stopping a subtree unwinds its
+    /// cursors, bindings and scratch as any stop does.
     fn rec(
+        &mut self,
+        d: usize,
+        f: &mut impl FnMut(&[Value]) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if d == self.cut {
+            return first_match(f, |g| self.descend(d, g));
+        }
+        self.descend(d, f)
+    }
+
+    fn descend(
         &mut self,
         d: usize,
         f: &mut impl FnMut(&[Value]) -> ControlFlow<()>,

@@ -10,10 +10,14 @@
 //! for — cliques and triangles — plus the shapes most likely to trip a
 //! trie executor: self-joins `E(X,X)`, constants inside the body, and
 //! repeated variables across atoms.
+//!
+//! The projection contract closes the file: `PreparedQuery`'s answer
+//! methods stop each answer's subtree at its first witness, and must still
+//! return exactly the projection of the unprojected `KernelSearch::table()`.
 
 use gtgd::data::{GroundAtom, Instance, Predicate, Rng, Value};
-use gtgd::query::{CompiledQuery, QAtom, Strategy, Term, Var};
-use std::collections::HashSet;
+use gtgd::query::{CompiledQuery, Cq, Engine, QAtom, Strategy, Term, Var};
+use std::collections::{HashMap, HashSet};
 
 const WORKER_WIDTHS: [usize; 3] = [1, 2, 4];
 
@@ -325,4 +329,193 @@ fn planner_gate_routes_named_shapes() {
     assert!(path_plan.search(&db).strategy(Strategy::Wcoj).uses_wcoj());
     // Both overridden routes still agree with each other.
     check_case(&path, &db, &[], false, None, "overridden path");
+}
+
+/// Each atom over the 4-value domain for `U`, `E`, `R` and `T`, kept with
+/// probability one half.
+fn dense_arb_db(rng: &mut Rng) -> Instance {
+    let d = dom();
+    let mut i = Instance::new();
+    for (p, arity) in [("U", 1u32), ("E", 2), ("R", 2), ("T", 3)] {
+        for code in 0..4usize.pow(arity) {
+            if rng.chance(0.5) {
+                let args = (0..arity).map(|k| d[code / 4usize.pow(k) % 4]).collect();
+                i.insert(GroundAtom::new(Predicate::new(p), args));
+            }
+        }
+    }
+    i
+}
+
+/// How one projection case constrains the search.
+#[derive(Debug, Clone, Copy)]
+enum Mode {
+    Plain,
+    Injective,
+    /// One existential variable fixed to a constant: the reference search
+    /// fixes its slot, the prepared query has the constant in its place.
+    Fixed,
+    Restricted,
+}
+
+/// The projection contract of `PreparedQuery`: on seeded random CQs with a
+/// random subset of answer variables, `answers`, `certain_rows` and the
+/// answer set of `answer_witnesses` equal the projection of the
+/// unprojected `KernelSearch::table()`, every witness is a row of that
+/// table, and `count` stays its row count. The answer variables include
+/// the empty set (Boolean queries), variables repeated inside one atom and
+/// across atoms, and variables that occur only next to constants; each
+/// case runs under both strategies, every mode and widths 1, 2 and 4.
+#[test]
+fn projected_answers_equal_the_projection_of_every_witness() {
+    let d = dom();
+    let mut rng = Rng::seed(0x9e0_5eed);
+    let (mut boolean, mut collapsed) = (0usize, 0usize);
+    for case in 0..160u32 {
+        // Every other case runs on a dense instance, where joins have
+        // many witnesses per answer.
+        let db = if case % 2 == 0 {
+            arb_db(&mut rng)
+        } else {
+            dense_arb_db(&mut rng)
+        };
+        let mut atoms = arb_atoms(&mut rng);
+        let mut body: Vec<Var> = Vec::new();
+        for t in atoms.iter().flat_map(|a| &a.args) {
+            if let Term::Var(x) = *t {
+                if !body.contains(&x) {
+                    body.push(x);
+                }
+            }
+        }
+        let mut answer: Vec<Var> = if rng.chance(0.2) {
+            Vec::new()
+        } else {
+            body.iter().copied().filter(|_| rng.chance(0.5)).collect()
+        };
+        if rng.chance(0.5) {
+            answer.reverse();
+        }
+        if rng.chance(0.2) {
+            // An answer variable that occurs only next to constants.
+            let lone = Var(5);
+            atoms.push(QAtom::new(
+                Predicate::new("T"),
+                vec![
+                    Term::Const(d[rng.below(4) as usize]),
+                    Term::Var(lone),
+                    Term::Const(d[rng.below(4) as usize]),
+                ],
+            ));
+            answer.push(lone);
+        }
+        if let Some(&x) = answer.first().filter(|_| rng.chance(0.25)) {
+            // An answer variable repeated inside one atom.
+            atoms.push(QAtom::new(
+                Predicate::new("E"),
+                vec![Term::Var(x), Term::Var(x)],
+            ));
+        }
+        let names = (0..6).map(|i| format!("X{i}")).collect::<Vec<_>>();
+        let q = Cq::new(names.clone(), atoms, answer.clone());
+        boolean += usize::from(answer.is_empty());
+        let existential: Vec<Var> = body
+            .iter()
+            .copied()
+            .filter(|x| !answer.contains(x))
+            .collect();
+        let allowed: HashSet<Value> = d.iter().copied().filter(|_| rng.chance(0.67)).collect();
+        let pinned = (!existential.is_empty()).then(|| {
+            (
+                existential[rng.below(existential.len() as u64) as usize],
+                d[rng.below(4) as usize],
+            )
+        });
+        let plan = CompiledQuery::compile_with_extra(&q.atoms, answer.iter().copied());
+        let cols: Vec<usize> = answer.iter().map(|&x| plan.slot_of(x).unwrap()).collect();
+        for mode in [Mode::Plain, Mode::Injective, Mode::Fixed, Mode::Restricted] {
+            let fixed = match mode {
+                Mode::Fixed => match pinned {
+                    Some(p) => vec![p],
+                    None => continue,
+                },
+                _ => Vec::new(),
+            };
+            // The prepared query: the fixed variable replaced by its value.
+            let prepared_q = match fixed.first() {
+                Some(&(y, c)) => {
+                    let atoms = q
+                        .atoms
+                        .iter()
+                        .map(|a| {
+                            let args = a
+                                .args
+                                .iter()
+                                .map(|&t| if t == Term::Var(y) { Term::Const(c) } else { t })
+                                .collect();
+                            QAtom::new(a.predicate, args)
+                        })
+                        .collect();
+                    Cq::new(names.clone(), atoms, answer.clone())
+                }
+                None => q.clone(),
+            };
+            for s in [Strategy::Backtrack, Strategy::Wcoj] {
+                let mut k = plan
+                    .search(&db)
+                    .strategy(s)
+                    .fix_slots(fixed.iter().map(|&(x, c)| (plan.slot_of(x).unwrap(), c)));
+                match mode {
+                    Mode::Injective => k = k.injective(),
+                    Mode::Restricted => k = k.restrict_images(&allowed),
+                    Mode::Plain | Mode::Fixed => {}
+                }
+                let table = k.table();
+                let rows: HashSet<Vec<Value>> = table.rows().map(|r| r.to_vec()).collect();
+                let want: HashSet<Vec<Value>> = table
+                    .rows()
+                    .map(|r| cols.iter().map(|&c| r[c]).collect())
+                    .collect();
+                collapsed += usize::from(want.len() < table.len());
+                let mut sorted: Vec<Vec<Value>> = want.iter().cloned().collect();
+                sorted.sort();
+                for w in WORKER_WIDTHS {
+                    let ctx = format!("case {case} {mode:?} {s:?} w={w}: {q:?}");
+                    let mut p = Engine::prepare(&prepared_q).strategy(s).parallel(w);
+                    match mode {
+                        Mode::Injective => p = p.injective(),
+                        Mode::Restricted => p = p.restrict_images(allowed.iter().copied()),
+                        Mode::Plain | Mode::Fixed => {}
+                    }
+                    assert_eq!(p.answers(&db), want, "answers {ctx}");
+                    let certain: Vec<Vec<Value>> =
+                        p.certain_rows(&db).rows().map(|r| r.to_vec()).collect();
+                    assert_eq!(certain, sorted, "certain_rows {ctx}");
+                    assert_eq!(p.count(&db), table.len(), "count {ctx}");
+                    let witnesses = p.answer_witnesses(&db);
+                    let tuples: HashSet<Vec<Value>> =
+                        witnesses.iter().map(|(a, _)| a.clone()).collect();
+                    assert_eq!(tuples, want, "answer_witnesses {ctx}");
+                    assert_eq!(
+                        tuples.len(),
+                        witnesses.len(),
+                        "one witness per answer {ctx}"
+                    );
+                    for (tuple, hom) in &witnesses {
+                        let image: HashMap<Var, Value> =
+                            hom.iter().copied().chain(fixed.iter().copied()).collect();
+                        let row: Vec<Value> = plan.vars().iter().map(|x| image[x]).collect();
+                        assert!(rows.contains(&row), "witness {row:?} not a table row {ctx}");
+                        let projected: Vec<Value> = cols.iter().map(|&c| row[c]).collect();
+                        assert_eq!(&projected, tuple, "witness projects to its answer {ctx}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(boolean >= 10, "too few Boolean cases: {boolean}");
+    assert!(
+        collapsed >= 150,
+        "too few cases with several witnesses per answer: {collapsed}"
+    );
 }
