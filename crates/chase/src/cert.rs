@@ -12,9 +12,15 @@
 //!   firings the answer actually depends on remain,
 //! * the query, the witnessing homomorphism, and the answer tuple.
 //!
-//! The [`CertificateStore`] builds certificates from a certified chase run
-//! ([`crate::runner::ChaseRunner::certify`]) plus per-answer witnesses
-//! ([`gtgd_query::PreparedQuery::answer_witnesses`]). Soundness does not
+//! The [`CertificateStore`] builds certificates from the chase's firing
+//! log — the [`Firing`] records of a certified run
+//! ([`crate::runner::ChaseRunner::certify`]) or the alive firings of a
+//! maintained instance ([`crate::MaintainedInstance::export_state`]) —
+//! plus per-answer witnesses
+//! ([`gtgd_query::PreparedQuery::answer_witnesses`]). Pruning grounds each
+//! firing's body from its trigger key, the step the dependency index
+//! uses; the valuation is written out only at serialization, read off the
+//! key and the produced head atoms. Soundness does not
 //! depend on the chase having terminated: every firing chain derives atoms
 //! that hold in *every* model of the database and the TGDs (existential
 //! bindings are checked fresh, so they behave as the universally valid
@@ -29,53 +35,11 @@
 //! atoms as `["Pred", term...]` arrays. The schema is what the standalone
 //! `gtgd-check` crate parses; the two ends share nothing but this format.
 
-use crate::engine::FiringObserver;
-use crate::plan::TriggerPlan;
+use crate::plan::{Firing, TriggerPlan};
 use crate::tgd::Tgd;
 use gtgd_data::{GroundAtom, Instance, Value};
 use gtgd_query::{Cq, Engine, QAtom, Strategy, Term, Var};
 use std::collections::HashSet;
-
-/// One trigger firing of a certified run: the `tgd`-th rule fired under
-/// `val`, producing `atoms`. Replaying a run's records by naive
-/// substitution re-derives exactly the chase-added atoms.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FiringRecord {
-    /// Index of the TGD in the rule set the chase ran.
-    pub tgd: usize,
-    /// The full valuation: body variables (the trigger's homomorphism, in
-    /// ascending variable order) followed by existential variables bound to
-    /// the fresh nulls this firing invented. Pairs are `(variable index,
-    /// value)`.
-    pub val: Vec<(u32, Value)>,
-    /// The ground head atoms the firing produced (whether or not the
-    /// instance already contained them).
-    pub atoms: Vec<GroundAtom>,
-}
-
-/// A certified run's firing log: one record per firing, in firing order.
-impl FiringObserver for Vec<FiringRecord> {
-    fn fired(
-        &mut self,
-        plan: &TriggerPlan,
-        row: &[Value],
-        nulls: &[Value],
-        products: &[GroundAtom],
-    ) {
-        let val = plan
-            .key_vars
-            .iter()
-            .zip(&plan.key_slots)
-            .map(|(&v, &s)| (v, row[s]))
-            .chain(plan.exist_vars.iter().zip(nulls).map(|(&v, &n)| (v, n)))
-            .collect();
-        self.push(FiringRecord {
-            tgd: plan.index,
-            val,
-            atoms: products.to_vec(),
-        });
-    }
-}
 
 /// Proof-carrying evidence for one answer tuple. Build with
 /// [`CertificateStore::certificate`]; serialize with
@@ -89,7 +53,7 @@ pub struct Certificate {
     /// list).
     pub tgds: Vec<Tgd>,
     /// The firing chain the answer depends on, in chase order.
-    pub firings: Vec<FiringRecord>,
+    pub firings: Vec<Firing>,
     /// The query atoms.
     pub query: Vec<QAtom>,
     /// The query's answer variables.
@@ -104,21 +68,25 @@ pub struct Certificate {
 #[derive(Debug, Clone)]
 pub struct CertificateStore<'a> {
     tgds: &'a [Tgd],
-    firings: Vec<FiringRecord>,
+    /// The rules compiled, for grounding firing bodies from their keys.
+    plans: Vec<TriggerPlan>,
+    firings: Vec<Firing>,
     facts: Vec<GroundAtom>,
     fact_set: HashSet<GroundAtom>,
 }
 
 impl<'a> CertificateStore<'a> {
     /// A store over the original database `db` (not the chased instance),
-    /// the rule set, and the firing log of a certified run
-    /// ([`crate::ChaseResult::firings`]).
-    pub fn new(db: &Instance, tgds: &'a [Tgd], firings: Vec<FiringRecord>) -> CertificateStore<'a> {
+    /// the rule set, and a firing log over them in firing order: a
+    /// certified run's ([`crate::ChaseResult::firings`]) or a maintained
+    /// instance's alive firings ([`crate::MaintainExport::firings`]).
+    pub fn new(db: &Instance, tgds: &'a [Tgd], firings: Vec<Firing>) -> CertificateStore<'a> {
         let mut facts: Vec<GroundAtom> = db.iter().cloned().collect();
         facts.sort();
         let fact_set = facts.iter().cloned().collect();
         CertificateStore {
             tgds,
+            plans: TriggerPlan::compile_all(tgds),
             firings,
             facts,
             fact_set,
@@ -141,16 +109,15 @@ impl<'a> CertificateStore<'a> {
             .map(|a| ground(a, |v| image(hom, v)))
             .filter(|a| !self.fact_set.contains(a))
             .collect();
-        let mut kept: Vec<FiringRecord> = Vec::new();
+        let mut kept: Vec<Firing> = Vec::new();
         for f in self.firings.iter().rev() {
-            if !f.atoms.iter().any(|a| needed.contains(a)) {
+            if !f.products.iter().any(|a| needed.contains(a)) {
                 continue;
             }
-            for a in &f.atoms {
+            for a in &f.products {
                 needed.remove(a);
             }
-            for a in &self.tgds[f.tgd].body {
-                let g = ground(a, |v| image_idx(&f.val, v));
+            for g in self.plans[f.tgd].body_from_key(&f.key) {
                 if !self.fact_set.contains(&g) {
                     needed.insert(g);
                 }
@@ -196,11 +163,25 @@ fn image(hom: &[(Var, Value)], v: Var) -> Value {
         .1
 }
 
-fn image_idx(val: &[(u32, Value)], v: Var) -> Value {
-    val.iter()
-        .find(|(u, _)| *u as usize == v.index())
-        .expect("firing valuation binds every rule variable")
-        .1
+/// The full valuation of firing `f` of `tgd`, as certificates state it:
+/// the body variables in ascending order paired with the trigger key, then
+/// the existential variables in ascending order, each bound to the value
+/// at its first head position in the firing's products (its fresh null).
+fn valuation(f: &Firing, tgd: &Tgd) -> Vec<(Var, Value)> {
+    let exist = tgd.existential_vars().into_iter().map(|z| {
+        let (atom, arg) = (tgd.head.iter().enumerate())
+            .find_map(|(i, a)| {
+                let j = a.args.iter().position(|t| *t == Term::Var(z))?;
+                Some((i, j))
+            })
+            .expect("an existential variable occurs in the head");
+        (z, f.products[atom].args[arg])
+    });
+    tgd.body_vars()
+        .into_iter()
+        .zip(f.key.iter().copied())
+        .chain(exist)
+        .collect()
 }
 
 fn ground(a: &QAtom, f: impl Fn(Var) -> Value) -> GroundAtom {
@@ -290,10 +271,9 @@ impl Certificate {
             .firings
             .iter()
             .map(|f| {
-                let val: Vec<String> = f
-                    .val
-                    .iter()
-                    .map(|&(v, x)| format!("[{},{}]", enc_var(v as usize), enc_value(x)))
+                let val: Vec<String> = valuation(f, &self.tgds[f.tgd])
+                    .into_iter()
+                    .map(|(v, x)| format!("[{},{}]", enc_var(v.index()), enc_value(x)))
                     .collect();
                 format!("{{\"tgd\":{},\"val\":[{}]}}", f.tgd, val.join(","))
             })
@@ -360,7 +340,7 @@ mod tests {
         let cert = certs.iter().find(|c| c.answer == [a]).expect("B(a) holds");
         assert_eq!(cert.firings.len(), 1);
         assert_eq!(cert.firings[0].tgd, 0);
-        assert_eq!(cert.firings[0].val, vec![(0, a)]);
+        assert_eq!(cert.firings[0].key, vec![a]);
     }
 
     #[test]
@@ -407,5 +387,43 @@ mod tests {
         assert!(json.contains("\"answer_vars\":[\"v:0\"]"));
         let wrapped = certificates_to_json(&certs);
         assert!(wrapped.starts_with('[') && wrapped.ends_with(']'));
+    }
+
+    #[test]
+    fn valuations_recover_nulls_from_head_positions() {
+        // `A(X) -> R(X,Z), S(Z,Y), T(Y,Y)` with X = v0, Y = v1, Z = v2: the
+        // existentials occur out of variable order (Z first), Y only from
+        // the second head atom on, and twice in the third.
+        let (x, y, z) = (Var(0), Var(1), Var(2));
+        let atom = |p: &str, args: &[Var]| {
+            QAtom::new(
+                gtgd_data::Predicate::new(p),
+                args.iter().map(|&v| Term::Var(v)).collect(),
+            )
+        };
+        let tgds = vec![Tgd::new(
+            vec!["X".into(), "Y".into(), "Z".into()],
+            vec![atom("A", &[x])],
+            vec![atom("R", &[x, z]), atom("S", &[z, y]), atom("T", &[y, y])],
+        )];
+        let db = Instance::from_atoms([GroundAtom::named("A", &["a"])]);
+        let outcome = ChaseRunner::new(&tgds).certify(true).run(&db);
+        let firings = outcome.firings.unwrap();
+        assert_eq!(firings.len(), 1);
+        let p = &firings[0].products;
+        let (null_y, null_z) = (p[1].args[1], p[0].args[1]);
+        assert!(matches!(null_y, Value::Null(_)) && matches!(null_z, Value::Null(_)));
+        assert_ne!(null_y, null_z);
+        assert_eq!(
+            valuation(&firings[0], &tgds[0]),
+            vec![(x, Value::named("a")), (y, null_y), (z, null_z)]
+        );
+
+        let store = CertificateStore::new(&db, &tgds, firings);
+        let q = parse_cq("Q(X) :- R(X,Z), S(Z,Y), T(Y,Y)").unwrap();
+        let certs = store.certify_answers(&q, &outcome.instance, Strategy::Backtrack);
+        assert_eq!(certs.len(), 1);
+        let parsed = gtgd_check::Certificate::from_json(&certs[0].to_json()).unwrap();
+        assert_eq!(gtgd_check::check(&parsed), Ok(()));
     }
 }

@@ -27,11 +27,11 @@
 //! `ObliviousChase::run` is the only chase driver: [`ChaseRunner::run`]
 //! (behind [`chase`] and [`crate::restricted_chase`]) runs it from the
 //! whole database for either variant, incremental maintenance
-//! (`crate::maintain`) from the inserted or rescued atoms; certified runs
-//! and the dependency index watch it through a `FiringObserver`.
+//! (`crate::maintain`) from the inserted or rescued atoms. When handed a
+//! log, a run appends one [`Firing`] per trigger fired: certified runs
+//! return it, and the dependency index indexes what its runs appended.
 
-use crate::cert::FiringRecord;
-use crate::plan::TriggerPlan;
+use crate::plan::{Firing, TriggerPlan};
 use crate::runner::{ChaseRunner, ChaseVariant};
 use crate::tgd::Tgd;
 use gtgd_data::idhash::IdHashSet;
@@ -105,7 +105,7 @@ pub struct ChaseResult {
     pub report: Option<obs::RunReport>,
     /// Every trigger firing, in firing order; `None` unless the run was
     /// built with [`ChaseRunner::certify`](crate::ChaseRunner::certify).
-    pub firings: Option<Vec<FiringRecord>>,
+    pub firings: Option<Vec<Firing>>,
 }
 
 impl ChaseResult {
@@ -126,28 +126,6 @@ impl ChaseResult {
 /// `ChaseRunner::new(tgds).budget(*budget).run(db)`.
 pub fn chase(db: &Instance, tgds: &[Tgd], budget: &ChaseBudget) -> ChaseResult {
     ChaseRunner::new(tgds).budget(*budget).run(db)
-}
-
-/// Sees every trigger firing of a run, in firing order: the plan of the
-/// fired TGD, the body row (slot order of `plan.body`), the fresh nulls
-/// (ascending existential-variable order) and the head atoms produced
-/// (whether or not the instance already holds them). All three slices are
-/// reused buffers, valid only during the call: an observer copies what it
-/// keeps.
-pub(crate) trait FiringObserver {
-    fn fired(
-        &mut self,
-        plan: &TriggerPlan,
-        row: &[Value],
-        nulls: &[Value],
-        products: &[GroundAtom],
-    );
-}
-
-/// No observer: the plain chase.
-impl FiringObserver for () {
-    #[inline(always)]
-    fn fired(&mut self, _: &TriggerPlan, _: &[Value], _: &[Value], _: &[GroundAtom]) {}
 }
 
 /// What one [`ObliviousChase::run`] did.
@@ -197,17 +175,25 @@ struct Pending {
 }
 
 impl Pending {
+    /// Fires the trigger `row` of `plan`, appending its record to `log`
+    /// when given.
     fn fire(
         &mut self,
         plan: &TriggerPlan,
         row: &[Value],
         instance: &Instance,
-        observer: &mut impl FiringObserver,
+        log: Option<&mut Vec<Firing>>,
     ) {
         plan.fire_row(row, &mut self.nulls, &mut self.products);
         self.fired += 1;
         obs::count(obs::Metric::TriggerFirings, 1);
-        observer.fired(plan, row, &self.nulls, &self.products);
+        if let Some(log) = log {
+            log.push(Firing {
+                tgd: plan.index,
+                key: plan.trigger_key(row),
+                products: self.products.clone(),
+            });
+        }
         for p in &self.products {
             if !instance.contains(p) {
                 if let Some(gain) = &mut self.gain {
@@ -267,13 +253,14 @@ impl ObliviousChase {
     /// if its head is not satisfied by the live instance, and their
     /// products are inserted at once; a round at the level cap fires
     /// nothing and leaves the run complete iff it found no active trigger.
-    /// Both stop as soon as the atom cap is reached.
+    /// Both stop as soon as the atom cap is reached. Every firing is
+    /// appended to `log`, when given, in firing order.
     pub fn run(
         &mut self,
         delta: Delta,
         budget: &ChaseBudget,
         mut levels: Option<&mut Vec<usize>>,
-        observer: &mut impl FiringObserver,
+        mut log: Option<&mut Vec<Firing>>,
     ) -> RunStats {
         let ObliviousChase {
             plans,
@@ -317,7 +304,7 @@ impl ObliviousChase {
                     } else if pending.exhausts(budget, instance) {
                         return ControlFlow::Break(());
                     } else {
-                        pending.fire(plan, row, instance, observer);
+                        pending.fire(plan, row, instance, log.as_deref_mut());
                     }
                     ControlFlow::Continue(())
                 };
@@ -357,7 +344,7 @@ impl ObliviousChase {
                         hit_cap = true;
                         break;
                     }
-                    pending.fire(plan, row, instance, observer);
+                    pending.fire(plan, row, instance, log.as_deref_mut());
                     pending.insert(instance, levels.as_deref_mut(), level + 1);
                 }
                 if at_level_cap {
@@ -552,29 +539,19 @@ mod tests {
         }
     }
 
-    /// The distinct `(rule, trigger key)` pairs of the firings seen.
-    #[derive(Default)]
-    struct Keys(std::collections::HashSet<(usize, Vec<Value>)>);
-
-    impl FiringObserver for Keys {
-        fn fired(&mut self, plan: &TriggerPlan, row: &[Value], _: &[Value], _: &[GroundAtom]) {
-            self.0.insert((plan.index, plan.trigger_key(row)));
-        }
-    }
-
-    /// Runs the engine from the whole database, collecting trigger keys.
-    fn run_all(d: &Instance, tgds: &[Tgd]) -> (ObliviousChase, RunStats, Keys) {
+    /// Runs the engine from the whole database, logging its firings.
+    fn run_all(d: &Instance, tgds: &[Tgd]) -> (ObliviousChase, RunStats, Vec<Firing>) {
         let mut state = ObliviousChase::new(tgds, d.clone(), ChaseVariant::Oblivious);
         let mut levels = vec![0; d.len()];
-        let mut keys = Keys::default();
+        let mut log = Vec::new();
         let run = state.run(
             Delta::Since(0),
             &ChaseBudget::unbounded(),
             Some(&mut levels),
-            &mut keys,
+            Some(&mut log),
         );
         assert_eq!(levels.len(), state.instance.len());
-        (state, run, keys)
+        (state, run, log)
     }
 
     #[test]
@@ -589,10 +566,11 @@ mod tests {
                 .windows(2)
                 .map(|w| GroundAtom::named("E", &[w[0].as_str(), w[1].as_str()])),
         );
-        let (state, run, keys) = run_all(&path, &tgds);
+        let (state, run, log) = run_all(&path, &tgds);
         assert!(run.complete);
         assert_eq!(run.fired, 9_880); // C(40, 3)
-        assert_eq!(keys.0.len(), 9_880);
+        let keys: std::collections::HashSet<_> = log.iter().map(|f| (f.tgd, &f.key)).collect();
+        assert_eq!((log.len(), keys.len()), (9_880, 9_880));
         assert_eq!(state.instance.len(), 780); // C(40, 2)
         assert_eq!(run.added, 780 - 39);
         assert_eq!(run.max_level, 6);

@@ -44,14 +44,15 @@ pub mod unravel;
 pub mod witness;
 
 pub use acyclicity::is_weakly_acyclic;
-pub use cert::{certificates_to_json, Certificate, CertificateStore, FiringRecord};
+pub use cert::{certificates_to_json, Certificate, CertificateStore};
 pub use dl::{
     abox_consistent, parse_dl_ontology, parse_tbox, tbox_to_tgds, try_tbox_to_tgds, Axiom, Concept,
     FragmentError, Role,
 };
 pub use engine::{chase, ChaseBudget, ChaseResult};
 pub use linearize::{linearize, Linearization};
-pub use maintain::{FiringExport, MaintainExport, MaintainedInstance, MaintenanceReport};
+pub use maintain::{MaintainExport, MaintainedInstance, MaintenanceReport};
+pub use plan::Firing;
 pub use restricted::restricted_chase;
 pub use rewrite::linear_rewrite;
 pub use runner::{ChaseRunner, ChaseVariant};

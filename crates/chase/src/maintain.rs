@@ -24,8 +24,10 @@
 //!   dead and must re-fire, and the loop's semi-naive split finds each of
 //!   them once.
 //!
-//! Every firing of those runs is recorded, through the engine's firing
-//! observer, into the dependency index (`supports`/`uses`) DRed walks.
+//! Every run appends its firings to the dependency index's own log of
+//! [`Firing`] records, and one step then links the new tail into the
+//! `supports`/`uses` maps DRed walks, rebuilding each body from its key.
+//! The same step indexes a thawed snapshot's firings and a compacted log.
 //!
 //! Why oblivious semantics: the oblivious chase fires every trigger
 //! exactly once, so its fixpoint is order-independent up to null renaming
@@ -45,8 +47,8 @@
 //! the whole cycle first; re-derivation only rescues atoms reachable from
 //! *surviving* facts. `tests/maintenance_mutants.rs` pins these cases.
 
-use crate::engine::{ChaseBudget, Delta, FiringObserver, ObliviousChase};
-use crate::plan::TriggerPlan;
+use crate::engine::{ChaseBudget, Delta, ObliviousChase};
+use crate::plan::{Firing, TriggerPlan};
 use crate::runner::ChaseVariant;
 use crate::tgd::Tgd;
 use gtgd_data::idhash::{IdHashMap, IdHashSet};
@@ -73,25 +75,6 @@ pub struct MaintenanceReport {
     pub atoms_removed: usize,
 }
 
-/// One firing in portable form: the `(TGD index, trigger key)` pair plus
-/// the produced head atoms. The dependency index keeps its records in this
-/// form and snapshots persist the alive ones. The firing's body atoms are
-/// **not** stored — the key is the full body valuation in ascending-variable
-/// order, so the body is reconstructed at load via
-/// `TriggerPlan::row_from_key` + `ground_body`. Dead (tombstoned) firings
-/// are dropped at export: they exist only to keep in-memory ids stable,
-/// which a rebuild renumbers anyway.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FiringExport {
-    /// TGD index in the rule set.
-    pub tgd: usize,
-    /// The oblivious trigger key (body-variable images, ascending
-    /// variable order).
-    pub key: Vec<Value>,
-    /// The head atoms the firing produced.
-    pub products: Vec<GroundAtom>,
-}
-
 /// Portable snapshot of a [`MaintainedInstance`]'s chase state — everything
 /// *except* the instance itself (persisted separately as atoms + index
 /// sections) and the TGDs (the caller owns the rule set and must supply the
@@ -100,8 +83,10 @@ pub struct FiringExport {
 pub struct MaintainExport {
     /// Base (user-asserted) facts, in instance insertion order.
     pub base: Vec<GroundAtom>,
-    /// Alive firings in firing-id order.
-    pub firings: Vec<FiringExport>,
+    /// Alive firings in firing order. Dead (tombstoned) firings are
+    /// dropped: they exist only to keep in-memory ids stable, which a
+    /// rebuild renumbers anyway.
+    pub firings: Vec<Firing>,
     /// Whether the maintained instance is the true fixpoint.
     pub complete: bool,
     /// The atom cap of the maintenance budget, if any.
@@ -112,12 +97,15 @@ pub struct MaintainExport {
 /// firings producing it and the firings using it.
 #[derive(Debug, Clone, Default)]
 struct DepIndex {
-    /// All recorded firings, in the form snapshots persist; dead ones stay
-    /// as tombstones so ids in the adjacency lists below never dangle.
+    /// All recorded firings, in firing order; dead ones stay as
+    /// tombstones so ids in the adjacency lists below never dangle.
     /// [`DepIndex::compact`] drops them once they outnumber the alive ones.
-    firings: Vec<FiringExport>,
+    /// A chase run appends here; [`DepIndex::link`] indexes what it
+    /// appended.
+    firings: Vec<Firing>,
     /// `alive[fid]` is cleared when a body atom of firing `fid` is
-    /// over-deleted.
+    /// over-deleted. Shorter than `firings` only between a run and the
+    /// `link` that follows it.
     alive: Vec<bool>,
     /// How many of `firings` are dead.
     dead: usize,
@@ -131,43 +119,19 @@ struct DepIndex {
 }
 
 impl DepIndex {
-    /// Records one alive firing with body atoms `body`.
-    fn record(&mut self, firing: FiringExport, body: Vec<GroundAtom>) {
-        let fid = self.firings.len();
-        for b in body {
-            self.uses.entry(b).or_default().push(fid);
-        }
-        for p in &firing.products {
-            self.supports.entry(p.clone()).or_default().push(fid);
-        }
-        self.firings.push(firing);
-        self.alive.push(true);
-    }
-
-    /// The alive firings, in firing-id order.
-    fn alive_firings(&self) -> impl Iterator<Item = &FiringExport> {
-        self.firings
-            .iter()
-            .zip(&self.alive)
-            .filter_map(|(f, &alive)| alive.then_some(f))
-    }
-
-    /// Builds the index from firings known by rule and trigger key. Each
-    /// body is reconstructed from its key (`row_from_key` +
-    /// `ground_body`) and passed to `check` with its firing before the
-    /// firing is recorded. Snapshot import and compaction both rebuild
-    /// here. Fails on a rule index out of range, a key of the wrong
-    /// arity, or the first error `check` returns.
-    fn rebuild(
+    /// The one indexing path: links the firings not yet linked (the tail
+    /// past `alive`) as alive, each body rebuilt from its key
+    /// ([`TriggerPlan::body_from_key`]) and passed to `check` with its
+    /// firing first. Chase runs, snapshot import and compaction all index
+    /// here. Fails on a rule index out of range, a key of the wrong arity,
+    /// or the first error `check` returns.
+    fn link(
+        &mut self,
         plans: &[TriggerPlan],
-        firings: impl IntoIterator<Item = FiringExport>,
-        mut check: impl FnMut(&FiringExport, &[GroundAtom]) -> Result<(), String>,
-    ) -> Result<DepIndex, String> {
-        let firings = firings.into_iter();
-        let mut deps = DepIndex::default();
-        deps.firings.reserve(firings.size_hint().0);
-        deps.alive.reserve(firings.size_hint().0);
-        for f in firings {
+        mut check: impl FnMut(&Firing, &[GroundAtom]) -> Result<(), String>,
+    ) -> Result<(), String> {
+        for fid in self.alive.len()..self.firings.len() {
+            let f = &self.firings[fid];
             let Some(plan) = plans.get(f.tgd) else {
                 return Err(format!(
                     "firing names rule {} but only {} rules were supplied",
@@ -183,18 +147,32 @@ impl DepIndex {
                     plan.key_slots.len()
                 ));
             }
-            let body = plan.ground_body(&plan.row_from_key(&f.key));
-            check(&f, &body)?;
-            deps.record(f, body);
+            let body = plan.body_from_key(&f.key);
+            check(f, &body)?;
+            for b in body {
+                self.uses.entry(b).or_default().push(fid);
+            }
+            for p in &f.products {
+                self.supports.entry(p.clone()).or_default().push(fid);
+            }
+            self.alive.push(true);
         }
-        Ok(deps)
+        Ok(())
     }
 
-    /// Once dead firings outnumber alive ones, rebuilds the index from the
-    /// alive firings alone, in firing-id order. Each compaction at least
-    /// halves `firings`, so its cost is amortized over the retractions
-    /// that killed them, and `firings` never holds more than twice the
-    /// alive firings after a retraction.
+    /// The alive firings, in firing order.
+    fn alive_firings(&self) -> impl Iterator<Item = &Firing> {
+        self.firings
+            .iter()
+            .zip(&self.alive)
+            .filter_map(|(f, &alive)| alive.then_some(f))
+    }
+
+    /// Once dead firings outnumber alive ones, re-indexes the alive
+    /// firings alone, in firing order. Each compaction at least halves
+    /// `firings`, so its cost is amortized over the retractions that
+    /// killed them, and `firings` never holds more than twice the alive
+    /// firings after a retraction.
     fn compact(&mut self, plans: &[TriggerPlan]) {
         if self.dead <= self.firings.len() - self.dead {
             return;
@@ -203,31 +181,19 @@ impl DepIndex {
         let firings = std::mem::take(&mut self.firings)
             .into_iter()
             .zip(alive)
-            .filter_map(|(f, alive)| alive.then_some(f));
-        *self = DepIndex::rebuild(plans, firings, |_, _| Ok(()))
+            .filter_map(|(f, alive)| alive.then_some(f))
+            .collect();
+        *self = DepIndex {
+            firings,
+            ..DepIndex::default()
+        };
+        self.link(plans, |_, _| Ok(()))
             .expect("alive firings were recorded under these plans");
     }
 
     /// Whether any firing in `fids` is alive.
     fn any_alive(&self, fids: Option<&Vec<usize>>) -> bool {
         fids.into_iter().flatten().any(|&fid| self.alive[fid])
-    }
-}
-
-impl FiringObserver for DepIndex {
-    fn fired(
-        &mut self,
-        plan: &TriggerPlan,
-        row: &[Value],
-        _nulls: &[Value],
-        products: &[GroundAtom],
-    ) {
-        let firing = FiringExport {
-            tgd: plan.index,
-            key: plan.trigger_key(row),
-            products: products.to_vec(),
-        };
-        self.record(firing, plan.ground_body(row));
     }
 }
 
@@ -408,8 +374,8 @@ impl MaintainedInstance {
     /// name rules by index.
     ///
     /// The dependency index (`supports`/`uses`) is rebuilt from the
-    /// exported firings: each firing's body row is reconstructed from its
-    /// trigger key (`TriggerPlan::row_from_key`), and its
+    /// exported firings: each firing's body is rebuilt from its trigger
+    /// key (the step every chase run's firings are indexed by), and its
     /// body and products are checked against the instance — any
     /// inconsistency (dangling atom, out-of-range rule index, key arity
     /// mismatch) fails the whole import with a description rather than
@@ -449,7 +415,8 @@ impl MaintainedInstance {
             return Err(format!("duplicate firing of rule {}", f.tgd));
         }
         drop(keys);
-        m.deps = DepIndex::rebuild(plans, export.firings.iter().cloned(), |f, body| {
+        m.deps.firings = export.firings.clone();
+        m.deps.link(plans, |f, body| {
             if let Some(b) = body.iter().find(|b| !instance.contains(b)) {
                 return Err(format!("firing body atom {b} missing from the instance"));
             }
@@ -474,10 +441,15 @@ impl MaintainedInstance {
         Ok(m)
     }
 
-    /// Runs the round loop from `delta` on the persistent state,
-    /// recording every firing into the dependency index.
+    /// Runs the round loop from `delta` on the persistent state, logging
+    /// every firing into the dependency index, and links them there.
     fn chase_from(&mut self, delta: Delta, report: &mut MaintenanceReport) {
-        let run = self.chase.run(delta, &self.budget, None, &mut self.deps);
+        let run = self
+            .chase
+            .run(delta, &self.budget, None, Some(&mut self.deps.firings));
+        self.deps
+            .link(&self.chase.plans, |_, _| Ok(()))
+            .expect("the run's firings were recorded under these plans");
         report.triggers_fired += run.fired;
         report.atoms_added += run.added;
         self.complete &= run.complete;

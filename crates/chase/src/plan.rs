@@ -1,4 +1,5 @@
-//! Cached trigger plans: each TGD compiled once per chase run.
+//! Cached trigger plans: each TGD compiled once per chase run, and the
+//! one record of a trigger firing.
 //!
 //! The engines used to rebuild the "rest of the body" atom list and re-hash
 //! variable bindings for every (pin, delta-atom) pair — for every firing.
@@ -8,9 +9,13 @@
 //! * the **body plan** is probed every round with each body atom pinned
 //!   to the delta via [`gtgd_query::KernelSearch::for_each_pinned_row`]
 //!   — no atom lists are cloned, ever;
-//! * the **trigger key** (the body-variable images that name a firing in
-//!   the dependency index and in snapshots) is read straight out of the
-//!   kernel row via precomputed slots, in ascending-variable order;
+//! * the **trigger key** (the body-variable images that name a
+//!   [`Firing`]) is read straight out of the kernel row via precomputed
+//!   slots, in ascending-variable order;
+//! * the **body templates** ground a firing's body atoms straight from
+//!   its key ([`TriggerPlan::body_from_key`]), which is how the dependency
+//!   index, snapshot thaw and certificate pruning all recover a firing's
+//!   support set;
 //! * the **head plan** grounds head atoms from the row plus fresh nulls,
 //!   allocating nulls in ascending existential-variable order — the exact
 //!   null-naming sequence of the legacy `fire`;
@@ -21,19 +26,42 @@ use crate::tgd::Tgd;
 use gtgd_data::{obs, GroundAtom, Instance, Predicate, Value};
 use gtgd_query::{CompiledQuery, Term};
 
+/// One trigger firing `(σ, h)` of the oblivious or restricted chase: the
+/// rule, the body images of `h`, and the head atoms the firing produced.
+/// A log of these is the chase's one firing record: a certified run
+/// returns its log ([`crate::ChaseRunner::certify`]), the dependency index
+/// of [`crate::MaintainedInstance`] keeps one, snapshots persist its alive
+/// firings, and certificates are pruned from either.
+///
+/// The body atoms are not stored: the key is the full body valuation, so
+/// the rule's compiled plan rebuilds them from it. Neither are the fresh
+/// nulls: every existential variable occurs in the head, so its null is
+/// read off `products`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Firing {
+    /// Index of the TGD in the rule set the chase ran.
+    pub tgd: usize,
+    /// The trigger key: the body-variable images in ascending variable
+    /// order ([`Tgd::body_vars`]).
+    pub key: Vec<Value>,
+    /// The head atoms the firing produced, in head order, whether or not
+    /// the instance already held them.
+    pub products: Vec<GroundAtom>,
+}
+
 /// One argument of a compiled body atom template.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum BodyArg {
     /// A constant from the TGD body.
     Const(Value),
-    /// A body variable: read this slot of the body row.
-    Slot(u32),
+    /// A body variable: read this position of the trigger key.
+    Key(u32),
 }
 
 /// A compiled body atom template: grounds one body atom from a trigger
-/// row. This is the trigger's *support set* — the atoms whose presence
-/// witnessed the firing — which restricted-chase level tracking and the
-/// maintenance dependency index both need to reconstruct per firing.
+/// key. The grounded body is the firing's *support set* — the atoms whose
+/// presence witnessed it — which the dependency index and certificate
+/// pruning rebuild per firing.
 #[derive(Debug, Clone)]
 pub(crate) struct BodyAtomPlan {
     pub predicate: Predicate,
@@ -68,15 +96,9 @@ pub(crate) struct TriggerPlan {
     pub body: CompiledQuery,
     /// Body atom templates in body order (see [`BodyAtomPlan`]).
     pub body_atoms: Vec<BodyAtomPlan>,
-    /// Body slots in ascending variable order — the legacy trigger-key
-    /// order ([`Tgd::body_vars`]).
+    /// Body slots in ascending variable order — the trigger-key order
+    /// ([`Tgd::body_vars`]).
     pub key_slots: Vec<usize>,
-    /// Body variable indices in the same ascending order as `key_slots`
-    /// (the provenance-record valuation keys).
-    pub key_vars: Vec<u32>,
-    /// Existential variable indices in ascending order (the order
-    /// [`TriggerPlan::fire_row`] allocates fresh nulls in).
-    pub exist_vars: Vec<u32>,
     /// The compiled head atoms for firing.
     pub head: Vec<HeadAtomPlan>,
     /// Number of existential variables (fresh nulls per firing).
@@ -92,6 +114,7 @@ impl TriggerPlan {
     /// Compiles one TGD; `index` is its position in the rule set.
     pub fn new(tgd: &Tgd, index: usize) -> TriggerPlan {
         let body = CompiledQuery::compile(&tgd.body);
+        let body_vars = tgd.body_vars();
         let body_atoms = tgd
             .body
             .iter()
@@ -102,19 +125,17 @@ impl TriggerPlan {
                     .iter()
                     .map(|t| match *t {
                         Term::Const(c) => BodyArg::Const(c),
-                        Term::Var(v) => {
-                            BodyArg::Slot(body.slot_of(v).expect("body vars are interned") as u32)
-                        }
+                        Term::Var(v) => BodyArg::Key(
+                            body_vars.binary_search(&v).expect("a body variable") as u32,
+                        ),
                     })
                     .collect(),
             })
             .collect();
-        let body_vars = tgd.body_vars();
         let key_slots = body_vars
             .iter()
             .map(|&v| body.slot_of(v).expect("body vars are interned"))
             .collect();
-        let key_vars = body_vars.iter().map(|v| v.index() as u32).collect();
         let exist = tgd.existential_vars();
         let head = tgd
             .head
@@ -156,8 +177,6 @@ impl TriggerPlan {
             body,
             body_atoms,
             key_slots,
-            key_vars,
-            exist_vars: exist.iter().map(|v| v.index() as u32).collect(),
             head,
             n_exist: exist.len(),
             head_query,
@@ -177,21 +196,6 @@ impl TriggerPlan {
     /// of a body row.
     pub fn trigger_key(&self, row: &[Value]) -> Vec<Value> {
         self.key_slots.iter().map(|&s| row[s]).collect()
-    }
-
-    /// Inverts [`TriggerPlan::trigger_key`]: reconstructs the full body
-    /// row from a trigger key. `key_slots` maps ascending-variable order
-    /// to body slots and covers every slot exactly once (each body
-    /// variable has one slot), so the key *is* the row, permuted — this is
-    /// what lets snapshot persistence store only `(tgd, key)` per firing
-    /// and still rebuild the firing's body atoms on load.
-    pub fn row_from_key(&self, key: &[Value]) -> Vec<Value> {
-        debug_assert_eq!(key.len(), self.key_slots.len());
-        let mut row = vec![Value::Null(0); self.key_slots.len()];
-        for (&s, &v) in self.key_slots.iter().zip(key) {
-            row[s] = v;
-        }
-        row
     }
 
     /// Fires the trigger witnessed by `row`: instantiates the head with
@@ -222,10 +226,12 @@ impl TriggerPlan {
         }
     }
 
-    /// Grounds the body atoms witnessed by `row` — the firing's support
-    /// set. Restricted-chase level tracking reads derivation depth off
-    /// these, and maintenance records them as the firing's dependencies.
-    pub fn ground_body(&self, row: &[Value]) -> Vec<GroundAtom> {
+    /// Grounds the body atoms of the firing with trigger key `key`, in
+    /// body order — its support set. The key is the whole body valuation
+    /// (each body variable at its ascending-order position), so this
+    /// needs nothing else.
+    pub fn body_from_key(&self, key: &[Value]) -> Vec<GroundAtom> {
+        debug_assert_eq!(key.len(), self.key_slots.len());
         self.body_atoms
             .iter()
             .map(|a| {
@@ -235,7 +241,7 @@ impl TriggerPlan {
                         .iter()
                         .map(|t| match *t {
                             BodyArg::Const(c) => c,
-                            BodyArg::Slot(s) => row[s as usize],
+                            BodyArg::Key(k) => key[k as usize],
                         })
                         .collect(),
                 )
@@ -298,25 +304,16 @@ mod tests {
     }
 
     #[test]
-    fn row_from_key_inverts_trigger_key() {
-        // Out-of-order body variables: slot order (first occurrence) is
-        // Y, X while key order (ascending var) is X, Y.
-        let tgds = parse_tgds("R(Y,X), S(X,Z) -> T(X)").unwrap();
+    fn body_from_key_grounds_the_body_of_a_fired_row() {
+        // A shared variable and a constant: the key holds each variable
+        // once, the body repeats X and carries `red`.
+        let tgds = parse_tgds("R(Y,X), S(X,Z,red) -> T(X)").unwrap();
         let plan = TriggerPlan::new(&tgds[0], 0);
-        let row = vec![v("a"), v("b"), v("c")];
-        let key = plan.trigger_key(&row);
-        assert_eq!(plan.row_from_key(&key), row);
-    }
-
-    #[test]
-    fn ground_body_reconstructs_the_witness_atoms() {
-        let tgds = parse_tgds("R(X,Y), S(Y, red) -> T(X)").unwrap();
-        let plan = TriggerPlan::new(&tgds[0], 0);
-        // Slot order is first-occurrence: X then Y.
-        let body = plan.ground_body(&[v("a"), v("b")]);
+        let row = [v("a"), v("b"), v("c")];
+        let body = plan.body_from_key(&plan.trigger_key(&row));
         assert_eq!(body.len(), 2);
         assert_eq!(body[0], GroundAtom::named("R", &["a", "b"]));
-        assert_eq!(body[1], GroundAtom::named("S", &["b", "red"]));
+        assert_eq!(body[1], GroundAtom::named("S", &["b", "c", "red"]));
     }
 
     #[test]

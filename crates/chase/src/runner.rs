@@ -24,8 +24,8 @@
 //!
 //! [`run`]: ChaseRunner::run
 
-use crate::cert::FiringRecord;
-use crate::engine::{ChaseBudget, ChaseResult, Delta, FiringObserver, ObliviousChase};
+use crate::engine::{ChaseBudget, ChaseResult, Delta, ObliviousChase};
+use crate::plan::Firing;
 use crate::tgd::Tgd;
 use gtgd_data::{obs, Instance};
 
@@ -91,23 +91,23 @@ impl<'a> ChaseRunner<'a> {
 
     /// Enables derivation-provenance capture: the result's
     /// [`firings`](ChaseResult::firings) will list every trigger firing
-    /// ([`FiringRecord`]) in firing order, collected by this run alone, so
-    /// concurrent certified runs neither mix nor wait on each other. This
-    /// is the raw material for answer certificates (see the `cert`
-    /// module).
+    /// ([`Firing`]) in firing order, the engine's own log collected by
+    /// this run alone, so concurrent certified runs neither mix nor wait
+    /// on each other. This is the raw material for answer certificates
+    /// (see the `cert` module).
     pub fn certify(mut self, on: bool) -> Self {
         self.certify = on;
         self
     }
 
-    fn run_now(&self, db: &Instance, observer: &mut impl FiringObserver) -> ChaseResult {
+    fn run_now(&self, db: &Instance, log: Option<&mut Vec<Firing>>) -> ChaseResult {
         let _span = obs::span(match self.variant {
             ChaseVariant::Oblivious => "chase.oblivious",
             ChaseVariant::Restricted => "chase.restricted",
         });
         let mut state = ObliviousChase::new(self.tgds, db.clone(), self.variant);
         let mut levels = vec![0usize; db.len()];
-        let run = state.run(Delta::Since(0), &self.budget, Some(&mut levels), observer);
+        let run = state.run(Delta::Since(0), &self.budget, Some(&mut levels), log);
         ChaseResult {
             instance: state.instance,
             levels,
@@ -121,14 +121,16 @@ impl<'a> ChaseRunner<'a> {
 
     /// Runs the configured chase on `db`.
     pub fn run(&self, db: &Instance) -> ChaseResult {
-        if self.certify {
-            let mut firings: Vec<FiringRecord> = Vec::new();
-            let mut result = self.run_traced(db, &mut firings);
-            result.firings = Some(firings);
+        let mut firings = self.certify.then(Vec::new);
+        let mut result = if self.trace {
+            let (mut result, report) = obs::trace_run(|| self.run_now(db, firings.as_mut()));
+            result.report = Some(report);
             result
         } else {
-            self.run_traced(db, &mut ())
-        }
+            self.run_now(db, firings.as_mut())
+        };
+        result.firings = firings;
+        result
     }
 
     /// Builds a [`crate::MaintainedInstance`]: chases `db` to its fixpoint
@@ -151,16 +153,6 @@ impl<'a> ChaseRunner<'a> {
             "maintenance is oblivious-only: the restricted fixpoint is order-dependent"
         );
         crate::MaintainedInstance::new(db, self.tgds, self.budget)
-    }
-
-    fn run_traced(&self, db: &Instance, observer: &mut impl FiringObserver) -> ChaseResult {
-        if self.trace {
-            let (mut result, report) = obs::trace_run(|| self.run_now(db, observer));
-            result.report = Some(report);
-            result
-        } else {
-            self.run_now(db, observer)
-        }
     }
 }
 
@@ -243,17 +235,13 @@ mod tests {
         assert_eq!(firings[1].tgd, 1);
         // Every recorded head atom is in the materialized instance.
         for f in &firings {
-            for a in &f.atoms {
+            for a in &f.products {
                 assert!(result.instance.contains(a));
             }
         }
         // The second firing bound its existential to a fresh null.
-        assert!(f_null(&firings[1].val));
+        assert!(matches!(firings[1].products[0].args[1], Value::Null(_)));
         // Uncertified runs carry no firings.
         assert!(ChaseRunner::new(&tgds).run(&d).firings.is_none());
-    }
-
-    fn f_null(val: &[(u32, Value)]) -> bool {
-        val.iter().any(|(_, v)| matches!(v, Value::Null(_)))
     }
 }

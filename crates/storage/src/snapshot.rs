@@ -47,7 +47,7 @@
 
 use crate::bytes::{fnv1a64x8, Reader, Writer};
 use crate::log::{self, log_path, suffixed};
-use gtgd_chase::{FiringExport, MaintainExport, MaintainedInstance, Tgd};
+use gtgd_chase::{Firing, MaintainExport, MaintainedInstance, Tgd};
 use gtgd_data::{
     DenseExport, DenseTableExport, DenseTrieExport, GroundAtom, Instance, Predicate, Symbol, Value,
 };
@@ -215,7 +215,7 @@ impl LoadedSnapshot {
             for _ in 0..nproducts {
                 products.push(get_atom(&mut r, syms).map_err(mal)?);
             }
-            firings.push(FiringExport { tgd, key, products });
+            firings.push(Firing { tgd, key, products });
         }
         r.finish().map_err(mal)?;
         Ok(MaintainExport {

@@ -7,10 +7,10 @@
 
 use gtgd::chase::{
     chase, parse_tgds, restricted_chase, satisfies_all, ChaseBudget, ChaseRunner, ChaseVariant,
-    FiringRecord, Tgd,
+    Firing, Tgd,
 };
 use gtgd::data::{GroundAtom, Instance, Rng, Value};
-use gtgd::query::{evaluate_cq, instance_isomorphic, parse_cq, CompiledQuery, Cq, Engine, Var};
+use gtgd::query::{evaluate_cq, instance_isomorphic, parse_cq, CompiledQuery, Cq, Engine};
 use std::collections::HashSet;
 
 const WIDTHS: [usize; 3] = [1, 2, 4];
@@ -118,23 +118,25 @@ fn engine_facade_matches_legacy_answers() {
 /// firing's head may already hold, with its frontier as the firing bound
 /// it, in the atoms present before it (the database plus the earlier
 /// firings' products). Returns the replayed instance.
-fn replay_restricted(d: &Instance, sigma: &[Tgd], firings: &[FiringRecord], ctx: &str) -> Instance {
+fn replay_restricted(d: &Instance, sigma: &[Tgd], firings: &[Firing], ctx: &str) -> Instance {
     let mut live = d.clone();
     for (i, f) in firings.iter().enumerate() {
         let tgd = &sigma[f.tgd];
         let frontier = tgd.frontier();
         let head = CompiledQuery::compile(&tgd.head);
-        let bound = f
-            .val
-            .iter()
-            .filter(|(v, _)| frontier.contains(&Var(*v)))
-            .map(|&(v, value)| (head.slot_of(Var(v)).unwrap(), value));
+        // The key binds the body variables in ascending order.
+        let bound = tgd
+            .body_vars()
+            .into_iter()
+            .zip(f.key.iter().copied())
+            .filter(|(v, _)| frontier.contains(v))
+            .map(|(v, value)| (head.slot_of(v).unwrap(), value));
         assert!(
             !head.search(&live).fix_slots(bound).exists(),
             "{ctx}: firing {i} of rule {} was not active",
             f.tgd
         );
-        for a in &f.atoms {
+        for a in &f.products {
             live.insert(a.clone());
         }
     }

@@ -11,10 +11,15 @@
 //! by different engines for the same case state the identical fact base
 //! (sorted database atoms), so a certificate is evidence about the
 //! *database*, not about which engine happened to produce it.
+//!
+//! The firing log is one record shared by certified runs and the
+//! maintained instance's dependency index, so the last case certifies
+//! straight from a `MaintainedInstance`'s exported log across DRed.
 
 use gtgd::chase::{CertificateStore, ChaseBudget, ChaseRunner, ChaseVariant, Tgd};
-use gtgd::data::{GroundAtom, Instance, Rng};
+use gtgd::data::{GroundAtom, Instance, Rng, Value};
 use gtgd::query::{parse_cq, Cq, Strategy};
+use std::collections::BTreeSet;
 
 /// The guarded rule templates of the chase differential suites.
 fn rule_pool() -> Vec<Tgd> {
@@ -171,4 +176,104 @@ fn certificate_batches_round_trip() {
         let json = gtgd::chase::certificates_to_json(&certs);
         assert_eq!(gtgd_check::check_all(&json), Ok(certs.len()), "case {case}");
     }
+}
+
+/// The weakly acyclic pool of `differential_maintenance`: every subset
+/// has a terminating oblivious chase, `A(X) -> R(X,Y)` is the only
+/// null-creating rule, and the two-atom body gives firings more than one
+/// support to die through.
+fn terminating_pool() -> Vec<Tgd> {
+    gtgd::chase::parse_tgds(
+        "A(X) -> B(X). \
+         B(X) -> C(X). \
+         A(X) -> R(X,Y). \
+         R(X,Y) -> S(Y,X). \
+         R(X,Y), B(X) -> T(X,Y). \
+         S(X,Y) -> U(Y). \
+         T(X,Y) -> S(X,Y)",
+    )
+    .unwrap()
+}
+
+/// The certified null-free answers of every query, as `(query, answer)`
+/// pairs, from `store` over `instance`; each certificate must be accepted
+/// by the independent checker.
+fn certified_answers(
+    store: &CertificateStore,
+    instance: &Instance,
+    queries: &[Cq],
+    ctx: &str,
+) -> BTreeSet<(usize, Vec<Value>)> {
+    let mut answers = BTreeSet::new();
+    for (qi, q) in queries.iter().enumerate() {
+        for cert in store.certify_answers(q, instance, Strategy::Auto) {
+            let json = cert.to_json();
+            let parsed = gtgd_check::Certificate::from_json(&json)
+                .unwrap_or_else(|e| panic!("{ctx} {q}: unparsable: {e}"));
+            if let Err(e) = gtgd_check::check(&parsed) {
+                panic!("{ctx} {q}: rejected: {e}\n{json}");
+            }
+            answers.insert((qi, cert.answer));
+        }
+    }
+    answers
+}
+
+/// One firing log serves both readers across DRed: seeded insert/retract
+/// scripts over the terminating pool, and after every operation a
+/// certificate store built from the maintained instance's exported state
+/// (its base facts as the database, its alive firings as the log). Every
+/// certificate must be accepted, and the certified answers must equal
+/// those of a certified re-chase of the base. This pins that the alive
+/// firings stay in derivation order through over-delete, rescue,
+/// re-derive and compaction.
+#[test]
+fn maintained_firing_logs_certify_across_dred() {
+    let pool = terminating_pool();
+    let queries: Vec<Cq> = [
+        "Q(X) :- B(X)",
+        "Q(X) :- C(X), A(X)",
+        "Q(X,Y) :- R(X,Y), S(Y,X)",
+        "Q(Y) :- T(X,Y), U(Y)",
+        "Q(X) :- S(X,Y)",
+    ]
+    .iter()
+    .map(|src| parse_cq(src).unwrap())
+    .collect();
+    let (mut checked, mut rescues) = (0usize, 0usize);
+    for case in 0u64..128 {
+        let mut rng = Rng::seed(0xF1E1D ^ case);
+        let sigma = sigma_for_mask(&pool, (case % 127 + 1) as u8);
+        let atoms: Vec<GroundAtom> = arb_db(&mut rng).iter().cloned().collect();
+        let mut base: Vec<GroundAtom> = atoms[..atoms.len().div_ceil(2)].to_vec();
+        let mut m = ChaseRunner::new(&sigma).maintain(&Instance::from_atoms(base.clone()));
+        for step in 0..12 {
+            let ctx = format!("case {case} step {step}");
+            if base.is_empty() || rng.chance(0.5) {
+                let a = atoms[rng.range(0, atoms.len())].clone();
+                if !base.contains(&a) {
+                    base.push(a.clone());
+                }
+                m.insert([a]);
+            } else {
+                let n = rng.range(1, base.len().min(2) + 1);
+                let victims: Vec<GroundAtom> = (0..n)
+                    .map(|_| base.swap_remove(rng.range(0, base.len())))
+                    .collect();
+                rescues += usize::from(m.retract(victims).atoms_rederived > 0);
+            }
+            let state = m.export_state();
+            let db = Instance::from_atoms(state.base);
+            let store = CertificateStore::new(&db, &sigma, state.firings);
+            let maintained = certified_answers(&store, m.instance(), &queries, &ctx);
+            let scratch = ChaseRunner::new(&sigma).certify(true).run(&db);
+            assert!(scratch.complete, "{ctx}: terminating pool");
+            let store = CertificateStore::new(&db, &sigma, scratch.firings.unwrap());
+            let rechased = certified_answers(&store, &scratch.instance, &queries, &ctx);
+            assert_eq!(maintained, rechased, "{ctx}: certified answers");
+            checked += maintained.len();
+        }
+    }
+    assert!(checked > 1500, "only {checked} certificates checked");
+    assert!(rescues > 10, "only {rescues} retractions rescued an atom");
 }
