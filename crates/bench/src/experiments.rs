@@ -771,53 +771,44 @@ pub fn e12_engine_shootout() -> ExperimentTable {
     }
 }
 
-/// E13 — typed-chase telemetry: the number of distinct canonical Σ-types is
-/// a function of Σ alone (the ExpTime bound's practical face); bag counts
-/// grow with the data, the type memo does not.
+/// E13 — type telemetry of the exact open-world path: the number of
+/// distinct canonical Σ-types the piece saturation interns is a function of
+/// Σ and the query alone (the ExpTime bound's practical face); the ground
+/// atoms grow with the data, the type memo does not.
 pub fn e13_type_telemetry() -> ExperimentTable {
-    use gtgd_chase::{typed_chase_with, DepthPolicy, Saturator};
+    use gtgd_chase::piece_saturation;
     let org = org_ontology();
+    let q = parse_ucq("Q(X) :- Emp(X), WorksIn(X,D), HasMgr(D,M)").unwrap();
     let mut rows = Vec::new();
     for &n in &[10usize, 50, 200] {
         let db = org_db(n);
-        let mut sat = Saturator::new(&org);
-        let t = typed_chase_with(
-            &db,
-            &org,
-            DepthPolicy::Adaptive {
-                extra_levels: 3,
-                max_level: 32,
-            },
-            &mut sat,
-        );
+        let ms = bench_ms(|| piece_saturation(&db, &org, &q));
+        let p = piece_saturation(&db, &org, &q);
         rows.push(vec![
             n.to_string(),
             db.len().to_string(),
-            t.bag_count.to_string(),
-            t.max_level.to_string(),
-            sat.type_count().to_string(),
-            t.instance.len().to_string(),
-            t.saturated.to_string(),
+            p.type_count.to_string(),
+            p.instance.len().to_string(),
+            fmt_ms(ms),
         ]);
     }
     ExperimentTable {
         id: "E13".into(),
-        title: "Typed-chase telemetry: bags grow with data, types do not".into(),
+        title: "Piece-saturation telemetry: atoms grow with data, types do not".into(),
         claim: "DESIGN §2 / Lemma A.3: reachable canonical types depend only \
-                on Σ (the bounded-arity ExpTime bound)"
+                on Σ and the query (the bounded-arity ExpTime bound)"
             .into(),
         columns: vec![
             "n".into(),
             "|D|".into(),
-            "bags".into(),
-            "max level".into(),
             "canonical types".into(),
-            "chase atoms".into(),
-            "saturated".into(),
+            "ground atoms".into(),
+            "ms".into(),
         ],
         rows,
-        notes: "The type-memo column is flat across a 20× data sweep — the \
-                data-independence that makes the FPT algorithm work."
+        notes: "The type column is flat across a 20× data sweep — the \
+                data-independence that makes the FPT algorithm work; the \
+                ground saturation (with its piece atoms) grows linearly."
             .into(),
     }
 }
@@ -1224,7 +1215,7 @@ mod tests {
     #[test]
     fn type_memo_is_data_independent() {
         let t = e13_type_telemetry();
-        let counts: Vec<&String> = t.rows.iter().map(|r| &r[4]).collect();
+        let counts: Vec<&String> = t.rows.iter().map(|r| &r[2]).collect();
         assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
     }
 

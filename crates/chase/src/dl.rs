@@ -431,25 +431,12 @@ pub fn parse_dl_ontology(src: &str) -> Result<Vec<Tgd>, DlParseError> {
 }
 
 /// ABox consistency: whether the chase of `db` under a translated TBox
-/// never derives the `⊥` marker. Returns `None` when the adaptive typed
-/// chase hit its hard level cap without saturating (undetermined).
-pub fn abox_consistent(tgds: &[Tgd], db: &gtgd_data::Instance) -> Option<bool> {
-    let result = crate::typed_chase::typed_chase(
-        db,
-        tgds,
-        crate::typed_chase::DepthPolicy::Adaptive {
-            extra_levels: 2,
-            max_level: 64,
-        },
-    );
-    if !result.saturated {
-        return None;
-    }
-    let inconsistent = result
-        .instance
-        .iter()
-        .any(|a| a.predicate == bottom_predicate());
-    Some(!inconsistent)
+/// never derives the `⊥` marker, decided exactly by running
+/// `Q() :- __Bot(X)` through [`crate::piece_saturation`].
+pub fn abox_consistent(tgds: &[Tgd], db: &gtgd_data::Instance) -> bool {
+    let bot = gtgd_query::parse_ucq(&format!("Q() :- {}(X)", bottom_predicate())).unwrap();
+    let p = crate::piece_saturation(db, tgds, &bot);
+    !gtgd_query::ucq_holds_boolean(&p.query, &p.instance)
 }
 
 #[cfg(test)]
@@ -564,12 +551,44 @@ mod tests {
         let tgds = parse_dl_ontology("Cat < Animal; Cat & Robot < bot; Animal < exists eats. Food")
             .unwrap();
         let ok = Instance::from_atoms([GroundAtom::named("Cat", &["tom"])]);
-        assert_eq!(abox_consistent(&tgds, &ok), Some(true));
+        assert!(abox_consistent(&tgds, &ok));
         let clash = Instance::from_atoms([
             GroundAtom::named("Cat", &["r2"]),
             GroundAtom::named("Robot", &["r2"]),
         ]);
-        assert_eq!(abox_consistent(&tgds, &clash), Some(false));
+        assert!(!abox_consistent(&tgds, &clash));
+    }
+
+    #[test]
+    fn abox_inconsistency_at_chase_depth_63_is_decided() {
+        // A 6-bit counter: from T1, a chain of guard bags counts 0..63, and
+        // ⊥ fires only at 63 (all bits one), 63 levels below the database.
+        let n = 6;
+        let mut rules: Vec<String> = Vec::new();
+        for i in 0..n {
+            rules.push(format!("T1(X1,X2,X3) -> Bz{i}(X1,X2,X3)"));
+            rules.push(format!("Bz{i}(X1,X2,X3) -> G(X1,X2,X3,Y1,Y2,Y3), S(X1,Y1)"));
+            let mut body = vec!["G(X1,X2,X3,Y1,Y2,Y3)".to_string()];
+            body.extend((0..i).map(|j| format!("Bo{j}(X1,X2,X3)")));
+            body.push(format!("Bz{i}(X1,X2,X3)"));
+            let mut head = vec![format!("Bo{i}(Y1,Y2,Y3)")];
+            head.extend((0..i).map(|j| format!("Bz{j}(Y1,Y2,Y3)")));
+            rules.push(format!("{} -> {}", body.join(", "), head.join(", ")));
+            for j in i + 1..n {
+                for bit in ["Bz", "Bo"] {
+                    let copy = format!("{}, {bit}{j}(X1,X2,X3)", body.join(", "));
+                    rules.push(format!("{copy} -> {bit}{j}(Y1,Y2,Y3)"));
+                }
+            }
+        }
+        let all_ones: Vec<String> = (0..n).map(|i| format!("Bo{i}(X1,X2,X3)")).collect();
+        rules.push(format!("{} -> __Bot(X1)", all_ones.join(", ")));
+        let tgds = crate::tgd::parse_tgds(&rules.join(". ")).unwrap();
+        assert!(tgds.iter().all(|t| t.is_in(TgdClass::Guarded)));
+        let db = Instance::from_atoms([GroundAtom::named("T1", &["c1", "c2", "c3"])]);
+        assert!(!abox_consistent(&tgds, &db));
+        let quiet = Instance::from_atoms([GroundAtom::named("T2", &["c1", "c2", "c3"])]);
+        assert!(abox_consistent(&tgds, &quiet));
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! plus the guarded-specific machinery the paper's algorithms rely on:
 //! Σ-types, the ground saturation `chase↓` (the paper's `complete`; one
 //! implementation, [`ground_saturation`], run on a memoizing [`Saturator`])
-//! and `type_{D,Σ}`,
-//! the typed (level-bounded, type-closed) chase behind the FPT algorithm of
-//! Prop 3.3(3), guarded unraveling (Appendix D.1), and finite universal
-//! models for terminating fragments (the realization of finite witnesses we
-//! use in place of the paper's GNFO construction — see DESIGN.md §3).
+//! and `type_{D,Σ}`; exact certain answers with no depth bound behind
+//! Prop 3.3(3) ([`piece_saturation`]: the query compiles to piece rules that
+//! the same saturator closes alongside Σ); guarded unraveling (Appendix
+//! D.1); and finite universal models for terminating fragments (the
+//! realization of finite witnesses we use in place of the paper's GNFO
+//! construction — see DESIGN.md §3).
 //!
 //! Both chase variants, oblivious and restricted, run through one builder,
 //! [`ChaseRunner`], and return one [`ChaseResult`]; [`chase`] and
@@ -33,12 +34,12 @@ pub mod dl;
 pub mod engine;
 pub mod linearize;
 pub mod maintain;
+pub mod pieces;
 pub(crate) mod plan;
 pub mod restricted;
 pub mod rewrite;
 pub mod runner;
 pub mod tgd;
-pub mod typed_chase;
 pub mod types;
 pub mod unravel;
 pub mod witness;
@@ -52,12 +53,12 @@ pub use dl::{
 pub use engine::{chase, ChaseBudget, ChaseResult};
 pub use linearize::{linearize, Linearization};
 pub use maintain::{MaintainExport, MaintainedInstance, MaintenanceReport};
+pub use pieces::{piece_saturation, PieceSaturation};
 pub use plan::Firing;
 pub use restricted::restricted_chase;
 pub use rewrite::linear_rewrite;
 pub use runner::{ChaseRunner, ChaseVariant};
 pub use tgd::{parse_tgd, parse_tgds, satisfies, satisfies_all, Tgd, TgdClass};
-pub use typed_chase::{typed_chase, typed_chase_with, DepthPolicy, TypedChaseResult};
 pub use types::{ground_saturation, type_of_atom, CanonType, Saturator};
 pub use unravel::{guarded_unraveling, k_unraveling};
 pub use witness::{finite_witness, WitnessError};

@@ -10,22 +10,21 @@
 //!   existential-head firing inside a type's closure, discovered by a
 //!   breadth-first exploration of the type-transition graph. Each firing
 //!   runs through its TGD's compiled trigger plan and builds the child bag
-//!   with the step the saturator and the typed chase share
-//!   (`types::child_bag`);
+//!   with the saturator's own step (`types::child_bag`);
 //! * the *expander* `Σ*_ex`: `[τ](x̄) → R(x̄|_args)` for every atom the type
 //!   contains.
 //!
 //! `chase(D*, Σ*)` then reproduces `chase(D, Σ)` atom-for-atom on the
-//! original schema (up to null renaming) — which the tests verify against
-//! the typed chase, giving an independent implementation of the paper's
-//! FPT pipeline.
+//! original schema (up to null renaming) — which the integration tests
+//! verify on queries against the typed-chase reference in `tests/common`,
+//! giving an independent implementation of the paper's FPT pipeline.
 
 use crate::plan::TriggerPlan;
-use crate::tgd::{Tgd, TgdClass};
+use crate::tgd::Tgd;
 use crate::types::{canonicalize, child_bag, guarded_bags, restriction, CanonType, Saturator};
 use gtgd_data::{GroundAtom, Instance, Predicate, Value};
 use gtgd_query::{QAtom, Term, Var};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// The output of the linearization.
 #[derive(Debug, Clone)]
@@ -59,18 +58,13 @@ fn type_predicate(id: usize) -> Predicate {
     Predicate::new(&format!("__type{id}"))
 }
 
-/// Builds the explicit `(D*, Σ*)` for a guarded, constant-free Σ.
+/// Builds the explicit `(D*, Σ*)` for a guarded, constant-free Σ (the
+/// saturator panics on any other Σ).
 ///
 /// `max_types` caps the type-transition exploration (the paper's Σ* ranges
 /// over *all* Σ-types, exponentially many; only reachable ones matter, and
 /// the cap fails loudly rather than exploding).
 pub fn linearize(db: &Instance, tgds: &[Tgd], max_types: usize) -> Linearization {
-    for t in tgds {
-        assert!(
-            t.is_in(TgdClass::Guarded),
-            "linearization requires guarded TGDs"
-        );
-    }
     let mut sat = Saturator::new(tgds);
     let ground = sat.ground_saturation(db);
     let mut registry = Registry {
@@ -112,7 +106,7 @@ pub fn linearize(db: &Instance, tgds: &[Tgd], max_types: usize) -> Linearization
             }
             let rows = plan.body.search(&bag).table();
             for row in rows.rows() {
-                let (child_consts, child) = child_bag(plan, row, &bag);
+                let (child_consts, child) = child_bag(plan, row, &bag, &HashSet::new());
                 let closed = sat.close_bag(&child, &child_consts);
                 let (child_key, child_perm) = canonicalize(&closed, &child_consts);
                 let (child_id, new) = registry.intern(child_key);
@@ -184,9 +178,7 @@ pub fn linearize(db: &Instance, tgds: &[Tgd], max_types: usize) -> Linearization
 mod tests {
     use super::*;
     use crate::engine::{chase, ChaseBudget};
-    use crate::tgd::parse_tgds;
-    use crate::typed_chase::{typed_chase, DepthPolicy};
-    use gtgd_query::{holds_boolean, parse_cq};
+    use crate::tgd::{parse_tgds, TgdClass};
 
     fn db(atoms: &[(&str, &[&str])]) -> Instance {
         Instance::from_atoms(atoms.iter().map(|(p, args)| GroundAtom::named(p, args)))
@@ -200,37 +192,6 @@ mod tests {
         assert!(lin.type_count >= 1);
         for r in &lin.sigma_star {
             assert!(r.is_in(TgdClass::Linear), "not linear: {r}");
-        }
-    }
-
-    #[test]
-    fn expanded_chase_matches_typed_chase_on_queries() {
-        let tgds = parse_tgds("Dept(D) -> HasMgr(D,M), Emp(M). Emp(M) -> WorksIn(M,D2), Dept(D2)")
-            .unwrap();
-        let d = db(&[("Dept", &["sales"])]);
-        let lin = linearize(&d, &tgds, 256);
-        // Chase D* with the linear rules, bounded level (Lemma A.1).
-        let expanded = chase(&lin.d_star, &lin.sigma_star, &ChaseBudget::levels(8));
-        let reference = typed_chase(
-            &d,
-            &tgds,
-            DepthPolicy::Adaptive {
-                extra_levels: 5,
-                max_level: 24,
-            },
-        );
-        assert!(reference.saturated);
-        for q_src in [
-            "Q() :- HasMgr(D,M), WorksIn(M,D2)",
-            "Q() :- WorksIn(M,D2), HasMgr(D2,M2), WorksIn(M2,D3)",
-            "Q() :- Emp(M), WorksIn(M,D), HasMgr(D,M2), Emp(M2)",
-        ] {
-            let q = parse_cq(q_src).unwrap();
-            assert_eq!(
-                holds_boolean(&q, &expanded.instance),
-                holds_boolean(&q, &reference.instance),
-                "disagreement on {q_src}"
-            );
         }
     }
 

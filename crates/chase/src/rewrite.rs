@@ -20,13 +20,8 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 pub fn linear_rewrite(q: &Ucq, sigma: &[Tgd]) -> Ucq {
     for t in sigma {
         assert!(t.is_in(TgdClass::Linear), "linear_rewrite needs Σ ⊆ L: {t}");
-        let constant_free = t
-            .body
-            .iter()
-            .chain(t.head.iter())
-            .all(|a| a.args.iter().all(|x| matches!(x, Term::Var(_))));
         assert!(
-            constant_free,
+            t.is_constant_free(),
             "linear_rewrite needs constant-free TGDs: {t}"
         );
     }

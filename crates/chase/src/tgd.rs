@@ -131,6 +131,12 @@ impl Tgd {
         }
     }
 
+    /// Whether every argument of every atom is a variable.
+    pub fn is_constant_free(&self) -> bool {
+        (self.body.iter().chain(&self.head))
+            .all(|a| a.args.iter().all(|t| matches!(t, Term::Var(_))))
+    }
+
     /// Number of head atoms (the `m` of `FG_m`).
     pub fn head_atom_count(&self) -> usize {
         self.head.len()

@@ -10,7 +10,7 @@
 //!   once as one worklist fixpoint; every memo entry is exact once the
 //!   worklist drains,
 //! * `child_bag`: the one "existential trigger → child bag" step, shared
-//!   by the saturator, the typed chase and the linearization,
+//!   by the saturator and the linearization,
 //! * [`ground_saturation`]: `chase↓(D, Σ)` — the ground part of the chase,
 //!   i.e. every atom over `dom(D)` entailed by `D` and Σ (the paper's
 //!   `complete(D, Σ)` and the `D⁺` of Section 6.2). Each round re-closes
@@ -22,12 +22,10 @@
 //! This is the ExpTime (for bounded arity) decision machinery that the paper
 //! invokes from \[14\]/\[24\]; only *reachable* types are ever materialized.
 
-use crate::plan::TriggerPlan;
+use crate::plan::{BodyAtomPlan, TriggerPlan};
 use crate::tgd::{Tgd, TgdClass};
 use gtgd_data::{obs, GroundAtom, Instance, Predicate, Value};
-use gtgd_query::Term;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-use std::marker::PhantomData;
 use std::time::Instant;
 
 /// An atom in canonical coordinates: arguments are positions `0..width`.
@@ -74,8 +72,8 @@ pub fn canonicalize(atoms: &Instance, consts: &[Value]) -> (CanonType, Vec<Value
 
 /// Canonicalizes while keeping `rigid` constants pinned at positions
 /// `0..rigid.len()` in the given order; only `flexible` constants are
-/// permuted. Used for the blocking signatures of the typed chase, where
-/// inherited constants must not be anonymized relative to each other.
+/// permuted, so constants shared with an enclosing structure keep their
+/// identity relative to each other.
 pub fn canonicalize_rigid(
     atoms: &Instance,
     rigid: &[Value],
@@ -211,40 +209,46 @@ struct TypeEntry {
 /// nothing more is added; a type whose closure grew requeues every type
 /// that imported it. Closures only grow, within finitely many atoms, so
 /// the worklist drains, and then every interned closure is exact.
-pub struct Saturator<'a> {
+pub struct Saturator {
     plans: Vec<TriggerPlan>,
+    /// The piece rules' head predicates, which no child bag inherits.
+    pieces: HashSet<Predicate>,
     ids: HashMap<CanonType, usize>,
     types: Vec<TypeEntry>,
     queue: VecDeque<usize>,
-    rules: PhantomData<&'a [Tgd]>,
 }
 
-impl<'a> Saturator<'a> {
+impl Saturator {
     /// Creates a saturator. Panics unless every TGD is guarded and
     /// constant-free (the paper's standing assumptions for this machinery).
-    pub fn new(tgds: &'a [Tgd]) -> Saturator<'a> {
+    pub fn new(tgds: &[Tgd]) -> Saturator {
         for t in tgds {
             assert!(
                 t.is_in(TgdClass::Guarded),
                 "the type machinery requires guarded TGDs: {t}"
             );
-            let constant_free = t
-                .body
-                .iter()
-                .chain(t.head.iter())
-                .all(|a| a.args.iter().all(|arg| matches!(arg, Term::Var(_))));
             assert!(
-                constant_free,
+                t.is_constant_free(),
                 "the type machinery requires constant-free TGDs: {t}"
             );
         }
         Saturator {
             plans: TriggerPlan::compile_all(tgds),
+            pieces: HashSet::new(),
             ids: HashMap::new(),
             types: Vec::new(),
             queue: VecDeque::new(),
-            rules: PhantomData,
         }
+    }
+
+    /// A saturator that also closes the query's piece rules ([`crate::pieces`]),
+    /// which need not be guarded: a full rule fired inside one bag is sound.
+    pub(crate) fn with_pieces(tgds: &[Tgd], pieces: &[Tgd]) -> Saturator {
+        let mut sat = Saturator::new(tgds);
+        sat.pieces = pieces.iter().map(|t| t.head[0].predicate).collect();
+        let plans = (pieces.iter().enumerate()).map(|(i, t)| TriggerPlan::new(t, tgds.len() + i));
+        sat.plans.extend(plans);
+        sat
     }
 
     /// Number of distinct canonical types materialized so far (telemetry for
@@ -309,17 +313,31 @@ impl<'a> Saturator<'a> {
         // Taken out for the loop: interning child types borrows `self`.
         let plans = std::mem::take(&mut self.plans);
         let (mut nulls, mut head) = (Vec::new(), Vec::new());
+        // Child closures are fixed until this evaluation ends: re-importing
+        // an unchanged child bag gives nothing.
+        let mut imported: HashSet<(usize, Vec<Value>, usize)> = HashSet::new();
         loop {
             let mut grew = false;
             for plan in &plans {
+                // A rule whose body predicate the bag lacks cannot fire.
+                let held =
+                    |a: &BodyAtomPlan| !bag.atoms_with_pred(a.predicate, a.args.len()).is_empty();
+                if !plan.body_atoms.iter().all(held) {
+                    continue;
+                }
                 let rows = plan.body.search(&bag).table();
                 for row in rows.rows() {
                     if plan.n_exist == 0 {
                         plan.fire_row(row, &mut nulls, &mut head);
-                        grew |= bag.insert_batch(head.drain(..)) > 0;
+                        for a in head.drain(..) {
+                            grew |= bag.insert(a);
+                        }
                         continue;
                     }
-                    let (child_consts, child) = child_bag(plan, row, &bag);
+                    let (child_consts, child) = child_bag(plan, row, &bag, &self.pieces);
+                    if !imported.insert((plan.index, row.to_vec(), child.len())) {
+                        continue;
+                    }
                     let (key, perm) = canonicalize(&child, &child_consts);
                     let child = self.intern(key);
                     let entry = &mut self.types[child];
@@ -327,10 +345,10 @@ impl<'a> Saturator<'a> {
                         entry.importers.push(id);
                     }
                     // Import what the child knows over our constants.
+                    let ours: Vec<bool> = perm.iter().map(|v| consts.contains(v)).collect();
                     for t in &entry.closure {
-                        let a = decode_atom(t, &perm);
-                        if a.args.iter().all(|v| consts.contains(v)) {
-                            grew |= bag.insert(a);
+                        if t.args.iter().all(|&p| ours[p as usize]) {
+                            grew |= bag.insert(decode_atom(t, &perm));
                         }
                     }
                 }
@@ -340,12 +358,8 @@ impl<'a> Saturator<'a> {
             }
         }
         self.plans = plans;
-        let position: HashMap<Value, u8> = consts
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i as u8))
-            .collect();
-        let closure = encode(&bag, &position);
+        let position = consts.iter().enumerate().map(|(i, &v)| (v, i as u8));
+        let closure = encode(&bag, &position.collect());
         if closure.len() > self.types[id].closure.len() {
             self.types[id].closure = closure;
             for i in self.types[id].importers.clone() {
@@ -398,11 +412,12 @@ impl<'a> Saturator<'a> {
 /// `plan`, witnesses in the bag `parent`. Returns the child's constants —
 /// the frontier images in [`Tgd::frontier`] order without repeats, then
 /// the firing's fresh nulls — and its atoms: the head atoms, then the
-/// atoms of `parent` over those constants.
+/// atoms of `parent` over those constants whose predicate is not in `skip`.
 pub(crate) fn child_bag(
     plan: &TriggerPlan,
     row: &[Value],
     parent: &Instance,
+    skip: &HashSet<Predicate>,
 ) -> (Vec<Value>, Instance) {
     let mut consts: Vec<Value> = Vec::new();
     for &(_, slot) in &plan.frontier_links {
@@ -413,11 +428,17 @@ pub(crate) fn child_bag(
     let (mut nulls, mut head) = (Vec::new(), Vec::new());
     plan.fire_row(row, &mut nulls, &mut head);
     consts.extend_from_slice(&nulls);
+    head.sort_unstable();
+    head.dedup();
+    let over = |a: &&GroundAtom| a.args.iter().all(|v| consts.contains(v));
     let inherited = parent
         .iter()
-        .filter(|a| a.args.iter().all(|v| consts.contains(v)));
-    let atoms = Instance::from_atoms(head.into_iter().chain(inherited.cloned()));
-    (consts, atoms)
+        .filter(over)
+        .filter(|a| !skip.contains(&a.predicate));
+    let inherited: Vec<GroundAtom> = inherited.filter(|a| !head.contains(a)).cloned().collect();
+    head.extend(inherited);
+    // The atoms are distinct; a child bag needs no row indexes.
+    (consts, Instance::from_unique_atoms(head))
 }
 
 /// The guarded sets `dom(α)` of the atoms α of `inst`, sorted, in

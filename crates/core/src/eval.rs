@@ -1,29 +1,25 @@
 //! Open-world OMQ evaluation (Section 3.1).
 //!
 //! By Prop 3.1, `Q(D) = q(chase(D, Σ))`. For guarded, constant-free Σ the
-//! evaluator materializes the *typed chase* (the Lemma A.3 linearization:
-//! every bag closed, adaptive blocking depth) and evaluates the UCQ over the
-//! prefix — this is the FPT algorithm of Prop 3.3(3) when `q ∈ UCQ_k`,
-//! where the per-candidate check runs through the tree-decomposition DP of
-//! Prop 2.1. For other TGD classes it falls back to a budgeted oblivious
-//! chase and reports whether the result is exact.
+//! evaluator answers exactly with no depth bound: the UCQ compiles to piece
+//! rules that the saturator closes alongside Σ
+//! ([`gtgd_chase::piece_saturation`]), and a rewritten UCQ is evaluated
+//! over the ground saturation — the FPT algorithm of Prop 3.3(3) when
+//! `q ∈ UCQ_k`, where [`check_omq_fpt`] runs the candidate check through
+//! the tree-decomposition DP of Prop 2.1. For other TGD classes it falls
+//! back to a budgeted oblivious chase and reports whether the result is
+//! exact.
 
 use crate::omq::Omq;
-use gtgd_chase::{chase, typed_chase, ChaseBudget, DepthPolicy, TgdClass};
+use gtgd_chase::{chase, piece_saturation, ChaseBudget, Tgd, TgdClass};
 use gtgd_data::{Instance, Value};
 use gtgd_query::decomp_eval::check_answer_ucq_decomposed;
-use gtgd_query::{evaluate_ucq, Term};
+use gtgd_query::{evaluate_ucq, Ucq};
 use std::collections::HashSet;
 
 /// Evaluation configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalConfig {
-    /// Extra blocked levels for the adaptive typed chase; defaults to the
-    /// query's variable count (enough for any single-disjunct match to fit
-    /// under the blocking frontier).
-    pub extra_levels: Option<usize>,
-    /// Hard level cap for the typed chase.
-    pub max_level: usize,
     /// Budget for the fallback oblivious chase (non-guarded Σ).
     pub fallback_budget: ChaseBudget,
 }
@@ -31,8 +27,6 @@ pub struct EvalConfig {
 impl Default for EvalConfig {
     fn default() -> Self {
         EvalConfig {
-            extra_levels: None,
-            max_level: 64,
             fallback_budget: ChaseBudget {
                 max_level: Some(16),
                 max_atoms: Some(200_000),
@@ -42,8 +36,9 @@ impl Default for EvalConfig {
 }
 
 /// Certain answers, with an exactness flag: when `exact` is `false` the
-/// materialization budget ran out before saturation and the answer set is a
-/// (sound) under-approximation of `Q(D)`.
+/// fallback chase budget ran out before saturation and the answer set is a
+/// (sound) under-approximation of `Q(D)`. It is always `true` for guarded,
+/// constant-free Σ.
 #[derive(Debug, Clone)]
 pub struct OmqAnswers {
     /// The certain answers found (always sound).
@@ -52,70 +47,47 @@ pub struct OmqAnswers {
     pub exact: bool,
 }
 
-fn sigma_constant_free(q: &Omq) -> bool {
-    q.sigma.iter().all(|t| {
-        t.body
-            .iter()
-            .chain(t.head.iter())
-            .all(|a| a.args.iter().all(|arg| matches!(arg, Term::Var(_))))
-    })
-}
-
-/// Materializes a chase prefix suitable for evaluating `q.query`, returning
-/// the instance and whether it is exact (deep enough for completeness).
-pub fn materialize_chase(q: &Omq, db: &Instance, cfg: &EvalConfig) -> (Instance, bool) {
+/// The instance to evaluate over, the UCQ to evaluate there, and whether
+/// its answers are exactly `Q(D)`: the piece saturation for guarded,
+/// constant-free Σ, else the fallback chase with `q` itself.
+fn materialize(q: &Omq, db: &Instance, cfg: &EvalConfig) -> (Instance, Ucq, bool) {
     if q.sigma.is_empty() {
-        return (db.clone(), true);
-    }
-    if q.sigma_in(TgdClass::Guarded) && sigma_constant_free(q) {
-        let extra = cfg
-            .extra_levels
-            .unwrap_or_else(|| q.query.max_vars().max(1));
-        let t = typed_chase(
-            db,
-            &q.sigma,
-            DepthPolicy::Adaptive {
-                extra_levels: extra,
-                max_level: cfg.max_level,
-            },
-        );
-        (t.instance, t.saturated)
+        (db.clone(), q.query.clone(), true)
+    } else if q.sigma_in(TgdClass::Guarded) && q.sigma.iter().all(Tgd::is_constant_free) {
+        let p = piece_saturation(db, &q.sigma, &q.query);
+        (p.instance, p.query, true)
     } else {
         let r = chase(db, &q.sigma, &cfg.fallback_budget);
-        (r.instance, r.complete)
+        (r.instance, q.query.clone(), r.complete)
     }
 }
 
 /// `Q(D)`: the certain answers of the OMQ over an `S`-database (Prop 3.1).
 /// Only tuples over `dom(D)` qualify as answers.
 pub fn evaluate_omq(q: &Omq, db: &Instance, cfg: &EvalConfig) -> OmqAnswers {
-    let (instance, exact) = materialize_chase(q, db, cfg);
-    let answers = evaluate_ucq(&q.query, &instance)
+    let (instance, query, exact) = materialize(q, db, cfg);
+    let answers = evaluate_ucq(&query, &instance)
         .into_iter()
         .filter(|t| t.iter().all(|v| db.dom_contains(*v)))
         .collect();
     OmqAnswers { answers, exact }
 }
 
-/// Decision form: `c̄ ∈ Q(D)`, by generic backtracking over the chase
-/// prefix. Returns `(holds, exact)`.
+/// Decision form: `c̄ ∈ Q(D)`, by generic backtracking over the
+/// materialized instance. Returns `(holds, exact)`.
 pub fn check_omq(q: &Omq, db: &Instance, answer: &[Value], cfg: &EvalConfig) -> (bool, bool) {
-    let (instance, exact) = materialize_chase(q, db, cfg);
-    (
-        gtgd_query::eval::check_answer_ucq(&q.query, &instance, answer),
-        exact,
-    )
+    let (instance, query, exact) = materialize(q, db, cfg);
+    let holds = gtgd_query::eval::check_answer_ucq(&query, &instance, answer);
+    (holds, exact)
 }
 
-/// The FPT evaluation pipeline of Prop 3.3(3) for `(G, UCQ_k)`: typed chase
-/// materialization followed by the tree-decomposition DP of Prop 2.1 for the
+/// The FPT evaluation pipeline of Prop 3.3(3) for `(G, UCQ_k)`: the piece
+/// saturation followed by the tree-decomposition DP of Prop 2.1 for the
 /// candidate check. Returns `(holds, exact)`.
 pub fn check_omq_fpt(q: &Omq, db: &Instance, answer: &[Value], cfg: &EvalConfig) -> (bool, bool) {
-    let (instance, exact) = materialize_chase(q, db, cfg);
-    (
-        check_answer_ucq_decomposed(&q.query, &instance, answer),
-        exact,
-    )
+    let (instance, query, exact) = materialize(q, db, cfg);
+    let holds = check_answer_ucq_decomposed(&query, &instance, answer);
+    (holds, exact)
 }
 
 #[cfg(test)]

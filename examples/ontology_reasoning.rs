@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example ontology_reasoning`
 
-use gtgd::chase::{parse_tgds, ChaseBudget, ChaseRunner, DepthPolicy};
+use gtgd::chase::{parse_tgds, ChaseBudget, ChaseRunner};
 use gtgd::data::{GroundAtom, Instance, Schema};
 use gtgd::omq::{evaluate_omq, EvalConfig, Omq};
 use gtgd::query::{parse_cq, parse_ucq, Engine};
@@ -92,21 +92,17 @@ fn main() {
     println!("restricted-schema OMQ answers: {shown:?}");
     assert_eq!(r.answers.len(), 1);
 
-    // Depth policies are explicit: a typed chase with adaptive blocking is
-    // what makes the infinite chase above answerable exactly.
-    let t = gtgd::chase::typed_chase(
-        &db_s,
-        &omq_restricted.sigma,
-        DepthPolicy::Adaptive {
-            extra_levels: 4,
-            max_level: 40,
-        },
-    );
+    // No depth setting is involved: the query compiles to piece rules that
+    // the type saturator closes alongside Σ, and a rewritten UCQ is read
+    // off the ground saturation. That is what makes the infinite chase
+    // above answerable exactly.
+    let p = gtgd::chase::piece_saturation(&db_s, &omq_restricted.sigma, &omq_restricted.query);
     println!(
-        "typed chase: {} atoms across {} bags, saturated = {}",
-        t.instance.len(),
-        t.bag_count,
-        t.saturated
+        "piece saturation: {} ground atoms, {} types, {} rewritten disjuncts, exact = {}",
+        p.instance.len(),
+        p.type_count,
+        p.query.disjuncts.len(),
+        r.exact
     );
-    assert!(t.saturated);
+    assert!(r.exact);
 }

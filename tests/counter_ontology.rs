@@ -5,7 +5,10 @@
 //! types — no premature blocking allowed) and reproduces the paper's point
 //! that ontologies can force structures exponentially larger than the OMQ.
 
-use gtgd::chase::{parse_tgds, typed_chase, DepthPolicy, Tgd};
+mod common;
+
+use common::typed_chase::{typed_chase, DepthPolicy};
+use gtgd::chase::{parse_tgds, Tgd};
 use gtgd::data::{GroundAtom, Instance};
 use gtgd::query::{holds_boolean, parse_cq, Cq};
 
@@ -106,15 +109,31 @@ fn omq_over_counter_ontology() {
     let sigma = counter_sigma(2);
     let q = Omq::full_schema(sigma, gtgd::query::Ucq::single(s_path_query(3)));
     let db = Instance::from_atoms([GroundAtom::named("T1", &["c1", "c2", "c3"])]);
-    let cfg = EvalConfig {
-        extra_levels: Some(6),
-        max_level: 12,
-        ..EvalConfig::default()
-    };
+    let cfg = EvalConfig::default();
     let (holds, exact) = check_omq(&q, &db, &[], &cfg);
     assert!(holds && exact);
     // And from T2-style data (no counter start), nothing follows.
     let db2 = Instance::from_atoms([GroundAtom::named("T2", &["c1", "c2", "c3"])]);
     let (holds2, _) = check_omq(&q, &db2, &[], &cfg);
     assert!(!holds2);
+}
+
+#[test]
+fn omq_decides_three_bit_counter_paths_exactly() {
+    // The path of length 7 runs 7 levels below the database, and the
+    // finite chase holds no path of length 8: both verdicts are exact,
+    // with no depth setting.
+    use gtgd::omq::{check_omq, EvalConfig, Omq};
+    let db = Instance::from_atoms([GroundAtom::named("T1", &["c1", "c2", "c3"])]);
+    for (len, certain) in [(7, true), (8, false)] {
+        let q = Omq::full_schema(
+            counter_sigma(3),
+            gtgd::query::Ucq::single(s_path_query(len)),
+        );
+        assert_eq!(
+            check_omq(&q, &db, &[], &EvalConfig::default()),
+            (certain, true),
+            "S-path of length {len}"
+        );
+    }
 }

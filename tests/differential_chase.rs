@@ -1,22 +1,29 @@
-//! Differential testing of the typed chase (the Lemma A.3 engine with
-//! adaptive blocking) against the plain oblivious chase: on randomized
-//! guarded ontologies and databases, ground atoms and query answers must
-//! agree wherever both engines are authoritative. The plain chase itself is
-//! checked level by level against a naive oblivious reference written here,
-//! and the restricted chase's level totals are checked on the same cases.
+//! Differential testing of the open-world answer paths against the plain
+//! oblivious chase: on randomized guarded ontologies and databases, ground
+//! atoms and query answers must agree wherever the engines are
+//! authoritative. The library's exact path (`evaluate_omq` over the piece
+//! saturation) is checked against the typed-chase reference in
+//! `tests/common` (the Lemma A.3 engine with adaptive blocking) and against
+//! a deep plain chase; the reference is checked against the plain chase
+//! too. The plain chase itself is checked level by level against a naive
+//! oblivious reference written here, and the restricted chase's level
+//! totals are checked on the same cases.
 //!
 //! Randomization is a seeded loop over [`Rng`] (the build is offline, so no
 //! proptest); every TGD subset mask 0..128 is exercised with a database
 //! derived from it, which covers strictly more rule combinations than the
 //! sampled proptest run did.
 
+mod common;
+
+use common::typed_chase::{typed_chase, DepthPolicy};
 use gtgd::chase::{
-    chase, ground_saturation, restricted_chase, typed_chase, ChaseBudget, ChaseResult, ChaseRunner,
-    DepthPolicy, Tgd,
+    chase, ground_saturation, restricted_chase, ChaseBudget, ChaseResult, ChaseRunner, Tgd,
 };
 use gtgd::data::{GroundAtom, Instance, Rng, Value};
+use gtgd::omq::{evaluate_omq, EvalConfig, Omq};
 use gtgd::query::{
-    evaluate_cq, instance_isomorphic, parse_cq, CompiledQuery, Cq, QAtom, Term, Var,
+    evaluate_cq, instance_isomorphic, parse_cq, CompiledQuery, Cq, QAtom, Term, Ucq, Var,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -138,6 +145,73 @@ fn typed_chase_answers_match_plain_chase() {
             }
         }
     }
+}
+
+/// Queries whose matches reach below the ground part: a two-step null
+/// chain with an answer, a three-step chain, and a cycle through nulls.
+fn deep_queries() -> Vec<Cq> {
+    vec![
+        parse_cq("Q(X) :- R(X,Y), S(Y,Z), A(Z)").unwrap(),
+        parse_cq("Q() :- R(X,Y), R(Y,Z), R(Z,W), B(W)").unwrap(),
+        parse_cq("Q() :- R(X,Y), S(Y,Z), R(Z,X)").unwrap(),
+    ]
+}
+
+/// `evaluate_omq`'s exact answers (the piece saturation) on every mask,
+/// for the query pool and [`deep_queries`]: equal to the typed-chase
+/// reference's wherever it saturates, containing every answer of a deep
+/// plain chase (level 10, 20 000 atoms) and equal to them when that chase
+/// completes, and always flagged exact.
+#[test]
+fn piece_saturation_answers_match_typed_and_deep_chase() {
+    let pool = rule_pool();
+    let budget = ChaseBudget {
+        max_level: Some(10),
+        max_atoms: Some(20_000),
+    };
+    let (mut saturated, mut complete) = (0, 0);
+    for mask in 0u8..128 {
+        let mut rng = Rng::seed(0x7E57 ^ u64::from(mask));
+        let d = arb_db(&mut rng);
+        let sigma = sigma_for_mask(&pool, mask);
+        let typed = typed_chase(
+            &d,
+            &sigma,
+            DepthPolicy::Adaptive {
+                extra_levels: 4,
+                max_level: 24,
+            },
+        );
+        let deep = chase(&d, &sigma, &budget);
+        saturated += usize::from(typed.saturated);
+        complete += usize::from(deep.complete);
+        let over_dom = |ans: HashSet<Vec<Value>>| -> HashSet<Vec<Value>> {
+            ans.into_iter()
+                .filter(|t| t.iter().all(|v| d.dom_contains(*v)))
+                .collect()
+        };
+        for q in query_pool().into_iter().chain(deep_queries()) {
+            let ctx = format!("{q} (mask {mask:#b})");
+            let omq = Omq::full_schema(sigma.clone(), Ucq::single(q.clone()));
+            let got = evaluate_omq(&omq, &d, &EvalConfig::default());
+            assert!(got.exact, "{ctx}");
+            if typed.saturated {
+                assert_eq!(
+                    got.answers,
+                    over_dom(evaluate_cq(&q, &typed.instance)),
+                    "{ctx}"
+                );
+            }
+            let from_deep = over_dom(evaluate_cq(&q, &deep.instance));
+            assert!(from_deep.is_subset(&got.answers), "missed answers: {ctx}");
+            if deep.complete {
+                assert_eq!(got.answers, from_deep, "{ctx}");
+            }
+        }
+    }
+    // The reference saturates on every mask; the deep chase completes on
+    // 111 of them.
+    assert!(saturated == 128 && complete > 100, "{saturated} {complete}");
 }
 
 /// The result of [`naive_chase`].
@@ -323,6 +397,130 @@ fn chase_levels_match_naive_reference() {
             } else {
                 assert!(instance_isomorphic(&r.instance, &naive.instance), "{ctx}");
             }
+        }
+    }
+}
+
+/// The typed-chase reference's own checks.
+mod typed_chase_reference {
+    use super::common::typed_chase::{typed_chase, DepthPolicy};
+    use gtgd::chase::{chase, linearize, parse_tgds, ChaseBudget};
+    use gtgd::data::{GroundAtom, Instance};
+    use gtgd::query::{holds_boolean, parse_cq};
+
+    fn db(atoms: &[(&str, &[&str])]) -> Instance {
+        Instance::from_atoms(atoms.iter().map(|(p, args)| GroundAtom::named(p, args)))
+    }
+
+    #[test]
+    fn matches_plain_chase_on_terminating_sets() {
+        let tgds = parse_tgds("A(X) -> R(X,Y). R(X,Y) -> B(Y)").unwrap();
+        let d = db(&[("A", &["a"])]);
+        let t = typed_chase(&d, &tgds, DepthPolicy::Fixed(5));
+        let q = parse_cq("Q() :- A(X), R(X,Y), B(Y)").unwrap();
+        assert!(holds_boolean(&q, &t.instance));
+        let reference = chase(&d, &tgds, &ChaseBudget::unbounded());
+        assert!(holds_boolean(&q, &reference.instance));
+    }
+
+    #[test]
+    fn infinite_chase_blocks_adaptively() {
+        let tgds = parse_tgds("Person(X) -> Parent(X,Y), Person(Y)").unwrap();
+        let d = db(&[("Person", &["eve"])]);
+        let t = typed_chase(
+            &d,
+            &tgds,
+            DepthPolicy::Adaptive {
+                extra_levels: 3,
+                max_level: 50,
+            },
+        );
+        assert!(t.saturated, "blocking should stop expansion well before 50");
+        assert!(t.max_level < 10, "max level {}", t.max_level);
+        // Query matches that fit in the materialized depth are found.
+        let q = parse_cq("Q() :- Parent(X,Y), Parent(Y,Z), Parent(Z,W)").unwrap();
+        assert!(holds_boolean(&q, &t.instance));
+    }
+
+    #[test]
+    fn fixed_cap_reports_unsaturated() {
+        let tgds = parse_tgds("Person(X) -> Parent(X,Y), Person(Y)").unwrap();
+        let d = db(&[("Person", &["eve"])]);
+        let t = typed_chase(&d, &tgds, DepthPolicy::Fixed(2));
+        assert!(!t.saturated);
+        assert_eq!(t.max_level, 2);
+    }
+
+    #[test]
+    fn deep_detour_atoms_present_at_low_levels() {
+        // T(b) needs a child bag round trip; the typed chase has it in the
+        // ground part immediately, unlike a level-1 plain chase prefix.
+        let tgds = parse_tgds("R(X,Y) -> S(Y,Z). S(Y,Z) -> T(Y)").unwrap();
+        let d = db(&[("R", &["a", "b"])]);
+        let t = typed_chase(&d, &tgds, DepthPolicy::Fixed(0));
+        assert!(t.instance.contains(&GroundAtom::named("T", &["b"])));
+    }
+
+    #[test]
+    fn queries_over_infinite_chase_guarded_ontology() {
+        // Every department's manager works in some department, recursively.
+        let tgds =
+            parse_tgds("Dept(D) -> HasMgr(D,M), Emp(M). Emp(M) -> WorksIn(M,D), Dept(D)").unwrap();
+        let d = db(&[("Dept", &["sales"])]);
+        let t = typed_chase(
+            &d,
+            &tgds,
+            DepthPolicy::Adaptive {
+                extra_levels: 4,
+                max_level: 30,
+            },
+        );
+        assert!(t.saturated);
+        let q = parse_cq("Q() :- HasMgr(D1,M1), WorksIn(M1,D2), HasMgr(D2,M2), WorksIn(M2,D3)")
+            .unwrap();
+        assert!(holds_boolean(&q, &t.instance));
+    }
+
+    #[test]
+    fn bag_count_grows_with_database() {
+        let tgds = parse_tgds("A(X) -> R(X,Y)").unwrap();
+        let small = typed_chase(&db(&[("A", &["a"])]), &tgds, DepthPolicy::Fixed(3));
+        let large = typed_chase(
+            &db(&[("A", &["a"]), ("A", &["b"]), ("A", &["c"])]),
+            &tgds,
+            DepthPolicy::Fixed(3),
+        );
+        assert!(large.bag_count > small.bag_count);
+    }
+
+    #[test]
+    fn expanded_chase_matches_typed_chase_on_queries() {
+        let tgds = parse_tgds("Dept(D) -> HasMgr(D,M), Emp(M). Emp(M) -> WorksIn(M,D2), Dept(D2)")
+            .unwrap();
+        let d = db(&[("Dept", &["sales"])]);
+        let lin = linearize(&d, &tgds, 256);
+        // Chase D* with the linear rules, bounded level (Lemma A.1).
+        let expanded = chase(&lin.d_star, &lin.sigma_star, &ChaseBudget::levels(8));
+        let reference = typed_chase(
+            &d,
+            &tgds,
+            DepthPolicy::Adaptive {
+                extra_levels: 5,
+                max_level: 24,
+            },
+        );
+        assert!(reference.saturated);
+        for q_src in [
+            "Q() :- HasMgr(D,M), WorksIn(M,D2)",
+            "Q() :- WorksIn(M,D2), HasMgr(D2,M2), WorksIn(M2,D3)",
+            "Q() :- Emp(M), WorksIn(M,D), HasMgr(D,M2), Emp(M2)",
+        ] {
+            let q = parse_cq(q_src).unwrap();
+            assert_eq!(
+                holds_boolean(&q, &expanded.instance),
+                holds_boolean(&q, &reference.instance),
+                "disagreement on {q_src}"
+            );
         }
     }
 }

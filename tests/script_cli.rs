@@ -58,3 +58,30 @@ fn facts_loader_matches_script_facts() {
     let reparsed = gtgd::data::parse_facts(&rendered).unwrap();
     assert_eq!(facts, reparsed);
 }
+
+#[test]
+fn multi_atom_head_script_is_answered_exactly() {
+    // All seven rules of the multi-atom-head pool of
+    // `differential_parallel.rs` over four facts: the chase is infinite and
+    // branches at every level, and both queries are answered exactly with
+    // no depth setting.
+    let rules = [
+        "R(X,Y) -> S(X,Y), R(Z,X)",
+        "S(X,Y) -> S(X,Z), B(X), B(Z)",
+        "S(X,Y) -> R(X,Y), R(Y,X)",
+        "A(X) -> R(X,Y), B(Y)",
+        "B(X) -> S(X,Y), A(Y)",
+        "R(X,Y), B(Y) -> A(X)",
+        "R(X,Y), A(Y) -> S(Y,Z), A(Z)",
+    ];
+    for query in ["Q(X) :- A(X)", "Q(X) :- R(X,Y), S(Y,Z), A(Z)"] {
+        let mut src = String::from("fact A(c0).\nfact R(c1,c2).\nfact S(c2,c3).\nfact B(c3).\n");
+        for r in rules {
+            src.push_str(&format!("tgd {r}.\n"));
+        }
+        src.push_str(&format!("query {query}.\n"));
+        let out = eval_script(&src).unwrap();
+        assert!(out.exact, "{query}");
+        assert_eq!(out.answers, vec!["c0", "c1", "c2", "c3"], "{query}");
+    }
+}
