@@ -1059,10 +1059,11 @@ pub fn e16_incremental_maintenance() -> ExperimentTable {
         rows,
         notes: "insert fires only the triggers the new fact enables \
                 (frontier seeding from the delta), so its speedup grows \
-                with n. retract runs DRed over recorded firings but then \
-                rebuilds the survivor indexes (DESIGN §13), so its win \
-                comes from skipping re-derivation — largest where the \
-                chase does real work (tc)."
+                with n. retract runs DRed over recorded firings and \
+                tombstones only the removed cone: survivors keep their \
+                ids and only the dead atoms' own index entries are \
+                unlinked (DESIGN §13), so it too costs the delta, not \
+                the instance."
             .into(),
     }
 }

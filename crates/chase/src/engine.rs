@@ -37,6 +37,7 @@ use crate::tgd::Tgd;
 use gtgd_data::idhash::IdHashSet;
 use gtgd_data::{obs, GroundAtom, Instance, Value};
 pub(crate) use gtgd_query::Delta;
+use std::borrow::Cow;
 use std::ops::ControlFlow;
 use std::time::Instant;
 
@@ -91,7 +92,8 @@ impl ChaseBudget {
 pub struct ChaseResult {
     /// The atoms materialized so far (includes the input database).
     pub instance: Instance,
-    /// `levels[i]` is the chase level of `instance.atom(i)`.
+    /// `levels[i]` is the chase level of `instance.atom(i)` (indexed by
+    /// atom id, so its length is the instance's `id_bound()`).
     pub levels: Vec<usize>,
     /// The highest level materialized.
     pub max_level: usize,
@@ -114,8 +116,7 @@ impl ChaseResult {
     pub fn up_to_level(&self, level: usize) -> Instance {
         Instance::from_atoms(
             self.instance
-                .iter()
-                .enumerate()
+                .iter_ids()
                 .filter(|&(i, _)| self.levels[i] <= level)
                 .map(|(_, a)| a.clone()),
         )
@@ -224,7 +225,7 @@ impl Pending {
             instance.insert(a);
         }
         if let Some(levels) = levels {
-            levels.resize(instance.len(), level);
+            levels.resize(instance.id_bound(), level);
         }
         self.gain = None;
     }
@@ -287,14 +288,12 @@ impl ObliviousChase {
             let mut hit_cap = false;
             // Restricted rounds: the rule of each trigger found, and its row.
             let (mut found, mut found_rows) = (Vec::new(), Vec::new());
-            let start = instance.len();
-            let seeds: Vec<GroundAtom>;
-            let round_delta: &[GroundAtom] = match &delta {
-                Delta::Since(from) => &instance.atoms()[*from..],
-                Delta::Atoms(ids) => {
-                    seeds = ids.iter().map(|&i| instance.atom(i).clone()).collect();
-                    &seeds
-                }
+            // Ids are stable, so the atoms this round adds are those at
+            // or past the id bound it starts from.
+            let start = instance.id_bound();
+            let round_delta: Cow<[GroundAtom]> = match &delta {
+                Delta::Since(from) => instance.tail(*from),
+                Delta::Atoms(ids) => ids.iter().map(|&i| instance.atom(i).clone()).collect(),
             };
             'round: for (ti, plan) in plans.iter().enumerate() {
                 let mut visit = |row: &[Value]| {
@@ -315,7 +314,7 @@ impl ObliviousChase {
                 } else {
                     let search = plan.body.search(instance).semi_naive(&delta);
                     for pin in 0..plan.body_atoms.len() {
-                        hit_cap = search.for_each_pinned_row(pin, round_delta, &mut visit);
+                        hit_cap = search.for_each_pinned_row(pin, &round_delta, &mut visit);
                         if hit_cap {
                             break;
                         }
@@ -358,8 +357,8 @@ impl ObliviousChase {
             }
             level += 1;
             pending.insert(instance, levels.as_deref_mut(), level);
-            stats.added += instance.len() - start;
-            if instance.len() == start {
+            stats.added += instance.id_bound() - start;
+            if instance.id_bound() == start {
                 // No new atom (nothing fired, or a full TGD re-derived
                 // existing atoms): fixpoint, unless the cap cut the round.
                 stats.complete &= !hit_cap;

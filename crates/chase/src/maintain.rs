@@ -27,7 +27,8 @@
 //! Every run appends its firings to the dependency index's own log of
 //! [`Firing`] records, and one step then links the new tail into the
 //! `supports`/`uses` maps DRed walks, rebuilding each body from its key.
-//! The same step indexes a thawed snapshot's firings and a compacted log.
+//! The same step indexes a thawed snapshot's firings; a compaction drops
+//! the dead records and renumbers the linked lists in place.
 //!
 //! Why oblivious semantics: the oblivious chase fires every trigger
 //! exactly once, so its fixpoint is order-independent up to null renaming
@@ -122,7 +123,7 @@ impl DepIndex {
     /// The one indexing path: links the firings not yet linked (the tail
     /// past `alive`) as alive, each body rebuilt from its key
     /// ([`TriggerPlan::body_from_key`]) and passed to `check` with its
-    /// firing first. Chase runs, snapshot import and compaction all index
+    /// firing first. Chase runs and snapshot import both index
     /// here. Fails on a rule index out of range, a key of the wrong arity,
     /// or the first error `check` returns.
     fn link(
@@ -168,27 +169,43 @@ impl DepIndex {
             .filter_map(|(f, &alive)| alive.then_some(f))
     }
 
-    /// Once dead firings outnumber alive ones, re-indexes the alive
-    /// firings alone, in firing order. Each compaction at least halves
-    /// `firings`, so its cost is amortized over the retractions that
-    /// killed them, and `firings` never holds more than twice the alive
-    /// firings after a retraction.
-    fn compact(&mut self, plans: &[TriggerPlan]) {
+    /// Once dead firings outnumber alive ones, drops them and renumbers
+    /// the alive firings in place: the log keeps the alive records in
+    /// firing order, an id map sends each alive id to its new one, and
+    /// every adjacency list is filtered and rewritten through it (lists
+    /// left empty go with their keys). No body is rebuilt and no atom is
+    /// re-hashed. Each compaction at least halves `firings`, so its cost
+    /// is amortized over the retractions that killed them, and `firings`
+    /// never holds more than twice the alive firings after a retraction.
+    fn compact(&mut self) {
         if self.dead <= self.firings.len() - self.dead {
             return;
         }
-        let alive = std::mem::take(&mut self.alive);
-        let firings = std::mem::take(&mut self.firings)
-            .into_iter()
-            .zip(alive)
-            .filter_map(|(f, alive)| alive.then_some(f))
-            .collect();
-        *self = DepIndex {
-            firings,
-            ..DepIndex::default()
-        };
-        self.link(plans, |_, _| Ok(()))
-            .expect("alive firings were recorded under these plans");
+        let mut new_id = Vec::with_capacity(self.alive.len());
+        let mut next = 0;
+        for &alive in &self.alive {
+            new_id.push(alive.then_some(next));
+            next += usize::from(alive);
+        }
+        let mut fid = 0;
+        self.firings.retain(|_| {
+            fid += 1;
+            new_id[fid - 1].is_some()
+        });
+        self.alive = vec![true; next];
+        self.dead = 0;
+        for lists in [&mut self.supports, &mut self.uses] {
+            lists.retain(|_, fids| {
+                fids.retain_mut(|fid| match new_id[*fid] {
+                    Some(id) => {
+                        *fid = id;
+                        true
+                    }
+                    None => false,
+                });
+                !fids.is_empty()
+            });
+        }
     }
 
     /// Whether any firing in `fids` is alive.
@@ -251,6 +268,13 @@ impl MaintainedInstance {
         self.base.contains(atom)
     }
 
+    /// How many firing records the dependency index holds: the alive
+    /// firings plus the dead ones kept until its next compaction (at most
+    /// as many as the alive ones after a retraction).
+    pub fn recorded_firings(&self) -> usize {
+        self.deps.firings.len()
+    }
+
     /// Whether the maintained instance is the true fixpoint, as opposed to
     /// an atom-budget-truncated prefix. Sticky: once an update hits the
     /// cap the flag stays false (a truncation is not repairable
@@ -264,13 +288,13 @@ impl MaintainedInstance {
     /// triggers that never fired.
     pub fn insert(&mut self, atoms: impl IntoIterator<Item = GroundAtom>) -> MaintenanceReport {
         let _span = obs::span("maint.insert");
-        let start = self.chase.instance.len();
+        let start = self.chase.instance.id_bound();
         for a in atoms {
             self.base.insert(a.clone());
             self.chase.instance.insert(a);
         }
         let mut report = MaintenanceReport {
-            atoms_added: self.chase.instance.len() - start,
+            atoms_added: self.chase.instance.id_bound() - start,
             ..MaintenanceReport::default()
         };
         self.chase_from(Delta::Since(start), &mut report);
@@ -344,7 +368,7 @@ impl MaintainedInstance {
             .collect();
         ids.sort_unstable();
         self.chase_from(Delta::Atoms(ids), &mut report);
-        self.deps.compact(&self.chase.plans);
+        self.deps.compact();
         report
     }
 
@@ -641,7 +665,9 @@ mod tests {
         let base = Instance::from_atoms(emps.iter().map(|e| GroundAtom::named("Emp", &[e])));
         let mut m = MaintainedInstance::new(&base, &tgds, ChaseBudget::unbounded());
         let atoms = m.instance().len();
+        let (mut instance_compactions, mut index_compactions) = (0, 0);
         for i in 0..300 {
+            let (bound, logged) = (m.instance().id_bound(), m.deps.firings.len());
             let e = GroundAtom::named("Emp", &[&emps[i % emps.len()]]);
             m.retract([e.clone()]);
             m.insert([e]);
@@ -656,7 +682,12 @@ mod tests {
             assert!(deps.firings.len() <= 2 * alive, "cycle {i}");
             assert!(deps.supports.len() <= atoms, "cycle {i}");
             assert!(deps.uses.len() <= atoms, "cycle {i}");
+            // Tombstoned atom ids are bounded the same way.
+            assert!(m.instance().id_bound() <= 2 * atoms, "cycle {i}");
+            instance_compactions += usize::from(m.instance().id_bound() < bound);
+            index_compactions += usize::from(deps.firings.len() < logged);
         }
+        assert!(instance_compactions > 0 && index_compactions > 0);
     }
 
     #[test]

@@ -106,7 +106,7 @@ impl<'a> ChaseRunner<'a> {
             ChaseVariant::Restricted => "chase.restricted",
         });
         let mut state = ObliviousChase::new(self.tgds, db.clone(), self.variant);
-        let mut levels = vec![0usize; db.len()];
+        let mut levels = vec![0usize; db.id_bound()];
         let run = state.run(Delta::Since(0), &self.budget, Some(&mut levels), log);
         ChaseResult {
             instance: state.instance,

@@ -449,7 +449,7 @@ pub(crate) fn guarded_bags(inst: &Instance) -> Vec<(Vec<Value>, Vec<usize>)> {
     // Nullary atoms lie over every set.
     let mut nullary: Vec<usize> = Vec::new();
     let mut atoms_of: HashMap<Value, Vec<usize>> = HashMap::new();
-    for (i, a) in inst.iter().enumerate() {
+    for (i, a) in inst.iter_ids() {
         if a.args.is_empty() {
             nullary.push(i);
         }

@@ -422,10 +422,10 @@ impl DenseStore {
     ///   "sidecar rehydration" that keeps load sequential-read dominated.
     ///
     /// Returns `(tables installed, tries installed)`.
-    pub(crate) fn install_state(
+    pub(crate) fn install_state<'a>(
         &self,
         export: &DenseExport,
-        atoms: &[GroundAtom],
+        atoms: impl IntoIterator<Item = &'a GroundAtom>,
     ) -> (usize, usize) {
         if !export.dict.windows(2).all(|w| w[0] < w[1]) {
             return (0, 0);

@@ -6,8 +6,10 @@ use crate::idhash::IdHashMap;
 use crate::schema::{Predicate, Schema};
 use crate::value::Value;
 use gtgd_treewidth::Graph;
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
 /// Shared static-empty candidate list: the miss path of every index
@@ -22,9 +24,20 @@ const EMPTY_IDS: &[usize] = &[];
 /// value)` so homomorphism search and chase trigger matching get selective
 /// candidate lists. Insertion order is preserved and deduplicated, so
 /// iteration is deterministic.
+///
+/// **Atom ids are stable.** An atom's id is its slot in insertion order;
+/// retraction leaves a tombstone in the slot instead of moving the
+/// survivors, so ids lie below [`Instance::id_bound`] but need not be
+/// dense. Only a compaction renumbers, and it runs inside
+/// [`Instance::retract_atoms`] once tombstones outnumber live atoms. Every
+/// accessor (`iter`, candidate lists, `dom`, …) sees live atoms only.
 #[derive(Debug, Default, Clone)]
 pub struct Instance {
+    /// The atom slots, by id. A tombstoned slot keeps an emptied atom
+    /// until the next compaction.
     atoms: Vec<GroundAtom>,
+    /// Which slots of `atoms` are retracted.
+    dead: Tombstones,
     /// Row-level hash indexes (dedup map, per-predicate and per-position
     /// candidate lists, domain), built lazily from `atoms` on first
     /// demand. Bulk construction ([`Instance::from_unique_atoms`] — the
@@ -41,11 +54,102 @@ pub struct Instance {
     dense: DenseStore,
 }
 
+/// The tombstone bitmap of an [`Instance`]: one bit per atom slot, set
+/// once the slot's atom is retracted. Empty while no slot is dead.
+#[derive(Debug, Clone, Default)]
+struct Tombstones {
+    bits: Vec<u64>,
+    /// How many bits are set.
+    count: usize,
+    /// The highest dead id (0 while `count` is 0).
+    max: usize,
+}
+
+impl Tombstones {
+    fn contains(&self, id: usize) -> bool {
+        self.bits
+            .get(id / 64)
+            .is_some_and(|w| w >> (id % 64) & 1 == 1)
+    }
+
+    fn insert(&mut self, id: usize) {
+        if self.bits.len() <= id / 64 {
+            self.bits.resize(id / 64 + 1, 0);
+        }
+        self.bits[id / 64] |= 1 << (id % 64);
+        self.max = self.max.max(id);
+        self.count += 1;
+    }
+
+    /// Whether some slot at or past `from` is dead.
+    fn any_since(&self, from: usize) -> bool {
+        self.count > 0 && self.max >= from
+    }
+
+    /// The dead ids, ascending.
+    fn ids(&self) -> Vec<usize> {
+        let mut out = Vec::with_capacity(self.count);
+        for (w, &word) in self.bits.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                out.push(w * 64 + rest.trailing_zeros() as usize);
+                rest &= rest - 1;
+            }
+        }
+        out
+    }
+}
+
+/// The live atoms of an instance with their ids, in id order.
+#[derive(Clone)]
+struct LiveIds<'a> {
+    slots: std::iter::Enumerate<std::slice::Iter<'a, GroundAtom>>,
+    dead: &'a Tombstones,
+}
+
+impl<'a> Iterator for LiveIds<'a> {
+    type Item = (usize, &'a GroundAtom);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let dead = self.dead;
+        self.slots.find(|&(id, _)| !dead.contains(id))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (0, self.slots.size_hint().1)
+    }
+}
+
+/// The live atoms of an instance, in id order: the plain slice walk while
+/// no slot is dead.
+enum Live<'a> {
+    Plain(std::slice::Iter<'a, GroundAtom>),
+    Sparse(LiveIds<'a>),
+}
+
+impl<'a> Iterator for Live<'a> {
+    type Item = &'a GroundAtom;
+
+    fn next(&mut self) -> Option<&'a GroundAtom> {
+        match self {
+            Live::Plain(slots) => slots.next(),
+            Live::Sparse(live) => live.next().map(|(_, a)| a),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Live::Plain(slots) => slots.size_hint(),
+            Live::Sparse(live) => live.size_hint(),
+        }
+    }
+}
+
 /// The row-level hash indexes of an [`Instance`]: the dedup map, the
 /// per-relation and per-`(predicate, position, value)` candidate lists,
 /// and the first-occurrence domain. Kept together so they can be built
 /// lazily in one pass over the atom vector. Every candidate list is
-/// sorted ascending and never empty.
+/// sorted ascending, never empty, and holds live ids only.
 #[derive(Debug, Clone, Default)]
 struct RowIndexes {
     index_of: IdHashMap<GroundAtom, usize>,
@@ -58,7 +162,7 @@ struct RowIndexes {
     /// The row id of each `dom` value's first occurrence. `dom` is sorted
     /// by (this id, the value's first position in that atom), which is
     /// what lets retraction re-place only the values whose first
-    /// occurrence leaves.
+    /// occurrence leaves, each by binary search.
     dom_first: IdHashMap<Value, usize>,
 }
 
@@ -81,19 +185,67 @@ impl RowIndexes {
         self.index_of.insert(atom.clone(), idx);
     }
 
-    /// One-pass build over a deduplicated atom vector, pre-sized so the
-    /// maps do not regrow once per atom.
-    fn build(atoms: &[GroundAtom]) -> RowIndexes {
-        let cells: usize = atoms.iter().map(|a| a.args.len()).sum();
+    /// One-pass build over the live atoms, pre-sized so the maps do not
+    /// regrow once per atom.
+    fn build<'a>(atoms: impl Iterator<Item = (usize, &'a GroundAtom)> + Clone) -> RowIndexes {
+        let (n, cells) = atoms
+            .clone()
+            .fold((0, 0), |(n, cells), (_, a)| (n + 1, cells + a.args.len()));
         let mut r = RowIndexes {
-            index_of: IdHashMap::with_capacity_and_hasher(atoms.len(), Default::default()),
+            index_of: IdHashMap::with_capacity_and_hasher(n, Default::default()),
             by_pred_pos_val: IdHashMap::with_capacity_and_hasher(cells, Default::default()),
             ..RowIndexes::default()
         };
-        for (idx, a) in atoms.iter().enumerate() {
+        for (idx, a) in atoms {
             r.note(a, idx);
         }
         r
+    }
+
+    /// The key `dom` is sorted by: `v`'s first-occurrence id and its first
+    /// position in that atom.
+    fn dom_key(&self, atoms: &[GroundAtom], v: Value) -> (usize, usize) {
+        let id = self.dom_first[&v];
+        let pos = atoms[id].args.iter().position(|&x| x == v);
+        (id, pos.expect("first occurrence mentions the value"))
+    }
+
+    /// The smallest live id mentioning `v`: the least first entry among
+    /// `v`'s `(predicate, position, v)` lists, probed once per relation
+    /// and position.
+    fn first_occurrence(&self, v: Value) -> Option<usize> {
+        let mut first = None;
+        for &(p, arity) in self.by_pred.keys() {
+            for pos in 0..arity {
+                if let Some(ids) = self.by_pred_pos_val.get(&(p, pos, v)) {
+                    first = Some(first.map_or(ids[0], |f: usize| f.min(ids[0])));
+                }
+            }
+        }
+        first
+    }
+
+    /// Re-places `v` in `dom` after its first occurrence, the dead atom
+    /// `id` (where `v` first sits at `pos`), was unlinked from every
+    /// candidate list: at its next occurrence, which lies after `id`, or
+    /// out of `dom` if no live atom mentions it. The old slot is found by
+    /// binary search; only the values between the old and the new slot
+    /// shift.
+    fn replace_first(&mut self, atoms: &[GroundAtom], v: Value, id: usize, pos: usize) {
+        let from = self
+            .dom
+            .partition_point(|&u| self.dom_key(atoms, u) < (id, pos));
+        debug_assert_eq!(self.dom[from], v, "dom is sorted by first occurrence");
+        let Some(next) = self.first_occurrence(v) else {
+            self.dom_first.remove(&v);
+            self.dom.remove(from);
+            return;
+        };
+        let key = (next, atoms[next].args.iter().position(|&x| x == v).unwrap());
+        let after = &self.dom[from + 1..];
+        let to = from + 1 + after.partition_point(|&u| self.dom_key(atoms, u) < key);
+        self.dom[from..to].rotate_left(1);
+        self.dom_first.insert(v, next);
     }
 }
 
@@ -106,30 +258,37 @@ fn relation(a: &GroundAtom) -> (Predicate, u16) {
     )
 }
 
-/// The post-retraction id of surviving row `id`, given the sorted dead
-/// row ids: it moves down by the number of dead rows before it.
+/// Removes `id` from the sorted candidate list under `key`, by binary
+/// search, dropping the list once it is empty.
+fn unlink<K: Hash + Eq>(lists: &mut IdHashMap<K, Vec<usize>>, key: K, id: usize) {
+    if let Entry::Occupied(mut e) = lists.entry(key) {
+        let ids = e.get_mut();
+        if let Ok(at) = ids.binary_search(&id) {
+            ids.remove(at);
+        }
+        if ids.is_empty() {
+            e.remove();
+        }
+    }
+}
+
+/// The post-compaction id of live row `id`, given the sorted dead row
+/// ids: it moves down by the number of dead rows before it.
 fn renumbered(id: usize, dead: &[usize]) -> usize {
     id - dead.partition_point(|&d| d < id)
 }
 
-/// Drops the sorted `dead` row ids from the sorted candidate list `ids`
-/// and renumbers the rest. A list that ends before the first dead row is
-/// left untouched.
-fn drop_and_renumber(ids: &mut Vec<usize>, dead: &[usize]) {
+/// Renumbers the sorted candidate list `ids` (which holds no dead id) for
+/// a compaction over the sorted `dead` row ids. A list that ends before
+/// the first dead row is left untouched.
+fn renumber_list(ids: &mut [usize], dead: &[usize]) {
     let start = ids.partition_point(|&id| id < dead[0]);
-    let mut write = start;
     // `skipped`: how many dead rows lie below the current id.
     let mut skipped = 0;
-    for read in start..ids.len() {
-        let id = ids[read];
-        skipped += dead[skipped..].partition_point(|&d| d < id);
-        if dead.get(skipped) == Some(&id) {
-            continue;
-        }
-        ids[write] = id - skipped;
-        write += 1;
+    for id in &mut ids[start..] {
+        skipped += dead[skipped..].partition_point(|&d| d < *id);
+        *id -= skipped;
     }
-    ids.truncate(write);
 }
 
 /// Removes the elements at the given sorted, distinct indexes in one
@@ -150,16 +309,24 @@ fn remove_sorted<T>(v: &mut Vec<T>, dead: &[usize]) {
 impl Instance {
     /// The row indexes, built on first demand.
     fn rows(&self) -> &RowIndexes {
-        self.rows.get_or_init(|| RowIndexes::build(&self.atoms))
+        self.rows.get_or_init(|| RowIndexes::build(self.live_ids()))
     }
 
     /// The row indexes for mutation: builds first if still deferred.
     fn rows_mut(&mut self) -> &mut RowIndexes {
         if self.rows.get().is_none() {
-            let built = RowIndexes::build(&self.atoms);
+            let built = RowIndexes::build(self.live_ids());
             let _ = self.rows.set(built);
         }
         self.rows.get_mut().expect("row indexes just built")
+    }
+
+    /// The live atoms with their ids, in id order.
+    fn live_ids(&self) -> LiveIds<'_> {
+        LiveIds {
+            slots: self.atoms.iter().enumerate(),
+            dead: &self.dead,
+        }
     }
 
     /// The empty instance.
@@ -189,7 +356,8 @@ impl Instance {
         }
     }
 
-    /// Inserts an atom; returns `true` if it was new.
+    /// Inserts an atom; returns `true` if it was new. A new atom takes the
+    /// id [`Instance::id_bound`] had before the call.
     pub fn insert(&mut self, atom: GroundAtom) -> bool {
         let idx = self.atoms.len();
         let rows = self.rows_mut();
@@ -245,8 +413,7 @@ impl Instance {
     }
 
     /// Removes one atom; returns `true` if it was present. See
-    /// [`Instance::retract_atoms`] for the cost model — batch retractions
-    /// through that method when removing more than one atom.
+    /// [`Instance::retract_atoms`] for the cost model.
     pub fn retract(&mut self, atom: &GroundAtom) -> bool {
         self.retract_atoms(std::slice::from_ref(atom)) == 1
     }
@@ -254,108 +421,107 @@ impl Instance {
     /// Removes a batch of atoms; returns how many were actually present.
     /// Atoms absent from the instance are ignored.
     ///
-    /// Retraction **renumbers in place**: row ids stay dense, so the
-    /// survivors after the first dead row move down. The atom vector loses
-    /// the dead rows in one order-preserving pass; the dedup map loses
-    /// only their keys; every candidate list drops the dead ids and shifts
-    /// its later ids down (lists that end before the first dead row are
-    /// skipped after one comparison). `dom()` keeps first-occurrence order
-    /// over the survivors:
-    /// a value whose first occurrence dies moves to its next occurrence,
-    /// found by a scan that starts at the dead row and stops once every
-    /// such value is placed, or leaves `dom()` if no survivor mentions it.
-    /// The cost is a few integer operations per index entry and no
-    /// re-hashing of survivors; every accessor then reads exactly as on
-    /// `Instance::from_atoms(survivors)`. The lazy dense mirror drops only
-    /// the touched `(predicate, arity)` relations while keeping the
-    /// dictionary.
+    /// Retraction **keeps every survivor's id**. Each dead atom loses its
+    /// dedup key, its slot becomes a tombstone, and its id is unlinked by
+    /// binary search from its own relation list and its own
+    /// `(predicate, position, value)` lists; no other list is touched.
+    /// `dom()` keeps first-occurrence order over the survivors: a value
+    /// whose first occurrence dies is found in `dom()` by binary search
+    /// on the (first id, position) order and moves to its next
+    /// occurrence — the least first entry among its `(predicate,
+    /// position, value)` lists, one probe per relation and position — or
+    /// leaves `dom()` if no survivor mentions it. So the cost is
+    /// O(dead atoms × arity) list edits plus O(moved values × relations)
+    /// probes, never a pass over the instance or over `dom()`; list and
+    /// `dom()` edits are `memmove`s of the entries past the edit point.
+    /// The lazy dense mirror drops only the touched `(predicate, arity)`
+    /// relations while keeping the dictionary.
+    ///
+    /// Once tombstones outnumber live atoms, the call ends with a
+    /// **compaction**, the only point that renumbers: live ids close up
+    /// in order, every candidate list, the dedup map and the
+    /// first-occurrence map are renumbered in place (no index is rebuilt
+    /// or re-hashed), and the slots shrink to the live atoms. A
+    /// compaction at least halves the slots, so its cost is amortized over
+    /// the retractions that made the tombstones, and
+    /// [`Instance::id_bound`] stays within twice [`Instance::len`] after
+    /// every retraction. Either way every accessor reads, through
+    /// [`Instance::atom`], exactly as on `Instance::from_atoms(survivors)`;
+    /// right after a compaction the ids are equal too.
     pub fn retract_atoms(&mut self, atoms: &[GroundAtom]) -> usize {
         let rows = self.rows_mut();
-        let mut dead: Vec<usize> = atoms
+        // Removing the keys up front also counts a repeated atom once.
+        let dead: Vec<usize> = atoms
             .iter()
-            .filter_map(|a| rows.index_of.get(a).copied())
+            .filter_map(|a| rows.index_of.remove(a))
             .collect();
         if dead.is_empty() {
             return 0;
         }
-        dead.sort_unstable();
-        dead.dedup();
-        let rows = self.rows.get_mut().expect("row indexes built above");
+        let Instance {
+            atoms: slots,
+            dead: tombstones,
+            rows,
+            dense,
+        } = self;
+        let rows = rows.get_mut().expect("row indexes built above");
         // Relations that lose rows: their dense tables must be dropped.
-        let touched: HashSet<(Predicate, u16)> =
-            dead.iter().map(|&id| relation(&self.atoms[id])).collect();
-
-        // dom(): the values whose first occurrence dies must be re-placed.
-        // Their next occurrence (if any) lies after that dead row, so the
-        // scan below starts at the first such row's post-retraction id.
-        let mut moved: HashSet<Value> = HashSet::new();
-        let mut scan_from = usize::MAX;
-        for (rank, &id) in dead.iter().enumerate() {
-            for &v in &self.atoms[id].args {
-                if rows.dom_first.get(&v) == Some(&id) && moved.insert(v) {
-                    scan_from = scan_from.min(id - rank);
+        let mut touched: HashSet<(Predicate, u16)> = HashSet::new();
+        for &id in &dead {
+            tombstones.insert(id);
+            let a = &slots[id];
+            let rel = relation(a);
+            touched.insert(rel);
+            unlink(&mut rows.by_pred, rel, id);
+            for (pos, &v) in a.args.iter().enumerate() {
+                let pos = u16::try_from(pos).expect("arity fits u16");
+                unlink(&mut rows.by_pred_pos_val, (a.predicate, pos, v), id);
+            }
+        }
+        // dom(): re-place each value whose first occurrence died. The dead
+        // atoms keep their arguments until every value is placed, so the
+        // sort key of a value not yet re-placed stays readable.
+        for &id in &dead {
+            for (pos, &v) in slots[id].args.iter().enumerate() {
+                if rows.dom_first.get(&v) == Some(&id) && !slots[id].args[..pos].contains(&v) {
+                    rows.replace_first(slots, v, id, pos);
                 }
             }
         }
-        for v in &moved {
-            rows.dom_first.remove(v);
+        for &id in &dead {
+            slots[id].args = Vec::new();
+        }
+        dense.invalidate_relations(&touched);
+        if tombstones.count > slots.len() - tombstones.count {
+            self.compact();
+        }
+        dead.len()
+    }
+
+    /// Drops every tombstone and closes up the live ids in order,
+    /// renumbering the row indexes in place (see
+    /// [`Instance::retract_atoms`]). The dense mirror needs no upkeep: it
+    /// reads rows through the relation lists, whose order is unchanged.
+    fn compact(&mut self) {
+        let dead = self.dead.ids();
+        if dead.is_empty() {
+            return;
+        }
+        let rows = self.rows.get_mut().expect("tombstones imply built rows");
+        for id in rows.index_of.values_mut() {
+            *id = renumbered(*id, &dead);
         }
         for id in rows.dom_first.values_mut() {
             *id = renumbered(*id, &dead);
         }
-
-        for &id in &dead {
-            rows.index_of.remove(&self.atoms[id]);
+        for ids in rows.by_pred.values_mut() {
+            renumber_list(ids, &dead);
         }
-        for id in rows.index_of.values_mut() {
-            *id = renumbered(*id, &dead);
+        for ids in rows.by_pred_pos_val.values_mut() {
+            renumber_list(ids, &dead);
         }
-        rows.by_pred.retain(|_, ids| {
-            drop_and_renumber(ids, &dead);
-            !ids.is_empty()
-        });
-        rows.by_pred_pos_val.retain(|_, ids| {
-            drop_and_renumber(ids, &dead);
-            !ids.is_empty()
-        });
-
         remove_sorted(&mut self.atoms, &dead);
-
-        if !moved.is_empty() {
-            rows.dom.retain(|v| !moved.contains(v));
-            // (value, first row, first position), in dom order.
-            let mut found: Vec<(Value, usize, usize)> = Vec::new();
-            'scan: for (id, a) in self.atoms.iter().enumerate().skip(scan_from) {
-                for (pos, &v) in a.args.iter().enumerate() {
-                    if moved.remove(&v) {
-                        rows.dom_first.insert(v, id);
-                        found.push((v, id, pos));
-                        if moved.is_empty() {
-                            break 'scan;
-                        }
-                    }
-                }
-            }
-            let atoms = &self.atoms;
-            let first = &rows.dom_first;
-            let key = |u: &Value| {
-                let id = first[u];
-                let pos = atoms[id].args.iter().position(|x| x == u);
-                (id, pos.expect("first occurrence mentions the value"))
-            };
-            let mut merged = Vec::with_capacity(rows.dom.len() + found.len());
-            let mut rest = rows.dom.as_slice();
-            for (v, id, pos) in found {
-                let at = rest.partition_point(|u| key(u) < (id, pos));
-                merged.extend_from_slice(&rest[..at]);
-                merged.push(v);
-                rest = &rest[at..];
-            }
-            merged.extend_from_slice(rest);
-            rows.dom = merged;
-        }
-        self.dense.invalidate_relations(&touched);
-        dead.len()
+        self.dead = Tombstones::default();
     }
 
     /// Reserves capacity for `n` further atoms in the primary stores (the
@@ -372,36 +538,63 @@ impl Instance {
         self.rows().index_of.contains_key(atom)
     }
 
-    /// The id (insertion-order position) of the atom, if present.
+    /// The id of the atom, if present: stable until the next compaction
+    /// (see [`Instance::retract_atoms`]).
     pub fn id_of(&self, atom: &GroundAtom) -> Option<usize> {
         self.rows().index_of.get(atom).copied()
     }
 
-    /// Number of atoms.
+    /// Number of (live) atoms.
     pub fn len(&self) -> usize {
+        self.atoms.len() - self.dead.count
+    }
+
+    /// One past the largest id an atom has had since the last compaction:
+    /// every live id lies below it, and the next inserted atom takes it.
+    /// Equal to [`Instance::len`] when no slot is tombstoned.
+    pub fn id_bound(&self) -> usize {
         self.atoms.len()
     }
 
     /// Whether the instance has no atoms.
     pub fn is_empty(&self) -> bool {
-        self.atoms.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over atoms in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &GroundAtom> {
-        self.atoms.iter()
+        if self.dead.count == 0 {
+            Live::Plain(self.atoms.iter())
+        } else {
+            Live::Sparse(self.live_ids())
+        }
     }
 
-    /// The atom at `idx` (insertion order).
+    /// Iterates over atoms with their ids, in insertion order.
+    pub fn iter_ids(&self) -> impl Iterator<Item = (usize, &GroundAtom)> {
+        self.live_ids()
+    }
+
+    /// The atom with id `idx`, which must be live.
     pub fn atom(&self, idx: usize) -> &GroundAtom {
+        debug_assert!(!self.dead.contains(idx), "atom {idx} was retracted");
         &self.atoms[idx]
     }
 
-    /// All atoms in insertion order as one slice — the bulk accessor used
-    /// by compiled query plans to resolve candidate indexes without
-    /// per-atom bounds checks.
-    pub fn atoms(&self) -> &[GroundAtom] {
-        &self.atoms
+    /// The atoms with id `from` or later, in id order — what was inserted
+    /// since [`Instance::id_bound`] read `from`. Borrowed as one slice
+    /// unless a tombstone lies in that range.
+    pub fn tail(&self, from: usize) -> Cow<'_, [GroundAtom]> {
+        let slots = &self.atoms[from.min(self.atoms.len())..];
+        if !self.dead.any_since(from) {
+            return Cow::Borrowed(slots);
+        }
+        Cow::Owned(
+            self.live_ids()
+                .skip_while(|&(id, _)| id < from)
+                .map(|(_, a)| a.clone())
+                .collect(),
+        )
     }
 
     /// `dom(I)`: distinct constants in first-occurrence order.
@@ -481,13 +674,13 @@ impl Instance {
         if export.dict.is_empty() && export.tables.is_empty() && export.tries.is_empty() {
             return (0, 0);
         }
-        self.dense.install_state(export, &self.atoms)
+        self.dense.install_state(export, self.iter())
     }
 
     /// The distinct predicates appearing in the instance, in first-use order.
     pub fn predicates(&self) -> Vec<Predicate> {
         let mut seen = Vec::new();
-        for a in &self.atoms {
+        for a in self.iter() {
             if !seen.contains(&a.predicate) {
                 seen.push(a.predicate);
             }
@@ -500,7 +693,7 @@ impl Instance {
     /// two different arities.
     pub fn schema(&self) -> Schema {
         let mut s = Schema::new();
-        for a in &self.atoms {
+        for a in self.iter() {
             s.add(a.predicate, a.arity());
         }
         s
@@ -509,8 +702,7 @@ impl Instance {
     /// `I|T`: the restriction to atoms mentioning only constants of `keep`.
     pub fn restrict_to(&self, keep: &HashSet<Value>) -> Instance {
         Instance::from_atoms(
-            self.atoms
-                .iter()
+            self.iter()
                 .filter(|a| a.args.iter().all(|v| keep.contains(v)))
                 .cloned(),
         )
@@ -518,18 +710,13 @@ impl Instance {
 
     /// Restriction to atoms over the given predicates.
     pub fn restrict_predicates(&self, keep: &HashSet<Predicate>) -> Instance {
-        Instance::from_atoms(
-            self.atoms
-                .iter()
-                .filter(|a| keep.contains(&a.predicate))
-                .cloned(),
-        )
+        Instance::from_atoms(self.iter().filter(|a| keep.contains(&a.predicate)).cloned())
     }
 
     /// Applies a value mapping to every atom, producing a new instance (the
     /// homomorphic image when `f` is a homomorphism).
     pub fn map_values(&self, f: impl Fn(Value) -> Value) -> Instance {
-        Instance::from_atoms(self.atoms.iter().map(|a| a.map(&f)))
+        Instance::from_atoms(self.iter().map(|a| a.map(&f)))
     }
 
     /// Inserts all atoms of `other`. Capacity is reserved up front — in
@@ -553,8 +740,7 @@ impl Instance {
             None => !self.is_empty(),
             Some(&v0) => {
                 // Scan only atoms containing v0 at some position.
-                self.atoms
-                    .iter()
+                self.iter()
                     .any(|a| a.mentions(v0) && vs.iter().all(|&v| a.mentions(v)))
             }
         }
@@ -565,7 +751,7 @@ impl Instance {
     /// the OMQ→CQS reduction.
     pub fn maximal_guarded_sets(&self) -> Vec<Vec<Value>> {
         let mut sets: Vec<Vec<Value>> = Vec::new();
-        for a in &self.atoms {
+        for a in self.iter() {
             let mut d = a.dom();
             d.sort_unstable();
             if !sets.contains(&d) {
@@ -594,7 +780,7 @@ impl Instance {
             id_of.insert(v, i);
         }
         let mut g = Graph::new(dom.len());
-        for a in &self.atoms {
+        for a in self.iter() {
             let d = a.dom();
             for (i, &u) in d.iter().enumerate() {
                 for &v in &d[i + 1..] {
@@ -608,7 +794,7 @@ impl Instance {
     /// A constant is *isolated* if exactly one atom mentions it
     /// (Section 6 / Theorem 6.1).
     pub fn is_isolated(&self, v: Value) -> bool {
-        self.atoms.iter().filter(|a| a.mentions(v)).count() == 1
+        self.iter().filter(|a| a.mentions(v)).count() == 1
     }
 }
 
@@ -629,7 +815,7 @@ impl FromIterator<GroundAtom> for Instance {
 impl std::fmt::Display for Instance {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{{")?;
-        for (i, a) in self.atoms.iter().enumerate() {
+        for (i, a) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -668,7 +854,7 @@ mod tests {
         i.insert(GroundAtom::named("R", &["a", "c"]));
         i.insert(GroundAtom::named("S", &["a"]));
         let r = Predicate::new("R");
-        assert_eq!(i.atoms().len(), i.len());
+        assert_eq!(i.tail(0).len(), i.len());
         assert_eq!(i.atoms_with_pred(r, 2).len(), 2);
         assert_eq!(i.atoms_with_pred(Predicate::new("T"), 2).len(), 0);
         assert_eq!(i.atoms_matching(r, 0, v("a")).len(), 2);
@@ -855,13 +1041,17 @@ mod tests {
     }
 
     #[test]
-    fn retract_renumbers_every_index() {
+    fn retract_keeps_survivor_ids_and_updates_every_index() {
         let mut i = Instance::from_atoms([
             GroundAtom::named("R", &["a", "b"]),
             GroundAtom::named("R", &["b", "c"]),
             GroundAtom::named("P", &["a"]),
         ]);
         assert!(i.retract(&GroundAtom::named("R", &["a", "b"])));
+        // One tombstone against two live atoms: no compaction, no id moves.
+        assert_eq!(i.id_bound(), 3);
+        assert_eq!(i.id_of(&GroundAtom::named("P", &["a"])), Some(2));
+        assert_eq!(i.atoms_with_pred(Predicate::new("R"), 2), &[1]);
         assert!(
             !i.retract(&GroundAtom::named("R", &["a", "b"])),
             "already gone"

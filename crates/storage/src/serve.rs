@@ -932,6 +932,43 @@ mod tests {
     }
 
     #[test]
+    fn malformed_write_atoms_are_refused_before_they_touch_the_state() {
+        let (path, _) = org_snapshot("badatom");
+        let server = Server::start(path.clone(), "127.0.0.1:0").unwrap();
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run());
+        let mut c = Client::connect(addr).unwrap();
+        let atoms = c.stats().unwrap()["atoms"].clone();
+        for (bad, says) in [
+            ("Emp(a), Emp(b)", "after the fact"),
+            ("Emp(a). Emp(b).", "after the fact"),
+            ("Emp(srv_ann))", "after the fact"),
+            ("Emp((srv_ann)", "expected a constant, found '('"),
+            ("Emp(srv.ann)", "found '.'"),
+            ("Emp(srv ann)", "expected ',' or ')'"),
+        ] {
+            for op in ["insert", "retract"] {
+                let resp = c.request(&[("op", op), ("atom", bad)]).unwrap();
+                assert_eq!(resp["ok"], "false", "{op} {bad:?}");
+                assert!(resp["error"].starts_with("bad atom: "), "{}", resp["error"]);
+                assert!(resp["error"].contains(says), "{bad:?}: {}", resp["error"]);
+            }
+        }
+        // Nothing was applied or logged, and the connection still serves.
+        let stats = c.stats().unwrap();
+        assert_eq!(stats["atoms"], atoms);
+        assert_eq!(stats["log_records"], "0");
+        let rows = c.query("Q(X) :- Emp(X)").unwrap();
+        assert_eq!(
+            rows,
+            vec![vec!["srv_ann".to_owned()], vec!["srv_bob".to_owned()]]
+        );
+        c.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn writes_survive_a_panic_under_either_lock() {
         let (path, _) = org_snapshot("poison");
         let server = Server::start(path.clone(), "127.0.0.1:0").unwrap();

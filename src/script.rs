@@ -17,7 +17,7 @@
 
 use gtgd_chase::{parse_tgd, Certificate, CertificateStore, ChaseBudget, ChaseRunner, Tgd};
 use gtgd_core::{evaluate_omq, Cqs, EvalConfig, Omq};
-use gtgd_data::{GroundAtom, Instance, Predicate, Value};
+use gtgd_data::{GroundAtom, Instance};
 use gtgd_query::{parse_cq, Cq, Engine, Strategy, Ucq};
 
 /// Evaluation mode.
@@ -80,29 +80,9 @@ fn err(line: usize, message: impl Into<String>) -> ScriptError {
     }
 }
 
-/// Parses a fact like `Emp(ann)` or `WorksIn(ann, sales)`.
+/// Parses a fact through the one fact grammar ([`gtgd_data::parse_fact`]).
 fn parse_fact(src: &str, line: usize) -> Result<GroundAtom, ScriptError> {
-    let src = src.trim().trim_end_matches('.');
-    let open = src
-        .find('(')
-        .ok_or_else(|| err(line, "expected '(' in fact"))?;
-    if !src.ends_with(')') {
-        return Err(err(line, "expected ')' at end of fact"));
-    }
-    let pred = src[..open].trim();
-    if pred.is_empty() {
-        return Err(err(line, "empty predicate name"));
-    }
-    let inner = &src[open + 1..src.len() - 1];
-    let args: Vec<Value> = if inner.trim().is_empty() {
-        Vec::new()
-    } else {
-        inner
-            .split(',')
-            .map(|a| Value::named(a.trim().trim_matches('"')))
-            .collect()
-    };
-    Ok(GroundAtom::new(Predicate::new(pred), args))
+    gtgd_data::parse_fact(src).map_err(|e| err(line, format!("bad fact: {e}")))
 }
 
 /// Parses a script.
@@ -451,5 +431,29 @@ mod tests {
         assert_eq!(out.answers, vec![""]);
         let out = eval_script("fact Stop().\nquery Q() :- Go().\n").unwrap();
         assert!(out.answers.is_empty());
+    }
+
+    #[test]
+    fn facts_use_the_one_fact_grammar() {
+        let s = parse_script("fact City(\"st. louis\", mo).\n+Emp(a).\nquery Q(X) :- Emp(X).\n")
+            .unwrap();
+        assert!(s
+            .facts
+            .contains(&GroundAtom::named("City", &["st. louis", "mo"])));
+        for (bad, says) in [
+            ("fact A(c0). fact B(c3).", "after the fact"),
+            ("fact A(c0) B(c3).", "after the fact"),
+            ("fact A(c 0).", "expected ',' or ')'"),
+            ("fact A((c0).", "expected a constant, found '('"),
+            ("fact A(c0)).", "after the fact"),
+            ("fact A(c.0).", "found '.'"),
+            ("+Emp(a), Emp(b)", "after the fact"),
+            ("-Emp(a b)", "expected ',' or ')'"),
+        ] {
+            let src = format!("mode open\n{bad}\nquery Q(X) :- A(X).\n");
+            let e = parse_script(&src).unwrap_err();
+            assert_eq!(e.line, 2, "{bad:?}");
+            assert!(e.message.contains(says), "{bad:?}: {e}");
+        }
     }
 }

@@ -249,6 +249,61 @@ fn maintained_scripts_match_from_scratch_rechase() {
     assert!(ops >= 600, "scripts exercised only {ops} operations");
 }
 
+/// Long seeded insert/retract walks: tombstones pile up in the instance
+/// and dead firings in the dependency index until each crosses its
+/// compaction threshold (more dead than live), several times per script.
+/// The full oracle battery runs after every operation, so each
+/// compaction — the only point that renumbers atom or firing ids — is
+/// checked against a re-chase right after it happens.
+#[test]
+fn long_scripts_cross_both_compaction_thresholds() {
+    let pool = rule_pool();
+    let queries = prepared_queries();
+    for case in 0u64..12 {
+        let mut rng = Rng::seed(0xC0_4AC7 ^ case);
+        let sigma = sigma_for_mask(&pool, [127, 125, 31, 119][case as usize % 4]);
+        let mut atoms = arb_atoms(&mut rng);
+        while atoms.len() < 10 {
+            for a in arb_atoms(&mut rng) {
+                if !atoms.contains(&a) {
+                    atoms.push(a);
+                }
+            }
+        }
+        let mut base: Vec<GroundAtom> = atoms[..atoms.len() / 2].to_vec();
+        let mut m = ChaseRunner::new(&sigma).maintain(&Instance::from_atoms(base.clone()));
+        let (mut atom_compactions, mut firing_compactions) = (0, 0);
+        for step in 1..=80 {
+            let ctx = format!("long case {case} step {step}");
+            let (bound, logged) = (m.instance().id_bound(), m.recorded_firings());
+            if base.is_empty() || (base.len() < atoms.len() && rng.chance(0.5)) {
+                let fresh: Vec<&GroundAtom> = atoms.iter().filter(|a| !base.contains(a)).collect();
+                let a = fresh[rng.range(0, fresh.len())].clone();
+                base.push(a.clone());
+                m.insert([a]);
+            } else {
+                let n = rng.range(1, 3.min(base.len()) + 1);
+                let victims: Vec<GroundAtom> = (0..n)
+                    .map(|_| base.swap_remove(rng.range(0, base.len())))
+                    .collect();
+                m.retract(victims);
+                atom_compactions += usize::from(m.instance().id_bound() < bound);
+                firing_compactions += usize::from(m.recorded_firings() < logged);
+            }
+            assert!(
+                m.instance().id_bound() <= 2 * m.instance().len(),
+                "{ctx}: tombstones outnumber live atoms"
+            );
+            check_equiv(&m, &base, &sigma, &queries, &ctx);
+        }
+        assert!(
+            atom_compactions >= 2 && firing_compactions >= 2,
+            "case {case}: {atom_compactions} instance and {firing_compactions} \
+             dependency-index compactions"
+        );
+    }
+}
+
 /// The oblivious-semantics boundary, pinned as a test: after maintenance,
 /// the maintained instance can legitimately differ from a from-scratch
 /// *restricted* chase (insert a ground `R` fact after an existential

@@ -52,6 +52,11 @@ fn model_insert(model: &mut Vec<GroundAtom>, a: GroundAtom) {
     }
 }
 
+/// The model atoms at the given ranks.
+fn resolve_model(model: &[GroundAtom], ranks: &[usize]) -> Vec<GroundAtom> {
+    ranks.iter().map(|&i| model[i].clone()).collect()
+}
+
 /// The model's rows of `p` projected onto a column order and sorted: what
 /// the dense trie for that order must decode to.
 fn naive_rows(model: &[GroundAtom], p: Predicate, arity: usize, order: &[u16]) -> Vec<Vec<Value>> {
@@ -83,12 +88,32 @@ fn trie_rows(inst: &Instance, p: Predicate, arity: usize, order: &[u16]) -> Vec<
         .collect()
 }
 
+/// The atoms behind a candidate list: what the list means, whatever ids
+/// the instance gave them.
+fn resolve(inst: &Instance, ids: &[usize]) -> Vec<GroundAtom> {
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids ascend");
+    ids.iter().map(|&id| inst.atom(id).clone()).collect()
+}
+
+/// Whether the instance has no tombstone (fresh, or right after a
+/// compaction): then ids are exactly the insertion ranks.
+fn compacted(inst: &Instance) -> bool {
+    inst.id_bound() == inst.len()
+}
+
 fn check_invariants(inst: &Instance, model: &[GroundAtom], ctx: &str) {
-    // The atom store is the model, exactly and in order.
+    // The live atoms are the model, exactly and in order; ids are stable
+    // handles to them, and exactly the ranks when nothing is tombstoned.
     assert_eq!(inst.len(), model.len(), "len {ctx}");
+    assert!(inst.iter().eq(model.iter()), "atoms in order {ctx}");
+    assert!(inst.id_bound() <= 2 * inst.len(), "id bound {ctx}");
     for (i, a) in model.iter().enumerate() {
-        assert_eq!(inst.atom(i), a, "atom {i} {ctx}");
         assert!(inst.contains(a), "contains {ctx}");
+        let id = inst.id_of(a).expect("live atoms have ids");
+        assert_eq!(inst.atom(id), a, "atom {id} {ctx}");
+        if compacted(inst) {
+            assert_eq!(id, i, "compacted id {ctx}");
+        }
     }
 
     // dom(): exact value set, first-occurrence order, no duplicates.
@@ -117,11 +142,11 @@ fn check_invariants(inst: &Instance, model: &[GroundAtom], ctx: &str) {
         }
     }
     for ((p, pos, v), ids) in &expected_ids {
-        assert_eq!(
-            inst.atoms_matching(*p, *pos, *v),
-            ids.as_slice(),
-            "ids {ctx}"
-        );
+        let got = inst.atoms_matching(*p, *pos, *v);
+        assert_eq!(resolve(inst, got), resolve_model(model, ids), "ids {ctx}");
+        if compacted(inst) {
+            assert_eq!(got, ids.as_slice(), "compacted ids {ctx}");
+        }
     }
     // Absent keys report empty (a value in dom but never at this slot).
     let ghost = Value::named("never-inserted");
@@ -142,11 +167,19 @@ fn check_invariants(inst: &Instance, model: &[GroundAtom], ctx: &str) {
         let expected_ids: Vec<usize> = (0..model.len())
             .filter(|&i| model[i].predicate == p && model[i].args.len() == k)
             .collect();
+        let got = inst.atoms_with_pred(p, k);
         assert_eq!(
-            inst.atoms_with_pred(p, k),
-            expected_ids.as_slice(),
+            resolve(inst, got),
+            resolve_model(model, &expected_ids),
             "relation rows {ctx}"
         );
+        if compacted(inst) {
+            assert_eq!(
+                got,
+                expected_ids.as_slice(),
+                "compacted relation rows {ctx}"
+            );
+        }
         let forward: Vec<u16> = (0..k as u16).collect();
         let reverse: Vec<u16> = (0..k as u16).rev().collect();
         for order in [forward, reverse] {
@@ -233,6 +266,7 @@ fn instance_invariants_under_random_interleavings() {
 #[test]
 fn instance_invariants_under_insert_retract_interleavings() {
     let mut rng = Rng::seed(0xde1e_7e57);
+    let mut compactions = 0;
     for round in 0..24u32 {
         let mut inst = Instance::new();
         let mut model: Vec<GroundAtom> = Vec::new();
@@ -262,15 +296,26 @@ fn instance_invariants_under_insert_retract_interleavings() {
                     // A duplicate victim: counted once.
                     victims.push(victims[0].clone());
                 }
+                let bound = inst.id_bound();
                 assert_eq!(
                     inst.retract_atoms(&victims),
                     distinct,
                     "removal count {ctx}"
                 );
+                if inst.id_bound() < bound {
+                    compactions += 1;
+                    assert!(compacted(&inst), "a compaction drops every tombstone {ctx}");
+                } else {
+                    assert_eq!(inst.id_bound(), bound, "retraction moves no id {ctx}");
+                }
             }
             check_invariants(&inst, &model, &ctx);
         }
     }
+    assert!(
+        compactions > 0,
+        "no script crossed the compaction threshold"
+    );
 }
 
 /// Retracting every atom of a predicate and re-inserting fresh ones must
@@ -496,7 +541,13 @@ fn assert_same_accessors(
     ctx: &str,
 ) {
     assert_eq!(inst.len(), fresh.len(), "len {ctx}");
-    assert_eq!(inst.atoms(), fresh.atoms(), "atoms {ctx}");
+    assert!(inst.iter().eq(fresh.iter()), "atoms {ctx}");
+    // Ids may differ from the fresh build's until a compaction; what
+    // every list names, read through `atom(id)`, may not.
+    let exact = compacted(inst);
+    if exact {
+        assert_eq!(inst.tail(0), fresh.tail(0), "compacted slots {ctx}");
+    }
     for a in fresh.iter() {
         assert!(inst.contains(a), "contains {ctx}");
     }
@@ -511,18 +562,25 @@ fn assert_same_accessors(
     }
     assert_eq!(inst.predicates(), fresh.predicates(), "predicates {ctx}");
     for &(p, arity) in universe {
-        assert_eq!(
+        let (mine, theirs) = (
             inst.atoms_with_pred(p, arity),
             fresh.atoms_with_pred(p, arity),
-            "by_pred {ctx}"
         );
+        assert_eq!(resolve(inst, mine), resolve(fresh, theirs), "by_pred {ctx}");
+        if exact {
+            assert_eq!(mine, theirs, "compacted by_pred {ctx}");
+        }
         for pos in 0..arity {
             for v in values.iter().chain([&ghost]) {
-                assert_eq!(
+                let (mine, theirs) = (
                     inst.atoms_matching(p, pos, *v),
                     fresh.atoms_matching(p, pos, *v),
-                    "ids ({p}, {pos}, {v}) {ctx}"
                 );
+                let what = format!("ids ({p}, {pos}, {v}) {ctx}");
+                assert_eq!(resolve(inst, mine), resolve(fresh, theirs), "{what}");
+                if exact {
+                    assert_eq!(mine, theirs, "compacted {what}");
+                }
             }
         }
         if arity > 0 {
@@ -547,6 +605,8 @@ fn assert_same_accessors(
 /// start from `from_unique_atoms`, whose row indexes are still unbuilt at
 /// the first retraction. The universe also has a predicate at two arities
 /// and a nullary one, so one predicate's relations shrink independently.
+/// Odd rounds end on a majority batch, which crosses the compaction
+/// threshold: ids must then equal the fresh build's exactly.
 #[test]
 fn in_place_retraction_matches_a_fresh_build() {
     let mut rng = Rng::seed(0x5e7a_c7ed);
@@ -559,6 +619,7 @@ fn in_place_retraction_matches_a_fresh_build() {
         (Predicate::new("M"), 2),
         (Predicate::new("Z"), 0),
     ];
+    let mut compactions = 0;
     for round in 0..12u32 {
         let mut model: Vec<GroundAtom> = Vec::new();
         let target = rng.range(200, 400);
@@ -625,6 +686,9 @@ fn in_place_retraction_matches_a_fresh_build() {
             for _ in 0..rng.range(0, 6) {
                 doomed.push(rng.range(floor, model.len()));
             }
+            if round % 2 == 1 && batch == 7 {
+                doomed.extend((0..model.len()).filter(|_| rng.chance(0.7)));
+            }
             doomed.sort_unstable();
             doomed.dedup();
             let mut victims: Vec<GroundAtom> = doomed.iter().map(|&i| model[i].clone()).collect();
@@ -639,7 +703,14 @@ fn in_place_retraction_matches_a_fresh_build() {
                 ));
             }
             rng.shuffle(&mut victims);
+            let bound = inst.id_bound();
             assert_eq!(inst.retract_atoms(&victims), present, "removed {ctx}");
+            if inst.id_bound() < bound {
+                compactions += 1;
+                assert!(compacted(&inst), "a compaction drops every tombstone {ctx}");
+            } else {
+                assert_eq!(inst.id_bound(), bound, "retraction moves no id {ctx}");
+            }
             let mut i = 0;
             model.retain(|_| {
                 i += 1;
@@ -649,4 +720,56 @@ fn in_place_retraction_matches_a_fresh_build() {
             assert_same_accessors(&inst, &fresh, &universe, &values, &ctx);
         }
     }
+    assert!(
+        compactions >= 6,
+        "only {compactions} majority batches compacted"
+    );
+}
+
+/// Retraction moves no survivor: every live atom keeps its `id_of` (and
+/// `atom(id)` still names it) across retractions until tombstones
+/// outnumber live atoms. The retraction that tips the balance compacts,
+/// and ids are then the insertion ranks of the survivors.
+#[test]
+fn survivors_keep_their_ids_until_compaction() {
+    let mut rng = Rng::seed(0x57ab_1e1d);
+    let atoms: Vec<GroundAtom> = (0..64)
+        .map(|i| GroundAtom::named("E", &[&format!("v{}", i % 9), &format!("w{i}")]))
+        .collect();
+    let mut inst = Instance::from_atoms(atoms.clone());
+    let mut live = atoms.clone();
+    let mut compacted_once = false;
+    while !live.is_empty() {
+        let before: Vec<(GroundAtom, usize)> = live
+            .iter()
+            .map(|a| (a.clone(), inst.id_of(a).unwrap()))
+            .collect();
+        let bound = inst.id_bound();
+        let victim = live.remove(rng.range(0, live.len()));
+        assert!(inst.retract(&victim));
+        assert_eq!(inst.id_of(&victim), None);
+        if inst.id_bound() == bound {
+            for (a, id) in before.iter().filter(|(a, _)| *a != victim) {
+                assert_eq!(inst.id_of(a), Some(*id), "{a} moved");
+                assert_eq!(inst.atom(*id), a);
+            }
+            assert!(
+                inst.id_bound() - inst.len() <= inst.len(),
+                "compaction overdue"
+            );
+        } else {
+            compacted_once = true;
+            assert!(compacted(&inst), "a compaction drops every tombstone");
+            for (rank, a) in live.iter().enumerate() {
+                assert_eq!(inst.id_of(a), Some(rank), "{a} after compaction");
+            }
+        }
+        assert!(inst.iter().eq(live.iter()));
+    }
+    assert!(compacted_once);
+    assert_eq!(
+        inst.id_bound(),
+        0,
+        "retracting everything compacts to nothing"
+    );
 }

@@ -121,6 +121,45 @@ fn seeded_fixtures_round_trip() {
     }
 }
 
+/// Retraction leaves tombstones in the live instance (ids stay stable
+/// until a compaction); a snapshot persists the live atoms only, in id
+/// order, and loads back equal — same atoms, same order, same `dom()` —
+/// with dense ids, its tries installed and the thawed state maintainable.
+#[test]
+fn tombstoned_instances_save_only_live_atoms() {
+    let (tgds, mut m) = seeded_fixture(9);
+    for i in 0..2 {
+        m.insert([GroundAtom::named("Emp", &[&format!("tomb_x{i}")])]);
+    }
+    m.retract([GroundAtom::named("Emp", &["tomb_x0"])]);
+    let live = m.instance();
+    assert!(
+        live.id_bound() > live.len(),
+        "the fixture must hold tombstones"
+    );
+    let worksin = Predicate(Symbol::new("WorksIn"));
+    live.dense_snapshot(&[(worksin, 2, &[1, 0])]);
+
+    let path = temp_path("tombstones");
+    save_snapshot(&path, &tgds, &m).unwrap();
+    let loaded = load_snapshot(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let back = loaded.instance();
+    assert_eq!(back, live);
+    assert!(back.iter().eq(live.iter()), "atoms keep their order");
+    assert_eq!(
+        back.id_bound(),
+        back.len(),
+        "a loaded instance has no tombstones"
+    );
+    assert_eq!(back.dom(), live.dom());
+    assert_eq!(loaded.dense_tries_installed, live.dense_stats().tries);
+    let mut thawed = loaded.into_maintained().unwrap();
+    thawed.retract([GroundAtom::named("Emp", &["tomb_x1"])]);
+    m.retract([GroundAtom::named("Emp", &["tomb_x1"])]);
+    assert!(instance_isomorphic(m.instance(), thawed.instance()));
+}
+
 #[test]
 fn post_remap_dense_state_round_trips() {
     // Force an order-preserving dictionary remap: intern a symbol *early*
