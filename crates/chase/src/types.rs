@@ -7,10 +7,12 @@
 //! * canonicalization of bags into [`CanonType`]s,
 //! * a bag-closure engine ([`Saturator`]): the atoms over a bag's
 //!   constants entailed by the chase, for all reachable canonical types at
-//!   once as one worklist fixpoint; every memo entry is exact once the
-//!   worklist drains,
-//! * `child_bag`: the one "existential trigger → child bag" step, shared
-//!   by the saturator and the linearization,
+//!   once as one worklist fixpoint. Each type also records its
+//!   transitions, the child type and shared positions of each existential
+//!   trigger over its closure: the one type-transition graph, which
+//!   [`crate::linearize()`] reads. Closures and transitions are exact once
+//!   the worklist drains,
+//! * `child_bag`: the one "existential trigger → child bag" step,
 //! * [`ground_saturation`]: `chase↓(D, Σ)` — the ground part of the chase,
 //!   i.e. every atom over `dom(D)` entailed by `D` and Σ (the paper's
 //!   `complete(D, Σ)` and the `D⁺` of Section 6.2). Each round re-closes
@@ -24,8 +26,9 @@
 
 use crate::plan::{BodyAtomPlan, TriggerPlan};
 use crate::tgd::{Tgd, TgdClass};
+use gtgd_data::idhash::IdHashMap;
 use gtgd_data::{obs, GroundAtom, Instance, Predicate, Value};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::time::Instant;
 
 /// An atom in canonical coordinates: arguments are positions `0..width`.
@@ -53,7 +56,7 @@ pub struct CanonType {
 /// `≤ ar(T)`, small by the bounded-arity standing assumption.
 pub const MAX_CANON_WIDTH: usize = 8;
 
-fn encode(atoms: &Instance, position: &HashMap<Value, u8>) -> BTreeSet<TAtom> {
+fn encode(atoms: &Instance, position: &IdHashMap<Value, u8>) -> BTreeSet<TAtom> {
     atoms
         .iter()
         .map(|a| TAtom {
@@ -127,7 +130,7 @@ pub fn canonicalize_rigid(
     let mut best: Option<(BTreeSet<TAtom>, Vec<Value>)> = None;
     let mut group_orders: Vec<Vec<Value>> = groups.iter().map(|(_, vs)| vs.clone()).collect();
     permute_groups(&mut group_orders, 0, &mut |perm| {
-        let mut position: HashMap<Value, u8> = HashMap::new();
+        let mut position: IdHashMap<Value, u8> = IdHashMap::default();
         for (i, &v) in rigid.iter().enumerate() {
             position.insert(v, i as u8);
         }
@@ -189,14 +192,53 @@ fn decode_atom(t: &TAtom, perm: &[Value]) -> GroundAtom {
 }
 
 /// One interned canonical type of the [`Saturator`]'s worklist.
-struct TypeEntry {
+pub(crate) struct TypeEntry {
     /// The closure so far, in canonical coordinates: it only grows, and it
     /// is exact whenever the worklist is empty.
-    closure: BTreeSet<TAtom>,
-    width: u8,
+    pub(crate) closure: BTreeSet<TAtom>,
+    pub(crate) width: u8,
+    /// The existential triggers over the closure, by TGD index and body
+    /// row in canonical positions; exact whenever the closure is.
+    pub(crate) transitions: BTreeMap<(usize, Vec<u8>), Transition>,
     /// The types whose evaluation imported this closure; they go back on
     /// the worklist when it grows.
     importers: Vec<usize>,
+    /// Whether an evaluation searched every rule over the closure.
+    evaluated: bool,
+}
+
+/// The child bag an existential trigger of a type creates: an edge of the
+/// type-transition graph.
+pub(crate) struct Transition {
+    /// The child bag's type.
+    pub(crate) child: usize,
+    /// For each canonical position of the child, the parent position it
+    /// shares, or `None` for a fresh null.
+    pub(crate) shared: Vec<Option<u8>>,
+    /// How many parent atoms the child bag inherited. The parent's atoms
+    /// only grow, so while the count holds the child bag is the same.
+    inherited: usize,
+    /// The size of the child's closure when the parent last imported it.
+    imported: usize,
+}
+
+impl Transition {
+    /// Imports the child's `closure` into `bag`, a bag of the parent over
+    /// `consts`, through the shared positions, unless it has not grown
+    /// since the last import. Returns whether the bag grew.
+    fn import(&mut self, closure: &BTreeSet<TAtom>, consts: &[Value], bag: &mut Instance) -> bool {
+        if std::mem::replace(&mut self.imported, closure.len()) == closure.len() {
+            return false;
+        }
+        let value = |p: &u8| self.shared[*p as usize].map(|q| consts[q as usize]);
+        let mut grew = false;
+        for a in closure {
+            if let Some(args) = a.args.iter().map(value).collect() {
+                grew |= bag.insert(GroundAtom::new(a.pred, args));
+            }
+        }
+        grew
+    }
 }
 
 /// The bag-closure engine for a fixed set of guarded TGDs.
@@ -209,11 +251,16 @@ struct TypeEntry {
 /// nothing more is added; a type whose closure grew requeues every type
 /// that imported it. Closures only grow, within finitely many atoms, so
 /// the worklist drains, and then every interned closure is exact.
+///
+/// Each type keeps its transitions, the type-transition graph that
+/// [`crate::linearize()`] reads. A transition is rebuilt only when its
+/// child bag inherits more atoms; once the worklist drains, each was built
+/// over the exact closure.
 pub struct Saturator {
     plans: Vec<TriggerPlan>,
     /// The piece rules' head predicates, which no child bag inherits.
     pieces: HashSet<Predicate>,
-    ids: HashMap<CanonType, usize>,
+    ids: IdHashMap<CanonType, usize>,
     types: Vec<TypeEntry>,
     queue: VecDeque<usize>,
 }
@@ -235,7 +282,7 @@ impl Saturator {
         Saturator {
             plans: TriggerPlan::compile_all(tgds),
             pieces: HashSet::new(),
-            ids: HashMap::new(),
+            ids: IdHashMap::default(),
             types: Vec::new(),
             queue: VecDeque::new(),
         }
@@ -257,6 +304,11 @@ impl Saturator {
         self.types.len()
     }
 
+    /// The interned types, indexed by id.
+    pub(crate) fn types(&self) -> &[TypeEntry] {
+        &self.types
+    }
+
     /// Closes a bag: returns every atom over `consts` entailed by the chase
     /// of the bag's atoms under the TGDs. `atoms` must only mention
     /// `consts`.
@@ -265,13 +317,14 @@ impl Saturator {
             .iter()
             .all(|a| a.args.iter().all(|v| consts.contains(v))));
         let (key, perm) = canonicalize(atoms, consts);
-        decode(self.close_canonical(key), &perm)
+        let id = self.close_type(key);
+        decode(&self.types[id].closure, &perm)
     }
 
-    /// The closure of type `key` in canonical coordinates, which decodes to
-    /// every bag of the type through that bag's own ordering: the memo
-    /// entry of a known type, else the new type's once the worklist drains.
-    fn close_canonical(&mut self, key: CanonType) -> &BTreeSet<TAtom> {
+    /// The id of type `key`, whose closure in canonical coordinates decodes
+    /// to every bag of the type through that bag's own ordering: a known
+    /// type's, else the new type's once the worklist drains.
+    pub(crate) fn close_type(&mut self, key: CanonType) -> usize {
         let known = self.types.len();
         let id = self.intern(key);
         if id < known {
@@ -280,7 +333,7 @@ impl Saturator {
         while let Some(next) = self.queue.pop_front() {
             self.evaluate(next);
         }
-        &self.types[id].closure
+        id
     }
 
     /// The id of `key`; an unseen type is seeded with its own atoms and
@@ -293,7 +346,9 @@ impl Saturator {
         self.types.push(TypeEntry {
             closure: key.atoms.clone(),
             width: key.width,
+            transitions: BTreeMap::new(),
             importers: Vec::new(),
+            evaluated: false,
         });
         self.ids.insert(key, id);
         self.queue.push_back(id);
@@ -303,22 +358,35 @@ impl Saturator {
     /// One worklist step: brings type `id` to a local fixpoint against the
     /// current closures of its child types, and requeues its importers if
     /// its closure grew.
+    ///
+    /// A rule is searched again only once the bag has grown, and an
+    /// evaluated type starts from its recorded transitions. The bag only
+    /// grows, so each rule's last search, and each transition, is over the
+    /// final bag.
     fn evaluate(&mut self, id: usize) {
         obs::count(obs::Metric::BagClosures, 1);
         let started = obs::enabled().then(Instant::now);
         let consts: Vec<Value> = (0..self.types[id].width)
             .map(|_| Value::fresh_null())
             .collect();
+        let position: IdHashMap<Value, u8> = consts.iter().zip(0..).map(|(&v, i)| (v, i)).collect();
         let mut bag = decode(&self.types[id].closure, &consts);
         // Taken out for the loop: interning child types borrows `self`.
         let plans = std::mem::take(&mut self.plans);
+        let mut transitions = std::mem::take(&mut self.types[id].transitions);
+        // The bag's size at each rule's last search.
+        let mut searched = vec![self.types[id].evaluated.then_some(bag.len()); plans.len()];
+        for t in transitions.values_mut() {
+            t.import(&self.types[t.child].closure, &consts, &mut bag);
+        }
         let (mut nulls, mut head) = (Vec::new(), Vec::new());
-        // Child closures are fixed until this evaluation ends: re-importing
-        // an unchanged child bag gives nothing.
-        let mut imported: HashSet<(usize, Vec<Value>, usize)> = HashSet::new();
         loop {
             let mut grew = false;
-            for plan in &plans {
+            for (plan, searched) in plans.iter().zip(&mut searched) {
+                if *searched == Some(bag.len()) {
+                    continue;
+                }
+                *searched = Some(bag.len());
                 // A rule whose body predicate the bag lacks cannot fire.
                 let held =
                     |a: &BodyAtomPlan| !bag.atoms_with_pred(a.predicate, a.args.len()).is_empty();
@@ -334,23 +402,27 @@ impl Saturator {
                         }
                         continue;
                     }
-                    let (child_consts, child) = child_bag(plan, row, &bag, &self.pieces);
-                    if !imported.insert((plan.index, row.to_vec(), child.len())) {
-                        continue;
-                    }
-                    let (key, perm) = canonicalize(&child, &child_consts);
-                    let child = self.intern(key);
-                    let entry = &mut self.types[child];
-                    if !entry.importers.contains(&id) {
-                        entry.importers.push(id);
-                    }
-                    // Import what the child knows over our constants.
-                    let ours: Vec<bool> = perm.iter().map(|v| consts.contains(v)).collect();
-                    for t in &entry.closure {
-                        if t.args.iter().all(|&p| ours[p as usize]) {
-                            grew |= bag.insert(decode_atom(t, &perm));
+                    let key = (plan.index, row.iter().map(|v| position[v]).collect());
+                    let inherited = inherited(plan, row, &bag, &self.pieces).count();
+                    let stale = |t: &Transition| t.inherited != inherited;
+                    if transitions.get(&key).is_none_or(stale) {
+                        let (child_consts, child) = child_bag(plan, row, &bag, &self.pieces);
+                        let (child_key, perm) = canonicalize(&child, &child_consts);
+                        let child = self.intern(child_key);
+                        if !self.types[child].importers.contains(&id) {
+                            self.types[child].importers.push(id);
                         }
+                        let shared = perm.iter().map(|v| position.get(v).copied()).collect();
+                        let t = Transition {
+                            child,
+                            shared,
+                            inherited,
+                            imported: 0,
+                        };
+                        transitions.insert(key.clone(), t);
                     }
+                    let t = transitions.get_mut(&key).expect("recorded above");
+                    grew |= t.import(&self.types[t.child].closure, &consts, &mut bag);
                 }
             }
             if !grew {
@@ -358,8 +430,9 @@ impl Saturator {
             }
         }
         self.plans = plans;
-        let position = consts.iter().enumerate().map(|(i, &v)| (v, i as u8));
-        let closure = encode(&bag, &position.collect());
+        self.types[id].transitions = transitions;
+        self.types[id].evaluated = true;
+        let closure = encode(&bag, &position);
         if closure.len() > self.types[id].closure.len() {
             self.types[id].closure = closure;
             for i in self.types[id].importers.clone() {
@@ -397,7 +470,8 @@ impl Saturator {
             }
             let mut added = false;
             for (key, perm) in dirty {
-                for t in self.close_canonical(key) {
+                let id = self.close_type(key);
+                for t in &self.types[id].closure {
                     added |= ground.insert(decode_atom(t, &perm));
                 }
             }
@@ -408,11 +482,25 @@ impl Saturator {
     }
 }
 
+/// The atoms of `parent` that the child bag of the existential trigger
+/// `row` of `plan` inherits: those over the trigger's frontier images
+/// whose predicate is not in `skip`.
+fn inherited<'a>(
+    plan: &'a TriggerPlan,
+    row: &'a [Value],
+    parent: &'a Instance,
+    skip: &'a HashSet<Predicate>,
+) -> impl Iterator<Item = &'a GroundAtom> {
+    let shared = |v: &Value| plan.frontier_links.iter().any(|&(_, slot)| row[slot] == *v);
+    let over = move |a: &&GroundAtom| a.args.iter().all(shared) && !skip.contains(&a.predicate);
+    parent.iter().filter(over)
+}
+
 /// The child bag of the existential trigger that `row`, a body row of
 /// `plan`, witnesses in the bag `parent`. Returns the child's constants —
 /// the frontier images in [`Tgd::frontier`] order without repeats, then
 /// the firing's fresh nulls — and its atoms: the head atoms, then the
-/// atoms of `parent` over those constants whose predicate is not in `skip`.
+/// atoms the child [`inherited`] from `parent`.
 pub(crate) fn child_bag(
     plan: &TriggerPlan,
     row: &[Value],
@@ -430,12 +518,8 @@ pub(crate) fn child_bag(
     consts.extend_from_slice(&nulls);
     head.sort_unstable();
     head.dedup();
-    let over = |a: &&GroundAtom| a.args.iter().all(|v| consts.contains(v));
-    let inherited = parent
-        .iter()
-        .filter(over)
-        .filter(|a| !skip.contains(&a.predicate));
-    let inherited: Vec<GroundAtom> = inherited.filter(|a| !head.contains(a)).cloned().collect();
+    let inherited = inherited(plan, row, parent, skip).filter(|a| !head.contains(a));
+    let inherited: Vec<GroundAtom> = inherited.cloned().collect();
     head.extend(inherited);
     // The atoms are distinct; a child bag needs no row indexes.
     (consts, Instance::from_unique_atoms(head))
@@ -686,6 +770,56 @@ mod tests {
         assert_eq!(sat.ground_saturation(&d), expected);
         // A second run on the warm memo agrees.
         assert_eq!(sat.ground_saturation(&d), expected);
+    }
+
+    #[test]
+    fn recorded_transitions_match_a_fresh_recomputation() {
+        // Recomputed from each type's exact closure, the existential
+        // triggers give exactly the recorded transitions: none survives
+        // from a partial closure. Inputs: the two-atom heads above, and
+        // the recursive types.
+        let inputs = [
+            (
+                "R(X,Y) -> S(X,Y), R(Z,X). \
+                 S(X,Y) -> S(X,Z), B(X), B(Z). \
+                 S(X,Y) -> R(X,Y), R(Y,X)",
+                db(&[("R", &["c1", "c1"]), ("A", &["c0"]), ("S", &["c2", "c1"])]),
+            ),
+            (
+                "A(X) -> R(X,Y), B(Y). B(X) -> R(X,Y), A(Y). R(X,Y), R(Y,X) -> S(X)",
+                db(&[("A", &["a"]), ("R", &["a", "b"]), ("R", &["b", "a"])]),
+            ),
+        ];
+        for (src, d) in inputs {
+            let mut sat = Saturator::new(&parse_tgds(src).unwrap());
+            sat.ground_saturation(&d);
+            let mut edges = 0;
+            for (id, entry) in sat.types.iter().enumerate() {
+                let consts: Vec<Value> = (0..entry.width).map(|_| Value::fresh_null()).collect();
+                let bag = decode(&entry.closure, &consts);
+                let mut want = BTreeSet::new();
+                for plan in sat.plans.iter().filter(|p| p.n_exist > 0) {
+                    for row in plan.body.search(&bag).table().rows() {
+                        let (child_consts, child) = child_bag(plan, row, &bag, &sat.pieces);
+                        let (key, perm) = canonicalize(&child, &child_consts);
+                        let at = |v: &Value| consts.iter().position(|c| c == v);
+                        let row: Vec<usize> = row.iter().map(|v| at(v).unwrap()).collect();
+                        let shared: Vec<Option<usize>> = perm.iter().map(at).collect();
+                        want.insert((plan.index, row, sat.ids[&key], shared));
+                    }
+                }
+                let got: BTreeSet<_> = (entry.transitions.iter())
+                    .map(|((tgd, row), t)| {
+                        let row = row.iter().map(|&p| usize::from(p)).collect();
+                        let shared = t.shared.iter().map(|p| p.map(usize::from)).collect();
+                        (*tgd, row, t.child, shared)
+                    })
+                    .collect();
+                assert_eq!(got, want, "transitions of type {id} under {src}");
+                edges += got.len();
+            }
+            assert!(edges > 0, "{src}");
+        }
     }
 
     #[test]

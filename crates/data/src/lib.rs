@@ -48,5 +48,5 @@ pub use par::{default_workers, Pool};
 pub use rng::Rng;
 pub use schema::{Predicate, Schema};
 pub use symbols::Symbol;
-pub use text::{parse_fact, parse_facts, render_facts, FactParseError};
+pub use text::{parse_fact, parse_facts, render_facts, strip_comment, FactParseError};
 pub use value::Value;

@@ -2,7 +2,8 @@
 //! by `.`), e.g. `Emp(ann)` / `WorksIn(ann, sales)`. Predicate names and
 //! unquoted constants are identifiers (ASCII letters, digits, `_`); a
 //! constant may be `"`-quoted to include anything else (a `\"` inside
-//! the quotes does not end them). Lines starting with `#` are comments.
+//! the quotes does not end them). A `#` outside quotes starts a comment
+//! that runs to the end of the line.
 //!
 //! This is the one fact grammar: fixture/bulk loading, script `fact` and
 //! `+`/`-` lines, daemon writes and commit-log replay all parse through
@@ -64,6 +65,23 @@ fn closing_quote(s: &str) -> Option<usize> {
     }
 }
 
+/// `line` up to its first `#` outside a `"`-quoted constant: the line
+/// without its comment. Inside quotes a `\"` does not end them, as in the
+/// fact grammar.
+pub fn strip_comment(line: &str) -> &str {
+    let mut rest = line;
+    while let Some(at) = rest.find(['#', '"']) {
+        if rest.as_bytes()[at] == b'#' {
+            return &line[..line.len() - rest.len() + at];
+        }
+        match closing_quote(&rest[at + 1..]) {
+            Some(end) => rest = &rest[at + end + 2..],
+            None => break,
+        }
+    }
+    line
+}
+
 /// Parses one fact from the front of `src` and returns it with the text
 /// after its closing `)`. The one fact grammar: an identifier, `(`, then
 /// comma-separated constants and `)`, with spaces allowed around every
@@ -119,7 +137,8 @@ pub fn parse_fact(src: &str) -> Result<GroundAtom, String> {
 }
 
 /// Parses a block of facts into an [`Instance`]. Facts on one line are
-/// separated by `.`; blank lines and `#` comments are skipped.
+/// separated by `.`; blank lines and `#` comments ([`strip_comment`]) are
+/// skipped.
 pub fn parse_facts(src: &str) -> Result<Instance, FactParseError> {
     let mut out = Instance::new();
     for (i, raw) in src.lines().enumerate() {
@@ -127,7 +146,7 @@ pub fn parse_facts(src: &str) -> Result<Instance, FactParseError> {
             line: i + 1,
             message,
         };
-        let mut rest = raw.split('#').next().unwrap_or("").trim();
+        let mut rest = strip_comment(raw).trim();
         while !rest.is_empty() {
             let (atom, after) = parse_fact_prefix(rest).map_err(fail)?;
             out.insert(atom);
@@ -182,6 +201,20 @@ mod tests {
         assert_eq!(i.len(), 4);
         assert!(i.contains(&GroundAtom::named("WorksIn", &["ann", "sales"])));
         assert!(i.contains(&GroundAtom::named("Flag", &[])));
+    }
+
+    #[test]
+    fn comments_end_outside_quotes() {
+        let i = parse_facts("City(\"a#b\"). # note\nEmp(ann) # trailing\n").unwrap();
+        assert_eq!(i.len(), 2);
+        assert!(i.contains(&GroundAtom::named("City", &["a#b"])));
+        assert!(i.contains(&GroundAtom::named("Emp", &["ann"])));
+        assert_eq!(
+            strip_comment(r##"R("x\"#y", z) # c"##),
+            r##"R("x\"#y", z) "##
+        );
+        assert_eq!(strip_comment(r##"R("open#"##), r##"R("open#"##);
+        assert_eq!(strip_comment("# only"), "");
     }
 
     #[test]

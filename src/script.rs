@@ -2,7 +2,7 @@
 //! TGDs, and a query, then evaluate open-world (OMQ) or closed-world (CQS).
 //!
 //! ```text
-//! # comments start with '#'
+//! # comments start with '#' outside a "quoted" constant
 //! mode open                          # or: mode closed
 //! fact Emp(ann).
 //! fact WorksIn(ann, sales).
@@ -94,7 +94,7 @@ pub fn parse_script(src: &str) -> Result<Script, ScriptError> {
     let mut ops = Vec::new();
     for (i, raw) in src.lines().enumerate() {
         let line = i + 1;
-        let text = raw.split('#').next().unwrap_or("").trim();
+        let text = gtgd_data::strip_comment(raw).trim();
         if text.is_empty() {
             continue;
         }
@@ -455,5 +455,17 @@ mod tests {
             assert_eq!(e.line, 2, "{bad:?}");
             assert!(e.message.contains(says), "{bad:?}: {e}");
         }
+    }
+
+    #[test]
+    fn comments_start_outside_quoted_constants() {
+        let s = parse_script(
+            "fact City(\"a#b\"). # note\nfact Emp(ann). # plain\nquery Q(X) :- City(X). # q\n",
+        )
+        .unwrap();
+        assert_eq!(s.facts.len(), 2);
+        assert!(s.facts.contains(&GroundAtom::named("City", &["a#b"])));
+        assert!(s.facts.contains(&GroundAtom::named("Emp", &["ann"])));
+        assert_eq!(s.queries.len(), 1);
     }
 }

@@ -159,8 +159,9 @@ fn par_saturation_equals_sequential() {
 /// part; every answer set is flagged exact. Most of these chases are
 /// infinite, and the typed chase takes minutes per run here, so the deep
 /// chase is the reference. A seeded die keeps 350 of the 1 024 mask ×
-/// query pairs: the whole product takes about 25 s in a debug build on a
-/// 2-core host.
+/// query pairs: the whole product takes 12 s alone in a debug build on a
+/// quiet 2-core host and up to 25 s on a busy one, over the 15 s this
+/// test may add.
 #[test]
 fn piece_saturation_contains_deep_chase_on_second_pool() {
     let pool = two_atom_head_pool();
