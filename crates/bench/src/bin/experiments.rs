@@ -272,6 +272,19 @@ fn main() {
             .expect("write json");
         eprintln!("wrote {path}");
     }
+    // E16 checks the maintained state and E17 the loaded snapshot against
+    // a re-chase: a false `agree` cell there is a wrong answer, not a
+    // slow one, so the run fails.
+    let mut disagree = false;
+    for t in tables.iter().filter(|t| t.id == "E16" || t.id == "E17") {
+        for row in t.disagreements() {
+            eprintln!("{}: {row} disagrees with the re-chase", t.id);
+            disagree = true;
+        }
+    }
+    if disagree {
+        std::process::exit(1);
+    }
 }
 
 fn print_ingest_rows(metrics: &[IngestMetric]) {

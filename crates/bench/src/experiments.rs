@@ -68,6 +68,18 @@ impl ExperimentTable {
         }
         out
     }
+
+    /// The first cell of every row whose `agree` cell is not `true`; empty
+    /// when the table has no `agree` column.
+    pub fn disagreements(&self) -> Vec<&str> {
+        let Some(col) = self.columns.iter().position(|c| c == "agree") else {
+            return Vec::new();
+        };
+        (self.rows.iter())
+            .filter(|row| row[col] != "true")
+            .map(|row| row[0].as_str())
+            .collect()
+    }
 }
 
 fn ms(start: Instant) -> f64 {
@@ -1116,8 +1128,9 @@ pub fn e17_serve_amortization() -> ExperimentTable {
                 line-delimited-JSON round-trip against the daemon with a \
                 hot plan cache. load re-reads the snapshot to query-ready: \
                 sequential decode + validated index install — no joins, \
-                no re-sorting; the dependency-index rebuild (hashing) is \
-                deferred to the first write (thaw_ms in the JSON)."
+                no re-sorting; linking the dependency index (one id \
+                lookup per firing atom) is deferred to the first write \
+                (thaw_ms in the JSON)."
             .into(),
     }
 }
@@ -1218,6 +1231,25 @@ mod tests {
         let t = e13_type_telemetry();
         let counts: Vec<&String> = t.rows.iter().map(|r| &r[2]).collect();
         assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
+    }
+
+    #[test]
+    fn disagreements_name_the_rows_whose_agree_cell_is_false() {
+        let table = |columns: &[&str], rows: &[&[&str]]| ExperimentTable {
+            id: "E0".into(),
+            title: "t".into(),
+            claim: "c".into(),
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+            rows: (rows.iter())
+                .map(|r| r.iter().map(|c| c.to_string()).collect())
+                .collect(),
+            notes: String::new(),
+        };
+        let t = table(&["w", "agree"], &[&["a", "true"], &["b", "false"]]);
+        assert_eq!(t.disagreements(), ["b"]);
+        assert!(table(&["w", "ms"], &[&["a", "false"]])
+            .disagreements()
+            .is_empty());
     }
 
     #[test]

@@ -25,10 +25,19 @@
 //!   them once.
 //!
 //! Every run appends its firings to the dependency index's own log of
-//! [`Firing`] records, and one step then links the new tail into the
-//! `supports`/`uses` maps DRed walks, rebuilding each body from its key.
-//! The same step indexes a thawed snapshot's firings; a compaction drops
-//! the dead records and renumbers the linked lists in place.
+//! [`Firing`] records. One step links the log's unlinked tail into what
+//! DRed walks, all keyed by atom id: each firing's body atom and product
+//! ids, and per atom id the lists of firings producing and using it. The
+//! body is grounded from the key into a reused buffer and every atom is
+//! found by a lookup in the instance, so no atom is cloned. A retraction
+//! links what the runs since the previous one logged before it walks the
+//! index, so a build or an insert leaves its firings unlinked; thawing a
+//! snapshot links every firing at once, which is also what validates it.
+//! Base facts are a bitset over atom ids. The instance's compaction, its
+//! only renumbering point, reports the ids it dropped, and the lists, the
+//! firing ids and the base bits are renumbered the same way. A
+//! compaction of the index itself drops the dead records and renumbers
+//! the firing ids in place.
 //!
 //! Why oblivious semantics: the oblivious chase fires every trigger
 //! exactly once, so its fixpoint is order-independent up to null renaming
@@ -52,9 +61,9 @@ use crate::engine::{ChaseBudget, Delta, ObliviousChase};
 use crate::plan::{Firing, TriggerPlan};
 use crate::runner::ChaseVariant;
 use crate::tgd::Tgd;
-use gtgd_data::idhash::{IdHashMap, IdHashSet};
+use gtgd_data::idhash::IdHashSet;
 use gtgd_data::{obs, GroundAtom, Instance, Value};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// What one maintenance operation did. Every count is exact (not a
 /// high-water mark), which is what lets the mutation-grade tests assert
@@ -94,43 +103,143 @@ pub struct MaintainExport {
     pub max_atoms: Option<usize>,
 }
 
-/// The firing graph DRed walks: every recorded firing plus, per atom, the
-/// firings producing it and the firings using it.
+/// A set of atom ids, one bit per id.
+#[derive(Debug, Clone, Default)]
+struct IdBits {
+    words: Vec<u64>,
+}
+
+impl IdBits {
+    fn contains(&self, id: usize) -> bool {
+        self.words
+            .get(id / 64)
+            .is_some_and(|w| w >> (id % 64) & 1 == 1)
+    }
+
+    fn insert(&mut self, id: usize) {
+        if self.words.len() <= id / 64 {
+            self.words.resize(id / 64 + 1, 0);
+        }
+        self.words[id / 64] |= 1 << (id % 64);
+    }
+
+    /// Clears `id`; returns whether it was set.
+    fn remove(&mut self, id: usize) -> bool {
+        let was = self.contains(id);
+        if was {
+            self.words[id / 64] &= !(1 << (id % 64));
+        }
+        was
+    }
+
+    /// The ids in the set, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+
+    /// Moves every id through a compaction map (see [`compaction_map`]);
+    /// no id in the set may have been dropped.
+    fn renumber(&mut self, new_id: &[u32]) {
+        let old = std::mem::take(self);
+        for id in old.iter() {
+            assert_ne!(new_id[id], DROPPED, "a dropped id was still set");
+            self.insert(new_id[id] as usize);
+        }
+    }
+}
+
+/// What [`compaction_map`] sends a dropped id to.
+const DROPPED: u32 = u32::MAX;
+
+/// The id map of an instance compaction ([`Instance::retract_ids`]) over
+/// `bound` slots that dropped the ascending ids `dropped`: entry `id` is
+/// the new id of surviving atom `id`, or [`DROPPED`].
+fn compaction_map(bound: usize, dropped: &[usize]) -> Vec<u32> {
+    let mut map = Vec::with_capacity(bound);
+    let mut gone = dropped.iter().peekable();
+    let mut next = 0u32;
+    for id in 0..bound {
+        if gone.next_if_eq(&&id).is_some() {
+            map.push(DROPPED);
+        } else {
+            map.push(next);
+            next += 1;
+        }
+    }
+    map
+}
+
+/// An atom id, firing id or span offset as the dependency index stores
+/// it.
+fn id32(id: usize) -> u32 {
+    u32::try_from(id).expect("atom and firing ids fit u32")
+}
+
+/// Where one linked firing's atom ids sit in [`DepIndex::atom_ids`]: its
+/// body atoms' ids (in body order) at `body..products`, then its
+/// products' ids (in head order) at `products..end`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    body: u32,
+    products: u32,
+    end: u32,
+}
+
+/// The firing graph DRed walks: every recorded firing with the ids of the
+/// atoms it used and produced, plus, per atom id, the firings producing it
+/// and the firings using it. Every atom id an alive firing or a list
+/// holds names a live atom of the instance the index was linked against;
+/// the instance's compaction, its only renumbering point, is replayed
+/// here by [`DepIndex::renumber_atoms`].
 #[derive(Debug, Clone, Default)]
 struct DepIndex {
     /// All recorded firings, in firing order; dead ones stay as
     /// tombstones so ids in the adjacency lists below never dangle.
     /// [`DepIndex::compact`] drops them once they outnumber the alive ones.
-    /// A chase run appends here; [`DepIndex::link`] indexes what it
-    /// appended.
+    /// A chase run appends here; [`DepIndex::link`] indexes what was
+    /// appended, but only once a retraction needs it: the firings past
+    /// `alive` are recorded, alive and not yet linked.
     firings: Vec<Firing>,
     /// `alive[fid]` is cleared when a body atom of firing `fid` is
-    /// over-deleted. Shorter than `firings` only between a run and the
-    /// `link` that follows it.
+    /// over-deleted. One entry per linked firing, like `spans`.
     alive: Vec<bool>,
     /// How many of `firings` are dead.
     dead: usize,
-    /// atom → ids of firings producing it (its supports). Only atoms of
-    /// the instance are keys: retraction drops the keys of the atoms it
-    /// removes.
-    supports: IdHashMap<GroundAtom, Vec<usize>>,
-    /// atom → ids of firings using it in their body. Keyed like
-    /// `supports`.
-    uses: IdHashMap<GroundAtom, Vec<usize>>,
+    /// Each linked firing's span of `atom_ids`.
+    spans: Vec<Span>,
+    /// The atom ids of every linked firing, back to back. A dead firing's
+    /// ids are never read again, so they may name atoms since removed.
+    atom_ids: Vec<u32>,
+    /// Indexed by atom id (as long as the instance's `id_bound()` after
+    /// every link): the ids of the firings producing the atom (its
+    /// supports). A removed atom's list is emptied with it.
+    supports: Vec<Vec<u32>>,
+    /// Indexed like `supports`: the ids of the firings using the atom in
+    /// their body.
+    uses: Vec<Vec<u32>>,
 }
 
 impl DepIndex {
     /// The one indexing path: links the firings not yet linked (the tail
-    /// past `alive`) as alive, each body rebuilt from its key
-    /// ([`TriggerPlan::body_from_key`]) and passed to `check` with its
-    /// firing first. Chase runs and snapshot import both index
-    /// here. Fails on a rule index out of range, a key of the wrong arity,
-    /// or the first error `check` returns.
-    fn link(
-        &mut self,
-        plans: &[TriggerPlan],
-        mut check: impl FnMut(&Firing, &[GroundAtom]) -> Result<(), String>,
-    ) -> Result<(), String> {
+    /// past `alive`) as alive. Each body is grounded from its key
+    /// ([`TriggerPlan::body_into`]) into one reused buffer, and every body
+    /// atom and product is looked up in `instance` by reference, so no
+    /// atom is cloned. Chase runs and snapshot import both index here.
+    /// Fails on a rule index out of range, a key of the wrong arity, or
+    /// a body atom or product the instance lacks.
+    fn link(&mut self, plans: &[TriggerPlan], instance: &Instance) -> Result<(), String> {
+        self.supports.resize_with(instance.id_bound(), Vec::new);
+        self.uses.resize_with(instance.id_bound(), Vec::new);
+        let mut body = Vec::new();
         for fid in self.alive.len()..self.firings.len() {
             let f = &self.firings[fid];
             let Some(plan) = plans.get(f.tgd) else {
@@ -148,69 +257,136 @@ impl DepIndex {
                     plan.key_slots.len()
                 ));
             }
-            let body = plan.body_from_key(&f.key);
-            check(f, &body)?;
-            for b in body {
-                self.uses.entry(b).or_default().push(fid);
+            plan.body_into(&f.key, &mut body);
+            let fid = id32(fid);
+            let start = id32(self.atom_ids.len());
+            for b in &body {
+                let Some(id) = instance.id_of(b) else {
+                    return Err(format!("firing body atom {b} missing from the instance"));
+                };
+                self.uses[id].push(fid);
+                self.atom_ids.push(id32(id));
             }
+            let products = id32(self.atom_ids.len());
             for p in &f.products {
-                self.supports.entry(p.clone()).or_default().push(fid);
+                let Some(id) = instance.id_of(p) else {
+                    return Err(format!("firing product {p} missing from the instance"));
+                };
+                self.supports[id].push(fid);
+                self.atom_ids.push(id32(id));
             }
+            self.spans.push(Span {
+                body: start,
+                products,
+                end: id32(self.atom_ids.len()),
+            });
             self.alive.push(true);
         }
         Ok(())
     }
 
-    /// The alive firings, in firing order.
+    /// The alive firings, in firing order: the linked ones still alive,
+    /// then the unlinked tail.
     fn alive_firings(&self) -> impl Iterator<Item = &Firing> {
+        let alive = self.alive.iter().copied().chain(std::iter::repeat(true));
         self.firings
             .iter()
-            .zip(&self.alive)
-            .filter_map(|(f, &alive)| alive.then_some(f))
+            .zip(alive)
+            .filter_map(|(f, alive)| alive.then_some(f))
+    }
+
+    /// The ids of the body atoms of linked firing `fid`, in body order.
+    #[cfg(test)]
+    fn body_ids(&self, fid: usize) -> &[u32] {
+        let s = self.spans[fid];
+        &self.atom_ids[s.body as usize..s.products as usize]
+    }
+
+    /// The ids of the products of linked firing `fid`, in head order.
+    fn product_ids(&self, fid: usize) -> &[u32] {
+        let s = self.spans[fid];
+        &self.atom_ids[s.products as usize..s.end as usize]
+    }
+
+    /// Whether any firing in `fids` is alive.
+    fn any_alive(&self, fids: &[u32]) -> bool {
+        fids.iter().any(|&fid| self.alive[fid as usize])
     }
 
     /// Once dead firings outnumber alive ones, drops them and renumbers
-    /// the alive firings in place: the log keeps the alive records in
-    /// firing order, an id map sends each alive id to its new one, and
-    /// every adjacency list is filtered and rewritten through it (lists
-    /// left empty go with their keys). No body is rebuilt and no atom is
-    /// re-hashed. Each compaction at least halves `firings`, so its cost
-    /// is amortized over the retractions that killed them, and `firings`
-    /// never holds more than twice the alive firings after a retraction.
+    /// the alive firings in place: the log and the spans keep the alive
+    /// records in firing order (their atom ids close up behind them), an
+    /// id map sends each alive id to its new one, and every adjacency
+    /// list is filtered and rewritten through it. No body is regrounded
+    /// and no atom is hashed. Each compaction at least halves `firings`,
+    /// so its cost is amortized over the retractions that killed them,
+    /// and `firings` never holds more than twice the alive firings after
+    /// a retraction.
     fn compact(&mut self) {
+        debug_assert_eq!(
+            self.alive.len(),
+            self.firings.len(),
+            "compaction links first"
+        );
         if self.dead <= self.firings.len() - self.dead {
             return;
         }
         let mut new_id = Vec::with_capacity(self.alive.len());
-        let mut next = 0;
+        let mut next = 0u32;
         for &alive in &self.alive {
-            new_id.push(alive.then_some(next));
-            next += usize::from(alive);
+            new_id.push(if alive { next } else { DROPPED });
+            next += u32::from(alive);
         }
         let mut fid = 0;
         self.firings.retain(|_| {
             fid += 1;
-            new_id[fid - 1].is_some()
+            new_id[fid - 1] != DROPPED
         });
-        self.alive = vec![true; next];
+        let (mut spans, mut kept) = (Vec::with_capacity(next as usize), 0);
+        for (s, &id) in self.spans.iter().zip(&new_id) {
+            if id == DROPPED {
+                continue;
+            }
+            self.atom_ids
+                .copy_within(s.body as usize..s.end as usize, kept);
+            let body = id32(kept);
+            kept += (s.end - s.body) as usize;
+            spans.push(Span {
+                body,
+                products: body + (s.products - s.body),
+                end: id32(kept),
+            });
+        }
+        self.atom_ids.truncate(kept);
+        self.spans = spans;
+        self.alive = vec![true; next as usize];
         self.dead = 0;
-        for lists in [&mut self.supports, &mut self.uses] {
-            lists.retain(|_, fids| {
-                fids.retain_mut(|fid| match new_id[*fid] {
-                    Some(id) => {
-                        *fid = id;
-                        true
-                    }
-                    None => false,
-                });
-                !fids.is_empty()
+        for fids in self.supports.iter_mut().chain(&mut self.uses) {
+            fids.retain_mut(|fid| {
+                *fid = new_id[*fid as usize];
+                *fid != DROPPED
             });
         }
     }
 
-    /// Whether any firing in `fids` is alive.
-    fn any_alive(&self, fids: Option<&Vec<usize>>) -> bool {
-        fids.into_iter().flatten().any(|&fid| self.alive[fid])
+    /// Replays an instance compaction (`new_id` from [`compaction_map`]):
+    /// the dropped atoms' lists, already emptied, go, and every span id
+    /// moves to its new id. A dead firing may name a dropped atom; such
+    /// ids turn to [`DROPPED`], stay so, and are never read again.
+    fn renumber_atoms(&mut self, new_id: &[u32]) {
+        for lists in [&mut self.supports, &mut self.uses] {
+            let mut id = 0;
+            lists.retain(|fids| {
+                id += 1;
+                debug_assert!(new_id[id - 1] != DROPPED || fids.is_empty());
+                new_id[id - 1] != DROPPED
+            });
+        }
+        for id in &mut self.atom_ids {
+            if *id != DROPPED {
+                *id = new_id[*id as usize];
+            }
+        }
     }
 }
 
@@ -227,9 +403,10 @@ pub struct MaintainedInstance {
     /// The engine state: plans and the instance.
     chase: ObliviousChase,
     budget: ChaseBudget,
-    /// User-asserted facts. A base fact is never deleted by over-delete
-    /// propagation alone — only by being explicitly retracted.
-    base: IdHashSet<GroundAtom>,
+    /// The ids of the user-asserted facts. A base fact is never deleted
+    /// by over-delete propagation alone — only by being explicitly
+    /// retracted.
+    base: IdBits,
     deps: DepIndex,
     complete: bool,
 }
@@ -247,10 +424,14 @@ impl MaintainedInstance {
             budget.max_level.is_none(),
             "MaintainedInstance maintains a fixpoint; level-capped prefixes are not maintainable"
         );
+        let mut base = IdBits::default();
+        for (id, _) in db.iter_ids() {
+            base.insert(id);
+        }
         let mut m = MaintainedInstance {
             chase: ObliviousChase::new(tgds, db.clone(), ChaseVariant::Oblivious),
             budget,
-            base: db.iter().cloned().collect(),
+            base,
             deps: DepIndex::default(),
             complete: true,
         };
@@ -265,7 +446,19 @@ impl MaintainedInstance {
 
     /// Whether `atom` is currently a base (user-asserted) fact.
     pub fn is_base(&self, atom: &GroundAtom) -> bool {
-        self.base.contains(atom)
+        (self.chase.instance.id_of(atom)).is_some_and(|id| self.base.contains(id))
+    }
+
+    /// The base facts, in instance order: what
+    /// [`MaintainExport::base`] holds, borrowed.
+    pub fn base_facts(&self) -> impl Iterator<Item = &GroundAtom> {
+        self.base.iter().map(|id| self.chase.instance.atom(id))
+    }
+
+    /// The alive firings, in firing order: what
+    /// [`MaintainExport::firings`] holds, borrowed.
+    pub fn alive_firings(&self) -> impl Iterator<Item = &Firing> {
+        self.deps.alive_firings()
     }
 
     /// How many firing records the dependency index holds: the alive
@@ -283,18 +476,29 @@ impl MaintainedInstance {
         self.complete
     }
 
+    /// The atom cap of the maintenance budget, if any.
+    pub fn max_atoms(&self) -> Option<usize> {
+        self.budget.max_atoms
+    }
+
     /// Asserts base facts and chases only their consequences: the round
     /// loop starts from the atoms new to the instance, so it finds only
     /// triggers that never fired.
     pub fn insert(&mut self, atoms: impl IntoIterator<Item = GroundAtom>) -> MaintenanceReport {
         let _span = obs::span("maint.insert");
-        let start = self.chase.instance.id_bound();
+        let instance = &mut self.chase.instance;
+        let start = instance.id_bound();
         for a in atoms {
-            self.base.insert(a.clone());
-            self.chase.instance.insert(a);
+            match instance.id_of(&a) {
+                Some(id) => self.base.insert(id),
+                None => {
+                    self.base.insert(instance.id_bound());
+                    instance.insert(a);
+                }
+            }
         }
         let mut report = MaintenanceReport {
-            atoms_added: self.chase.instance.id_bound() - start,
+            atoms_added: instance.id_bound() - start,
             ..MaintenanceReport::default()
         };
         self.chase_from(Delta::Since(start), &mut report);
@@ -309,31 +513,37 @@ impl MaintainedInstance {
         let mut report = MaintenanceReport::default();
         // Phase 0: drop base status. Only atoms that actually were base
         // facts seed the over-delete.
-        let mut worklist: VecDeque<GroundAtom> =
-            atoms.into_iter().filter(|a| self.base.remove(a)).collect();
+        let instance = &self.chase.instance;
+        let mut worklist: VecDeque<usize> = atoms
+            .into_iter()
+            .filter_map(|a| instance.id_of(&a))
+            .filter(|&id| self.base.remove(id))
+            .collect();
         if worklist.is_empty() {
             return report;
         }
+        self.link();
         // Phase 1 — over-delete: everything transitively derived through a
         // deleted atom. Killing a firing with a dead body atom
         // conservatively dooms its products; rescue comes later.
         // `over_list` mirrors `over` in first-insertion order so every
         // later pass over the set is deterministic.
-        let mut over: HashSet<GroundAtom> = HashSet::new();
-        let mut over_list: Vec<GroundAtom> = Vec::new();
+        let deps = &mut self.deps;
+        let mut over: IdHashSet<usize> = IdHashSet::default();
+        let mut over_list: Vec<usize> = Vec::new();
         while let Some(a) = worklist.pop_front() {
-            if !over.insert(a.clone()) {
+            if !over.insert(a) {
                 continue;
             }
-            over_list.push(a.clone());
-            for &fid in self.deps.uses.get(&a).into_iter().flatten() {
-                if !std::mem::replace(&mut self.deps.alive[fid], false) {
+            over_list.push(a);
+            for &fid in &deps.uses[a] {
+                if !std::mem::replace(&mut deps.alive[fid as usize], false) {
                     continue;
                 }
-                self.deps.dead += 1;
-                for p in &self.deps.firings[fid].products {
-                    if !over.contains(p) {
-                        worklist.push_back(p.clone());
+                deps.dead += 1;
+                for &p in deps.product_ids(fid as usize) {
+                    if !over.contains(&(p as usize)) {
+                        worklist.push_back(p as usize);
                     }
                 }
             }
@@ -343,51 +553,53 @@ impl MaintainedInstance {
         // Phase 2 — re-derive: an over-deleted atom survives if it is
         // still a base fact or some alive firing still produces it; the
         // rest is physically removed.
-        let (rescued, doomed): (Vec<GroundAtom>, Vec<GroundAtom>) = over_list
+        let (mut rescued, doomed): (Vec<usize>, Vec<usize>) = over_list
             .into_iter()
-            .partition(|a| self.base.contains(a) || self.deps.any_alive(self.deps.supports.get(a)));
+            .partition(|&a| self.base.contains(a) || deps.any_alive(&deps.supports[a]));
         report.atoms_rederived = rescued.len();
         obs::count(obs::Metric::MaintAtomsRederived, rescued.len() as u64);
-        report.atoms_removed = self.chase.instance.retract_atoms(&doomed);
         // Every firing that produces or uses a removed atom is dead, so
         // the atom's adjacency lists go with it. The tombstoned records
-        // keep ids stable until the compaction below; the adjacency lists
-        // are filtered by `alive` at every read.
-        for a in &doomed {
-            self.deps.supports.remove(a);
-            self.deps.uses.remove(a);
+        // keep firing ids stable until the compaction below; the
+        // adjacency lists are filtered by `alive` at every read.
+        for &a in &doomed {
+            deps.supports[a] = Vec::new();
+            deps.uses[a] = Vec::new();
+        }
+        report.atoms_removed = doomed.len();
+        let bound = self.chase.instance.id_bound();
+        if let Some(dropped) = self.chase.instance.retract_ids(&doomed) {
+            let new_id = compaction_map(bound, &dropped);
+            self.deps.renumber_atoms(&new_id);
+            self.base.renumber(&new_id);
+            for a in &mut rescued {
+                *a = new_id[*a] as usize;
+            }
         }
         // Re-run the round loop from the rescued atoms: every dead trigger
         // whose body survived has a rescued body atom, so pinning on the
         // rescue set rediscovers exactly the derivations DRed cut too
         // eagerly.
-        let instance = &self.chase.instance;
-        let mut ids: Vec<usize> = rescued
-            .iter()
-            .map(|a| instance.id_of(a).expect("rescued atoms stay"))
-            .collect();
-        ids.sort_unstable();
-        self.chase_from(Delta::Atoms(ids), &mut report);
+        rescued.sort_unstable();
+        self.chase_from(Delta::Atoms(rescued), &mut report);
+        self.link();
         self.deps.compact();
         report
     }
 
     /// Exports the chase state in portable form: base facts in insertion
     /// order, alive firings only (tombstones compacted), the completeness
-    /// flag, and the budget's atom cap. Pair with the instance's own
-    /// export to persist the whole maintained fixpoint.
+    /// flag, and the budget's atom cap — the borrowed
+    /// [`base_facts`](MaintainedInstance::base_facts) and
+    /// [`alive_firings`](MaintainedInstance::alive_firings), collected.
+    /// Pair with the instance's own export to persist the whole
+    /// maintained fixpoint.
     pub fn export_state(&self) -> MaintainExport {
         MaintainExport {
-            base: self
-                .chase
-                .instance
-                .iter()
-                .filter(|a| self.base.contains(*a))
-                .cloned()
-                .collect(),
-            firings: self.deps.alive_firings().cloned().collect(),
+            base: self.base_facts().cloned().collect(),
+            firings: self.alive_firings().cloned().collect(),
             complete: self.complete,
-            max_atoms: self.budget.max_atoms,
+            max_atoms: self.max_atoms(),
         }
     }
 
@@ -397,18 +609,18 @@ impl MaintainedInstance {
     /// the export was created under, in the same order — firing records
     /// name rules by index.
     ///
-    /// The dependency index (`supports`/`uses`) is rebuilt from the
-    /// exported firings: each firing's body is rebuilt from its trigger
-    /// key (the step every chase run's firings are indexed by), and its
-    /// body and products are checked against the instance — any
-    /// inconsistency (dangling atom, out-of-range rule index, key arity
-    /// mismatch) fails the whole import with a description rather than
-    /// producing a silently wrong fixpoint. **No chase runs**: import cost
-    /// is hashing the firing records, which is what makes snapshot load
-    /// re-chase-free.
+    /// The dependency index is rebuilt from the exported firings through
+    /// the step every chase run's firings are indexed by: each firing's
+    /// body is grounded from its trigger key, and its body atoms and
+    /// products are looked up in the instance by id. Any inconsistency
+    /// (dangling atom, duplicate firing, out-of-range rule index, key
+    /// arity mismatch, an atom neither base nor derived) fails the whole
+    /// import with a description rather than producing a silently wrong
+    /// fixpoint. **No chase runs**: import cost is one id lookup per
+    /// firing atom, which is what makes snapshot load re-chase-free.
     pub fn from_parts(
         tgds: &[Tgd],
-        export: &MaintainExport,
+        export: MaintainExport,
         instance: Instance,
     ) -> Result<MaintainedInstance, String> {
         let mut m = MaintainedInstance {
@@ -417,46 +629,35 @@ impl MaintainedInstance {
                 max_level: None,
                 max_atoms: export.max_atoms,
             },
-            base: IdHashSet::default(),
+            base: IdBits::default(),
             deps: DepIndex::default(),
             complete: export.complete,
         };
-        for a in &export.base {
-            if !m.chase.instance.contains(a) {
-                return Err(format!("base fact {a} missing from the instance"));
-            }
-            m.base.insert(a.clone());
-        }
         let ObliviousChase {
             plans,
             instance,
             empty_fired,
             ..
         } = &mut m.chase;
+        for a in &export.base {
+            let Some(id) = instance.id_of(a) else {
+                return Err(format!("base fact {a} missing from the instance"));
+            };
+            m.base.insert(id);
+        }
         let mut keys: IdHashSet<(usize, &[Value])> =
             IdHashSet::with_capacity_and_hasher(export.firings.len(), Default::default());
         if let Some(f) = (export.firings.iter()).find(|f| !keys.insert((f.tgd, &f.key))) {
             return Err(format!("duplicate firing of rule {}", f.tgd));
         }
         drop(keys);
-        m.deps.firings = export.firings.clone();
-        m.deps.link(plans, |f, body| {
-            if let Some(b) = body.iter().find(|b| !instance.contains(b)) {
-                return Err(format!("firing body atom {b} missing from the instance"));
-            }
-            match f.products.iter().find(|p| !instance.contains(p)) {
-                Some(p) => Err(format!("firing product {p} missing from the instance")),
-                None => Ok(()),
-            }
-        })?;
-        *empty_fired = export
-            .firings
-            .iter()
-            .any(|f| plans[f.tgd].body_atoms.is_empty());
+        m.deps.firings = export.firings;
+        m.deps.link(plans, instance)?;
+        *empty_fired = (m.deps.firings.iter()).any(|f| plans[f.tgd].body_atoms.is_empty());
         // Every non-base atom must have a support: otherwise a later
         // retraction would "rescue" atoms that nothing derives.
-        for a in m.chase.instance.iter() {
-            if !m.base.contains(a) && !m.deps.supports.contains_key(a) {
+        for (id, a) in instance.iter_ids() {
+            if !m.base.contains(id) && m.deps.supports[id].is_empty() {
                 return Err(format!(
                     "atom {a} is neither base nor derived by any firing"
                 ));
@@ -466,17 +667,26 @@ impl MaintainedInstance {
     }
 
     /// Runs the round loop from `delta` on the persistent state, logging
-    /// every firing into the dependency index, and links them there.
+    /// every firing into the dependency index (unlinked until
+    /// [`MaintainedInstance::link`]).
     fn chase_from(&mut self, delta: Delta, report: &mut MaintenanceReport) {
         let run = self
             .chase
             .run(delta, &self.budget, None, Some(&mut self.deps.firings));
-        self.deps
-            .link(&self.chase.plans, |_, _| Ok(()))
-            .expect("the run's firings were recorded under these plans");
         report.triggers_fired += run.fired;
         report.atoms_added += run.added;
         self.complete &= run.complete;
+    }
+
+    /// Links the firings the runs since the last retraction logged. Only
+    /// DRed reads the adjacency lists, so a build or an insert leaves its
+    /// firings unlinked, and a maintained instance that is only saved or
+    /// queried never pays for its index. No atom was removed since those
+    /// runs, so every atom they name is in the instance.
+    fn link(&mut self) {
+        self.deps
+            .link(&self.chase.plans, &self.chase.instance)
+            .expect("the runs' firings were recorded under these plans");
     }
 }
 
@@ -486,6 +696,7 @@ mod tests {
     use crate::engine::chase;
     use crate::tgd::parse_tgds;
     use gtgd_query::instance_isomorphic;
+    use std::collections::HashSet;
 
     fn db(atoms: &[(&str, &[&str])]) -> Instance {
         Instance::from_atoms(atoms.iter().map(|(p, args)| GroundAtom::named(p, args)))
@@ -593,7 +804,7 @@ mod tests {
         // Rebuild the instance the way a snapshot load does: re-insert the
         // atoms in insertion order.
         let rebuilt = Instance::from_atoms(m.instance().iter().cloned());
-        let mut r = MaintainedInstance::from_parts(&tgds, &export, rebuilt).unwrap();
+        let mut r = MaintainedInstance::from_parts(&tgds, export, rebuilt).unwrap();
         assert!(r.complete());
         assert_eq!(r.instance(), m.instance());
 
@@ -623,26 +834,26 @@ mod tests {
         let mut missing_base = good.clone();
         missing_base.base.push(GroundAtom::named("A", &["ghost"]));
         assert!(
-            MaintainedInstance::from_parts(&tgds, &missing_base, rebuilt())
+            MaintainedInstance::from_parts(&tgds, missing_base, rebuilt())
                 .unwrap_err()
                 .contains("base fact")
         );
 
         let mut bad_rule = good.clone();
         bad_rule.firings[0].tgd = 7;
-        assert!(MaintainedInstance::from_parts(&tgds, &bad_rule, rebuilt())
+        assert!(MaintainedInstance::from_parts(&tgds, bad_rule, rebuilt())
             .unwrap_err()
             .contains("rules were supplied"));
 
         let mut bad_key = good.clone();
         bad_key.firings[0].key.push(Value::named("extra"));
-        assert!(MaintainedInstance::from_parts(&tgds, &bad_key, rebuilt())
+        assert!(MaintainedInstance::from_parts(&tgds, bad_key, rebuilt())
             .unwrap_err()
             .contains("key"));
 
         let mut orphan = good.clone();
         orphan.firings.clear();
-        assert!(MaintainedInstance::from_parts(&tgds, &orphan, rebuilt())
+        assert!(MaintainedInstance::from_parts(&tgds, orphan, rebuilt())
             .unwrap_err()
             .contains("neither base nor derived"));
 
@@ -650,7 +861,7 @@ mod tests {
         // fail (the product list no longer covers the instance).
         let mut no_product = good.clone();
         no_product.firings[0].products.clear();
-        assert!(MaintainedInstance::from_parts(&tgds, &no_product, rebuilt()).is_err());
+        assert!(MaintainedInstance::from_parts(&tgds, no_product, rebuilt()).is_err());
     }
 
     #[test]
@@ -680,14 +891,143 @@ mod tests {
             let alive = deps.alive.iter().filter(|&&a| a).count();
             assert_eq!(alive, 3 * emps.len(), "cycle {i}");
             assert!(deps.firings.len() <= 2 * alive, "cycle {i}");
-            assert!(deps.supports.len() <= atoms, "cycle {i}");
-            assert!(deps.uses.len() <= atoms, "cycle {i}");
+            for lists in [&deps.supports, &deps.uses] {
+                assert_eq!(lists.len(), m.instance().id_bound(), "cycle {i}");
+                let linked = lists.iter().filter(|fids| !fids.is_empty()).count();
+                assert!(linked <= atoms, "cycle {i}");
+            }
             // Tombstoned atom ids are bounded the same way.
             assert!(m.instance().id_bound() <= 2 * atoms, "cycle {i}");
             instance_compactions += usize::from(m.instance().id_bound() < bound);
             index_compactions += usize::from(deps.firings.len() < logged);
         }
         assert!(instance_compactions > 0 && index_compactions > 0);
+    }
+
+    /// Links what the runs since the last retraction logged, then checks
+    /// the dependency index against the instance: every alive firing's
+    /// body and product ids name live atoms that are exactly its grounded
+    /// body and its products, and the lists name it back; every live
+    /// non-base atom has an alive support; and no list, span or base bit
+    /// names an id that is dead or at/above `id_bound()`.
+    fn assert_index_consistent(m: &mut MaintainedInstance, ctx: &str) {
+        m.link();
+        let (instance, deps) = (&m.chase.instance, &m.deps);
+        let bound = instance.id_bound();
+        let live: HashSet<usize> = instance.iter_ids().map(|(id, _)| id).collect();
+        assert_eq!(deps.alive.len(), deps.firings.len(), "{ctx}: all linked");
+        for (fid, f) in deps.firings.iter().enumerate() {
+            if !deps.alive[fid] {
+                continue;
+            }
+            let named = |ids: &[u32]| -> Vec<GroundAtom> {
+                ids.iter()
+                    .map(|&id| {
+                        let id = id as usize;
+                        assert!(
+                            live.contains(&id),
+                            "{ctx}: firing {fid} names dead atom {id}"
+                        );
+                        instance.atom(id).clone()
+                    })
+                    .collect()
+            };
+            let body = m.chase.plans[f.tgd].body_from_key(&f.key);
+            assert_eq!(named(deps.body_ids(fid)), body, "{ctx}: firing {fid} body");
+            assert_eq!(
+                named(deps.product_ids(fid)),
+                f.products,
+                "{ctx}: firing {fid}"
+            );
+            let fid32 = fid as u32;
+            for &b in deps.body_ids(fid) {
+                assert!(deps.uses[b as usize].contains(&fid32), "{ctx}: uses of {b}");
+            }
+            for &p in deps.product_ids(fid) {
+                assert!(
+                    deps.supports[p as usize].contains(&fid32),
+                    "{ctx}: supports of {p}"
+                );
+            }
+        }
+        for (id, a) in instance.iter_ids() {
+            if !m.base.contains(id) {
+                assert!(
+                    deps.any_alive(&deps.supports[id]),
+                    "{ctx}: {a} has no support"
+                );
+            }
+        }
+        assert_eq!(deps.supports.len(), bound, "{ctx}");
+        assert_eq!(deps.uses.len(), bound, "{ctx}");
+        for id in (0..bound).filter(|id| !live.contains(id)) {
+            assert!(
+                deps.supports[id].is_empty(),
+                "{ctx}: dead atom {id} has supports"
+            );
+            assert!(deps.uses[id].is_empty(), "{ctx}: dead atom {id} has uses");
+        }
+        for fids in deps.supports.iter().chain(&deps.uses) {
+            assert!(
+                fids.iter().all(|&fid| (fid as usize) < deps.firings.len()),
+                "{ctx}"
+            );
+        }
+        assert!(
+            m.base.iter().all(|id| live.contains(&id)),
+            "{ctx}: dead base bit"
+        );
+    }
+
+    #[test]
+    fn dependency_index_names_live_ids_across_both_compactions() {
+        use gtgd_data::rng::Rng;
+        // Two supports for some Emp facts (base and Boss), existentials,
+        // and a two-atom body, so rescues happen and firings die in bulk.
+        let tgds = parse_tgds(
+            "Emp(X) -> WorksIn(X,D). WorksIn(X,D) -> Dept(D). Dept(D) -> HasHead(D,H). \
+             Emp(X), Mgr(X) -> Boss(X). Boss(X) -> Emp(X)",
+        )
+        .unwrap();
+        let names: Vec<String> = (0..10).map(|i| format!("p{i}")).collect();
+        let mut rng = Rng::seed(0x1D_C0DE);
+        let mut base: Vec<GroundAtom> = Vec::new();
+        let mut m = MaintainedInstance::new(&Instance::new(), &tgds, ChaseBudget::unbounded());
+        let (mut instance_compactions, mut index_compactions) = (0, 0);
+        for step in 0..300 {
+            let ctx = format!("step {step}");
+            let (bound, logged) = (m.instance().id_bound(), m.recorded_firings());
+            if base.is_empty() || rng.chance(0.5) {
+                let pred = ["Emp", "Mgr"][rng.range(0, 2)];
+                let a = GroundAtom::named(pred, &[&names[rng.range(0, names.len())]]);
+                if !base.contains(&a) {
+                    base.push(a.clone());
+                }
+                m.insert([a]);
+            } else {
+                let n = rng.range(1, base.len().min(3) + 1);
+                let victims: Vec<GroundAtom> = (0..n)
+                    .map(|_| base.swap_remove(rng.range(0, base.len())))
+                    .collect();
+                m.retract(victims);
+                instance_compactions += usize::from(m.instance().id_bound() < bound);
+                index_compactions += usize::from(m.recorded_firings() < logged);
+            }
+            assert_index_consistent(&mut m, &ctx);
+            let scratch = chase(
+                &Instance::from_atoms(base.clone()),
+                &tgds,
+                &ChaseBudget::unbounded(),
+            );
+            assert!(
+                instance_isomorphic(m.instance(), &scratch.instance),
+                "{ctx}"
+            );
+        }
+        assert!(
+            instance_compactions > 0 && index_compactions > 0,
+            "{instance_compactions} instance and {index_compactions} index compactions"
+        );
     }
 
     #[test]

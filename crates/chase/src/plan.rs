@@ -231,22 +231,32 @@ impl TriggerPlan {
     /// (each body variable at its ascending-order position), so this
     /// needs nothing else.
     pub fn body_from_key(&self, key: &[Value]) -> Vec<GroundAtom> {
+        let mut body = Vec::new();
+        self.body_into(key, &mut body);
+        body
+    }
+
+    /// [`TriggerPlan::body_from_key`] into a reused buffer: `out`'s atoms
+    /// are regrounded in place, as in [`TriggerPlan::fire_row`], so a
+    /// buffer reused across firings allocates only when a body outgrows
+    /// it.
+    pub fn body_into(&self, key: &[Value], out: &mut Vec<GroundAtom>) {
         debug_assert_eq!(key.len(), self.key_slots.len());
-        self.body_atoms
-            .iter()
-            .map(|a| {
-                GroundAtom::new(
-                    a.predicate,
-                    a.args
-                        .iter()
-                        .map(|t| match *t {
-                            BodyArg::Const(c) => c,
-                            BodyArg::Key(k) => key[k as usize],
-                        })
-                        .collect(),
-                )
-            })
-            .collect()
+        out.truncate(self.body_atoms.len());
+        for (k, atom) in self.body_atoms.iter().enumerate() {
+            let args = atom.args.iter().map(|t| match *t {
+                BodyArg::Const(c) => c,
+                BodyArg::Key(i) => key[i as usize],
+            });
+            match out.get_mut(k) {
+                Some(g) => {
+                    g.predicate = atom.predicate;
+                    g.args.clear();
+                    g.args.extend(args);
+                }
+                None => out.push(GroundAtom::new(atom.predicate, args.collect())),
+            }
+        }
     }
 
     /// Whether the trigger's head is already satisfied in `instance`

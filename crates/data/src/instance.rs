@@ -455,8 +455,34 @@ impl Instance {
             .iter()
             .filter_map(|a| rows.index_of.remove(a))
             .collect();
+        self.unlink_dead(&dead);
+        dead.len()
+    }
+
+    /// Removes the atoms with the given distinct live ids, like
+    /// [`Instance::retract_atoms`], for a caller that already holds the
+    /// ids. Returns the ids a compaction dropped (ascending: every
+    /// tombstone, these ids included) if the call ended with one, so a
+    /// caller keeping its own id-indexed state can renumber it the same
+    /// way: a surviving id moves down by the number of dropped ids below
+    /// it. `None` means no id moved.
+    pub fn retract_ids(&mut self, ids: &[usize]) -> Option<Vec<usize>> {
+        self.rows_mut();
+        let Instance { atoms, rows, .. } = self;
+        let rows = rows.get_mut().expect("row indexes just built");
+        for &id in ids {
+            let removed = rows.index_of.remove(&atoms[id]);
+            assert_eq!(removed, Some(id), "retract_ids takes distinct live ids");
+        }
+        self.unlink_dead(ids)
+    }
+
+    /// Tombstones the dead ids, whose dedup keys are already gone, and
+    /// unlinks them from the other row indexes; compacts once tombstones
+    /// outnumber live atoms, returning the dropped ids.
+    fn unlink_dead(&mut self, dead: &[usize]) -> Option<Vec<usize>> {
         if dead.is_empty() {
-            return 0;
+            return None;
         }
         let Instance {
             atoms: slots,
@@ -467,7 +493,7 @@ impl Instance {
         let rows = rows.get_mut().expect("row indexes built above");
         // Relations that lose rows: their dense tables must be dropped.
         let mut touched: HashSet<(Predicate, u16)> = HashSet::new();
-        for &id in &dead {
+        for &id in dead {
             tombstones.insert(id);
             let a = &slots[id];
             let rel = relation(a);
@@ -481,32 +507,27 @@ impl Instance {
         // dom(): re-place each value whose first occurrence died. The dead
         // atoms keep their arguments until every value is placed, so the
         // sort key of a value not yet re-placed stays readable.
-        for &id in &dead {
+        for &id in dead {
             for (pos, &v) in slots[id].args.iter().enumerate() {
                 if rows.dom_first.get(&v) == Some(&id) && !slots[id].args[..pos].contains(&v) {
                     rows.replace_first(slots, v, id, pos);
                 }
             }
         }
-        for &id in &dead {
+        for &id in dead {
             slots[id].args = Vec::new();
         }
         dense.invalidate_relations(&touched);
-        if tombstones.count > slots.len() - tombstones.count {
-            self.compact();
-        }
-        dead.len()
+        (tombstones.count > slots.len() - tombstones.count).then(|| self.compact())
     }
 
     /// Drops every tombstone and closes up the live ids in order,
     /// renumbering the row indexes in place (see
-    /// [`Instance::retract_atoms`]). The dense mirror needs no upkeep: it
-    /// reads rows through the relation lists, whose order is unchanged.
-    fn compact(&mut self) {
+    /// [`Instance::retract_atoms`]), and returns the dropped ids. The
+    /// dense mirror needs no upkeep: it reads rows through the relation
+    /// lists, whose order is unchanged.
+    fn compact(&mut self) -> Vec<usize> {
         let dead = self.dead.ids();
-        if dead.is_empty() {
-            return;
-        }
         let rows = self.rows.get_mut().expect("tombstones imply built rows");
         for id in rows.index_of.values_mut() {
             *id = renumbered(*id, &dead);
@@ -522,6 +543,7 @@ impl Instance {
         }
         remove_sorted(&mut self.atoms, &dead);
         self.dead = Tombstones::default();
+        dead
     }
 
     /// Reserves capacity for `n` further atoms in the primary stores (the
@@ -1064,6 +1086,27 @@ mod tests {
         assert_eq!(i.atoms_matching(r, 0, v("b")).len(), 1);
         // dom() is exact: "a" survives through P(a), nothing else changes.
         assert_eq!(i.dom(), &[v("b"), v("c"), v("a")]);
+    }
+
+    #[test]
+    fn retract_ids_reports_the_ids_its_compaction_dropped() {
+        let atoms: Vec<GroundAtom> = (0..6)
+            .map(|i| GroundAtom::named("R", &[&format!("v{i}")]))
+            .collect();
+        let mut by_id = Instance::from_atoms(atoms.clone());
+        let mut by_atom = by_id.clone();
+        // Two tombstones against four live atoms: no compaction.
+        assert_eq!(by_id.retract_ids(&[1, 4]), None);
+        by_atom.retract_atoms(&[atoms[1].clone(), atoms[4].clone()]);
+        assert_eq!(by_id.id_of(&atoms[5]), Some(5));
+        // Four against two: the compaction drops every tombstone.
+        assert_eq!(by_id.retract_ids(&[2, 0]), Some(vec![0, 1, 2, 4]));
+        by_atom.retract_atoms(&[atoms[2].clone(), atoms[0].clone()]);
+        assert_eq!(by_id.id_of(&atoms[3]), Some(0));
+        assert_eq!(by_id.id_of(&atoms[5]), Some(1));
+        assert!(by_id.iter_ids().eq(by_atom.iter_ids()));
+        assert_eq!(by_id.dom(), by_atom.dom());
+        assert_eq!(by_id.atoms_with_pred(Predicate::new("R"), 1), &[0, 1]);
     }
 
     #[test]

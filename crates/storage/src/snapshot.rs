@@ -37,12 +37,14 @@
 //! *installed* — validated against the atoms in one linear pass by
 //! [`Instance::install_dense`], never re-encoded or re-sorted — and the
 //! firing records are kept frozen **as raw bytes**
-//! until the first write, when they are decoded and the dependency index
-//! is rebuilt by hashing them ([`MaintainedInstance::from_parts`]), never
-//! by re-running the chase.
+//! until the first write. Thawing decodes them and links each one into
+//! the dependency index by atom id ([`MaintainedInstance::from_parts`]):
+//! its body is grounded from its key into a reused buffer, and its body
+//! atoms and products are looked up in the loaded instance, never
+//! re-derived by running the chase.
 //! Dense state that fails its validation (e.g. a dictionary that is not
-//! sorted under this process's interning order) is skipped and simply
-//! rebuild lazily on first use; sections whose bytes are damaged fail the
+//! sorted under this process's interning order) is skipped and rebuilt
+//! lazily on first use; sections whose bytes are damaged fail the
 //! checksum and the whole load fails closed.
 
 use crate::bytes::{fnv1a64x8, Reader, Writer};
@@ -52,7 +54,6 @@ use gtgd_data::{
     DenseExport, DenseTableExport, DenseTrieExport, GroundAtom, Instance, Predicate, Symbol, Value,
 };
 use gtgd_query::{QAtom, Term, Var};
-use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::fs::File;
 use std::io;
@@ -142,8 +143,8 @@ impl From<io::Error> for SnapshotError {
 /// The split keeps the load path sequential: queries only need the
 /// instance, so [`load_snapshot`] stops after decode + dense install and
 /// keeps the checksummed base/firings section as raw bytes. Decoding the
-/// firing records and rebuilding the dependency index that
-/// `insert`/`retract` need (per-firing allocation and hashing
+/// firing records and linking the dependency index that
+/// `insert`/`retract` need (per-firing allocation and id lookups
 /// proportional to the number of firings, often the bulk of the file) is
 /// paid once, by the first caller of
 /// [`LoadedSnapshot::to_maintained`] or
@@ -227,12 +228,13 @@ impl LoadedSnapshot {
     }
 
     /// Thaws a maintainable copy: decodes the frozen firing records,
-    /// validates them against a clone of the instance, and rebuilds the dependency
-    /// index ([`MaintainedInstance::from_parts`] — hashing, no chase).
+    /// validates them against a clone of the instance, and links the
+    /// dependency index ([`MaintainedInstance::from_parts`] — id lookups,
+    /// no chase).
     /// Any inconsistency fails closed as [`SnapshotError::Malformed`].
     pub fn to_maintained(&self) -> Result<MaintainedInstance, SnapshotError> {
         let export = self.decode_export()?;
-        MaintainedInstance::from_parts(&self.tgds, &export, self.instance.clone())
+        MaintainedInstance::from_parts(&self.tgds, export, self.instance.clone())
             .map_err(SnapshotError::Malformed)
     }
 
@@ -240,7 +242,7 @@ impl LoadedSnapshot {
     /// and thaws in place without cloning the instance.
     pub fn into_maintained(self) -> Result<MaintainedInstance, SnapshotError> {
         let export = self.decode_export()?;
-        MaintainedInstance::from_parts(&self.tgds, &export, self.instance)
+        MaintainedInstance::from_parts(&self.tgds, export, self.instance)
             .map_err(SnapshotError::Malformed)
     }
 }
@@ -255,64 +257,94 @@ impl LoadedSnapshot {
 /// order assigns ascending (hence order-preserving) new ids, and the
 /// persisted dense dictionary and tries validate and install.
 struct SymTable {
-    index: HashMap<Symbol, u64>,
+    /// Indexed by symbol id: the symbol's local index, or [`UNSEEN`].
+    local: Vec<u32>,
+}
+
+/// The [`SymTable`] entry of a symbol no encoded structure mentions.
+const UNSEEN: u32 = u32::MAX;
+
+/// The pass behind [`SymTable::build`]: the symbols seen so far, in
+/// first-seen order, marked in `local`, and the largest null label seen.
+#[derive(Default)]
+struct Collector {
+    symbols: Vec<Symbol>,
+    local: Vec<u32>,
+    fence: u64,
+}
+
+impl Collector {
+    fn symbol(&mut self, s: Symbol) {
+        let id = s.id() as usize;
+        if self.local.len() <= id {
+            self.local.resize(id + 1, UNSEEN);
+        }
+        if self.local[id] == UNSEEN {
+            self.local[id] = 0;
+            self.symbols.push(s);
+        }
+    }
+
+    fn value(&mut self, v: Value) {
+        match v {
+            Value::Named(s) => self.symbol(s),
+            Value::Null(label) => self.fence = self.fence.max(label),
+        }
+    }
 }
 
 impl SymTable {
-    fn of(s: Symbol) -> u64 {
-        // Used only through `build`, which walks every structure the
-        // encoder serializes, so lookups cannot miss.
-        s.id().into()
-    }
-
-    fn build(tgds: &[Tgd], atoms: &Instance, dense: &DenseExport) -> (Vec<Symbol>, SymTable) {
-        let mut set: BTreeSet<Symbol> = BTreeSet::new();
-        let see_value = |set: &mut BTreeSet<Symbol>, v: Value| {
-            if let Value::Named(s) = v {
-                set.insert(s);
-            }
-        };
+    /// Collects every symbol the TGDs, the instance's atoms and the dense
+    /// export mention, in one pass that also finds the largest null label
+    /// of the atoms and the dictionary (the null fence). The firing
+    /// records need no pass of their own: an alive firing's body atoms
+    /// and products are atoms of the instance, and its key values occur
+    /// in its body atoms. Returns the symbols in ascending id order, the
+    /// table, and the fence.
+    fn build(tgds: &[Tgd], atoms: &Instance, dense: &DenseExport) -> (Vec<Symbol>, SymTable, u64) {
+        let mut c = Collector::default();
         for t in tgds {
             for a in t.body.iter().chain(t.head.iter()) {
-                set.insert(a.predicate.0);
+                c.symbol(a.predicate.0);
                 for arg in &a.args {
-                    if let Term::Const(v) = arg {
-                        see_value(&mut set, *v);
+                    if let Term::Const(Value::Named(s)) = arg {
+                        c.symbol(*s);
                     }
                 }
             }
         }
         for a in atoms.iter() {
-            set.insert(a.predicate.0);
+            c.symbol(a.predicate.0);
             for &v in &a.args {
-                see_value(&mut set, v);
+                c.value(v);
             }
         }
         for &v in &dense.dict {
-            see_value(&mut set, v);
+            c.value(v);
         }
         for t in &dense.tables {
-            set.insert(t.predicate.0);
+            c.symbol(t.predicate.0);
         }
         for t in &dense.tries {
-            set.insert(t.predicate.0);
+            c.symbol(t.predicate.0);
         }
-        // BTreeSet iterates ascending by Symbol's id-derived order, which
-        // is exactly the "ascending old id" the format requires.
-        let symbols: Vec<Symbol> = set.into_iter().collect();
-        let index = symbols
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i as u64))
-            .collect();
-        (symbols, SymTable { index })
+        let Collector {
+            mut symbols,
+            mut local,
+            fence,
+        } = c;
+        symbols.sort_unstable();
+        for (i, s) in symbols.iter().enumerate() {
+            local[s.id() as usize] = u32::try_from(i).expect("symbol count fits u32");
+        }
+        (symbols, SymTable { local }, fence)
     }
 
     fn local(&self, s: Symbol) -> u64 {
-        *self
-            .index
-            .get(&s)
-            .unwrap_or_else(|| panic!("symbol {} not collected for snapshot", Self::of(s)))
+        match self.local.get(s.id() as usize) {
+            Some(&i) if i != UNSEEN => i.into(),
+            _ => panic!("symbol {} not collected for snapshot", s.id()),
+        }
     }
 }
 
@@ -357,42 +389,33 @@ fn put_qatoms(w: &mut Writer, syms: &SymTable, atoms: &[QAtom]) {
     }
 }
 
-fn max_null_label(atoms: &Instance, dense: &DenseExport, maintain: &MaintainExport) -> u64 {
-    let mut max = 0u64;
-    let mut see = |v: Value| {
-        if let Value::Null(label) = v {
-            max = max.max(label);
-        }
-    };
-    for a in atoms.iter() {
-        a.args.iter().copied().for_each(&mut see);
-    }
-    dense.dict.iter().copied().for_each(&mut see);
-    for f in &maintain.firings {
-        f.key.iter().copied().for_each(&mut see);
-        for p in &f.products {
-            p.args.iter().copied().for_each(&mut see);
-        }
-    }
-    max
-}
-
 /// Serializes `(tgds, m)` into complete snapshot bytes (header +
 /// payload). Pure encoding; [`save_snapshot`] adds the atomic file dance.
+/// The maintained state is read in place: the base facts and alive
+/// firings are written from [`MaintainedInstance::base_facts`] and
+/// [`MaintainedInstance::alive_firings`], never copied into a
+/// [`MaintainExport`] first, and the payload is written behind a header
+/// that is filled in last.
 pub fn snapshot_bytes(tgds: &[Tgd], m: &MaintainedInstance) -> Vec<u8> {
     let instance = m.instance();
     let dense = instance.export_dense();
-    let maintain = m.export_state();
-    let (symbols, syms) = SymTable::build(tgds, instance, &dense);
+    let (symbols, syms, fence) = SymTable::build(tgds, instance, &dense);
+    debug_assert!(
+        m.alive_firings()
+            .flat_map(|f| f.key.iter().chain(f.products.iter().flat_map(|p| &p.args)))
+            .all(|v| !matches!(*v, Value::Null(label) if label > fence)),
+        "a firing mentions a null the instance lacks"
+    );
 
     let mut p = Writer::new();
+    p.buf.resize(HEADER_LEN, 0);
     // 1. Symbol table, ascending old id.
     p.len(symbols.len());
     for s in &symbols {
         p.str(&s.name());
     }
     // 2. Null fence.
-    p.u64(max_null_label(instance, &dense, &maintain));
+    p.u64(fence);
     // 3. TGDs, structurally. `Display` text is not a reliable round trip
     //    (quoting, normalization); variable tables plus raw atoms are.
     p.len(tgds.len());
@@ -449,20 +472,20 @@ pub fn snapshot_bytes(tgds: &[Tgd], m: &MaintainedInstance) -> Vec<u8> {
     //    loader wants eagerly), then base facts and alive firings — last
     //    in the payload on purpose, so the loader can keep them as one
     //    raw byte run and defer their decode to thaw time.
-    p.bool(maintain.complete);
-    match maintain.max_atoms {
+    p.bool(m.complete());
+    match m.max_atoms() {
         None => p.u8(0),
         Some(n) => {
             p.u8(1);
             p.u64(n as u64);
         }
     }
-    p.len(maintain.base.len());
-    for a in &maintain.base {
+    p.len(m.base_facts().count());
+    for a in m.base_facts() {
         put_atom(&mut p, &syms, a);
     }
-    p.len(maintain.firings.len());
-    for f in &maintain.firings {
+    p.len(m.alive_firings().count());
+    for f in m.alive_firings() {
         p.len(f.tgd);
         p.len(f.key.len());
         for &v in &f.key {
@@ -474,12 +497,13 @@ pub fn snapshot_bytes(tgds: &[Tgd], m: &MaintainedInstance) -> Vec<u8> {
         }
     }
 
-    let mut out = Vec::with_capacity(HEADER_LEN + p.buf.len());
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(p.buf.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a64x8(&p.buf).to_le_bytes());
-    out.extend_from_slice(&p.buf);
+    let mut out = p.buf;
+    let payload_len = (out.len() - HEADER_LEN) as u64;
+    let checksum = fnv1a64x8(&out[HEADER_LEN..]);
+    out[..8].copy_from_slice(&SNAPSHOT_MAGIC);
+    out[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    out[12..20].copy_from_slice(&payload_len.to_le_bytes());
+    out[20..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
     out
 }
 
@@ -740,7 +764,7 @@ fn load_snapshot_owned(image: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> 
     // instance's hash indexes are built from the atoms on first demand,
     // off the load path.
     // The firing records stay frozen in byte form — queries never touch
-    // them, and the first writer pays the decode + dependency-index rebuild
+    // them, and the first writer pays the decode + dependency-index link
     // via `to_maintained`/`into_maintained`, which is also where their
     // damage and inconsistencies fail closed: an inconsistent dependency
     // index would make later retractions silently wrong.

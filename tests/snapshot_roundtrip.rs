@@ -160,6 +160,60 @@ fn tombstoned_instances_save_only_live_atoms() {
     assert!(instance_isomorphic(m.instance(), thawed.instance()));
 }
 
+/// A state that crossed both compaction thresholds (instance tombstones
+/// and dead firings, each outnumbering the live ones at some point) saves,
+/// loads, thaws and saves again to the same bytes: the encoder reads the
+/// maintained state in place, so the thawed copy, whose ids and firing
+/// log were rebuilt from the file, must encode exactly as the original.
+#[test]
+fn compacted_state_resaves_byte_identically_after_thaw() {
+    let tgds = parse_tgds(
+        "Emp(X) -> WorksIn(X,D). WorksIn(X,D) -> Dept(D). Dept(D) -> HasHead(D,H). \
+         Emp(X), Mgr(X) -> Boss(X). Boss(X) -> Emp(X)",
+    )
+    .unwrap();
+    let emps: Vec<GroundAtom> = (0..6)
+        .map(|i| GroundAtom::named("Emp", &[&format!("cmp_e{i}")]))
+        .collect();
+    let mut m = ChaseRunner::new(&tgds).maintain(&gtgd::data::Instance::from_atoms(emps.clone()));
+    m.insert([GroundAtom::named("Mgr", &["cmp_e0"])]);
+    let (mut instance_compactions, mut index_compactions) = (0, 0);
+    for round in 0..4 {
+        for (i, e) in emps.iter().enumerate().skip(1) {
+            let (bound, logged) = (m.instance().id_bound(), m.recorded_firings());
+            m.retract([e.clone()]);
+            instance_compactions += usize::from(m.instance().id_bound() < bound);
+            index_compactions += usize::from(m.recorded_firings() < logged);
+            if (i + round) % 2 == 0 {
+                m.insert([e.clone()]);
+            }
+        }
+        for e in &emps[1..] {
+            m.insert([e.clone()]);
+        }
+    }
+    m.retract([emps[3].clone(), GroundAtom::named("Emp", &["cmp_e0"])]);
+    assert!(
+        instance_compactions > 0 && index_compactions > 0,
+        "{instance_compactions} instance and {index_compactions} index compactions"
+    );
+    let worksin = Predicate(Symbol::new("WorksIn"));
+    m.instance().dense_snapshot(&[(worksin, 2, &[1, 0])]);
+
+    let (first, second) = (temp_path("compacted-1"), temp_path("compacted-2"));
+    save_snapshot(&first, &tgds, &m).unwrap();
+    let loaded = load_snapshot(&first).unwrap();
+    let thawed = loaded.into_maintained().unwrap();
+    save_snapshot(&second, &tgds, &thawed).unwrap();
+    let (a, b) = (
+        std::fs::read(&first).unwrap(),
+        std::fs::read(&second).unwrap(),
+    );
+    std::fs::remove_file(&first).ok();
+    std::fs::remove_file(&second).ok();
+    assert!(a == b, "the re-saved thawed state differs");
+}
+
 #[test]
 fn post_remap_dense_state_round_trips() {
     // Force an order-preserving dictionary remap: intern a symbol *early*
