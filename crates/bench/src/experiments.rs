@@ -1127,8 +1127,9 @@ pub fn e17_serve_amortization() -> ExperimentTable {
                 does) and otherwise re-chases in-process; warm is one \
                 line-delimited-JSON round-trip against the daemon with a \
                 hot plan cache. load re-reads the snapshot to query-ready: \
-                sequential decode + validated index install — no joins, \
-                no re-sorting; linking the dependency index (one id \
+                sequential decode of the atoms — no joins, no index \
+                build (dense tries sort on first use); linking the \
+                dependency index (one id \
                 lookup per firing atom) is deferred to the first write \
                 (thaw_ms in the JSON)."
             .into(),

@@ -8,8 +8,8 @@
 //! (no chase, no index build, and after the first request no plan
 //! compilation on the hot path). The *load vs re-chase* pair isolates the
 //! snapshot itself: deserializing the persisted fixpoint (sequential
-//! read plus validated index install; row indexes and the firing records
-//! stay deferred) against re-running the chase that produced it.
+//! read; dense tries, row indexes and the firing records stay deferred)
+//! against re-running the chase that produced it.
 
 use crate::experiments::bench_ms;
 use crate::json::escape;
@@ -90,8 +90,8 @@ pub struct ServeMetric {
     /// Re-running the chase that produced the fixpoint, in ms.
     pub rechase_ms: f64,
     /// Loading the snapshot back to a query-ready instance (sequential
-    /// decode + validated index install; the firing records stay frozen), in
-    /// ms.
+    /// decode; indexes build on first use and the firing records stay
+    /// frozen), in ms.
     pub load_ms: f64,
     /// Thawing the loaded snapshot into a write-ready maintained state
     /// (dependency-index rebuild by hashing — paid once, by the first
@@ -290,7 +290,7 @@ pub fn serve_json(metrics: &[ServeMetric]) -> String {
              long-lived daemon serving the persisted fixpoint with a warm \
              plan cache ('warm_first_ms' paid the one compile). \
              'load_ms' deserializes the snapshot to a query-ready \
-             instance (sequential read + validated index install) vs \
+             instance (sequential read; indexes build on first use) vs \
              'rechase_ms' re-running the chase; 'thaw_ms' is the deferred \
              dependency-index rebuild the first write pays (hashing, no chase). \
              'answers_agree' checks the daemon's certain answers \

@@ -592,8 +592,8 @@ impl MaintainedInstance {
     /// flag, and the budget's atom cap — the borrowed
     /// [`base_facts`](MaintainedInstance::base_facts) and
     /// [`alive_firings`](MaintainedInstance::alive_firings), collected.
-    /// Pair with the instance's own export to persist the whole
-    /// maintained fixpoint.
+    /// Pair with the instance's atoms to persist the whole maintained
+    /// fixpoint.
     pub fn export_state(&self) -> MaintainExport {
         MaintainExport {
             base: self.base_facts().cloned().collect(),
@@ -604,8 +604,8 @@ impl MaintainedInstance {
     }
 
     /// Reassembles a maintained instance from an exported chase state and
-    /// an already-rebuilt `instance` (atoms restored in insertion order,
-    /// index sections optionally installed). `tgds` must be the rule set
+    /// an already-rebuilt `instance` (atoms restored in insertion order;
+    /// its indexes build on first use). `tgds` must be the rule set
     /// the export was created under, in the same order — firing records
     /// name rules by index.
     ///

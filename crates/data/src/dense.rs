@@ -225,60 +225,11 @@ pub struct DenseStats {
     /// Dense tries currently materialized.
     pub tries: usize,
     /// Tries built by a full sort (first demand, or first demand after a
-    /// retraction dropped the relation's tries). Not persisted: installing
-    /// a snapshot's tries sorts nothing.
+    /// retraction dropped the relation's tries). A loaded snapshot has no
+    /// tries, so its first demand of each order is one full build.
     pub full_builds: usize,
     /// Tries extended by sorting only the insert delta and merging.
     pub merge_extends: usize,
-}
-
-/// One encoded table in portable form: `cols[j][r]` is the dictionary
-/// code of argument `j` of row `r`. Part of [`DenseExport`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DenseTableExport {
-    /// The encoded predicate.
-    pub predicate: Predicate,
-    /// The encoded arity.
-    pub arity: u16,
-    /// Code columns, row-aligned with the relation's atoms in insertion
-    /// order.
-    pub cols: Vec<Vec<u32>>,
-}
-
-/// One dense trie in portable form: only the sorted permutation is
-/// persisted — the flat level arrays and the CSR skeleton are linear-time
-/// gathers from the encoded table, so re-deriving them at load keeps the
-/// snapshot small without paying any sort. Part of [`DenseExport`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DenseTrieExport {
-    /// The predicate the trie covers.
-    pub predicate: Predicate,
-    /// The covered arity.
-    pub arity: u16,
-    /// The trie's column order.
-    pub order: Vec<u16>,
-    /// Row ids sorted lex by encoded key, ties by row id.
-    pub perm: Vec<u32>,
-}
-
-/// Portable snapshot of a [`DenseStore`]: the global dictionary (in code
-/// order), every encoded table and trie, and the growth counters.
-/// Produced by [`crate::Instance::export_dense`], re-installed by
-/// [`crate::Instance::install_dense`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DenseExport {
-    /// All dictionary values, ascending (a value's code is its index).
-    pub dict: Vec<Value>,
-    /// Encoded tables, ordered by `(predicate name, arity)`.
-    pub tables: Vec<DenseTableExport>,
-    /// Dense tries, ordered by `(predicate name, arity, column order)`.
-    pub tries: Vec<DenseTrieExport>,
-    /// Persisted `dict_hits` counter.
-    pub dict_hits: usize,
-    /// Persisted `dict_misses` counter.
-    pub dict_misses: usize,
-    /// Persisted `remaps` counter.
-    pub remaps: usize,
 }
 
 /// Trie key: `(predicate, arity, column order)`.
@@ -363,199 +314,6 @@ impl DenseStore {
         inner.tables.retain(|k, _| !touched.contains(k));
         inner.tries.retain(|k, _| !touched.contains(&(k.0, k.1)));
         inner.canon.retain(|k, _| !touched.contains(&(k.0, k.1)));
-    }
-
-    /// Exports the store in portable form (one read-lock hold), with
-    /// tables and tries deterministically ordered so snapshot bytes are
-    /// stable across runs.
-    pub(crate) fn export_state(&self) -> DenseExport {
-        let inner = self.inner.read().expect("dense lock");
-        let mut tables: Vec<DenseTableExport> = inner
-            .tables
-            .iter()
-            .map(|(&(p, arity), t)| DenseTableExport {
-                predicate: p,
-                arity,
-                cols: t.cols.clone(),
-            })
-            .collect();
-        tables.sort_by_key(|t| (t.predicate.name(), t.arity));
-        let mut tries: Vec<DenseTrieExport> = inner
-            .tries
-            .iter()
-            .map(|(&(p, arity, ref order), t)| DenseTrieExport {
-                predicate: p,
-                arity,
-                order: order.clone(),
-                perm: t.perm.clone(),
-            })
-            .collect();
-        tries.sort_by(|a, b| {
-            (a.predicate.name(), a.arity, &a.order).cmp(&(b.predicate.name(), b.arity, &b.order))
-        });
-        DenseExport {
-            dict: inner.dict.sorted.clone(),
-            tables,
-            tries,
-            dict_hits: self.dict_hits.load(AtomicOrdering::Relaxed),
-            dict_misses: self.dict_misses.load(AtomicOrdering::Relaxed),
-            remaps: self.remaps.load(AtomicOrdering::Relaxed),
-        }
-    }
-
-    /// Re-installs an exported store, validating every section against
-    /// the live atoms; invalid sections are skipped (they rebuild lazily
-    /// on the next `snapshot`, the normal cold path), never trusted.
-    ///
-    /// * The dictionary must be strictly ascending under **this
-    ///   process's** value order — a snapshot written under a different
-    ///   symbol-interning order fails here and the whole import becomes a
-    ///   no-op (codes are meaningless without the dictionary).
-    /// * A table must be row- and cell-exact: every code must decode to
-    ///   the value of its row's atom, the relation's atoms taken in
-    ///   `atoms` order. One linear pass — cheaper than re-encoding (one
-    ///   relation lookup per atom, no value hashing), and it proves the
-    ///   codes rather than assuming them.
-    /// * A trie needs its table installed and its permutation sorted by
-    ///   encoded key (ties by row id); levels and the CSR skeleton are
-    ///   re-gathered in `O(rows × depth)` with **no sort** — this is the
-    ///   "sidecar rehydration" that keeps load sequential-read dominated.
-    ///
-    /// Returns `(tables installed, tries installed)`.
-    pub(crate) fn install_state<'a>(
-        &self,
-        export: &DenseExport,
-        atoms: impl IntoIterator<Item = &'a GroundAtom>,
-    ) -> (usize, usize) {
-        if !export.dict.windows(2).all(|w| w[0] < w[1]) {
-            return (0, 0);
-        }
-        let dict = Arc::new(Dict {
-            sorted: export.dict.clone(),
-            code_of: export
-                .dict
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (v, i as u32))
-                .collect(),
-        });
-        let mut inner = self.inner.write().expect("dense lock");
-        if !inner.tables.is_empty() || !inner.tries.is_empty() {
-            return (0, 0); // only a pristine store accepts an import
-        }
-        // One pass over the atoms checks every table: per relation, the
-        // next row to check and whether every row so far decoded exactly.
-        // It needs no per-relation id lists, so the instance's row
-        // indexes stay unbuilt on the snapshot load path.
-        let mut checks: HashMap<(Predicate, u16), (&DenseTableExport, usize, bool)> = export
-            .tables
-            .iter()
-            .filter(|t| t.cols.len() == t.arity as usize)
-            .map(|t| ((t.predicate, t.arity), (t, 0, true)))
-            .collect();
-        for a in atoms {
-            let arity = u16::try_from(a.args.len()).expect("arity fits u16");
-            let Some((t, row, exact)) = checks.get_mut(&(a.predicate, arity)) else {
-                continue;
-            };
-            *exact = *exact
-                && t.cols.iter().zip(&a.args).all(|(col, v)| {
-                    col.get(*row)
-                        .is_some_and(|&code| dict.sorted.get(code as usize) == Some(v))
-                });
-            *row += 1;
-        }
-        let mut tables_in = 0usize;
-        for (rel, (t, rows, exact)) in checks {
-            if !exact || rows == 0 || t.cols.iter().any(|c| c.len() != rows) {
-                continue;
-            }
-            inner.tables.insert(
-                rel,
-                EncodedTable {
-                    cols: t.cols.clone(),
-                    rows,
-                },
-            );
-            tables_in += 1;
-        }
-        let mut tries_in = 0usize;
-        for te in &export.tries {
-            let Some(table) = inner.tables.get(&(te.predicate, te.arity)) else {
-                continue;
-            };
-            let rows = table.rows;
-            if te.perm.len() != rows
-                || rows == 0
-                || te.order.iter().any(|&j| j as usize >= table.cols.len())
-            {
-                continue;
-            }
-            let mut seen = vec![false; rows];
-            if !te.perm.iter().all(|&r| {
-                let ok = (r as usize) < rows && !seen[r as usize];
-                if ok {
-                    seen[r as usize] = true;
-                }
-                ok
-            }) {
-                continue;
-            }
-            let key_of = |r: u32| -> (Vec<u32>, u32) {
-                let key = te
-                    .order
-                    .iter()
-                    .map(|&j| table.cols[j as usize][r as usize])
-                    .collect();
-                (key, r)
-            };
-            if !te.perm.windows(2).all(|w| key_of(w[0]) <= key_of(w[1])) {
-                continue;
-            }
-            let levels: Vec<Vec<u32>> = te
-                .order
-                .iter()
-                .map(|&j| {
-                    let col = &table.cols[j as usize];
-                    te.perm.iter().map(|&r| col[r as usize]).collect()
-                })
-                .collect();
-            let (entries, child) = DenseTrie::build_csr(&levels, rows);
-            inner.tries.insert(
-                (te.predicate, te.arity, te.order.clone()),
-                Arc::new(DenseTrie {
-                    perm: te.perm.clone(),
-                    levels,
-                    rows,
-                    entries,
-                    child,
-                }),
-            );
-            tries_in += 1;
-        }
-        // Re-derive the canon aliasing (identical-content siblings share
-        // one Arc) exactly as `ensure_trie` would have.
-        let keys: Vec<TrieKey> = inner.tries.keys().cloned().collect();
-        for key in keys {
-            let arc = Arc::clone(&inner.tries[&key]);
-            let shared = inner
-                .canon
-                .iter()
-                .find(|(k2, t2)| {
-                    k2.0 == key.0 && k2.1 == key.1 && k2.2 != key.2 && t2.levels == arc.levels
-                })
-                .map(|(_, t2)| Arc::clone(t2));
-            inner.canon.insert(key, shared.unwrap_or(arc));
-        }
-        if tables_in > 0 || !export.dict.is_empty() {
-            inner.dict = dict;
-        }
-        self.dict_hits
-            .store(export.dict_hits, AtomicOrdering::Relaxed);
-        self.dict_misses
-            .store(export.dict_misses, AtomicOrdering::Relaxed);
-        self.remaps.store(export.remaps, AtomicOrdering::Relaxed);
-        (tables_in, tries_in)
     }
 
     /// Current counters.
@@ -911,10 +669,6 @@ mod tests {
         store.snapshot(&rows.atoms, &rows.ids, reqs)
     }
 
-    fn install(store: &DenseStore, export: &DenseExport, rows: &Rows) -> (usize, usize) {
-        store.install_state(export, &rows.atoms)
-    }
-
     fn arena(rows: &[&[&str]]) -> Rows {
         let mut out = Rows::default();
         for r in rows {
@@ -1166,75 +920,6 @@ mod tests {
             before[0].as_ref().unwrap(),
             after[0].as_ref().unwrap()
         ));
-    }
-
-    #[test]
-    fn export_install_round_trips_without_new_dict_work() {
-        let cols = arena(&[&["b", "x"], &["a", "z"], &["a", "y"], &["c", "w"]]);
-        let store = DenseStore::default();
-        let p = Predicate::new("R");
-        let (dict, tries) = snap(&store, &cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
-        let export = store.export_state();
-
-        let fresh = DenseStore::default();
-        let (tables_in, tries_in) = install(&fresh, &export, &cols);
-        assert_eq!((tables_in, tries_in), (1, 2));
-        // The installed store serves the same snapshot as the saved one —
-        // same decoded rows, same permutations — and does so without a
-        // single new dictionary lookup (everything is already warm).
-        let before = fresh.stats();
-        let (fdict, ftries) = snap(&fresh, &cols, &[(p, 2, &[0, 1]), (p, 2, &[1, 0])]);
-        let after = fresh.stats();
-        assert_eq!(fdict.values(), dict.values());
-        for i in 0..2 {
-            assert_eq!(
-                decoded_rows(&fdict, ftries[i].as_ref().unwrap()),
-                decoded_rows(&dict, tries[i].as_ref().unwrap())
-            );
-            assert_eq!(
-                ftries[i].as_ref().unwrap().perm(),
-                tries[i].as_ref().unwrap().perm()
-            );
-        }
-        assert_eq!(after.dict_hits, before.dict_hits);
-        assert_eq!(after.dict_misses, before.dict_misses);
-        // The persisted counters carry over; the build counters do not:
-        // installing sorted nothing, while the saved store full-built both
-        // tries.
-        assert_eq!((after.full_builds, after.merge_extends), (0, 0));
-        assert_eq!(
-            DenseStats {
-                full_builds: 2,
-                ..after
-            },
-            store.stats()
-        );
-    }
-
-    #[test]
-    fn install_rejects_corrupt_sections() {
-        let cols = arena(&[&["b"], &["a"], &["c"]]);
-        let store = DenseStore::default();
-        let p = Predicate::new("R");
-        snap(&store, &cols, &[(p, 1, &[0])]);
-        let good = store.export_state();
-
-        // An unsorted dictionary poisons the whole import.
-        let mut bad_dict = good.clone();
-        bad_dict.dict.reverse();
-        assert_eq!(install(&DenseStore::default(), &bad_dict, &cols), (0, 0));
-
-        // A cell that decodes to the wrong value drops the table and its
-        // dependent trie, but the valid dictionary still installs.
-        let mut bad_cell = good.clone();
-        bad_cell.tables[0].cols[0][0] ^= 1;
-        let s = DenseStore::default();
-        assert_eq!(install(&s, &bad_cell, &cols), (0, 0));
-
-        // An unsorted permutation drops only the trie.
-        let mut bad_perm = good.clone();
-        bad_perm.tries[0].perm.reverse();
-        assert_eq!(install(&DenseStore::default(), &bad_perm, &cols), (1, 0));
     }
 
     #[test]

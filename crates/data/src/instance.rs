@@ -1,7 +1,7 @@
 //! Instances and databases: indexed sets of ground atoms.
 
 use crate::atom::GroundAtom;
-use crate::dense::{DenseExport, DenseStats, DenseStore, DenseTrie, Dict, RelationIds};
+use crate::dense::{DenseStats, DenseStore, DenseTrie, Dict, RelationIds};
 use crate::idhash::IdHashMap;
 use crate::schema::{Predicate, Schema};
 use crate::value::Value;
@@ -679,24 +679,6 @@ impl Instance {
     /// trie, `merge_extends` on every delta extension).
     pub fn dense_stats(&self) -> DenseStats {
         self.dense.stats()
-    }
-
-    /// Exports the dense-encoded store in portable form, for snapshot
-    /// persistence (see [`crate::dense::DenseExport`]).
-    pub fn export_dense(&self) -> DenseExport {
-        self.dense.export_state()
-    }
-
-    /// Re-installs an exported dense store after validating the dictionary
-    /// order and every encoded cell against the atoms; invalid
-    /// sections are skipped and rebuild lazily. Only a pristine (never
-    /// dense-queried) instance accepts the import. Returns
-    /// `(tables installed, tries installed)`.
-    pub fn install_dense(&self, export: &DenseExport) -> (usize, usize) {
-        if export.dict.is_empty() && export.tables.is_empty() && export.tries.is_empty() {
-            return (0, 0);
-        }
-        self.dense.install_state(export, self.iter())
     }
 
     /// The distinct predicates appearing in the instance, in first-use order.

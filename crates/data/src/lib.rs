@@ -40,7 +40,7 @@ pub mod text;
 pub mod value;
 
 pub use atom::GroundAtom;
-pub use dense::{DenseExport, DenseStats, DenseTableExport, DenseTrie, DenseTrieExport, Dict};
+pub use dense::{DenseStats, DenseTrie, Dict};
 pub use homomorphism::{is_homomorphism, Valuation};
 pub use instance::Instance;
 pub use obs::RunReport;

@@ -163,6 +163,17 @@ impl<'a> Reader<'a> {
         Ok(v)
     }
 
+    /// Reads a count and skips that many `width`-byte elements without
+    /// decoding them. An element run longer than the remaining payload is
+    /// an overrun, like any other read.
+    pub fn skip_array(&mut self, width: usize) -> Result<(), String> {
+        let n = self.len()?;
+        let bytes = n
+            .checked_mul(width)
+            .ok_or_else(|| format!("count {n} of {width}-byte elements overflows"))?;
+        self.take(bytes).map(|_| ())
+    }
+
     /// Reads a one-byte bool; anything other than 0/1 is malformed.
     pub fn bool(&mut self) -> Result<bool, String> {
         match self.u8()? {
@@ -269,6 +280,16 @@ mod tests {
         w.u64(1 << 40);
         let mut r = Reader::new(&w.buf);
         assert!(r.len().unwrap_err().contains("exceeds"));
+        // A skipped run of wide elements must fit the payload too.
+        let mut w = Writer::new();
+        w.len(3);
+        w.u32(7);
+        w.u32(8);
+        let mut r = Reader::new(&w.buf);
+        assert!(r.skip_array(4).unwrap_err().contains("overrun"));
+        let mut r = Reader::new(&w.buf);
+        r.skip_array(2).unwrap();
+        assert_eq!(r.remaining(), 2);
         // Non-UTF-8 string bytes are malformed, not lossily decoded.
         let mut w = Writer::new();
         w.len(2);

@@ -8,8 +8,8 @@
 //! on the hot path ([`serve`]).
 //!
 //! The division of labor with the rest of the workspace: `gtgd-data` and
-//! `gtgd-chase` own the *state* (and validate persisted index sections at
-//! install time); this crate owns the *bytes* and the *wire protocol*.
+//! `gtgd-chase` own the *state* (and validate the persisted firing records
+//! at thaw time); this crate owns the *bytes* and the *wire protocol*.
 //! Everything is std-only, like the rest of the workspace.
 //!
 //! ```no_run

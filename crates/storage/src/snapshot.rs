@@ -1,8 +1,8 @@
 //! The persistent snapshot format: a versioned, checksummed binary image
 //! of a maintained chase fixpoint — interned symbols, the instance in
-//! insertion order, the dense dictionary and tries, and the maintained
-//! chase's firing records — written after saturation and
-//! loaded with **no re-chase and no re-sort**.
+//! insertion order, and the maintained chase's firing records — written
+//! after saturation and loaded with **no re-chase**. The atoms are the
+//! one persisted copy of the facts: no index over them is stored.
 //!
 //! # Format
 //!
@@ -16,7 +16,8 @@
 //!   2. null fence     largest persisted null label
 //!   3. TGDs           structural (var names + body/head atoms), not text
 //!   4. instance       atoms in insertion order
-//!   5. dense          dictionary, encoded tables, trie permutations
+//!   5. dense          always written empty: zero dictionary values, zero
+//!                     tables, zero tries, three zero counters
 //!   6. maintain       completeness, atom cap, then base facts and alive
 //!                     firings (kept last so a loader can carve them off
 //!                     as raw bytes and defer their decode to thaw)
@@ -25,7 +26,10 @@
 //! The checksum covers the payload only, so a version bump reports
 //! [`SnapshotError::UnsupportedVersion`] rather than a spurious mismatch.
 //! Version-1 files, which carried a sorted-permutation section between
-//! the instance and the dense state, are refused, not migrated.
+//! the instance and the dense state, are refused, not migrated. Older
+//! version-2 files carry a dense dictionary, encoded tables and trie
+//! permutations in section 5; the loader reads past them, bounds-checked,
+//! and builds nothing from them.
 //!
 //! # Why loading is cheap
 //!
@@ -33,26 +37,21 @@
 //! read: symbols are interned in ascending old-id order (one pass), the
 //! instance adopts the decoded atom vector wholesale (its hash indexes
 //! are built from the atoms on first demand —
-//! [`Instance::from_unique_atoms`]), the dense tables and tries are
-//! *installed* — validated against the atoms in one linear pass by
-//! [`Instance::install_dense`], never re-encoded or re-sorted — and the
-//! firing records are kept frozen **as raw bytes**
-//! until the first write. Thawing decodes them and links each one into
-//! the dependency index by atom id ([`MaintainedInstance::from_parts`]):
-//! its body is grounded from its key into a reused buffer, and its body
-//! atoms and products are looked up in the loaded instance, never
-//! re-derived by running the chase.
-//! Dense state that fails its validation (e.g. a dictionary that is not
-//! sorted under this process's interning order) is skipped and rebuilt
-//! lazily on first use; sections whose bytes are damaged fail the
-//! checksum and the whole load fails closed.
+//! [`Instance::from_unique_atoms`]), and the firing records are kept
+//! frozen **as raw bytes** until the first write. Thawing decodes them and
+//! links each one into the dependency index by atom id
+//! ([`MaintainedInstance::from_parts`]): its body is grounded from its key
+//! into a reused buffer, and its body atoms and products are looked up in
+//! the loaded instance, never re-derived by running the chase. The dense
+//! dictionary and tries are built the way a live instance builds them:
+//! lazily, by one full sort of each trie on its first demand. Sections
+//! whose bytes are damaged fail the checksum and the whole load fails
+//! closed.
 
 use crate::bytes::{fnv1a64x8, Reader, Writer};
 use crate::log::{self, log_path, suffixed};
 use gtgd_chase::{Firing, MaintainExport, MaintainedInstance, Tgd};
-use gtgd_data::{
-    DenseExport, DenseTableExport, DenseTrieExport, GroundAtom, Instance, Predicate, Symbol, Value,
-};
+use gtgd_data::{GroundAtom, Instance, Predicate, Symbol, Value};
 use gtgd_query::{QAtom, Term, Var};
 use std::fmt;
 use std::fs::File;
@@ -135,13 +134,12 @@ impl From<io::Error> for SnapshotError {
 }
 
 /// A snapshot restored into this process: the rule set, the chased
-/// instance (query-ready immediately), the still-frozen firing records
-/// (thawed into a [`MaintainedInstance`] on demand), and counts of how
-/// many persisted dense tables and tries survived validation and were
-/// installed (the rest rebuild lazily on first use).
+/// instance (query-ready immediately; its dense tries build on first
+/// use), and the still-frozen firing records (thawed into a
+/// [`MaintainedInstance`] on demand).
 ///
 /// The split keeps the load path sequential: queries only need the
-/// instance, so [`load_snapshot`] stops after decode + dense install and
+/// instance, so [`load_snapshot`] stops after decoding the atoms and
 /// keeps the checksummed base/firings section as raw bytes. Decoding the
 /// firing records and linking the dependency index that
 /// `insert`/`retract` need (per-firing allocation and id lookups
@@ -168,10 +166,6 @@ pub struct LoadedSnapshot {
     image: Vec<u8>,
     /// Byte offset of the frozen base + firings tail within `image`.
     frozen_from: usize,
-    /// Dense encoded tables installed without re-encoding.
-    pub dense_tables_installed: usize,
-    /// Dense tries installed without re-sorting.
-    pub dense_tries_installed: usize,
 }
 
 impl LoadedSnapshot {
@@ -254,8 +248,9 @@ impl LoadedSnapshot {
 /// Symbol → local index map used while encoding. Local indices are
 /// positions in the persisted symbol table, which lists names in
 /// ascending old-id order — so a fresh process that interns them in file
-/// order assigns ascending (hence order-preserving) new ids, and the
-/// persisted dense dictionary and tries validate and install.
+/// order assigns ascending new ids: named values keep their relative
+/// order across a save and load, and re-saving a loaded state writes the
+/// same bytes.
 struct SymTable {
     /// Indexed by symbol id: the symbol's local index, or [`UNSEEN`].
     local: Vec<u32>,
@@ -294,14 +289,13 @@ impl Collector {
 }
 
 impl SymTable {
-    /// Collects every symbol the TGDs, the instance's atoms and the dense
-    /// export mention, in one pass that also finds the largest null label
-    /// of the atoms and the dictionary (the null fence). The firing
-    /// records need no pass of their own: an alive firing's body atoms
-    /// and products are atoms of the instance, and its key values occur
-    /// in its body atoms. Returns the symbols in ascending id order, the
-    /// table, and the fence.
-    fn build(tgds: &[Tgd], atoms: &Instance, dense: &DenseExport) -> (Vec<Symbol>, SymTable, u64) {
+    /// Collects every symbol the TGDs and the instance's atoms mention, in
+    /// one pass that also finds the largest null label of the atoms (the
+    /// null fence). The firing records need no pass of their own: an
+    /// alive firing's body atoms and products are atoms of the instance,
+    /// and its key values occur in its body atoms. Returns the symbols in
+    /// ascending id order, the table, and the fence.
+    fn build(tgds: &[Tgd], atoms: &Instance) -> (Vec<Symbol>, SymTable, u64) {
         let mut c = Collector::default();
         for t in tgds {
             for a in t.body.iter().chain(t.head.iter()) {
@@ -318,15 +312,6 @@ impl SymTable {
             for &v in &a.args {
                 c.value(v);
             }
-        }
-        for &v in &dense.dict {
-            c.value(v);
-        }
-        for t in &dense.tables {
-            c.symbol(t.predicate.0);
-        }
-        for t in &dense.tries {
-            c.symbol(t.predicate.0);
         }
         let Collector {
             mut symbols,
@@ -398,8 +383,7 @@ fn put_qatoms(w: &mut Writer, syms: &SymTable, atoms: &[QAtom]) {
 /// that is filled in last.
 pub fn snapshot_bytes(tgds: &[Tgd], m: &MaintainedInstance) -> Vec<u8> {
     let instance = m.instance();
-    let dense = instance.export_dense();
-    let (symbols, syms, fence) = SymTable::build(tgds, instance, &dense);
+    let (symbols, syms, fence) = SymTable::build(tgds, instance);
     debug_assert!(
         m.alive_firings()
             .flat_map(|f| f.key.iter().chain(f.products.iter().flat_map(|p| &p.args)))
@@ -428,46 +412,16 @@ pub fn snapshot_bytes(tgds: &[Tgd], m: &MaintainedInstance) -> Vec<u8> {
         put_qatoms(&mut p, &syms, &t.body);
         put_qatoms(&mut p, &syms, &t.head);
     }
-    // 4. Instance atoms in insertion order (a dense table's row `r` is
-    //    the `r`-th atom of its relation in this order, so order is
-    //    load-bearing for the dense section).
+    // 4. Instance atoms in insertion order.
     p.len(instance.len());
     for a in instance.iter() {
         put_atom(&mut p, &syms, a);
     }
-    // 5. Dense dictionary, encoded tables, trie permutations, counters.
-    p.len(dense.dict.len());
-    for &v in &dense.dict {
-        put_value(&mut p, &syms, v);
+    // 5. Dense state, empty: no dictionary values, tables or tries, and
+    //    zero hit, miss and remap counters.
+    for _ in 0..6 {
+        p.u64(0);
     }
-    p.len(dense.tables.len());
-    for t in &dense.tables {
-        p.u64(syms.local(t.predicate.0));
-        p.u16(t.arity);
-        p.len(t.cols.len());
-        for col in &t.cols {
-            p.len(col.len());
-            for &code in col {
-                p.u32(code);
-            }
-        }
-    }
-    p.len(dense.tries.len());
-    for t in &dense.tries {
-        p.u64(syms.local(t.predicate.0));
-        p.u16(t.arity);
-        p.len(t.order.len());
-        for &c in &t.order {
-            p.u16(c);
-        }
-        p.len(t.perm.len());
-        for &row in &t.perm {
-            p.u32(row);
-        }
-    }
-    p.u64(dense.dict_hits as u64);
-    p.u64(dense.dict_misses as u64);
-    p.u64(dense.remaps as u64);
     // 6. Maintain state: completeness and cap first (cheap scalars the
     //    loader wants eagerly), then base facts and alive firings — last
     //    in the payload on purpose, so the loader can keep them as one
@@ -602,22 +556,31 @@ fn get_qatoms(r: &mut Reader<'_>, syms: &[Symbol], nvars: usize) -> Result<Vec<Q
     Ok(atoms)
 }
 
-fn get_u16s(r: &mut Reader<'_>) -> Result<Vec<u16>, String> {
-    let n = r.len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.u16()?);
+/// Reads past section 5. Older version-2 files carry a dictionary, code
+/// columns and trie permutations there: a derived copy of section 4, so
+/// nothing is built from it. Every count is bounds-checked against the
+/// payload and nothing is allocated.
+fn skip_dense(r: &mut Reader<'_>, syms: &[Symbol]) -> Result<(), String> {
+    for _ in 0..r.len()? {
+        get_value(r, syms)?;
     }
-    Ok(out)
-}
-
-fn get_u32s(r: &mut Reader<'_>) -> Result<Vec<u32>, String> {
-    let n = r.len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.u32()?);
+    for _ in 0..r.len()? {
+        get_pred(r, syms)?;
+        r.u16()?;
+        for _ in 0..r.len()? {
+            r.skip_array(4)?;
+        }
     }
-    Ok(out)
+    for _ in 0..r.len()? {
+        get_pred(r, syms)?;
+        r.u16()?;
+        r.skip_array(2)?;
+        r.skip_array(4)?;
+    }
+    for _ in 0..3 {
+        r.u64()?;
+    }
+    Ok(())
 }
 
 /// Restores a snapshot from in-memory bytes. See [`load_snapshot`] for
@@ -668,8 +631,7 @@ fn load_snapshot_owned(image: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> 
     let mut r = Reader::new(payload);
     // 1. Symbols: interning in file order (ascending old id) gives the
     //    new ids the same relative order whenever the names are new to
-    //    this process, which is what lets the persisted sort orders
-    //    validate below.
+    //    this process, so named values keep their order.
     let nsyms = r.len().map_err(mal)?;
     let mut syms = Vec::with_capacity(nsyms);
     for _ in 0..nsyms {
@@ -700,53 +662,8 @@ fn load_snapshot_owned(image: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> 
     for _ in 0..natoms {
         atoms.push(get_atom(&mut r, &syms).map_err(mal)?);
     }
-    // 5. Dense.
-    let ndict = r.len().map_err(mal)?;
-    let mut dict = Vec::with_capacity(ndict);
-    for _ in 0..ndict {
-        dict.push(get_value(&mut r, &syms).map_err(mal)?);
-    }
-    let ntables = r.len().map_err(mal)?;
-    let mut tables = Vec::with_capacity(ntables);
-    for _ in 0..ntables {
-        let predicate = get_pred(&mut r, &syms).map_err(mal)?;
-        let arity = r.u16().map_err(mal)?;
-        let ncols = r.len().map_err(mal)?;
-        let mut cols = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            cols.push(get_u32s(&mut r).map_err(mal)?);
-        }
-        tables.push(DenseTableExport {
-            predicate,
-            arity,
-            cols,
-        });
-    }
-    let ntries = r.len().map_err(mal)?;
-    let mut tries = Vec::with_capacity(ntries);
-    for _ in 0..ntries {
-        let predicate = get_pred(&mut r, &syms).map_err(mal)?;
-        let arity = r.u16().map_err(mal)?;
-        let order = get_u16s(&mut r).map_err(mal)?;
-        let perm = get_u32s(&mut r).map_err(mal)?;
-        tries.push(DenseTrieExport {
-            predicate,
-            arity,
-            order,
-            perm,
-        });
-    }
-    let dict_hits = r.u64().map_err(mal)? as usize;
-    let dict_misses = r.u64().map_err(mal)? as usize;
-    let remaps = r.u64().map_err(mal)? as usize;
-    let dense = DenseExport {
-        dict,
-        tables,
-        tries,
-        dict_hits,
-        dict_misses,
-        remaps,
-    };
+    // 5. Dense state: read past; nothing is built from it.
+    skip_dense(&mut r, &syms).map_err(mal)?;
     // 6. Maintain state: scalars eagerly; the base + firings tail stays
     //    as one raw byte run (already checksummed) so materializing
     //    firing records that can dwarf the instance is deferred to thaw.
@@ -758,37 +675,32 @@ fn load_snapshot_owned(image: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> 
     };
     let frozen_from = image.len() - r.rest().len();
 
-    // Rebuild: adopt the atom vector, install what validates. The
-    // persisted atom section came from an instance, so it is
-    // duplicate-free and the trusted bulk constructor applies — the
-    // instance's hash indexes are built from the atoms on first demand,
-    // off the load path.
+    // Rebuild: adopt the atom vector. The persisted atom section came
+    // from an instance, so it is duplicate-free and the trusted bulk
+    // constructor applies — the instance's hash indexes are built from
+    // the atoms on first demand, off the load path.
     // The firing records stay frozen in byte form — queries never touch
     // them, and the first writer pays the decode + dependency-index link
     // via `to_maintained`/`into_maintained`, which is also where their
     // damage and inconsistencies fail closed: an inconsistent dependency
     // index would make later retractions silently wrong.
-    let instance = Instance::from_unique_atoms(atoms);
-    let (dense_tables_installed, dense_tries_installed) = instance.install_dense(&dense);
     Ok(LoadedSnapshot {
         tgds,
-        instance,
+        instance: Instance::from_unique_atoms(atoms),
         syms,
         complete,
         max_atoms,
         image,
         frozen_from,
-        dense_tables_installed,
-        dense_tries_installed,
     })
 }
 
 /// Reads and restores a snapshot file. The load pipeline is: validate
 /// framing (magic, version, length, checksum) → intern symbols → fence
-/// nulls → rebuild TGDs → append instance atoms in insertion order →
-/// install dense state (validated, never re-sorted).
-/// The result is query-ready; thawing the firing records for writes is
-/// deferred to [`LoadedSnapshot::to_maintained`].
+/// nulls → rebuild TGDs → adopt the instance atoms in insertion order →
+/// read past section 5. The result is query-ready (dense tries build on
+/// first use); thawing the firing records for writes is deferred to
+/// [`LoadedSnapshot::to_maintained`].
 pub fn load_snapshot(path: &Path) -> Result<LoadedSnapshot, SnapshotError> {
     load_snapshot_owned(std::fs::read(path)?)
 }
@@ -848,20 +760,6 @@ mod tests {
         back.retract([ann]);
         assert!(instance_isomorphic(m.instance(), back.instance()));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn saved_tries_install_in_process() {
-        let (tgds, m) = org_fixture();
-        // Build a dense trie before saving.
-        m.instance()
-            .dense_snapshot(&[(gtgd_data::Predicate(Symbol::new("WorksIn")), 2, &[0, 1])]);
-        let bytes = snapshot_bytes(&tgds, &m);
-        let loaded = load_snapshot_bytes(&bytes).unwrap();
-        // Same process → same interning order → every persisted section
-        // validates and installs.
-        assert!(loaded.dense_tables_installed >= 1);
-        assert_eq!(loaded.dense_tries_installed, 1);
     }
 
     #[test]

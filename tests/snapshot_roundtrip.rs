@@ -1,13 +1,14 @@
 //! Snapshot round-trip properties (seeded, many instances): a maintained
 //! fixpoint saved and loaded back must be isomorphic to the original,
 //! answer prepared queries identically under both join strategies, and
-//! re-serve its persisted dense tries from cache instead of rebuilding
-//! them.
+//! build its dense tries on first demand, once, to the live instance's
+//! tries.
 //! Damaged files must fail closed with the precise error for the damage.
 
 use gtgd::chase::{parse_tgds, ChaseBudget, ChaseRunner, MaintainedInstance, Tgd};
-use gtgd::data::{GroundAtom, Predicate, Rng, Symbol, Value};
+use gtgd::data::{DenseStats, GroundAtom, Instance, Predicate, Rng, Symbol, Value};
 use gtgd::query::{instance_isomorphic, parse_cq, Engine, Strategy};
+use gtgd::storage::bytes::{fnv1a64x8, Writer};
 use gtgd::storage::{load_snapshot, save_snapshot, SnapshotError, SNAPSHOT_VERSION};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -55,6 +56,56 @@ fn seeded_fixture(seed: u64) -> (Vec<Tgd>, MaintainedInstance) {
     (tgds, m)
 }
 
+/// The sorted rows of `p`'s dense trie under `order`, decoded to values.
+fn decoded_trie(i: &Instance, p: Predicate, arity: usize, order: &[u16]) -> Vec<Vec<Value>> {
+    let (dict, tries) = i.dense_snapshot(&[(p, arity, order)]);
+    let trie = tries[0].as_ref().expect("the relation is nonempty");
+    (0..trie.rows())
+        .map(|r| {
+            (0..order.len())
+                .map(|l| dict.decode(trie.level(l)[r]))
+                .collect()
+        })
+        .collect()
+}
+
+/// A loaded snapshot holds no dense state: its first demand of `order`
+/// on `p` is exactly one full build (no merge extend) whose decoded levels
+/// equal the live instance's trie, and a second demand is a cache hit.
+/// Called before anything else queries `loaded`.
+fn assert_first_demand_builds_once(
+    tag: &str,
+    live: &Instance,
+    loaded: &Instance,
+    p: Predicate,
+    order: &[u16],
+) {
+    let arity = order.len();
+    assert_eq!(
+        loaded.dense_stats(),
+        DenseStats::default(),
+        "{tag}: a loaded snapshot has no dense state"
+    );
+    let rows = decoded_trie(loaded, p, arity, order);
+    let built = loaded.dense_stats();
+    assert_eq!(
+        (built.tries, built.full_builds, built.merge_extends),
+        (1, 1, 0),
+        "{tag}: the first demand is one full build"
+    );
+    assert_eq!(
+        rows,
+        decoded_trie(live, p, arity, order),
+        "{tag}: trie rows"
+    );
+    decoded_trie(loaded, p, arity, order);
+    assert_eq!(
+        loaded.dense_stats(),
+        built,
+        "{tag}: a second demand is a cache hit"
+    );
+}
+
 /// Saves, loads back, and checks every round-trip property for one
 /// fixture. Queries are evaluated with *both* join strategies on both
 /// sides; in-process ids are stable, so answers must be bit-identical.
@@ -64,33 +115,18 @@ fn assert_round_trips(tag: &str, tgds: &[Tgd], m: &MaintainedInstance) {
         "Q(X, D) :- Emp(X), WorksIn(X, D)",
         "Q(D, H) :- Dept(D), HasHead(D, H)",
     ];
-    // Warm a dense trie so the snapshot persists one.
+    // Warm a dense trie on the live side; the snapshot stores none.
     let worksin = Predicate(Symbol::new("WorksIn"));
     m.instance().dense_snapshot(&[(worksin, 2, &[1, 0])]);
-    let stats_before = m.instance().dense_stats();
 
     let path = temp_path(tag);
     save_snapshot(&path, tgds, m).unwrap();
     let loaded = load_snapshot(&path).unwrap();
     std::fs::remove_file(&path).ok();
 
-    // Trie rebuild behavior: every persisted trie installed (same process
-    // → same interning order → validation passes) without a sort, and
-    // demanding the persisted order again is a cache hit, not a rebuild.
     // Checked first: the isomorphism check and the forced-WCOJ queries
     // below build tries of their own.
-    assert_eq!(
-        loaded.dense_tries_installed, stats_before.tries,
-        "{tag}: all persisted tries install"
-    );
-    let after_load = loaded.instance().dense_stats();
-    assert_eq!((after_load.full_builds, after_load.merge_extends), (0, 0));
-    loaded.instance().dense_snapshot(&[(worksin, 2, &[1, 0])]);
-    assert_eq!(
-        loaded.instance().dense_stats(),
-        after_load,
-        "{tag}: re-demanding a persisted trie must not rebuild it"
-    );
+    assert_first_demand_builds_once(tag, m.instance(), loaded.instance(), worksin, &[1, 0]);
 
     assert!(
         instance_isomorphic(m.instance(), loaded.instance()),
@@ -124,7 +160,8 @@ fn seeded_fixtures_round_trip() {
 /// Retraction leaves tombstones in the live instance (ids stay stable
 /// until a compaction); a snapshot persists the live atoms only, in id
 /// order, and loads back equal — same atoms, same order, same `dom()` —
-/// with dense ids, its tries installed and the thawed state maintainable.
+/// with dense ids, tries that build once on first demand, and the thawed
+/// state maintainable.
 #[test]
 fn tombstoned_instances_save_only_live_atoms() {
     let (tgds, mut m) = seeded_fixture(9);
@@ -153,7 +190,7 @@ fn tombstoned_instances_save_only_live_atoms() {
         "a loaded instance has no tombstones"
     );
     assert_eq!(back.dom(), live.dom());
-    assert_eq!(loaded.dense_tries_installed, live.dense_stats().tries);
+    assert_first_demand_builds_once("tombstones", live, back, worksin, &[1, 0]);
     let mut thawed = loaded.into_maintained().unwrap();
     thawed.retract([GroundAtom::named("Emp", &["tomb_x1"])]);
     m.retract([GroundAtom::named("Emp", &["tomb_x1"])]);
@@ -242,12 +279,35 @@ fn post_remap_dense_state_round_trips() {
     save_snapshot(&path, &tgds, &m).unwrap();
     let loaded = load_snapshot(&path).unwrap();
     std::fs::remove_file(&path).ok();
-    // The remapped dense state is still strictly ascending, so it
-    // installs, counters included.
-    assert!(loaded.dense_tables_installed >= 1);
-    assert_eq!(loaded.dense_tries_installed, 1);
-    assert_eq!(loaded.instance().dense_stats().remaps, stats.remaps);
+    // The remapped trie rebuilds to the same rows. The remap counter is
+    // not persisted: the loaded dictionary is built in one ascending
+    // pass, so it never remaps.
+    assert_first_demand_builds_once("remap", m.instance(), loaded.instance(), edge, &[0, 1]);
+    assert_eq!(loaded.instance().dense_stats().remaps, 0);
     assert!(instance_isomorphic(m.instance(), loaded.instance()));
+}
+
+/// A hand-built snapshot: one symbol, no rules, no atoms, section 5 as
+/// `dense` writes it, then a complete, uncapped, empty maintain section,
+/// behind a header with the payload's checksum.
+fn snapshot_with_section5(dense: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut p = Writer::new();
+    p.len(1);
+    p.str("Section5P");
+    p.u64(0); // null fence
+    p.len(0); // rules
+    p.len(0); // atoms
+    dense(&mut p);
+    p.bool(true);
+    p.u8(0); // no atom cap
+    p.len(0); // base facts
+    p.len(0); // firings
+    let mut out = b"GTGDSNAP".to_vec();
+    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    out.extend_from_slice(&(p.buf.len() as u64).to_le_bytes());
+    out.extend_from_slice(&fnv1a64x8(&p.buf).to_le_bytes());
+    out.extend_from_slice(&p.buf);
+    out
 }
 
 #[test]
@@ -299,6 +359,72 @@ fn damaged_files_fail_closed_with_precise_errors() {
     );
     assert_eq!(SNAPSHOT_VERSION, 2);
 
+    // Section 5 (dense state) is read past, never installed. A file
+    // from an earlier writer may hold one, and it must load; counts that
+    // overrun the payload are malformed, even under a valid checksum.
+    let dense_ok = snapshot_with_section5(|w| {
+        w.len(1); // dictionary: one named value
+        w.u8(0);
+        w.u64(0);
+        w.len(1); // one table: predicate 0, arity 1, one column of one code
+        w.u64(0);
+        w.u16(1);
+        w.len(1);
+        w.len(1);
+        w.u32(0);
+        w.len(1); // one trie: order [0], permutation [0]
+        w.u64(0);
+        w.u16(1);
+        w.len(1);
+        w.u16(0);
+        w.len(1);
+        w.u32(0);
+        for _ in 0..3 {
+            w.u64(5); // counters
+        }
+    });
+    std::fs::write(&path, &dense_ok).unwrap();
+    let loaded = load_snapshot(&path).unwrap();
+    assert_eq!(loaded.instance().dense_stats().tries, 0);
+    type Section5 = fn(&mut Writer);
+    let overruns: [(&str, Section5); 4] = [
+        ("table count", |w| {
+            w.len(0);
+            w.u64(1 << 40);
+        }),
+        ("table column length", |w| {
+            w.len(0);
+            w.len(1);
+            w.u64(0);
+            w.u16(1);
+            w.len(1);
+            w.len(12); // fits as a count, not as 12 four-byte codes
+        }),
+        ("trie count", |w| {
+            w.len(0);
+            w.len(0);
+            w.u64(u64::MAX);
+        }),
+        ("trie permutation length", |w| {
+            w.len(0);
+            w.len(0);
+            w.len(1);
+            w.u64(0);
+            w.u16(1);
+            w.len(1);
+            w.u16(0);
+            w.len(12);
+        }),
+    ];
+    for (what, dense) in overruns {
+        std::fs::write(&path, snapshot_with_section5(dense)).unwrap();
+        let err = load_snapshot(&path).unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Malformed(why) if why.contains("exceeds") || why.contains("overrun")),
+            "{what}: {err:?}"
+        );
+    }
+
     // Not a snapshot at all.
     std::fs::write(&path, b"mode open.\nfact Emp(ann).\n").unwrap();
     assert!(matches!(load_snapshot(&path), Err(SnapshotError::BadMagic)));
@@ -320,48 +446,44 @@ const GOLDEN_V2: &str = concat!(
     "/tests/fixtures/golden_v2.gsnap"
 );
 
-#[test]
-fn golden_v2_file_loads_installs_and_resaves_byte_identically() {
-    let path = std::path::Path::new(GOLDEN_V2);
-    let golden = std::fs::read(path).unwrap();
-    let loaded = load_snapshot(path).unwrap();
-    assert_eq!(loaded.instance().len(), 10);
+/// What the golden file re-saves to under the current writer: the same
+/// symbols, rules, atoms and firing records, and an empty section 5.
+const GOLDEN_V2_RESAVED: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/golden_v2_resaved.gsnap"
+);
 
-    // Every persisted table and trie installs: the file holds four of
-    // each (GoldE/2, GoldM/1, GoldM/2, GoldW/2).
-    assert_eq!(
-        (loaded.dense_tables_installed, loaded.dense_tries_installed),
-        (4, 4)
-    );
-    let export = loaded.instance().export_dense();
-    assert_eq!((export.tables.len(), export.tries.len()), (4, 4));
-
-    // The installed tables are what encoding the loaded atoms afresh
-    // gives: the on-disk row order is each relation's insertion order.
-    let fresh = gtgd::data::Instance::from_atoms(loaded.instance().iter().cloned());
-    for t in &export.tries {
-        fresh.dense_snapshot(&[(t.predicate, t.arity as usize, &t.order)]);
-    }
-    let fresh_export = fresh.export_dense();
-    let decode = |e: &gtgd::data::DenseExport| -> Vec<Vec<Vec<Value>>> {
-        e.tables
-            .iter()
-            .map(|t| {
-                t.cols
-                    .iter()
-                    .map(|c| c.iter().map(|&code| e.dict[code as usize]).collect())
-                    .collect()
-            })
-            .collect()
-    };
-    assert_eq!(decode(&fresh_export), decode(&export));
-
-    // Re-saving the thawed state reproduces the file byte for byte.
+/// Thaws a loaded snapshot and returns the bytes it saves to.
+fn thaw_and_resave(loaded: gtgd::storage::LoadedSnapshot) -> Vec<u8> {
     let tgds = loaded.tgds.clone();
     let m = loaded.into_maintained().unwrap();
     let out = temp_path("golden");
     save_snapshot(&out, &tgds, &m).unwrap();
-    let resaved = std::fs::read(&out).unwrap();
+    let bytes = std::fs::read(&out).unwrap();
     std::fs::remove_file(&out).ok();
-    assert!(resaved == golden, "re-saved golden file differs");
+    bytes
+}
+
+#[test]
+fn golden_v2_file_loads_installs_and_resaves_byte_identically() {
+    let loaded = load_snapshot(std::path::Path::new(GOLDEN_V2)).unwrap();
+    assert_eq!(loaded.instance().len(), 10);
+    // The file's dense tables and tries are read past: loading builds no
+    // dense state at all.
+    assert_eq!(loaded.instance().dense_stats(), DenseStats::default());
+
+    // Re-saving the thawed state writes the committed re-save byte for
+    // byte, and that file re-saves to itself: a byte-level pin on the
+    // writer.
+    let pinned = std::fs::read(GOLDEN_V2_RESAVED).unwrap();
+    assert!(
+        thaw_and_resave(loaded) == pinned,
+        "re-saved golden file differs"
+    );
+    let again = load_snapshot(std::path::Path::new(GOLDEN_V2_RESAVED)).unwrap();
+    assert_eq!(again.instance().len(), 10);
+    assert!(
+        thaw_and_resave(again) == pinned,
+        "the pinned re-save does not re-save to itself"
+    );
 }
