@@ -1127,11 +1127,11 @@ pub fn e17_serve_amortization() -> ExperimentTable {
                 does) and otherwise re-chases in-process; warm is one \
                 line-delimited-JSON round-trip against the daemon with a \
                 hot plan cache. load re-reads the snapshot to query-ready: \
-                sequential decode of the atoms — no joins, no index \
-                build (dense tries sort on first use); linking the \
-                dependency index (one id \
-                lookup per firing atom) is deferred to the first write \
-                (thaw_ms in the JSON)."
+                sequential decode of the atoms and base bits — no joins, \
+                no index build (dense tries sort on first use). The file \
+                stores no firing log: the first write thaws by re-running \
+                the logged chase from the base facts (thaw_ms in the \
+                JSON)."
             .into(),
     }
 }

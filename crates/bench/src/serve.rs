@@ -8,8 +8,8 @@
 //! (no chase, no index build, and after the first request no plan
 //! compilation on the hot path). The *load vs re-chase* pair isolates the
 //! snapshot itself: deserializing the persisted fixpoint (sequential
-//! read; dense tries, row indexes and the firing records stay deferred)
-//! against re-running the chase that produced it.
+//! read; dense tries and row indexes stay deferred, and no firing log is
+//! stored) against re-running the chase that produced it.
 
 use crate::experiments::bench_ms;
 use crate::json::escape;
@@ -90,12 +90,11 @@ pub struct ServeMetric {
     /// Re-running the chase that produced the fixpoint, in ms.
     pub rechase_ms: f64,
     /// Loading the snapshot back to a query-ready instance (sequential
-    /// decode; indexes build on first use and the firing records stay
-    /// frozen), in ms.
+    /// decode; indexes build on first use), in ms.
     pub load_ms: f64,
     /// Thawing the loaded snapshot into a write-ready maintained state
-    /// (dependency-index rebuild by hashing — paid once, by the first
-    /// write, off the query hot path), in ms.
+    /// (the logged chase re-run from the base facts — paid once, by the
+    /// first write, off the query hot path), in ms.
     pub thaw_ms: f64,
     /// Daemon answers identical to a single-shot `Engine::prepare` over
     /// the maintained fixpoint (and to the cold process's answer count).
@@ -292,7 +291,7 @@ pub fn serve_json(metrics: &[ServeMetric]) -> String {
              'load_ms' deserializes the snapshot to a query-ready \
              instance (sequential read; indexes build on first use) vs \
              'rechase_ms' re-running the chase; 'thaw_ms' is the deferred \
-             dependency-index rebuild the first write pays (hashing, no chase). \
+             logged re-chase from the base facts that the first write pays. \
              'answers_agree' checks the daemon's certain answers \
              bit-identical to a single-shot prepared evaluation of the \
              same fixpoint."

@@ -15,7 +15,7 @@
 //! The [`CertificateStore`] builds certificates from the chase's firing
 //! log — the [`Firing`] records of a certified run
 //! ([`crate::runner::ChaseRunner::certify`]) or the alive firings of a
-//! maintained instance ([`crate::MaintainedInstance::export_state`]) —
+//! maintained instance ([`crate::MaintainedInstance::alive_firings`]) —
 //! plus per-answer witnesses
 //! ([`gtgd_query::PreparedQuery::answer_witnesses`]). Pruning grounds each
 //! firing's body from its trigger key, the step the dependency index
@@ -79,7 +79,7 @@ impl<'a> CertificateStore<'a> {
     /// A store over the original database `db` (not the chased instance),
     /// the rule set, and a firing log over them in firing order: a
     /// certified run's ([`crate::ChaseResult::firings`]) or a maintained
-    /// instance's alive firings ([`crate::MaintainExport::firings`]).
+    /// instance's alive firings ([`crate::MaintainedInstance::alive_firings`]).
     pub fn new(db: &Instance, tgds: &'a [Tgd], firings: Vec<Firing>) -> CertificateStore<'a> {
         let mut facts: Vec<GroundAtom> = db.iter().cloned().collect();
         facts.sort();

@@ -52,7 +52,7 @@ pub use dl::{
 };
 pub use engine::{chase, ChaseBudget, ChaseResult};
 pub use linearize::{linearize, Linearization};
-pub use maintain::{MaintainExport, MaintainedInstance, MaintenanceReport};
+pub use maintain::{MaintainedInstance, MaintenanceReport};
 pub use pieces::{piece_saturation, PieceSaturation};
 pub use plan::Firing;
 pub use restricted::restricted_chase;

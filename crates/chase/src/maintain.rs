@@ -31,8 +31,7 @@
 //! body is grounded from the key into a reused buffer and every atom is
 //! found by a lookup in the instance, so no atom is cloned. A retraction
 //! links what the runs since the previous one logged before it walks the
-//! index, so a build or an insert leaves its firings unlinked; thawing a
-//! snapshot links every firing at once, which is also what validates it.
+//! index, so a build or an insert leaves its firings unlinked.
 //! Base facts are a bitset over atom ids. The instance's compaction, its
 //! only renumbering point, reports the ids it dropped, and the lists, the
 //! firing ids and the base bits are renumbered the same way. A
@@ -62,7 +61,7 @@ use crate::plan::{Firing, TriggerPlan};
 use crate::runner::ChaseVariant;
 use crate::tgd::Tgd;
 use gtgd_data::idhash::IdHashSet;
-use gtgd_data::{obs, GroundAtom, Instance, Value};
+use gtgd_data::{obs, GroundAtom, Instance};
 use std::collections::VecDeque;
 
 /// What one maintenance operation did. Every count is exact (not a
@@ -83,24 +82,6 @@ pub struct MaintenanceReport {
     pub atoms_rederived: usize,
     /// Retract only: atoms physically removed from the instance.
     pub atoms_removed: usize,
-}
-
-/// Portable snapshot of a [`MaintainedInstance`]'s chase state — everything
-/// *except* the instance itself (persisted separately as atoms + index
-/// sections) and the TGDs (the caller owns the rule set and must supply the
-/// same rules, in the same order, at import).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MaintainExport {
-    /// Base (user-asserted) facts, in instance insertion order.
-    pub base: Vec<GroundAtom>,
-    /// Alive firings in firing order. Dead (tombstoned) firings are
-    /// dropped: they exist only to keep in-memory ids stable, which a
-    /// rebuild renumbers anyway.
-    pub firings: Vec<Firing>,
-    /// Whether the maintained instance is the true fixpoint.
-    pub complete: bool,
-    /// The atom cap of the maintenance budget, if any.
-    pub max_atoms: Option<usize>,
 }
 
 /// A set of atom ids, one bit per id.
@@ -233,45 +214,26 @@ impl DepIndex {
     /// past `alive`) as alive. Each body is grounded from its key
     /// ([`TriggerPlan::body_into`]) into one reused buffer, and every body
     /// atom and product is looked up in `instance` by reference, so no
-    /// atom is cloned. Chase runs and snapshot import both index here.
-    /// Fails on a rule index out of range, a key of the wrong arity, or
-    /// a body atom or product the instance lacks.
-    fn link(&mut self, plans: &[TriggerPlan], instance: &Instance) -> Result<(), String> {
+    /// atom is cloned. Every firing was logged by a run under `plans` on
+    /// `instance`, and no atom was removed since, so every lookup hits.
+    fn link(&mut self, plans: &[TriggerPlan], instance: &Instance) {
         self.supports.resize_with(instance.id_bound(), Vec::new);
         self.uses.resize_with(instance.id_bound(), Vec::new);
         let mut body = Vec::new();
+        let id_of = |a: &GroundAtom| instance.id_of(a).expect("a logged atom is in the instance");
         for fid in self.alive.len()..self.firings.len() {
             let f = &self.firings[fid];
-            let Some(plan) = plans.get(f.tgd) else {
-                return Err(format!(
-                    "firing names rule {} but only {} rules were supplied",
-                    f.tgd,
-                    plans.len()
-                ));
-            };
-            if f.key.len() != plan.key_slots.len() {
-                return Err(format!(
-                    "firing of rule {} has a {}-ary key, expected {}",
-                    f.tgd,
-                    f.key.len(),
-                    plan.key_slots.len()
-                ));
-            }
-            plan.body_into(&f.key, &mut body);
+            plans[f.tgd].body_into(&f.key, &mut body);
             let fid = id32(fid);
             let start = id32(self.atom_ids.len());
             for b in &body {
-                let Some(id) = instance.id_of(b) else {
-                    return Err(format!("firing body atom {b} missing from the instance"));
-                };
+                let id = id_of(b);
                 self.uses[id].push(fid);
                 self.atom_ids.push(id32(id));
             }
             let products = id32(self.atom_ids.len());
             for p in &f.products {
-                let Some(id) = instance.id_of(p) else {
-                    return Err(format!("firing product {p} missing from the instance"));
-                };
+                let id = id_of(p);
                 self.supports[id].push(fid);
                 self.atom_ids.push(id32(id));
             }
@@ -282,7 +244,6 @@ impl DepIndex {
             });
             self.alive.push(true);
         }
-        Ok(())
     }
 
     /// The alive firings, in firing order: the linked ones still alive,
@@ -420,22 +381,38 @@ impl MaintainedInstance {
     /// # Panics
     /// If `budget.max_level` is set.
     pub fn new(db: &Instance, tgds: &[Tgd], budget: ChaseBudget) -> MaintainedInstance {
+        MaintainedInstance::rechase(db.clone(), tgds, budget, budget)
+    }
+
+    /// Like [`MaintainedInstance::new`], but takes the base facts by value
+    /// and runs the first chase under `first` (a snapshot thaw caps it at
+    /// the saved state's size); later updates run under `budget`.
+    ///
+    /// # Panics
+    /// If either budget caps levels.
+    pub fn rechase(
+        base: Instance,
+        tgds: &[Tgd],
+        first: ChaseBudget,
+        budget: ChaseBudget,
+    ) -> MaintainedInstance {
         assert!(
-            budget.max_level.is_none(),
+            first.max_level.is_none() && budget.max_level.is_none(),
             "MaintainedInstance maintains a fixpoint; level-capped prefixes are not maintainable"
         );
-        let mut base = IdBits::default();
-        for (id, _) in db.iter_ids() {
-            base.insert(id);
+        let mut bits = IdBits::default();
+        for (id, _) in base.iter_ids() {
+            bits.insert(id);
         }
         let mut m = MaintainedInstance {
-            chase: ObliviousChase::new(tgds, db.clone(), ChaseVariant::Oblivious),
-            budget,
-            base,
+            chase: ObliviousChase::new(tgds, base, ChaseVariant::Oblivious),
+            budget: first,
+            base: bits,
             deps: DepIndex::default(),
             complete: true,
         };
         m.chase_from(Delta::Since(0), &mut MaintenanceReport::default());
+        m.budget = budget;
         m
     }
 
@@ -449,14 +426,13 @@ impl MaintainedInstance {
         (self.chase.instance.id_of(atom)).is_some_and(|id| self.base.contains(id))
     }
 
-    /// The base facts, in instance order: what
-    /// [`MaintainExport::base`] holds, borrowed.
+    /// The base facts, in instance order.
     pub fn base_facts(&self) -> impl Iterator<Item = &GroundAtom> {
         self.base.iter().map(|id| self.chase.instance.atom(id))
     }
 
-    /// The alive firings, in firing order: what
-    /// [`MaintainExport::firings`] holds, borrowed.
+    /// The alive firings, in firing order: one per trigger of the
+    /// fixpoint.
     pub fn alive_firings(&self) -> impl Iterator<Item = &Firing> {
         self.deps.alive_firings()
     }
@@ -587,85 +563,6 @@ impl MaintainedInstance {
         report
     }
 
-    /// Exports the chase state in portable form: base facts in insertion
-    /// order, alive firings only (tombstones compacted), the completeness
-    /// flag, and the budget's atom cap — the borrowed
-    /// [`base_facts`](MaintainedInstance::base_facts) and
-    /// [`alive_firings`](MaintainedInstance::alive_firings), collected.
-    /// Pair with the instance's atoms to persist the whole maintained
-    /// fixpoint.
-    pub fn export_state(&self) -> MaintainExport {
-        MaintainExport {
-            base: self.base_facts().cloned().collect(),
-            firings: self.alive_firings().cloned().collect(),
-            complete: self.complete,
-            max_atoms: self.max_atoms(),
-        }
-    }
-
-    /// Reassembles a maintained instance from an exported chase state and
-    /// an already-rebuilt `instance` (atoms restored in insertion order;
-    /// its indexes build on first use). `tgds` must be the rule set
-    /// the export was created under, in the same order — firing records
-    /// name rules by index.
-    ///
-    /// The dependency index is rebuilt from the exported firings through
-    /// the step every chase run's firings are indexed by: each firing's
-    /// body is grounded from its trigger key, and its body atoms and
-    /// products are looked up in the instance by id. Any inconsistency
-    /// (dangling atom, duplicate firing, out-of-range rule index, key
-    /// arity mismatch, an atom neither base nor derived) fails the whole
-    /// import with a description rather than producing a silently wrong
-    /// fixpoint. **No chase runs**: import cost is one id lookup per
-    /// firing atom, which is what makes snapshot load re-chase-free.
-    pub fn from_parts(
-        tgds: &[Tgd],
-        export: MaintainExport,
-        instance: Instance,
-    ) -> Result<MaintainedInstance, String> {
-        let mut m = MaintainedInstance {
-            chase: ObliviousChase::new(tgds, instance, ChaseVariant::Oblivious),
-            budget: ChaseBudget {
-                max_level: None,
-                max_atoms: export.max_atoms,
-            },
-            base: IdBits::default(),
-            deps: DepIndex::default(),
-            complete: export.complete,
-        };
-        let ObliviousChase {
-            plans,
-            instance,
-            empty_fired,
-            ..
-        } = &mut m.chase;
-        for a in &export.base {
-            let Some(id) = instance.id_of(a) else {
-                return Err(format!("base fact {a} missing from the instance"));
-            };
-            m.base.insert(id);
-        }
-        let mut keys: IdHashSet<(usize, &[Value])> =
-            IdHashSet::with_capacity_and_hasher(export.firings.len(), Default::default());
-        if let Some(f) = (export.firings.iter()).find(|f| !keys.insert((f.tgd, &f.key))) {
-            return Err(format!("duplicate firing of rule {}", f.tgd));
-        }
-        drop(keys);
-        m.deps.firings = export.firings;
-        m.deps.link(plans, instance)?;
-        *empty_fired = (m.deps.firings.iter()).any(|f| plans[f.tgd].body_atoms.is_empty());
-        // Every non-base atom must have a support: otherwise a later
-        // retraction would "rescue" atoms that nothing derives.
-        for (id, a) in instance.iter_ids() {
-            if !m.base.contains(id) && m.deps.supports[id].is_empty() {
-                return Err(format!(
-                    "atom {a} is neither base nor derived by any firing"
-                ));
-            }
-        }
-        Ok(m)
-    }
-
     /// Runs the round loop from `delta` on the persistent state, logging
     /// every firing into the dependency index (unlinked until
     /// [`MaintainedInstance::link`]).
@@ -684,9 +581,7 @@ impl MaintainedInstance {
     /// queried never pays for its index. No atom was removed since those
     /// runs, so every atom they name is in the instance.
     fn link(&mut self) {
-        self.deps
-            .link(&self.chase.plans, &self.chase.instance)
-            .expect("the runs' firings were recorded under these plans");
+        self.deps.link(&self.chase.plans, &self.chase.instance);
     }
 }
 
@@ -787,81 +682,6 @@ mod tests {
         assert_eq!(rep.atoms_removed, 1);
         assert!(m.instance().contains(&GroundAtom::named("B", &["a"])));
         assert!(!m.instance().contains(&GroundAtom::named("A", &["a"])));
-    }
-
-    #[test]
-    fn export_from_parts_round_trips_and_keeps_maintaining() {
-        let tgds =
-            parse_tgds("Emp(X) -> WorksIn(X,D). WorksIn(X,D) -> Dept(D). Dept(D) -> Audited(D)")
-                .unwrap();
-        let d = db(&[("Emp", &["ann"]), ("Emp", &["bob"])]);
-        let mut m = MaintainedInstance::new(&d, &tgds, ChaseBudget::unbounded());
-        let export = m.export_state();
-        assert!(export.complete);
-        assert_eq!(export.base.len(), 2);
-        assert_eq!(export.firings.len(), 6); // 3 rules × 2 employees
-
-        // Rebuild the instance the way a snapshot load does: re-insert the
-        // atoms in insertion order.
-        let rebuilt = Instance::from_atoms(m.instance().iter().cloned());
-        let mut r = MaintainedInstance::from_parts(&tgds, export, rebuilt).unwrap();
-        assert!(r.complete());
-        assert_eq!(r.instance(), m.instance());
-
-        // The restored fixpoint keeps maintaining: the same mutations on
-        // both sides stay isomorphic (null labels differ — the delta
-        // chases mint their own).
-        for mi in [&mut m, &mut r] {
-            mi.retract([GroundAtom::named("Emp", &["ann"])]);
-            mi.insert([GroundAtom::named("Emp", &["carol"])]);
-        }
-        assert!(instance_isomorphic(m.instance(), r.instance()));
-        // And neither re-fires persisted triggers: inserting an existing
-        // base fact is still a no-op after the round trip.
-        assert_eq!(
-            r.insert([GroundAtom::named("Emp", &["bob"])]),
-            MaintenanceReport::default()
-        );
-    }
-
-    #[test]
-    fn from_parts_rejects_inconsistent_exports() {
-        let tgds = parse_tgds("A(X) -> B(X)").unwrap();
-        let m = MaintainedInstance::new(&db(&[("A", &["a"])]), &tgds, ChaseBudget::unbounded());
-        let good = m.export_state();
-        let rebuilt = || Instance::from_atoms(m.instance().iter().cloned());
-
-        let mut missing_base = good.clone();
-        missing_base.base.push(GroundAtom::named("A", &["ghost"]));
-        assert!(
-            MaintainedInstance::from_parts(&tgds, missing_base, rebuilt())
-                .unwrap_err()
-                .contains("base fact")
-        );
-
-        let mut bad_rule = good.clone();
-        bad_rule.firings[0].tgd = 7;
-        assert!(MaintainedInstance::from_parts(&tgds, bad_rule, rebuilt())
-            .unwrap_err()
-            .contains("rules were supplied"));
-
-        let mut bad_key = good.clone();
-        bad_key.firings[0].key.push(Value::named("extra"));
-        assert!(MaintainedInstance::from_parts(&tgds, bad_key, rebuilt())
-            .unwrap_err()
-            .contains("key"));
-
-        let mut orphan = good.clone();
-        orphan.firings.clear();
-        assert!(MaintainedInstance::from_parts(&tgds, orphan, rebuilt())
-            .unwrap_err()
-            .contains("neither base nor derived"));
-
-        // Dropping the derived atom's product from the firing must also
-        // fail (the product list no longer covers the instance).
-        let mut no_product = good.clone();
-        no_product.firings[0].products.clear();
-        assert!(MaintainedInstance::from_parts(&tgds, no_product, rebuilt()).is_err());
     }
 
     #[test]

@@ -190,12 +190,6 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| "invalid UTF-8 in string".to_string())
     }
 
-    /// Consumes and returns every byte not yet read. Used to carve a
-    /// trailing section out of the payload without decoding it.
-    pub fn rest(self) -> &'a [u8] {
-        &self.buf[self.pos..]
-    }
-
     /// Succeeds only if every byte was consumed: trailing garbage after a
     /// well-formed payload is a malformed snapshot, not padding.
     pub fn finish(self) -> Result<(), String> {

@@ -8,8 +8,9 @@
 //! on the hot path ([`serve`]).
 //!
 //! The division of labor with the rest of the workspace: `gtgd-data` and
-//! `gtgd-chase` own the *state* (and validate the persisted firing records
-//! at thaw time); this crate owns the *bytes* and the *wire protocol*.
+//! `gtgd-chase` own the *state* (a thaw re-runs their logged chase from
+//! the persisted base facts); this crate owns the *bytes* and the *wire
+//! protocol*.
 //! Everything is std-only, like the rest of the workspace.
 //!
 //! ```no_run

@@ -45,7 +45,11 @@
 //!   follows.
 //!
 //! Records that survive are replayed through `insert`/`retract` on the
-//! thawed snapshot.
+//! thawed snapshot: the chase re-run from its base facts, which equals the
+//! snapshot up to the names of its nulls (or, for a capped snapshot, is a
+//! sound prefix of the same chase). Null names never reach an answer, and
+//! the records name facts by their constants, so the replay applies to
+//! the thaw exactly as it did to the state that wrote the log.
 
 use crate::bytes::{fnv1a64x8, Reader, Writer};
 use crate::snapshot::{

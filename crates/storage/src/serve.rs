@@ -37,8 +37,14 @@
 //! # Consistency
 //!
 //! The daemon keeps the published fixpoint behind `RwLock<Arc<_>>`: the
-//! snapshot as loaded (firing records frozen) until the first write, the
-//! thawed [`MaintainedInstance`] afterwards. Readers clone the `Arc` and
+//! snapshot as loaded until the first write, the thawed
+//! [`MaintainedInstance`] afterwards. The thaw re-runs the chase from the
+//! snapshot's base facts, so it is a re-chase: when the snapshot is
+//! complete it equals the loaded instance up to the names of labelled
+//! nulls, and when it is capped it is a sound prefix of the same chase
+//! (every certain answer it gives holds, and `exact` stays `false` unless
+//! the re-chase reached the fixpoint). Answers are null-free, so null
+//! names never show. Readers clone the `Arc` and
 //! evaluate entirely lock-free on their private handle; a query never
 //! blocks a write and never observes a half-applied one. Prepared plans
 //! are instance-independent, so the [`PlanCache`] survives writes
@@ -268,9 +274,9 @@ pub fn parse_flat_object(src: &str) -> Result<HashMap<String, String>, String> {
 // ---------------------------------------------------------------------------
 
 /// What the daemon publishes: the snapshot exactly as loaded until the
-/// first write (queries only need the instance, so the firing records
-/// stay frozen and startup is pure sequential load), and the thawed maintained
-/// fixpoint from the first write on. Cloning clones an `Arc` either way.
+/// first write (queries only need the instance, so startup is pure
+/// sequential load), and the thawed maintained fixpoint from the first
+/// write on. Cloning clones an `Arc` either way.
 #[derive(Clone)]
 enum ServedState {
     /// As loaded; no write has happened yet.
@@ -641,8 +647,8 @@ fn respond(shared: &Shared, line: &str, out: &mut String) -> Result<bool, String
 fn write(shared: &Shared, op: Op, text: &str, atom: GroundAtom) -> Result<String, String> {
     // Writers serialize here; readers are never blocked — they keep
     // evaluating against the previous Arc until the swap. The first write
-    // thaws the frozen snapshot's firing records (the one-time dependency-index
-    // rebuild deferred off the load and query paths).
+    // thaws the frozen snapshot (the one-time re-chase of its base facts,
+    // deferred off the load and query paths).
     let mut gate = shared
         .write_gate
         .lock()

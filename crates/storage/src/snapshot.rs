@@ -1,8 +1,9 @@
 //! The persistent snapshot format: a versioned, checksummed binary image
-//! of a maintained chase fixpoint — interned symbols, the instance in
-//! insertion order, and the maintained chase's firing records — written
-//! after saturation and loaded with **no re-chase**. The atoms are the
-//! one persisted copy of the facts: no index over them is stored.
+//! of a maintained chase fixpoint — interned symbols, the rules, the
+//! instance in insertion order, and which of its atoms are base facts —
+//! loaded with **no re-chase**. The atoms are the one persisted copy of
+//! the facts: no index over them and no record of the chase that derived
+//! them is stored.
 //!
 //! # Format
 //!
@@ -16,41 +17,48 @@
 //!   2. null fence     largest persisted null label
 //!   3. TGDs           structural (var names + body/head atoms), not text
 //!   4. instance       atoms in insertion order
-//!   5. dense          always written empty: zero dictionary values, zero
-//!                     tables, zero tries, three zero counters
-//!   6. maintain       completeness, atom cap, then base facts and alive
-//!                     firings (kept last so a loader can carve them off
-//!                     as raw bytes and defer their decode to thaw)
+//!   then              completeness flag, atom cap, and the base bits:
+//!                     one u64 word per 64 atoms of section 4, bit k of
+//!                     word k / 64 set iff atom k is a base fact
 //! ```
+//!
+//! Every field has a fixed width (an atom of arity `n` takes `16 + 9n`
+//! bytes), so the encoder sizes its buffer once, before it writes.
 //!
 //! The checksum covers the payload only, so a version bump reports
 //! [`SnapshotError::UnsupportedVersion`] rather than a spurious mismatch.
+//! Version-2 files still load: after section 4 they carry a dense section
+//! (a dictionary, code columns and trie permutations, or nothing), then
+//! the flag and the cap, the base facts as atoms, and the firing log of
+//! the chase. The loader reads past the dense section and the firings,
+//! bounds-checked, and decodes the base atoms to the same base bits.
 //! Version-1 files, which carried a sorted-permutation section between
-//! the instance and the dense state, are refused, not migrated. Older
-//! version-2 files carry a dense dictionary, encoded tables and trie
-//! permutations in section 5; the loader reads past them, bounds-checked,
-//! and builds nothing from them.
+//! the instance and the dense state, are refused, not migrated.
 //!
-//! # Why loading is cheap
+//! # Why loading is cheap, and what a thaw costs
 //!
-//! Every section is designed so load cost is dominated by the sequential
-//! read: symbols are interned in ascending old-id order (one pass), the
-//! instance adopts the decoded atom vector wholesale (its hash indexes
-//! are built from the atoms on first demand —
-//! [`Instance::from_unique_atoms`]), and the firing records are kept
-//! frozen **as raw bytes** until the first write. Thawing decodes them and
-//! links each one into the dependency index by atom id
-//! ([`MaintainedInstance::from_parts`]): its body is grounded from its key
-//! into a reused buffer, and its body atoms and products are looked up in
-//! the loaded instance, never re-derived by running the chase. The dense
-//! dictionary and tries are built the way a live instance builds them:
-//! lazily, by one full sort of each trie on its first demand. Sections
-//! whose bytes are damaged fail the checksum and the whole load fails
-//! closed.
+//! Load cost is dominated by the sequential read: symbols are interned in
+//! ascending old-id order (one pass), and the instance adopts the decoded
+//! atom vector wholesale (its hash indexes are built from the atoms on
+//! first demand — [`Instance::from_unique_atoms`]). The dense dictionary
+//! and tries are built the way a live instance builds them: lazily, by
+//! one full sort of each trie on its first demand. Sections whose bytes
+//! are damaged fail the checksum and the whole load fails closed.
+//!
+//! Queries need only the instance. Writes need a [`MaintainedInstance`],
+//! and a thaw ([`LoadedSnapshot::to_maintained`]) builds one by running
+//! the logged chase from the base facts: the oblivious chase of a
+//! database is determined by the database up to the names of its nulls,
+//! so the firing log is derived data and is not stored. The re-chase is
+//! capped at one atom more than section 4 holds, so no file makes a thaw
+//! grow past its own size. A complete state thaws to an isomorphic copy
+//! of section 4 with fresh nulls; a capped one thaws to a sound prefix
+//! of the same chase.
 
 use crate::bytes::{fnv1a64x8, Reader, Writer};
 use crate::log::{self, log_path, suffixed};
-use gtgd_chase::{Firing, MaintainExport, MaintainedInstance, Tgd};
+use gtgd_chase::{ChaseBudget, MaintainedInstance, Tgd};
+use gtgd_data::symbols::with_names;
 use gtgd_data::{GroundAtom, Instance, Predicate, Symbol, Value};
 use gtgd_query::{QAtom, Term, Var};
 use std::fmt;
@@ -61,9 +69,17 @@ use std::path::Path;
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GTGDSNAP";
 
-/// Current format version. Bumped on any incompatible layout change;
-/// readers refuse other versions outright.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Current format version, the one the encoder writes. Bumped on any
+/// incompatible layout change; readers refuse versions other than this
+/// one and version 2.
+pub const SNAPSHOT_VERSION: u32 = 3;
+
+/// The previous format version, which still loads (see the module docs).
+const SNAPSHOT_V2: u32 = 2;
+
+/// The largest null fence a load accepts: reserving it leaves this
+/// process 2^63 fresh labels before the counter could wrap.
+const MAX_NULL_FENCE: u64 = i64::MAX as u64;
 
 /// Header size: magic + version + payload length + checksum.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
@@ -83,15 +99,15 @@ pub enum SnapshotError {
     Io(io::Error),
     /// The file does not begin with [`SNAPSHOT_MAGIC`].
     BadMagic,
-    /// The file's version is not [`SNAPSHOT_VERSION`].
+    /// The file's version is neither [`SNAPSHOT_VERSION`] nor 2.
     UnsupportedVersion(u32),
     /// The payload bytes do not hash to the header checksum.
     ChecksumMismatch,
     /// The file ends before the header-declared payload does.
     Truncated,
     /// The payload passed the checksum but does not decode to a
-    /// consistent snapshot (bad tag, dangling reference, inconsistent
-    /// firing records, ...).
+    /// consistent snapshot (bad tag, dangling reference, base facts that
+    /// do not chase to the complete fixpoint the file claims, ...).
     Malformed(String),
     /// The snapshot's commit log is damaged before its last record, so
     /// replaying it could skip acknowledged writes. Names the log, the
@@ -135,37 +151,28 @@ impl From<io::Error> for SnapshotError {
 
 /// A snapshot restored into this process: the rule set, the chased
 /// instance (query-ready immediately; its dense tries build on first
-/// use), and the still-frozen firing records (thawed into a
-/// [`MaintainedInstance`] on demand).
+/// use), and which of its atoms are base facts.
 ///
-/// The split keeps the load path sequential: queries only need the
-/// instance, so [`load_snapshot`] stops after decoding the atoms and
-/// keeps the checksummed base/firings section as raw bytes. Decoding the
-/// firing records and linking the dependency index that
-/// `insert`/`retract` need (per-firing allocation and id lookups
-/// proportional to the number of firings, often the bulk of the file) is
-/// paid once, by the first caller of
+/// Queries only need the instance, so [`load_snapshot`] stops after
+/// decoding the atoms and the base bits. The [`MaintainedInstance`] that
+/// `insert`/`retract` need is built by the first caller of
 /// [`LoadedSnapshot::to_maintained`] or
-/// [`LoadedSnapshot::into_maintained`] — off the query hot path.
+/// [`LoadedSnapshot::into_maintained`], off the query hot path: the
+/// logged chase re-run from the base facts.
 #[derive(Debug)]
 pub struct LoadedSnapshot {
     /// The persisted rule set, structurally reconstructed.
     pub tgds: Vec<Tgd>,
     /// The chased fixpoint, atoms in persisted insertion order.
     instance: Instance,
-    /// Interned symbol table, needed to decode the frozen section.
-    syms: Vec<Symbol>,
+    /// The base bits over the atoms of `instance`, by id.
+    base: Vec<u64>,
     /// Whether the persisted chase ran to completion.
     complete: bool,
     /// Persisted chase budget cap.
     max_atoms: Option<usize>,
-    /// The whole snapshot image, kept so the undecoded base + firings
-    /// tail can be read in place (zero copies on the load path). Covered
-    /// by the checksum, so corruption was already caught at load;
-    /// structural validation happens at thaw.
-    image: Vec<u8>,
-    /// Byte offset of the frozen base + firings tail within `image`.
-    frozen_from: usize,
+    /// The payload checksum from the header.
+    checksum: u64,
 }
 
 impl LoadedSnapshot {
@@ -183,61 +190,62 @@ impl LoadedSnapshot {
     /// The payload checksum from the header: what a commit log names as
     /// the snapshot it extends.
     pub fn checksum(&self) -> u64 {
-        header_checksum(&self.image)
+        self.checksum
     }
 
-    /// Decodes the frozen base + firings section. Fails closed on any
-    /// structural damage the checksum could not classify.
-    fn decode_export(&self) -> Result<MaintainExport, SnapshotError> {
-        let mut r = Reader::new(&self.image[self.frozen_from..]);
-        let syms = &self.syms;
-        let nbase = r.len().map_err(mal)?;
-        let mut base = Vec::with_capacity(nbase);
-        for _ in 0..nbase {
-            base.push(get_atom(&mut r, syms).map_err(mal)?);
+    /// The base facts, in instance order, as a fresh instance. A base
+    /// atom listed twice fails closed: section 4 is trusted to be
+    /// duplicate-free only for queries, never for a chase.
+    fn base_instance(&self) -> Result<Instance, SnapshotError> {
+        let ids = (self.base.iter().enumerate()).flat_map(|(w, &word)| {
+            (0..64)
+                .filter(move |bit| word >> bit & 1 == 1)
+                .map(move |bit| w * 64 + bit)
+        });
+        let atoms: Vec<GroundAtom> = ids.map(|id| self.instance.atom(id).clone()).collect();
+        let (listed, mut base) = (atoms.len(), Instance::new());
+        if base.insert_batch(atoms) != listed {
+            return Err(mal("a base fact is listed twice".to_owned()));
         }
-        let nfirings = r.len().map_err(mal)?;
-        let mut firings = Vec::with_capacity(nfirings);
-        for _ in 0..nfirings {
-            let tgd = r.len().map_err(mal)?;
-            let nkey = r.len().map_err(mal)?;
-            let mut key = Vec::with_capacity(nkey);
-            for _ in 0..nkey {
-                key.push(get_value(&mut r, syms).map_err(mal)?);
-            }
-            let nproducts = r.len().map_err(mal)?;
-            let mut products = Vec::with_capacity(nproducts);
-            for _ in 0..nproducts {
-                products.push(get_atom(&mut r, syms).map_err(mal)?);
-            }
-            firings.push(Firing { tgd, key, products });
-        }
-        r.finish().map_err(mal)?;
-        Ok(MaintainExport {
-            base,
-            firings,
-            complete: self.complete,
-            max_atoms: self.max_atoms,
-        })
+        Ok(base)
     }
 
-    /// Thaws a maintainable copy: decodes the frozen firing records,
-    /// validates them against a clone of the instance, and links the
-    /// dependency index ([`MaintainedInstance::from_parts`] — id lookups,
-    /// no chase).
-    /// Any inconsistency fails closed as [`SnapshotError::Malformed`].
+    /// Thaws a maintainable copy: the logged chase from the base facts,
+    /// capped at one atom more than the file holds, then maintained under
+    /// the file's atom cap. Its nulls are fresh, so it equals the loaded
+    /// instance up to their names when the file is complete, and is a
+    /// sound prefix of the same chase when it is capped. A file marked
+    /// complete whose base facts do not chase to exactly its atom count
+    /// fails closed as [`SnapshotError::Malformed`].
     pub fn to_maintained(&self) -> Result<MaintainedInstance, SnapshotError> {
-        let export = self.decode_export()?;
-        MaintainedInstance::from_parts(&self.tgds, export, self.instance.clone())
-            .map_err(SnapshotError::Malformed)
+        self.rechase(self.base_instance()?, self.instance.len())
     }
 
     /// Like [`LoadedSnapshot::to_maintained`], but consumes the snapshot
-    /// and thaws in place without cloning the instance.
-    pub fn into_maintained(self) -> Result<MaintainedInstance, SnapshotError> {
-        let export = self.decode_export()?;
-        MaintainedInstance::from_parts(&self.tgds, export, self.instance)
-            .map_err(SnapshotError::Malformed)
+    /// and frees the loaded instance before the chase runs.
+    pub fn into_maintained(mut self) -> Result<MaintainedInstance, SnapshotError> {
+        let (base, saved) = (self.base_instance()?, self.instance.len());
+        self.instance = Instance::new();
+        self.rechase(base, saved)
+    }
+
+    /// The chase behind a thaw, from `base` of a file of `saved` atoms.
+    fn rechase(&self, base: Instance, saved: usize) -> Result<MaintainedInstance, SnapshotError> {
+        let budget = ChaseBudget {
+            max_level: None,
+            max_atoms: self.max_atoms,
+        };
+        let m =
+            MaintainedInstance::rechase(base, &self.tgds, ChaseBudget::atoms(saved + 1), budget);
+        if self.complete && !(m.complete() && m.instance().len() == saved) {
+            return Err(mal(format!(
+                "the file holds the complete chase of its base facts in {saved} atoms, \
+                 but a re-chase reached {} atoms (complete: {})",
+                m.instance().len(),
+                m.complete()
+            )));
+        }
+        Ok(m)
     }
 }
 
@@ -291,10 +299,8 @@ impl Collector {
 impl SymTable {
     /// Collects every symbol the TGDs and the instance's atoms mention, in
     /// one pass that also finds the largest null label of the atoms (the
-    /// null fence). The firing records need no pass of their own: an
-    /// alive firing's body atoms and products are atoms of the instance,
-    /// and its key values occur in its body atoms. Returns the symbols in
-    /// ascending id order, the table, and the fence.
+    /// null fence). Returns the symbols in ascending id order, the table,
+    /// and the fence.
     fn build(tgds: &[Tgd], atoms: &Instance) -> (Vec<Symbol>, SymTable, u64) {
         let mut c = Collector::default();
         for t in tgds {
@@ -374,58 +380,105 @@ fn put_qatoms(w: &mut Writer, syms: &SymTable, atoms: &[QAtom]) {
     }
 }
 
+/// The encoded width of an atom of arity `arity` ([`put_atom`]): the
+/// predicate, the arity, then a tag and a `u64` per value.
+fn atom_len(arity: usize) -> usize {
+    16 + 9 * arity
+}
+
+/// The encoded width of `atoms` ([`put_qatoms`]).
+fn qatoms_len(atoms: &[QAtom]) -> usize {
+    let term_len = |t: &Term| match t {
+        Term::Var(_) => 1 + 4,
+        Term::Const(_) => 1 + 9,
+    };
+    8 + (atoms.iter())
+        .map(|a| 16 + a.args.iter().map(term_len).sum::<usize>())
+        .sum::<usize>()
+}
+
+/// The encoded width of a length-prefixed string ([`Writer::str`]).
+fn str_len(s: &str) -> usize {
+    8 + s.len()
+}
+
 /// Serializes `(tgds, m)` into complete snapshot bytes (header +
 /// payload). Pure encoding; [`save_snapshot`] adds the atomic file dance.
-/// The maintained state is read in place: the base facts and alive
-/// firings are written from [`MaintainedInstance::base_facts`] and
-/// [`MaintainedInstance::alive_firings`], never copied into a
-/// [`MaintainExport`] first, and the payload is written behind a header
-/// that is filled in last.
+/// The maintained state is read in place, and the buffer is allocated
+/// once at its final size: every field has a fixed width, so the payload
+/// length is summed before anything is written. The header is filled in
+/// last.
 pub fn snapshot_bytes(tgds: &[Tgd], m: &MaintainedInstance) -> Vec<u8> {
     let instance = m.instance();
     let (symbols, syms, fence) = SymTable::build(tgds, instance);
-    debug_assert!(
-        m.alive_firings()
-            .flat_map(|f| f.key.iter().chain(f.products.iter().flat_map(|p| &p.args)))
-            .all(|v| !matches!(*v, Value::Null(label) if label > fence)),
-        "a firing mentions a null the instance lacks"
-    );
+    let var_names: Vec<Vec<String>> = tgds.iter().map(Tgd::var_name_table).collect();
+    let words = instance.len().div_ceil(64);
+    let len_after_symbols = 8
+        + 8
+        + (tgds.iter().zip(&var_names))
+            .map(|(t, names)| {
+                8 + names.iter().map(|n| str_len(n)).sum::<usize>()
+                    + qatoms_len(&t.body)
+                    + qatoms_len(&t.head)
+            })
+            .sum::<usize>()
+        + 8
+        + instance
+            .iter()
+            .map(|a| atom_len(a.args.len()))
+            .sum::<usize>()
+        + 1
+        + if m.max_atoms().is_some() { 9 } else { 1 }
+        + 8 * words;
 
-    let mut p = Writer::new();
-    p.buf.resize(HEADER_LEN, 0);
-    // 1. Symbol table, ascending old id.
-    p.len(symbols.len());
-    for s in &symbols {
-        p.str(&s.name());
-    }
+    // 1. Symbol table, ascending old id, written under one read hold of
+    //    the interner, which also sizes the buffer.
+    let mut p = with_names(|names| {
+        let len = HEADER_LEN
+            + 8
+            + symbols
+                .iter()
+                .map(|&s| str_len(names.get(s)))
+                .sum::<usize>()
+            + len_after_symbols;
+        let mut p = Writer {
+            buf: Vec::with_capacity(len),
+        };
+        p.buf.resize(HEADER_LEN, 0);
+        p.len(symbols.len());
+        for &s in &symbols {
+            p.str(names.get(s));
+        }
+        p
+    });
+    let capacity = p.buf.capacity();
     // 2. Null fence.
     p.u64(fence);
     // 3. TGDs, structurally. `Display` text is not a reliable round trip
     //    (quoting, normalization); variable tables plus raw atoms are.
     p.len(tgds.len());
-    for t in tgds {
-        let names = t.var_name_table();
+    for (t, names) in tgds.iter().zip(&var_names) {
         p.len(names.len());
-        for n in &names {
+        for n in names {
             p.str(n);
         }
         put_qatoms(&mut p, &syms, &t.body);
         put_qatoms(&mut p, &syms, &t.head);
     }
-    // 4. Instance atoms in insertion order.
+    // 4. Instance atoms in insertion order. The base facts are a subset
+    //    borrowed from the same atoms in the same order, so one merge by
+    //    address yields their bits.
     p.len(instance.len());
-    for a in instance.iter() {
+    let mut base = m.base_facts().peekable();
+    let mut bits = vec![0u64; words];
+    for (k, a) in instance.iter().enumerate() {
         put_atom(&mut p, &syms, a);
+        if base.next_if(|&b| std::ptr::eq(b, a)).is_some() {
+            bits[k / 64] |= 1 << (k % 64);
+        }
     }
-    // 5. Dense state, empty: no dictionary values, tables or tries, and
-    //    zero hit, miss and remap counters.
-    for _ in 0..6 {
-        p.u64(0);
-    }
-    // 6. Maintain state: completeness and cap first (cheap scalars the
-    //    loader wants eagerly), then base facts and alive firings — last
-    //    in the payload on purpose, so the loader can keep them as one
-    //    raw byte run and defer their decode to thaw time.
+    debug_assert!(base.next().is_none(), "a base fact is not a live atom");
+    // Completeness, the atom cap, and the base bits.
     p.bool(m.complete());
     match m.max_atoms() {
         None => p.u8(0),
@@ -434,24 +487,16 @@ pub fn snapshot_bytes(tgds: &[Tgd], m: &MaintainedInstance) -> Vec<u8> {
             p.u64(n as u64);
         }
     }
-    p.len(m.base_facts().count());
-    for a in m.base_facts() {
-        put_atom(&mut p, &syms, a);
-    }
-    p.len(m.alive_firings().count());
-    for f in m.alive_firings() {
-        p.len(f.tgd);
-        p.len(f.key.len());
-        for &v in &f.key {
-            put_value(&mut p, &syms, v);
-        }
-        p.len(f.products.len());
-        for a in &f.products {
-            put_atom(&mut p, &syms, a);
-        }
+    for w in bits {
+        p.u64(w);
     }
 
     let mut out = p.buf;
+    debug_assert!(
+        out.len() == capacity && out.capacity() == capacity,
+        "the snapshot buffer was sized {capacity} but holds {} bytes",
+        out.len()
+    );
     let payload_len = (out.len() - HEADER_LEN) as u64;
     let checksum = fnv1a64x8(&out[HEADER_LEN..]);
     out[..8].copy_from_slice(&SNAPSHOT_MAGIC);
@@ -556,9 +601,9 @@ fn get_qatoms(r: &mut Reader<'_>, syms: &[Symbol], nvars: usize) -> Result<Vec<Q
     Ok(atoms)
 }
 
-/// Reads past section 5. Older version-2 files carry a dictionary, code
-/// columns and trie permutations there: a derived copy of section 4, so
-/// nothing is built from it. Every count is bounds-checked against the
+/// Reads past a version-2 file's dense section. Some carry a dictionary,
+/// code columns and trie permutations there: a derived copy of section 4,
+/// so nothing is built from it. Every count is bounds-checked against the
 /// payload and nothing is allocated.
 fn skip_dense(r: &mut Reader<'_>, syms: &[Symbol]) -> Result<(), String> {
     for _ in 0..r.len()? {
@@ -583,19 +628,59 @@ fn skip_dense(r: &mut Reader<'_>, syms: &[Symbol]) -> Result<(), String> {
     Ok(())
 }
 
-/// Restores a snapshot from in-memory bytes. See [`load_snapshot`] for
-/// the file-path wrapper and the load pipeline description. The bytes
-/// are copied once (the result owns its image); loading from a file
-/// moves the read buffer straight in, with no copy at all.
-pub fn load_snapshot_bytes(bytes: &[u8]) -> Result<LoadedSnapshot, SnapshotError> {
-    load_snapshot_owned(bytes.to_vec())
+/// Reads past a version-2 file's firing log, the chase's record of its
+/// triggers: each firing's rule index, key values and product atoms. A
+/// thaw re-runs the chase instead, so nothing is decoded into memory.
+fn skip_firings(r: &mut Reader<'_>, syms: &[Symbol]) -> Result<(), String> {
+    for _ in 0..r.len()? {
+        r.u64()?;
+        for _ in 0..r.len()? {
+            get_value(r, syms)?;
+        }
+        for _ in 0..r.len()? {
+            get_pred(r, syms)?;
+            for _ in 0..r.len()? {
+                get_value(r, syms)?;
+            }
+        }
+    }
+    Ok(())
 }
 
-/// The owned-buffer load pipeline behind [`load_snapshot`] and
-/// [`load_snapshot_bytes`]: the image moves into the result so the
-/// frozen firing-record tail is referenced in place, never copied.
-fn load_snapshot_owned(image: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> {
-    let bytes: &[u8] = &image;
+/// Reads the base bits of a version-3 file over `natoms` atoms: one
+/// `u64` word per 64 atoms, no bit set past the last atom.
+fn get_base_bits(r: &mut Reader<'_>, natoms: usize) -> Result<Vec<u64>, String> {
+    let words = (0..natoms.div_ceil(64))
+        .map(|_| r.u64())
+        .collect::<Result<Vec<u64>, String>>()?;
+    let used = natoms % 64;
+    match words.last() {
+        Some(&last) if used > 0 && last >> used != 0 => {
+            Err(format!("a base bit is set past the last of {natoms} atoms"))
+        }
+        _ => Ok(words),
+    }
+}
+
+/// Reads a version-2 file's base facts as atoms and marks each one's id
+/// in `instance`, giving the base bits a version-3 file stores.
+fn get_base_atoms(
+    r: &mut Reader<'_>,
+    syms: &[Symbol],
+    instance: &Instance,
+) -> Result<Vec<u64>, String> {
+    let mut words = vec![0u64; instance.len().div_ceil(64)];
+    for _ in 0..r.len()? {
+        let a = get_atom(r, syms)?;
+        let id = (instance.id_of(&a)).ok_or_else(|| format!("base fact {a} is not an atom"))?;
+        words[id / 64] |= 1 << (id % 64);
+    }
+    Ok(words)
+}
+
+/// Restores a snapshot from in-memory bytes. See [`load_snapshot`] for
+/// the file-path wrapper and the load pipeline description.
+pub fn load_snapshot_bytes(bytes: &[u8]) -> Result<LoadedSnapshot, SnapshotError> {
     // Framing. A short prefix that already disagrees with the magic is
     // BadMagic; a short prefix that agrees so far is Truncated.
     let magic_avail = bytes.len().min(SNAPSHOT_MAGIC.len());
@@ -606,7 +691,7 @@ fn load_snapshot_owned(image: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> 
         return Err(SnapshotError::Truncated);
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != SNAPSHOT_VERSION {
+    if version != SNAPSHOT_VERSION && version != SNAPSHOT_V2 {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
     let payload_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
@@ -637,9 +722,8 @@ fn load_snapshot_owned(image: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> 
     for _ in 0..nsyms {
         syms.push(Symbol::new(&r.str().map_err(mal)?));
     }
-    // 2. Null fence: persisted labels must never be re-minted by this
-    //    process's chase.
-    Value::reserve_null_labels(r.u64().map_err(mal)?);
+    // 2. Null fence, reserved once section 4 is checked against it.
+    let fence = r.u64().map_err(mal)?;
     // 3. TGDs.
     let ntgds = r.len().map_err(mal)?;
     let mut tgds = Vec::with_capacity(ntgds);
@@ -656,53 +740,60 @@ fn load_snapshot_owned(image: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> 
         }
         tgds.push(Tgd::new(names, body, head));
     }
-    // 4. Instance atoms, insertion order.
+    // 4. Instance atoms, insertion order. The persisted atom section came
+    //    from an instance, so it is duplicate-free and the trusted bulk
+    //    constructor applies: the instance's hash indexes are built from
+    //    the atoms on first demand, off the load path.
     let natoms = r.len().map_err(mal)?;
     let mut atoms = Vec::with_capacity(natoms);
     for _ in 0..natoms {
         atoms.push(get_atom(&mut r, &syms).map_err(mal)?);
     }
-    // 5. Dense state: read past; nothing is built from it.
-    skip_dense(&mut r, &syms).map_err(mal)?;
-    // 6. Maintain state: scalars eagerly; the base + firings tail stays
-    //    as one raw byte run (already checksummed) so materializing
-    //    firing records that can dwarf the instance is deferred to thaw.
+    // Persisted labels must never be re-minted by this process's chase,
+    // and the fence must leave it room to mint: the counter is global.
+    let over = |v: &Value| matches!(*v, Value::Null(label) if label > fence);
+    if fence > MAX_NULL_FENCE || atoms.iter().any(|a| a.args.iter().any(over)) {
+        return Err(mal(format!(
+            "null fence {fence} does not fence the atoms' nulls"
+        )));
+    }
+    Value::reserve_null_labels(fence);
+    let instance = Instance::from_unique_atoms(atoms);
+    if version == SNAPSHOT_V2 {
+        skip_dense(&mut r, &syms).map_err(mal)?;
+    }
     let complete = r.bool().map_err(mal)?;
     let max_atoms = match r.u8().map_err(mal)? {
         0 => None,
         1 => Some(r.u64().map_err(mal)? as usize),
         t => return Err(mal(format!("bad max_atoms tag {t}"))),
     };
-    let frozen_from = image.len() - r.rest().len();
-
-    // Rebuild: adopt the atom vector. The persisted atom section came
-    // from an instance, so it is duplicate-free and the trusted bulk
-    // constructor applies — the instance's hash indexes are built from
-    // the atoms on first demand, off the load path.
-    // The firing records stay frozen in byte form — queries never touch
-    // them, and the first writer pays the decode + dependency-index link
-    // via `to_maintained`/`into_maintained`, which is also where their
-    // damage and inconsistencies fail closed: an inconsistent dependency
-    // index would make later retractions silently wrong.
+    let base = if version == SNAPSHOT_V2 {
+        let base = get_base_atoms(&mut r, &syms, &instance).map_err(mal)?;
+        skip_firings(&mut r, &syms).map_err(mal)?;
+        base
+    } else {
+        get_base_bits(&mut r, natoms).map_err(mal)?
+    };
+    r.finish().map_err(mal)?;
     Ok(LoadedSnapshot {
         tgds,
-        instance: Instance::from_unique_atoms(atoms),
-        syms,
+        instance,
+        base,
         complete,
         max_atoms,
-        image,
-        frozen_from,
+        checksum,
     })
 }
 
 /// Reads and restores a snapshot file. The load pipeline is: validate
 /// framing (magic, version, length, checksum) → intern symbols → fence
 /// nulls → rebuild TGDs → adopt the instance atoms in insertion order →
-/// read past section 5. The result is query-ready (dense tries build on
-/// first use); thawing the firing records for writes is deferred to
-/// [`LoadedSnapshot::to_maintained`].
+/// read the flag, the cap and the base bits. The result is query-ready
+/// (dense tries build on first use); the chase that makes it writable is
+/// deferred to [`LoadedSnapshot::to_maintained`].
 pub fn load_snapshot(path: &Path) -> Result<LoadedSnapshot, SnapshotError> {
-    load_snapshot_owned(std::fs::read(path)?)
+    load_snapshot_bytes(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -749,8 +840,8 @@ mod tests {
         assert!(instance_isomorphic(m.instance(), loaded.instance()));
         // In-process ids are unchanged, so answers are bit-identical.
         assert_eq!(Engine::prepare(&q).answers(loaded.instance()), before);
-        // The restored fixpoint keeps maintaining: thaw the firing records,
-        // then the same mutation on both sides stays isomorphic.
+        // The restored fixpoint keeps maintaining: thaw it by re-chasing its
+        // base facts, then the same mutation on both sides stays isomorphic.
         let mut back = loaded.into_maintained().unwrap();
         let carol = GroundAtom::named("Emp", &["carol"]);
         let ann = GroundAtom::named("Emp", &["ann"]);
@@ -760,24 +851,6 @@ mod tests {
         back.retract([ann]);
         assert!(instance_isomorphic(m.instance(), back.instance()));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn thaw_validates_the_fired_set() {
-        let (tgds, m) = org_fixture();
-        let bytes = snapshot_bytes(&tgds, &m);
-        let loaded = load_snapshot_bytes(&bytes).unwrap();
-        // Non-consuming thaw validates and leaves the snapshot usable.
-        let thawed = loaded.to_maintained().unwrap();
-        assert!(instance_isomorphic(m.instance(), thawed.instance()));
-        assert!(instance_isomorphic(m.instance(), loaded.instance()));
-        // Firing records that no longer match the rules fail closed.
-        let mut broken = load_snapshot_bytes(&bytes).unwrap();
-        broken.tgds.pop();
-        assert!(matches!(
-            broken.into_maintained(),
-            Err(SnapshotError::Malformed(_))
-        ));
     }
 
     #[test]

@@ -262,9 +262,8 @@ fn maintained_firing_logs_certify_across_dred() {
                     .collect();
                 rescues += usize::from(m.retract(victims).atoms_rederived > 0);
             }
-            let state = m.export_state();
-            let db = Instance::from_atoms(state.base);
-            let store = CertificateStore::new(&db, &sigma, state.firings);
+            let db = Instance::from_atoms(m.base_facts().cloned());
+            let store = CertificateStore::new(&db, &sigma, m.alive_firings().cloned().collect());
             let maintained = certified_answers(&store, m.instance(), &queries, &ctx);
             let scratch = ChaseRunner::new(&sigma).certify(true).run(&db);
             assert!(scratch.complete, "{ctx}: terminating pool");

@@ -8,7 +8,7 @@
 //!   fixpoint and the re-chased fixpoint are identical up to null
 //!   renaming;
 //! * **the firing log**: the maintained state's alive firings
-//!   (`export_state().firings`) are as many as a certified re-chase
+//!   (`alive_firings()`) are as many as a certified re-chase
 //!   records, rule by rule — every trigger of the fixpoint fired exactly
 //!   once, with no stale firing left behind by DRed;
 //! * **query answers**: prepared queries — compiled *once*, before any
@@ -133,7 +133,7 @@ fn check_equiv(
         m.instance().len(),
         scratch.instance.len()
     );
-    let logged = m.export_state().firings;
+    let logged: Vec<_> = m.alive_firings().collect();
     let certified = scratch.firings.expect("certified run records firings");
     assert_eq!(logged.len(), certified.len(), "{ctx}: firing count");
     let per_rule = |tgds: Vec<usize>| {

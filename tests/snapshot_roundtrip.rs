@@ -2,14 +2,22 @@
 //! fixpoint saved and loaded back must be isomorphic to the original,
 //! answer prepared queries identically under both join strategies, and
 //! build its dense tries on first demand, once, to the live instance's
-//! tries.
-//! Damaged files must fail closed with the precise error for the damage.
+//! tries. A thaw re-chases the base facts: complete states come back
+//! isomorphic, capped ones as a sound prefix.
+//! Damaged files must fail closed with the precise error for the damage,
+//! and no mutated payload may make a load or a thaw panic.
 
 use gtgd::chase::{parse_tgds, ChaseBudget, ChaseRunner, MaintainedInstance, Tgd};
 use gtgd::data::{DenseStats, GroundAtom, Instance, Predicate, Rng, Symbol, Value};
 use gtgd::query::{instance_isomorphic, parse_cq, Engine, Strategy};
 use gtgd::storage::bytes::{fnv1a64x8, Writer};
-use gtgd::storage::{load_snapshot, save_snapshot, SnapshotError, SNAPSHOT_VERSION};
+use gtgd::storage::{
+    load_snapshot, load_snapshot_bytes, save_snapshot, snapshot_bytes, Client, Server,
+    SnapshotError, SNAPSHOT_VERSION,
+};
+use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -140,8 +148,8 @@ fn assert_round_trips(tag: &str, tgds: &[Tgd], m: &MaintainedInstance) {
             assert_eq!(orig, back, "{tag}: answers differ for {q} under {s:?}");
         }
     }
-    // Thawing for writes validates the persisted fired set and yields the
-    // same (isomorphic) maintainable state.
+    // Thawing for writes re-chases the base facts to the same
+    // (isomorphic) maintainable state.
     let thawed = loaded.into_maintained().unwrap();
     assert!(
         instance_isomorphic(m.instance(), thawed.instance()),
@@ -199,11 +207,11 @@ fn tombstoned_instances_save_only_live_atoms() {
 
 /// A state that crossed both compaction thresholds (instance tombstones
 /// and dead firings, each outnumbering the live ones at some point) saves,
-/// loads, thaws and saves again to the same bytes: the encoder reads the
-/// maintained state in place, so the thawed copy, whose ids and firing
-/// log were rebuilt from the file, must encode exactly as the original.
+/// loads and thaws to an isomorphic state. The thaw re-chases the base
+/// facts, so its atom order and null names are its own; the same writes
+/// on both sides then keep them isomorphic, step for step.
 #[test]
-fn compacted_state_resaves_byte_identically_after_thaw() {
+fn compacted_state_thaws_isomorphic_and_maintains_in_lockstep() {
     let tgds = parse_tgds(
         "Emp(X) -> WorksIn(X,D). WorksIn(X,D) -> Dept(D). Dept(D) -> HasHead(D,H). \
          Emp(X), Mgr(X) -> Boss(X). Boss(X) -> Emp(X)",
@@ -237,18 +245,36 @@ fn compacted_state_resaves_byte_identically_after_thaw() {
     let worksin = Predicate(Symbol::new("WorksIn"));
     m.instance().dense_snapshot(&[(worksin, 2, &[1, 0])]);
 
-    let (first, second) = (temp_path("compacted-1"), temp_path("compacted-2"));
-    save_snapshot(&first, &tgds, &m).unwrap();
-    let loaded = load_snapshot(&first).unwrap();
-    let thawed = loaded.into_maintained().unwrap();
-    save_snapshot(&second, &tgds, &thawed).unwrap();
-    let (a, b) = (
-        std::fs::read(&first).unwrap(),
-        std::fs::read(&second).unwrap(),
-    );
-    std::fs::remove_file(&first).ok();
-    std::fs::remove_file(&second).ok();
-    assert!(a == b, "the re-saved thawed state differs");
+    let path = temp_path("compacted");
+    save_snapshot(&path, &tgds, &m).unwrap();
+    let loaded = load_snapshot(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let mut thawed = loaded.into_maintained().unwrap();
+    assert!(thawed.complete());
+    assert!(instance_isomorphic(m.instance(), thawed.instance()));
+    let boss = GroundAtom::named("Mgr", &["cmp_e2"]);
+    let writes = [
+        (true, GroundAtom::named("Emp", &["cmp_e0"])),
+        (true, boss.clone()),
+        (false, emps[2].clone()),
+        (true, emps[3].clone()),
+        (false, boss),
+        (false, emps[1].clone()),
+        (true, GroundAtom::named("Emp", &["cmp_new"])),
+    ];
+    for (step, (insert, atom)) in writes.into_iter().enumerate() {
+        for side in [&mut m, &mut thawed] {
+            if insert {
+                side.insert([atom.clone()]);
+            } else {
+                side.retract([atom.clone()]);
+            }
+        }
+        assert!(
+            instance_isomorphic(m.instance(), thawed.instance()),
+            "step {step}: the thawed state left lockstep"
+        );
+    }
 }
 
 #[test]
@@ -287,9 +313,9 @@ fn post_remap_dense_state_round_trips() {
     assert!(instance_isomorphic(m.instance(), loaded.instance()));
 }
 
-/// A hand-built snapshot: one symbol, no rules, no atoms, section 5 as
-/// `dense` writes it, then a complete, uncapped, empty maintain section,
-/// behind a header with the payload's checksum.
+/// A hand-built version-2 snapshot: one symbol, no rules, no atoms, the
+/// dense section as `dense` writes it, then a complete, uncapped, empty
+/// maintain section, behind a header with the payload's checksum.
 fn snapshot_with_section5(dense: impl FnOnce(&mut Writer)) -> Vec<u8> {
     let mut p = Writer::new();
     p.len(1);
@@ -302,12 +328,54 @@ fn snapshot_with_section5(dense: impl FnOnce(&mut Writer)) -> Vec<u8> {
     p.u8(0); // no atom cap
     p.len(0); // base facts
     p.len(0); // firings
+    sealed(2, &p.buf)
+}
+
+/// `payload` behind a header of `version` that carries its length and
+/// checksum.
+fn sealed(version: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = b"GTGDSNAP".to_vec();
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(p.buf.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a64x8(&p.buf).to_le_bytes());
-    out.extend_from_slice(&p.buf);
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&fnv1a64x8(payload).to_le_bytes());
+    out.extend_from_slice(payload);
     out
+}
+
+/// A hand-built version-3 snapshot of the one base fact `FenceP(n)`,
+/// where `n` is the null labelled 7, under the null fence `fence`.
+fn snapshot_fenced_at(fence: u64) -> Vec<u8> {
+    let mut p = Writer::new();
+    p.len(1);
+    p.str("FenceP");
+    p.u64(fence);
+    p.len(0); // rules
+    p.len(1); // atoms: predicate 0, arity 1, the null labelled 7
+    p.u64(0);
+    p.len(1);
+    p.u8(1);
+    p.u64(7);
+    p.bool(true);
+    p.u8(0); // no atom cap
+    p.u64(1); // base bits: atom 0
+    sealed(SNAPSHOT_VERSION, &p.buf)
+}
+
+/// The null fence is reserved process-wide, so a load checks it first: it
+/// must be at least every persisted null label, or a later chase could
+/// mint a label the instance already holds, and it must leave the
+/// process room to mint.
+#[test]
+fn null_fences_must_fence_the_atoms_nulls() {
+    let loaded = load_snapshot_bytes(&snapshot_fenced_at(7)).unwrap();
+    assert_eq!(loaded.instance().len(), 1);
+    for fence in [6, u64::MAX] {
+        let err = load_snapshot_bytes(&snapshot_fenced_at(fence)).unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Malformed(why) if why.contains("null fence")),
+            "fence {fence}: {err:?}"
+        );
+    }
 }
 
 #[test]
@@ -357,11 +425,12 @@ fn damaged_files_fail_closed_with_precise_errors() {
         err.to_string(),
         format!("unsupported snapshot version 1 (expected {SNAPSHOT_VERSION})")
     );
-    assert_eq!(SNAPSHOT_VERSION, 2);
+    assert_eq!(SNAPSHOT_VERSION, 3);
 
-    // Section 5 (dense state) is read past, never installed. A file
-    // from an earlier writer may hold one, and it must load; counts that
-    // overrun the payload are malformed, even under a valid checksum.
+    // A version-2 file's section 5 (dense state) is read past, never
+    // installed. A file from an earlier writer may hold one, and it must
+    // load; counts that overrun the payload are malformed, even under a
+    // valid checksum.
     let dense_ok = snapshot_with_section5(|w| {
         w.len(1); // dictionary: one named value
         w.u8(0);
@@ -446,44 +515,225 @@ const GOLDEN_V2: &str = concat!(
     "/tests/fixtures/golden_v2.gsnap"
 );
 
-/// What the golden file re-saves to under the current writer: the same
-/// symbols, rules, atoms and firing records, and an empty section 5.
+/// What the golden file re-saved to under the version-2 writer that
+/// stopped writing dense state: the same symbols, rules, atoms and
+/// firing records, and an empty section 5.
 const GOLDEN_V2_RESAVED: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/golden_v2_resaved.gsnap"
 );
 
-/// Thaws a loaded snapshot and returns the bytes it saves to.
-fn thaw_and_resave(loaded: gtgd::storage::LoadedSnapshot) -> Vec<u8> {
-    let tgds = loaded.tgds.clone();
-    let m = loaded.into_maintained().unwrap();
-    let out = temp_path("golden");
-    save_snapshot(&out, &tgds, &m).unwrap();
-    let bytes = std::fs::read(&out).unwrap();
-    std::fs::remove_file(&out).ok();
-    bytes
+/// A version-3 snapshot of a null-free fixpoint, written by `gtgd
+/// snapshot` right after the chase of four facts under the full rules
+/// `GvE(X,Y) -> GvT(X,Y)`, `GvT(X,Y), GvE(Y,Z) -> GvT(X,Z)`,
+/// `GvT(X,Y), GvL(X) -> GvR(Y)` and `GvR(X) -> GvS(X,gv3_k)`. A thaw
+/// re-chases its base facts to the same atoms in the same order, and
+/// full rules mint no nulls, so it re-saves to the same bytes.
+const GOLDEN_V3: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/golden_v3.gsnap"
+);
+
+/// Both committed version-2 files still load (the dense state of the
+/// first is read past, and neither builds any) and thaw to states
+/// isomorphic to their 10 atoms. The thaw re-saves as version 3.
+#[test]
+fn golden_v2_files_load_and_thaw_isomorphically() {
+    for path in [GOLDEN_V2, GOLDEN_V2_RESAVED] {
+        let bytes = std::fs::read(path).unwrap();
+        assert_eq!(bytes[8..12], 2u32.to_le_bytes(), "{path}");
+        let loaded = load_snapshot_bytes(&bytes).unwrap();
+        assert_eq!(loaded.instance().len(), 10, "{path}");
+        assert_eq!(loaded.instance().dense_stats(), DenseStats::default());
+        assert!(loaded.complete(), "{path}");
+        let thawed = loaded.to_maintained().unwrap();
+        assert!(thawed.complete(), "{path}");
+        assert!(
+            instance_isomorphic(loaded.instance(), thawed.instance()),
+            "{path}: the thaw is not isomorphic to the file"
+        );
+        let resaved = snapshot_bytes(&loaded.tgds, &thawed);
+        assert_eq!(resaved[8..12], SNAPSHOT_VERSION.to_le_bytes());
+        let again = load_snapshot_bytes(&resaved).unwrap();
+        assert!(instance_isomorphic(loaded.instance(), again.instance()));
+    }
 }
 
+/// The byte-level pin on the writer: the committed version-3 file loads,
+/// thaws and saves back to itself.
 #[test]
-fn golden_v2_file_loads_installs_and_resaves_byte_identically() {
-    let loaded = load_snapshot(std::path::Path::new(GOLDEN_V2)).unwrap();
-    assert_eq!(loaded.instance().len(), 10);
-    // The file's dense tables and tries are read past: loading builds no
-    // dense state at all.
-    assert_eq!(loaded.instance().dense_stats(), DenseStats::default());
+fn golden_v3_file_resaves_byte_identically() {
+    let pinned = std::fs::read(GOLDEN_V3).unwrap();
+    assert_eq!(pinned[8..12], SNAPSHOT_VERSION.to_le_bytes());
+    let loaded = load_snapshot(Path::new(GOLDEN_V3)).unwrap();
+    assert!(loaded.complete());
+    let tgds = loaded.tgds.clone();
+    let thawed = loaded.into_maintained().unwrap();
+    let path = temp_path("golden-v3");
+    save_snapshot(&path, &tgds, &thawed).unwrap();
+    let resaved = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(resaved == pinned, "the re-saved golden v3 file differs");
+}
 
-    // Re-saving the thawed state writes the committed re-save byte for
-    // byte, and that file re-saves to itself: a byte-level pin on the
-    // writer.
-    let pinned = std::fs::read(GOLDEN_V2_RESAVED).unwrap();
+/// The rules of `examples/scripts/hr.gtgd`, whose chase is infinite: every
+/// department's manager is an employee who works in a fresh department.
+const HR_RULES: &str =
+    "Emp(X) -> WorksIn(X, D). WorksIn(X, D) -> Dept(D). Dept(D) -> HasMgr(D, M), Emp(M)";
+
+/// The null-free answers of `q` over `i`.
+fn certain(q: &str, i: &Instance) -> BTreeSet<Vec<Value>> {
+    (Engine::prepare(&parse_cq(q).unwrap())
+        .answers(i)
+        .into_iter())
+    .filter(|row| row.iter().all(|v| v.is_named()))
+    .collect()
+}
+
+/// A capped file thaws to a capped state: the re-chase stops within one
+/// head of the file's size, and answers no more than a deeper chase of
+/// the same facts. The thawed state keeps the file's cap, and a daemon
+/// over the file, and over the checkpoint its first write leads to,
+/// answers `exact: false`.
+#[test]
+fn capped_state_thaws_to_a_sound_prefix() {
+    let tgds = parse_tgds(HR_RULES).unwrap();
+    let base = Instance::from_atoms([
+        GroundAtom::named("Emp", &["cap_ann"]),
+        GroundAtom::named("Emp", &["cap_bob"]),
+        GroundAtom::named("WorksIn", &["cap_ann", "cap_sales"]),
+    ]);
+    let m = ChaseRunner::new(&tgds)
+        .budget(ChaseBudget::atoms(40))
+        .maintain(&base);
+    assert!(!m.complete());
+    let path = temp_path("capped");
+    save_snapshot(&path, &tgds, &m).unwrap();
+    let loaded = load_snapshot(&path).unwrap();
+    assert!(!loaded.complete());
+    let saved = loaded.instance().len();
+    let thawed = loaded.to_maintained().unwrap();
+    assert!(!thawed.complete());
+    assert_eq!(thawed.max_atoms(), Some(40));
+    let widest_head = tgds.iter().map(|t| t.head.len()).max().unwrap();
     assert!(
-        thaw_and_resave(loaded) == pinned,
-        "re-saved golden file differs"
+        thawed.instance().len() <= saved + widest_head,
+        "{} atoms thawed from {saved}",
+        thawed.instance().len()
     );
-    let again = load_snapshot(std::path::Path::new(GOLDEN_V2_RESAVED)).unwrap();
-    assert_eq!(again.instance().len(), 10);
+    let deeper = ChaseRunner::new(&tgds)
+        .budget(ChaseBudget::atoms(10 * saved))
+        .run(&base)
+        .instance;
+    for q in [
+        "Q(X) :- Emp(X)",
+        "Q(D) :- Dept(D)",
+        "Q(X) :- WorksIn(X, D), HasMgr(D, M)",
+        "Q(X, D) :- WorksIn(X, D)",
+    ] {
+        let got = certain(q, thawed.instance());
+        assert!(got.is_subset(&certain(q, &deeper)), "{q}: {got:?}");
+        assert!(certain(q, loaded.instance()).is_subset(&certain(q, &deeper)));
+    }
+
+    let exact = |c: &mut Client| {
+        c.request(&[("op", "query"), ("q", "Q(X) :- Emp(X)")])
+            .unwrap()["exact"]
+            .clone()
+    };
+    for write in [true, false] {
+        let server = Server::start(path.clone(), "127.0.0.1:0").unwrap();
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run());
+        let mut c = Client::connect(addr).unwrap();
+        assert_eq!(exact(&mut c), "false");
+        if write {
+            c.insert("Emp(cap_carol)").unwrap();
+            assert_eq!(exact(&mut c), "false");
+        }
+        c.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// The base bits of version-3 snapshot `bytes` over `natoms` atoms: the
+/// byte offset of the first word, which closes the payload.
+fn base_bits_at(bytes: &[u8], natoms: usize) -> usize {
+    bytes.len() - 8 * natoms.div_ceil(64)
+}
+
+/// Re-seals a hand-edited snapshot: the header checksum over its payload.
+fn reseal(bytes: &mut [u8]) {
+    let sum = fnv1a64x8(&bytes[28..]);
+    bytes[20..28].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// A complete file whose base bits lost a fact still loads, since its
+/// bytes are well formed, but its thaw fails closed: the base facts no
+/// longer chase to the complete fixpoint the file claims.
+#[test]
+fn complete_file_missing_a_base_fact_fails_closed_at_thaw() {
+    let (tgds, m) = seeded_fixture(7);
+    let mut bytes = snapshot_bytes(&tgds, &m);
+    assert!(load_snapshot_bytes(&bytes).unwrap().to_maintained().is_ok());
+    let at = base_bits_at(&bytes, m.instance().len());
+    let word = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    assert_ne!(word, 0, "the first atoms include a base fact");
+    bytes[at..at + 8].copy_from_slice(&(word & (word - 1)).to_le_bytes());
+    reseal(&mut bytes);
+    let loaded = load_snapshot_bytes(&bytes).unwrap();
+    assert!(loaded.complete());
+    let err = loaded.to_maintained().unwrap_err();
     assert!(
-        thaw_and_resave(again) == pinned,
-        "the pinned re-save does not re-save to itself"
+        matches!(&err, SnapshotError::Malformed(why) if why.contains("complete chase")),
+        "{err:?}"
+    );
+}
+
+/// Seeded payload mutations, with the checksum recomputed each time so
+/// the decoder, not the checksum, meets them: single-byte flips, and
+/// eight-byte runs overwritten with counts that overrun the payload.
+/// Neither a load nor a thaw may panic: each returns a value or a
+/// described error.
+#[test]
+fn seeded_payload_mutations_never_panic() {
+    let (tgds, m) = seeded_fixture(11);
+    let files = [
+        ("v3", snapshot_bytes(&tgds, &m)),
+        ("v2", std::fs::read(GOLDEN_V2).unwrap()),
+    ];
+    let mut rng = Rng::seed(0x6d75_7461_7465);
+    let (mut refused, mut thawed, mut tried) = (0, 0, 0);
+    for (name, file) in &files {
+        let payload = file.len() - 28;
+        for i in 0..5000 {
+            let mut bytes = file.clone();
+            let at = 28 + rng.range(0, payload - 8);
+            if rng.chance(0.5) {
+                bytes[at] ^= rng.range(1, 256) as u8;
+            } else {
+                let counts = [u64::MAX, 1 << 40, payload as u64, rng.below(64)];
+                let count = counts[rng.range(0, counts.len())];
+                bytes[at..at + 8].copy_from_slice(&count.to_le_bytes());
+            }
+            reseal(&mut bytes);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                load_snapshot_bytes(&bytes).map(|l| l.to_maintained().map(|_| ()))
+            }));
+            match outcome {
+                Err(_) => panic!("{name} mutation {i} at byte {at} panicked"),
+                Ok(Err(e)) | Ok(Ok(Err(e))) => {
+                    assert!(!e.to_string().is_empty());
+                    refused += 1;
+                }
+                Ok(Ok(Ok(()))) => thawed += 1,
+            }
+            tried += 1;
+        }
+    }
+    assert!(
+        refused > 0 && thawed > 0,
+        "{refused} refused, {thawed} thawed of {tried}"
     );
 }
