@@ -25,8 +25,8 @@
 //! [`Program`]: gtgd_ingest::Program
 
 use crate::experiments::bench_ms;
-use crate::json::escape;
 use gtgd_chase::ChaseBudget;
+use gtgd_data::json::escape;
 use gtgd_data::GroundAtom;
 use gtgd_ingest::{ingest, LubmConfig, LubmSource, Program};
 use gtgd_query::{parse_cq, Engine};

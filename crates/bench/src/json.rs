@@ -7,23 +7,7 @@
 //! downstream consumers of `experiments_results.json` are unaffected.
 
 use crate::experiments::ExperimentTable;
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use gtgd_data::json::escape;
 
 fn string_array(items: &[String], indent: &str) -> String {
     if items.is_empty() {
@@ -91,12 +75,6 @@ mod tests {
             rows: vec![vec!["1".into(), "2.5".into()]],
             notes: String::new(),
         }
-    }
-
-    #[test]
-    fn escapes_special_characters() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::experiments::{
     e12_engine_shootout, e15_parallel_shootout, e16_incremental_maintenance, e2_chase,
     e9_chase_ablation, ExperimentTable,
 };
-use crate::json::escape;
+use gtgd_data::json::escape;
 
 /// One before/after measurement for a single experiment cell.
 #[derive(Debug, Clone)]

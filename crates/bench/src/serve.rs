@@ -12,9 +12,9 @@
 //! stored) against re-running the chase that produced it.
 
 use crate::experiments::bench_ms;
-use crate::json::escape;
 use crate::workloads::{org_db, path_db};
 use gtgd_chase::{parse_tgds, ChaseBudget, ChaseRunner, MaintainedInstance, Tgd};
+use gtgd_data::json::escape;
 use gtgd_data::Instance;
 use gtgd_query::{parse_cq, Engine};
 use gtgd_storage::{load_snapshot, save_snapshot, Client, Server};

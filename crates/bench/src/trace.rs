@@ -20,8 +20,8 @@
 //!
 //! [`trace_json`] renders the collected reports as one JSON document,
 //! composing [`RunReport::to_json`] (whose names are static identifiers)
-//! with this crate's hand-rolled [`crate::json::escape`] for the
-//! experiment titles.
+//! with the workspace's one string escaper, [`gtgd_data::json::escape`],
+//! for the experiment titles.
 
 use crate::workloads::{
     clique_cq, graph_db, org_db, path_db, plant_clique, random_graph, tc_ontology,
@@ -135,8 +135,8 @@ pub fn trace_json(traced: &[TracedExperiment]) -> String {
     for (i, t) in traced.iter().enumerate() {
         out.push_str(&format!(
             "    {{\n      \"id\": \"{}\",\n      \"title\": \"{}\",\n      \"report\": ",
-            crate::json::escape(t.id),
-            crate::json::escape(&t.title)
+            gtgd_data::json::escape(t.id),
+            gtgd_data::json::escape(&t.title)
         ));
         // Reports indent from column 0; acceptable inside the document.
         out.push_str(&t.report.to_json());

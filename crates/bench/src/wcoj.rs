@@ -12,9 +12,9 @@
 //! executors returned the same answer count.
 
 use crate::experiments::bench_ms;
-use crate::json::escape;
 use crate::workloads::{clique_cq, graph_db, plant_clique, random_graph};
 use gtgd_core::{clique_to_cqs_instance, grid_cqs_family};
+use gtgd_data::json::escape;
 use gtgd_data::obs::Metric;
 use gtgd_data::Instance;
 use gtgd_query::{CompiledQuery, Strategy};

@@ -17,26 +17,29 @@
 //! ([`crate::runner::ChaseRunner::certify`]) or the alive firings of a
 //! maintained instance ([`crate::MaintainedInstance::alive_firings`]) —
 //! plus per-answer witnesses
-//! ([`gtgd_query::PreparedQuery::answer_witnesses`]). Pruning grounds each
-//! firing's body from its trigger key, the step the dependency index
-//! uses; the valuation is written out only at serialization, read off the
-//! key and the produced head atoms. Soundness does not
-//! depend on the chase having terminated: every firing chain derives atoms
-//! that hold in *every* model of the database and the TGDs (existential
-//! bindings are checked fresh, so they behave as the universally valid
-//! Skolem witnesses of the paper's chase, Section 2), hence a null-free
-//! answer backed by a chain is a certain answer even over a budget-stopped
-//! prefix. Completeness — that every certain answer is certified — is
+//! ([`gtgd_query::PreparedQuery::answer_witnesses`]). A [`Firing`] stores
+//! only its trigger key and its fresh nulls: pruning re-grounds its head
+//! from both and its body from the key, as the dependency index does, and
+//! serialization writes its valuation as the body variables bound to the
+//! key, then the existential variables bound to the nulls. Soundness does
+//! not depend on the chase having terminated: every firing chain derives
+//! atoms that hold in *every* model of the database and the TGDs
+//! (existential bindings are checked fresh, so they behave as the
+//! universally valid Skolem witnesses of the paper's chase, Section 2),
+//! hence a null-free answer backed by a chain is a certain answer even
+//! over a budget-stopped prefix. Completeness — that every certain answer is certified — is
 //! exactly the chase-termination question and is *not* claimed here.
 //!
-//! Serialization is the hand-rolled std-only JSON of the workspace (see
-//! `gtgd-bench::json`): values are encoded as `"c:<name>"` (named
-//! constant) / `"n:<id>"` (labelled null), variables as `"v:<index>"`,
-//! atoms as `["Pred", term...]` arrays. The schema is what the standalone
-//! `gtgd-check` crate parses; the two ends share nothing but this format.
+//! Serialization is the hand-rolled std-only JSON of the workspace
+//! (strings escaped by [`gtgd_data::json::escape`]): values are encoded as
+//! `"c:<name>"` (named constant) / `"n:<id>"` (labelled null), variables
+//! as `"v:<index>"`, atoms as `["Pred", term...]` arrays. The schema is
+//! what the standalone `gtgd-check` crate parses; the two ends share
+//! nothing but this format.
 
 use crate::plan::{Firing, TriggerPlan};
 use crate::tgd::Tgd;
+use gtgd_data::json::escape;
 use gtgd_data::{GroundAtom, Instance, Value};
 use gtgd_query::{Cq, Engine, QAtom, Strategy, Term, Var};
 use std::collections::HashSet;
@@ -68,7 +71,7 @@ pub struct Certificate {
 #[derive(Debug, Clone)]
 pub struct CertificateStore<'a> {
     tgds: &'a [Tgd],
-    /// The rules compiled, for grounding firing bodies from their keys.
+    /// The rules compiled, for re-grounding firings' bodies and heads.
     plans: Vec<TriggerPlan>,
     firings: Vec<Firing>,
     facts: Vec<GroundAtom>,
@@ -110,16 +113,20 @@ impl<'a> CertificateStore<'a> {
             .filter(|a| !self.fact_set.contains(a))
             .collect();
         let mut kept: Vec<Firing> = Vec::new();
+        let (mut body, mut head) = (Vec::new(), Vec::new());
         for f in self.firings.iter().rev() {
-            if !f.products.iter().any(|a| needed.contains(a)) {
+            let plan = &self.plans[f.tgd];
+            plan.head_into(&f.key, &f.nulls, &mut head);
+            if !head.iter().any(|a| needed.contains(a)) {
                 continue;
             }
-            for a in &f.products {
+            for a in &head {
                 needed.remove(a);
             }
-            for g in self.plans[f.tgd].body_from_key(&f.key) {
-                if !self.fact_set.contains(&g) {
-                    needed.insert(g);
+            plan.body_into(&f.key, &mut body);
+            for g in &body {
+                if !self.fact_set.contains(g) {
+                    needed.insert(g.clone());
                 }
             }
             kept.push(f.clone());
@@ -165,23 +172,14 @@ fn image(hom: &[(Var, Value)], v: Var) -> Value {
 
 /// The full valuation of firing `f` of `tgd`, as certificates state it:
 /// the body variables in ascending order paired with the trigger key, then
-/// the existential variables in ascending order, each bound to the value
-/// at its first head position in the firing's products (its fresh null).
+/// the existential variables in ascending order paired with its nulls.
 fn valuation(f: &Firing, tgd: &Tgd) -> Vec<(Var, Value)> {
-    let exist = tgd.existential_vars().into_iter().map(|z| {
-        let (atom, arg) = (tgd.head.iter().enumerate())
-            .find_map(|(i, a)| {
-                let j = a.args.iter().position(|t| *t == Term::Var(z))?;
-                Some((i, j))
-            })
-            .expect("an existential variable occurs in the head");
-        (z, f.products[atom].args[arg])
-    });
-    tgd.body_vars()
+    let body = tgd.body_vars().into_iter().zip(f.key.iter().copied());
+    let exist = tgd
+        .existential_vars()
         .into_iter()
-        .zip(f.key.iter().copied())
-        .chain(exist)
-        .collect()
+        .zip(f.nulls.iter().copied());
+    body.chain(exist).collect()
 }
 
 fn ground(a: &QAtom, f: impl Fn(Var) -> Value) -> GroundAtom {
@@ -199,25 +197,9 @@ fn ground(a: &QAtom, f: impl Fn(Var) -> Value) -> GroundAtom {
 
 // --- JSON emission (the `gtgd-check` wire format) ---
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn enc_value(v: Value) -> String {
     match v {
-        Value::Named(s) => format!("\"c:{}\"", esc(&s.name())),
+        Value::Named(s) => format!("\"c:{}\"", escape(&s.name())),
         Value::Null(n) => format!("\"n:{n}\""),
     }
 }
@@ -234,13 +216,13 @@ fn enc_term(t: &Term) -> String {
 }
 
 fn enc_qatom(a: &QAtom) -> String {
-    let mut parts = vec![format!("\"{}\"", esc(&a.predicate.name()))];
+    let mut parts = vec![format!("\"{}\"", escape(&a.predicate.name()))];
     parts.extend(a.args.iter().map(enc_term));
     format!("[{}]", parts.join(","))
 }
 
 fn enc_ground_atom(a: &GroundAtom) -> String {
-    let mut parts = vec![format!("\"{}\"", esc(&a.predicate.name()))];
+    let mut parts = vec![format!("\"{}\"", escape(&a.predicate.name()))];
     parts.extend(a.args.iter().map(|&v| enc_value(v)));
     format!("[{}]", parts.join(","))
 }
@@ -410,8 +392,17 @@ mod tests {
         let outcome = ChaseRunner::new(&tgds).certify(true).run(&db);
         let firings = outcome.firings.unwrap();
         assert_eq!(firings.len(), 1);
-        let p = &firings[0].products;
-        let (null_y, null_z) = (p[1].args[1], p[0].args[1]);
+        // The nulls as the products in the chased instance hold them.
+        let arg = |p: &str, i: usize| {
+            let p = gtgd_data::Predicate::new(p);
+            outcome
+                .instance
+                .iter()
+                .find(|a| a.predicate == p)
+                .unwrap()
+                .args[i]
+        };
+        let (null_y, null_z) = (arg("S", 1), arg("R", 1));
         assert!(matches!(null_y, Value::Null(_)) && matches!(null_z, Value::Null(_)));
         assert_ne!(null_y, null_z);
         assert_eq!(

@@ -192,7 +192,7 @@ impl Pending {
             log.push(Firing {
                 tgd: plan.index,
                 key: plan.trigger_key(row),
-                products: self.products.clone(),
+                nulls: self.nulls.clone(),
             });
         }
         for p in &self.products {

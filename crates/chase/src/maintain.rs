@@ -28,10 +28,11 @@
 //! [`Firing`] records. One step links the log's unlinked tail into what
 //! DRed walks, all keyed by atom id: each firing's body atom and product
 //! ids, and per atom id the lists of firings producing and using it. The
-//! body is grounded from the key into a reused buffer and every atom is
-//! found by a lookup in the instance, so no atom is cloned. A retraction
-//! links what the runs since the previous one logged before it walks the
-//! index, so a build or an insert leaves its firings unlinked.
+//! body is re-grounded from the key and the products from the key and
+//! the fresh nulls, each into a reused buffer, and every atom is found by
+//! a lookup in the instance, so no atom is cloned. A retraction links
+//! what the runs since the previous one logged before it walks the index,
+//! so a build or an insert leaves its firings unlinked.
 //! Base facts are a bitset over atom ids. The instance's compaction, its
 //! only renumbering point, reports the ids it dropped, and the lists, the
 //! firing ids and the base bits are renumbered the same way. A
@@ -211,19 +212,22 @@ struct DepIndex {
 
 impl DepIndex {
     /// The one indexing path: links the firings not yet linked (the tail
-    /// past `alive`) as alive. Each body is grounded from its key
-    /// ([`TriggerPlan::body_into`]) into one reused buffer, and every body
-    /// atom and product is looked up in `instance` by reference, so no
-    /// atom is cloned. Every firing was logged by a run under `plans` on
-    /// `instance`, and no atom was removed since, so every lookup hits.
+    /// past `alive`) as alive. Each body and head is re-grounded
+    /// ([`TriggerPlan::body_into`], [`TriggerPlan::head_into`]) into a
+    /// reused buffer, and every body atom and product is looked up in
+    /// `instance` by reference, so no atom is cloned. Every firing was
+    /// logged by a run under `plans` on `instance`, and no atom was
+    /// removed since, so every lookup hits.
     fn link(&mut self, plans: &[TriggerPlan], instance: &Instance) {
         self.supports.resize_with(instance.id_bound(), Vec::new);
         self.uses.resize_with(instance.id_bound(), Vec::new);
-        let mut body = Vec::new();
+        let (mut body, mut head) = (Vec::new(), Vec::new());
         let id_of = |a: &GroundAtom| instance.id_of(a).expect("a logged atom is in the instance");
         for fid in self.alive.len()..self.firings.len() {
             let f = &self.firings[fid];
-            plans[f.tgd].body_into(&f.key, &mut body);
+            let plan = &plans[f.tgd];
+            plan.body_into(&f.key, &mut body);
+            plan.head_into(&f.key, &f.nulls, &mut head);
             let fid = id32(fid);
             let start = id32(self.atom_ids.len());
             for b in &body {
@@ -232,7 +236,7 @@ impl DepIndex {
                 self.atom_ids.push(id32(id));
             }
             let products = id32(self.atom_ids.len());
-            for p in &f.products {
+            for p in &head {
                 let id = id_of(p);
                 self.supports[id].push(fid);
                 self.atom_ids.push(id32(id));
@@ -726,10 +730,10 @@ mod tests {
 
     /// Links what the runs since the last retraction logged, then checks
     /// the dependency index against the instance: every alive firing's
-    /// body and product ids name live atoms that are exactly its grounded
-    /// body and its products, and the lists name it back; every live
-    /// non-base atom has an alive support; and no list, span or base bit
-    /// names an id that is dead or at/above `id_bound()`.
+    /// body and product ids name live atoms that are exactly its body and
+    /// head re-grounded from its key and nulls, and the lists name it
+    /// back; every live non-base atom has an alive support; and no list,
+    /// span or base bit names an id that is dead or at/above `id_bound()`.
     fn assert_index_consistent(m: &mut MaintainedInstance, ctx: &str) {
         m.link();
         let (instance, deps) = (&m.chase.instance, &m.deps);
@@ -752,13 +756,11 @@ mod tests {
                     })
                     .collect()
             };
-            let body = m.chase.plans[f.tgd].body_from_key(&f.key);
+            let (mut body, mut head) = (Vec::new(), Vec::new());
+            m.chase.plans[f.tgd].body_into(&f.key, &mut body);
+            m.chase.plans[f.tgd].head_into(&f.key, &f.nulls, &mut head);
             assert_eq!(named(deps.body_ids(fid)), body, "{ctx}: firing {fid} body");
-            assert_eq!(
-                named(deps.product_ids(fid)),
-                f.products,
-                "{ctx}: firing {fid}"
-            );
+            assert_eq!(named(deps.product_ids(fid)), head, "{ctx}: firing {fid}");
             let fid32 = fid as u32;
             for &b in deps.body_ids(fid) {
                 assert!(deps.uses[b as usize].contains(&fid32), "{ctx}: uses of {b}");

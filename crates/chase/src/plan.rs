@@ -1,42 +1,38 @@
 //! Cached trigger plans: each TGD compiled once per chase run, and the
 //! one record of a trigger firing.
 //!
-//! The engines used to rebuild the "rest of the body" atom list and re-hash
-//! variable bindings for every (pin, delta-atom) pair — for every firing.
-//! A [`TriggerPlan`] compiles the body and head of a TGD into the
-//! slot-based kernel form ([`CompiledQuery`]) up front:
+//! A [`TriggerPlan`] compiles the body and head of a TGD once, up front:
 //!
-//! * the **body plan** is probed every round with each body atom pinned
-//!   to the delta via [`gtgd_query::KernelSearch::for_each_pinned_row`]
-//!   — no atom lists are cloned, ever;
+//! * the **body plan** ([`CompiledQuery`]) is probed every round with each
+//!   body atom pinned to the delta via
+//!   [`gtgd_query::KernelSearch::for_each_pinned_row`], so no atom list is
+//!   cloned;
 //! * the **trigger key** (the body-variable images that name a
 //!   [`Firing`]) is read straight out of the kernel row via precomputed
 //!   slots, in ascending-variable order;
-//! * the **body templates** ground a firing's body atoms straight from
-//!   its key ([`TriggerPlan::body_from_key`]), which is how the dependency
-//!   index, snapshot thaw and certificate pruning all recover a firing's
-//!   support set;
-//! * the **head plan** grounds head atoms from the row plus fresh nulls,
-//!   allocating nulls in ascending existential-variable order — the exact
-//!   null-naming sequence of the legacy `fire`;
+//! * the **atom templates** ([`AtomTemplate`]) of the body and the head
+//!   ground atoms from a trigger key and a firing's fresh nulls through
+//!   one loop. Firing grounds the head from the kernel row and nulls
+//!   minted in ascending existential-variable order; the dependency index
+//!   and certificate pruning re-ground a logged firing's body (its support
+//!   set) and head (its products) from its key and nulls;
 //! * the **head satisfaction check** of the restricted chase is a compiled
 //!   head query with the frontier slots pre-linked to body slots.
 
 use crate::tgd::Tgd;
 use gtgd_data::{obs, GroundAtom, Instance, Predicate, Value};
-use gtgd_query::{CompiledQuery, Term};
+use gtgd_query::{CompiledQuery, QAtom, Term};
 
 /// One trigger firing `(σ, h)` of the oblivious or restricted chase: the
-/// rule, the body images of `h`, and the head atoms the firing produced.
+/// rule, the body images of `h`, and the fresh nulls the firing minted.
 /// A log of these is the chase's one firing record: a certified run
 /// returns its log ([`crate::ChaseRunner::certify`]), the dependency index
-/// of [`crate::MaintainedInstance`] keeps one, snapshots persist its alive
-/// firings, and certificates are pruned from either.
+/// of [`crate::MaintainedInstance`] keeps one, and certificates are pruned
+/// from either.
 ///
-/// The body atoms are not stored: the key is the full body valuation, so
-/// the rule's compiled plan rebuilds them from it. Neither are the fresh
-/// nulls: every existential variable occurs in the head, so its null is
-/// read off `products`.
+/// Neither the body atoms nor the head atoms are stored: the key binds
+/// every body variable and `nulls` every existential one, so the rule's
+/// body and head are ground by substituting them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Firing {
     /// Index of the TGD in the rule set the chase ran.
@@ -44,63 +40,74 @@ pub struct Firing {
     /// The trigger key: the body-variable images in ascending variable
     /// order ([`Tgd::body_vars`]).
     pub key: Vec<Value>,
-    /// The head atoms the firing produced, in head order, whether or not
-    /// the instance already held them.
-    pub products: Vec<GroundAtom>,
+    /// The fresh nulls the firing minted, one per existential variable in
+    /// ascending variable order ([`Tgd::existential_vars`]); empty for a
+    /// full TGD.
+    pub nulls: Vec<Value>,
 }
 
-/// One argument of a compiled body atom template.
+/// One argument of an [`AtomTemplate`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum BodyArg {
-    /// A constant from the TGD body.
+pub(crate) enum Arg {
+    /// A constant from the TGD.
     Const(Value),
-    /// A body variable: read this position of the trigger key.
+    /// A body variable: the `i`-th value of the trigger key.
     Key(u32),
+    /// An existential variable: the `i`-th fresh null of the firing.
+    Null(u32),
 }
 
-/// A compiled body atom template: grounds one body atom from a trigger
-/// key. The grounded body is the firing's *support set* — the atoms whose
-/// presence witnessed it — which the dependency index and certificate
-/// pruning rebuild per firing.
+/// A compiled body or head atom of a TGD, ground from a trigger key and a
+/// firing's fresh nulls.
 #[derive(Debug, Clone)]
-pub(crate) struct BodyAtomPlan {
+pub(crate) struct AtomTemplate {
     pub predicate: Predicate,
-    pub args: Vec<BodyArg>,
+    pub args: Vec<Arg>,
 }
 
-/// One argument of a compiled head atom.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum HeadArg {
-    /// A constant from the TGD head.
-    Const(Value),
-    /// A frontier variable: read this slot of the body row.
-    Body(u32),
-    /// An existential variable: use the `i`-th fresh null of the firing.
-    Exist(u32),
-}
-
-/// A compiled head atom.
-#[derive(Debug, Clone)]
-pub(crate) struct HeadAtomPlan {
-    pub predicate: Predicate,
-    pub args: Vec<HeadArg>,
+/// Grounds `templates` into `out`, in order, reading `Key(i)` as `key(i)`
+/// and `Null(i)` as `nulls[i]`. `out`'s atoms are regrounded in place, so
+/// a buffer reused across firings allocates only when an atom list
+/// outgrows it.
+fn ground_into(
+    templates: &[AtomTemplate],
+    key: impl Fn(usize) -> Value,
+    nulls: &[Value],
+    out: &mut Vec<GroundAtom>,
+) {
+    out.truncate(templates.len());
+    for (k, atom) in templates.iter().enumerate() {
+        let args = atom.args.iter().map(|a| match *a {
+            Arg::Const(c) => c,
+            Arg::Key(i) => key(i as usize),
+            Arg::Null(i) => nulls[i as usize],
+        });
+        match out.get_mut(k) {
+            Some(g) => {
+                g.predicate = atom.predicate;
+                g.args.clear();
+                g.args.extend(args);
+            }
+            None => out.push(GroundAtom::new(atom.predicate, args.collect())),
+        }
+    }
 }
 
 /// A TGD compiled for repeated trigger search and firing.
 #[derive(Debug, Clone)]
 pub(crate) struct TriggerPlan {
-    /// Index of the TGD in the rule set (names the rule in provenance
+    /// Index of the TGD in the rule set (names the rule in [`Firing`]
     /// records).
     pub index: usize,
     /// The compiled body (one slot per body variable).
     pub body: CompiledQuery,
-    /// Body atom templates in body order (see [`BodyAtomPlan`]).
-    pub body_atoms: Vec<BodyAtomPlan>,
+    /// The body atom templates, in body order.
+    pub body_atoms: Vec<AtomTemplate>,
     /// Body slots in ascending variable order — the trigger-key order
     /// ([`Tgd::body_vars`]).
     pub key_slots: Vec<usize>,
-    /// The compiled head atoms for firing.
-    pub head: Vec<HeadAtomPlan>,
+    /// The head atom templates, in head order.
+    pub head: Vec<AtomTemplate>,
     /// Number of existential variables (fresh nulls per firing).
     pub n_exist: usize,
     /// The compiled head as a query (for restricted-chase satisfaction
@@ -114,52 +121,30 @@ impl TriggerPlan {
     /// Compiles one TGD; `index` is its position in the rule set.
     pub fn new(tgd: &Tgd, index: usize) -> TriggerPlan {
         let body = CompiledQuery::compile(&tgd.body);
-        let body_vars = tgd.body_vars();
-        let body_atoms = tgd
-            .body
-            .iter()
-            .map(|a| BodyAtomPlan {
-                predicate: a.predicate,
-                args: a
-                    .args
-                    .iter()
-                    .map(|t| match *t {
-                        Term::Const(c) => BodyArg::Const(c),
-                        Term::Var(v) => BodyArg::Key(
-                            body_vars.binary_search(&v).expect("a body variable") as u32,
-                        ),
-                    })
-                    .collect(),
-            })
-            .collect();
+        let (body_vars, exist) = (tgd.body_vars(), tgd.existential_vars());
+        let templates = |atoms: &[QAtom]| -> Vec<AtomTemplate> {
+            atoms
+                .iter()
+                .map(|a| AtomTemplate {
+                    predicate: a.predicate,
+                    args: (a.args.iter())
+                        .map(|t| match *t {
+                            Term::Const(c) => Arg::Const(c),
+                            Term::Var(v) => match body_vars.binary_search(&v) {
+                                Ok(i) => Arg::Key(i as u32),
+                                Err(_) => Arg::Null(
+                                    exist.binary_search(&v).expect("an existential") as u32,
+                                ),
+                            },
+                        })
+                        .collect(),
+                })
+                .collect()
+        };
+        let (body_atoms, head) = (templates(&tgd.body), templates(&tgd.head));
         let key_slots = body_vars
             .iter()
             .map(|&v| body.slot_of(v).expect("body vars are interned"))
-            .collect();
-        let exist = tgd.existential_vars();
-        let head = tgd
-            .head
-            .iter()
-            .map(|a| HeadAtomPlan {
-                predicate: a.predicate,
-                args: a
-                    .args
-                    .iter()
-                    .map(|t| match *t {
-                        Term::Const(c) => HeadArg::Const(c),
-                        Term::Var(v) => match body.slot_of(v) {
-                            Some(s) => HeadArg::Body(s as u32),
-                            None => {
-                                let i = exist
-                                    .iter()
-                                    .position(|&z| z == v)
-                                    .expect("non-frontier head var is existential");
-                                HeadArg::Exist(i as u32)
-                            }
-                        },
-                    })
-                    .collect(),
-            })
             .collect();
         let head_query = CompiledQuery::compile(&tgd.head);
         let frontier_links = tgd
@@ -198,65 +183,30 @@ impl TriggerPlan {
         self.key_slots.iter().map(|&s| row[s]).collect()
     }
 
-    /// Fires the trigger witnessed by `row`: instantiates the head with
-    /// fresh nulls for the existential variables (allocated in ascending
-    /// variable order, like the legacy engine, and left in `nulls`) and
-    /// leaves the head atoms, in head order, in `out`. Both buffers are
-    /// overwritten: `out`'s atoms are regrounded in place, so a buffer
-    /// reused across firings allocates only when a head outgrows it.
+    /// Fires the trigger witnessed by `row`: mints fresh nulls for the
+    /// existential variables (in ascending variable order, left in
+    /// `nulls`) and grounds the head atoms, in head order, into `out`.
+    /// Both buffers are overwritten; see [`ground_into`].
     pub fn fire_row(&self, row: &[Value], nulls: &mut Vec<Value>, out: &mut Vec<GroundAtom>) {
         obs::count(obs::Metric::NullsCreated, self.n_exist as u64);
         nulls.clear();
         nulls.extend((0..self.n_exist).map(|_| Value::fresh_null()));
-        out.truncate(self.head.len());
-        for (k, atom) in self.head.iter().enumerate() {
-            let args = atom.args.iter().map(|a| match *a {
-                HeadArg::Const(c) => c,
-                HeadArg::Body(s) => row[s as usize],
-                HeadArg::Exist(i) => nulls[i as usize],
-            });
-            match out.get_mut(k) {
-                Some(g) => {
-                    g.predicate = atom.predicate;
-                    g.args.clear();
-                    g.args.extend(args);
-                }
-                None => out.push(GroundAtom::new(atom.predicate, args.collect())),
-            }
-        }
+        ground_into(&self.head, |i| row[self.key_slots[i]], nulls, out);
     }
 
     /// Grounds the body atoms of the firing with trigger key `key`, in
-    /// body order — its support set. The key is the whole body valuation
-    /// (each body variable at its ascending-order position), so this
-    /// needs nothing else.
-    pub fn body_from_key(&self, key: &[Value]) -> Vec<GroundAtom> {
-        let mut body = Vec::new();
-        self.body_into(key, &mut body);
-        body
-    }
-
-    /// [`TriggerPlan::body_from_key`] into a reused buffer: `out`'s atoms
-    /// are regrounded in place, as in [`TriggerPlan::fire_row`], so a
-    /// buffer reused across firings allocates only when a body outgrows
-    /// it.
+    /// body order (its support set), into a reused buffer.
     pub fn body_into(&self, key: &[Value], out: &mut Vec<GroundAtom>) {
         debug_assert_eq!(key.len(), self.key_slots.len());
-        out.truncate(self.body_atoms.len());
-        for (k, atom) in self.body_atoms.iter().enumerate() {
-            let args = atom.args.iter().map(|t| match *t {
-                BodyArg::Const(c) => c,
-                BodyArg::Key(i) => key[i as usize],
-            });
-            match out.get_mut(k) {
-                Some(g) => {
-                    g.predicate = atom.predicate;
-                    g.args.clear();
-                    g.args.extend(args);
-                }
-                None => out.push(GroundAtom::new(atom.predicate, args.collect())),
-            }
-        }
+        ground_into(&self.body_atoms, |i| key[i], &[], out);
+    }
+
+    /// Grounds the head atoms of the firing with trigger key `key` and
+    /// fresh nulls `nulls`, in head order (its products), into a reused
+    /// buffer.
+    pub fn head_into(&self, key: &[Value], nulls: &[Value], out: &mut Vec<GroundAtom>) {
+        debug_assert_eq!(nulls.len(), self.n_exist);
+        ground_into(&self.head, |i| key[i], nulls, out);
     }
 
     /// Whether the trigger's head is already satisfied in `instance`
@@ -276,6 +226,7 @@ mod tests {
     use super::*;
     use crate::tgd::parse_tgds;
     use gtgd_data::Instance;
+    use gtgd_query::Var;
 
     fn v(s: &str) -> Value {
         Value::named(s)
@@ -320,10 +271,40 @@ mod tests {
         let tgds = parse_tgds("R(Y,X), S(X,Z,red) -> T(X)").unwrap();
         let plan = TriggerPlan::new(&tgds[0], 0);
         let row = [v("a"), v("b"), v("c")];
-        let body = plan.body_from_key(&plan.trigger_key(&row));
+        let mut body = Vec::new();
+        plan.body_into(&plan.trigger_key(&row), &mut body);
         assert_eq!(body.len(), 2);
         assert_eq!(body[0], GroundAtom::named("R", &["a", "b"]));
         assert_eq!(body[1], GroundAtom::named("S", &["b", "c", "red"]));
+    }
+
+    #[test]
+    fn head_reground_from_key_and_nulls_is_the_fired_head() {
+        // `A(X) -> R(X,Z), S(Z,Y), T(Y,Y)` with X = v0, Y = v1, Z = v2: the
+        // existentials occur out of variable order (Z first), Y only from
+        // the second head atom on, and twice in the third.
+        let (x, y, z) = (Var(0), Var(1), Var(2));
+        let atom = |p: &str, args: &[Var]| {
+            QAtom::new(
+                Predicate::new(p),
+                args.iter().map(|&v| Term::Var(v)).collect(),
+            )
+        };
+        let tgd = Tgd::new(
+            vec!["X".into(), "Y".into(), "Z".into()],
+            vec![atom("A", &[x])],
+            vec![atom("R", &[x, z]), atom("S", &[z, y]), atom("T", &[y, y])],
+        );
+        let plan = TriggerPlan::new(&tgd, 0);
+        let row = [v("a")];
+        let (mut nulls, mut fired) = (Vec::new(), Vec::new());
+        plan.fire_row(&row, &mut nulls, &mut fired);
+        // The nulls come in variable order: Y's, then Z's.
+        assert_eq!(nulls, [fired[1].args[1], fired[0].args[1]]);
+        // A reused buffer holding longer, unrelated atoms is overwritten.
+        let mut head = vec![GroundAtom::named("Q", &["x", "y", "z"]); 4];
+        plan.head_into(&plan.trigger_key(&row), &nulls, &mut head);
+        assert_eq!(head, fired);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! This is the ExpTime (for bounded arity) decision machinery that the paper
 //! invokes from \[14\]/\[24\]; only *reachable* types are ever materialized.
 
-use crate::plan::{BodyAtomPlan, TriggerPlan};
+use crate::plan::{AtomTemplate, TriggerPlan};
 use crate::tgd::{Tgd, TgdClass};
 use gtgd_data::idhash::IdHashMap;
 use gtgd_data::{obs, GroundAtom, Instance, Predicate, Value};
@@ -389,7 +389,7 @@ impl Saturator {
                 *searched = Some(bag.len());
                 // A rule whose body predicate the bag lacks cannot fire.
                 let held =
-                    |a: &BodyAtomPlan| !bag.atoms_with_pred(a.predicate, a.args.len()).is_empty();
+                    |a: &AtomTemplate| !bag.atoms_with_pred(a.predicate, a.args.len()).is_empty();
                 if !plan.body_atoms.iter().all(held) {
                     continue;
                 }

@@ -29,7 +29,7 @@ const EMPTY_IDS: &[usize] = &[];
 /// retraction leaves a tombstone in the slot instead of moving the
 /// survivors, so ids lie below [`Instance::id_bound`] but need not be
 /// dense. Only a compaction renumbers, and it runs inside
-/// [`Instance::retract_atoms`] once tombstones outnumber live atoms. Every
+/// [`Instance::retract_ids`] once tombstones outnumber live atoms. Every
 /// accessor (`iter`, candidate lists, `dom`, …) sees live atoms only.
 #[derive(Debug, Default, Clone)]
 pub struct Instance {
@@ -412,14 +412,12 @@ impl Instance {
         added
     }
 
-    /// Removes one atom; returns `true` if it was present. See
-    /// [`Instance::retract_atoms`] for the cost model.
-    pub fn retract(&mut self, atom: &GroundAtom) -> bool {
-        self.retract_atoms(std::slice::from_ref(atom)) == 1
-    }
-
-    /// Removes a batch of atoms; returns how many were actually present.
-    /// Atoms absent from the instance are ignored.
+    /// Removes the atoms with the given distinct live ids (an atom's id is
+    /// [`Instance::id_of`]). Returns the ids a compaction dropped
+    /// (ascending: every tombstone, these ids included) if the call ended
+    /// with one, so a caller keeping its own id-indexed state can renumber
+    /// it the same way: a surviving id moves down by the number of dropped
+    /// ids below it. `None` means no id moved.
     ///
     /// Retraction **keeps every survivor's id**. Each dead atom loses its
     /// dedup key, its slot becomes a tombstone, and its id is unlinked by
@@ -448,24 +446,6 @@ impl Instance {
     /// every retraction. Either way every accessor reads, through
     /// [`Instance::atom`], exactly as on `Instance::from_atoms(survivors)`;
     /// right after a compaction the ids are equal too.
-    pub fn retract_atoms(&mut self, atoms: &[GroundAtom]) -> usize {
-        let rows = self.rows_mut();
-        // Removing the keys up front also counts a repeated atom once.
-        let dead: Vec<usize> = atoms
-            .iter()
-            .filter_map(|a| rows.index_of.remove(a))
-            .collect();
-        self.unlink_dead(&dead);
-        dead.len()
-    }
-
-    /// Removes the atoms with the given distinct live ids, like
-    /// [`Instance::retract_atoms`], for a caller that already holds the
-    /// ids. Returns the ids a compaction dropped (ascending: every
-    /// tombstone, these ids included) if the call ended with one, so a
-    /// caller keeping its own id-indexed state can renumber it the same
-    /// way: a surviving id moves down by the number of dropped ids below
-    /// it. `None` means no id moved.
     pub fn retract_ids(&mut self, ids: &[usize]) -> Option<Vec<usize>> {
         self.rows_mut();
         let Instance { atoms, rows, .. } = self;
@@ -523,7 +503,7 @@ impl Instance {
 
     /// Drops every tombstone and closes up the live ids in order,
     /// renumbering the row indexes in place (see
-    /// [`Instance::retract_atoms`]), and returns the dropped ids. The
+    /// [`Instance::retract_ids`]), and returns the dropped ids. The
     /// dense mirror needs no upkeep: it reads rows through the relation
     /// lists, whose order is unchanged.
     fn compact(&mut self) -> Vec<usize> {
@@ -561,7 +541,7 @@ impl Instance {
     }
 
     /// The id of the atom, if present: stable until the next compaction
-    /// (see [`Instance::retract_atoms`]).
+    /// (see [`Instance::retract_ids`]).
     pub fn id_of(&self, atom: &GroundAtom) -> Option<usize> {
         self.rows().index_of.get(atom).copied()
     }
@@ -837,6 +817,17 @@ mod tests {
         Value::named(s)
     }
 
+    /// Retracts the atoms of `atoms` that are present, each once, through
+    /// [`Instance::id_of`] and [`Instance::retract_ids`]; returns how many
+    /// were present.
+    fn retract(i: &mut Instance, atoms: &[GroundAtom]) -> usize {
+        let mut ids: Vec<usize> = atoms.iter().filter_map(|a| i.id_of(a)).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        i.retract_ids(&ids);
+        ids.len()
+    }
+
     #[test]
     fn insert_dedup_and_indexes() {
         let mut i = Instance::new();
@@ -1051,13 +1042,13 @@ mod tests {
             GroundAtom::named("R", &["b", "c"]),
             GroundAtom::named("P", &["a"]),
         ]);
-        assert!(i.retract(&GroundAtom::named("R", &["a", "b"])));
+        assert_eq!(retract(&mut i, &[GroundAtom::named("R", &["a", "b"])]), 1);
         // One tombstone against two live atoms: no compaction, no id moves.
         assert_eq!(i.id_bound(), 3);
         assert_eq!(i.id_of(&GroundAtom::named("P", &["a"])), Some(2));
         assert_eq!(i.atoms_with_pred(Predicate::new("R"), 2), &[1]);
         assert!(
-            !i.retract(&GroundAtom::named("R", &["a", "b"])),
+            retract(&mut i, &[GroundAtom::named("R", &["a", "b"])]) == 0,
             "already gone"
         );
         assert_eq!(i.len(), 2);
@@ -1079,11 +1070,11 @@ mod tests {
         let mut by_atom = by_id.clone();
         // Two tombstones against four live atoms: no compaction.
         assert_eq!(by_id.retract_ids(&[1, 4]), None);
-        by_atom.retract_atoms(&[atoms[1].clone(), atoms[4].clone()]);
+        retract(&mut by_atom, &[atoms[1].clone(), atoms[4].clone()]);
         assert_eq!(by_id.id_of(&atoms[5]), Some(5));
         // Four against two: the compaction drops every tombstone.
         assert_eq!(by_id.retract_ids(&[2, 0]), Some(vec![0, 1, 2, 4]));
-        by_atom.retract_atoms(&[atoms[2].clone(), atoms[0].clone()]);
+        retract(&mut by_atom, &[atoms[2].clone(), atoms[0].clone()]);
         assert_eq!(by_id.id_of(&atoms[3]), Some(0));
         assert_eq!(by_id.id_of(&atoms[5]), Some(1));
         assert!(by_id.iter_ids().eq(by_atom.iter_ids()));
@@ -1097,7 +1088,7 @@ mod tests {
             GroundAtom::named("R", &["a", "b"]),
             GroundAtom::named("P", &["c"]),
         ]);
-        assert_eq!(i.retract_atoms(&[GroundAtom::named("R", &["a", "b"])]), 1);
+        assert_eq!(retract(&mut i, &[GroundAtom::named("R", &["a", "b"])]), 1);
         assert_eq!(i.dom(), &[v("c")]);
         assert!(!i.dom_contains(v("a")));
         assert!(!i.dom_contains(v("b")));
@@ -1109,15 +1100,18 @@ mod tests {
             GroundAtom::named("R", &["a", "b"]),
             GroundAtom::named("P", &["a"]),
         ]);
-        let n = i.retract_atoms(&[
-            GroundAtom::named("R", &["a", "b"]),
-            GroundAtom::named("R", &["z", "z"]), // absent
-            GroundAtom::named("P", &["a"]),
-        ]);
+        let n = retract(
+            &mut i,
+            &[
+                GroundAtom::named("R", &["a", "b"]),
+                GroundAtom::named("R", &["z", "z"]), // absent
+                GroundAtom::named("P", &["a"]),
+            ],
+        );
         assert_eq!(n, 2);
         assert!(i.is_empty());
         assert!(i.dom().is_empty());
-        assert_eq!(i.retract_atoms(&[GroundAtom::named("P", &["a"])]), 0);
+        assert_eq!(retract(&mut i, &[GroundAtom::named("P", &["a"])]), 0);
     }
 
     #[test]
@@ -1127,7 +1121,7 @@ mod tests {
         i.insert(GroundAtom::named("P", &["c"]));
         let e = Predicate::new("E");
         trie_perm(&i, e, 2, &[0, 1]);
-        i.retract(&GroundAtom::named("E", &["a", "b"]));
+        retract(&mut i, &[GroundAtom::named("E", &["a", "b"])]);
         // The only E-row is gone: its trie is dropped, not left empty.
         assert_eq!(i.dense_stats().tries, 0);
         assert!(trie_perm(&i, e, 2, &[0, 1]).is_empty());
@@ -1144,7 +1138,7 @@ mod tests {
         let p = Predicate::new("P");
         let reqs: [(Predicate, usize, &[u16]); 2] = [(e, 2, &[0, 1]), (p, 1, &[0])];
         let (_, before) = i.dense_snapshot(&reqs);
-        i.retract(&GroundAtom::named("E", &["a", "z"]));
+        retract(&mut i, &[GroundAtom::named("E", &["a", "z"])]);
         let (dict, tries) = i.dense_snapshot(&reqs);
         let fresh = Instance::from_atoms(i.iter().cloned());
         let (fdict, ftries) = fresh.dense_snapshot(&reqs);

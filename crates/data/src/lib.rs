@@ -31,6 +31,7 @@ pub mod dense;
 pub mod homomorphism;
 pub mod idhash;
 pub mod instance;
+pub mod json;
 pub mod obs;
 pub mod par;
 pub mod rng;

@@ -93,6 +93,7 @@
 use crate::log::{CommitLog, Op, Recovered};
 use crate::snapshot::{LoadedSnapshot, SnapshotError};
 use gtgd_chase::{MaintainedInstance, Tgd};
+use gtgd_data::json::escape_into;
 use gtgd_data::symbols::with_names;
 use gtgd_data::{parse_fact, GroundAtom, Instance, Value};
 use gtgd_query::{PlanCache, ValuationTable};
@@ -113,28 +114,6 @@ pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 // ---------------------------------------------------------------------------
 // Flat JSON (the workspace convention: hand-rolled, no dependencies)
 // ---------------------------------------------------------------------------
-
-/// Appends `s` to `out`, escaped for a JSON string literal.
-fn escape_into(out: &mut String, s: &str) {
-    // Most names need no escaping: copy them whole.
-    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
-        out.push_str(s);
-        return;
-    }
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 /// Appends `fields` to `out` as one flat JSON object with string values.
 fn flat_object_into(out: &mut String, fields: &[(&str, &str)]) {

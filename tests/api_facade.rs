@@ -10,7 +10,9 @@ use gtgd::chase::{
     Firing, Tgd,
 };
 use gtgd::data::{GroundAtom, Instance, Rng, Value};
-use gtgd::query::{evaluate_cq, instance_isomorphic, parse_cq, CompiledQuery, Cq, Engine};
+use gtgd::query::{
+    evaluate_cq, instance_isomorphic, parse_cq, CompiledQuery, Cq, Engine, Term, Var,
+};
 use std::collections::HashSet;
 
 const WIDTHS: [usize; 3] = [1, 2, 4];
@@ -117,7 +119,8 @@ fn engine_facade_matches_legacy_answers() {
 /// Replays a restricted run's certified firings in order over `d`: no
 /// firing's head may already hold, with its frontier as the firing bound
 /// it, in the atoms present before it (the database plus the earlier
-/// firings' products). Returns the replayed instance.
+/// firings' products: each head with the key and the nulls substituted).
+/// Returns the replayed instance.
 fn replay_restricted(d: &Instance, sigma: &[Tgd], firings: &[Firing], ctx: &str) -> Instance {
     let mut live = d.clone();
     for (i, f) in firings.iter().enumerate() {
@@ -136,8 +139,25 @@ fn replay_restricted(d: &Instance, sigma: &[Tgd], firings: &[Firing], ctx: &str)
             "{ctx}: firing {i} of rule {} was not active",
             f.tgd
         );
-        for a in &f.products {
-            live.insert(a.clone());
+        // The key binds the body variables and the nulls the existential
+        // ones, each in ascending order.
+        let valuation: Vec<(Var, Value)> = (tgd.body_vars().into_iter())
+            .zip(f.key.iter().copied())
+            .chain(
+                tgd.existential_vars()
+                    .into_iter()
+                    .zip(f.nulls.iter().copied()),
+            )
+            .collect();
+        for a in &tgd.head {
+            let image = |t: &Term| match *t {
+                Term::Const(c) => c,
+                Term::Var(v) => valuation.iter().find(|(u, _)| *u == v).unwrap().1,
+            };
+            live.insert(GroundAtom::new(
+                a.predicate,
+                a.args.iter().map(image).collect(),
+            ));
         }
     }
     live

@@ -1,6 +1,7 @@
 //! End-to-end checks of the script engine and the shipped sample scripts.
 
-use gtgd::script::{eval_script, parse_script, Mode};
+use gtgd::chase::certificates_to_json;
+use gtgd::script::{certify_script, eval_script, parse_script, Mode};
 
 #[test]
 fn shipped_hr_script_runs_open_world() {
@@ -84,4 +85,45 @@ fn multi_atom_head_script_is_answered_exactly() {
         assert!(out.exact, "{query}");
         assert_eq!(out.answers, vec!["c0", "c1", "c2", "c3"], "{query}");
     }
+}
+
+/// Renames the null labels (`"n:<id>"`) of a certificate rendering to
+/// `"n:0"`, `"n:1"`, … in order of first appearance: the labels a process
+/// mints depend on what else it chased before.
+fn canonical_nulls(json: &str) -> String {
+    let mut seen: Vec<&str> = Vec::new();
+    let mut out = String::with_capacity(json.len());
+    let mut rest = json;
+    while let Some(at) = rest.find("\"n:") {
+        let (head, tail) = rest.split_at(at + 3);
+        out.push_str(head);
+        let digits = tail
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(tail.len());
+        let label = &tail[..digits];
+        let rank = seen.iter().position(|&l| l == label).unwrap_or_else(|| {
+            seen.push(label);
+            seen.len() - 1
+        });
+        out.push_str(&rank.to_string());
+        rest = &tail[digits..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// The certificates of the shipped `hr.gtgd` render as the committed
+/// golden file, up to null labels: the firing order, each firing's
+/// valuation (body variables, then existentials) and the pruned chains.
+#[test]
+fn hr_certificates_match_the_golden_rendering() {
+    let dir = env!("CARGO_MANIFEST_DIR");
+    let src = std::fs::read_to_string(format!("{dir}/examples/scripts/hr.gtgd")).unwrap();
+    let golden = std::fs::read_to_string(format!("{dir}/tests/fixtures/hr.certify.json")).unwrap();
+    let certs = certify_script(&parse_script(&src).unwrap()).unwrap();
+    assert_eq!(certs.len(), 2);
+    assert_eq!(
+        canonical_nulls(&certificates_to_json(&certs)),
+        canonical_nulls(&golden)
+    );
 }
