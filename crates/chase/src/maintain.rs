@@ -62,7 +62,7 @@ use crate::plan::{Firing, TriggerPlan};
 use crate::runner::ChaseVariant;
 use crate::tgd::Tgd;
 use gtgd_data::idhash::IdHashSet;
-use gtgd_data::{obs, GroundAtom, Instance};
+use gtgd_data::{obs, GroundAtom, IdBits, Instance};
 use std::collections::VecDeque;
 
 /// What one maintenance operation did. Every count is exact (not a
@@ -83,60 +83,6 @@ pub struct MaintenanceReport {
     pub atoms_rederived: usize,
     /// Retract only: atoms physically removed from the instance.
     pub atoms_removed: usize,
-}
-
-/// A set of atom ids, one bit per id.
-#[derive(Debug, Clone, Default)]
-struct IdBits {
-    words: Vec<u64>,
-}
-
-impl IdBits {
-    fn contains(&self, id: usize) -> bool {
-        self.words
-            .get(id / 64)
-            .is_some_and(|w| w >> (id % 64) & 1 == 1)
-    }
-
-    fn insert(&mut self, id: usize) {
-        if self.words.len() <= id / 64 {
-            self.words.resize(id / 64 + 1, 0);
-        }
-        self.words[id / 64] |= 1 << (id % 64);
-    }
-
-    /// Clears `id`; returns whether it was set.
-    fn remove(&mut self, id: usize) -> bool {
-        let was = self.contains(id);
-        if was {
-            self.words[id / 64] &= !(1 << (id % 64));
-        }
-        was
-    }
-
-    /// The ids in the set, ascending.
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                (rest != 0).then(|| {
-                    let bit = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    w * 64 + bit
-                })
-            })
-        })
-    }
-
-    /// Moves every id through a compaction map (see [`compaction_map`]);
-    /// no id in the set may have been dropped.
-    fn renumber(&mut self, new_id: &[u32]) {
-        let old = std::mem::take(self);
-        for id in old.iter() {
-            assert_ne!(new_id[id], DROPPED, "a dropped id was still set");
-            self.insert(new_id[id] as usize);
-        }
-    }
 }
 
 /// What [`compaction_map`] sends a dropped id to.
@@ -404,10 +350,7 @@ impl MaintainedInstance {
             first.max_level.is_none() && budget.max_level.is_none(),
             "MaintainedInstance maintains a fixpoint; level-capped prefixes are not maintainable"
         );
-        let mut bits = IdBits::default();
-        for (id, _) in base.iter_ids() {
-            bits.insert(id);
-        }
+        let bits = base.iter_ids().map(|(id, _)| id).collect();
         let mut m = MaintainedInstance {
             chase: ObliviousChase::new(tgds, base, ChaseVariant::Oblivious),
             budget: first,
@@ -469,13 +412,9 @@ impl MaintainedInstance {
         let instance = &mut self.chase.instance;
         let start = instance.id_bound();
         for a in atoms {
-            match instance.id_of(&a) {
-                Some(id) => self.base.insert(id),
-                None => {
-                    self.base.insert(instance.id_bound());
-                    instance.insert(a);
-                }
-            }
+            let id = instance.id_of(&a).unwrap_or(instance.id_bound());
+            instance.insert(a);
+            self.base.insert(id);
         }
         let mut report = MaintenanceReport {
             atoms_added: instance.id_bound() - start,
@@ -551,7 +490,12 @@ impl MaintainedInstance {
         if let Some(dropped) = self.chase.instance.retract_ids(&doomed) {
             let new_id = compaction_map(bound, &dropped);
             self.deps.renumber_atoms(&new_id);
-            self.base.renumber(&new_id);
+            self.base = (self.base.iter())
+                .map(|id| {
+                    assert_ne!(new_id[id], DROPPED, "a dropped id was still set");
+                    new_id[id] as usize
+                })
+                .collect();
             for a in &mut rescued {
                 *a = new_id[*a] as usize;
             }

@@ -451,27 +451,32 @@ impl Saturator {
     /// Every guarded set of D is `dom(α)` for some atom α, and every chase
     /// derivation over `dom(D)` is local to one such bag, so each round
     /// closes the bags and adds the closures until nothing changes. A round
-    /// re-closes only the bags whose restriction grew since they were last
-    /// closed: type closures are exact, so a bag whose restriction is
-    /// unchanged has nothing more to give. Same-type bags share one
+    /// re-closes only the bags whose restriction is no longer the closure
+    /// they last got: type closures are exact, so closing a bag's own
+    /// closure again has nothing more to give. Same-type bags share one
     /// closure, decoded through each bag's own ordering.
     pub fn ground_saturation(&mut self, db: &Instance) -> Instance {
         let _span = obs::span("chase.saturation");
         let mut ground = db.clone();
-        // Restriction size of each bag when it was last closed. The instance
-        // only grows, so an equal size means the restriction is unchanged.
+        // The size of each bag's last closure. A closure holds its seed
+        // atoms and lands in `ground`, which only grows, so the bag's
+        // restriction contains it: an equal size means the restriction is
+        // that closure, and closing it again adds nothing.
         let mut closed_sizes: HashMap<Vec<Value>, usize> = HashMap::new();
         loop {
-            let mut dirty: Vec<(CanonType, Vec<Value>)> = Vec::new();
+            let mut dirty = Vec::new();
             for (consts, ids) in guarded_bags(&ground) {
-                if closed_sizes.insert(consts.clone(), ids.len()) != Some(ids.len()) {
-                    dirty.push(canonicalize(&restriction(&ground, &ids), &consts));
+                if closed_sizes.get(&consts) != Some(&ids.len()) {
+                    let key = canonicalize(&restriction(&ground, &ids), &consts);
+                    dirty.push((consts, key));
                 }
             }
             let mut added = false;
-            for (key, perm) in dirty {
+            for (consts, (key, perm)) in dirty {
                 let id = self.close_type(key);
-                for t in &self.types[id].closure {
+                let closure = &self.types[id].closure;
+                closed_sizes.insert(consts, closure.len());
+                for t in closure {
                     added |= ground.insert(decode_atom(t, &perm));
                 }
             }

@@ -89,10 +89,7 @@ pub fn guarded_unraveling(db: &Instance, start: &[Value], depth: usize) -> Insta
 /// matches within the materialized depth.
 pub fn k_unraveling(db: &Instance, anchor: &[Value], k: usize, depth: usize) -> Instance {
     // Bags: every subset of size min(k+1, n) of the non-anchor domain.
-    let non_anchor: Vec<Value> = db
-        .dom()
-        .iter()
-        .copied()
+    let non_anchor: Vec<Value> = (db.dom().into_iter())
         .filter(|v| !anchor.contains(v))
         .collect();
     let bag_size = (k + 1).min(non_anchor.len());

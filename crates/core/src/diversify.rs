@@ -22,7 +22,7 @@ impl Diversification {
     pub fn trivial(d0: &Instance) -> Diversification {
         Diversification {
             instance: d0.clone(),
-            up: d0.dom().iter().map(|&v| (v, v)).collect(),
+            up: d0.dom().into_iter().map(|v| (v, v)).collect(),
         }
     }
 

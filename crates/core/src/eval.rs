@@ -66,9 +66,10 @@ fn materialize(q: &Omq, db: &Instance, cfg: &EvalConfig) -> (Instance, Ucq, bool
 /// Only tuples over `dom(D)` qualify as answers.
 pub fn evaluate_omq(q: &Omq, db: &Instance, cfg: &EvalConfig) -> OmqAnswers {
     let (instance, query, exact) = materialize(q, db, cfg);
+    let dom: HashSet<Value> = db.dom().into_iter().collect();
     let answers = evaluate_ucq(&query, &instance)
         .into_iter()
-        .filter(|t| t.iter().all(|v| db.dom_contains(*v)))
+        .filter(|t| t.iter().all(|v| dom.contains(v)))
         .collect();
     OmqAnswers { answers, exact }
 }

@@ -128,7 +128,7 @@ pub fn build_grohe_database(
     for ((_, _, _, _, z), &val) in &elements {
         h0.insert(val, *z);
     }
-    for &z in d_prime.dom() {
+    for z in d_prime.dom() {
         if !a.contains(&z) {
             h0.insert(z, z);
         }

@@ -93,10 +93,7 @@ pub fn clique_to_omq_instance(
     let d0 = tangled_grid_db(rows, cols);
     // The grid constants must survive diversification untouched (they are
     // the A-part); everything else may untangle.
-    let protect: Vec<Value> = d0
-        .dom()
-        .iter()
-        .copied()
+    let protect: Vec<Value> = (d0.dom().into_iter())
         .filter(|v| v.is_named() && !matches!(*v, v2 if v2 == Value::named("b")))
         .collect();
     let d1 = diversify_maximally(&d0, &protect, |cand| {

@@ -1,6 +1,6 @@
 //! Dense-dictionary columnar storage: order-preserving `Value → u32`
-//! codes, per-relation encoded code columns, and flat sorted trie
-//! levels for the worst-case-optimal join executor.
+//! codes, per-relation encoded code columns, and sorted CSR tries for the
+//! worst-case-optimal join executor.
 //!
 //! This is the only key representation the WCOJ executor runs on: it
 //! recompresses relations so the executor gallops over plain `&[u32]`
@@ -12,9 +12,12 @@
 //!   `a < b`), so comparing codes *is* comparing values — leapfrog
 //!   intersections across atoms stay valid without ever decoding.
 //! * [`DenseTrie`] — per `(predicate, arity, column order)`, the sorted
-//!   row permutation together with **materialized per-level key arrays**:
-//!   `level(l)[i]` is the code of the `i`-th sorted row at trie level `l`.
-//!   Seeks touch one cache-linear `u32` array, no permutation chasing.
+//!   row permutation and the trie in CSR form: per level, the **distinct**
+//!   keys of each parent entry, and per non-leaf level the offsets of each
+//!   entry's children. Seeks gallop over one cache-linear,
+//!   duplicate-free `u32` run, no permutation chasing. The trie is the
+//!   only copy of its codes: a relation's rows are distinct tuples, so
+//!   its rows are exactly the root-to-leaf paths.
 //! * [`DenseStore`] — the epoch-consistent owner: encoded tables, tries,
 //!   and the dictionary evolve together under one lock; readers take
 //!   `Arc` snapshots that stay mutually consistent even while the store
@@ -108,22 +111,18 @@ impl Dict {
 }
 
 /// One predicate's tuples under one column order, dense-encoded: the
-/// lexicographically sorted row permutation plus flat per-level key
-/// arrays. This is what a dense trie cursor walks.
+/// lexicographically sorted row permutation plus the CSR trie a dense
+/// trie cursor walks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DenseTrie {
     /// Row ids sorted lex by the encoded key tuple, ties by row id —
     /// codes are order-preserving, so this is also the rows' value order.
     perm: Vec<u32>,
-    /// `levels[l][i]`: the code at trie level `l` of the `i`-th sorted
-    /// row. One flat array per level; `levels.len()` is the arity.
-    levels: Vec<Vec<u32>>,
     rows: usize,
-    /// CSR trie derived from `levels`: `entries[l]` holds each level's
-    /// **distinct** keys (within their parent group), concatenated in
-    /// parent order. A trie cursor walks these instead of the
-    /// row-duplicated `levels`: `next` is `pos + 1`, a key group is one
-    /// entry, and seeks gallop over short duplicate-free `u32` runs.
+    /// `entries[l]` holds level `l`'s **distinct** keys (within their
+    /// parent group), concatenated in parent order: `next` is `pos + 1`,
+    /// a key group is one entry, and seeks gallop over short
+    /// duplicate-free `u32` runs. `entries.len()` is the arity.
     entries: Vec<Vec<u32>>,
     /// `child[l][e] .. child[l][e + 1]`: the entry range at level `l + 1`
     /// below entry `e` of level `l` (one offsets array per non-leaf
@@ -135,12 +134,6 @@ impl DenseTrie {
     /// Number of rows covered.
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// The sorted key codes of trie level `l` (aligned with [`DenseTrie::perm`]).
-    #[inline]
-    pub fn level(&self, l: usize) -> &[u32] {
-        &self.levels[l]
     }
 
     /// The sorted row ids (row `perm()[i]` of the relation is the `i`-th
@@ -171,26 +164,29 @@ impl DenseTrie {
         &self.child[l]
     }
 
-    /// Builds the CSR arrays from freshly (re)computed flat levels.
-    fn build_csr(levels: &[Vec<u32>], rows: usize) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
-        let depth = levels.len();
+    /// Builds the CSR arrays of the rows `perm` of `cols` (sorted under
+    /// `order`): level `l`'s key of the `i`-th sorted row is
+    /// `cols[order[l]][perm[i]]`.
+    fn build_csr(cols: &[Vec<u32>], order: &[u16], perm: &[u32]) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+        let depth = order.len();
+        let key = |l: usize, i: usize| cols[order[l] as usize][perm[i] as usize];
         let mut entries: Vec<Vec<u32>> = vec![Vec::new(); depth];
         let mut child: Vec<Vec<u32>> = vec![Vec::new(); depth.saturating_sub(1)];
-        for i in 0..rows {
+        for i in 0..perm.len() {
             // The first level where row i diverges from row i-1 starts a
             // fresh entry there and at every level below.
             let fd = if i == 0 {
                 0
             } else {
                 (0..depth)
-                    .find(|&l| levels[l][i] != levels[l][i - 1])
+                    .find(|&l| key(l, i) != key(l, i - 1))
                     .unwrap_or(depth)
             };
             for l in fd..depth {
                 if l + 1 < depth {
                     child[l].push(entries[l + 1].len() as u32);
                 }
-                entries[l].push(levels[l][i]);
+                entries[l].push(key(l, i));
             }
         }
         for (l, c) in child.iter_mut().enumerate() {
@@ -245,7 +241,7 @@ struct Inner {
     tries: HashMap<TrieKey, Arc<DenseTrie>>,
     /// What snapshots hand out for each key: usually the key's own trie,
     /// but when two column orders of one predicate produce **identical**
-    /// level arrays (symmetric relations are the canonical case: `E`
+    /// CSR arrays (symmetric relations are the canonical case: `E`
     /// sorted `(src, dst)` equals `E` sorted `(dst, src)`), both keys
     /// share one `Arc` — the executor then recognizes duplicate cursors
     /// by pointer and drops redundant leapfrog participants. `perm` may
@@ -510,11 +506,6 @@ impl DenseStore {
             // The remap is monotone, so the sort order, the permutation,
             // and the CSR grouping all survive; only stored keys shift.
             let trie = Arc::make_mut(trie);
-            for level in &mut trie.levels {
-                for c in level.iter_mut() {
-                    *c = old_to_new[*c as usize];
-                }
-            }
             for level in &mut trie.entries {
                 for c in level.iter_mut() {
                     *c = old_to_new[*c as usize];
@@ -586,20 +577,12 @@ impl DenseStore {
                 all
             }
         };
-        let levels: Vec<Vec<u32>> = order
-            .iter()
-            .map(|&j| {
-                let col = &table.cols[j as usize];
-                perm.iter().map(|&r| col[r as usize]).collect()
-            })
-            .collect();
-        let (entries, child) = DenseTrie::build_csr(&levels, rows);
+        let (entries, child) = DenseTrie::build_csr(&table.cols, order, &perm);
         if let Some(t0) = timer {
             obs::observe(obs::Hist::IndexBuildNs, t0.elapsed().as_nanos() as u64);
         }
         let arc = Arc::new(DenseTrie {
             perm,
-            levels,
             rows,
             entries,
             child,
@@ -608,8 +591,10 @@ impl DenseStore {
         // holds the *identical* sorted key sequence (symmetric relations —
         // a graph's `E` stored both ways), snapshots hand out the sibling's
         // `Arc` so the executor can drop duplicate leapfrog participants by
-        // pointer identity. `perm` may differ across the alias, so `tries`
-        // still keeps the key's own trie for delta extension.
+        // pointer identity. The rows are distinct tuples, so equal CSR
+        // arrays mean equal sorted key sequences. `perm` may differ across
+        // the alias, so `tries` still keeps the key's own trie for delta
+        // extension.
         let shared = inner
             .tries
             .iter()
@@ -618,7 +603,7 @@ impl DenseStore {
                     && k2.1 == arity
                     && k2.2 != key.2
                     && t2.rows == rows
-                    && t2.levels == arc.levels
+                    && (&t2.entries, &t2.child) == (&arc.entries, &arc.child)
             })
             .map(|(k2, _)| Arc::clone(&inner.canon[k2]));
         inner
@@ -629,7 +614,7 @@ impl DenseStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn v(s: &str) -> Value {
@@ -678,13 +663,31 @@ mod tests {
         out
     }
 
-    fn decoded_rows(dict: &Dict, trie: &DenseTrie) -> Vec<Vec<Value>> {
-        (0..trie.rows())
-            .map(|i| {
-                (0..trie.levels.len())
-                    .map(|l| dict.decode(trie.level(l)[i]))
-                    .collect()
+    /// The trie's rows in sorted order, as codes: one per leaf entry,
+    /// read upwards through the child offsets (each non-leaf entry has a
+    /// child, so the offsets ascend strictly).
+    pub(crate) fn trie_codes(trie: &DenseTrie) -> Vec<Vec<u32>> {
+        let depth = trie.entries.len();
+        let Some(leaves) = trie.entries.last() else {
+            return vec![Vec::new(); trie.rows];
+        };
+        (0..leaves.len())
+            .map(|mut e| {
+                let mut row = vec![0; depth];
+                for l in (0..depth).rev() {
+                    row[l] = trie.entries[l][e];
+                    if l > 0 {
+                        e = trie.child[l - 1].partition_point(|&o| o as usize <= e) - 1;
+                    }
+                }
+                row
             })
+            .collect()
+    }
+
+    pub(crate) fn decoded_rows(dict: &Dict, trie: &DenseTrie) -> Vec<Vec<Value>> {
+        let rows = trie_codes(trie).into_iter();
+        rows.map(|r| r.into_iter().map(|c| dict.decode(c)).collect())
             .collect()
     }
 

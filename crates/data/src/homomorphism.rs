@@ -16,7 +16,7 @@ pub type Valuation = HashMap<Value, Value>;
 /// Checks that `h` is a homomorphism from `from` to `to`: it must be defined
 /// on all of `dom(from)` and preserve every atom.
 pub fn is_homomorphism(h: &Valuation, from: &Instance, to: &Instance) -> bool {
-    for &v in from.dom() {
+    for v in from.dom() {
         if !h.contains_key(&v) {
             return false;
         }
@@ -35,7 +35,7 @@ pub fn compose(g: &Valuation, h: &Valuation) -> Valuation {
 
 /// The identity valuation on the domain of `i`.
 pub fn identity_on(i: &Instance) -> Valuation {
-    i.dom().iter().map(|&v| (v, v)).collect()
+    i.dom().into_iter().map(|v| (v, v)).collect()
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use crate::atom::GroundAtom;
 use crate::dense::{DenseStats, DenseStore, DenseTrie, Dict, RelationIds};
-use crate::idhash::IdHashMap;
+use crate::idhash::{IdHashMap, IdHashSet};
 use crate::schema::{Predicate, Schema};
 use crate::value::Value;
 use gtgd_treewidth::Graph;
@@ -23,7 +23,9 @@ const EMPTY_IDS: &[usize] = &[];
 /// Maintains secondary indexes by predicate and by `(predicate, position,
 /// value)` so homomorphism search and chase trigger matching get selective
 /// candidate lists. Insertion order is preserved and deduplicated, so
-/// iteration is deterministic.
+/// iteration is deterministic. Nothing else is maintained: `dom(I)`, which
+/// only the paper's constructions read, is computed when asked
+/// ([`Instance::dom`]).
 ///
 /// **Atom ids are stable.** An atom's id is its slot in insertion order;
 /// retraction leaves a tombstone in the slot instead of moving the
@@ -36,14 +38,15 @@ pub struct Instance {
     /// The atom slots, by id. A tombstoned slot keeps an emptied atom
     /// until the next compaction.
     atoms: Vec<GroundAtom>,
-    /// Which slots of `atoms` are retracted.
-    dead: Tombstones,
+    /// Which slots of `atoms` are retracted. Only a compaction clears a
+    /// bit, so [`IdBits::last`] is O(1) here.
+    dead: IdBits,
     /// Row-level hash indexes (dedup map, per-predicate and per-position
-    /// candidate lists, domain), built lazily from `atoms` on first
-    /// demand. Bulk construction ([`Instance::from_unique_atoms`] — the
-    /// snapshot load path) skips them entirely; the first lookup or
-    /// mutation pays one linear build. Interior mutability like `dense`
-    /// below: reads go through `&Instance`.
+    /// candidate lists), built lazily from `atoms` on first demand. Bulk
+    /// construction ([`Instance::from_unique_atoms`] — the snapshot load
+    /// path) skips them entirely; the first lookup or mutation pays one
+    /// linear build. Interior mutability like `dense` below: reads go
+    /// through `&Instance`.
     rows: OnceLock<RowIndexes>,
     /// Dense-dictionary encoded relations plus sorted CSR tries — the
     /// storage the worst-case-optimal join path scans (see
@@ -54,49 +57,89 @@ pub struct Instance {
     dense: DenseStore,
 }
 
-/// The tombstone bitmap of an [`Instance`]: one bit per atom slot, set
-/// once the slot's atom is retracted. Empty while no slot is dead.
+/// A set of ids (atom ids, say), one bit per id: an instance's
+/// tombstones, a maintained instance's base facts.
 #[derive(Debug, Clone, Default)]
-struct Tombstones {
-    bits: Vec<u64>,
+pub struct IdBits {
+    words: Vec<u64>,
     /// How many bits are set.
     count: usize,
-    /// The highest dead id (0 while `count` is 0).
-    max: usize,
 }
 
-impl Tombstones {
-    fn contains(&self, id: usize) -> bool {
-        self.bits
+impl IdBits {
+    /// The set whose bit `k` of word `w` stands for id `64 * w + k`.
+    pub fn from_words(words: Vec<u64>) -> IdBits {
+        let count = words.iter().map(|w| w.count_ones() as usize).sum();
+        IdBits { words, count }
+    }
+
+    /// Whether `id` is in the set.
+    pub fn contains(&self, id: usize) -> bool {
+        self.words
             .get(id / 64)
             .is_some_and(|w| w >> (id % 64) & 1 == 1)
     }
 
-    fn insert(&mut self, id: usize) {
-        if self.bits.len() <= id / 64 {
-            self.bits.resize(id / 64 + 1, 0);
+    /// Adds `id`; returns whether it was new.
+    pub fn insert(&mut self, id: usize) -> bool {
+        if self.words.len() <= id / 64 {
+            self.words.resize(id / 64 + 1, 0);
         }
-        self.bits[id / 64] |= 1 << (id % 64);
-        self.max = self.max.max(id);
-        self.count += 1;
+        let new = !self.contains(id);
+        self.words[id / 64] |= 1 << (id % 64);
+        self.count += usize::from(new);
+        new
     }
 
-    /// Whether some slot at or past `from` is dead.
-    fn any_since(&self, from: usize) -> bool {
-        self.count > 0 && self.max >= from
+    /// Clears `id`; returns whether it was set.
+    pub fn remove(&mut self, id: usize) -> bool {
+        let was = self.contains(id);
+        if was {
+            self.words[id / 64] &= !(1 << (id % 64));
+            self.count -= 1;
+        }
+        was
     }
 
-    /// The dead ids, ascending.
-    fn ids(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.count);
-        for (w, &word) in self.bits.iter().enumerate() {
+    /// How many ids are in the set.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The largest id in the set. Its cost is the number of empty words
+    /// past it, so it is O(1) for a set no id was removed from.
+    pub fn last(&self) -> Option<usize> {
+        let w = self.words.iter().rposition(|&w| w != 0)?;
+        Some(w * 64 + 63 - self.words[w].leading_zeros() as usize)
+    }
+
+    /// The ids in the set, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
             let mut rest = word;
-            while rest != 0 {
-                out.push(w * 64 + rest.trailing_zeros() as usize);
-                rest &= rest - 1;
-            }
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+}
+
+impl FromIterator<usize> for IdBits {
+    fn from_iter<T: IntoIterator<Item = usize>>(ids: T) -> IdBits {
+        let mut bits = IdBits::default();
+        for id in ids {
+            bits.insert(id);
         }
-        out
+        bits
     }
 }
 
@@ -104,7 +147,7 @@ impl Tombstones {
 #[derive(Clone)]
 struct LiveIds<'a> {
     slots: std::iter::Enumerate<std::slice::Iter<'a, GroundAtom>>,
-    dead: &'a Tombstones,
+    dead: &'a IdBits,
 }
 
 impl<'a> Iterator for LiveIds<'a> {
@@ -145,11 +188,11 @@ impl<'a> Iterator for Live<'a> {
     }
 }
 
-/// The row-level hash indexes of an [`Instance`]: the dedup map, the
-/// per-relation and per-`(predicate, position, value)` candidate lists,
-/// and the first-occurrence domain. Kept together so they can be built
-/// lazily in one pass over the atom vector. Every candidate list is
-/// sorted ascending, never empty, and holds live ids only.
+/// The row-level hash indexes of an [`Instance`]: the dedup map and the
+/// per-relation and per-`(predicate, position, value)` candidate lists.
+/// Kept together so they can be built lazily in one pass over the atom
+/// vector. Every candidate list is sorted ascending, never empty, and
+/// holds live ids only.
 #[derive(Debug, Clone, Default)]
 struct RowIndexes {
     index_of: IdHashMap<GroundAtom, usize>,
@@ -158,12 +201,6 @@ struct RowIndexes {
     /// relation is `atoms[by_pred[rel][r]]`.
     by_pred: RelationIds,
     by_pred_pos_val: IdHashMap<(Predicate, u16, Value), Vec<usize>>,
-    dom: Vec<Value>,
-    /// The row id of each `dom` value's first occurrence. `dom` is sorted
-    /// by (this id, the value's first position in that atom), which is
-    /// what lets retraction re-place only the values whose first
-    /// occurrence leaves, each by binary search.
-    dom_first: IdHashMap<Value, usize>,
 }
 
 impl RowIndexes {
@@ -177,10 +214,6 @@ impl RowIndexes {
                 .entry((atom.predicate, pos, v))
                 .or_default()
                 .push(idx);
-            if let Entry::Vacant(e) = self.dom_first.entry(v) {
-                e.insert(idx);
-                self.dom.push(v);
-            }
         }
         self.index_of.insert(atom.clone(), idx);
     }
@@ -200,52 +233,6 @@ impl RowIndexes {
             r.note(a, idx);
         }
         r
-    }
-
-    /// The key `dom` is sorted by: `v`'s first-occurrence id and its first
-    /// position in that atom.
-    fn dom_key(&self, atoms: &[GroundAtom], v: Value) -> (usize, usize) {
-        let id = self.dom_first[&v];
-        let pos = atoms[id].args.iter().position(|&x| x == v);
-        (id, pos.expect("first occurrence mentions the value"))
-    }
-
-    /// The smallest live id mentioning `v`: the least first entry among
-    /// `v`'s `(predicate, position, v)` lists, probed once per relation
-    /// and position.
-    fn first_occurrence(&self, v: Value) -> Option<usize> {
-        let mut first = None;
-        for &(p, arity) in self.by_pred.keys() {
-            for pos in 0..arity {
-                if let Some(ids) = self.by_pred_pos_val.get(&(p, pos, v)) {
-                    first = Some(first.map_or(ids[0], |f: usize| f.min(ids[0])));
-                }
-            }
-        }
-        first
-    }
-
-    /// Re-places `v` in `dom` after its first occurrence, the dead atom
-    /// `id` (where `v` first sits at `pos`), was unlinked from every
-    /// candidate list: at its next occurrence, which lies after `id`, or
-    /// out of `dom` if no live atom mentions it. The old slot is found by
-    /// binary search; only the values between the old and the new slot
-    /// shift.
-    fn replace_first(&mut self, atoms: &[GroundAtom], v: Value, id: usize, pos: usize) {
-        let from = self
-            .dom
-            .partition_point(|&u| self.dom_key(atoms, u) < (id, pos));
-        debug_assert_eq!(self.dom[from], v, "dom is sorted by first occurrence");
-        let Some(next) = self.first_occurrence(v) else {
-            self.dom_first.remove(&v);
-            self.dom.remove(from);
-            return;
-        };
-        let key = (next, atoms[next].args.iter().position(|&x| x == v).unwrap());
-        let after = &self.dom[from + 1..];
-        let to = from + 1 + after.partition_point(|&u| self.dom_key(atoms, u) < key);
-        self.dom[from..to].rotate_left(1);
-        self.dom_first.insert(v, next);
     }
 }
 
@@ -422,83 +409,50 @@ impl Instance {
     /// Retraction **keeps every survivor's id**. Each dead atom loses its
     /// dedup key, its slot becomes a tombstone, and its id is unlinked by
     /// binary search from its own relation list and its own
-    /// `(predicate, position, value)` lists; no other list is touched.
-    /// `dom()` keeps first-occurrence order over the survivors: a value
-    /// whose first occurrence dies is found in `dom()` by binary search
-    /// on the (first id, position) order and moves to its next
-    /// occurrence — the least first entry among its `(predicate,
-    /// position, value)` lists, one probe per relation and position — or
-    /// leaves `dom()` if no survivor mentions it. So the cost is
-    /// O(dead atoms × arity) list edits plus O(moved values × relations)
-    /// probes, never a pass over the instance or over `dom()`; list and
-    /// `dom()` edits are `memmove`s of the entries past the edit point.
+    /// `(predicate, position, value)` lists; no other list is touched. So
+    /// the cost is O(dead atoms × arity) list edits, each a `memmove` of
+    /// the entries past the edit point, never a pass over the instance.
     /// The lazy dense mirror drops only the touched `(predicate, arity)`
     /// relations while keeping the dictionary.
     ///
     /// Once tombstones outnumber live atoms, the call ends with a
     /// **compaction**, the only point that renumbers: live ids close up
-    /// in order, every candidate list, the dedup map and the
-    /// first-occurrence map are renumbered in place (no index is rebuilt
-    /// or re-hashed), and the slots shrink to the live atoms. A
-    /// compaction at least halves the slots, so its cost is amortized over
-    /// the retractions that made the tombstones, and
-    /// [`Instance::id_bound`] stays within twice [`Instance::len`] after
-    /// every retraction. Either way every accessor reads, through
+    /// in order, every candidate list and the dedup map are renumbered in
+    /// place (no index is rebuilt or re-hashed), and the slots shrink to
+    /// the live atoms. A compaction at least halves the slots, so its
+    /// cost is amortized over the retractions that made the tombstones,
+    /// and [`Instance::id_bound`] stays within twice [`Instance::len`]
+    /// after every retraction. Either way every accessor reads, through
     /// [`Instance::atom`], exactly as on `Instance::from_atoms(survivors)`;
     /// right after a compaction the ids are equal too.
     pub fn retract_ids(&mut self, ids: &[usize]) -> Option<Vec<usize>> {
-        self.rows_mut();
-        let Instance { atoms, rows, .. } = self;
-        let rows = rows.get_mut().expect("row indexes just built");
-        for &id in ids {
-            let removed = rows.index_of.remove(&atoms[id]);
-            assert_eq!(removed, Some(id), "retract_ids takes distinct live ids");
-        }
-        self.unlink_dead(ids)
-    }
-
-    /// Tombstones the dead ids, whose dedup keys are already gone, and
-    /// unlinks them from the other row indexes; compacts once tombstones
-    /// outnumber live atoms, returning the dropped ids.
-    fn unlink_dead(&mut self, dead: &[usize]) -> Option<Vec<usize>> {
-        if dead.is_empty() {
+        if ids.is_empty() {
             return None;
         }
+        self.rows_mut();
         let Instance {
             atoms: slots,
             dead: tombstones,
             rows,
             dense,
         } = self;
-        let rows = rows.get_mut().expect("row indexes built above");
+        let rows = rows.get_mut().expect("row indexes just built");
         // Relations that lose rows: their dense tables must be dropped.
         let mut touched: HashSet<(Predicate, u16)> = HashSet::new();
-        for &id in dead {
+        for &id in ids {
+            let removed = rows.index_of.remove(&slots[id]);
+            assert_eq!(removed, Some(id), "retract_ids takes distinct live ids");
             tombstones.insert(id);
-            let a = &slots[id];
-            let rel = relation(a);
+            let rel = relation(&slots[id]);
             touched.insert(rel);
             unlink(&mut rows.by_pred, rel, id);
-            for (pos, &v) in a.args.iter().enumerate() {
+            for (pos, v) in std::mem::take(&mut slots[id].args).into_iter().enumerate() {
                 let pos = u16::try_from(pos).expect("arity fits u16");
-                unlink(&mut rows.by_pred_pos_val, (a.predicate, pos, v), id);
+                unlink(&mut rows.by_pred_pos_val, (rel.0, pos, v), id);
             }
-        }
-        // dom(): re-place each value whose first occurrence died. The dead
-        // atoms keep their arguments until every value is placed, so the
-        // sort key of a value not yet re-placed stays readable.
-        for &id in dead {
-            for (pos, &v) in slots[id].args.iter().enumerate() {
-                if rows.dom_first.get(&v) == Some(&id) && !slots[id].args[..pos].contains(&v) {
-                    rows.replace_first(slots, v, id, pos);
-                }
-            }
-        }
-        for &id in dead {
-            slots[id].args = Vec::new();
         }
         dense.invalidate_relations(&touched);
-        (tombstones.count > slots.len() - tombstones.count).then(|| self.compact())
+        (tombstones.len() > slots.len() - tombstones.len()).then(|| self.compact())
     }
 
     /// Drops every tombstone and closes up the live ids in order,
@@ -507,12 +461,9 @@ impl Instance {
     /// dense mirror needs no upkeep: it reads rows through the relation
     /// lists, whose order is unchanged.
     fn compact(&mut self) -> Vec<usize> {
-        let dead = self.dead.ids();
+        let dead: Vec<usize> = std::mem::take(&mut self.dead).iter().collect();
         let rows = self.rows.get_mut().expect("tombstones imply built rows");
         for id in rows.index_of.values_mut() {
-            *id = renumbered(*id, &dead);
-        }
-        for id in rows.dom_first.values_mut() {
             *id = renumbered(*id, &dead);
         }
         for ids in rows.by_pred.values_mut() {
@@ -522,7 +473,6 @@ impl Instance {
             renumber_list(ids, &dead);
         }
         remove_sorted(&mut self.atoms, &dead);
-        self.dead = Tombstones::default();
         dead
     }
 
@@ -548,7 +498,7 @@ impl Instance {
 
     /// Number of (live) atoms.
     pub fn len(&self) -> usize {
-        self.atoms.len() - self.dead.count
+        self.atoms.len() - self.dead.len()
     }
 
     /// One past the largest id an atom has had since the last compaction:
@@ -565,7 +515,7 @@ impl Instance {
 
     /// Iterates over atoms in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &GroundAtom> {
-        if self.dead.count == 0 {
+        if self.dead.is_empty() {
             Live::Plain(self.atoms.iter())
         } else {
             Live::Sparse(self.live_ids())
@@ -588,7 +538,7 @@ impl Instance {
     /// unless a tombstone lies in that range.
     pub fn tail(&self, from: usize) -> Cow<'_, [GroundAtom]> {
         let slots = &self.atoms[from.min(self.atoms.len())..];
-        if !self.dead.any_since(from) {
+        if self.dead.last().is_none_or(|last| last < from) {
             return Cow::Borrowed(slots);
         }
         Cow::Owned(
@@ -599,14 +549,22 @@ impl Instance {
         )
     }
 
-    /// `dom(I)`: distinct constants in first-occurrence order.
-    pub fn dom(&self) -> &[Value] {
-        &self.rows().dom
+    /// `dom(I)`: the distinct values of the live atoms in first-occurrence
+    /// order (by atom id, then position), computed by one pass over the
+    /// atoms. Only the paper's constructions read it, so nothing keeps it.
+    pub fn dom(&self) -> Vec<Value> {
+        let mut seen = IdHashSet::default();
+        let values = self.iter().flat_map(|a| a.args.iter().copied());
+        values.filter(|&v| seen.insert(v)).collect()
     }
 
-    /// Whether `v ∈ dom(I)`.
+    /// Whether `v ∈ dom(I)`: one probe of the `(predicate, position, v)`
+    /// lists per relation and position.
     pub fn dom_contains(&self, v: Value) -> bool {
-        self.rows().dom_first.contains_key(&v)
+        let rows = self.rows();
+        (rows.by_pred.keys()).any(|&(p, arity)| {
+            (0..arity).any(|pos| rows.by_pred_pos_val.contains_key(&(p, pos, v)))
+        })
     }
 
     /// Indexes of atoms with predicate `p` at `arity`, in insertion
@@ -758,7 +716,7 @@ impl Instance {
     /// edges join constants co-occurring in an atom. Returns the graph and
     /// the vertex-id → value mapping.
     pub fn gaifman(&self) -> (Graph, Vec<Value>) {
-        let dom = &self.rows().dom;
+        let dom = self.dom();
         let mut id_of: HashMap<Value, usize> = HashMap::new();
         for (i, &v) in dom.iter().enumerate() {
             id_of.insert(v, i);
@@ -772,7 +730,7 @@ impl Instance {
                 }
             }
         }
-        (g, dom.clone())
+        (g, dom)
     }
 
     /// A constant is *isolated* if exactly one atom mentions it
@@ -812,6 +770,7 @@ impl std::fmt::Display for Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::tests::decoded_rows;
 
     fn v(s: &str) -> Value {
         Value::named(s)
@@ -826,6 +785,21 @@ mod tests {
         ids.dedup();
         i.retract_ids(&ids);
         ids.len()
+    }
+
+    #[test]
+    fn id_bits_count_members_and_find_the_last() {
+        let mut bits: IdBits = [3, 64, 200].into_iter().collect();
+        assert!(!bits.insert(64), "already present");
+        assert_eq!((bits.len(), bits.last()), (3, Some(200)));
+        assert!(bits.remove(200) && !bits.remove(200));
+        // The last word is empty now; `last` looks past it.
+        assert_eq!((bits.len(), bits.last()), (2, Some(64)));
+        assert!(bits.iter().eq([3, 64]));
+        let words = IdBits::from_words(vec![0b1001, 0, 1]);
+        assert_eq!(words.len(), 3);
+        assert!(words.iter().eq([0, 3, 128]));
+        assert!(IdBits::default().last().is_none());
     }
 
     #[test]
@@ -1142,15 +1116,10 @@ mod tests {
         let (dict, tries) = i.dense_snapshot(&reqs);
         let fresh = Instance::from_atoms(i.iter().cloned());
         let (fdict, ftries) = fresh.dense_snapshot(&reqs);
-        let decode = |d: &Dict, t: &DenseTrie, arity: usize| -> Vec<Vec<Value>> {
-            (0..t.rows())
-                .map(|r| (0..arity).map(|l| d.decode(t.level(l)[r])).collect())
-                .collect()
-        };
-        for (k, arity) in [(0, 2), (1, 1)] {
+        for k in 0..2 {
             assert_eq!(
-                decode(&dict, tries[k].as_ref().unwrap(), arity),
-                decode(&fdict, ftries[k].as_ref().unwrap(), arity)
+                decoded_rows(&dict, tries[k].as_ref().unwrap()),
+                decoded_rows(&fdict, ftries[k].as_ref().unwrap())
             );
         }
         // Untouched relation P kept its trie through the invalidation; the

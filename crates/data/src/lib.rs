@@ -43,7 +43,7 @@ pub mod value;
 pub use atom::GroundAtom;
 pub use dense::{DenseStats, DenseTrie, Dict};
 pub use homomorphism::{is_homomorphism, Valuation};
-pub use instance::Instance;
+pub use instance::{IdBits, Instance};
 pub use obs::RunReport;
 pub use par::{default_workers, Pool};
 pub use rng::Rng;

@@ -348,7 +348,7 @@ mod tests {
             GroundAtom::named(p, &args.iter().map(String::as_str).collect::<Vec<_>>())
         }));
         let q = parse_cq("Q(X) :- H(X,Y), V(Y,Z)").unwrap();
-        for v in d.dom().to_vec() {
+        for v in d.dom() {
             assert_eq!(
                 check_answer_yannakakis(&q, &d, &[v]),
                 Some(check_answer(&q, &d, &[v]))

@@ -372,7 +372,7 @@ mod tests {
         // Compare DP and backtracking across all candidate answers.
         let db = grid_db(3, 3);
         let q = parse_cq("Q(X,Y) :- H(X,Z), V(Z,W), H(W,Y)").unwrap();
-        let dom: Vec<Value> = db.dom().to_vec();
+        let dom = db.dom();
         for &a in &dom {
             for &b in &dom {
                 assert_eq!(

@@ -517,42 +517,13 @@ fn seek_entries(keys: &[u32], lo: usize, hi: usize, v: u32, steps: &mut u64) -> 
     lo + l
 }
 
-/// Intersects two strictly ascending slices into `out` (cleared first):
-/// two-pointer merge when the sizes are comparable, per-element binary
-/// probes into the larger side when they are skewed.
+/// Intersects two strictly ascending slices into `out` (cleared first).
 fn intersect_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.clear();
-    let (a, b) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if a.is_empty() {
-        return;
-    }
-    if b.len() / 8 > a.len() {
-        let mut lo = 0usize;
-        for &x in a {
-            lo += b[lo..].partition_point(|&y| y < x);
-            if lo == b.len() {
-                return;
-            }
-            if b[lo] == x {
-                out.push(x);
-                lo += 1;
-            }
-        }
-        return;
-    }
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i], b[j]);
-        match x.cmp(&y) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(x);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
+    let _ = intersect_stream(a, b, |x| {
+        out.push(x);
+        ControlFlow::Continue(())
+    });
 }
 
 /// Streams the intersection of two strictly ascending slices to `f` in
@@ -1110,7 +1081,6 @@ impl<'a> WcojRun<'a> {
                     if buf.is_empty() {
                         break;
                     }
-                    tmp.clear();
                     intersect_into(buf, sx, tmp);
                     std::mem::swap(buf, tmp);
                 }

@@ -59,7 +59,7 @@ use crate::bytes::{fnv1a64x8, Reader, Writer};
 use crate::log::{self, log_path, suffixed};
 use gtgd_chase::{ChaseBudget, MaintainedInstance, Tgd};
 use gtgd_data::symbols::with_names;
-use gtgd_data::{GroundAtom, Instance, Predicate, Symbol, Value};
+use gtgd_data::{GroundAtom, IdBits, Instance, Predicate, Symbol, Value};
 use gtgd_query::{QAtom, Term, Var};
 use std::fmt;
 use std::fs::File;
@@ -166,7 +166,7 @@ pub struct LoadedSnapshot {
     /// The chased fixpoint, atoms in persisted insertion order.
     instance: Instance,
     /// The base bits over the atoms of `instance`, by id.
-    base: Vec<u64>,
+    base: IdBits,
     /// Whether the persisted chase ran to completion.
     complete: bool,
     /// Persisted chase budget cap.
@@ -197,12 +197,9 @@ impl LoadedSnapshot {
     /// atom listed twice fails closed: section 4 is trusted to be
     /// duplicate-free only for queries, never for a chase.
     fn base_instance(&self) -> Result<Instance, SnapshotError> {
-        let ids = (self.base.iter().enumerate()).flat_map(|(w, &word)| {
-            (0..64)
-                .filter(move |bit| word >> bit & 1 == 1)
-                .map(move |bit| w * 64 + bit)
-        });
-        let atoms: Vec<GroundAtom> = ids.map(|id| self.instance.atom(id).clone()).collect();
+        let atoms: Vec<GroundAtom> = (self.base.iter())
+            .map(|id| self.instance.atom(id).clone())
+            .collect();
         let (listed, mut base) = (atoms.len(), Instance::new());
         if base.insert_batch(atoms) != listed {
             return Err(mal("a base fact is listed twice".to_owned()));
@@ -649,7 +646,7 @@ fn skip_firings(r: &mut Reader<'_>, syms: &[Symbol]) -> Result<(), String> {
 
 /// Reads the base bits of a version-3 file over `natoms` atoms: one
 /// `u64` word per 64 atoms, no bit set past the last atom.
-fn get_base_bits(r: &mut Reader<'_>, natoms: usize) -> Result<Vec<u64>, String> {
+fn get_base_bits(r: &mut Reader<'_>, natoms: usize) -> Result<IdBits, String> {
     let words = (0..natoms.div_ceil(64))
         .map(|_| r.u64())
         .collect::<Result<Vec<u64>, String>>()?;
@@ -658,7 +655,7 @@ fn get_base_bits(r: &mut Reader<'_>, natoms: usize) -> Result<Vec<u64>, String> 
         Some(&last) if used > 0 && last >> used != 0 => {
             Err(format!("a base bit is set past the last of {natoms} atoms"))
         }
-        _ => Ok(words),
+        _ => Ok(IdBits::from_words(words)),
     }
 }
 
@@ -668,14 +665,14 @@ fn get_base_atoms(
     r: &mut Reader<'_>,
     syms: &[Symbol],
     instance: &Instance,
-) -> Result<Vec<u64>, String> {
-    let mut words = vec![0u64; instance.len().div_ceil(64)];
+) -> Result<IdBits, String> {
+    let mut bits = IdBits::default();
     for _ in 0..r.len()? {
         let a = get_atom(r, syms)?;
         let id = (instance.id_of(&a)).ok_or_else(|| format!("base fact {a} is not an atom"))?;
-        words[id / 64] |= 1 << (id % 64);
+        bits.insert(id);
     }
-    Ok(words)
+    Ok(bits)
 }
 
 /// Restores a snapshot from in-memory bytes. See [`load_snapshot`] for

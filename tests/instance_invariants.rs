@@ -16,6 +16,9 @@
 //!   deltas (asserted by the `full_builds` / `merge_extends` counter tests
 //!   at the bottom).
 
+mod common;
+
+use common::trie_codes;
 use gtgd::chase::{chase, parse_tgds, ChaseBudget};
 use gtgd::data::{GroundAtom, Instance, Predicate, Rng, Value};
 use std::collections::{HashMap, HashSet};
@@ -69,9 +72,9 @@ fn naive_rows(model: &[GroundAtom], p: Predicate, arity: usize, order: &[u16]) -
     rows
 }
 
-/// The dense trie of `p` under `order`, decoded level by level (empty when
-/// the relation is). Also checks that the trie's row permutation is a
-/// bijection on row ids.
+/// The dense trie of `p` under `order`, its CSR expanded into rows and
+/// decoded (empty when the relation is). Also checks that the trie's row
+/// permutation is a bijection on row ids.
 fn trie_rows(inst: &Instance, p: Predicate, arity: usize, order: &[u16]) -> Vec<Vec<Value>> {
     let (dict, tries) = inst.dense_snapshot(&[(p, arity, order)]);
     let Some(t) = &tries[0] else {
@@ -79,12 +82,8 @@ fn trie_rows(inst: &Instance, p: Predicate, arity: usize, order: &[u16]) -> Vec<
     };
     let distinct: HashSet<u32> = t.perm().iter().copied().collect();
     assert_eq!(distinct.len(), t.rows(), "trie perm is a bijection");
-    (0..t.rows())
-        .map(|i| {
-            (0..order.len())
-                .map(|l| dict.decode(t.level(l)[i]))
-                .collect()
-        })
+    let rows = trie_codes(t, order.len()).into_iter();
+    rows.map(|r| r.into_iter().map(|c| dict.decode(c)).collect())
         .collect()
 }
 
@@ -478,8 +477,8 @@ fn dense_dictionary_remap_keeps_snapshots_consistent() {
     let (dict1, tries1) = inst.dense_snapshot(&reqs);
     let t1 = tries1[0].clone().expect("nonempty relation has a trie");
     assert_eq!(inst.dense_stats().remaps, 0);
-    assert_eq!(dict1.decode(t1.level(0)[0]), Value::named("m"));
-    assert_eq!(dict1.decode(t1.level(1)[0]), Value::named("x"));
+    assert_eq!(dict1.decode(trie_codes(&t1, 2)[0][0]), Value::named("m"));
+    assert_eq!(dict1.decode(trie_codes(&t1, 2)[0][1]), Value::named("x"));
 
     // "a" sorts before every existing entry: growth must remap, not append.
     inst.insert(GroundAtom::named("E", &["a", "m"]));
@@ -501,8 +500,8 @@ fn dense_dictionary_remap_keeps_snapshots_consistent() {
         assert_eq!(dict2.decode(dict2.code(v).unwrap()), v);
     }
     // The new trie decodes to the sorted row set.
-    let rows: Vec<(Value, Value)> = (0..t2.rows())
-        .map(|i| (dict2.decode(t2.level(0)[i]), dict2.decode(t2.level(1)[i])))
+    let rows: Vec<(Value, Value)> = (trie_codes(&t2, 2).iter())
+        .map(|r| (dict2.decode(r[0]), dict2.decode(r[1])))
         .collect();
     assert_eq!(
         rows,
@@ -513,8 +512,8 @@ fn dense_dictionary_remap_keeps_snapshots_consistent() {
     );
     // The *old* snapshot still decodes with its own dictionary: the remap
     // copied rather than mutated what readers hold.
-    assert_eq!(dict1.decode(t1.level(0)[0]), Value::named("m"));
-    assert_eq!(dict1.decode(t1.level(1)[0]), Value::named("x"));
+    assert_eq!(dict1.decode(trie_codes(&t1, 2)[0][0]), Value::named("m"));
+    assert_eq!(dict1.decode(trie_codes(&t1, 2)[0][1]), Value::named("x"));
 }
 
 /// Labelled nulls sort after every named constant, so a chase that keeps

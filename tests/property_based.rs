@@ -154,10 +154,10 @@ fn ground_saturation_sound() {
         }
         // Mark(x) holds exactly for constants with outgoing edges.
         for v in d.dom() {
-            let has_out = d.iter().any(|a| a.args[0] == *v);
+            let has_out = d.iter().any(|a| a.args[0] == v);
             let marked = sat.contains(&GroundAtom::new(
                 gtgd::data::Predicate::new("Mark"),
-                vec![*v],
+                vec![v],
             ));
             assert_eq!(has_out, marked, "seed {seed}");
         }
@@ -280,7 +280,7 @@ fn yannakakis_agrees() {
     let q = gtgd::query::parse_cq("Q(X) :- E(X,Y), E(Y,Z)").unwrap();
     for_cases(24, |seed, rng| {
         let d = arb_db(rng);
-        for v in d.dom().to_vec() {
+        for v in d.dom() {
             let expected = check_answer(&q, &d, &[v]);
             assert_eq!(
                 check_answer_yannakakis(&q, &d, &[v]),

@@ -40,7 +40,7 @@ fn prop_2_1_dp_agrees_with_backtracking() {
     dbs.push(with_loop);
     for q in &queries {
         for d in &dbs {
-            let dom: Vec<Value> = d.dom().to_vec();
+            let dom: Vec<Value> = d.dom();
             let tuples: Vec<Vec<Value>> = match q.arity() {
                 0 => vec![vec![]],
                 1 => dom.iter().map(|&v| vec![v]).collect(),

@@ -1,7 +1,8 @@
 //! End-to-end checks of the script engine and the shipped sample scripts.
 
 use gtgd::chase::certificates_to_json;
-use gtgd::script::{certify_script, eval_script, parse_script, Mode};
+use gtgd::ingest::{LubmConfig, LubmSource, ONTOLOGY_TGDS};
+use gtgd::script::{certify_script, eval_script, parse_script, run_maintained, Mode};
 
 #[test]
 fn shipped_hr_script_runs_open_world() {
@@ -85,6 +86,34 @@ fn multi_atom_head_script_is_answered_exactly() {
         assert!(out.exact, "{query}");
         assert_eq!(out.answers, vec!["c0", "c1", "c2", "c3"], "{query}");
     }
+}
+
+/// LUBM/1 as an open-world script: the piece saturation behind
+/// `eval_script` must be exact and agree with the maintained oblivious
+/// fixpoint, which is finite for LUBM's ontology.
+#[test]
+fn lubm_open_world_script_matches_the_maintained_fixpoint() {
+    let mut src = String::from("mode open\n");
+    for fact in LubmSource::new(LubmConfig::default())
+        .datalog_facts()
+        .lines()
+    {
+        src.push_str(&format!("fact {fact}\n"));
+    }
+    for tgd in ONTOLOGY_TGDS
+        .split('.')
+        .map(str::trim)
+        .filter(|t| !t.is_empty())
+    {
+        src.push_str(&format!("tgd {tgd}.\n"));
+    }
+    src.push_str("query Q(X) :- Faculty(X), worksFor(X,D), subOrganizationOf(D,U).\n");
+    let open = eval_script(&src).expect("script evaluates");
+    assert!(open.exact);
+    let maintained = run_maintained(&parse_script(&src).unwrap()).expect("maintain runs");
+    assert!(maintained.exact, "LUBM's chase is finite");
+    assert!(!open.answers.is_empty());
+    assert_eq!(open.answers, maintained.answers);
 }
 
 /// Renames the null labels (`"n:<id>"`) of a certificate rendering to

@@ -7,6 +7,9 @@
 //! Damaged files must fail closed with the precise error for the damage,
 //! and no mutated payload may make a load or a thaw panic.
 
+mod common;
+
+use common::trie_codes;
 use gtgd::chase::{parse_tgds, ChaseBudget, ChaseRunner, MaintainedInstance, Tgd};
 use gtgd::data::{DenseStats, GroundAtom, Instance, Predicate, Rng, Symbol, Value};
 use gtgd::query::{instance_isomorphic, parse_cq, Engine, Strategy};
@@ -68,12 +71,8 @@ fn seeded_fixture(seed: u64) -> (Vec<Tgd>, MaintainedInstance) {
 fn decoded_trie(i: &Instance, p: Predicate, arity: usize, order: &[u16]) -> Vec<Vec<Value>> {
     let (dict, tries) = i.dense_snapshot(&[(p, arity, order)]);
     let trie = tries[0].as_ref().expect("the relation is nonempty");
-    (0..trie.rows())
-        .map(|r| {
-            (0..order.len())
-                .map(|l| dict.decode(trie.level(l)[r]))
-                .collect()
-        })
+    let rows = trie_codes(trie, order.len()).into_iter();
+    rows.map(|r| r.into_iter().map(|c| dict.decode(c)).collect())
         .collect()
 }
 
